@@ -243,7 +243,7 @@ func BenchmarkTECCLGreedy(b *testing.B) {
 	}
 }
 
-// --- Flow-relaxation benchmarks (BENCH_solver.json "flow" section) ---
+// --- Flow-relaxation benchmarks ---
 
 // flowBenchDemand builds an n-GPU AllGather sub-demand (piece i held by
 // GPU i, needed everywhere else).

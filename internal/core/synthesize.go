@@ -410,23 +410,13 @@ func searchCached(ctx context.Context, top *topology.Topology, root int, scatter
 }
 
 // sketchCacheKey identifies a search by topology fingerprint, shape, root,
-// and every search option that influences the result set (Rec is
-// instrumentation only and excluded).
+// and the search options' fingerprint.
 func sketchCacheKey(top *topology.Topology, root int, scatter bool, so sketch.SearchOptions) string {
 	shape := "b"
 	if scatter {
 		shape = "s"
 	}
-	key := fmt.Sprintf("%s|%s%d|k%d,n%d,m%d,c%d,p1:%t,p2:%t,ff:%t",
-		top.Fingerprint(), shape, root,
-		so.MaxStages, so.MaxNodes, so.MaxSketches, so.MaxCountChoices,
-		so.DisablePrune1, so.DisablePrune2, so.FullFanoutOnly)
-	// A hint filters the result set, so hinted searches get their own
-	// entries; unhinted keys keep their historical format.
-	if h := so.Hint.Canonical(); h != "" {
-		key += "|h=" + h
-	}
-	return key
+	return fmt.Sprintf("%s|%s%d|%s", top.Fingerprint(), shape, root, so.Fingerprint())
 }
 
 // sendRecvSchedule routes a one-to-one transfer: direct where a shared

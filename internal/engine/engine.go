@@ -21,15 +21,13 @@
 package engine
 
 import (
-	"container/list"
 	"context"
-	"hash/fnv"
-	"sync"
 	"sync/atomic"
 
 	"syccl/internal/collective"
 	"syccl/internal/core"
 	"syccl/internal/isomorph"
+	"syccl/internal/lru"
 	"syccl/internal/obs"
 	"syccl/internal/sketch"
 	"syccl/internal/solve"
@@ -92,11 +90,15 @@ func (o Options) withDefaults() Options {
 // PersistTier is the disk tier behind the sub-schedule cache. Load
 // returns a stored solution for the demand (exact replay or iso-class
 // mapping onto it) or nil; Put stores a newly solved sub-schedule,
-// first write wins. Implementations must be safe for concurrent use.
+// first write wins; InvalidateMatching drops every entry whose exact or
+// class key (isomorph.CacheKeys) starts with one of the prefixes and
+// reports how many went — Replan extends selective invalidation to disk
+// through it. Implementations must be safe for concurrent use.
 // *persist.Store satisfies this interface.
 type PersistTier interface {
 	Load(d *solve.Demand, sig string) *solve.SubSchedule
 	Put(d *solve.Demand, sig string, sub *solve.SubSchedule) error
+	InvalidateMatching(prefixes []string) int
 }
 
 // Stats is a snapshot of the engine's lifetime counters. The JSON field
@@ -104,7 +106,7 @@ type PersistTier interface {
 // embeds a Stats verbatim), so they are stable snake_case.
 //
 // Contract: every counter is marshaled explicitly, including zeros — no
-// omitempty. Scrapers (and the loadtest's /statsz deltas) subtract
+// omitempty. Scrapers (and the bench ledger's /statsz deltas) subtract
 // successive snapshots, which only works when every field is present in
 // every scrape; a field that appears only once non-zero would read as a
 // reset. New counters may be added, but existing fields are never
@@ -156,41 +158,25 @@ type Stats struct {
 // caches are shared across all of them.
 type Engine struct {
 	opts     Options
-	sketches sketchLRU
-	shards   []solveShard
-	bounds   boundLRU
-	mask     uint32
+	sketches *lru.Cache[[]*sketch.Sketch]
+	solves   *lru.Cache[solved]
+	bounds   *lru.Cache[float64]
+	// persistHit / persistMiss meter the disk tier behind solves.
+	persistHit, persistMiss *lru.Meter
 
-	plans         atomic.Int64
-	cancelled     atomic.Int64
-	solveHits     atomic.Int64
-	solveMisses   atomic.Int64
-	exactHits     atomic.Int64
-	isoHits       atomic.Int64
-	evictions     atomic.Int64
-	sketchHits    atomic.Int64
-	sketchMisses  atomic.Int64
-	boundHits     atomic.Int64
-	boundMisses   atomic.Int64
-	boundsPruned  atomic.Int64
-	boundsProved  atomic.Int64
-	persistHits   atomic.Int64
-	persistMisses atomic.Int64
+	plans        atomic.Int64
+	cancelled    atomic.Int64
+	boundsPruned atomic.Int64
+	boundsProved atomic.Int64
 
 	replans           atomic.Int64
-	replansErr        atomic.Int64
 	replanReused      atomic.Int64
 	replanInvalidated atomic.Int64
 
-	// Labeled metric children, resolved once at construction so the cache
-	// hot paths pay a single nil-safe atomic add per event.
+	// Labeled metric children, resolved once at construction so each
+	// update is a single nil-safe atomic add.
 	mPlanOK, mPlanPartial, mPlanError       *obs.Counter
-	mSolveExact, mSolveIso, mSolveMiss      *obs.Counter
-	mSketchHit, mSketchMiss                 *obs.Counter
-	mBoundExact, mBoundIso, mBoundMiss      *obs.Counter
-	mEvictSolve, mEvictSketch, mEvictBound  *obs.Counter
 	mBoundPruned, mBoundKept, mBoundsProved *obs.Counter
-	mPersistHit, mPersistMiss               *obs.Counter
 	mReplanOK, mReplanPartial, mReplanError *obs.Counter
 	mReplanReuse                            *obs.Histogram
 }
@@ -198,48 +184,39 @@ type Engine struct {
 // New builds an Engine with the given options.
 func New(opts Options) *Engine {
 	opts = opts.withDefaults()
-	shards := 1
-	for shards < opts.Shards {
-		shards <<= 1
-	}
-	perShard := (opts.SolveCacheEntries + shards - 1) / shards
-	if perShard < 1 {
-		perShard = 1
-	}
-	e := &Engine{
-		opts: opts,
-		mask: uint32(shards - 1),
-	}
-	e.sketches.init(opts.SketchCacheEntries)
-	e.shards = make([]solveShard, shards)
-	for i := range e.shards {
-		e.shards[i].init(perShard)
-	}
-	e.bounds.init(opts.BoundCacheEntries)
+	e := &Engine{opts: opts}
 	// A nil registry hands out nil vectors and nil children, so every
 	// metric update below stays a no-op when telemetry is off.
+	rec := opts.Obs
+	lookups := opts.Metrics.Counter("syccl_engine_cache_lookups_total",
+		"Cross-request cache lookups by cache and result.", "cache", "result")
+	evict := opts.Metrics.Counter("syccl_engine_cache_evictions_total",
+		"LRU evictions by cache.", "cache")
+	e.solves = lru.New[solved](opts.SolveCacheEntries, opts.Shards, lru.Meters{
+		Hit:      lru.NewMeter(rec, "engine.cache.hits", lookups.With("solve", "exact")),
+		ClassHit: lru.NewMeter(rec, "engine.cache.hits", lookups.With("solve", "iso")),
+		Miss:     lru.NewMeter(rec, "engine.cache.misses", lookups.With("solve", "miss")),
+		Evict:    lru.NewMeter(rec, "engine.cache.evictions", evict.With("solve")),
+	})
+	e.bounds = lru.New[float64](opts.BoundCacheEntries, 1, lru.Meters{
+		Hit:      lru.NewMeter(rec, "engine.bound.hits", lookups.With("bound", "exact")),
+		ClassHit: lru.NewMeter(rec, "engine.bound.hits", lookups.With("bound", "iso")),
+		Miss:     lru.NewMeter(rec, "engine.bound.misses", lookups.With("bound", "miss")),
+		Evict:    lru.NewMeter(rec, "engine.cache.evictions", evict.With("bound")),
+	})
+	e.sketches = lru.New[[]*sketch.Sketch](opts.SketchCacheEntries, 1, lru.Meters{
+		Hit:   lru.NewMeter(rec, "engine.sketch.hits", lookups.With("sketch", "hit")),
+		Miss:  lru.NewMeter(rec, "engine.sketch.misses", lookups.With("sketch", "miss")),
+		Evict: lru.NewMeter(rec, "engine.cache.evictions", evict.With("sketch")),
+	})
+	e.persistHit = lru.NewMeter(rec, "engine.persist.hits", lookups.With("persist", "hit"))
+	e.persistMiss = lru.NewMeter(rec, "engine.persist.misses", lookups.With("persist", "miss"))
+
 	plans := opts.Metrics.Counter("syccl_engine_plans_total",
 		"Engine plan calls by outcome.", "outcome")
 	e.mPlanOK = plans.With("ok")
 	e.mPlanPartial = plans.With("partial")
 	e.mPlanError = plans.With("error")
-	lookups := opts.Metrics.Counter("syccl_engine_cache_lookups_total",
-		"Cross-request cache lookups by cache and result.", "cache", "result")
-	e.mSolveExact = lookups.With("solve", "exact")
-	e.mSolveIso = lookups.With("solve", "iso")
-	e.mSolveMiss = lookups.With("solve", "miss")
-	e.mSketchHit = lookups.With("sketch", "hit")
-	e.mSketchMiss = lookups.With("sketch", "miss")
-	e.mBoundExact = lookups.With("bound", "exact")
-	e.mBoundIso = lookups.With("bound", "iso")
-	e.mBoundMiss = lookups.With("bound", "miss")
-	e.mPersistHit = lookups.With("persist", "hit")
-	e.mPersistMiss = lookups.With("persist", "miss")
-	evict := opts.Metrics.Counter("syccl_engine_cache_evictions_total",
-		"LRU evictions by cache.", "cache")
-	e.mEvictSolve = evict.With("solve")
-	e.mEvictSketch = evict.With("sketch")
-	e.mEvictBound = evict.With("bound")
 	boundsTotal := opts.Metrics.Counter("syccl_solver_bounds_total",
 		"Candidate flow lower bounds by outcome: pruned (candidate eliminated), kept (bound insufficient to prune), proved_optimal (fine pass skipped).",
 		"result")
@@ -274,14 +251,14 @@ func (e *Engine) Plan(ctx context.Context, top *topology.Topology, col *collecti
 		ctx = context.Background()
 	}
 	e.plans.Add(1)
-	e.count("engine.plans", 1)
+	e.opts.Obs.Count("engine.plans", 1)
 	opts.SolveCache = solveCacheAdapter{e}
 	opts.SketchCache = sketchCacheAdapter{e}
 	opts.BoundCache = boundCacheAdapter{e}
 	res, err := core.SynthesizeContext(ctx, top, col, opts)
 	if (err != nil && ctx.Err() != nil) || (res != nil && res.Partial) {
 		e.cancelled.Add(1)
-		e.count("engine.cancelled", 1)
+		e.opts.Obs.Count("engine.cancelled", 1)
 	}
 	if res != nil {
 		if pruned := int64(res.Stats.PrunedLB); pruned > 0 {
@@ -309,66 +286,38 @@ func (e *Engine) Plan(ctx context.Context, top *topology.Topology, col *collecti
 
 // Stats returns a snapshot of the engine's lifetime counters.
 func (e *Engine) Stats() Stats {
+	sv, bd, sk := e.solves.Stats(), e.bounds.Stats(), e.sketches.Stats()
 	return Stats{
 		Plans:             e.plans.Load(),
 		Cancelled:         e.cancelled.Load(),
-		SolveHits:         e.solveHits.Load(),
-		SolveMisses:       e.solveMisses.Load(),
-		ExactHits:         e.exactHits.Load(),
-		IsoHits:           e.isoHits.Load(),
-		Evictions:         e.evictions.Load(),
-		SketchHits:        e.sketchHits.Load(),
-		SketchMisses:      e.sketchMisses.Load(),
-		BoundHits:         e.boundHits.Load(),
-		BoundMisses:       e.boundMisses.Load(),
+		SolveHits:         sv.Hits + sv.ClassHits,
+		SolveMisses:       sv.Misses,
+		ExactHits:         sv.Hits,
+		IsoHits:           sv.ClassHits,
+		Evictions:         sv.Evictions + bd.Evictions + sk.Evictions,
+		SketchHits:        sk.Hits,
+		SketchMisses:      sk.Misses,
+		BoundHits:         bd.Hits + bd.ClassHits,
+		BoundMisses:       bd.Misses,
 		BoundsPruned:      e.boundsPruned.Load(),
 		BoundsProved:      e.boundsProved.Load(),
-		PersistHits:       e.persistHits.Load(),
-		PersistMisses:     e.persistMisses.Load(),
+		PersistHits:       e.persistHit.Load(),
+		PersistMisses:     e.persistMiss.Load(),
 		Replans:           e.replans.Load(),
 		ReplanReused:      e.replanReused.Load(),
 		ReplanInvalidated: e.replanInvalidated.Load(),
 	}
 }
 
-func (e *Engine) count(name string, delta float64) {
-	if e.opts.Obs != nil {
-		e.opts.Obs.Count(name, delta)
-	}
-}
-
 // --- sub-schedule cache ---
 
-// solveEntry is one cached per-demand solution. The demand clone is kept
-// for the iso-fallback path, which needs the concrete piece sets to find
-// a mapping onto the queried demand.
-type solveEntry struct {
-	exactKey string
-	isoKey   string
-	demand   *solve.Demand
-	sub      *solve.SubSchedule
-	elem     *list.Element
-}
-
-type solveShard struct {
-	mu      sync.Mutex
-	byExact map[string]*solveEntry
-	byIso   map[string][]*solveEntry
-	lru     *list.List // front = most recently used
-	cap     int
-}
-
-func (s *solveShard) init(cap int) {
-	s.byExact = make(map[string]*solveEntry)
-	s.byIso = make(map[string][]*solveEntry)
-	s.lru = list.New()
-	s.cap = cap
-}
-
-func hashKey(k string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(k))
-	return h.Sum32()
+// solved is one cached per-demand solution. The demand is kept for the
+// iso-fallback path, which needs the concrete piece sets to find a
+// mapping onto the queried demand. Both halves are private clones and
+// are never mutated once stored.
+type solved struct {
+	demand *solve.Demand
+	sub    *solve.SubSchedule
 }
 
 // solveCacheAdapter implements core.SolveCache on the engine.
@@ -376,67 +325,38 @@ type solveCacheAdapter struct{ e *Engine }
 
 func (a solveCacheAdapter) Lookup(d *solve.Demand, sig string) *solve.SubSchedule {
 	e := a.e
-	exact := isomorph.ExactKey(d) + "|" + sig
-	iso := isomorph.Key(d) + "|" + sig
-	if sub := e.memLookup(d, exact, iso); sub != nil {
-		return sub
+	exact, iso := isomorph.CacheKeys(d, sig)
+	if hit, ok := e.solves.Get(exact, iso); ok {
+		return cloneSub(hit.sub)
+	}
+	var m *isomorph.Mapping
+	if hit, ok := e.solves.GetClass(iso, func(s solved) bool {
+		m = isomorph.FindFullMapping(s.demand, d)
+		return m != nil
+	}); ok {
+		// MapSchedule allocates a fresh sub-schedule; no extra clone.
+		return isomorph.MapSchedule(hit.sub, *m)
 	}
 	// Memory miss: consult the disk tier (outside any shard lock — disk
 	// reads must not serialize unrelated lookups).
 	if e.opts.Persist != nil {
 		if sub := e.opts.Persist.Load(d, sig); sub != nil {
-			e.persistHits.Add(1)
-			e.count("engine.persist.hits", 1)
-			e.mPersistHit.Inc()
+			e.persistHit.Add(1)
 			// Promote into the memory tier. No write-back: the bytes just
 			// came from disk (or from an iso sibling already on disk).
-			e.memInsert(d, exact, iso, sub)
+			e.solves.Add(exact, iso, func() solved { return solved{cloneDemand(d), cloneSub(sub)} })
 			return sub
 		}
-		e.persistMisses.Add(1)
-		e.count("engine.persist.misses", 1)
-		e.mPersistMiss.Inc()
+		e.persistMiss.Add(1)
 	}
-	e.solveMisses.Add(1)
-	e.count("engine.cache.misses", 1)
-	e.mSolveMiss.Inc()
-	return nil
-}
-
-// memLookup probes the in-memory solve LRU (exact, then iso-class) and
-// counts hits; misses are not counted here so the persist tier can be
-// consulted before the lookup is declared a miss.
-func (e *Engine) memLookup(d *solve.Demand, exact, iso string) *solve.SubSchedule {
-	s := &e.shards[hashKey(iso)&e.mask]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ent, ok := s.byExact[exact]; ok {
-		s.lru.MoveToFront(ent.elem)
-		e.solveHits.Add(1)
-		e.exactHits.Add(1)
-		e.count("engine.cache.hits", 1)
-		e.mSolveExact.Inc()
-		return cloneSub(ent.sub)
-	}
-	for _, ent := range s.byIso[iso] {
-		if m := isomorph.FindFullMapping(ent.demand, d); m != nil {
-			s.lru.MoveToFront(ent.elem)
-			e.solveHits.Add(1)
-			e.isoHits.Add(1)
-			e.count("engine.cache.hits", 1)
-			e.mSolveIso.Inc()
-			// MapSchedule allocates a fresh sub-schedule; no extra clone.
-			return isomorph.MapSchedule(ent.sub, *m)
-		}
-	}
+	e.solves.Miss()
 	return nil
 }
 
 func (a solveCacheAdapter) Store(d *solve.Demand, sig string, sub *solve.SubSchedule) {
 	e := a.e
-	exact := isomorph.ExactKey(d) + "|" + sig
-	iso := isomorph.Key(d) + "|" + sig
-	if !e.memInsert(d, exact, iso, sub) {
+	exact, iso := isomorph.CacheKeys(d, sig)
+	if !e.solves.Add(exact, iso, func() solved { return solved{cloneDemand(d), cloneSub(sub)} }) {
 		// First write won in memory; the disk tier enforces the same
 		// rule, so nothing to write through.
 		return
@@ -446,51 +366,6 @@ func (a solveCacheAdapter) Store(d *solve.Demand, sig string, sub *solve.SubSche
 		// (full disk, permissions) degrades durability, never planning.
 		_ = e.opts.Persist.Put(d, sig, sub)
 	}
-}
-
-// memInsert adds a solved sub-schedule to the in-memory LRU, evicting
-// as needed. Returns false when the exact key was already present
-// (first write wins: replaying a stored solution must stay
-// bit-identical, so a concurrent duplicate store is dropped).
-func (e *Engine) memInsert(d *solve.Demand, exact, iso string, sub *solve.SubSchedule) bool {
-	s := &e.shards[hashKey(iso)&e.mask]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ent, ok := s.byExact[exact]; ok {
-		s.lru.MoveToFront(ent.elem)
-		return false
-	}
-	ent := &solveEntry{
-		exactKey: exact,
-		isoKey:   iso,
-		demand:   cloneDemand(d),
-		sub:      cloneSub(sub),
-	}
-	ent.elem = s.lru.PushFront(ent)
-	s.byExact[exact] = ent
-	s.byIso[iso] = append(s.byIso[iso], ent)
-	for s.lru.Len() > s.cap {
-		back := s.lru.Back()
-		victim := back.Value.(*solveEntry)
-		s.lru.Remove(back)
-		delete(s.byExact, victim.exactKey)
-		bucket := s.byIso[victim.isoKey]
-		for i, v := range bucket {
-			if v == victim {
-				bucket = append(bucket[:i], bucket[i+1:]...)
-				break
-			}
-		}
-		if len(bucket) == 0 {
-			delete(s.byIso, victim.isoKey)
-		} else {
-			s.byIso[victim.isoKey] = bucket
-		}
-		e.evictions.Add(1)
-		e.count("engine.cache.evictions", 1)
-		e.mEvictSolve.Inc()
-	}
-	return true
 }
 
 func cloneDemand(d *solve.Demand) *solve.Demand {
@@ -512,159 +387,45 @@ func cloneSub(s *solve.SubSchedule) *solve.SubSchedule {
 
 // --- flow-bound cache ---
 
-// boundEntry is one cached flow lower bound. The bound is invariant
-// under GPU relabeling (the isomorph keys embed α, β, and the piece
-// structure), so entries are stored under their exact key and also
-// served to merely-isomorphic demands through the iso index — a scalar
-// needs no schedule remapping.
-type boundEntry struct {
-	exactKey string
-	isoKey   string
-	bound    float64
-	elem     *list.Element
-}
-
-type boundLRU struct {
-	mu      sync.Mutex
-	byExact map[string]*boundEntry
-	byIso   map[string]*boundEntry
-	lru     *list.List
-	cap     int
-}
-
-func (c *boundLRU) init(cap int) {
-	c.byExact = make(map[string]*boundEntry)
-	c.byIso = make(map[string]*boundEntry)
-	c.lru = list.New()
-	c.cap = cap
-}
-
-// boundCacheAdapter implements core.BoundCache on the engine.
+// boundCacheAdapter implements core.BoundCache on the engine. The bound
+// is invariant under GPU relabeling (the isomorph keys embed α, β, and
+// the piece structure), so any resident member of the demand's class
+// answers for it — a scalar needs no schedule remapping.
 type boundCacheAdapter struct{ e *Engine }
 
 func (a boundCacheAdapter) Lookup(d *solve.Demand, sig string) (float64, bool) {
-	e := a.e
-	exact := isomorph.ExactKey(d) + "|" + sig
-	iso := isomorph.Key(d) + "|" + sig
-	c := &e.bounds
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ent, ok := c.byExact[exact]; ok {
-		c.lru.MoveToFront(ent.elem)
-		e.boundHits.Add(1)
-		e.count("engine.bound.hits", 1)
-		e.mBoundExact.Inc()
-		return ent.bound, true
+	exact, iso := isomorph.CacheKeys(d, sig)
+	if b, ok := a.e.bounds.Get(exact, iso); ok {
+		return b, true
 	}
-	if ent, ok := c.byIso[iso]; ok {
-		c.lru.MoveToFront(ent.elem)
-		e.boundHits.Add(1)
-		e.count("engine.bound.hits", 1)
-		e.mBoundIso.Inc()
-		return ent.bound, true
+	if b, ok := a.e.bounds.GetClass(iso, nil); ok {
+		return b, true
 	}
-	e.boundMisses.Add(1)
-	e.count("engine.bound.misses", 1)
-	e.mBoundMiss.Inc()
+	a.e.bounds.Miss()
 	return 0, false
 }
 
 func (a boundCacheAdapter) Store(d *solve.Demand, sig string, bound float64) {
-	e := a.e
-	exact := isomorph.ExactKey(d) + "|" + sig
-	iso := isomorph.Key(d) + "|" + sig
-	c := &e.bounds
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ent, ok := c.byExact[exact]; ok {
-		// First write wins, as in the solve cache.
-		c.lru.MoveToFront(ent.elem)
-		return
-	}
-	ent := &boundEntry{exactKey: exact, isoKey: iso, bound: bound}
-	ent.elem = c.lru.PushFront(ent)
-	c.byExact[exact] = ent
-	if _, ok := c.byIso[iso]; !ok {
-		c.byIso[iso] = ent
-	}
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		victim := back.Value.(*boundEntry)
-		c.lru.Remove(back)
-		delete(c.byExact, victim.exactKey)
-		if c.byIso[victim.isoKey] == victim {
-			delete(c.byIso, victim.isoKey)
-		}
-		e.evictions.Add(1)
-		e.count("engine.cache.evictions", 1)
-		e.mEvictBound.Inc()
-	}
+	exact, iso := isomorph.CacheKeys(d, sig)
+	a.e.bounds.Add(exact, iso, func() float64 { return bound })
 }
 
 // --- sketch cache ---
-
-type sketchEntry struct {
-	key      string
-	sketches []*sketch.Sketch
-	elem     *list.Element
-}
-
-type sketchLRU struct {
-	mu      sync.Mutex
-	entries map[string]*sketchEntry
-	lru     *list.List
-	cap     int
-}
-
-func (c *sketchLRU) init(cap int) {
-	c.entries = make(map[string]*sketchEntry)
-	c.lru = list.New()
-	c.cap = cap
-}
 
 // sketchCacheAdapter implements core.SketchCache on the engine.
 type sketchCacheAdapter struct{ e *Engine }
 
 func (a sketchCacheAdapter) Lookup(key string) ([]*sketch.Sketch, bool) {
-	e := a.e
-	c := &e.sketches
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ent, ok := c.entries[key]
+	cached, ok := a.e.sketches.Get(key, "")
 	if !ok {
-		e.sketchMisses.Add(1)
-		e.count("engine.sketch.misses", 1)
-		e.mSketchMiss.Inc()
+		a.e.sketches.Miss()
 		return nil, false
 	}
-	c.lru.MoveToFront(ent.elem)
-	e.sketchHits.Add(1)
-	e.count("engine.sketch.hits", 1)
-	e.mSketchHit.Inc()
-	return cloneSketches(ent.sketches), true
+	return cloneSketches(cached), true
 }
 
 func (a sketchCacheAdapter) Store(key string, sketches []*sketch.Sketch) {
-	e := a.e
-	c := &e.sketches
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ent, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(ent.elem)
-		return
-	}
-	ent := &sketchEntry{key: key, sketches: cloneSketches(sketches)}
-	ent.elem = c.lru.PushFront(ent)
-	c.entries[key] = ent
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		victim := back.Value.(*sketchEntry)
-		c.lru.Remove(back)
-		delete(c.entries, victim.key)
-		e.evictions.Add(1)
-		e.count("engine.cache.evictions", 1)
-		e.mEvictSketch.Inc()
-	}
+	a.e.sketches.Add(key, "", func() []*sketch.Sketch { return cloneSketches(sketches) })
 }
 
 func cloneSketches(in []*sketch.Sketch) []*sketch.Sketch {

@@ -7,6 +7,7 @@ import (
 
 	"syccl/internal/collective"
 	"syccl/internal/core"
+	"syccl/internal/sketch"
 	"syccl/internal/topology"
 )
 
@@ -19,11 +20,14 @@ import (
 // The key covers everything that influences the synthesized schedule:
 // the topology fingerprint, the full collective demand (kind, shape,
 // chunk size, root, and the exact chunk source/destination sets), and
-// the solve-relevant options. Options.Workers and Options.MILPWorkers
-// are deliberately excluded — schedules are byte-identical across worker
-// counts (see Options.SolveTimeLimit) — as are the pure observability
-// and cache-wiring fields (Obs, SolveCache, SketchCache, Sim ranking
-// options are fixed by the caller, not the request).
+// the solve-relevant options, search options and solver mode included.
+// Options.Workers and Options.MILPWorkers are deliberately excluded —
+// schedules are byte-identical across worker counts (see
+// Options.SolveTimeLimit) — as are the pure observability and
+// cache-wiring fields (Obs, Search.Rec, OnIncumbent, SolveCache,
+// SketchCache, BoundCache; Sim ranking options are fixed by the caller,
+// not the request). TestPlanKeyCoversEveryOption holds every field of
+// core.Options and sketch.SearchOptions to one list or the other.
 //
 // Callers that accept user-supplied options should normalize them (fill
 // defaults) before keying: PlanKey hashes the literal field values, so
@@ -47,6 +51,18 @@ func PlanKey(top *topology.Topology, col *collective.Collective, opts core.Optio
 	}
 	if opts.StopWithin > 0 {
 		fmt.Fprintf(&sb, "|sw=%.9g", opts.StopWithin)
+	}
+	// Search options and the solver mode change the candidate space and
+	// the sub-demand solutions. Same only-when-set rule, for the same
+	// reason; the search part is the fingerprint core keys its sketch
+	// cache by, so the two cannot drift.
+	so := opts.Search
+	so.Rec = nil
+	if so != (sketch.SearchOptions{}) {
+		fmt.Fprintf(&sb, "|search=%s", so.Fingerprint())
+	}
+	if opts.SolverMode != core.SolverAuto {
+		fmt.Fprintf(&sb, "|solver=%s", opts.SolverMode)
 	}
 	return sb.String()
 }

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"syccl/internal/collective"
 	"syccl/internal/core"
+	"syccl/internal/sketch"
 	"syccl/internal/topology"
 )
 
@@ -62,5 +65,120 @@ func TestPlanKeyCoalescingContract(t *testing.T) {
 	b1 := PlanKey(top, collective.Broadcast(4, 1, 1<<20), base)
 	if b0 == b1 {
 		t.Fatal("chunk digest missed a root change")
+	}
+}
+
+// planKeyExcluded lists the option fields PlanKey deliberately leaves
+// out, with the reason each can never change the schedule. Every other
+// field of core.Options and sketch.SearchOptions must change the key
+// (TestPlanKeyCoversEveryOption); a new field fails that test until it
+// is keyed or argued onto this list.
+var planKeyExcluded = map[string]string{
+	"Workers":     "schedules are byte-identical across worker counts",
+	"MILPWorkers": "branch-and-bound is deterministic across worker counts",
+	"Sim":         "ranking-simulator options are fixed by the caller, not the request",
+	"Obs":         "instrumentation only",
+	"SolveCache":  "cache wiring; the engine installs its own",
+	"SketchCache": "cache wiring; the engine installs its own",
+	"BoundCache":  "cache wiring; the engine installs its own",
+	"OnIncumbent": "publication is observation-only",
+	"Search.Rec":  "instrumentation only",
+}
+
+// perturb sets a field to a non-zero value of its type; it reports false
+// for kinds it cannot fill generically (interfaces, funcs, recorders).
+func perturb(f reflect.Value) bool {
+	switch f.Kind() {
+	case reflect.Int, reflect.Int64:
+		f.SetInt(2)
+	case reflect.Float64:
+		f.SetFloat(1.5)
+	case reflect.Bool:
+		f.SetBool(true)
+	case reflect.Ptr:
+		if f.Type() != reflect.TypeOf((*sketch.Hint)(nil)) {
+			return false
+		}
+		f.Set(reflect.ValueOf(&sketch.Hint{Family: sketch.FamilyTree}))
+	default:
+		return false
+	}
+	return true
+}
+
+// TestPlanKeyCoversEveryOption walks every field of core.Options and of
+// the sketch.SearchOptions nested in it: perturbing a field must change
+// the key unless the field is on planKeyExcluded, in which case it must
+// not. Equal keys promise byte-identical schedules, so an option that
+// steers synthesis but not the key would alias two different schedules
+// in the schedule store, the flights and the schedule ids.
+func TestPlanKeyCoversEveryOption(t *testing.T) {
+	top := topology.SingleServer(4)
+	col := collective.AllGather(4, 1<<20)
+	base := PlanKey(top, col, core.Options{})
+
+	check := func(name string, opts core.Options, settable bool) {
+		t.Helper()
+		_, excluded := planKeyExcluded[name]
+		switch changed := PlanKey(top, col, opts) != base; {
+		case excluded && changed:
+			t.Errorf("%s is on the exclusion list but changes the key", name)
+		case !excluded && !settable:
+			t.Errorf("%s: the test cannot perturb this kind of field; key it and teach perturb, or exclude it with a reason", name)
+		case !excluded && !changed:
+			t.Errorf("%s steers synthesis but not PlanKey: key it, or exclude it with a reason", name)
+		}
+	}
+
+	ot := reflect.TypeOf(core.Options{})
+	for i := 0; i < ot.NumField(); i++ {
+		if ot.Field(i).Name == "Search" {
+			continue
+		}
+		var opts core.Options
+		settable := perturb(reflect.ValueOf(&opts).Elem().Field(i))
+		check(ot.Field(i).Name, opts, settable)
+	}
+	st := reflect.TypeOf(sketch.SearchOptions{})
+	for i := 0; i < st.NumField(); i++ {
+		var opts core.Options
+		settable := perturb(reflect.ValueOf(&opts.Search).Elem().Field(i))
+		check("Search."+st.Field(i).Name, opts, settable)
+	}
+	for name := range planKeyExcluded {
+		field := strings.TrimPrefix(name, "Search.")
+		typ := ot
+		if field != name {
+			typ = st
+		}
+		if _, ok := typ.FieldByName(field); !ok {
+			t.Errorf("exclusion list names %s, which no longer exists", name)
+		}
+	}
+}
+
+// TestPlanKeySearchOptionsChangeSchedules is the defect behind the
+// coverage test: capping the sketch search at one stage changes the
+// synthesized Broadcast, so the two requests must not share a key.
+func TestPlanKeySearchOptionsChangeSchedules(t *testing.T) {
+	top := topology.A100Clos(2)
+	col := collective.Broadcast(top.NumGPUs(), 0, 1<<20)
+	full := core.Options{E1: 3, E2: 0.5}
+	capped := full
+	capped.Search.MaxStages = 1
+
+	a, err := core.Synthesize(top, col, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := core.Synthesize(top, col, capped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Time == b.Time {
+		t.Skipf("MaxStages=1 no longer changes this schedule (%g s)", a.Time)
+	}
+	if PlanKey(top, col, full) == PlanKey(top, col, capped) {
+		t.Fatalf("schedules differ (%g s vs %g s) under one PlanKey", a.Time, b.Time)
 	}
 }

@@ -11,14 +11,6 @@ import (
 	"syccl/internal/topology"
 )
 
-// InvalidatingTier is optionally implemented by a PersistTier that can
-// drop stored entries whose keys match a set of prefixes (persist.Store
-// implements it). Replan uses it to extend selective invalidation to the
-// disk tier.
-type InvalidatingTier interface {
-	InvalidateMatching(prefixes []string) int
-}
-
 // ReplanResult carries a replanned schedule plus the fault-reactive
 // bookkeeping: what the delta touched, what was invalidated, and how much
 // of the new plan was replayed from cache.
@@ -72,10 +64,9 @@ func (r *ReplanResult) ReuseRatio() float64 {
 // untouched groups still replay through it).
 func (e *Engine) Replan(ctx context.Context, base *topology.Topology, delta *topology.Delta, col *collective.Collective, opts core.Options) (*ReplanResult, error) {
 	e.replans.Add(1)
-	e.count("engine.replans", 1)
+	e.opts.Obs.Count("engine.replans", 1)
 	degraded, err := delta.Apply(base)
 	if err != nil {
-		e.replansErr.Add(1)
 		e.mReplanError.Inc()
 		return nil, fmt.Errorf("replan: %w", err)
 	}
@@ -103,7 +94,6 @@ func (e *Engine) Replan(ctx context.Context, base *topology.Topology, delta *top
 	e.replanInvalidated.Add(int64(invalidated))
 	switch {
 	case err != nil:
-		e.replansErr.Add(1)
 		e.mReplanError.Inc()
 	case res != nil && res.Partial:
 		e.mReplanPartial.Inc()
@@ -185,16 +175,15 @@ func diffGroups(base, degraded *topology.Topology) (touched, total int, stale []
 	return touched, total, stale
 }
 
-// Invalidate drops every solve-cache and bound-cache entry (memory and,
-// when the persist tier supports it, disk) whose exact or iso key starts
-// with one of the prefixes. It returns the number of entries removed.
-// Dropping entries never affects correctness — caches are
-// content-addressed — only warm-start coverage.
+// Invalidate drops every solve-cache and bound-cache entry (memory and
+// disk tier) whose exact or iso key starts with one of the prefixes. It
+// returns the number of entries removed. Dropping entries never affects
+// correctness — caches are content-addressed — only warm-start coverage.
 func (e *Engine) Invalidate(prefixes []string) int {
 	if len(prefixes) == 0 {
 		return 0
 	}
-	matches := func(exactKey, isoKey string) bool {
+	stale := func(exactKey, isoKey string) bool {
 		for _, p := range prefixes {
 			if strings.HasPrefix(exactKey, p) || strings.HasPrefix(isoKey, p) {
 				return true
@@ -202,57 +191,9 @@ func (e *Engine) Invalidate(prefixes []string) int {
 		}
 		return false
 	}
-
-	removed := 0
-	for i := range e.shards {
-		s := &e.shards[i]
-		s.mu.Lock()
-		var victims []*solveEntry
-		for _, ent := range s.byExact {
-			if matches(ent.exactKey, ent.isoKey) {
-				victims = append(victims, ent)
-			}
-		}
-		for _, victim := range victims {
-			s.lru.Remove(victim.elem)
-			delete(s.byExact, victim.exactKey)
-			bucket := s.byIso[victim.isoKey]
-			for j, v := range bucket {
-				if v == victim {
-					bucket = append(bucket[:j], bucket[j+1:]...)
-					break
-				}
-			}
-			if len(bucket) == 0 {
-				delete(s.byIso, victim.isoKey)
-			} else {
-				s.byIso[victim.isoKey] = bucket
-			}
-			removed++
-		}
-		s.mu.Unlock()
-	}
-
-	c := &e.bounds
-	c.mu.Lock()
-	var boundVictims []*boundEntry
-	for _, ent := range c.byExact {
-		if matches(ent.exactKey, ent.isoKey) {
-			boundVictims = append(boundVictims, ent)
-		}
-	}
-	for _, victim := range boundVictims {
-		c.lru.Remove(victim.elem)
-		delete(c.byExact, victim.exactKey)
-		if c.byIso[victim.isoKey] == victim {
-			delete(c.byIso, victim.isoKey)
-		}
-		removed++
-	}
-	c.mu.Unlock()
-
-	if it, ok := e.opts.Persist.(InvalidatingTier); ok && e.opts.Persist != nil {
-		removed += it.InvalidateMatching(prefixes)
+	removed := e.solves.RemoveIf(stale) + e.bounds.RemoveIf(stale)
+	if e.opts.Persist != nil {
+		removed += e.opts.Persist.InvalidateMatching(prefixes)
 	}
 	return removed
 }

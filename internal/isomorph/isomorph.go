@@ -57,6 +57,17 @@ func ExactKey(d *solve.Demand) string {
 	return sb.String()
 }
 
+// CacheKeys returns the pair every cross-request cache tier addresses a
+// solved demand by: the exact key (verbatim replay) and the class key
+// (isomorphism fallback), each suffixed with the solve signature so
+// solutions found under different solver options never mix. The memory
+// tiers in internal/engine and the on-disk corpus of internal/persist
+// share this one format — persisted entries record both keys, so
+// changing it orphans every stored corpus.
+func CacheKeys(d *solve.Demand, sig string) (exact, class string) {
+	return ExactKey(d) + "|" + sig, Key(d) + "|" + sig
+}
+
 // gpuColors computes a per-GPU invariant color string.
 func gpuColors(d *solve.Demand) []string {
 	colors := make([][]string, d.NumGPUs)

@@ -214,12 +214,6 @@ func (s *Store) BindMetrics(reg *obs.Registry) {
 	s.met.Store(m)
 }
 
-// compositeKeys builds the cache keys a demand+signature is addressed
-// by, mirroring internal/engine's in-memory tiers exactly.
-func compositeKeys(d *solve.Demand, sig string) (exact, iso string) {
-	return isomorph.ExactKey(d) + "|" + sig, isomorph.Key(d) + "|" + sig
-}
-
 // Load returns the stored sub-schedule for the demand and solve
 // signature, or nil. An exact-key hit replays the stored solution
 // verbatim; otherwise entries in the same iso class are tried and, when
@@ -229,7 +223,7 @@ func compositeKeys(d *solve.Demand, sig string) (exact, iso string) {
 // corruption degrades to a cold synthesis, never to a bad schedule.
 func (s *Store) Load(d *solve.Demand, sig string) *solve.SubSchedule {
 	s.loads.Add(1)
-	exact, iso := compositeKeys(d, sig)
+	exact, iso := isomorph.CacheKeys(d, sig)
 	s.mu.Lock()
 	exactPath := s.exact[exact]
 	isoPaths := append([]string(nil), s.iso[iso]...)
@@ -274,7 +268,7 @@ func (s *Store) Load(d *solve.Demand, sig string) *solve.SubSchedule {
 // cancelled-flight solutions, and this package cannot tell the
 // difference.
 func (s *Store) Put(d *solve.Demand, sig string, sub *solve.SubSchedule) error {
-	exact, iso := compositeKeys(d, sig)
+	exact, iso := isomorph.CacheKeys(d, sig)
 	path := s.entryPath(exact)
 
 	s.mu.Lock()

@@ -3,10 +3,8 @@ package serve
 import (
 	"context"
 	"sync"
-	"time"
 
 	"syccl/internal/obs"
-	"syccl/internal/schedule"
 )
 
 // flight is one in-flight synthesis shared by every concurrent duplicate
@@ -31,18 +29,10 @@ type flight struct {
 	rec   *obs.Recorder
 	reqID string
 
-	// Outcome, written by the leader goroutine before close(done).
-	status int
-	resp   SynthesizeResponse
-	sched  *schedule.Schedule
-	apiErr *APIError
-	// Telemetry outcome, also published before close(done): the span
-	// tree (f.rec's history), the admission wait, the engine time, and
-	// which cache tier answered ("store", "warm", or "cold").
-	spans     []obs.SpanRecord
-	queueWait time.Duration
-	solve     time.Duration
-	cache     string
+	// Written by the leader goroutine before close(done): the outcome,
+	// and the span tree (f.rec's history).
+	outcome
+	spans []obs.SpanRecord
 
 	// Incumbent broker: the leader's solve publishes one event per
 	// improving incumbent; streaming followers subscribe and receive the

@@ -12,6 +12,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"strings"
 	"time"
 
@@ -152,25 +153,13 @@ func (s *Server) prewarmOne(ctx context.Context, req *Request) {
 		s.met.prewarm.With("skipped").Inc()
 		return
 	}
-	if err := s.adm.acquire(ctx); err != nil {
-		s.met.prewarm.With("error").Inc()
-		return
-	}
-	defer s.adm.release()
-	pctx := ctx
-	if res.timeout > 0 {
-		var cancel context.CancelFunc
-		pctx, cancel = context.WithTimeout(ctx, res.timeout)
-		defer cancel()
-	}
-	result, err := s.eng.Plan(pctx, res.top, res.col, res.opts)
-	if err != nil || result.Partial {
-		// Partial results never enter the store (same rule as runFlight);
+	// Unrecorded and unobserved: no span tree, no incumbent stream.
+	if o := s.plan(ctx, res, nil, "", nil); o.status != http.StatusOK {
+		// Errors and Partials (which the pipeline kept out of the store);
 		// a drain-cancelled prewarm lands here and is simply dropped.
 		s.met.prewarm.With("error").Inc()
 		return
 	}
-	s.store.put(res.id, s.buildResponse(res, result), result.Schedule)
 	s.prewarmed.Add(1)
 	s.met.prewarm.With("planned").Inc()
 }
@@ -191,8 +180,7 @@ func PrewarmGrid(topologies, collectives, sizes []string) []Request {
 }
 
 // buildResponse assembles the base (per-request-flag-free) response for
-// a completed plan; runFlight and the prewarmer share it so stored
-// results are identical whichever path produced them.
+// a completed plan.
 func (s *Server) buildResponse(res *resolved, result *core.Result) SynthesizeResponse {
 	col := res.col
 	bus := metrics.BusBandwidth(col.Kind, col.NumGPUs, metrics.DataBytes(col), result.Time)

@@ -31,10 +31,7 @@ package serve
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -44,8 +41,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"syccl/internal/core"
 	"syccl/internal/engine"
+	"syccl/internal/lru"
 	"syccl/internal/obs"
 	"syccl/internal/persist"
 )
@@ -141,18 +138,14 @@ func (o Options) withDefaults() Options {
 		o.Metrics = obs.NewRegistry()
 	}
 	if o.Engine == nil {
-		o.Engine = engine.New(engine.Options{Obs: o.Obs, Metrics: o.Metrics, Persist: persistTier(o.Persist)})
+		eo := engine.Options{Obs: o.Obs, Metrics: o.Metrics}
+		if o.Persist != nil {
+			// Guarded: a nil *persist.Store must not become a non-nil tier.
+			eo.Persist = o.Persist
+		}
+		o.Engine = engine.New(eo)
 	}
 	return o
-}
-
-// persistTier adapts the optional store to the engine option without
-// handing the engine a typed-nil interface.
-func persistTier(p *persist.Store) engine.PersistTier {
-	if p == nil {
-		return nil
-	}
-	return p
 }
 
 // SynthesizeResponse is the body of POST /v1/synthesize (200/206) and
@@ -235,7 +228,7 @@ type Server struct {
 	mux     *http.ServeMux
 	adm     *admission
 	flights *flightGroup
-	store   *scheduleStore
+	store   scheduleStore
 
 	met  *serveMetrics
 	frec *flightRecorder
@@ -253,15 +246,14 @@ type Server struct {
 	inFlight atomic.Int64
 	bgFlight atomic.Int64
 
-	requests       atomic.Int64
-	coalesced      atomic.Int64
-	storeHits      atomic.Int64
-	storeEvictions atomic.Int64
-	rejections     atomic.Int64
-	partials       atomic.Int64
-	errs           atomic.Int64
-	restored       atomic.Int64
-	prewarmed      atomic.Int64
+	requests   atomic.Int64
+	coalesced  atomic.Int64
+	storeHits  *lru.Meter
+	rejections atomic.Int64
+	partials   atomic.Int64
+	errs       atomic.Int64
+	restored   atomic.Int64
+	prewarmed  atomic.Int64
 }
 
 // New builds a Server.
@@ -273,12 +265,14 @@ func New(opts Options) *Server {
 		rec:     opts.Obs,
 		adm:     newAdmission(opts.Concurrency, opts.QueueDepth),
 		flights: newFlightGroup(),
-		store:   newScheduleStore(opts.StoreEntries),
+		store:   newScheduleStore(opts.StoreEntries, opts.Obs),
 		met:     newServeMetrics(opts.Metrics),
 		frec:    newFlightRecorder(opts.RecentRequests, opts.SlowRequests),
 		alog:    newAccessLogger(opts.AccessLog),
 		ids:     newRequestIDs(),
 		persist: opts.Persist,
+
+		storeHits: lru.NewMeter(opts.Obs, "serve.store.hits", nil),
 	}
 	bgCtx, bgCancel := context.WithCancel(context.Background())
 	s.bgCancel = bgCancel
@@ -298,7 +292,7 @@ func New(opts Options) *Server {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/synthesize", s.handleSynthesize)
-	mux.HandleFunc("POST /v1/replan", s.handleReplan)
+	mux.HandleFunc("POST /v1/replan", s.handleSynthesize)
 	mux.HandleFunc("GET /v1/schedule/{id}", s.handleSchedule)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /statsz", s.handleStatsz)
@@ -391,7 +385,7 @@ func (s *Server) Stats() StatsSnapshot {
 			Coalesced:       s.coalesced.Load(),
 			StoreHits:       s.storeHits.Load(),
 			StoreEntries:    s.store.len(),
-			StoreEvictions:  s.storeEvictions.Load(),
+			StoreEvictions:  s.store.evictions(),
 			QueueRejections: s.rejections.Load(),
 			Partial:         s.partials.Load(),
 			Errors:          s.errs.Load(),
@@ -405,251 +399,159 @@ func (s *Server) Stats() StatsSnapshot {
 	}
 }
 
+// handleSynthesize serves POST /v1/synthesize and POST /v1/replan: one
+// walk through decode → resolve → store → flight → writer. The two routes
+// differ only in what decode puts on the resolved request (a replan
+// requires a delta, skips the store read and never coalesces) and in the
+// engine call the flight's pipeline makes for it.
+//
+// The response is one JSON body, or — for Request.Stream — NDJSON: one
+// "incumbent" event per improving schedule the leader's solve publishes,
+// terminated by exactly one "final" (or "error") event. The first event
+// commits HTTP 200; a failure before anything was streamed still gets
+// the ordinary error status and body, a failure after arrives as the
+// terminal error event. A deadline-cut stream ends with a final event
+// whose partial flag is set and whose response is the best streamed
+// incumbent — never a 206-or-nothing.
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
-	sp := s.rec.StartSpan("http.synthesize")
+	replan := r.URL.Path == "/v1/replan"
+	name := "http.synthesize"
+	if replan {
+		name = "http.replan"
+	}
+	sp := s.rec.StartSpan(name)
 	defer sp.End()
 	s.requests.Add(1)
 	s.rec.Count("serve.requests", 1)
 	rr := requestRecordFrom(r.Context())
-
-	if s.draining.Load() {
-		writeAPIError(w, apiErrorf(http.StatusServiceUnavailable, CodeDraining, "server is draining"))
-		return
-	}
-	req, aerr := DecodeRequest(r.Body, s.opts.MaxBodyBytes)
-	if aerr == nil {
-		var res *resolved
-		res, aerr = s.resolve(req)
-		if aerr == nil {
-			sp.SetStr("topology", res.top.Name)
-			sp.SetStr("collective", res.col.Kind.String())
-			if rr != nil {
-				rr.Topology = strings.ToLower(res.req.Topology)
-				rr.Collective = strings.ToLower(res.col.Kind.String())
-				rr.PlanKey = res.id
-			}
-			s.serveResolved(w, r, res)
-			return
+	fail := func(code string, aerr *APIError) {
+		s.errs.Add(1)
+		s.rec.Count("serve.errors", 1)
+		rr.Error = code
+		if aerr != nil {
+			s.writeError(w, aerr)
 		}
 	}
-	s.errs.Add(1)
-	s.rec.Count("serve.errors", 1)
-	sp.SetStr("error", aerr.Code)
-	if rr != nil {
-		rr.Error = aerr.Code
-	}
-	writeAPIError(w, aerr)
-}
 
-func (s *Server) serveResolved(w http.ResponseWriter, r *http.Request, res *resolved) {
-	if res.req.Stream {
-		s.serveStream(w, r, res)
+	res, aerr := s.decode(r, replan)
+	if aerr != nil {
+		sp.SetStr("error", aerr.Code)
+		fail(aerr.Code, aerr)
 		return
 	}
-	rr := requestRecordFrom(r.Context())
+	sp.SetStr("topology", res.top.Name)
+	sp.SetStr("collective", res.col.Kind.String())
+	rr.Topology = strings.ToLower(res.req.Topology)
+	rr.Collective = strings.ToLower(res.col.Kind.String())
+	rr.PlanKey = res.id
+	// Replans answer in one shot whatever the body says, as they always have.
+	out := responder{s: s, w: w, stream: res.req.Stream && !replan}
 
-	// Warm duplicates: served straight from the store, engine untouched.
-	if !res.req.BypassStore {
-		if ent, ok := s.store.get(res.id); ok {
-			s.storeHits.Add(1)
-			s.rec.Count("serve.store.hits", 1)
-			if rr != nil {
-				rr.Cache = cacheTierStore
-			}
-			resp := ent.resp
-			resp.Cached = true
-			if res.req.IncludeSchedule {
-				resp.Schedule = ToScheduleJSON(ent.sched)
-			}
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
+	// Warm duplicates: served straight from the store, engine untouched
+	// (a stream gets one immediate final event).
+	if hit, ok := s.storeHit(res); ok {
+		rr.Cache = cacheTierStore
+		out.finish(&hit, res.req.IncludeSchedule, false)
+		return
 	}
 
 	// Cold or bypassing: join (or start) the single flight for this key.
-	f, leader := s.joinOrStart(rr, res)
-	defer s.flights.leave(f)
-
-	select {
-	case <-f.done:
-	case <-r.Context().Done():
-		// The client is gone (or its transport deadline fired); leaving
-		// drops our stake in the flight, and the last waiter out cancels
-		// the solve so abandoned work never populates the engine caches.
-		s.errs.Add(1)
-		s.rec.Count("serve.errors", 1)
-		if rr != nil {
-			rr.Error = "client_gone"
-		}
-		writeAPIError(w, apiErrorf(http.StatusServiceUnavailable, CodeDeadline, "client disconnected: %v", r.Context().Err()))
-		return
-	}
-
-	// The flight is done: copy its telemetry into this request's record.
-	// Followers share the leader's span tree and latency breakdown.
-	if rr != nil {
-		rr.Leader = leader
-		rr.Coalesced = !leader
-		rr.QueueWaitUS = float64(f.queueWait) / float64(time.Microsecond)
-		rr.SolveUS = float64(f.solve) / float64(time.Microsecond)
-		rr.Spans = f.spans
-		if leader {
-			rr.Cache = f.cache
-		} else {
-			rr.Cache = cacheTierCoal
-		}
-	}
-
-	if f.apiErr != nil {
-		if f.apiErr.Code == CodeQueueFull {
-			_, queued := s.adm.load()
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterHint(s.opts.RetryAfter, queued, s.opts.Concurrency)))
-		}
-		if rr != nil {
-			rr.Error = f.apiErr.Code
-		}
-		writeAPIError(w, f.apiErr)
-		return
-	}
-	resp := f.resp
-	resp.Coalesced = !leader
-	if rr != nil {
-		rr.Partial = resp.Partial
-	}
-	if res.req.IncludeSchedule {
-		resp.Schedule = ToScheduleJSON(f.sched)
-	}
-	writeJSON(w, f.status, resp)
-}
-
-// joinOrStart joins the single flight for res.key, becoming the leader
-// (and starting the solve goroutine) when this request is first in.
-func (s *Server) joinOrStart(rr *RequestRecord, res *resolved) (*flight, bool) {
 	f, leader := s.flights.join(res.key)
+	defer s.flights.leave(f)
 	if leader {
 		f.rec = obs.NewRecorder()
-		if rr != nil {
-			f.reqID = rr.ID
-		}
+		f.reqID = rr.ID
 		s.bgFlight.Add(1)
 		go s.runFlight(f, res)
 	} else {
 		s.coalesced.Add(1)
 		s.rec.Count("serve.coalesced", 1)
 	}
-	return f, leader
-}
-
-// serveStream answers a Request.Stream synthesis as NDJSON: one
-// "incumbent" event per improving schedule the leader's solve publishes,
-// terminated by exactly one "final" (or "error") event. The first event
-// commits HTTP 200; a failure before anything was streamed still gets
-// the ordinary error status and body, a failure after arrives as the
-// terminal error event. A deadline-cut solve ends with a final event
-// whose partial flag is set and whose response is the best streamed
-// incumbent — never a 206-or-nothing.
-func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, res *resolved) {
-	rr := requestRecordFrom(r.Context())
-	sw := newStreamWriter(w)
-
-	// Warm duplicates: one immediate final event from the store.
-	if !res.req.BypassStore {
-		if ent, ok := s.store.get(res.id); ok {
-			s.storeHits.Add(1)
-			s.rec.Count("serve.store.hits", 1)
-			if rr != nil {
-				rr.Cache = cacheTierStore
-			}
-			resp := ent.resp
-			resp.Cached = true
-			if res.req.IncludeSchedule {
-				resp.Schedule = ToScheduleJSON(ent.sched)
-			}
-			sw.emit(StreamEvent{Event: StreamEventFinal, TimeS: resp.PredictedTimeS, Response: &resp})
-			return
-		}
-	}
-
-	f, leader := s.joinOrStart(rr, res)
-	defer s.flights.leave(f)
 	// Subscribe before waiting: the history replay covers everything
-	// published before this point, the live channel everything after.
-	sub := f.subscribe()
+	// published before this point, the live channel everything after. A
+	// one-shot response has nowhere to put incumbents and waits on a nil
+	// channel, which never delivers.
+	var sub <-chan StreamEvent
+	if out.stream {
+		sub = f.subscribe()
+	}
 
 wait:
 	for {
 		select {
 		case ev := <-sub:
-			sw.emit(ev)
+			out.event(ev)
 		case <-f.done:
 			break wait
 		case <-r.Context().Done():
-			s.errs.Add(1)
-			s.rec.Count("serve.errors", 1)
-			if rr != nil {
-				rr.Error = "client_gone"
+			// The client is gone (or its transport deadline fired); leaving
+			// drops our stake in the flight, and the last waiter out cancels
+			// the solve so abandoned work never populates the engine caches.
+			var gone *APIError
+			if !out.started {
+				gone = apiErrorf(http.StatusServiceUnavailable, CodeDeadline, "client disconnected: %v", r.Context().Err())
 			}
-			if !sw.started {
-				writeAPIError(w, apiErrorf(http.StatusServiceUnavailable, CodeDeadline, "client disconnected: %v", r.Context().Err()))
-			}
+			fail("client_gone", gone)
 			return
 		}
 	}
-
 	// Every publish happens-before close(f.done), but the select above may
 	// take the done arm while events still sit in the buffer — drain them
 	// so the stream is complete before the terminal event.
 	for drained := false; !drained; {
 		select {
 		case ev := <-sub:
-			sw.emit(ev)
+			out.event(ev)
 		default:
 			drained = true
 		}
 	}
 
-	if rr != nil {
-		rr.Leader = leader
-		rr.Coalesced = !leader
-		rr.QueueWaitUS = float64(f.queueWait) / float64(time.Microsecond)
-		rr.SolveUS = float64(f.solve) / float64(time.Microsecond)
-		rr.Spans = f.spans
-		if leader {
-			rr.Cache = f.cache
-		} else {
-			rr.Cache = cacheTierCoal
-		}
+	// The flight is done: copy its telemetry into this request's record.
+	// Followers share the leader's span tree and latency breakdown.
+	rr.Leader = leader
+	rr.Coalesced = !leader
+	rr.QueueWaitUS = float64(f.queueWait) / float64(time.Microsecond)
+	rr.SolveUS = float64(f.solve) / float64(time.Microsecond)
+	rr.Spans = f.spans
+	rr.Cache = cacheTierCoal
+	if leader {
+		rr.Cache = f.cache
 	}
-
 	if f.apiErr != nil {
-		if rr != nil {
-			rr.Error = f.apiErr.Code
-		}
-		if !sw.started {
-			if f.apiErr.Code == CodeQueueFull {
-				_, queued := s.adm.load()
-				w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterHint(s.opts.RetryAfter, queued, s.opts.Concurrency)))
-			}
-			writeAPIError(w, f.apiErr)
-			return
-		}
-		sw.emit(StreamEvent{Event: StreamEventError, Error: f.apiErr})
-		return
+		rr.Error = f.apiErr.Code
+	} else {
+		rr.Partial = f.resp.Partial
 	}
-
-	resp := f.resp
-	resp.Coalesced = !leader
-	if rr != nil {
-		rr.Partial = resp.Partial
-	}
-	if res.req.IncludeSchedule {
-		resp.Schedule = ToScheduleJSON(f.sched)
-	}
-	sw.emit(StreamEvent{Event: StreamEventFinal, TimeS: resp.PredictedTimeS, Partial: resp.Partial, Response: &resp})
+	out.finish(&f.outcome, res.req.IncludeSchedule, !leader)
 }
 
-// runFlight executes one coalesced solve: admission, deadline, engine
-// plan, store. It publishes the outcome on f before closing f.done.
+// decode turns a request body into a resolved request, or the structured
+// error that refuses it.
+func (s *Server) decode(r *http.Request, replan bool) (*resolved, *APIError) {
+	if s.draining.Load() {
+		return nil, apiErrorf(http.StatusServiceUnavailable, CodeDraining, "server is draining")
+	}
+	req, aerr := DecodeRequest(r.Body, s.opts.MaxBodyBytes)
+	if aerr != nil {
+		return nil, aerr
+	}
+	if replan && strings.TrimSpace(req.TopologyDelta) == "" {
+		return nil, apiErrorf(http.StatusBadRequest, CodeBadDelta, "missing required field %q", "topology_delta")
+	}
+	res, aerr := s.resolve(req)
+	if aerr == nil && replan {
+		// A fault is news: a replan never answers from the store (storeHit)
+		// and never shares another request's solve — the request id makes
+		// its flight key, hence its flight, private.
+		res.replan = true
+		res.key += "|replan=" + obs.RequestIDFrom(r.Context())
+	}
+	return res, aerr
+}
+
+// runFlight executes one coalesced solve and publishes the outcome on f
+// before closing f.done.
 //
 // The solve's spans land on f.rec — a recorder private to this flight —
 // so the request owns its span tree; the tree is then merged into the
@@ -670,263 +572,34 @@ func (s *Server) runFlight(f *flight, res *resolved) {
 	// then lose the race with a finishing duplicate flight and become a
 	// fresh leader for work that is already done. Serving the stored
 	// result here keeps "N duplicates, one engine call" airtight.
-	if !res.req.BypassStore {
-		if ent, ok := s.store.get(res.id); ok {
-			s.storeHits.Add(1)
-			s.rec.Count("serve.store.hits", 1)
-			f.resp = ent.resp
-			f.resp.Cached = true
-			f.sched = ent.sched
-			f.status = http.StatusOK
-			f.cache = cacheTierStore
-			return
-		}
-	}
-
-	queued := time.Now()
-	err := s.adm.acquire(f.ctx)
-	f.queueWait = time.Since(queued)
-	s.met.queueWait.Observe(f.queueWait.Seconds())
-	if err != nil {
-		if errors.Is(err, errQueueFull) {
-			s.rejections.Add(1)
-			s.rec.Count("serve.queue.rejections", 1)
-			f.apiErr = apiErrorf(http.StatusTooManyRequests, CodeQueueFull,
-				"admission queue full (%d solves running, %d queued); retry later",
-				s.opts.Concurrency, s.opts.QueueDepth)
-		} else {
-			f.apiErr = apiErrorf(http.StatusServiceUnavailable, CodeDeadline, "request abandoned while queued")
-		}
+	if hit, ok := s.storeHit(res); ok {
+		f.outcome = hit
 		return
 	}
-	defer s.adm.release()
-
-	ctx := obs.WithRequestID(f.ctx, f.reqID)
-	if res.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, res.timeout)
-		defer cancel()
-	}
-	sp := f.rec.StartSpan("serve.plan")
-	sp.SetStr("key", res.id)
-	if f.reqID != "" {
-		sp.SetStr("request", f.reqID)
-	}
-	opts := res.opts
-	opts.Obs = f.rec
-	solveStart := time.Now()
-	// Every leader solve publishes its incumbent stream onto the flight —
-	// streaming or not — so followers that asked to stream receive the
-	// leader's incumbents live, and the incumbent metrics cover all
-	// traffic. The callback runs on synthesis worker goroutines; publish
-	// and the metric adds are non-blocking.
-	result, err := s.eng.SynthesizeStream(ctx, res.top, res.col, opts, func(inc core.Incumbent) {
-		elapsed := time.Since(solveStart)
-		if inc.Seq == 1 {
-			s.met.ttfi.Observe(elapsed.Seconds())
-		}
-		s.met.incumbents.With(inc.Source).Inc()
-		f.publish(StreamEvent{
-			Event:     StreamEventIncumbent,
-			Seq:       inc.Seq,
-			TimeS:     inc.Time,
-			BoundS:    inc.Bound,
-			Source:    inc.Source,
-			Engine:    inc.Engine,
-			ElapsedMS: float64(elapsed) / float64(time.Millisecond),
-		})
-	})
-	f.solve = time.Since(solveStart)
-	sp.End()
-	s.met.solveDur.With(strings.ToLower(res.col.Kind.String()), strings.ToLower(res.req.Topology)).Observe(f.solve.Seconds())
-	if err != nil {
-		if ctx.Err() != nil {
-			f.apiErr = apiErrorf(http.StatusGatewayTimeout, CodeDeadline,
-				"deadline expired before any candidate completed")
-		} else {
-			s.errs.Add(1)
-			s.rec.Count("serve.errors", 1)
-			f.apiErr = apiErrorf(http.StatusInternalServerError, CodeInternal, "synthesis failed: %v", err)
-		}
-		return
-	}
-
-	resp := s.buildResponse(res, result)
-	f.sched = result.Schedule
-	f.status = http.StatusOK
-	// Engine-warm (every sub-demand from cache) vs a genuine cold solve.
-	if result.Stats.SolverCalls == 0 {
-		f.cache = cacheTierWarm
-	} else {
-		f.cache = cacheTierCold
-	}
-	if result.Partial {
-		// Anytime result: valid and complete, but not the full pipeline's
-		// answer — surfaced as 206 and kept out of the store.
-		f.status = http.StatusPartialContent
-		resp.ID = ""
-		s.partials.Add(1)
-		s.rec.Count("serve.partial", 1)
-	} else {
-		evicted := s.store.put(res.id, resp, result.Schedule)
-		if evicted > 0 {
-			s.storeEvictions.Add(int64(evicted))
-			s.rec.Count("serve.store.evictions", float64(evicted))
-		}
-	}
-	f.resp = resp
-}
-
-// handleReplan is the fault-reactive fast path: it takes the same body
-// as /v1/synthesize plus a mandatory topology_delta, runs the engine's
-// Replan — selective cache invalidation followed by synthesis on the
-// degraded topology — and reports the reuse bookkeeping alongside the
-// schedule. Replans are reactive one-shots: they skip the store-read and
-// coalescing tiers (a fault is news; serving yesterday's answer defeats
-// the point) but still write their result through, so follow-up
-// /v1/synthesize calls with the same delta are store hits.
-func (s *Server) handleReplan(w http.ResponseWriter, r *http.Request) {
-	sp := s.rec.StartSpan("http.replan")
-	defer sp.End()
-	s.requests.Add(1)
-	s.rec.Count("serve.requests", 1)
-	rr := requestRecordFrom(r.Context())
-
-	fail := func(aerr *APIError) {
-		s.errs.Add(1)
-		s.rec.Count("serve.errors", 1)
-		sp.SetStr("error", aerr.Code)
-		if rr != nil {
-			rr.Error = aerr.Code
-		}
-		writeAPIError(w, aerr)
-	}
-
-	if s.draining.Load() {
-		fail(apiErrorf(http.StatusServiceUnavailable, CodeDraining, "server is draining"))
-		return
-	}
-	req, aerr := DecodeRequest(r.Body, s.opts.MaxBodyBytes)
-	if aerr != nil {
-		fail(aerr)
-		return
-	}
-	if strings.TrimSpace(req.TopologyDelta) == "" {
-		fail(apiErrorf(http.StatusBadRequest, CodeBadDelta, "missing required field %q", "topology_delta"))
-		return
-	}
-	res, aerr := s.resolve(req)
-	if aerr != nil {
-		fail(aerr)
-		return
-	}
-	sp.SetStr("topology", res.top.Name)
-	sp.SetStr("collective", res.col.Kind.String())
-	if rr != nil {
-		rr.Topology = strings.ToLower(res.req.Topology)
-		rr.Collective = strings.ToLower(res.col.Kind.String())
-		rr.PlanKey = res.id
-	}
-
-	queued := time.Now()
-	if err := s.adm.acquire(r.Context()); err != nil {
-		if errors.Is(err, errQueueFull) {
-			s.rejections.Add(1)
-			s.rec.Count("serve.queue.rejections", 1)
-			_, nq := s.adm.load()
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterHint(s.opts.RetryAfter, nq, s.opts.Concurrency)))
-			fail(apiErrorf(http.StatusTooManyRequests, CodeQueueFull,
-				"admission queue full (%d solves running, %d queued); retry later",
-				s.opts.Concurrency, s.opts.QueueDepth))
-		} else {
-			fail(apiErrorf(http.StatusServiceUnavailable, CodeDeadline, "request abandoned while queued"))
-		}
-		return
-	}
-	defer s.adm.release()
-	s.met.queueWait.Observe(time.Since(queued).Seconds())
-
-	ctx := r.Context()
-	if res.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, res.timeout)
-		defer cancel()
-	}
-	psp := s.rec.StartSpan("serve.replan")
-	psp.SetStr("key", res.id)
-	solveStart := time.Now()
-	rres, err := s.eng.Replan(ctx, res.base, res.delta, res.col, res.opts)
-	solve := time.Since(solveStart)
-	psp.End()
-	s.met.solveDur.With(strings.ToLower(res.col.Kind.String()), strings.ToLower(res.req.Topology)).Observe(solve.Seconds())
-	if rr != nil {
-		rr.SolveUS = float64(solve) / float64(time.Microsecond)
-	}
-	if err != nil {
-		if ctx.Err() != nil {
-			fail(apiErrorf(http.StatusGatewayTimeout, CodeDeadline,
-				"deadline expired before any candidate completed"))
-		} else {
-			fail(apiErrorf(http.StatusInternalServerError, CodeInternal, "replan failed: %v", err))
-		}
-		return
-	}
-
-	resp := s.buildResponse(res, rres.Result)
-	resp.Replan = &ReplanJSON{
-		Delta:         res.delta.String(),
-		TouchedGroups: rres.TouchedGroups,
-		TotalGroups:   rres.TotalGroups,
-		Invalidated:   rres.Invalidated,
-		ReusedSubs:    rres.ReusedSubs,
-		SolvedSubs:    rres.SolvedSubs,
-		ReuseRatio:    rres.ReuseRatio(),
-	}
-	status := http.StatusOK
-	if rres.Partial {
-		status = http.StatusPartialContent
-		resp.ID = ""
-		s.partials.Add(1)
-		s.rec.Count("serve.partial", 1)
-	} else {
-		stored := resp
-		stored.Replan = nil // the store serves plain synthesize responses
-		if evicted := s.store.put(res.id, stored, rres.Schedule); evicted > 0 {
-			s.storeEvictions.Add(int64(evicted))
-			s.rec.Count("serve.store.evictions", float64(evicted))
-		}
-	}
-	if res.req.IncludeSchedule {
-		resp.Schedule = ToScheduleJSON(rres.Schedule)
-	}
-	if rr != nil {
-		rr.Partial = resp.Partial
-	}
-	writeJSON(w, status, resp)
+	// Every leader synthesis publishes its incumbent stream onto the
+	// flight — streaming or not — so followers that asked to stream
+	// receive the leader's incumbents live, and the incumbent metrics
+	// cover all of that traffic.
+	f.outcome = s.plan(f.ctx, res, f.rec, f.reqID, f.publish)
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	sp := s.rec.StartSpan("http.schedule")
 	defer sp.End()
+	rr := requestRecordFrom(r.Context())
 	id := r.PathValue("id")
 	ent, ok := s.store.get(id)
 	if !ok {
-		if rr := requestRecordFrom(r.Context()); rr != nil {
-			rr.Error = CodeNotFound
-		}
+		rr.Error = CodeNotFound
 		writeAPIError(w, apiErrorf(http.StatusNotFound, CodeNotFound, "no stored schedule %q", id))
 		return
 	}
-	if rr := requestRecordFrom(r.Context()); rr != nil {
-		rr.Cache = cacheTierStore
-		rr.PlanKey = id
-		rr.Collective = strings.ToLower(ent.resp.Collective)
-		rr.Topology = strings.ToLower(ent.resp.Topology)
-	}
-	resp := ent.resp
-	resp.Cached = true
-	resp.Schedule = ToScheduleJSON(ent.sched)
-	writeJSON(w, http.StatusOK, resp)
+	rr.Cache = cacheTierStore
+	rr.PlanKey = id
+	rr.Collective = strings.ToLower(ent.resp.Collective)
+	rr.Topology = strings.ToLower(ent.resp.Topology)
+	hit := ent.hit()
+	(&responder{s: s, w: w}).finish(&hit, true, false)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -1056,22 +729,4 @@ func (s *Server) DrainOnSignal(hs *http.Server, drainTimeout time.Duration, sigs
 		}
 	}()
 	return done
-}
-
-// retryAfterHint derives the 429 Retry-After from current load rather
-// than a constant: the base hint scales with how many flights are
-// already queued per solve slot — a rough estimate of how many base
-// intervals must drain before a retry can even enter the queue. Floor
-// 1s (the header is integer seconds, and 0 would invite a tight retry
-// loop).
-func retryAfterHint(base time.Duration, queued, concurrency int) int {
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	scale := 1 + float64(queued)/float64(concurrency)
-	secs := int(math.Ceil(base.Seconds() * scale))
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
 }

@@ -1,9 +1,10 @@
 package serve
 
 import (
-	"container/list"
-	"sync"
+	"net/http"
 
+	"syccl/internal/lru"
+	"syccl/internal/obs"
 	"syccl/internal/schedule"
 )
 
@@ -12,75 +13,47 @@ type storeEntry struct {
 	id    string
 	resp  SynthesizeResponse // base response (no per-request flags)
 	sched *schedule.Schedule
-	elem  *list.Element
+}
+
+// hit is the outcome of answering from the store: the stored base
+// response, marked cached.
+func (ent *storeEntry) hit() outcome {
+	o := outcome{status: http.StatusOK, resp: ent.resp, sched: ent.sched, cache: cacheTierStore}
+	o.resp.Cached = true
+	return o
 }
 
 // scheduleStore is the LRU of completed results, keyed by schedule id.
 // Partial results are never stored: a warm hit must always be the full
 // pipeline's answer, not whatever a tight deadline happened to salvage.
-type scheduleStore struct {
-	mu      sync.Mutex
-	entries map[string]*storeEntry
-	lru     *list.List // front = most recently used
-	cap     int
+type scheduleStore struct{ c *lru.Cache[*storeEntry] }
+
+func newScheduleStore(cap int, rec *obs.Recorder) scheduleStore {
+	return scheduleStore{lru.New[*storeEntry](cap, 1, lru.Meters{
+		Evict: lru.NewMeter(rec, "serve.store.evictions", nil),
+	})}
 }
 
-func newScheduleStore(cap int) *scheduleStore {
-	if cap <= 0 {
-		cap = DefaultStoreEntries
-	}
-	return &scheduleStore{entries: make(map[string]*storeEntry), lru: list.New(), cap: cap}
+func (st scheduleStore) get(id string) (*storeEntry, bool) { return st.c.Get(id, "") }
+
+// put inserts a result under its own clone of the schedule; the first
+// write for an id wins so stored results stay stable under concurrent
+// duplicate solves.
+func (st scheduleStore) put(id string, resp SynthesizeResponse, sched *schedule.Schedule) {
+	st.c.Add(id, "", func() *storeEntry { return &storeEntry{id: id, resp: resp, sched: sched.Clone()} })
 }
 
-func (st *scheduleStore) get(id string) (*storeEntry, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	ent, ok := st.entries[id]
-	if !ok {
-		return nil, false
-	}
-	st.lru.MoveToFront(ent.elem)
-	return ent, true
-}
+func (st scheduleStore) len() int { return st.c.Len() }
 
-// put inserts a result; the first write for an id wins so stored results
-// stay stable under concurrent duplicate solves. It reports how many
-// entries were evicted to make room.
-func (st *scheduleStore) put(id string, resp SynthesizeResponse, sched *schedule.Schedule) (evicted int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if ent, ok := st.entries[id]; ok {
-		st.lru.MoveToFront(ent.elem)
-		return 0
-	}
-	ent := &storeEntry{id: id, resp: resp, sched: sched.Clone()}
-	ent.elem = st.lru.PushFront(ent)
-	st.entries[id] = ent
-	for st.lru.Len() > st.cap {
-		back := st.lru.Back()
-		victim := back.Value.(*storeEntry)
-		st.lru.Remove(back)
-		delete(st.entries, victim.id)
-		evicted++
-	}
-	return evicted
-}
-
-func (st *scheduleStore) len() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.lru.Len()
-}
+// evictions counts entries dropped to make room, whoever put the entry
+// that displaced them.
+func (st scheduleStore) evictions() int64 { return st.c.Stats().Evictions }
 
 // export snapshots the entries oldest-first, so a restore that put()s
 // them in order reproduces the LRU recency order. The returned entries
 // alias the live schedules; callers only read them.
-func (st *scheduleStore) export() []*storeEntry {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]*storeEntry, 0, st.lru.Len())
-	for e := st.lru.Back(); e != nil; e = e.Prev() {
-		out = append(out, e.Value.(*storeEntry))
-	}
+func (st scheduleStore) export() []*storeEntry {
+	out := make([]*storeEntry, 0, st.c.Len())
+	st.c.Each(func(_ string, ent *storeEntry) { out = append(out, ent) })
 	return out
 }

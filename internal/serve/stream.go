@@ -88,34 +88,57 @@ func ParseStreamEvent(line []byte) (*StreamEvent, error) {
 	return ev, nil
 }
 
-// streamWriter emits NDJSON events and flushes each one immediately so
-// clients see incumbents as they are found, not when the response
-// buffer happens to fill.
-type streamWriter struct {
+// responder writes one synthesis response in either of its two shapes
+// behind the same two calls: event relays an incumbent, finish ends the
+// response. One-shot, finish writes the single JSON body (event is never
+// called: nothing subscribes). Streaming, every call is one NDJSON line,
+// flushed immediately so clients see incumbents as they are found, not
+// when the response buffer happens to fill.
+type responder struct {
+	s       *Server
 	w       http.ResponseWriter
-	flusher http.Flusher
-	enc     *json.Encoder
+	stream  bool
 	started bool
+	enc     *json.Encoder
 }
 
-func newStreamWriter(w http.ResponseWriter) *streamWriter {
-	sw := &streamWriter{w: w, enc: json.NewEncoder(w)}
-	sw.flusher, _ = w.(http.Flusher)
-	return sw
-}
-
-// emit writes one event line. The first emit commits the 200 status and
-// the NDJSON content type — streaming responses are always HTTP 200;
+// event writes one NDJSON line. The first commits the 200 status and the
+// NDJSON content type — streaming responses are always HTTP 200;
 // failures after that point arrive as a terminal error event.
-func (sw *streamWriter) emit(ev StreamEvent) {
-	if !sw.started {
-		sw.started = true
-		sw.w.Header().Set("Content-Type", NDJSONContentType)
-		sw.w.WriteHeader(http.StatusOK)
+func (rw *responder) event(ev StreamEvent) {
+	if !rw.started {
+		rw.started = true
+		rw.w.Header().Set("Content-Type", NDJSONContentType)
+		rw.w.WriteHeader(http.StatusOK)
+		rw.enc = json.NewEncoder(rw.w)
 	}
 	// Encode appends the newline that delimits NDJSON records.
-	_ = sw.enc.Encode(ev)
-	if sw.flusher != nil {
-		sw.flusher.Flush()
+	_ = rw.enc.Encode(ev)
+	if f, ok := rw.w.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+// finish ends the response with the outcome: its error, or its base
+// response dressed with this request's flags and, if asked, the
+// schedule. An error before anything was streamed keeps its real status.
+func (rw *responder) finish(o *outcome, includeSchedule, coalesced bool) {
+	if o.apiErr != nil {
+		if rw.started {
+			rw.event(StreamEvent{Event: StreamEventError, Error: o.apiErr})
+		} else {
+			rw.s.writeError(rw.w, o.apiErr)
+		}
+		return
+	}
+	resp := o.resp
+	resp.Coalesced = coalesced
+	if includeSchedule {
+		resp.Schedule = ToScheduleJSON(o.sched)
+	}
+	if rw.stream {
+		rw.event(StreamEvent{Event: StreamEventFinal, TimeS: resp.PredictedTimeS, Partial: resp.Partial, Response: &resp})
+	} else {
+		writeJSON(rw.w, o.status, &resp)
 	}
 }

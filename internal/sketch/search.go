@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"context"
+	"fmt"
 	"sort"
 
 	"syccl/internal/obs"
@@ -41,6 +42,22 @@ type SearchOptions struct {
 	// Rec optionally records a search span plus node/sketch counters
 	// (nil: no instrumentation).
 	Rec *obs.Recorder
+}
+
+// Fingerprint renders every option that influences the search's result
+// set (Rec is instrumentation only), as the literal field values. It is
+// the search's share of every cache key — core's sketch-cache key and
+// engine.PlanKey both embed it — so a new option is keyed everywhere by
+// adding it here. The hint is appended only when set, which keeps the
+// keys of unhinted searches in their historical format.
+func (o SearchOptions) Fingerprint() string {
+	fp := fmt.Sprintf("k%d,n%d,m%d,c%d,p1:%t,p2:%t,ff:%t",
+		o.MaxStages, o.MaxNodes, o.MaxSketches, o.MaxCountChoices,
+		o.DisablePrune1, o.DisablePrune2, o.FullFanoutOnly)
+	if h := o.Hint.Canonical(); h != "" {
+		fp += "|h=" + h
+	}
+	return fp
 }
 
 func (o SearchOptions) withDefaults(top *topology.Topology, scatter bool) SearchOptions {

@@ -25,8 +25,8 @@ go build ./...
 echo "== go test =="
 go test ./...
 
-echo "== go test -race (core/engine/milp/obs/persist/serve/sim/solve/verify shard) =="
-go test -race ./internal/core/ ./internal/engine/ ./internal/milp/ ./internal/obs/ ./internal/persist/ ./internal/serve/ ./internal/sim/ ./internal/solve/ ./internal/verify/
+echo "== go test -race (core/engine/lru/milp/obs/persist/serve/sim/solve/verify shard) =="
+go test -race ./internal/core/ ./internal/engine/ ./internal/lru/ ./internal/milp/ ./internal/obs/ ./internal/persist/ ./internal/serve/ ./internal/sim/ ./internal/solve/ ./internal/verify/
 
 echo "== fuzz smoke ($FUZZTIME per target) =="
 go test ./internal/verify/ -run='^$' -fuzz='^FuzzValidate$' -fuzztime="$FUZZTIME"
@@ -36,17 +36,14 @@ go test ./internal/serve/ -run='^$' -fuzz='^FuzzDecodeStream$' -fuzztime="$FUZZT
 go test ./internal/topology/ -run='^$' -fuzz='^FuzzDecodeDelta$' -fuzztime="$FUZZTIME"
 go test ./internal/solve/ -run='^$' -fuzz='^FuzzFlowRound$' -fuzztime="$FUZZTIME"
 go test ./internal/persist/ -run='^$' -fuzz='^FuzzPersistDecode$' -fuzztime="$FUZZTIME"
+go test ./internal/lru/ -run='^$' -fuzz='^FuzzLRUModel$' -fuzztime="$FUZZTIME"
 
 echo "== bench smoke =="
-# One short sample per solver benchmark (writes to a temp file, not
-# BENCH_solver.json): catches benchmark bit-rot without CI-grade noise
-# overwriting the recorded numbers.
-scripts/bench.sh -quick
-
-echo "== loadtest smoke =="
-# A small in-process serving run (temp file, not BENCH_serve.json):
-# exercises the daemon + load generator end to end.
-scripts/loadtest.sh -quick
+# One round of the two smallest cases of every workload of the perf
+# ledger (bench/README.md), every result oracle-checked: catches
+# benchmark bit-rot and exercises engine, daemon and disk tier end to
+# end. Timings from a smoke run mean nothing; the ledger is `go run ./bench`.
+go run ./bench -smoke
 
 echo "== telemetry smoke =="
 # Boots the real daemon and asserts /metrics is well-formed (families
