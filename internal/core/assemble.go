@@ -233,6 +233,11 @@ func (a *assembly) build(solved map[cellKey]*solve.SubSchedule) (*schedule.Sched
 		}
 	}
 
+	total := 0
+	for _, sub := range solved {
+		total += len(sub.Transfers)
+	}
+	a.sched.Transfers = make([]schedule.Transfer, 0, total)
 	for _, k := range a.keys {
 		cd := a.cells[k]
 		sub, ok := solved[k]

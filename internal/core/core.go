@@ -116,6 +116,13 @@ type Options struct {
 	// pipeline boundary, so results remain byte-identical across Workers.
 	// No-op under SolverExact (no flow bounds are computed).
 	StopWithin float64
+	// Recipe, when non-nil, names the winner a previous identical request
+	// arrived at (Result.Recipe; internal/engine keeps them per plan key).
+	// The pipeline then rebuilds that one candidate from SolveCache
+	// instead of searching, and falls back to the full pass when the
+	// recipe turns out stale — see Recipe. Either way the schedule is the
+	// one the full pass returns.
+	Recipe *Recipe
 }
 
 // Incumbent is one published best-so-far schedule: a complete, validated
@@ -303,6 +310,11 @@ type Stats struct {
 	// instead of silently dropping candidates.
 	TooLarge    int
 	SolveErrors []string
+	// Replayed reports that the result was rebuilt from Options.Recipe:
+	// one candidate assembled from cached sub-schedules, re-simulated and
+	// re-validated, with no search, bounds or ranking. Candidates is 1
+	// and CrossCacheHits the number of cells served.
+	Replayed bool
 }
 
 // Result is a synthesized schedule with its predicted performance.
@@ -320,6 +332,32 @@ type Result struct {
 	// validated candidate found by then rather than the full pipeline's
 	// choice. Partial schedules are still complete, correct schedules.
 	Partial bool
+	// Recipe records how the winner was made, for Options.Recipe of a
+	// later identical request. Set only on complete results of the sketch
+	// pipeline (nil when Partial, and for routed one-to-one transfers).
+	Recipe *Recipe
+
+	// finished / finishedTime carry the winner already finished into the
+	// caller-visible collective (mirrored, or mirrored and concatenated)
+	// out of winner selection, so the callers of synthesizeForward do not
+	// finish it a second time. Nil when no finalist's transform held.
+	finished     *schedule.Schedule
+	finishedTime float64
+}
+
+// passSolver resolves the epoch knob and sub-demand engine of a pass.
+// The coarse pass trades accuracy for speed twice over — large epochs
+// (E1) and the greedy engine — unless two-step synthesis is disabled,
+// when it is the only pass and runs at fine accuracy; an explicit Engine
+// override applies to both passes.
+func (o Options) passSolver(fine bool) (float64, solve.Engine) {
+	if fine || o.DisableTwoStep {
+		return o.E2, o.fineEngine()
+	}
+	if o.Engine != solve.EngineAuto {
+		return o.E1, o.Engine
+	}
+	return o.E1, solve.EngineGreedy
 }
 
 // fineEngine resolves the sub-demand engine for accuracy-critical passes

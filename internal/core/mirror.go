@@ -117,9 +117,17 @@ func synthesizeAllReduce(ctx context.Context, top *topology.Topology, col *colle
 	if err != nil {
 		return nil, err
 	}
-	// Mirroring, concatenation, and the final simulation are cheap
-	// finishing work and run even when ctx is already cancelled, so a
-	// Partial AllGather phase still yields a complete AllReduce schedule.
+	if agRes.finished != nil {
+		// Winner selection already mirrored, validated, concatenated and
+		// re-simulated this very schedule.
+		agRes.Schedule, agRes.Time = agRes.finished, agRes.finishedTime
+		return agRes, nil
+	}
+	// No finalist finished into a valid AllReduce; redo the steps on the
+	// forward-best one to surface which of them fails. Mirroring,
+	// concatenation, and the final simulation are cheap finishing work
+	// and run even when ctx is already cancelled, so a Partial AllGather
+	// phase still yields a complete AllReduce schedule.
 	ms := parent.Child("mirror")
 	rs := mirrorSchedule(agRes.Schedule, agCol, rsCol)
 	if err := rs.Validate(rsCol); err != nil {

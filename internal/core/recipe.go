@@ -1,0 +1,161 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"time"
+
+	"syccl/internal/collective"
+	"syccl/internal/nccl"
+	"syccl/internal/obs"
+	"syccl/internal/schedule"
+	"syccl/internal/sim"
+	"syccl/internal/sketch"
+	"syccl/internal/solve"
+	"syccl/internal/topology"
+)
+
+// Recipe records how a completed pipeline made its winner: not the
+// schedule, but what it takes to rebuild it from the cross-request solve
+// cache. The determinism contract says an identical request arrives at
+// the same winner, so a caller that kept the recipe (internal/engine,
+// per plan key) hands it back through Options.Recipe and the pipeline
+// assembles, simulates, validates and finishes that one candidate
+// instead of searching, bounding and ranking all of them.
+//
+// A recipe is a hint, never an answer. The replay takes every
+// sub-schedule from Options.SolveCache, and everything it returns has
+// been re-simulated and re-validated; if a cell is gone from the cache,
+// any step fails, or the rebuilt schedule does not match the self-check,
+// the recipe is stale and the full pass runs — same bytes, slower.
+type Recipe struct {
+	// Combination is the winning sketch combination; nil when the
+	// injected NCCL ring won.
+	Combination *sketch.Combination
+	// Source is the pass that produced the winner: "coarse", "fine" or
+	// "ring". Together with the options — which the keeper of the recipe
+	// keys it by — it fixes the signature the winner's cells are cached
+	// under (passSolver, solveSignature).
+	Source string
+	// TimeBits (the forward schedule's simulated time, as
+	// math.Float64bits) and Transfers (its transfer count) are the
+	// self-check a replay must reproduce: a cache that served an
+	// isomorphic sibling with other bytes shows up here.
+	TimeBits  uint64
+	Transfers int
+}
+
+// replay rebuilds the recipe's winner under one "replay" span, or returns
+// nil when the recipe is stale. Like the other cheap finishing work it
+// ignores cancellation and runs to completion, so its result is never
+// Partial. pub receives one incumbent, the winner, with its original
+// provenance.
+func replay(top *topology.Topology, col *collective.Collective, opts Options, parent *obs.Span, pub *publisher, transform transformFunc) *Result {
+	t0 := time.Now()
+	span := parent.Child("replay")
+	span.SetStr("source", opts.Recipe.Source)
+	res := rebuild(top, col, opts, pub, transform)
+	if res == nil {
+		span.SetStr("outcome", "stale")
+		span.End()
+		return nil
+	}
+	span.SetInt("cells", int64(res.Stats.CrossCacheHits))
+	span.End()
+	// Booked to the pass the winner came from, so the phases still add
+	// up to the run.
+	if opts.Recipe.Source == "fine" {
+		res.Phases.Solve2 = time.Since(t0)
+	} else {
+		res.Phases.Solve1 = time.Since(t0)
+	}
+	return res
+}
+
+// rebuild is the replay proper: assemble the recipe's combination from
+// cached cells (or rebuild the ring), simulate, validate, compare with
+// the self-check, finish. Any deviation returns nil.
+func rebuild(top *topology.Topology, col *collective.Collective, opts Options, pub *publisher, transform transformFunc) *Result {
+	rc := opts.Recipe
+	var sched *schedule.Schedule
+	engineName := ""
+	cells := 0
+	switch {
+	case rc.Source == "ring" && col.Kind == collective.KindAllGather:
+		ring, err := nccl.AllGather(top, col)
+		if err != nil {
+			return nil
+		}
+		sched = ring
+	case rc.Combination != nil && opts.SolveCache != nil && (rc.Source == "coarse" || rc.Source == "fine"):
+		e, engine := opts.passSolver(rc.Source == "fine")
+		engineName = engine.String()
+		sig := solveSignature(e, engine, opts)
+		a, err := newAssembly(top, col, rc.Combination)
+		if err != nil {
+			return nil
+		}
+		cells = len(a.keys)
+		subs := make([]*solve.SubSchedule, cells)
+		parallelFor(cells, opts.Workers, func(i int) {
+			subs[i] = opts.SolveCache.Lookup(a.cells[a.keys[i]].demand, sig)
+		})
+		bycell := make(map[cellKey]*solve.SubSchedule, cells)
+		for i, k := range a.keys {
+			if subs[i] == nil {
+				return nil // evicted or invalidated, and not on disk either
+			}
+			bycell[k] = subs[i]
+		}
+		if sched, err = a.build(bycell); err != nil {
+			return nil
+		}
+	default:
+		return nil
+	}
+
+	r, err := sim.Simulate(top, sched, opts.Sim)
+	if err != nil || math.Float64bits(r.Time) != rc.TimeBits || len(sched.Transfers) != rc.Transfers {
+		return nil
+	}
+	out, t, ok := transform(sched, r.Time)
+	if !ok {
+		return nil
+	}
+	// A forward collective's transform is the validation of sched itself
+	// (it hands its input back). Any other validates what it finished
+	// sched into, so sched is validated here as at every exit of the
+	// full pass.
+	if out != sched && validateForward(sched, col) != nil {
+		return nil
+	}
+	pub.publishFinal(out, t, rc.Source, engineName, rc.Combination)
+
+	res := &Result{
+		Schedule: sched, Time: r.Time, Combination: rc.Combination, Recipe: rc,
+		finished: out, finishedTime: t,
+	}
+	res.Stats.Replayed = true
+	res.Stats.Candidates = 1
+	res.Stats.CrossCacheHits = cells
+	return res
+}
+
+// solveSignature is the solve-option part of a cached sub-schedule's
+// key: solutions found at another accuracy, by another engine, or under
+// another budget, seed or hint never answer for each other.
+func solveSignature(e float64, engine solve.Engine, opts Options) string {
+	// SolverExact disables the flow bound inside the exact engine, which
+	// changes which horizons are searched (and thus the node budget
+	// spent), so the flag is part of the signature.
+	sig := fmt.Sprintf("e%.9g|g%d|t%d|s%d|fb%t",
+		e, engine, opts.SolveTimeLimit.Nanoseconds(), opts.Seed, opts.SolverMode == SolverExact)
+	// Hinted plans carry the hint in their signature so hinted and
+	// unhinted solutions never collide in the memory or persist tiers.
+	// Unhinted signatures are unchanged, keeping existing persisted
+	// corpora valid.
+	if h := opts.Hint.Canonical(); h != "" {
+		sig += "|h=" + h
+	}
+	return sig
+}

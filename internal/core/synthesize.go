@@ -103,9 +103,17 @@ func SynthesizeContext(ctx context.Context, top *topology.Topology, col *collect
 		return nil, err
 	}
 	if mirrored {
-		// Mirroring and re-simulation are cheap finishing work: they run
-		// even under a cancelled context so a Partial forward result still
-		// becomes a complete, timed reduction schedule.
+		if res.finished != nil {
+			// Winner selection already mirrored, validated and
+			// re-simulated this very schedule.
+			res.Schedule, res.Time = res.finished, res.finishedTime
+			return res, nil
+		}
+		// No finalist's mirror validated, so none was carried out of
+		// winner selection. Mirroring and re-simulation are cheap
+		// finishing work: they run even under a cancelled context so a
+		// Partial forward result still becomes a complete, timed
+		// reduction schedule.
 		ms := root.Child("mirror")
 		res.Schedule = mirrorSchedule(res.Schedule, forwardCol, col)
 		r, err := sim.Simulate(top, res.Schedule, opts.Sim)
@@ -143,7 +151,33 @@ func seedCounters(rec *obs.Recorder) {
 // every return site is the candidate whose finished time is minimal,
 // which is the same criterion the publisher's improvement gate uses.
 func synthesizeForward(ctx context.Context, top *topology.Topology, col *collective.Collective, opts Options, parent *obs.Span, pub *publisher, transform transformFunc) (*Result, error) {
+	if opts.Recipe != nil {
+		if res := replay(top, col, opts, parent, pub, transform); res != nil {
+			return res, nil
+		}
+		// Stale recipe: the full pass below returns the same bytes and
+		// records a fresh one.
+	}
 	res := &Result{}
+	// finish closes the pipeline at every exit below: the winner of the
+	// pool by finished time, its recipe when the run was not cut short.
+	finish := func(pool []*candidate, partial bool) (*Result, error) {
+		best := pickWinner(pool, transform, pub, res)
+		res.Schedule, res.Time, res.Combination = best.sched, best.time, best.combo
+		res.Partial = partial
+		if err := validateForward(res.Schedule, col); err != nil {
+			return nil, err
+		}
+		if !partial {
+			res.Recipe = &Recipe{
+				Combination: best.combo,
+				Source:      best.source,
+				TimeBits:    math.Float64bits(best.time),
+				Transfers:   len(best.sched.Transfers),
+			}
+		}
+		return res, nil
+	}
 
 	// Phase 1a: sketch search (§4.1).
 	searchSpan := parent.Child("search")
@@ -213,13 +247,7 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	// (exact MILP where tractable) on the surviving candidates (§5.3).
 	coarseSpan := parent.Child("solve.coarse")
 	t0 = time.Now()
-	e1, eng1 := opts.E1, solve.EngineGreedy
-	if opts.DisableTwoStep {
-		e1, eng1 = opts.E2, opts.fineEngine()
-	}
-	if opts.Engine != solve.EngineAuto {
-		eng1 = opts.Engine
-	}
+	e1, eng1 := opts.passSolver(false)
 	coarse := realizeAll(ctx, top, col, combos, e1, eng1, opts, &res.Stats, coarseSpan, pub, "coarse")
 	cands := make([]*candidate, 0, len(combos))
 	for ci, combo := range combos {
@@ -256,20 +284,14 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	sort.SliceStable(cands, func(a, b int) bool { return cands[a].time < cands[b].time })
 
 	if opts.DisableTwoStep {
-		best := pickWinner(cands, transform, pub)
-		res.Schedule, res.Time, res.Combination = best.sched, best.time, best.combo
-		res.Partial = ctx.Err() != nil
-		return res, validateForward(res.Schedule, col)
+		return finish(cands, ctx.Err() != nil)
 	}
 
 	// Anytime exit: the deadline passed during (or right after) the coarse
 	// pass. The surviving candidates are complete, simulated schedules —
 	// return the best of them instead of starting the fine pass.
 	if ctx.Err() != nil {
-		best := pickWinner(cands, transform, pub)
-		res.Schedule, res.Time, res.Combination = best.sched, best.time, best.combo
-		res.Partial = true
-		return res, validateForward(res.Schedule, col)
+		return finish(cands, true)
 	}
 
 	// Filter: keep candidates within R1 of the best, at most R2 (§5.3).
@@ -306,10 +328,7 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 		fineSpan.SetStr("outcome", "proved-optimal")
 		fineSpan.End()
 		res.Stats.ProvedOptimal = true
-		best := pickWinner(cands, transform, pub)
-		res.Schedule, res.Time, res.Combination = best.sched, best.time, best.combo
-		res.Partial = ctx.Err() != nil
-		return res, validateForward(res.Schedule, col)
+		return finish(cands, ctx.Err() != nil)
 	}
 	// Early termination (the StopWithin knob): the incumbent is already
 	// within the requested gap of its flow lower bound, so skip the fine
@@ -320,20 +339,18 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 		fineSpan.SetStr("outcome", "stopped-early")
 		fineSpan.End()
 		res.Stats.StoppedEarly = true
-		best := pickWinner(cands, transform, pub)
-		res.Schedule, res.Time, res.Combination = best.sched, best.time, best.combo
-		res.Partial = ctx.Err() != nil
-		return res, validateForward(res.Schedule, col)
+		return finish(cands, ctx.Err() != nil)
 	}
 	t0 = time.Now()
 	fineCombos := make([]*sketch.Combination, len(keep))
 	for i, c := range keep {
 		fineCombos[i] = c.combo
 	}
-	fine := realizeAll(ctx, top, col, fineCombos, opts.E2, opts.fineEngine(), opts, &res.Stats, fineSpan, pub, "fine")
+	e2, eng2 := opts.passSolver(true)
+	fine := realizeAll(ctx, top, col, fineCombos, e2, eng2, opts, &res.Stats, fineSpan, pub, "fine")
 	finalists := make([]*candidate, 0, len(cands)+len(keep))
 	finalists = append(finalists, cands...)
-	fineName := opts.fineEngine().String()
+	fineName := eng2.String()
 	for ci, c := range keep {
 		if fine[ci].ok {
 			finalists = append(finalists, &candidate{
@@ -342,15 +359,13 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 			})
 		}
 	}
-	best := pickWinner(finalists, transform, pub)
-	res.Phases.Solve2 = time.Since(t0)
-	fineSpan.End()
-	res.Schedule, res.Time, res.Combination = best.sched, best.time, best.combo
 	// A cancellation mid-fine-pass degrades gracefully: candidates whose
 	// fine solves did not finish keep their coarse-pass schedules, and the
 	// result is flagged Partial.
-	res.Partial = ctx.Err() != nil
-	return res, validateForward(res.Schedule, col)
+	out, err := finish(finalists, ctx.Err() != nil)
+	res.Phases.Solve2 = time.Since(t0)
+	fineSpan.End()
+	return out, err
 }
 
 // pickWinner selects the pipeline's result by caller-visible time: each
@@ -364,8 +379,10 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 // published), which is what keeps the stream's last event equal to the
 // returned result. Finalists whose transform fails are skipped; if none
 // survives, forward order decides and the caller surfaces the transform
-// error. Deterministic: a pure fold over a deterministic finalist list.
-func pickWinner(finalists []*candidate, transform transformFunc, pub *publisher) *candidate {
+// error. The winner's finished schedule and time are left on res, so the
+// caller does not run the (deterministic) transform on it again.
+// Deterministic: a pure fold over a deterministic finalist list.
+func pickWinner(finalists []*candidate, transform transformFunc, pub *publisher, res *Result) *candidate {
 	best := finalists[0]
 	bestT := math.Inf(1)
 	var bestOut *schedule.Schedule
@@ -381,6 +398,7 @@ func pickWinner(finalists []*candidate, transform transformFunc, pub *publisher)
 	if bestOut == nil {
 		return finalists[0]
 	}
+	res.finished, res.finishedTime = bestOut, bestT
 	pub.publishFinal(bestOut, bestT, best.source, best.engine, best.combo)
 	return best
 }
@@ -529,45 +547,44 @@ func realizeAll(ctx context.Context, top *topology.Topology, col *collective.Col
 	// before class batching. An exact-signature hit returns the stored
 	// solution verbatim, which is what makes warm re-plans bit-identical
 	// to the cold run that populated the cache.
-	// SolverExact disables the flow bound inside the exact engine, which
-	// changes which horizons are searched (and thus the node budget
-	// spent), so the flag is part of the cache signature.
 	noFlow := opts.SolverMode == SolverExact
-	solveSig := fmt.Sprintf("e%.9g|g%d|t%d|s%d|fb%t",
-		e, engine, opts.SolveTimeLimit.Nanoseconds(), opts.Seed, noFlow)
-	// Hinted plans carry the hint in their signature so hinted and
-	// unhinted solutions never collide in the memory or persist tiers.
-	// Unhinted signatures are unchanged, keeping existing persisted
-	// corpora valid.
-	if h := opts.Hint.Canonical(); h != "" {
-		solveSig += "|h=" + h
-	}
+	solveSig := solveSignature(e, engine, opts)
 	cached := make([]*solve.SubSchedule, len(demands))
 	if opts.SolveCache != nil {
 		parallelFor(len(demands), opts.Workers, func(i int) {
 			cached[i] = opts.SolveCache.Lookup(demands[i], solveSig)
 		})
-		for i := range cached {
-			if cached[i] != nil {
-				stats.CrossCacheHits++
-			}
+	}
+	served := 0
+	for i := range cached {
+		if cached[i] != nil {
+			served++
 		}
 	}
-
+	stats.CrossCacheHits += served
+	missed := served < len(demands)
+	// repOf / mapFromRep are read only for demands the cross-request
+	// cache missed. When it served all of them — a full pass on a warm
+	// engine — the class partition would be dead work, so it is skipped.
+	// It is never narrowed to the missed demands: one of those whose
+	// class representative was served must still be mapped from it, not
+	// solved again.
 	var repOf []int
 	var mapFromRep []isomorph.Mapping
-	if opts.DisableIsomorphCache {
+	switch {
+	case !missed:
+	case opts.DisableIsomorphCache:
 		repOf = make([]int, len(demands))
 		mapFromRep = make([]isomorph.Mapping, len(demands))
 		for i, d := range demands {
 			repOf[i] = i
 			mapFromRep[i] = isomorph.Identity(d)
 		}
-	} else {
+	default:
 		repOf, mapFromRep = isomorph.Classes(demands)
 	}
-	reps := make([]int, 0, len(demands))
-	for i := range demands {
+	reps := make([]int, 0, len(repOf))
+	for i := range repOf {
 		if repOf[i] == i {
 			reps = append(reps, i)
 		}
@@ -640,7 +657,7 @@ func realizeAll(ctx context.Context, top *topology.Topology, col *collective.Col
 	// in-run isomorphism cache; cross-request hits are counted by the
 	// engine, not here).
 	for i := range demands {
-		if repOf[i] != i && cached[i] == nil && solved[repOf[i]] != nil {
+		if cached[i] == nil && repOf[i] != i && solved[repOf[i]] != nil {
 			stats.CacheHits++
 			opts.Obs.Count("cache.hits", 1)
 		}

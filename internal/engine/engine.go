@@ -3,7 +3,8 @@
 // caches surviving across requests and serves Plan(ctx, ...) with
 // cooperative cancellation and anytime semantics.
 //
-// Two caches back the engine:
+// Four caches back the engine, all instances of lru.Cache. The two that
+// carry the weight:
 //
 //   - a sketch cache mapping topology fingerprint (plus collective shape,
 //     root, and search options) to the enumerated sketch set, so repeat
@@ -15,13 +16,20 @@
 //     isomorphic to a stored one (but relabeled) are served through
 //     isomorph.FindFullMapping/MapSchedule.
 //
-// The caches plug into core.Options through the core.SolveCache and
-// core.SketchCache interfaces, so core carries no engine dependency and
-// core.Synthesize keeps working cache-free.
+// Next to them sit a flow-bound cache (scalar lower bounds per demand)
+// and a recipe cache: per plan key, which candidate won last time
+// (core.Recipe), so a repeated plan rebuilds that one candidate from the
+// sub-schedule cache instead of re-ranking all of them.
+//
+// The caches plug into core.Options through the core.SolveCache,
+// core.SketchCache and core.BoundCache interfaces (and the Recipe
+// field), so core carries no engine dependency and core.Synthesize keeps
+// working cache-free.
 package engine
 
 import (
 	"context"
+	"strconv"
 	"sync/atomic"
 
 	"syccl/internal/collective"
@@ -29,6 +37,7 @@ import (
 	"syccl/internal/isomorph"
 	"syccl/internal/lru"
 	"syccl/internal/obs"
+	"syccl/internal/sim"
 	"syccl/internal/sketch"
 	"syccl/internal/solve"
 	"syccl/internal/topology"
@@ -40,7 +49,9 @@ type Options struct {
 	// default 64).
 	SketchCacheEntries int
 	// SolveCacheEntries bounds the sub-schedule cache across all shards
-	// (default 4096).
+	// (default 4096). The recipe cache is bounded off it, to
+	// SolveCacheEntries/recipeCellsPerEntry plan keys: a recipe only
+	// replays while its winner's cells are resident here.
 	SolveCacheEntries int
 	// BoundCacheEntries bounds the flow-bound cache (scalar lower bounds
 	// per sub-demand; default 4096). Warm requests prune candidates
@@ -60,8 +71,9 @@ type Options struct {
 	Persist PersistTier
 	// Obs optionally receives the engine counters: engine.plans,
 	// engine.cancelled, engine.cache.{hits,misses,evictions},
-	// engine.sketch.{hits,misses}. Nil disables recording; Stats() is
-	// always available.
+	// engine.sketch.{hits,misses}, engine.bound.{hits,misses},
+	// engine.recipe.{hits,misses,stale}. Nil disables recording; Stats()
+	// is always available.
 	Obs *obs.Recorder
 	// Metrics optionally receives labeled production metrics
 	// (syccl_engine_plans_total{outcome},
@@ -150,6 +162,14 @@ type Stats struct {
 	Replans           int64 `json:"replans"`
 	ReplanReused      int64 `json:"replan_reused"`
 	ReplanInvalidated int64 `json:"replan_invalidated"`
+	// RecipeHits counts plans rebuilt from their winner recipe (one
+	// candidate, no search), RecipeMisses plans that had none, and
+	// RecipeStale plans whose recipe no longer replayed — a cell evicted
+	// or invalidated, or a self-check mismatch — and that fell back to
+	// the full pass, which replaced it.
+	RecipeHits   int64 `json:"recipe_hits"`
+	RecipeMisses int64 `json:"recipe_misses"`
+	RecipeStale  int64 `json:"recipe_stale"`
 }
 
 // Engine is a long-lived, concurrency-safe planner. The zero value is not
@@ -161,8 +181,12 @@ type Engine struct {
 	sketches *lru.Cache[[]*sketch.Sketch]
 	solves   *lru.Cache[solved]
 	bounds   *lru.Cache[float64]
-	// persistHit / persistMiss meter the disk tier behind solves.
+	recipes  *lru.Cache[*core.Recipe]
+	// persistHit / persistMiss meter the disk tier behind solves;
+	// recipeHit / recipeStale the two outcomes of a recipe that was found
+	// (a lookup is a hit only once the replay held).
 	persistHit, persistMiss *lru.Meter
+	recipeHit, recipeStale  *lru.Meter
 
 	plans        atomic.Int64
 	cancelled    atomic.Int64
@@ -209,6 +233,12 @@ func New(opts Options) *Engine {
 		Miss:  lru.NewMeter(rec, "engine.sketch.misses", lookups.With("sketch", "miss")),
 		Evict: lru.NewMeter(rec, "engine.cache.evictions", evict.With("sketch")),
 	})
+	e.recipes = lru.New[*core.Recipe](max(1, opts.SolveCacheEntries/recipeCellsPerEntry), 1, lru.Meters{
+		Miss:  lru.NewMeter(rec, "engine.recipe.misses", lookups.With("recipe", "miss")),
+		Evict: lru.NewMeter(rec, "engine.cache.evictions", evict.With("recipe")),
+	})
+	e.recipeHit = lru.NewMeter(rec, "engine.recipe.hits", lookups.With("recipe", "hit"))
+	e.recipeStale = lru.NewMeter(rec, "engine.recipe.stale", lookups.With("recipe", "stale"))
 	e.persistHit = lru.NewMeter(rec, "engine.persist.hits", lookups.With("persist", "hit"))
 	e.persistMiss = lru.NewMeter(rec, "engine.persist.misses", lookups.With("persist", "miss"))
 
@@ -244,8 +274,14 @@ func New(opts Options) *Engine {
 // written into the caches.
 //
 // The engine installs its caches into opts; any caller-provided
-// SolveCache/SketchCache values are replaced. All other options pass
-// through to the pipeline unchanged.
+// SolveCache/SketchCache/BoundCache/Recipe values are replaced. All
+// other options pass through to the pipeline unchanged.
+//
+// A plan whose key has a winner recipe (see core.Recipe) rebuilds that
+// one candidate from the sub-schedule cache instead of running the
+// search; a recipe that no longer replays is dropped and the full pass
+// runs in the same call, so the bytes returned never depend on which
+// path served them.
 func (e *Engine) Plan(ctx context.Context, top *topology.Topology, col *collective.Collective, opts core.Options) (*core.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -255,7 +291,32 @@ func (e *Engine) Plan(ctx context.Context, top *topology.Topology, col *collecti
 	opts.SolveCache = solveCacheAdapter{e}
 	opts.SketchCache = sketchCacheAdapter{e}
 	opts.BoundCache = boundCacheAdapter{e}
+	key := recipeKey(top, col, opts)
+	kept, found := e.recipes.Get(key, "")
+	if found {
+		opts.Recipe = cloneRecipe(kept)
+	} else {
+		e.recipes.Miss()
+		opts.Recipe = nil
+	}
 	res, err := core.SynthesizeContext(ctx, top, col, opts)
+	switch {
+	case res == nil:
+		// Failed or cancelled before any result: says nothing about the
+		// recipe.
+	case res.Stats.Replayed:
+		e.recipeHit.Add(1)
+	default:
+		if found {
+			// The full pass ran although a recipe was at hand, so the
+			// replay gave up on it: drop it for the one recorded now.
+			e.recipeStale.Add(1)
+			e.recipes.RemoveIf(func(k, _ string) bool { return k == key })
+		}
+		if res.Recipe != nil {
+			e.recipes.Add(key, "", func() *core.Recipe { return cloneRecipe(res.Recipe) })
+		}
+	}
 	if (err != nil && ctx.Err() != nil) || (res != nil && res.Partial) {
 		e.cancelled.Add(1)
 		e.opts.Obs.Count("engine.cancelled", 1)
@@ -286,7 +347,7 @@ func (e *Engine) Plan(ctx context.Context, top *topology.Topology, col *collecti
 
 // Stats returns a snapshot of the engine's lifetime counters.
 func (e *Engine) Stats() Stats {
-	sv, bd, sk := e.solves.Stats(), e.bounds.Stats(), e.sketches.Stats()
+	sv, bd, sk, rc := e.solves.Stats(), e.bounds.Stats(), e.sketches.Stats(), e.recipes.Stats()
 	return Stats{
 		Plans:             e.plans.Load(),
 		Cancelled:         e.cancelled.Load(),
@@ -294,7 +355,7 @@ func (e *Engine) Stats() Stats {
 		SolveMisses:       sv.Misses,
 		ExactHits:         sv.Hits,
 		IsoHits:           sv.ClassHits,
-		Evictions:         sv.Evictions + bd.Evictions + sk.Evictions,
+		Evictions:         sv.Evictions + bd.Evictions + sk.Evictions + rc.Evictions,
 		SketchHits:        sk.Hits,
 		SketchMisses:      sk.Misses,
 		BoundHits:         bd.Hits + bd.ClassHits,
@@ -306,7 +367,49 @@ func (e *Engine) Stats() Stats {
 		Replans:           e.replans.Load(),
 		ReplanReused:      e.replanReused.Load(),
 		ReplanInvalidated: e.replanInvalidated.Load(),
+		RecipeHits:        e.recipeHit.Load(),
+		RecipeMisses:      rc.Misses,
+		RecipeStale:       e.recipeStale.Load(),
 	}
+}
+
+// --- recipe cache ---
+
+// recipeCellsPerEntry sizes the recipe cache against the sub-schedule
+// cache: a recipe is worth keeping only while the cells of its winner
+// are resident there, and the winners of the benchmark cases span 5 to
+// 48 cells, so a sub-schedule cache of N entries cannot keep many more
+// than N/16 winners replayable.
+const recipeCellsPerEntry = 16
+
+// recipeKey identifies what a recipe answers for: PlanKey — everything
+// that steers synthesis — plus the block configuration of the ranking
+// simulator, which PlanKey leaves to the caller but which decides the
+// winner. Defaulted by the rule core applies, so unset and spelled-out
+// defaults share a recipe.
+func recipeKey(top *topology.Topology, col *collective.Collective, opts core.Options) string {
+	sm := opts.Sim
+	if sm.IsZero() {
+		sm = sim.DefaultOptions()
+	}
+	b := append([]byte(PlanKey(top, col, opts)), "|sim="...)
+	b = strconv.AppendFloat(b, sm.BlockBytes, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, '/'), int64(sm.MaxBlocks), 10)
+	return string(b)
+}
+
+// cloneRecipe deep-copies a recipe on its way into and out of the
+// cache: the combination it carries is also handed to the caller as
+// Result.Combination.
+func cloneRecipe(r *core.Recipe) *core.Recipe {
+	out := *r
+	if c := r.Combination; c != nil {
+		out.Combination = &sketch.Combination{
+			Sketches: cloneSketches(c.Sketches),
+			Fracs:    append([]float64(nil), c.Fracs...),
+		}
+	}
+	return &out
 }
 
 // --- sub-schedule cache ---

@@ -19,9 +19,11 @@ func quickOpts() core.Options {
 	return core.Options{Workers: 1}
 }
 
-// TestWarmPlanBitIdentical is the cache-correctness contract: a second,
-// identical Plan on the same engine must be served from the caches
-// (hits > 0, zero solver calls) and return a bit-identical schedule.
+// TestWarmPlanBitIdentical is the cache-correctness contract of the full
+// pass: a second, identical Plan on the same engine — its winner recipe
+// dropped, so every candidate is re-assembled — must be served from the
+// caches (hits > 0, zero solver calls) and return a bit-identical
+// schedule. TestRecipeReplaySkipsTheSearch is the recipe-path twin.
 func TestWarmPlanBitIdentical(t *testing.T) {
 	top := topology.H800Small(2)
 	col := collective.AllGather(top.NumGPUs(), 1<<20)
@@ -36,6 +38,7 @@ func TestWarmPlanBitIdentical(t *testing.T) {
 		t.Fatalf("cold plan reported %d cache hits", coldStats.SolveHits)
 	}
 
+	dropRecipes(eng)
 	warm, err := eng.Plan(context.Background(), top, col, quickOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -307,9 +310,10 @@ func TestConcurrentPlans(t *testing.T) {
 }
 
 // TestBoundCacheWarmHits: a broadcast plan computes candidate flow bounds
-// cold; an identical re-plan must serve every bound from the engine's
-// bound cache, and an isomorphic request (different root on a transitive
-// topology) must hit through the iso key.
+// cold; an identical full-pass re-plan (winner recipe dropped) must serve
+// every bound from the engine's bound cache, a recipe replay must not
+// bound anything, and an isomorphic request (different root on a
+// transitive topology) must hit through the iso key.
 func TestBoundCacheWarmHits(t *testing.T) {
 	top := topology.A100Clos(2)
 	col := collective.Broadcast(top.NumGPUs(), 0, 1<<20)
@@ -326,13 +330,21 @@ func TestBoundCacheWarmHits(t *testing.T) {
 	if st.BoundMisses == 0 {
 		t.Fatalf("cold plan recorded no bound misses: %+v", st)
 	}
-	coldMisses := st.BoundMisses
+	coldMisses, coldHits := st.BoundMisses, st.BoundHits
 
 	if _, err := eng.Plan(context.Background(), top, col, quickOpts()); err != nil {
 		t.Fatal(err)
 	}
+	if st = eng.Stats(); st.RecipeHits != 1 || st.BoundHits != coldHits || st.BoundMisses != coldMisses {
+		t.Fatalf("recipe replay touched the bound cache: %+v", st)
+	}
+
+	dropRecipes(eng)
+	if _, err := eng.Plan(context.Background(), top, col, quickOpts()); err != nil {
+		t.Fatal(err)
+	}
 	st = eng.Stats()
-	if st.BoundHits == 0 {
+	if st.BoundHits <= coldHits {
 		t.Fatalf("warm plan hit no cached bounds: %+v", st)
 	}
 	if st.BoundMisses != coldMisses {

@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"hash/fnv"
+	"strconv"
 	"strings"
 
 	"syccl/internal/collective"
@@ -69,15 +69,33 @@ func PlanKey(top *topology.Topology, col *collective.Collective, opts core.Optio
 
 // chunkDigest hashes the collective's chunk structure (ID, source, and
 // destination set per chunk) so demands that differ only in their F_s/F_d
-// maps key differently without embedding the full chunk list.
+// maps key differently without embedding the full chunk list. It is
+// FNV-1a (64-bit) over the bytes "<id>:<src>:<dst>,<dst>,...;" per chunk
+// — every stored schedule id and persisted snapshot hangs off them —
+// folded in digit by digit, without a buffer or an allocation.
 func chunkDigest(col *collective.Collective) uint64 {
-	h := fnv.New64a()
+	h := uint64(fnvOffset64)
 	for _, ch := range col.Chunks {
-		fmt.Fprintf(h, "%d:%d:", ch.ID, ch.Src)
+		h = fnvInt(fnvInt(h, ch.ID, ':'), ch.Src, ':')
 		for _, d := range ch.Dsts {
-			fmt.Fprintf(h, "%d,", d)
+			h = fnvInt(h, d, ',')
 		}
-		h.Write([]byte{';'})
+		h = (h ^ ';') * fnvPrime64
 	}
-	return h.Sum64()
+	return h
+}
+
+// The FNV-1a parameters of hash/fnv's New64a.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvInt folds the decimal digits of v, then sep, into the hash.
+func fnvInt(h uint64, v int, sep byte) uint64 {
+	var digits [20]byte
+	for _, c := range strconv.AppendInt(digits[:0], int64(v), 10) {
+		h = (h ^ uint64(c)) * fnvPrime64
+	}
+	return (h ^ uint64(sep)) * fnvPrime64
 }

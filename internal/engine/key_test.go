@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
@@ -82,6 +84,7 @@ var planKeyExcluded = map[string]string{
 	"SketchCache": "cache wiring; the engine installs its own",
 	"BoundCache":  "cache wiring; the engine installs its own",
 	"OnIncumbent": "publication is observation-only",
+	"Recipe":      "replays the same bytes or falls back",
 	"Search.Rec":  "instrumentation only",
 }
 
@@ -180,5 +183,38 @@ func TestPlanKeySearchOptionsChangeSchedules(t *testing.T) {
 	}
 	if PlanKey(top, col, full) == PlanKey(top, col, capped) {
 		t.Fatalf("schedules differ (%g s vs %g s) under one PlanKey", a.Time, b.Time)
+	}
+}
+
+// chunkDigestReference is chunkDigest as it stood when it fed the hash
+// through fmt, kept verbatim: every schedule id, serve golden and
+// persisted snapshot hangs off these bytes.
+func chunkDigestReference(col *collective.Collective) uint64 {
+	h := fnv.New64a()
+	for _, ch := range col.Chunks {
+		fmt.Fprintf(h, "%d:%d:", ch.ID, ch.Src)
+		for _, d := range ch.Dsts {
+			fmt.Fprintf(h, "%d,", d)
+		}
+		h.Write([]byte{';'})
+	}
+	return h.Sum64()
+}
+
+func TestChunkDigestStable(t *testing.T) {
+	cols := []*collective.Collective{
+		{}, // no chunks
+		{Chunks: []collective.Chunk{{ID: -3, Src: -1}, {ID: 1 << 40, Src: 7, Dsts: []int{-2, 0, 1 << 33}}}},
+	}
+	for _, n := range []int{2, 5, 64} {
+		cols = append(cols,
+			collective.SendRecv(n, 0, n-1, 1), collective.Broadcast(n, 1, 1), collective.Scatter(n, 0, 1),
+			collective.Gather(n, 1, 1), collective.Reduce(n, 0, 1), collective.AllGather(n, 1),
+			collective.AlltoAll(n, 1), collective.ReduceScatter(n, 1), collective.AllReduce(n, 1))
+	}
+	for i, col := range cols {
+		if got, want := chunkDigest(col), chunkDigestReference(col); got != want {
+			t.Errorf("collective %d (%v, %d chunks): digest %016x, want %016x", i, col.Kind, len(col.Chunks), got, want)
+		}
 	}
 }

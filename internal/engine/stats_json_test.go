@@ -21,7 +21,8 @@ func TestStatsJSONGolden(t *testing.T) {
 		`"sketch_hits":0,"sketch_misses":0,` +
 		`"bound_hits":0,"bound_misses":0,"bounds_pruned":0,"bounds_proved":0,` +
 		`"persist_hits":0,"persist_misses":0,` +
-		`"replans":0,"replan_reused":0,"replan_invalidated":0}`
+		`"replans":0,"replan_reused":0,"replan_invalidated":0,` +
+		`"recipe_hits":0,"recipe_misses":0,"recipe_stale":0}`
 	if string(got) != golden {
 		t.Errorf("zero Stats JSON drifted:\n got: %s\nwant: %s", got, golden)
 	}
@@ -32,7 +33,8 @@ func TestStatsJSONGolden(t *testing.T) {
 		ExactHits: 5, IsoHits: 6, Evictions: 7, SketchHits: 8, SketchMisses: 9,
 		BoundHits: 10, BoundMisses: 11, BoundsPruned: 12, BoundsProved: 13,
 		PersistHits: 14, PersistMisses: 15,
-		Replans: 16, ReplanReused: 17, ReplanInvalidated: 18}
+		Replans: 16, ReplanReused: 17, ReplanInvalidated: 18,
+		RecipeHits: 19, RecipeMisses: 20, RecipeStale: 21}
 	b, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)

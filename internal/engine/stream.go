@@ -17,8 +17,9 @@ import (
 // No final stream event is emitted: the return value IS the final
 // incumbent (its Time is ≤ the last streamed one), so callers that relay
 // the stream append their own terminal event from the Result. On a warm
-// engine the pipeline replays from the caches in microseconds and the
-// stream typically collapses to the winning incumbent alone; serving
+// engine the plan is a recipe replay and the stream is exactly one
+// event, the winner, with the provenance it had when the full pass
+// published it (and Bound 0: a replay computes no bounds); serving
 // layers that cache whole results (the schedule store in internal/serve)
 // short-circuit even that by emitting one immediate final event.
 //

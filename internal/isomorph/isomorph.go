@@ -11,10 +11,12 @@
 package isomorph
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
-	"strings"
+	"strconv"
 
 	"syccl/internal/solve"
 )
@@ -22,23 +24,13 @@ import (
 // Key returns an isomorphism-invariant fingerprint of a demand: demands
 // with different keys are guaranteed non-isomorphic. (Equal keys are a
 // necessary, not sufficient, condition; FindMapping decides.)
+//
+// The text is "n<gpus>;a<α %.6g>;b<β %.6g>;" + the sorted piece
+// invariants "p(<bytes %.6g>,<|srcs|>,<|dsts|>)" + ";g" + the sorted
+// per-GPU colors joined by "|". It is rendered with strconv, byte for
+// byte what fmt printed before: persisted corpora are addressed by it.
 func Key(d *solve.Demand) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "n%d;a%.6g;b%.6g;", d.NumGPUs, d.Alpha, d.Beta)
-	inv := make([]string, len(d.Pieces))
-	for i, p := range d.Pieces {
-		inv[i] = fmt.Sprintf("p(%.6g,%d,%d)", p.Bytes, len(p.Srcs), len(p.Dsts))
-	}
-	sort.Strings(inv)
-	sb.WriteString(strings.Join(inv, ""))
-	// GPU color multiset: per GPU, the sorted list of (piece-invariant,
-	// role) memberships.
-	colors := gpuColors(d)
-	sorted := append([]string(nil), colors...)
-	sort.Strings(sorted)
-	sb.WriteString(";g")
-	sb.WriteString(strings.Join(sorted, "|"))
-	return sb.String()
+	return string(appendKey(nil, d))
 }
 
 // ExactKey returns a byte-exact signature of a demand: two demands share
@@ -48,13 +40,11 @@ func Key(d *solve.Demand) string {
 // renaming; it exists so cross-request caches (internal/engine) can serve
 // a repeated demand with the bit-identical stored sub-schedule, keeping
 // warm and cold runs byte-equal.
+//
+// The text is "n<gpus>;a<α %.9g>;b<β %.9g>" + ";p<bytes %.9g>|<srcs
+// %v>|<dsts %v>" per piece, under the same byte-stability rule as Key.
 func ExactKey(d *solve.Demand) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "n%d;a%.9g;b%.9g", d.NumGPUs, d.Alpha, d.Beta)
-	for _, p := range d.Pieces {
-		fmt.Fprintf(&sb, ";p%.9g|%v|%v", p.Bytes, p.Srcs, p.Dsts)
-	}
-	return sb.String()
+	return string(appendExactKey(nil, d))
 }
 
 // CacheKeys returns the pair every cross-request cache tier addresses a
@@ -65,25 +55,213 @@ func ExactKey(d *solve.Demand) string {
 // share this one format — persisted entries record both keys, so
 // changing it orphans every stored corpus.
 func CacheKeys(d *solve.Demand, sig string) (exact, class string) {
-	return ExactKey(d) + "|" + sig, Key(d) + "|" + sig
+	b := appendExactKey(nil, d)
+	b = append(append(b, '|'), sig...)
+	exact = string(b)
+	b = appendKey(b[:0], d)
+	b = append(append(b, '|'), sig...)
+	return exact, string(b)
+}
+
+// appendHeader renders "n<gpus>;a<α>;b<β>" at the given %g precision.
+func appendHeader(b []byte, d *solve.Demand, prec int) []byte {
+	b = strconv.AppendInt(append(b, 'n'), int64(d.NumGPUs), 10)
+	b = strconv.AppendFloat(append(b, ";a"...), d.Alpha, 'g', prec, 64)
+	return strconv.AppendFloat(append(b, ";b"...), d.Beta, 'g', prec, 64)
+}
+
+// appendInts renders a list the way fmt's %v prints an []int: "[1 2 3]".
+func appendInts(b []byte, list []int) []byte {
+	b = append(b, '[')
+	for i, v := range list {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return append(b, ']')
+}
+
+func appendExactKey(b []byte, d *solve.Demand) []byte {
+	b = appendHeader(b, d, 9)
+	for i := range d.Pieces {
+		p := &d.Pieces[i]
+		b = strconv.AppendFloat(append(b, ";p"...), p.Bytes, 'g', 9, 64)
+		b = appendInts(append(b, '|'), p.Srcs)
+		b = appendInts(append(b, '|'), p.Dsts)
+	}
+	return b
+}
+
+func appendKey(b []byte, d *solve.Demand) []byte {
+	b = append(appendHeader(b, d, 6), ';')
+	invs, of := invariants(d)
+	// Pieces in sorted-invariant order: equal invariants are equal text,
+	// so counting per rank is the sort.
+	count := make([]int, len(invs))
+	for _, r := range of {
+		count[r]++
+	}
+	for r, inv := range invs {
+		for k := 0; k < count[r]; k++ {
+			b = append(append(b, 'p'), inv...)
+		}
+	}
+	// GPU color multiset: per GPU, the sorted list of (piece-invariant,
+	// role) memberships.
+	colors, ends := colorBytes(d, invs, of)
+	order := colorOrder{colors: colors, ends: ends, idx: make([]int, d.NumGPUs)}
+	for g := range order.idx {
+		order.idx[g] = g
+	}
+	sort.Sort(&order)
+	b = append(b, ";g"...)
+	for k, g := range order.idx {
+		if k > 0 {
+			b = append(b, '|')
+		}
+		b = append(b, order.color(g)...)
+	}
+	return b
+}
+
+// invariants renders each distinct piece invariant
+// "(<bytes %.6g>,<|srcs|>,<|dsts|>)" of the demand once. It returns them
+// in ascending text order with, per piece, the index of its invariant.
+// The pieces of a sub-demand share a handful of invariants, so the
+// distinct list is found by a scan.
+func invariants(d *solve.Demand) (invs []string, of []int) {
+	type shape struct {
+		bits   uint64
+		ns, nd int
+	}
+	var shapes []shape
+	of = make([]int, len(d.Pieces))
+	for i := range d.Pieces {
+		p := &d.Pieces[i]
+		sh := shape{math.Float64bits(p.Bytes), len(p.Srcs), len(p.Dsts)}
+		j := len(shapes) - 1
+		for j >= 0 && shapes[j] != sh {
+			j--
+		}
+		if j < 0 {
+			j = len(shapes)
+			shapes = append(shapes, sh)
+		}
+		of[i] = j
+	}
+	invs = make([]string, len(shapes))
+	var buf []byte
+	for j, sh := range shapes {
+		buf = strconv.AppendFloat(append(buf[:0], '('), math.Float64frombits(sh.bits), 'g', 6, 64)
+		buf = strconv.AppendInt(append(buf, ','), int64(sh.ns), 10)
+		buf = strconv.AppendInt(append(buf, ','), int64(sh.nd), 10)
+		invs[j] = string(append(buf, ')'))
+	}
+	// Sort the invariants and carry the pieces' indices along.
+	perm := make([]int, len(invs))
+	for j := range perm {
+		perm[j] = j
+	}
+	for x := 1; x < len(perm); x++ {
+		for y := x; y > 0 && invs[perm[y]] < invs[perm[y-1]]; y-- {
+			perm[y], perm[y-1] = perm[y-1], perm[y]
+		}
+	}
+	sorted, rank := make([]string, len(invs)), make([]int, len(invs))
+	for r, j := range perm {
+		sorted[r], rank[j] = invs[j], r
+	}
+	for i := range of {
+		of[i] = rank[of[i]]
+	}
+	return sorted, of
+}
+
+// colorBytes renders every GPU's color into one buffer: GPU g's color is
+// colors[ends[g-1]:ends[g]], its memberships "s<invariant>" (source of a
+// piece) and "d<invariant>" (destination) sorted and joined by ",".
+func colorBytes(d *solve.Demand, invs []string, of []int) (colors []byte, ends []int) {
+	// A membership is coded role*len(invs) + invariant rank with role 0
+	// for "d" and 1 for "s": invs is sorted, so code order is text order.
+	start := make([]int, d.NumGPUs+1)
+	for i := range d.Pieces {
+		for _, g := range d.Pieces[i].Srcs {
+			start[g+1]++
+		}
+		for _, g := range d.Pieces[i].Dsts {
+			start[g+1]++
+		}
+	}
+	for g := 0; g < d.NumGPUs; g++ {
+		start[g+1] += start[g]
+	}
+	codes := make([]int, start[d.NumGPUs])
+	fill := append([]int(nil), start[:d.NumGPUs]...)
+	for i := range d.Pieces {
+		for _, g := range d.Pieces[i].Srcs {
+			codes[fill[g]] = len(invs) + of[i]
+			fill[g]++
+		}
+		for _, g := range d.Pieces[i].Dsts {
+			codes[fill[g]] = of[i]
+			fill[g]++
+		}
+	}
+	ends = make([]int, d.NumGPUs)
+	longest := 0
+	for _, inv := range invs {
+		longest = max(longest, len(inv))
+	}
+	colors = make([]byte, 0, len(codes)*(longest+2))
+	for g := 0; g < d.NumGPUs; g++ {
+		mine := codes[start[g]:start[g+1]]
+		sort.Ints(mine)
+		for k, c := range mine {
+			if k > 0 {
+				colors = append(colors, ',')
+			}
+			role := byte('d')
+			if c >= len(invs) {
+				role, c = 's', c-len(invs)
+			}
+			colors = append(append(colors, role), invs[c]...)
+		}
+		ends[g] = len(colors)
+	}
+	return colors, ends
+}
+
+// colorOrder sorts GPU indices by color text.
+type colorOrder struct {
+	colors []byte
+	ends   []int
+	idx    []int
+}
+
+func (o *colorOrder) color(g int) []byte {
+	from := 0
+	if g > 0 {
+		from = o.ends[g-1]
+	}
+	return o.colors[from:o.ends[g]]
+}
+
+func (o *colorOrder) Len() int      { return len(o.idx) }
+func (o *colorOrder) Swap(x, y int) { o.idx[x], o.idx[y] = o.idx[y], o.idx[x] }
+func (o *colorOrder) Less(x, y int) bool {
+	return bytes.Compare(o.color(o.idx[x]), o.color(o.idx[y])) < 0
 }
 
 // gpuColors computes a per-GPU invariant color string.
 func gpuColors(d *solve.Demand) []string {
-	colors := make([][]string, d.NumGPUs)
-	for _, p := range d.Pieces {
-		inv := fmt.Sprintf("(%.6g,%d,%d)", p.Bytes, len(p.Srcs), len(p.Dsts))
-		for _, s := range p.Srcs {
-			colors[s] = append(colors[s], "s"+inv)
-		}
-		for _, t := range p.Dsts {
-			colors[t] = append(colors[t], "d"+inv)
-		}
-	}
+	invs, of := invariants(d)
+	colors, ends := colorBytes(d, invs, of)
 	out := make([]string, d.NumGPUs)
-	for g, c := range colors {
-		sort.Strings(c)
-		out[g] = strings.Join(c, ",")
+	from := 0
+	for g, end := range ends {
+		out[g] = string(colors[from:end])
+		from = end
 	}
 	return out
 }

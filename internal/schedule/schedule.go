@@ -174,78 +174,36 @@ func (s *Schedule) Validate(col *collective.Collective) error {
 		}
 	}
 
-	// Walk transfers in dependency order tracking piece possession.
-	// has[p] is the set of GPUs holding piece p (for reduction pieces:
-	// holding the partial aggregate rooted at their subtree).
-	has := make([]map[int]bool, len(s.Pieces))
-	originOf := func(p int) map[int]bool {
-		set := make(map[int]bool)
-		chunks := s.Pieces[p].Chunks
-		if len(chunks) == 0 {
-			return set
-		}
-		if col.Reduce && len(chunks) > 1 {
-			// A reduction slice: every contributor starts with its own
-			// partial aggregate.
-			for _, c := range chunks {
-				set[col.Chunks[c].Src] = true
-			}
-			return set
-		}
-		// A forward piece is the concatenation of its chunks: only a GPU
-		// sourcing every one of them holds the piece before any transfer
-		// runs. (Sourcing a single chunk of a multi-chunk piece is not
-		// possession of the piece.)
-		src := col.Chunks[chunks[0]].Src
-		for _, c := range chunks[1:] {
-			if col.Chunks[c].Src != src {
-				return set
-			}
-		}
-		set[src] = true
-		return set
-	}
+	// Walk transfers in dependency order tracking piece possession, one
+	// bitset row of GPUs per piece: has marks the holders so far (for
+	// reduction pieces: of the partial aggregate rooted at their
+	// subtree), origin the holders before any transfer runs.
+	words := (s.NumGPUs + 63) / 64
+	has := make([]uint64, len(s.Pieces)*words)
 	for p := range s.Pieces {
-		has[p] = originOf(p)
+		s.markOrigins(col, p, has[p*words:(p+1)*words])
 	}
-	// completedInto[p][g] counts inbound transfers of piece p delivered
-	// to GPU g among the transfers processed so far (for the reduction
-	// all-inbound-before-send check we instead verify dependency sets).
-	inbound := make([]map[int][]int, len(s.Pieces)) // piece -> dst -> transfer indices
-	for i, t := range s.Transfers {
-		if inbound[t.Piece] == nil {
-			inbound[t.Piece] = make(map[int][]int)
-		}
-		inbound[t.Piece][t.Dst] = append(inbound[t.Piece][t.Dst], i)
-	}
-	depSet := func(t Transfer) map[int]bool {
-		m := make(map[int]bool, len(t.Deps))
-		for _, d := range t.Deps {
-			m[d] = true
-		}
-		return m
-	}
+	origin := append([]uint64(nil), has...)
+	inbound := s.inboundIndex()
 	for _, i := range order {
-		t := s.Transfers[i]
+		t := &s.Transfers[i]
 		p := t.Piece
 		reduce := len(s.Pieces[p].Chunks) > 1 && col.Reduce
-		if !has[p][t.Src] {
+		if !holds(has, words, p, t.Src) {
 			return fmt.Errorf("schedule: transfer %d sends piece %d from GPU %d which never obtains it", i, p, t.Src)
 		}
-		origin := originOf(p)[t.Src]
-		deps := depSet(t)
 		if reduce {
 			// Sender must have waited for every inbound contribution.
-			for _, in := range inbound[p][t.Src] {
-				if !deps[in] {
+			for _, in := range inbound.into(p, t.Src) {
+				if !dependsOn(t, in) {
 					return fmt.Errorf("schedule: reduction transfer %d from GPU %d missing dep on inbound transfer %d", i, t.Src, in)
 				}
 			}
-		} else if !origin {
+		} else if !holds(origin, words, p, t.Src) {
 			// Sender must depend on at least one inbound delivery.
 			ok := false
-			for _, in := range inbound[p][t.Src] {
-				if deps[in] {
+			for _, in := range inbound.into(p, t.Src) {
+				if dependsOn(t, in) {
 					ok = true
 					break
 				}
@@ -254,19 +212,45 @@ func (s *Schedule) Validate(col *collective.Collective) error {
 				return fmt.Errorf("schedule: transfer %d relays piece %d from GPU %d without a dependency on its arrival", i, p, t.Src)
 			}
 		}
-		has[p][t.Dst] = true
+		setGPU(has[p*words:(p+1)*words], t.Dst)
 	}
 
-	// Demand satisfaction.
+	// Demand satisfaction, through a chunk -> pieces index built once:
+	// piecesOf[chunkEnd[c]:chunkEnd[c+1]] lists, in ascending piece
+	// order, every piece carrying chunk c (once, however often the piece
+	// names it), so each sum below adds the same terms in the same order
+	// as a scan over all pieces would.
+	chunkEnd := make([]int, len(col.Chunks)+1)
+	lastPiece := make([]int, len(col.Chunks)) // piece+1 that last named the chunk
+	for p, piece := range s.Pieces {
+		for _, c := range piece.Chunks {
+			if lastPiece[c] != p+1 {
+				lastPiece[c] = p + 1
+				chunkEnd[c+1]++
+			}
+		}
+	}
+	for c := range col.Chunks {
+		chunkEnd[c+1] += chunkEnd[c]
+		lastPiece[c] = 0
+	}
+	piecesOf := make([]int, chunkEnd[len(col.Chunks)])
+	fill := append([]int(nil), chunkEnd[:len(col.Chunks)]...)
+	for p, piece := range s.Pieces {
+		for _, c := range piece.Chunks {
+			if lastPiece[c] != p+1 {
+				lastPiece[c] = p + 1
+				piecesOf[fill[c]] = p
+				fill[c]++
+			}
+		}
+	}
 	for c, ch := range col.Chunks {
 		for _, d := range ch.Dsts {
 			satisfied := 0.0
-			for p, piece := range s.Pieces {
-				for _, pc := range piece.Chunks {
-					if pc == c && has[p][d] {
-						satisfied += piece.Bytes
-						break
-					}
+			for _, p := range piecesOf[chunkEnd[c]:chunkEnd[c+1]] {
+				if holds(has, words, p, d) {
+					satisfied += s.Pieces[p].Bytes
 				}
 			}
 			if satisfied < col.ChunkSize*(1-tol) {
@@ -275,6 +259,120 @@ func (s *Schedule) Validate(col *collective.Collective) error {
 		}
 	}
 	return nil
+}
+
+// holds reports whether GPU g is in piece p's row of a possession
+// bitset. A GPU id outside the rows (only a malformed collective names
+// one) is in no set.
+func holds(set []uint64, words, p, g int) bool {
+	if g < 0 || g >= words*64 {
+		return false
+	}
+	return set[p*words+g>>6]&(1<<(g&63)) != 0
+}
+
+// setGPU adds GPU g to a bitset row, ignoring ids outside it.
+func setGPU(row []uint64, g int) {
+	if g >= 0 && g < len(row)*64 {
+		row[g>>6] |= 1 << (g & 63)
+	}
+}
+
+// markOrigins sets, in row, the GPUs that hold piece p before any
+// transfer runs.
+func (s *Schedule) markOrigins(col *collective.Collective, p int, row []uint64) {
+	chunks := s.Pieces[p].Chunks
+	if len(chunks) == 0 {
+		return
+	}
+	if col.Reduce && len(chunks) > 1 {
+		// A reduction slice: every contributor starts with its own
+		// partial aggregate.
+		for _, c := range chunks {
+			setGPU(row, col.Chunks[c].Src)
+		}
+		return
+	}
+	// A forward piece is the concatenation of its chunks: only a GPU
+	// sourcing every one of them holds the piece before any transfer
+	// runs. (Sourcing a single chunk of a multi-chunk piece is not
+	// possession of the piece.)
+	src := col.Chunks[chunks[0]].Src
+	for _, c := range chunks[1:] {
+		if col.Chunks[c].Src != src {
+			return
+		}
+	}
+	setGPU(row, src)
+}
+
+// dependsOn reports whether transfer t lists in among its dependencies.
+func dependsOn(t *Transfer, in int) bool {
+	for _, d := range t.Deps {
+		if d == in {
+			return true
+		}
+	}
+	return false
+}
+
+// inboundIndex answers "which transfers deliver piece p into GPU g":
+// transfer indices sorted by (piece, destination, index) by two stable
+// counting sorts, with the end of every piece's run.
+type inboundIndex struct {
+	transfers []Transfer
+	sorted    []int
+	pieceEnd  []int // sorted[pieceEnd[p]:pieceEnd[p+1]] is piece p's run
+}
+
+func (s *Schedule) inboundIndex() inboundIndex {
+	n := len(s.Transfers)
+	byDst := make([]int, n)
+	dstEnd := make([]int, s.NumGPUs+1)
+	for _, t := range s.Transfers {
+		dstEnd[t.Dst+1]++
+	}
+	for g := 0; g < s.NumGPUs; g++ {
+		dstEnd[g+1] += dstEnd[g]
+	}
+	for i, t := range s.Transfers {
+		byDst[dstEnd[t.Dst]] = i
+		dstEnd[t.Dst]++
+	}
+	ix := inboundIndex{transfers: s.Transfers, sorted: make([]int, n), pieceEnd: make([]int, len(s.Pieces)+1)}
+	for _, t := range s.Transfers {
+		ix.pieceEnd[t.Piece+1]++
+	}
+	for p := range s.Pieces {
+		ix.pieceEnd[p+1] += ix.pieceEnd[p]
+	}
+	next := append([]int(nil), ix.pieceEnd[:len(s.Pieces)]...)
+	for _, i := range byDst {
+		p := s.Transfers[i].Piece
+		ix.sorted[next[p]] = i
+		next[p]++
+	}
+	return ix
+}
+
+// into returns the transfers delivering piece p into GPU g, in
+// ascending index order.
+func (ix inboundIndex) into(p, g int) []int {
+	run := ix.sorted[ix.pieceEnd[p]:ix.pieceEnd[p+1]]
+	lo, hi := 0, len(run)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if ix.transfers[run[mid]].Dst < g {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	hi = lo
+	for hi < len(run) && ix.transfers[run[hi]].Dst == g {
+		hi++
+	}
+	return run[lo:hi]
 }
 
 // Mirror returns the time-reversed schedule: every transfer's endpoints are

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# Capture pprof profiles from a running syccl-serve admin listener.
+# Capture pprof profiles from a running syccl-serve admin listener, or
+# from one of the engine's warm-plan benchmarks.
 #
 #   scripts/pprof.sh                          # heap + goroutine snapshot
 #   scripts/pprof.sh cpu 10                   # 10s CPU profile
 #   ADMIN=http://127.0.0.1:6060 scripts/pprof.sh
+#   scripts/pprof.sh bench                    # CPU + alloc profile of the recipe-warm plan
+#   scripts/pprof.sh bench BenchmarkEngineWarmPlanFullPass   # ... of the full warm pass
 #
 # Profiles land in ./profiles/ stamped with the capture time; inspect
 # with `go tool pprof <file>`.
@@ -33,8 +36,15 @@ trace)
     curl -fsS "$ADMIN/debug/pprof/trace?seconds=$seconds" -o "$outdir/trace-$stamp.out"
     echo "wrote $outdir/trace-$stamp.out (view with: go tool trace)"
     ;;
+bench)
+    name=${2:-BenchmarkEngineWarmPlan}
+    go test ./internal/engine/ -run='^$' -bench="^$name\$" -benchtime=2s -benchmem \
+        -o "$outdir/engine-$stamp.test" \
+        -cpuprofile "$outdir/cpu-$name-$stamp.pb.gz" -memprofile "$outdir/mem-$name-$stamp.pb.gz"
+    echo "wrote $outdir/{cpu,mem}-$name-$stamp.pb.gz (inspect with: go tool pprof $outdir/engine-$stamp.test <profile>)"
+    ;;
 *)
-    echo "usage: scripts/pprof.sh [snapshot|cpu|trace] [seconds]" >&2
+    echo "usage: scripts/pprof.sh [snapshot|cpu|trace] [seconds] | bench [benchmark]" >&2
     exit 2
     ;;
 esac
