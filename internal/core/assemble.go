@@ -18,26 +18,19 @@ type cellKey struct {
 	stage, dim, group int
 }
 
-// pieceRef ties a schedule piece to the chunk(s) it covers.
-type pieceRef struct {
-	sketchIdx int
-	finalDst  int // -1 for broadcast pieces; the final destination for scatter pieces
-}
-
 // assembly is the intermediate state of turning a sketch combination into
-// a schedule.
+// a schedule. It is built once per candidate and read-only afterwards:
+// every pass that realizes the candidate builds its schedule from it.
 type assembly struct {
-	top   *topology.Topology
-	col   *collective.Collective
-	combo *sketch.Combination
+	numGPUs int
+	// pieces are the schedule's pieces and origin the GPU each starts on.
+	pieces []schedule.Piece
+	origin []int
 
-	sched    *schedule.Schedule
-	pieceIdx map[pieceRef]int
-
-	// demands holds one merged demand per cell plus bookkeeping to map
-	// local GPU indices back to global ones.
-	cells map[cellKey]*cellDemand
-	keys  []cellKey
+	// cells holds one merged demand per cell, by ascending (stage, dim,
+	// group), plus bookkeeping to map local GPU indices back to global
+	// ones.
+	cells []*cellDemand
 }
 
 type cellDemand struct {
@@ -53,27 +46,27 @@ type cellDemand struct {
 // contribute one piece per (sketch, final destination), routed along the
 // sketch's canonical tree.
 func newAssembly(top *topology.Topology, col *collective.Collective, combo *sketch.Combination) (*assembly, error) {
-	a := &assembly{
-		top:      top,
-		col:      col,
-		combo:    combo,
-		sched:    &schedule.Schedule{NumGPUs: top.NumGPUs()},
-		pieceIdx: make(map[pieceRef]int),
-		cells:    make(map[cellKey]*cellDemand),
+	a := &assembly{numGPUs: top.NumGPUs()}
+	byKey := make(map[cellKey]*cellDemand)
+	// addPiece registers a schedule piece of one chunk, which starts on
+	// that chunk's source.
+	addPiece := func(bytes float64, chunkID int) int {
+		a.pieces = append(a.pieces, schedule.Piece{Chunks: []int{chunkID}, Bytes: bytes})
+		a.origin = append(a.origin, col.Chunks[chunkID].Src)
+		return len(a.pieces) - 1
 	}
 
-	// chunkBySrcDst resolves collective chunks.
+	// chunkBySrc resolves the chunk a broadcast sketch carries; scatter
+	// sketches need the (source, destination) index, n² entries that are
+	// only built when one shows up.
 	chunkBySrc := map[int]int{}
-	chunkBySrcDst := map[[2]int]int{}
 	for _, ch := range col.Chunks {
 		chunkBySrc[ch.Src] = ch.ID
-		for _, d := range ch.Dsts {
-			chunkBySrcDst[[2]int{ch.Src, d}] = ch.ID
-		}
 	}
+	var chunkBySrcDst map[[2]int]int
 
 	cell := func(k cellKey) *cellDemand {
-		cd, ok := a.cells[k]
+		cd, ok := byKey[k]
 		if !ok {
 			dim := top.Dim(k.dim)
 			gpus := dim.Groups[k.group]
@@ -91,14 +84,14 @@ func newAssembly(top *topology.Topology, col *collective.Collective, combo *sket
 					Beta:    dim.BetaOf(k.group),
 				},
 			}
-			a.cells[k] = cd
-			a.keys = append(a.keys, k)
+			byKey[k] = cd
+			a.cells = append(a.cells, cd)
 		}
 		return cd
 	}
 
-	for j, sk := range a.combo.Sketches {
-		frac := a.combo.Fracs[j]
+	for j, sk := range combo.Sketches {
+		frac := combo.Fracs[j]
 		if frac <= 0 {
 			continue
 		}
@@ -109,12 +102,11 @@ func newAssembly(top *topology.Topology, col *collective.Collective, combo *sket
 			if !ok {
 				return nil, fmt.Errorf("core: no chunk sourced at sketch root %d", sk.Root)
 			}
-			p := pieceRef{sketchIdx: j, finalDst: -1}
-			a.pieceIdx[p] = a.sched.AddPiece(bytes, chunkID)
+			piece := addPiece(bytes, chunkID)
 			for k, st := range sk.Stages {
 				for _, sd := range st {
 					cd := cell(cellKey{k, sd.Dim, sd.Group})
-					dp := solve.Piece{ID: a.pieceIdx[p], Bytes: bytes}
+					dp := solve.Piece{ID: piece, Bytes: bytes}
 					for _, s := range sd.Srcs {
 						dp.Srcs = append(dp.Srcs, cd.local[s])
 					}
@@ -129,6 +121,14 @@ func newAssembly(top *topology.Topology, col *collective.Collective, combo *sket
 
 		// Scatter sketch: walk stages tracking each final destination's
 		// current holder along the canonical tree.
+		if chunkBySrcDst == nil {
+			chunkBySrcDst = map[[2]int]int{}
+			for _, ch := range col.Chunks {
+				for _, d := range ch.Dsts {
+					chunkBySrcDst[[2]int{ch.Src, d}] = ch.ID
+				}
+			}
+		}
 		subtree := scatterSubtrees(sk)
 		holder := map[int]int{} // finalDst → current holder
 		pieces := map[int]int{} // finalDst → schedule piece index
@@ -140,7 +140,7 @@ func newAssembly(top *topology.Topology, col *collective.Collective, combo *sket
 			if !ok {
 				return nil, fmt.Errorf("core: no chunk for pair %d→%d", sk.Root, v)
 			}
-			pieces[v] = a.sched.AddPiece(bytes, chunkID)
+			pieces[v] = addPiece(bytes, chunkID)
 			holder[v] = sk.Root
 		}
 		for k, st := range sk.Stages {
@@ -162,8 +162,8 @@ func newAssembly(top *topology.Topology, col *collective.Collective, combo *sket
 		}
 	}
 
-	sort.Slice(a.keys, func(x, y int) bool {
-		kx, ky := a.keys[x], a.keys[y]
+	sort.Slice(a.cells, func(x, y int) bool {
+		kx, ky := a.cells[x].key, a.cells[y].key
 		if kx.stage != ky.stage {
 			return kx.stage < ky.stage
 		}
@@ -214,34 +214,73 @@ func scatterSubtrees(sk *sketch.Sketch) map[int]map[int]bool {
 	return out
 }
 
-// build assembles the final schedule from per-cell sub-schedules, wiring
-// cross-stage and intra-stage dependencies and per-port ordering.
-func (a *assembly) build(solved map[cellKey]*solve.SubSchedule) (*schedule.Schedule, error) {
-	const stageStride = 1 << 24
-	// deliver[(piece, gpu)] = transfer index that delivered the piece.
-	deliver := map[[2]int]int{}
-	// origins: the GPU a schedule piece starts on.
-	origin := make([]int, len(a.sched.Pieces))
-	for ref, idx := range a.pieceIdx {
-		origin[idx] = a.combo.Sketches[ref.sketchIdx].Root
+// denseDeliverySlots is how many (piece, GPU) slots per transfer the flat
+// delivery index may take: 64 int32 slots are 256 B, a few times the
+// schedule.Transfer being built, so the index stays O(transfers). AlltoAll
+// on n GPUs has n³ slots for ~2n² transfers and crosses it past n = 128
+// (at 512 GPUs the flat index would be 536 MB per build).
+var denseDeliverySlots = 64
+
+// deliveries remembers, per slot piece*numGPUs+gpu, the transfer that
+// first delivered the piece to the GPU: flat while that is small next to
+// the schedule, a map beyond.
+type deliveries struct {
+	dense  []int32 // 1 + transfer index, 0 while none
+	sparse map[int]int32
+}
+
+func newDeliveries(slots, transfers int) deliveries {
+	if slots <= denseDeliverySlots*transfers {
+		return deliveries{dense: make([]int32, slots)}
 	}
-	// Scatter pieces share the sketch root as origin; broadcast too — but
-	// pieces were registered per ref, so fill any gaps from chunk sources.
-	for i, p := range a.sched.Pieces {
-		if len(p.Chunks) == 1 {
-			origin[i] = a.col.Chunks[p.Chunks[0]].Src
+	return deliveries{sparse: make(map[int]int32, transfers)}
+}
+
+// first is 1 + the index of the slot's first delivery, 0 while none.
+func (d deliveries) first(slot int) int32 {
+	if d.sparse != nil {
+		return d.sparse[slot]
+	}
+	return d.dense[slot]
+}
+
+// record notes transfer idx as the slot's delivery unless it has one.
+func (d deliveries) record(slot, idx int) {
+	if d.sparse != nil {
+		if _, ok := d.sparse[slot]; !ok {
+			d.sparse[slot] = int32(idx + 1)
+		}
+	} else if d.dense[slot] == 0 {
+		d.dense[slot] = int32(idx + 1)
+	}
+}
+
+// build assembles a schedule from per-cell sub-schedules (subs[i] solves
+// a.cells[i]), wiring cross-stage and intra-stage dependencies and
+// per-port ordering. The assembly and the sub-schedules are only read, so
+// one assembly builds any number of schedules — the coarse and the fine
+// one of a candidate — and one sub-schedule serves every cell with an
+// equal demand.
+func (a *assembly) build(subs []*solve.SubSchedule) (*schedule.Schedule, error) {
+	const stageStride = 1 << 24
+	total := 0
+	for _, sub := range subs {
+		if sub != nil {
+			total += len(sub.Transfers)
 		}
 	}
-
-	total := 0
-	for _, sub := range solved {
-		total += len(sub.Transfers)
+	deliver := newDeliveries(len(a.pieces)*a.numGPUs, total)
+	sched := &schedule.Schedule{
+		NumGPUs:   a.numGPUs,
+		Pieces:    append([]schedule.Piece(nil), a.pieces...),
+		Transfers: make([]schedule.Transfer, 0, total),
 	}
-	a.sched.Transfers = make([]schedule.Transfer, 0, total)
-	for _, k := range a.keys {
-		cd := a.cells[k]
-		sub, ok := solved[k]
-		if !ok {
+	// Every transfer has at most one dependency; they are cut, each with
+	// no spare capacity, from one backing array.
+	deps := make([]int, 0, total)
+	for i, cd := range a.cells {
+		sub, k := subs[i], cd.key
+		if sub == nil {
 			return nil, fmt.Errorf("core: cell %+v not solved", k)
 		}
 		// Process in (Start, Arrive) order so intra-stage relays see
@@ -264,18 +303,16 @@ func (a *assembly) build(solved map[cellKey]*solve.SubSchedule) (*schedule.Sched
 				Dim:   k.dim,
 				Order: k.stage*stageStride + t.Start,
 			}
-			if src != origin[piece] {
-				di, ok := deliver[[2]int{piece, src}]
-				if !ok {
+			if src != a.origin[piece] {
+				di := deliver.first(piece*a.numGPUs + src)
+				if di == 0 {
 					return nil, fmt.Errorf("core: stage %d: GPU %d sends piece %d before receiving it", k.stage, src, piece)
 				}
-				nt.Deps = []int{di}
+				deps = append(deps, int(di-1))
+				nt.Deps = deps[len(deps)-1 : len(deps) : len(deps)]
 			}
-			idx := a.sched.AddTransfer(nt)
-			if _, seen := deliver[[2]int{piece, dst}]; !seen {
-				deliver[[2]int{piece, dst}] = idx
-			}
+			deliver.record(piece*a.numGPUs+dst, sched.AddTransfer(nt))
 		}
 	}
-	return a.sched, nil
+	return sched, nil
 }

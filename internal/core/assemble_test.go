@@ -53,18 +53,18 @@ func TestAssemblyCellsMergedPerGroupStage(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One piece per sketch (forward AllGather).
-	if len(a.sched.Pieces) != 8 {
-		t.Errorf("pieces = %d, want 8", len(a.sched.Pieces))
+	if len(a.pieces) != 8 {
+		t.Errorf("pieces = %d, want 8", len(a.pieces))
 	}
 	// Every cell demand must aggregate pieces from multiple sketches
 	// whenever their sub-demands share (stage, dim, group).
 	merged := false
-	for _, k := range a.keys {
-		if len(a.cells[k].demand.Pieces) > 1 {
+	for _, cd := range a.cells {
+		if len(cd.demand.Pieces) > 1 {
 			merged = true
 		}
-		if err := a.cells[k].demand.Validate(); err != nil {
-			t.Fatalf("cell %+v: %v", k, err)
+		if err := cd.demand.Validate(); err != nil {
+			t.Fatalf("cell %+v: %v", cd.key, err)
 		}
 	}
 	if !merged {
@@ -105,5 +105,28 @@ func TestBuildDependencyWiring(t *testing.T) {
 		if tr.Src != origin && len(tr.Deps) == 0 {
 			t.Errorf("transfer %d from non-origin %d has no deps", i, tr.Src)
 		}
+	}
+}
+
+// TestBuildDeliveryIndexForms: the flat delivery index and the map that
+// replaces it on schedules with many more (piece, GPU) slots than
+// transfers wire the same dependencies — the pinned bytes either way.
+func TestBuildDeliveryIndexForms(t *testing.T) {
+	pinned := loadColdDigests(t)
+	defer func(slots int) { denseDeliverySlots = slots }(denseDeliverySlots)
+	for _, slots := range []int{0, denseDeliverySlots} { // 0: always the map
+		denseDeliverySlots = slots
+		for _, spec := range []string{"dgx4:allreduce:1M", "server8:broadcast:64M", "a100x16:alltoall:64M", "h800small:allgather:1M"} {
+			top, col := digestCase(t, spec)
+			if got := digestOf(synth(t, top, col, Options{})); got != pinned[spec] {
+				t.Errorf("%s, %d slots per transfer: got %+v, pinned %+v", spec, slots, got, pinned[spec])
+			}
+		}
+	}
+	if d := newDeliveries(512*511*512, 3*512*511); d.sparse == nil {
+		t.Error("a 512-GPU AlltoAll would index 134M slots flat")
+	}
+	if d := newDeliveries(4032*64, 7168); d.dense == nil {
+		t.Error("the 64-GPU AlltoAll lost its flat index")
 	}
 }

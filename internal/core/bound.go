@@ -4,9 +4,8 @@ import (
 	"context"
 	"math"
 
-	"syccl/internal/collective"
+	"syccl/internal/isomorph"
 	"syccl/internal/obs"
-	"syccl/internal/sketch"
 	"syccl/internal/solve"
 	"syccl/internal/topology"
 )
@@ -49,36 +48,51 @@ import (
 // and the piece structure), so the signature is a formulation tag.
 const boundSig = "sec1"
 
-// demandTimeBound returns the cached-or-computed seconds lower bound for
-// one cell demand, or 0 when unavailable (cancelled LP).
-func demandTimeBound(ctx context.Context, d *solve.Demand, opts Options) float64 {
-	if opts.BoundCache != nil {
-		if v, ok := opts.BoundCache.Lookup(d, boundSig); ok {
-			return v
+// demandTimeBounds returns, indexed by demand id, the seconds lower bound
+// of every demand the candidates' cells use: served by opts.BoundCache or
+// computed by one solve.FlowTimeBound LP per distinct demand, and 0 where
+// unavailable (cancelled LP). The LPs of the cache misses run through
+// parallelFor in first-occurrence order and are joined serially, so the
+// result does not depend on Workers.
+func demandTimeBounds(ctx context.Context, tab *isomorph.Table, cands []*candidate, opts Options, span *obs.Span) []float64 {
+	ids, _, cells := distinctCells(tab, cands)
+	sec := make([]float64, tab.Len())
+	var misses []int
+	for _, id := range ids {
+		if opts.BoundCache != nil {
+			if v, ok := opts.BoundCache.Lookup(tab.Demand(id), boundSig); ok {
+				sec[id] = v
+				continue
+			}
+		}
+		misses = append(misses, id)
+	}
+	solved := make([]bool, len(misses))
+	parallelFor(len(misses), opts.Workers, func(k int) {
+		v, _, err := solve.FlowTimeBound(ctx, tab.Demand(misses[k]))
+		if err == nil {
+			sec[misses[k]], solved[k] = v, true
+		}
+	})
+	if opts.BoundCache != nil && ctx.Err() == nil {
+		for k, id := range misses {
+			if solved[k] {
+				opts.BoundCache.Store(tab.Demand(id), boundSig, sec[id])
+			}
 		}
 	}
-	sec, _, err := solve.FlowTimeBound(ctx, d)
-	if err != nil {
-		return 0
-	}
-	if opts.BoundCache != nil && ctx.Err() == nil {
-		opts.BoundCache.Store(d, boundSig, sec)
-	}
+	span.SetInt("cells", int64(cells))
+	span.SetInt("distinct", int64(len(ids)))
+	span.SetInt("lps", int64(len(misses)))
 	return sec
 }
 
 // candidateTimeBound bounds the simulated completion time of any
-// schedule realizing the combination, or returns 0 when no bound is
-// available (nil combination — injected fixed schedules — or an
-// unrealizable assembly).
-func candidateTimeBound(ctx context.Context, top *topology.Topology, col *collective.Collective,
-	combo *sketch.Combination, opts Options) float64 {
-
-	if combo == nil {
-		return 0
-	}
-	a, err := newAssembly(top, col, combo)
-	if err != nil {
+// schedule realizing the candidate's combination, given the per-demand
+// bounds of demandTimeBounds, or returns 0 when no bound is available
+// (injected fixed schedules have no assembly).
+func candidateTimeBound(top *topology.Topology, c *candidate, sec []float64) float64 {
+	if c.asm == nil {
 		return 0
 	}
 	best := 0.0
@@ -89,13 +103,13 @@ func candidateTimeBound(ctx context.Context, top *topology.Topology, col *collec
 	alphaOf := make(map[port]float64)
 	seen := make(map[delivery]bool)
 	arr := make(map[arrival]float64)
-	// a.keys is sorted by ascending stage, so arrival chains propagate
+	// Cells are sorted by ascending stage, so arrival chains propagate
 	// forward; same-stage cells processed out of dependency order only
 	// loosen the chain (unseen sources read as 0), never tighten it.
-	for _, k := range a.keys {
-		cd := a.cells[k]
-		if sec := demandTimeBound(ctx, cd.demand, opts); sec > best {
-			best = sec
+	for i, cd := range c.asm.cells {
+		k := cd.key
+		if v := sec[c.cells[i]]; v > best {
+			best = v
 		}
 		dim := top.Dim(k.dim)
 		alpha, beta := dim.AlphaOf(k.group), dim.BetaOf(k.group)
@@ -145,23 +159,26 @@ func candidateTimeBound(ctx context.Context, top *topology.Topology, col *collec
 // least one entry; the returned slice preserves order. The incumbent's
 // own lower bound is returned (0 when unavailable) for the StopWithin
 // gate and for incumbent-stream events.
-func pruneByBound(ctx context.Context, top *topology.Topology, col *collective.Collective,
+func pruneByBound(ctx context.Context, top *topology.Topology, tab *isomorph.Table,
 	keep []*candidate, opts Options, stats *Stats, parent *obs.Span) ([]*candidate, bool, float64) {
 
 	bs := parent.Child("solve.bound")
 	defer bs.End()
-	incumbent := keep[0]
-	incLB := candidateTimeBound(ctx, top, col, incumbent.combo, opts)
-	if incLB > 0 {
-		stats.BoundsComputed++
-	}
+	sec := demandTimeBounds(ctx, tab, keep, opts, bs)
+	lbs := make([]float64, len(keep))
+	parallelFor(len(keep), opts.Workers, func(i int) {
+		lbs[i] = candidateTimeBound(top, keep[i], sec)
+	})
+	incumbent, incLB := keep[0], lbs[0]
 	kept := keep[:1:1]
-	for _, c := range keep[1:] {
-		lb := candidateTimeBound(ctx, top, col, c.combo, opts)
-		if lb > 0 {
+	for i, c := range keep {
+		if lbs[i] > 0 {
 			stats.BoundsComputed++
 		}
-		if lb > incumbent.time {
+		if i == 0 {
+			continue
+		}
+		if lbs[i] > incumbent.time {
 			stats.PrunedLB++
 			continue
 		}

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"syccl/internal/collective"
+	"syccl/internal/isomorph"
+	"syccl/internal/sketch"
 	"syccl/internal/topology"
 )
 
@@ -49,7 +51,9 @@ func TestCandidateBoundSound(t *testing.T) {
 		if res.Combination == nil {
 			continue // injected fixed schedule won; no combination to bound
 		}
-		lb := candidateTimeBound(context.Background(), c.t, c.top, res.Combination, Options{})
+		tab := isomorph.NewTable()
+		cand := assembleAll(c.t, c.top, []*sketch.Combination{res.Combination}, tab, Options{}, nil)
+		lb := candidateTimeBound(c.t, cand[0], demandTimeBounds(context.Background(), tab, cand, Options{}, nil))
 		if lb > res.Time*(1+1e-9) {
 			t.Errorf("%v on %s: bound %g exceeds achieved simulated time %g",
 				c.top.Kind, c.t.Name, lb, res.Time)

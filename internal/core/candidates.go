@@ -5,9 +5,86 @@ import (
 	"sort"
 
 	"syccl/internal/collective"
+	"syccl/internal/isomorph"
+	"syccl/internal/obs"
+	"syccl/internal/schedule"
 	"syccl/internal/sketch"
 	"syccl/internal/topology"
 )
+
+// candidate is one sketch combination under evaluation. asm and cells are
+// made once, before the coarse pass, and shared by every pass after it:
+// cells[i] is the demand-table id of asm.cells[i]. Injected fixed
+// schedules (the ring) have neither. source and engine record which pass
+// produced the schedule — provenance for the incumbent published when the
+// candidate wins the pipeline.
+type candidate struct {
+	combo  *sketch.Combination
+	asm    *assembly
+	cells  []int
+	sched  *schedule.Schedule
+	time   float64
+	source string
+	engine string
+}
+
+// assembleAll builds every combination's assembly (in parallel) and
+// interns their cell demands into the call's demand table, in
+// candidate-then-cell order: from here on a cell is known by the id of the
+// first structurally equal demand, and per-demand work is done once per
+// id. Under DisableIsomorphCache nothing is interned, so every cell is
+// solved separately. An unrealizable combination leaves a nil entry.
+func assembleAll(top *topology.Topology, col *collective.Collective, combos []*sketch.Combination,
+	tab *isomorph.Table, opts Options, span *obs.Span) []*candidate {
+
+	out := make([]*candidate, len(combos))
+	parallelFor(len(combos), opts.Workers, func(ci int) {
+		a, err := newAssembly(top, col, combos[ci])
+		if err != nil {
+			cs := span.ChildLane("candidate")
+			cs.SetInt("index", int64(ci))
+			cs.SetStr("outcome", "unrealizable")
+			cs.End()
+			return // a candidate may be unrealizable; skip it
+		}
+		out[ci] = &candidate{combo: combos[ci], asm: a}
+	})
+	for _, c := range out {
+		if c == nil {
+			continue
+		}
+		c.cells = make([]int, len(c.asm.cells))
+		for i, cd := range c.asm.cells {
+			if opts.DisableIsomorphCache {
+				c.cells[i] = tab.Add(cd.demand)
+			} else {
+				c.cells[i] = tab.Intern(cd.demand)
+			}
+		}
+	}
+	return out
+}
+
+// distinctCells lists the demand ids the candidates' cells use, in
+// first-occurrence order (candidate, then cell), with the number of cells
+// using each id and in all. Nil candidates and ones without an assembly
+// have none.
+func distinctCells(tab *isomorph.Table, cands []*candidate) (ids, uses []int, cells int) {
+	uses = make([]int, tab.Len())
+	for _, c := range cands {
+		if c == nil {
+			continue
+		}
+		cells += len(c.cells)
+		for _, id := range c.cells {
+			if uses[id] == 0 {
+				ids = append(ids, id)
+			}
+			uses[id]++
+		}
+	}
+	return ids, uses, cells
+}
 
 // buildCombinations generates the candidate sketch combinations for a
 // collective (§4.2, §4.3):
@@ -62,7 +139,7 @@ func buildCombinations(ctx context.Context, top *topology.Topology, col *collect
 	var classes []int
 	for _, c := range combos {
 		w := c.DimWorkload(top)
-		cw := make(map[int]float64)
+		cw := make([]float64, top.NumPortClasses())
 		var total float64
 		for d, v := range w {
 			cw[top.Dim(d).PortClass] += v
@@ -71,6 +148,8 @@ func buildCombinations(ctx context.Context, top *topology.Topology, col *collect
 		if total == 0 {
 			continue
 		}
+		// Ascending class order, so a tie goes to the lowest class on
+		// every run: the choice decides the integrated candidate.
 		dom, domScore := -1, 0.0
 		for cl, v := range cw {
 			share := top.ClassShare(cl)

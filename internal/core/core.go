@@ -379,17 +379,6 @@ func (o Options) fineEngine() solve.Engine {
 	}
 }
 
-// candidate is one sketch combination under evaluation. source and
-// engine record which pass produced the schedule — provenance for the
-// incumbent published when the candidate wins the pipeline.
-type candidate struct {
-	combo  *sketch.Combination
-	sched  *schedule.Schedule
-	time   float64
-	source string
-	engine string
-}
-
 func kindForward(k collective.Kind) (forward collective.Kind, mirrored bool) {
 	switch k {
 	case collective.KindReduce:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"syccl/internal/collective"
@@ -21,6 +22,36 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 	if len(a.Schedule.Transfers) != len(b.Schedule.Transfers) {
 		t.Errorf("transfer counts differ: %d vs %d", len(a.Schedule.Transfers), len(b.Schedule.Transfers))
+	}
+}
+
+// TestBuildCombinationsDeterministic: each combination's dominant port
+// class used to come out of a map iteration, so on a tie (the 24-GPU
+// AllGather has one) the integrated candidate — and with it
+// Stats.CacheHits — differed in about one run in eight.
+func TestBuildCombinationsDeterministic(t *testing.T) {
+	top, col := digestCase(t, "h800small:allgather:1M")
+	opts := Options{}.withDefaults()
+	ctx := context.Background()
+	sketches := searchCached(ctx, top, 0, false, opts)
+	describe := func() []string {
+		var out []string
+		for _, c := range buildCombinations(ctx, top, col, sketches, true, false, opts) {
+			out = append(out, c.DescribeCombination(top))
+		}
+		return out
+	}
+	want := describe()
+	for run := 1; run < 100; run++ {
+		got := describe()
+		if len(got) != len(want) {
+			t.Fatalf("run %d: %d combinations, first run %d", run, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("run %d: combination %d is\n%s\nfirst run built\n%s", run, i, got[i], want[i])
+			}
+		}
 	}
 }
 

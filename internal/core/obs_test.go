@@ -35,7 +35,39 @@ func TestSynthesizeRecordsSpansAndCounters(t *testing.T) {
 		}
 	}
 
+	// The passes say how much of their work was repetition: cells pooled,
+	// distinct demands among them, classes solved; the bound pass, cells,
+	// distinct demands and LPs actually run.
+	for _, sp := range rec.Spans() {
+		var want []string
+		switch sp.Name {
+		case "solve.coarse", "solve.fine":
+			want = []string{"demands", "distinct", "classes"}
+		case "solve.bound":
+			want = []string{"cells", "distinct", "lps"}
+		default:
+			continue
+		}
+		attrs := map[string]int64{}
+		for _, a := range sp.Attrs {
+			if v, ok := a.Value().(int64); ok {
+				attrs[a.Key] = v
+			}
+		}
+		for _, k := range want {
+			if attrs[k] <= 0 {
+				t.Errorf("span %q: attribute %q = %d", sp.Name, k, attrs[k])
+			}
+		}
+		if attrs[want[0]] < attrs["distinct"] || attrs["distinct"] < attrs[want[2]] {
+			t.Errorf("span %q: %v does not narrow", sp.Name, attrs)
+		}
+	}
+
 	counters := rec.Counters()
+	if counters["core.demands.distinct"] <= 0 {
+		t.Error("core.demands.distinct counter never advanced")
+	}
 	if got, want := counters["cache.hits"], float64(res.Stats.CacheHits); got != want {
 		t.Errorf("cache.hits counter %g != Stats.CacheHits %g", got, want)
 	}

@@ -95,19 +95,14 @@ func rebuild(top *topology.Topology, col *collective.Collective, opts Options, p
 		if err != nil {
 			return nil
 		}
-		cells = len(a.keys)
+		cells = len(a.cells)
 		subs := make([]*solve.SubSchedule, cells)
 		parallelFor(cells, opts.Workers, func(i int) {
-			subs[i] = opts.SolveCache.Lookup(a.cells[a.keys[i]].demand, sig)
+			subs[i] = opts.SolveCache.Lookup(a.cells[i].demand, sig)
 		})
-		bycell := make(map[cellKey]*solve.SubSchedule, cells)
-		for i, k := range a.keys {
-			if subs[i] == nil {
-				return nil // evicted or invalidated, and not on disk either
-			}
-			bycell[k] = subs[i]
-		}
-		if sched, err = a.build(bycell); err != nil {
+		// A nil cell — evicted or invalidated, and not on disk either —
+		// fails the build.
+		if sched, err = a.build(subs); err != nil {
 			return nil
 		}
 	default:

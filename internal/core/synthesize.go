@@ -248,14 +248,14 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	coarseSpan := parent.Child("solve.coarse")
 	t0 = time.Now()
 	e1, eng1 := opts.passSolver(false)
-	coarse := realizeAll(ctx, top, col, combos, e1, eng1, opts, &res.Stats, coarseSpan, pub, "coarse")
+	tab := isomorph.NewTable()
+	pool := assembleAll(top, col, combos, tab, opts, coarseSpan)
+	coarse := realizeAll(ctx, top, tab, pool, e1, eng1, opts, &res.Stats, coarseSpan, pub, "coarse")
 	cands := make([]*candidate, 0, len(combos))
-	for ci, combo := range combos {
+	for ci, c := range pool {
 		if coarse[ci].ok {
-			cands = append(cands, &candidate{
-				combo: combo, sched: coarse[ci].sched, time: coarse[ci].time,
-				source: "coarse", engine: eng1.String(),
-			})
+			c.sched, c.time, c.source, c.engine = coarse[ci].sched, coarse[ci].time, "coarse", eng1.String()
+			cands = append(cands, c)
 		}
 	}
 	// The ring family lives in the untruncated sketch space (K up to
@@ -311,14 +311,15 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	proved := false
 	incLB := 0.0
 	if opts.SolverMode != SolverExact {
-		keep, proved, incLB = pruneByBound(ctx, top, col, keep, opts, &res.Stats, parent)
+		keep, proved, incLB = pruneByBound(ctx, top, tab, keep, opts, &res.Stats, parent)
 		pub.setBound(incLB)
 	}
 	res.Stats.Refined = len(keep)
 
-	// Phase 2b: fine synthesis of the survivors. Injected fixed schedules
-	// (nil combo, e.g. the ring) pass through realizeAll untouched and
-	// keep their coarse-pass result.
+	// Phase 2b: fine synthesis of the survivors, from the assemblies and
+	// demand ids the coarse pass made. Injected fixed schedules (no
+	// assembly, e.g. the ring) pass through realizeAll untouched and keep
+	// their coarse-pass result.
 	fineSpan := parent.Child("solve.fine")
 	fineSpan.SetInt("survivors", int64(len(keep)))
 	if proved {
@@ -342,19 +343,16 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 		return finish(cands, ctx.Err() != nil)
 	}
 	t0 = time.Now()
-	fineCombos := make([]*sketch.Combination, len(keep))
-	for i, c := range keep {
-		fineCombos[i] = c.combo
-	}
 	e2, eng2 := opts.passSolver(true)
-	fine := realizeAll(ctx, top, col, fineCombos, e2, eng2, opts, &res.Stats, fineSpan, pub, "fine")
+	fine := realizeAll(ctx, top, tab, keep, e2, eng2, opts, &res.Stats, fineSpan, pub, "fine")
 	finalists := make([]*candidate, 0, len(cands)+len(keep))
 	finalists = append(finalists, cands...)
 	fineName := eng2.String()
 	for ci, c := range keep {
 		if fine[ci].ok {
 			finalists = append(finalists, &candidate{
-				combo: c.combo, sched: fine[ci].sched, time: fine[ci].time,
+				combo: c.combo, asm: c.asm, cells: c.cells,
+				sched: fine[ci].sched, time: fine[ci].time,
 				source: "fine", engine: fineName,
 			})
 		}
@@ -482,113 +480,86 @@ type realized struct {
 	ok    bool
 }
 
-// realizeAll realizes every candidate combination of one pass at
-// accuracy e with the given engine. It replaces the per-candidate
-// keyed solve cache with whole-pass isomorphism batching:
+// realizeAll realizes every candidate of one pass at accuracy e with the
+// given engine, out of the call's demand table: cands carry their
+// assembly and the table ids of their cells, so the pass works per
+// distinct demand and fans the result out to the cells that share it.
 //
-//  1. build each candidate's assembly in parallel;
-//  2. pool the sub-demands of ALL candidates (in candidate-then-cell
-//     order), partition them into isomorphism classes globally, and
-//     solve one representative per class in parallel;
-//  3. map each remaining sub-demand from its representative's
-//     sub-schedule, then assemble and simulate each candidate in
-//     parallel.
+//  1. list the pass's distinct demands in first-occurrence order
+//     (candidate, then cell) and offer each to opts.SolveCache once;
+//  2. partition them into isomorphism classes (Table.Classes; the
+//     representative is the first member in this pass's order) and solve
+//     one representative per class in parallel;
+//  3. map every other demand from its representative's sub-schedule —
+//     one mapped sub-schedule per distinct demand, shared read-only — then
+//     assemble and simulate each candidate in parallel.
 //
-// Every result is written into a slot indexed by candidate or demand
-// position and the shared counters are reduced in deterministic order,
-// so schedules, times, and Stats are byte-identical for any Workers
-// setting. Nil combinations (injected fixed schedules) and failed
-// candidates yield ok=false for their slot only; a failed
+// Every result is written into a slot indexed by candidate or demand id
+// and the shared counters are reduced in deterministic order, so
+// schedules, times, and Stats are byte-identical for any Workers setting;
+// Stats keep counting cells, not distinct demands. Nil entries (candidates
+// whose assembly failed), injected fixed schedules (no assembly) and
+// failed candidates yield ok=false for their slot only; a failed
 // representative solve marks exactly the candidates that depend on it.
 //
-// When opts.SolveCache is wired, each pooled sub-demand is first offered
-// to the cross-request cache; only the representatives of classes with no
-// hit reach the solver, and every freshly computed per-demand
-// sub-schedule is stored back (unless the context was cancelled, since a
-// truncated exact solve may have returned its greedy incumbent, which
-// must not masquerade as the converged solution in later requests).
-func realizeAll(ctx context.Context, top *topology.Topology, col *collective.Collective, combos []*sketch.Combination,
+// Only the representatives of classes the cross-request cache did not
+// serve reach the solver, and every freshly computed sub-schedule is
+// stored back once (unless the context was cancelled, since a truncated
+// exact solve may have returned its greedy incumbent, which must not
+// masquerade as the converged solution in later requests).
+func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table, cands []*candidate,
 	e float64, engine solve.Engine, opts Options, stats *Stats, span *obs.Span, pub *publisher, source string) []realized {
 
 	engineName := engine.String()
-	n := len(combos)
-	out := make([]realized, n)
-	asms := make([]*assembly, n)
-	parallelFor(n, opts.Workers, func(ci int) {
-		if combos[ci] == nil {
-			return
-		}
-		a, err := newAssembly(top, col, combos[ci])
-		if err != nil {
-			cs := span.ChildLane("candidate")
-			cs.SetInt("index", int64(ci))
-			cs.SetStr("outcome", "unrealizable")
-			cs.End()
-			return // a candidate may be unrealizable; skip it
-		}
-		asms[ci] = a
-	})
-
-	// Pool every candidate's sub-demands; offs[ci] locates candidate
-	// ci's cells inside the flat list.
-	var demands []*solve.Demand
-	offs := make([]int, n)
-	for ci, a := range asms {
-		offs[ci] = len(demands)
-		if a == nil {
-			continue
-		}
-		for _, k := range a.keys {
-			demands = append(demands, a.cells[k].demand)
-		}
-	}
+	out := make([]realized, len(cands))
+	ids, uses, cells := distinctCells(tab, cands)
 
 	// Cross-request cache: consult the engine-owned store per demand
 	// before class batching. An exact-signature hit returns the stored
 	// solution verbatim, which is what makes warm re-plans bit-identical
 	// to the cold run that populated the cache.
-	noFlow := opts.SolverMode == SolverExact
 	solveSig := solveSignature(e, engine, opts)
-	cached := make([]*solve.SubSchedule, len(demands))
+	subs := make([]*solve.SubSchedule, tab.Len()) // the sub-schedule of each demand's cells
+	cached := make([]bool, tab.Len())
 	if opts.SolveCache != nil {
-		parallelFor(len(demands), opts.Workers, func(i int) {
-			cached[i] = opts.SolveCache.Lookup(demands[i], solveSig)
+		parallelFor(len(ids), opts.Workers, func(k int) {
+			subs[ids[k]] = opts.SolveCache.Lookup(tab.Demand(ids[k]), solveSig)
 		})
 	}
-	served := 0
-	for i := range cached {
-		if cached[i] != nil {
-			served++
+	missed := false
+	for _, id := range ids {
+		if cached[id] = subs[id] != nil; cached[id] {
+			stats.CrossCacheHits += uses[id]
+		} else {
+			missed = true
 		}
 	}
-	stats.CrossCacheHits += served
-	missed := served < len(demands)
-	// repOf / mapFromRep are read only for demands the cross-request
-	// cache missed. When it served all of them — a full pass on a warm
-	// engine — the class partition would be dead work, so it is skipped.
-	// It is never narrowed to the missed demands: one of those whose
-	// class representative was served must still be mapped from it, not
-	// solved again.
-	var repOf []int
-	var mapFromRep []isomorph.Mapping
-	switch {
-	case !missed:
-	case opts.DisableIsomorphCache:
-		repOf = make([]int, len(demands))
-		mapFromRep = make([]isomorph.Mapping, len(demands))
-		for i, d := range demands {
-			repOf[i] = i
-			mapFromRep[i] = isomorph.Identity(d)
-		}
-	default:
-		repOf, mapFromRep = isomorph.Classes(demands)
+	// rep / fromRep are read only for demands the cross-request cache
+	// missed. When it served all of them — a full pass on a warm engine —
+	// the class partition would be dead work, so it is skipped. It is
+	// never narrowed to the missed demands: one of those whose class
+	// representative was served must still be mapped from it, not solved
+	// again. Without the isomorphism cache every cell is its own class.
+	var rep []int
+	var fromRep []*isomorph.Mapping
+	if missed && !opts.DisableIsomorphCache {
+		rep, fromRep = tab.Classes(ids)
 	}
-	reps := make([]int, 0, len(repOf))
-	for i := range repOf {
-		if repOf[i] == i {
-			reps = append(reps, i)
+	// Representatives the cache did not serve go to the solver.
+	var toSolve []int
+	classes := 0
+	for _, id := range ids {
+		if rep == nil || rep[id] == id {
+			classes++
+			if !cached[id] {
+				toSolve = append(toSolve, id)
+			}
 		}
 	}
+	span.SetInt("demands", int64(cells))
+	span.SetInt("distinct", int64(len(ids)))
+	span.SetInt("classes", int64(classes))
+	opts.Obs.Count("core.demands.distinct", float64(len(ids)))
 
 	solveOpts := solve.Options{
 		E:                e,
@@ -596,46 +567,37 @@ func realizeAll(ctx context.Context, top *topology.Topology, col *collective.Col
 		TimeLimit:        opts.SolveTimeLimit,
 		Seed:             opts.Seed,
 		MILPWorkers:      opts.MILPWorkers,
-		DisableFlowBound: noFlow,
+		DisableFlowBound: opts.SolverMode == SolverExact,
 	}
 
-	// Solve each class representative once, in parallel; representatives
-	// already served by the cross-request cache are skipped. Durations are
-	// collected per slot and reduced serially below so MaxSolve does not
-	// depend on goroutine interleaving.
-	solved := make([]*solve.SubSchedule, len(demands))
-	toSolve := make([]int, 0, len(reps))
-	for _, i := range reps {
-		if cached[i] != nil {
-			solved[i] = cached[i]
-		} else {
-			toSolve = append(toSolve, i)
-		}
-	}
-	durs := make([]time.Duration, len(demands))
-	errs := make([]error, len(demands))
+	// Solve each representative once, in parallel. Durations are collected
+	// per slot and reduced serially below so MaxSolve does not depend on
+	// goroutine interleaving.
+	durs := make([]time.Duration, len(toSolve))
+	errs := make([]error, len(toSolve))
 	parallelFor(len(toSolve), opts.Workers, func(k int) {
-		i := toSolve[k]
+		id := toSolve[k]
 		ws := span.ChildLane("solve.subdemand")
-		ws.SetInt("demand", int64(i))
+		ws.SetInt("demand", int64(id))
 		so := solveOpts
 		so.Span = ws
 		start := time.Now()
-		sub, err := solve.SolveCtx(ctx, demands[i], so)
-		durs[i] = time.Since(start)
+		sub, err := solve.SolveCtx(ctx, tab.Demand(id), so)
+		durs[k] = time.Since(start)
 		ws.End()
 		if err != nil {
-			errs[i] = err // the class stays unsolved; its candidates drop out
+			errs[k] = err // the class stays unsolved; its candidates drop out
 			return
 		}
-		solved[i] = sub
+		subs[id] = sub
 	})
-	for _, i := range toSolve {
-		if solved[i] == nil {
+	solvedNow := 0
+	for k, id := range toSolve {
+		if subs[id] == nil {
 			// Surface why the class failed, in deterministic demand
 			// order, instead of silently dropping its candidates.
 			// Cancellation is not an error condition (anytime path).
-			if err := errs[i]; err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			if err := errs[k]; err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 				var tle *solve.TooLargeError
 				if errors.As(err, &tle) {
 					stats.TooLarge++
@@ -646,57 +608,58 @@ func realizeAll(ctx context.Context, top *topology.Topology, col *collective.Col
 			}
 			continue
 		}
-		stats.SolverCalls++
-		stats.CacheMisses++
-		opts.Obs.Count("cache.misses", 1)
-		if durs[i] > stats.MaxSolve {
-			stats.MaxSolve = durs[i]
+		solvedNow++
+		if durs[k] > stats.MaxSolve {
+			stats.MaxSolve = durs[k]
 		}
 	}
-	// Non-representatives whose class solved are served by mapping (the
-	// in-run isomorphism cache; cross-request hits are counted by the
-	// engine, not here).
-	for i := range demands {
-		if cached[i] == nil && repOf[i] != i && solved[repOf[i]] != nil {
-			stats.CacheHits++
-			opts.Obs.Count("cache.hits", 1)
-		}
-	}
+	stats.SolverCalls += solvedNow
+	stats.CacheMisses += solvedNow
+	opts.Obs.Count("cache.misses", float64(solvedNow))
 
-	// Map, assemble, and simulate each candidate.
-	parallelFor(n, opts.Workers, func(ci int) {
-		a := asms[ci]
-		if a == nil {
+	// Everything else the cache did not serve is served by mapping (the
+	// in-run isomorphism cache; cross-request hits are counted by the
+	// engine, not here): each further cell of a representative's demand
+	// verbatim, each cell of another member through its mapping, built
+	// once per distinct demand.
+	if rep != nil {
+		parallelFor(len(ids), opts.Workers, func(k int) {
+			id := ids[k]
+			if r := rep[id]; !cached[id] && r != id && subs[r] != nil {
+				subs[id] = isomorph.MapSchedule(subs[r], *fromRep[id])
+			}
+		})
+	}
+	hits := 0
+	for _, id := range ids {
+		switch {
+		case cached[id] || subs[id] == nil:
+		case rep == nil || rep[id] == id:
+			hits += uses[id] - 1
+		default:
+			hits += uses[id]
+		}
+	}
+	stats.CacheHits += hits
+	opts.Obs.Count("cache.hits", float64(hits))
+
+	// Assemble and simulate each candidate.
+	parallelFor(len(cands), opts.Workers, func(ci int) {
+		c := cands[ci]
+		if c == nil || c.asm == nil {
 			return
 		}
 		cs := span.ChildLane("candidate")
 		cs.SetInt("index", int64(ci))
-		bycell := make(map[cellKey]*solve.SubSchedule, len(a.keys))
-		for local, k := range a.keys {
-			g := offs[ci] + local
-			var sub *solve.SubSchedule
-			switch {
-			case cached[g] != nil:
-				sub = cached[g]
-			case repOf[g] == g:
-				sub = solved[g]
-			case solved[repOf[g]] != nil:
-				sub = isomorph.MapSchedule(solved[repOf[g]], mapFromRep[g])
-			}
-			if sub == nil {
+		mine := make([]*solve.SubSchedule, len(c.cells))
+		for i, id := range c.cells {
+			if mine[i] = subs[id]; mine[i] == nil {
 				cs.SetStr("outcome", "unrealizable")
 				cs.End()
 				return
 			}
-			// Each pooled demand belongs to exactly one candidate, so this
-			// store runs once per demand. Cancelled passes skip the store:
-			// see the function comment.
-			if opts.SolveCache != nil && cached[g] == nil && ctx.Err() == nil {
-				opts.SolveCache.Store(demands[g], solveSig, sub)
-			}
-			bycell[k] = sub
 		}
-		sched, err := a.build(bycell)
+		sched, err := c.asm.build(mine)
 		if err != nil {
 			cs.SetStr("outcome", "unrealizable")
 			cs.End()
@@ -716,8 +679,18 @@ func realizeAll(ctx context.Context, top *topology.Topology, col *collective.Col
 		out[ci] = realized{sched: sched, time: r.Time, ok: true}
 		// Publish as soon as the candidate is simulated: the stream is
 		// anytime, so waiting for the pass barrier would only delay it.
-		pub.offer(sched, r.Time, source, engineName, combos[ci])
+		pub.offer(sched, r.Time, source, engineName, c.combo)
 	})
+
+	// Stores come after the candidates are out: one may write through to
+	// disk and must not hold up the incumbent stream.
+	if opts.SolveCache != nil && ctx.Err() == nil {
+		parallelFor(len(ids), opts.Workers, func(k int) {
+			if id := ids[k]; !cached[id] && subs[id] != nil {
+				opts.SolveCache.Store(tab.Demand(id), solveSig, subs[id])
+			}
+		})
+	}
 	return out
 }
 

@@ -1,0 +1,145 @@
+package core
+
+import (
+	"math"
+	"reflect"
+	"sync"
+	"testing"
+
+	"syccl/internal/isomorph"
+	"syccl/internal/solve"
+)
+
+// seenDemands records, for the counting caches below, which demand
+// objects and which demand contents a run showed them.
+type seenDemands struct {
+	mu       sync.Mutex
+	lookups  int
+	stores   int
+	pointers map[*solve.Demand]bool
+	contents map[string]bool
+}
+
+func (s *seenDemands) note(d *solve.Demand, lookup bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pointers == nil {
+		s.pointers, s.contents = map[*solve.Demand]bool{}, map[string]bool{}
+	}
+	if lookup {
+		s.lookups++
+	} else {
+		s.stores++
+	}
+	s.pointers[d] = true
+	s.contents[isomorph.ExactKey(d)] = true
+}
+
+// missingBounds is a BoundCache that never has anything.
+type missingBounds struct{ seenDemands }
+
+func (c *missingBounds) Lookup(d *solve.Demand, _ string) (float64, bool) {
+	c.note(d, true)
+	return 0, false
+}
+func (c *missingBounds) Store(d *solve.Demand, _ string, _ float64) { c.note(d, false) }
+
+// missingSolves is a SolveCache that never has anything.
+type missingSolves struct{ seenDemands }
+
+func (c *missingSolves) Lookup(d *solve.Demand, _ string) *solve.SubSchedule {
+	c.note(d, true)
+	return nil
+}
+func (c *missingSolves) Store(d *solve.Demand, _ string, _ *solve.SubSchedule) { c.note(d, false) }
+
+// TestBoundOncePerDistinctDemand: on h800small:allgather:1M the five kept
+// candidates have 78 cells but 8 distinct demands, so a bound cache that
+// always misses is asked 8 times and told 8 bounds — and the pass still
+// reports what it reported when every cell ran its own LP.
+func TestBoundOncePerDistinctDemand(t *testing.T) {
+	top, col := digestCase(t, "h800small:allgather:1M")
+	bounds := &missingBounds{}
+	var last Incumbent
+	res := synth(t, top, col, Options{BoundCache: bounds, OnIncumbent: func(in Incumbent) { last = in }})
+	if bounds.lookups != 8 || bounds.stores != 8 || len(bounds.contents) != 8 {
+		t.Errorf("bound cache saw %d lookups and %d stores of %d distinct demands, want 8 of each",
+			bounds.lookups, bounds.stores, len(bounds.contents))
+	}
+	// The parent commit's figures for this case.
+	st := res.Stats
+	if st.BoundsComputed != 5 || st.PrunedLB != 0 || st.ProvedOptimal || st.Refined != 5 || last.Bound != 0 {
+		t.Errorf("bound pass reports %+v with incumbent bound %g", st, last.Bound)
+	}
+	if got, want := digestOf(res), loadColdDigests(t)["h800small:allgather:1M"]; got != want {
+		t.Errorf("got %+v, pinned %+v", got, want)
+	}
+}
+
+// TestOneDemandTablePerSynthesize: the coarse pass, the bound pass and the
+// fine pass read one table. Were an assembly rebuilt between passes, its
+// cells would reach the caches as new demand objects; instead every call
+// of a run names one object per distinct demand content, and each
+// (content, signature) is looked up and stored once.
+func TestOneDemandTablePerSynthesize(t *testing.T) {
+	for _, spec := range []string{"h800small:allgather:1M", "a100x16:alltoall:64M", "a100x16:broadcast:1M"} {
+		top, col := digestCase(t, spec)
+		solves, bounds := &missingSolves{}, &missingBounds{}
+		res := synth(t, top, col, Options{SolveCache: solves, BoundCache: bounds})
+		if res.Stats.Refined == 0 || bounds.lookups == 0 {
+			t.Fatalf("%s: the fine and bound passes did not run: %+v", spec, res.Stats)
+		}
+		for d := range bounds.pointers {
+			if !solves.pointers[d] {
+				t.Errorf("%s: the bound pass named a demand object the solve passes never did", spec)
+			}
+		}
+		if len(solves.pointers) != len(solves.contents) {
+			t.Errorf("%s: %d demand objects for %d distinct demands", spec, len(solves.pointers), len(solves.contents))
+		}
+		// Two passes, two signatures: at most two lookups per demand.
+		if solves.lookups > 2*len(solves.contents) || solves.stores > solves.lookups {
+			t.Errorf("%s: %d lookups and %d stores for %d distinct demands", spec, solves.lookups, solves.stores, len(solves.contents))
+		}
+		if got, want := digestOf(res), loadColdDigests(t)[spec]; got != want {
+			t.Errorf("%s: got %+v, pinned %+v", spec, got, want)
+		}
+	}
+}
+
+// TestSharedMappingsAreReadOnly: a pass hands one Mapping and one mapped
+// sub-schedule to every cell with an equal demand, across worker
+// goroutines, and the table keeps the mappings for the next pass. Nothing
+// may write to them after that: the same candidates realized twice from
+// one table give the same bytes, and -race sees no write.
+func TestSharedMappingsAreReadOnly(t *testing.T) {
+	top, col := digestCase(t, "h800small:allgather:1M")
+	opts := Options{Workers: 4}.withDefaults()
+	sketches := searchCached(t.Context(), top, 0, false, opts)
+	combos := buildCombinations(t.Context(), top, col, sketches, true, false, opts)
+	tab := isomorph.NewTable()
+	pool := assembleAll(top, col, combos, tab, opts, nil)
+	e, engine := opts.passSolver(false)
+
+	var stats [2]Stats
+	var runs [2][]realized
+	for i := range runs {
+		runs[i] = realizeAll(t.Context(), top, tab, pool, e, engine, opts, &stats[i], nil, nil, "coarse")
+	}
+	stats[0].MaxSolve, stats[1].MaxSolve = 0, 0 // wall time
+	if stats[0].CacheHits == 0 || !reflect.DeepEqual(stats[0], stats[1]) {
+		t.Fatalf("stats %+v then %+v", stats[0], stats[1])
+	}
+	for ci := range pool {
+		a, b := runs[0][ci], runs[1][ci]
+		if !a.ok || !b.ok {
+			t.Fatalf("candidate %d unrealized", ci)
+		}
+		if math.Float64bits(a.time) != math.Float64bits(b.time) || scheduleBytesDigest(a.sched) != scheduleBytesDigest(b.sched) {
+			t.Errorf("candidate %d: second build from the same table differs", ci)
+		}
+		if &a.sched.Transfers[0] == &b.sched.Transfers[0] || &a.sched.Pieces[0] == &b.sched.Pieces[0] {
+			t.Errorf("candidate %d: two builds share schedule memory", ci)
+		}
+	}
+}

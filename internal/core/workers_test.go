@@ -38,13 +38,18 @@ func TestSynthesizeDeterministicAcrossWorkers(t *testing.T) {
 		{"broadcast", topology.A100Clos(2), func(n int) *collective.Collective {
 			return collective.Broadcast(n, 0, 1<<20)
 		}},
+		// Eight distinct flow-bound LPs fan out over the workers here
+		// (TestBoundOncePerDistinctDemand counts them).
+		{"allgather-24", topology.H800Small(6), func(n int) *collective.Collective {
+			return collective.AllGather(n, float64(1<<20)/float64(n))
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			col := tc.mk(tc.top.NumGPUs())
 			var refFP string
 			var refStats Stats
-			for _, workers := range []int{1, 2, 8} {
+			for _, workers := range []int{1, 2, 4, 8} {
 				res := synth(t, tc.top, col, Options{Seed: 7, Workers: workers})
 				fp := scheduleFingerprint(res)
 				if refFP == "" {
@@ -56,7 +61,10 @@ func TestSynthesizeDeterministicAcrossWorkers(t *testing.T) {
 				}
 				if res.Stats.SolverCalls != refStats.SolverCalls ||
 					res.Stats.CacheHits != refStats.CacheHits ||
-					res.Stats.CacheMisses != refStats.CacheMisses {
+					res.Stats.CacheMisses != refStats.CacheMisses ||
+					res.Stats.BoundsComputed != refStats.BoundsComputed ||
+					res.Stats.PrunedLB != refStats.PrunedLB ||
+					res.Stats.ProvedOptimal != refStats.ProvedOptimal {
 					t.Errorf("workers=%d: stats %+v, workers=1 gave %+v", workers, res.Stats, refStats)
 				}
 			}

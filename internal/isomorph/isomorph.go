@@ -526,18 +526,6 @@ type Mapping struct {
 	Pieces []int // a-piece index → b-piece index
 }
 
-// Identity returns the identity mapping for a demand.
-func Identity(d *solve.Demand) Mapping {
-	m := Mapping{GPUs: make([]int, d.NumGPUs), Pieces: make([]int, len(d.Pieces))}
-	for i := range m.GPUs {
-		m.GPUs[i] = i
-	}
-	for i := range m.Pieces {
-		m.Pieces[i] = i
-	}
-	return m
-}
-
 // Equal reports whether two demands are structurally identical: same
 // group size, same α/β, and the same pieces in the same order. Piece
 // order is part of the comparison on purpose — demand builders emit
@@ -578,47 +566,97 @@ func FindFullMapping(a, b *solve.Demand) *Mapping {
 	return &Mapping{GPUs: f, Pieces: pm}
 }
 
-// Classes partitions demands into isomorphism classes. It returns, for
-// each demand, the index of its class representative (the first demand of
-// the class) and the full mapping from the representative to this demand
-// (identity for representatives).
-func Classes(demands []*solve.Demand) (repOf []int, mapFromRep []Mapping) {
-	repOf = make([]int, len(demands))
-	mapFromRep = make([]Mapping, len(demands))
-	byKey := make(map[string][]int) // key -> representative indices
-	for i, d := range demands {
-		k := Key(d)
-		assigned := false
-		// Structurally equal demands take the identity mapping, never a
-		// discovered automorphism: every equal demand must reuse the
-		// representative's sub-schedule verbatim, so a cross-request cache
-		// keyed on exact demand content replays a run bit-identically.
-		for _, r := range byKey[k] {
-			if Equal(demands[r], d) {
-				repOf[i] = r
-				mapFromRep[i] = Identity(d)
-				assigned = true
-				break
-			}
-		}
-		for _, r := range byKey[k] {
-			if assigned {
-				break
-			}
-			if m := FindFullMapping(demands[r], d); m != nil {
-				repOf[i] = r
-				mapFromRep[i] = *m
-				assigned = true
-				break
-			}
-		}
-		if !assigned {
-			repOf[i] = i
-			mapFromRep[i] = Identity(d)
-			byKey[k] = append(byKey[k], i)
+// Table interns the demands of one synthesis call. Intern gives every
+// demand the id of the first structurally equal one (Equal), so whatever
+// depends only on a demand's content is worked out once per id and fanned
+// out to the cells that share it. Sharing is invisible in the results:
+// equal demands always got the same representative and, FindFullMapping
+// being a deterministic function of content, the same mapping. Not safe
+// for concurrent use.
+type Table struct {
+	demands []*solve.Demand
+	byExact map[string][]int    // ExactKey → ids (several when %.9g rounds unequal sizes together)
+	keys    []string            // Key per id, rendered on first use
+	found   map[[2]int]*Mapping // FindFullMapping per (representative, member) id pair; nil = not isomorphic
+	buf     []byte
+}
+
+// NewTable returns an empty table.
+func NewTable() *Table {
+	return &Table{byExact: map[string][]int{}, found: map[[2]int]*Mapping{}}
+}
+
+// Len is the number of ids handed out; Demand returns the demand behind
+// one, which callers must treat as read-only.
+func (t *Table) Len() int                    { return len(t.demands) }
+func (t *Table) Demand(id int) *solve.Demand { return t.demands[id] }
+
+// Add gives d a fresh id without looking for an equal demand (the
+// "solve every cell separately" ablation).
+func (t *Table) Add(d *solve.Demand) int {
+	t.demands = append(t.demands, d)
+	t.keys = append(t.keys, "")
+	return len(t.demands) - 1
+}
+
+// Intern returns the id of the first demand equal to d, adding d when
+// there is none. The exact key only buckets: it prints floats at %.9g, so
+// Equal has the last word.
+func (t *Table) Intern(d *solve.Demand) int {
+	t.buf = appendExactKey(t.buf[:0], d)
+	ids := t.byExact[string(t.buf)]
+	for _, id := range ids {
+		if Equal(t.demands[id], d) {
+			return id
 		}
 	}
-	return repOf, mapFromRep
+	id := t.Add(d)
+	t.byExact[string(t.buf)] = append(ids, id)
+	return id
+}
+
+// Classes partitions the listed demands into isomorphism classes. ids is
+// one pass's demands in its own order (an id may repeat): rep[id] is the
+// class representative — the first listed member of the class — and
+// m[id] the mapping from it, nil for a representative. Ids that are not
+// listed keep rep -1. Mappings are remembered across calls and shared, so
+// they must not be written to.
+//
+// Distinct ids are never Equal, so the only way into a class is a found
+// mapping, tried against the representatives of the demand's Key bucket
+// in the order they joined.
+func (t *Table) Classes(ids []int) (rep []int, m []*Mapping) {
+	rep = make([]int, len(t.demands))
+	for id := range rep {
+		rep[id] = -1
+	}
+	m = make([]*Mapping, len(t.demands))
+	byKey := make(map[string][]int) // key -> representative ids
+	for _, id := range ids {
+		if rep[id] >= 0 {
+			continue
+		}
+		if t.keys[id] == "" {
+			t.keys[id] = Key(t.demands[id])
+		}
+		rep[id] = id
+		for _, r := range byKey[t.keys[id]] {
+			pair := [2]int{r, id}
+			mp, known := t.found[pair]
+			if !known {
+				mp = FindFullMapping(t.demands[r], t.demands[id])
+				t.found[pair] = mp
+			}
+			if mp != nil {
+				rep[id], m[id] = r, mp
+				break
+			}
+		}
+		if rep[id] == id {
+			byKey[t.keys[id]] = append(byKey[t.keys[id]], id)
+		}
+	}
+	return rep, m
 }
 
 // MapSchedule rewrites a sub-schedule solved for a representative demand

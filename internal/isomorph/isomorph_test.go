@@ -128,7 +128,7 @@ func TestClasses(t *testing.T) {
 		broadcast(4, 3),
 		broadcast(5, 0), // different class
 	}
-	repOf, maps := Classes(demands)
+	repOf, maps := tableClasses(demands)
 	if repOf[0] != 0 || repOf[1] != 0 || repOf[2] != 0 {
 		t.Errorf("broadcast roots split into classes: %v", repOf)
 	}
@@ -261,7 +261,7 @@ func TestEqual(t *testing.T) {
 // an exact-keyed cache bit-identical.
 func TestClassesEqualDemandsGetIdentity(t *testing.T) {
 	demands := []*solve.Demand{broadcast(4, 1), broadcast(4, 1), broadcast(4, 1)}
-	repOf, maps := Classes(demands)
+	repOf, maps := tableClasses(demands)
 	for i := range demands {
 		if repOf[i] != 0 {
 			t.Fatalf("demand %d: rep %d, want 0", i, repOf[i])

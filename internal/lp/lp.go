@@ -246,13 +246,15 @@ type Tableau struct {
 	atUpper    []bool // nonbasic column rests at its upper bound
 	basicRow   []int  // row a column is basic in, -1 if nonbasic
 	solved     bool   // an optimal basis is loaded
+	used       bool   // solved before: the next cold solve refills first
 
-	protoA        []float64 // pristine construction-time snapshot
-	protoRHS      []float64
-	protoBasis    []int
-	protoBasicRow []int
-	protoColLo    []float64
-	protoColUp    []float64
+	// The rows the tableau was built from — the problem's constraints,
+	// then (one-shot layout) one upper-bound row per variable of ubVars —
+	// kept so a resolvable tableau can be refilled to its construction-time
+	// state without holding a second copy of the matrix.
+	cons   []Constraint
+	ubVars []int
+	unit   [1]Term // scratch: the single term of an upper-bound row
 
 	objRow, phase1 []float64  // pooled scratch: objective row, phase-1 cost
 	xbuf           []float64  // pooled scratch: extraction buffer
@@ -314,20 +316,16 @@ func buildTableau(p *Problem, resolvable bool) (*Tableau, error) {
 		}
 	}
 
-	// Shifted rows: substitute x = lo + x'.
-	type row struct {
-		coeffs []float64
-		op     Op
-		rhs    float64
-	}
-	var rows []row
-	for _, con := range p.constraints {
-		r := row{coeffs: make([]float64, p.numVars), op: con.Op, rhs: con.RHS}
-		for _, t := range con.Terms {
-			r.coeffs[t.Var] += t.Coeff
-			r.rhs -= t.Coeff * p.lo[t.Var]
-		}
-		rows = append(rows, r)
+	t := &Tableau{
+		n:          p.numVars,
+		numVars:    p.numVars,
+		resolvable: resolvable,
+		c:          append([]float64(nil), p.c...),
+		lo0:        append([]float64(nil), p.lo...),
+		hi0:        append([]float64(nil), p.hi...),
+		// A Problem only ever appends constraints, and copies their terms
+		// when it does, so the rows as of now can be kept by reference.
+		cons: p.constraints[:len(p.constraints):len(p.constraints)],
 	}
 	// One-shot layout: finite upper bounds become rows x' ≤ hi - lo,
 	// normalized together with the constraints (exactly the historical
@@ -335,65 +333,98 @@ func buildTableau(p *Problem, resolvable bool) (*Tableau, error) {
 	// the columns instead — no rows added.
 	if !resolvable {
 		for i := 0; i < p.numVars; i++ {
-			if math.IsInf(p.hi[i], 1) {
-				continue
-			}
-			r := row{coeffs: make([]float64, p.numVars), op: LE, rhs: p.hi[i] - p.lo[i]}
-			r.coeffs[i] = 1
-			rows = append(rows, r)
-		}
-	}
-	// Normalize to rhs ≥ 0.
-	for i := range rows {
-		if rows[i].rhs < 0 {
-			for j := range rows[i].coeffs {
-				rows[i].coeffs[j] = -rows[i].coeffs[j]
-			}
-			rows[i].rhs = -rows[i].rhs
-			switch rows[i].op {
-			case LE:
-				rows[i].op = GE
-			case GE:
-				rows[i].op = LE
+			if !math.IsInf(p.hi[i], 1) {
+				t.ubVars = append(t.ubVars, i)
 			}
 		}
 	}
-
-	m := len(rows)
+	t.m = len(t.cons) + len(t.ubVars)
 	numSlack := 0
-	numArt := 0
-	for _, r := range rows {
-		switch r.op {
+	for i := 0; i < t.m; i++ {
+		switch _, op, _, _ := t.rowSpec(i); op {
 		case LE:
 			numSlack++
 		case GE:
 			numSlack++ // surplus
-			numArt++
+			t.numArt++
 		case EQ:
-			numArt++
+			t.numArt++
 		}
 	}
-	t := &Tableau{
-		m: m, n: p.numVars,
-		totalCols: p.numVars + numSlack + numArt,
-		numArt:    numArt,
-		artStart:  p.numVars + numSlack,
-		basis:     make([]int, m),
-		rhs:       make([]float64, m),
-		maxIters:  20000 + 50*(m+p.numVars),
-		numVars:   p.numVars,
-		c:         append([]float64(nil), p.c...),
-		lo0:       append([]float64(nil), p.lo...),
-		hi0:       append([]float64(nil), p.hi...),
+	t.artStart = p.numVars + numSlack
+	t.totalCols = t.artStart + t.numArt
+	t.maxIters = 20000 + 50*(t.m+p.numVars)
+	t.basis = make([]int, t.m)
+	t.rhs = make([]float64, t.m)
+	t.a = make([]float64, t.m*t.totalCols)
+	t.fill()
+
+	t.obj = make([]float64, t.totalCols)
+	for i := 0; i < p.numVars; i++ {
+		t.obj[i] = p.c[i]
+		t.objShift += p.c[i] * p.lo[i]
 	}
-	t.a = make([]float64, m*t.totalCols)
-	slack := p.numVars
-	art := t.artStart
-	for i, r := range rows {
+
+	t.objRow = make([]float64, t.totalCols+1)
+	t.phase1 = make([]float64, t.totalCols)
+	t.xbuf = make([]float64, t.totalCols)
+
+	if resolvable {
+		t.colLo = make([]float64, t.totalCols)
+		t.colUp = make([]float64, t.totalCols)
+		t.atUpper = make([]bool, t.totalCols)
+		t.basicRow = make([]int, t.totalCols)
+		t.resetColumns()
+	}
+	return t, nil
+}
+
+// rowSpec returns row i of the standard form: its terms over the shifted
+// variables x' = x - lo, and its sense and right-hand side normalized to
+// rhs ≥ 0 — neg reports that the row's coefficients change sign for that.
+// Rows past the constraints are the one-shot layout's upper-bound rows
+// x' ≤ hi - lo; their single term lives in t.unit until the next call.
+func (t *Tableau) rowSpec(i int) (terms []Term, op Op, rhs float64, neg bool) {
+	if i < len(t.cons) {
+		con := &t.cons[i]
+		terms, op, rhs = con.Terms, con.Op, con.RHS
+		for _, tm := range terms {
+			rhs -= tm.Coeff * t.lo0[tm.Var]
+		}
+	} else {
+		v := t.ubVars[i-len(t.cons)]
+		t.unit[0] = Term{Var: v, Coeff: 1}
+		terms, op, rhs = t.unit[:], LE, t.hi0[v]-t.lo0[v]
+	}
+	if rhs < 0 {
+		neg, rhs = true, -rhs
+		switch op {
+		case LE:
+			op = GE
+		case GE:
+			op = LE
+		}
+	}
+	return terms, op, rhs, neg
+}
+
+// fill writes the construction-time matrix, right-hand side and slack /
+// artificial starting basis into a zeroed t.a, straight from the rows.
+func (t *Tableau) fill() {
+	slack, art := t.numVars, t.artStart
+	for i := 0; i < t.m; i++ {
+		terms, op, rhs, neg := t.rowSpec(i)
 		ri := t.row(i)
-		copy(ri, r.coeffs)
-		t.rhs[i] = r.rhs
-		switch r.op {
+		for _, tm := range terms {
+			ri[tm.Var] += tm.Coeff // terms on one variable sum
+		}
+		if neg {
+			for j := range ri[:t.numVars] {
+				ri[j] = -ri[j]
+			}
+		}
+		t.rhs[i] = rhs
+		switch op {
 		case LE:
 			ri[slack] = 1
 			t.basis[i] = slack
@@ -410,53 +441,32 @@ func buildTableau(p *Problem, resolvable bool) (*Tableau, error) {
 			art++
 		}
 	}
+}
 
-	t.obj = make([]float64, t.totalCols)
-	for i := 0; i < p.numVars; i++ {
-		t.obj[i] = p.c[i]
-		t.objShift += p.c[i] * p.lo[i]
+// resetColumns loads the base bounds and the starting basis into the
+// bounded-variable state. Every nonbasic column starts at its lower bound
+// (0), so the basic values are exactly the normalized rhs.
+func (t *Tableau) resetColumns() {
+	for j := range t.colUp {
+		t.colLo[j] = 0
+		t.colUp[j] = math.Inf(1)
+		t.atUpper[j] = false
+		t.basicRow[j] = -1
 	}
-
-	t.objRow = make([]float64, t.totalCols+1)
-	t.phase1 = make([]float64, t.totalCols)
-	t.xbuf = make([]float64, t.totalCols)
-
-	if resolvable {
-		t.resolvable = true
-		t.colLo = make([]float64, t.totalCols)
-		t.colUp = make([]float64, t.totalCols)
-		t.atUpper = make([]bool, t.totalCols)
-		t.basicRow = make([]int, t.totalCols)
-		for j := range t.colUp {
-			t.colUp[j] = math.Inf(1)
+	for i := 0; i < t.numVars; i++ {
+		ub := t.hi0[i] - t.lo0[i]
+		if ub < 0 {
+			ub = 0 // within tol by the bounds check at construction
 		}
-		for i := 0; i < p.numVars; i++ {
-			ub := p.hi[i] - p.lo[i]
-			if ub < 0 {
-				ub = 0 // within tol by the bounds check above
-			}
-			t.colUp[i] = ub
-		}
-		for j := range t.basicRow {
-			t.basicRow[j] = -1
-		}
-		for i, b := range t.basis {
-			t.basicRow[b] = i
-		}
-		// Initial point: every nonbasic column at its lower bound (0), so
-		// the basic values are exactly the normalized rhs.
-		t.protoA = append([]float64(nil), t.a...)
-		t.protoRHS = append([]float64(nil), t.rhs...)
-		t.protoBasis = append([]int(nil), t.basis...)
-		t.protoBasicRow = append([]int(nil), t.basicRow...)
-		t.protoColLo = append([]float64(nil), t.colLo...)
-		t.protoColUp = append([]float64(nil), t.colUp...)
+		t.colUp[i] = ub
 	}
-	return t, nil
+	for i, b := range t.basis {
+		t.basicRow[b] = i
+	}
 }
 
 // Clone returns an independent copy sharing only the immutable
-// construction-time snapshot (each branch-and-bound worker owns one).
+// construction-time rows (each branch-and-bound worker owns one).
 func (t *Tableau) Clone() *Tableau {
 	q := *t
 	q.a = append([]float64(nil), t.a...)
@@ -696,17 +706,16 @@ func (t *Tableau) Solve() (*Solution, error) {
 	return t.extract(), nil
 }
 
-// restore resets a resolvable tableau to its construction-time snapshot.
+// restore resets a resolvable tableau to its construction-time state by
+// refilling it from its rows: a tableau that is solved once and dropped
+// (the flow relaxations) never pays for a snapshot.
 func (t *Tableau) restore() {
-	copy(t.a, t.protoA)
-	copy(t.rhs, t.protoRHS)
-	copy(t.basis, t.protoBasis)
-	copy(t.basicRow, t.protoBasicRow)
-	copy(t.colLo, t.protoColLo)
-	copy(t.colUp, t.protoColUp)
-	for j := range t.atUpper {
-		t.atUpper[j] = false
+	if t.used {
+		clear(t.a)
+		t.fill()
+		t.resetColumns()
 	}
+	t.used = true
 	t.solved = false
 }
 

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -296,5 +297,276 @@ func TestFeasibleChecks(t *testing.T) {
 func TestOpString(t *testing.T) {
 	if LE.String() != "<=" || GE.String() != ">=" || EQ.String() != "=" {
 		t.Error("Op strings wrong")
+	}
+}
+
+// buildTableauReference is the builder buildTableau replaced, kept
+// verbatim (minus the construction-time snapshot, which no longer
+// exists): a dense row per constraint, normalized, then copied into the
+// flat matrix. TestBuildTableauEquivalence holds the direct-fill builder
+// to it bit for bit.
+func buildTableauReference(p *Problem, resolvable bool) (*Tableau, error) {
+	// Shifted rows: substitute x = lo + x'.
+	type row struct {
+		coeffs []float64
+		op     Op
+		rhs    float64
+	}
+	var rows []row
+	for _, con := range p.constraints {
+		r := row{coeffs: make([]float64, p.numVars), op: con.Op, rhs: con.RHS}
+		for _, t := range con.Terms {
+			r.coeffs[t.Var] += t.Coeff
+			r.rhs -= t.Coeff * p.lo[t.Var]
+		}
+		rows = append(rows, r)
+	}
+	if !resolvable {
+		for i := 0; i < p.numVars; i++ {
+			if math.IsInf(p.hi[i], 1) {
+				continue
+			}
+			r := row{coeffs: make([]float64, p.numVars), op: LE, rhs: p.hi[i] - p.lo[i]}
+			r.coeffs[i] = 1
+			rows = append(rows, r)
+		}
+	}
+	// Normalize to rhs ≥ 0.
+	for i := range rows {
+		if rows[i].rhs < 0 {
+			for j := range rows[i].coeffs {
+				rows[i].coeffs[j] = -rows[i].coeffs[j]
+			}
+			rows[i].rhs = -rows[i].rhs
+			switch rows[i].op {
+			case LE:
+				rows[i].op = GE
+			case GE:
+				rows[i].op = LE
+			}
+		}
+	}
+
+	m := len(rows)
+	numSlack := 0
+	numArt := 0
+	for _, r := range rows {
+		switch r.op {
+		case LE:
+			numSlack++
+		case GE:
+			numSlack++ // surplus
+			numArt++
+		case EQ:
+			numArt++
+		}
+	}
+	t := &Tableau{
+		m: m, n: p.numVars,
+		totalCols: p.numVars + numSlack + numArt,
+		numArt:    numArt,
+		artStart:  p.numVars + numSlack,
+		basis:     make([]int, m),
+		rhs:       make([]float64, m),
+		maxIters:  20000 + 50*(m+p.numVars),
+		numVars:   p.numVars,
+		c:         append([]float64(nil), p.c...),
+		lo0:       append([]float64(nil), p.lo...),
+		hi0:       append([]float64(nil), p.hi...),
+	}
+	t.a = make([]float64, m*t.totalCols)
+	slack := p.numVars
+	art := t.artStart
+	for i, r := range rows {
+		ri := t.row(i)
+		copy(ri, r.coeffs)
+		t.rhs[i] = r.rhs
+		switch r.op {
+		case LE:
+			ri[slack] = 1
+			t.basis[i] = slack
+			slack++
+		case GE:
+			ri[slack] = -1
+			slack++
+			ri[art] = 1
+			t.basis[i] = art
+			art++
+		case EQ:
+			ri[art] = 1
+			t.basis[i] = art
+			art++
+		}
+	}
+
+	t.obj = make([]float64, t.totalCols)
+	for i := 0; i < p.numVars; i++ {
+		t.obj[i] = p.c[i]
+		t.objShift += p.c[i] * p.lo[i]
+	}
+
+	t.objRow = make([]float64, t.totalCols+1)
+	t.phase1 = make([]float64, t.totalCols)
+	t.xbuf = make([]float64, t.totalCols)
+
+	if resolvable {
+		t.resolvable = true
+		t.colLo = make([]float64, t.totalCols)
+		t.colUp = make([]float64, t.totalCols)
+		t.atUpper = make([]bool, t.totalCols)
+		t.basicRow = make([]int, t.totalCols)
+		for j := range t.colUp {
+			t.colUp[j] = math.Inf(1)
+		}
+		for i := 0; i < p.numVars; i++ {
+			ub := p.hi[i] - p.lo[i]
+			if ub < 0 {
+				ub = 0
+			}
+			t.colUp[i] = ub
+		}
+		for j := range t.basicRow {
+			t.basicRow[j] = -1
+		}
+		for i, b := range t.basis {
+			t.basicRow[b] = i
+		}
+	}
+	return t, nil
+}
+
+// flowShapeProblem is solve.flowLP's relaxation for `pieces` broadcast
+// pieces over n GPUs (lp cannot import solve): fixed and unit-lower
+// bounds, EQ / GE / LE rows, a shared makespan variable.
+func flowShapeProblem(n, pieces int) *Problem {
+	yVar := func(k, i int) int { return k*2*n + i }
+	zVar := func(k, i int) int { return k*2*n + n + i }
+	tVar := pieces * 2 * n
+	p := NewProblem(tVar + 1)
+	p.SetObjective(tVar, 1)
+	for k := 0; k < pieces; k++ {
+		src := k % n
+		var conserve, originate []Term
+		for i := 0; i < n; i++ {
+			p.SetBounds(yVar(k, i), 0, float64(n-1))
+			if i == src {
+				p.SetBounds(zVar(k, i), 0, 0)
+				originate = append(originate, Term{Var: yVar(k, i), Coeff: 1})
+			} else {
+				p.SetBounds(zVar(k, i), 1, 1)
+				p.AddConstraint([]Term{{Var: yVar(k, i), Coeff: 1}, {Var: zVar(k, i), Coeff: -float64(n - 1)}}, LE, 0)
+			}
+			conserve = append(conserve, Term{Var: zVar(k, i), Coeff: 1}, Term{Var: yVar(k, i), Coeff: -1})
+		}
+		p.AddConstraint(conserve, EQ, 0)
+		p.AddConstraint(originate, GE, 1)
+	}
+	for i := 0; i < n; i++ {
+		var egress, ingress []Term
+		for k := 0; k < pieces; k++ {
+			egress = append(egress, Term{Var: yVar(k, i), Coeff: 1.5})
+			ingress = append(ingress, Term{Var: zVar(k, i), Coeff: 1.5})
+		}
+		p.AddConstraint(append(egress, Term{Var: tVar, Coeff: -1}), LE, 0)
+		p.AddConstraint(append(ingress, Term{Var: tVar, Coeff: -1}), LE, 0)
+	}
+	return p
+}
+
+// scheduleShapeProblem is the shape of the epoch MILP's relaxation: 0/1
+// boxes, some variables fixed by shifted bounds, assignment equalities,
+// precedence and capacity rows, and a variable repeated inside one row.
+func scheduleShapeProblem() *Problem {
+	p := benchProblem(30, 24, 11)
+	for i := 0; i < 30; i++ {
+		switch i % 5 {
+		case 0:
+			p.SetBounds(i, 0, 1)
+		case 1:
+			p.SetBounds(i, 1, 1)
+		case 2:
+			p.SetBounds(i, 2, math.Inf(1))
+		}
+	}
+	p.AddConstraint([]Term{{Var: 3, Coeff: 1}, {Var: 4, Coeff: -2}, {Var: 3, Coeff: 0.5}}, GE, -4)
+	p.AddConstraint([]Term{{Var: 1, Coeff: 1}, {Var: 6, Coeff: 1}}, LE, 1) // rhs goes negative under the shift
+	return p
+}
+
+// TestBuildTableauEquivalence: writing terms straight into the flat
+// matrix, and refilling from the rows instead of restoring a snapshot,
+// gives the layout the dense-row builder gave — matrix, rhs, basis and
+// bounds bit for bit (signed zeros included) — and so the same pivots
+// and the same solution, on a first solve and on a repeated one.
+func TestBuildTableauEquivalence(t *testing.T) {
+	sameFloats := func(what string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d values, reference %d", what, len(got), len(want))
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s[%d] = %g (bits %x), reference %g (%x)", what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+	sameLayout := func(what string, got, want *Tableau) {
+		t.Helper()
+		if got.m != want.m || got.totalCols != want.totalCols || got.artStart != want.artStart || got.numArt != want.numArt || got.maxIters != want.maxIters {
+			t.Fatalf("%s: shape %d×%d art %d+%d, reference %d×%d art %d+%d", what,
+				got.m, got.totalCols, got.artStart, got.numArt, want.m, want.totalCols, want.artStart, want.numArt)
+		}
+		sameFloats(what+" a", got.a, want.a)
+		sameFloats(what+" rhs", got.rhs, want.rhs)
+		sameFloats(what+" obj", got.obj, want.obj)
+		sameFloats(what+" colLo", got.colLo, want.colLo)
+		sameFloats(what+" colUp", got.colUp, want.colUp)
+		for i := range want.basis {
+			if got.basis[i] != want.basis[i] {
+				t.Fatalf("%s: basis[%d] = %d, reference %d", what, i, got.basis[i], want.basis[i])
+			}
+		}
+		for j := range want.basicRow {
+			if got.basicRow[j] != want.basicRow[j] || got.atUpper[j] != want.atUpper[j] {
+				t.Fatalf("%s: column %d state differs", what, j)
+			}
+		}
+	}
+	sameSolution := func(what string, got, want *Solution) {
+		t.Helper()
+		if got.Status != want.Status || got.Iters != want.Iters ||
+			math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+			t.Fatalf("%s: %v after %d pivots, objective %g; reference %v after %d, %g", what,
+				got.Status, got.Iters, got.Objective, want.Status, want.Iters, want.Objective)
+		}
+		sameFloats(what+" X", got.X, want.X)
+	}
+	for name, p := range map[string]*Problem{
+		"BenchmarkLPSolve": benchProblem(40, 36, 7),
+		"flow":             flowShapeProblem(6, 5),
+		"schedule-MILP":    scheduleShapeProblem(),
+	} {
+		for _, resolvable := range []bool{false, true} {
+			what := fmt.Sprintf("%s resolvable=%v", name, resolvable)
+			got, err := buildTableau(p, resolvable)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			want, _ := buildTableauReference(p, resolvable)
+			sameLayout(what, got, want)
+			gs, _ := got.Solve()
+			ws, _ := want.Solve()
+			sameSolution(what, gs, ws)
+			if !resolvable {
+				continue
+			}
+			// A second cold solve starts from the refilled construction
+			// state: same layout as a fresh reference, same answer.
+			got.restore()
+			fresh, _ := buildTableauReference(p, true)
+			sameLayout(what+" refilled", got, fresh)
+			again, _ := got.Solve()
+			sameSolution(what+" second solve", again, ws)
+		}
 	}
 }

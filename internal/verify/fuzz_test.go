@@ -118,7 +118,8 @@ func fuzzCase(b *byteScript) (*topology.Topology, *collective.Collective, *sched
 // chunk oracle. Neither may panic, and for non-reducing collectives a
 // Validate-accepted schedule must also satisfy the oracle (for reductions
 // the oracle is strictly stronger — it rejects double-fold schedules
-// Validate accepts — so no implication is asserted there).
+// Validate accepts — so no implication is asserted there). The oracle
+// must also agree with its all-pieces reference.
 func FuzzValidate(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 0, 3, 7, 1, 0, 1, 0, 0, 2, 0})
@@ -129,6 +130,7 @@ func FuzzValidate(f *testing.F) {
 		vErr := s.Validate(col)
 		oErr := CheckSchedule(col, s)
 		_ = top
+		sameOracleVerdict(t, "fuzz", col, s)
 		if vErr == nil && !col.Reduce && oErr != nil {
 			t.Fatalf("Validate accepted but oracle rejected a %v schedule: %v", col.Kind, oErr)
 		}

@@ -294,10 +294,20 @@ func CheckSchedule(col *collective.Collective, s *schedule.Schedule) error {
 	// Postcondition: each demanded (chunk, destination) pair must receive
 	// the chunk's full payload, summed over the (fractional) pieces that
 	// carry it. Reductions must additionally not over-deliver.
+	// Only a piece that lists chunk c can hold any of it, so each chunk is
+	// summed over its own pieces (ascending, as a scan of all pieces would).
+	carriers := make([][]int, len(spec))
+	for p, piece := range s.Pieces {
+		for _, c := range piece.Chunks {
+			if n := len(carriers[c]); n == 0 || carriers[c][n-1] != p {
+				carriers[c] = append(carriers[c], p)
+			}
+		}
+	}
 	for c, sp := range spec {
 		for _, d := range sp.dsts {
 			var got float64
-			for p := range s.Pieces {
+			for _, p := range carriers[c] {
 				if at(d, p)[c] {
 					got += s.Pieces[p].Bytes
 				}
