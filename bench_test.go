@@ -286,7 +286,7 @@ func BenchmarkFlowSolve(b *testing.B) {
 	d := flowBenchDemand(16, 1<<17)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := solve.FlowSolveCtx(context.Background(), d, solve.Options{E: 1})
+		s, err := solve.SolveCtx(context.Background(), d, solve.Options{E: 1, Engine: solve.EngineFlow})
 		if err != nil {
 			b.Fatal(err)
 		}

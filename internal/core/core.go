@@ -33,18 +33,11 @@ type Options struct {
 	// many goroutines (default GOMAXPROCS). Results are deterministic
 	// for any value.
 	Workers int
-	// MILPWorkers is the branch-and-bound worker count inside each exact
-	// sub-demand solve (default 1; deterministic across counts). Total
-	// solver parallelism is Workers×MILPWorkers, so raise this only when
-	// few candidates dominate the run.
-	MILPWorkers int
 	// MaxCombos caps the candidate combinations evaluated (default 12).
 	MaxCombos int
 	// Search configures sketch exploration (pruning toggles, stage
 	// limits — the Fig 17 ablations).
 	Search sketch.SearchOptions
-	// Engine overrides the sub-demand solving engine (default auto).
-	Engine solve.Engine
 	// SolverMode selects the solver strategy family (the -solver CLI
 	// knob). SolverAuto (default) runs the exact MILP with
 	// flow-relaxation bound pruning — candidates and horizons the LP
@@ -52,18 +45,12 @@ type Options struct {
 	// MaxBinaries gate to the flow backend. SolverExact disables every
 	// flow component (pure MILP; oversized demands fail their candidates
 	// and surface in Stats). SolverFlow uses the flow backend for every
-	// sub-demand. An explicit Engine override takes precedence over the
-	// engine the mode implies.
+	// sub-demand. Whatever the mode, an exact solve is bounded only by
+	// deterministic effort limits (the MaxBinaries size gate plus
+	// per-solve node and simplex-pivot budgets) and by the caller's
+	// context, which is what keeps schedules byte-identical across
+	// Workers counts and machine load.
 	SolverMode SolverMode
-	// SolveTimeLimit, when positive, wall-clock-caps each exact
-	// sub-demand solve (truncated refinement keeps the greedy
-	// incumbent). The default 0 leaves the exact engine bounded only by
-	// its deterministic effort limits (the MaxBinaries size gate plus
-	// per-solve node and simplex-pivot budgets), which is what keeps schedules
-	// byte-identical across Workers counts: wall-clock truncation fires
-	// at load-dependent points, so setting this trades reproducibility
-	// for a hard per-solve latency bound.
-	SolveTimeLimit time.Duration
 	// Seed drives randomized components.
 	Seed int64
 	// DisableTwoStep solves every candidate at E2 directly (ablation).
@@ -336,46 +323,24 @@ type Result struct {
 	// later identical request. Set only on complete results of the sketch
 	// pipeline (nil when Partial, and for routed one-to-one transfers).
 	Recipe *Recipe
-
-	// finished / finishedTime carry the winner already finished into the
-	// caller-visible collective (mirrored, or mirrored and concatenated)
-	// out of winner selection, so the callers of synthesizeForward do not
-	// finish it a second time. Nil when no finalist's transform held.
-	finished     *schedule.Schedule
-	finishedTime float64
 }
 
 // passSolver resolves the epoch knob and sub-demand engine of a pass.
 // The coarse pass trades accuracy for speed twice over — large epochs
-// (E1) and the greedy engine — unless two-step synthesis is disabled,
-// when it is the only pass and runs at fine accuracy; an explicit Engine
-// override applies to both passes.
+// (E1) and the greedy engine, whatever the mode: it only ranks
+// candidates, and mode selection concerns how survivors are refined —
+// unless two-step synthesis is disabled, when it is the only pass and
+// runs at fine accuracy.
 func (o Options) passSolver(fine bool) (float64, solve.Engine) {
-	if fine || o.DisableTwoStep {
-		return o.E2, o.fineEngine()
-	}
-	if o.Engine != solve.EngineAuto {
-		return o.E1, o.Engine
-	}
-	return o.E1, solve.EngineGreedy
-}
-
-// fineEngine resolves the sub-demand engine for accuracy-critical passes
-// (the fine pass, and every pass when two-step synthesis is disabled):
-// an explicit Engine override wins, otherwise the solver mode decides.
-// The coarse pass stays on greedy regardless of mode — it only ranks
-// candidates, and mode selection concerns how survivors are refined.
-func (o Options) fineEngine() solve.Engine {
-	if o.Engine != solve.EngineAuto {
-		return o.Engine
-	}
-	switch o.SolverMode {
-	case SolverExact:
-		return solve.EngineExact
-	case SolverFlow:
-		return solve.EngineFlow
+	switch {
+	case !fine && !o.DisableTwoStep:
+		return o.E1, solve.EngineGreedy
+	case o.SolverMode == SolverExact:
+		return o.E2, solve.EngineExact
+	case o.SolverMode == SolverFlow:
+		return o.E2, solve.EngineFlow
 	default:
-		return solve.EngineAuto
+		return o.E2, solve.EngineAuto
 	}
 }
 

@@ -12,16 +12,16 @@ import (
 // transformFunc finishes a raw forward-pipeline schedule into the
 // caller-visible one — identity for forward collectives, mirror (+
 // re-simulate) for reductions, mirror+concat (+ re-simulate) for
-// AllReduce — returning the finished schedule, its simulated time, and
-// whether it validated. A transform must be safe for concurrent use and
-// must not mutate its input.
-type transformFunc func(fwd *schedule.Schedule, fwdTime float64) (*schedule.Schedule, float64, bool)
+// AllReduce — returning the finished schedule and its simulated time, or
+// why the finished schedule does not validate or simulate. A transform
+// must be safe for concurrent use and must not mutate its input.
+type transformFunc func(fwd *schedule.Schedule, fwdTime float64) (*schedule.Schedule, float64, error)
 
 // identityTransform validates a forward schedule against the requested
 // collective and passes it through unchanged.
 func identityTransform(col *collective.Collective) transformFunc {
-	return func(s *schedule.Schedule, t float64) (*schedule.Schedule, float64, bool) {
-		return s, t, s.Validate(col) == nil
+	return func(s *schedule.Schedule, t float64) (*schedule.Schedule, float64, error) {
+		return s, t, validateForward(s, col)
 	}
 }
 
@@ -89,8 +89,8 @@ func (p *publisher) offer(sched *schedule.Schedule, fwdTime float64, source, eng
 	p.bestFwd = fwdTime
 	p.mu.Unlock()
 
-	out, t, ok := p.transform(sched, fwdTime)
-	if !ok {
+	out, t, err := p.transform(sched, fwdTime)
+	if err != nil {
 		return
 	}
 

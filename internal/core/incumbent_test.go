@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"syccl/internal/collective"
+	"syccl/internal/schedule"
 	"syccl/internal/sketch"
 	"syccl/internal/topology"
 	"syccl/internal/verify"
@@ -146,5 +149,29 @@ func TestStopWithinStopsEarly(t *testing.T) {
 	}
 	if full.Time > res.Time {
 		t.Fatalf("full pipeline worse than early stop: %g > %g", full.Time, res.Time)
+	}
+}
+
+// TestNoFinalistFinishesIsAnError: when the transform rejects every
+// finalist — a mirror that never validates, a concatenation that never
+// simulates — the pipeline has no caller-visible schedule, and says so
+// with the first transform error. It used to hand back the forward-best
+// schedule for the callers to re-finish without validating it. Covered
+// at the single-pass exit and at the end of the fine pass.
+func TestNoFinalistFinishesIsAnError(t *testing.T) {
+	top := topology.H800Small(2)
+	col := collective.AllGather(top.NumGPUs(), 1<<20)
+	refuse := errors.New("transform refuses")
+	failing := func(*schedule.Schedule, float64) (*schedule.Schedule, float64, error) {
+		return nil, 0, refuse
+	}
+	for _, opts := range []Options{{}, {DisableTwoStep: true}} {
+		res, err := synthesizeForward(context.Background(), top, col, opts.withDefaults(), nil, nil, failing)
+		if !errors.Is(err, refuse) {
+			t.Errorf("DisableTwoStep=%t: err = %v, want the transform's error", opts.DisableTwoStep, err)
+		}
+		if res != nil {
+			t.Errorf("DisableTwoStep=%t: a schedule came back although no finalist finished", opts.DisableTwoStep)
+		}
 	}
 }

@@ -93,54 +93,24 @@ func synthesizeAllReduce(ctx context.Context, top *topology.Topology, col *colle
 	agCol := collective.AllGather(n, per)
 	rsCol := collective.ReduceScatter(n, per)
 
-	// Each AllGather-phase candidate is finished into a full AllReduce
-	// schedule exactly as the final result is below: mirror into the
-	// ReduceScatter phase, validate it, concatenate, re-simulate. The same
-	// transform ranks the pipeline's finalists (the concatenated time is
-	// what the caller sees — it is not monotone in the AllGather time) and
-	// gates the incumbent stream.
-	transform := func(fwd *schedule.Schedule, _ float64) (*schedule.Schedule, float64, bool) {
+	// Each AllGather-phase candidate — incumbents and the final result
+	// alike — is finished into a full AllReduce schedule the same way:
+	// mirror into the ReduceScatter phase, validate it, concatenate,
+	// re-simulate. The same transform ranks the pipeline's finalists (the
+	// concatenated time is what the caller sees — it is not monotone in the
+	// AllGather time) and gates the incumbent stream.
+	transform := func(fwd *schedule.Schedule, _ float64) (*schedule.Schedule, float64, error) {
 		rs := mirrorSchedule(fwd, agCol, rsCol)
-		if rs.Validate(rsCol) != nil {
-			return nil, 0, false
+		if err := rs.Validate(rsCol); err != nil {
+			return nil, 0, fmt.Errorf("core: ReduceScatter phase invalid: %w", err)
 		}
 		full := schedule.Concat(rs, fwd)
 		r, err := sim.Simulate(top, full, opts.Sim)
 		if err != nil {
-			return nil, 0, false
+			return nil, 0, err
 		}
-		return full, r.Time, true
+		return full, r.Time, nil
 	}
 	pub := newPublisher(opts.OnIncumbent, transform)
-
-	agRes, err := synthesizeForward(ctx, top, agCol, opts, parent, pub, transform)
-	if err != nil {
-		return nil, err
-	}
-	if agRes.finished != nil {
-		// Winner selection already mirrored, validated, concatenated and
-		// re-simulated this very schedule.
-		agRes.Schedule, agRes.Time = agRes.finished, agRes.finishedTime
-		return agRes, nil
-	}
-	// No finalist finished into a valid AllReduce; redo the steps on the
-	// forward-best one to surface which of them fails. Mirroring,
-	// concatenation, and the final simulation are cheap finishing work
-	// and run even when ctx is already cancelled, so a Partial AllGather
-	// phase still yields a complete AllReduce schedule.
-	ms := parent.Child("mirror")
-	rs := mirrorSchedule(agRes.Schedule, agCol, rsCol)
-	if err := rs.Validate(rsCol); err != nil {
-		return nil, fmt.Errorf("core: ReduceScatter phase invalid: %w", err)
-	}
-
-	full := schedule.Concat(rs, agRes.Schedule)
-	r, err := sim.Simulate(top, full, opts.Sim)
-	ms.End()
-	if err != nil {
-		return nil, err
-	}
-	agRes.Schedule = full
-	agRes.Time = r.Time
-	return agRes, nil
+	return synthesizeForward(ctx, top, agCol, opts, parent, pub, transform)
 }

@@ -113,8 +113,8 @@ func rebuild(top *topology.Topology, col *collective.Collective, opts Options, p
 	if err != nil || math.Float64bits(r.Time) != rc.TimeBits || len(sched.Transfers) != rc.Transfers {
 		return nil
 	}
-	out, t, ok := transform(sched, r.Time)
-	if !ok {
+	out, t, err := transform(sched, r.Time)
+	if err != nil {
 		return nil
 	}
 	// A forward collective's transform is the validation of sched itself
@@ -126,25 +126,37 @@ func rebuild(top *topology.Topology, col *collective.Collective, opts Options, p
 	}
 	pub.publishFinal(out, t, rc.Source, engineName, rc.Combination)
 
-	res := &Result{
-		Schedule: sched, Time: r.Time, Combination: rc.Combination, Recipe: rc,
-		finished: out, finishedTime: t,
-	}
+	res := &Result{Schedule: out, Time: t, Combination: rc.Combination, Recipe: rc}
 	res.Stats.Replayed = true
 	res.Stats.Candidates = 1
 	res.Stats.CrossCacheHits = cells
 	return res
 }
 
+// solveOptions is what a pass hands the sub-demand solver. Every field it
+// sets is rendered by solveSignature below (the two must move together:
+// TestSolveSignatureCoversEveryOption); the caller adds the per-solve Span.
+func solveOptions(e float64, engine solve.Engine, opts Options) solve.Options {
+	return solve.Options{
+		E:                e,
+		Engine:           engine,
+		Seed:             opts.Seed,
+		DisableFlowBound: opts.SolverMode == SolverExact,
+	}
+}
+
 // solveSignature is the solve-option part of a cached sub-schedule's
 // key: solutions found at another accuracy, by another engine, or under
-// another budget, seed or hint never answer for each other.
+// another seed or hint never answer for each other. The format is frozen
+// — persisted corpora are keyed by it — so the slot of the removed
+// per-solve time limit stays as the literal "t0" every entry ever
+// written carries.
 func solveSignature(e float64, engine solve.Engine, opts Options) string {
 	// SolverExact disables the flow bound inside the exact engine, which
 	// changes which horizons are searched (and thus the node budget
 	// spent), so the flag is part of the signature.
-	sig := fmt.Sprintf("e%.9g|g%d|t%d|s%d|fb%t",
-		e, engine, opts.SolveTimeLimit.Nanoseconds(), opts.Seed, opts.SolverMode == SolverExact)
+	sig := fmt.Sprintf("e%.9g|g%d|t0|s%d|fb%t",
+		e, engine, opts.Seed, opts.SolverMode == SolverExact)
 	// Hinted plans carry the hint in their signature so hinted and
 	// unhinted solutions never collide in the memory or persist tiers.
 	// Unhinted signatures are unchanged, keeping existing persisted

@@ -82,48 +82,23 @@ func SynthesizeContext(ctx context.Context, top *topology.Topology, col *collect
 	transform := identityTransform(col)
 	if mirrored {
 		forwardCol = forwardCollective(col, forwardKind)
-		// Incumbents of a mirrored collective are finished exactly the
-		// way the final result is below: mirror, validate, re-simulate.
-		transform = func(fwd *schedule.Schedule, _ float64) (*schedule.Schedule, float64, bool) {
+		// Every candidate of a mirrored collective — incumbents and the
+		// final result alike — is finished the same way: mirror,
+		// validate, re-simulate.
+		transform = func(fwd *schedule.Schedule, _ float64) (*schedule.Schedule, float64, error) {
 			m := mirrorSchedule(fwd, forwardCol, col)
-			if m.Validate(col) != nil {
-				return nil, 0, false
+			if err := m.Validate(col); err != nil {
+				return nil, 0, fmt.Errorf("core: mirrored schedule invalid: %w", err)
 			}
 			r, err := sim.Simulate(top, m, opts.Sim)
 			if err != nil {
-				return nil, 0, false
+				return nil, 0, fmt.Errorf("core: mirrored schedule: %w", err)
 			}
-			return m, r.Time, true
+			return m, r.Time, nil
 		}
 	}
 	pub := newPublisher(opts.OnIncumbent, transform)
-
-	res, err := synthesizeForward(ctx, top, forwardCol, opts, root, pub, transform)
-	if err != nil {
-		return nil, err
-	}
-	if mirrored {
-		if res.finished != nil {
-			// Winner selection already mirrored, validated and
-			// re-simulated this very schedule.
-			res.Schedule, res.Time = res.finished, res.finishedTime
-			return res, nil
-		}
-		// No finalist's mirror validated, so none was carried out of
-		// winner selection. Mirroring and re-simulation are cheap
-		// finishing work: they run even under a cancelled context so a
-		// Partial forward result still becomes a complete, timed
-		// reduction schedule.
-		ms := root.Child("mirror")
-		res.Schedule = mirrorSchedule(res.Schedule, forwardCol, col)
-		r, err := sim.Simulate(top, res.Schedule, opts.Sim)
-		ms.End()
-		if err != nil {
-			return nil, fmt.Errorf("core: mirrored schedule: %w", err)
-		}
-		res.Time = r.Time
-	}
-	return res, nil
+	return synthesizeForward(ctx, top, forwardCol, opts, root, pub, transform)
 }
 
 // seedCounters registers the pipeline's counter series with an initial
@@ -149,7 +124,11 @@ func seedCounters(rec *obs.Recorder) {
 // candidate wins. transform finishes forward schedules into the
 // caller-visible collective (identity for forward kinds) — the winner at
 // every return site is the candidate whose finished time is minimal,
-// which is the same criterion the publisher's improvement gate uses.
+// which is the same criterion the publisher's improvement gate uses, and
+// the Result carries that finished schedule and time. Finishing is cheap
+// and ignores cancellation, so a Partial forward result still becomes a
+// complete, timed schedule; a run none of whose finalists finishes is an
+// error, never a schedule.
 func synthesizeForward(ctx context.Context, top *topology.Topology, col *collective.Collective, opts Options, parent *obs.Span, pub *publisher, transform transformFunc) (*Result, error) {
 	if opts.Recipe != nil {
 		if res := replay(top, col, opts, parent, pub, transform); res != nil {
@@ -162,12 +141,15 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	// finish closes the pipeline at every exit below: the winner of the
 	// pool by finished time, its recipe when the run was not cut short.
 	finish := func(pool []*candidate, partial bool) (*Result, error) {
-		best := pickWinner(pool, transform, pub, res)
-		res.Schedule, res.Time, res.Combination = best.sched, best.time, best.combo
-		res.Partial = partial
-		if err := validateForward(res.Schedule, col); err != nil {
+		best, out, t, err := pickWinner(pool, transform, pub)
+		if err != nil {
 			return nil, err
 		}
+		if err := validateForward(best.sched, col); err != nil {
+			return nil, err
+		}
+		res.Schedule, res.Time, res.Combination = out, t, best.combo
+		res.Partial = partial
 		if !partial {
 			res.Recipe = &Recipe{
 				Combination: best.combo,
@@ -376,29 +358,32 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 // is force-offered to the publisher (no-op when it was already the best
 // published), which is what keeps the stream's last event equal to the
 // returned result. Finalists whose transform fails are skipped; if none
-// survives, forward order decides and the caller surfaces the transform
-// error. The winner's finished schedule and time are left on res, so the
-// caller does not run the (deterministic) transform on it again.
-// Deterministic: a pure fold over a deterministic finalist list.
-func pickWinner(finalists []*candidate, transform transformFunc, pub *publisher, res *Result) *candidate {
-	best := finalists[0]
-	bestT := math.Inf(1)
+// survives, the first failure is the error. The winner comes back with
+// its finished schedule and time, so nobody runs the (deterministic)
+// transform on it again. Deterministic: a pure fold over a deterministic
+// finalist list.
+func pickWinner(finalists []*candidate, transform transformFunc, pub *publisher) (*candidate, *schedule.Schedule, float64, error) {
+	var best *candidate
 	var bestOut *schedule.Schedule
+	var firstErr error
+	bestT := math.Inf(1)
 	for _, f := range finalists {
-		out, t, ok := transform(f.sched, f.time)
-		if !ok {
+		out, t, err := transform(f.sched, f.time)
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
 			continue
 		}
 		if t < bestT {
 			best, bestT, bestOut = f, t, out
 		}
 	}
-	if bestOut == nil {
-		return finalists[0]
+	if best == nil {
+		return nil, nil, 0, firstErr
 	}
-	res.finished, res.finishedTime = bestOut, bestT
 	pub.publishFinal(bestOut, bestT, best.source, best.engine, best.combo)
-	return best
+	return best, bestOut, bestT, nil
 }
 
 // searchCached serves the sketch search from opts.SketchCache when one is
@@ -561,14 +546,7 @@ func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table
 	span.SetInt("classes", int64(classes))
 	opts.Obs.Count("core.demands.distinct", float64(len(ids)))
 
-	solveOpts := solve.Options{
-		E:                e,
-		Engine:           engine,
-		TimeLimit:        opts.SolveTimeLimit,
-		Seed:             opts.Seed,
-		MILPWorkers:      opts.MILPWorkers,
-		DisableFlowBound: opts.SolverMode == SolverExact,
-	}
+	solveOpts := solveOptions(e, engine, opts)
 
 	// Solve each representative once, in parallel. Durations are collected
 	// per slot and reduced serially below so MaxSolve does not depend on

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"syccl/internal/collective"
-	"syccl/internal/solve"
 	"syccl/internal/topology"
 )
 
@@ -69,25 +68,5 @@ func TestSynthesizeDeterministicAcrossWorkers(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSynthesizeDeterministicAcrossMILPWorkers: the nested knob — exact
-// branch-and-bound parallelism inside each sub-demand solve — must not
-// change the synthesized schedule either.
-func TestSynthesizeDeterministicAcrossMILPWorkers(t *testing.T) {
-	top := topology.H800Small(2)
-	col := collective.AllGather(top.NumGPUs(), 1<<20)
-	var refFP string
-	for _, mw := range []int{1, 4} {
-		res := synth(t, top, col, Options{Seed: 7, Engine: solve.EngineExact, MILPWorkers: mw})
-		fp := scheduleFingerprint(res)
-		if refFP == "" {
-			refFP = fp
-			continue
-		}
-		if fp != refFP {
-			t.Errorf("MILPWorkers=%d: schedule differs from MILPWorkers=1", mw)
-		}
 	}
 }

@@ -21,26 +21,31 @@ import (
 // the topology fingerprint, the full collective demand (kind, shape,
 // chunk size, root, and the exact chunk source/destination sets), and
 // the solve-relevant options, search options and solver mode included.
-// Options.Workers and Options.MILPWorkers are deliberately excluded —
-// schedules are byte-identical across worker counts (see
-// Options.SolveTimeLimit) — as are the pure observability and
-// cache-wiring fields (Obs, Search.Rec, OnIncumbent, SolveCache,
-// SketchCache, BoundCache; Sim ranking options are fixed by the caller,
-// not the request). TestPlanKeyCoversEveryOption holds every field of
+// Options.Workers is deliberately excluded — it only fans independent
+// sub-demand solves out, each of them a serial deterministic search, so
+// schedules are byte-identical across worker counts — as are the pure
+// observability and cache-wiring fields (Obs, Search.Rec, OnIncumbent,
+// SolveCache, SketchCache, BoundCache; Sim ranking options are fixed by
+// the caller, not the request). TestPlanKeyCoversEveryOption holds every field of
 // core.Options and sketch.SearchOptions to one list or the other.
 //
 // Callers that accept user-supplied options should normalize them (fill
 // defaults) before keying: PlanKey hashes the literal field values, so
 // E1=0 ("use the default") and E1=3.0 (the default, spelled out) produce
 // different keys even though they run identically.
+//
+// The format is frozen: stored schedule ids and persisted snapshots are
+// addressed by it. "eng=0|tl=0" are the slots of two removed options
+// (an engine override and a per-solve time limit), kept as the literals
+// every key ever written carries.
 func PlanKey(top *topology.Topology, col *collective.Collective, opts core.Options) string {
 	var sb strings.Builder
 	sb.WriteString(top.Fingerprint())
 	fmt.Fprintf(&sb, "|%s|n%d|s%.9g|root%d|red%t|c%016x",
 		col.Kind, col.NumGPUs, col.ChunkSize, col.Root, col.Reduce, chunkDigest(col))
-	fmt.Fprintf(&sb, "|e1=%.9g|e2=%.9g|r1=%.9g|r2=%d|mc=%d|seed=%d|eng=%d|tl=%d|2s=%t|iso=%t",
+	fmt.Fprintf(&sb, "|e1=%.9g|e2=%.9g|r1=%.9g|r2=%d|mc=%d|seed=%d|eng=0|tl=0|2s=%t|iso=%t",
 		opts.E1, opts.E2, opts.R1, opts.R2, opts.MaxCombos, opts.Seed,
-		int(opts.Engine), int64(opts.SolveTimeLimit), opts.DisableTwoStep, opts.DisableIsomorphCache)
+		opts.DisableTwoStep, opts.DisableIsomorphCache)
 	// A sketch hint filters the candidate space and StopWithin can end
 	// the pipeline at the coarse/fine boundary, so both are part of plan
 	// identity. Appended only when set: unhinted keys keep their

@@ -32,12 +32,11 @@ func TestPlanKeyCoalescingContract(t *testing.T) {
 		t.Fatalf("rebuilt request keyed differently:\n%s\n%s", key, k)
 	}
 
-	// Worker counts are excluded: they never change the schedule.
+	// The worker count is excluded: it never changes the schedule.
 	w8 := base
 	w8.Workers = 8
-	w8.MILPWorkers = 4
 	if k := PlanKey(top, col, w8); k != key {
-		t.Fatal("Workers/MILPWorkers changed the key")
+		t.Fatal("Workers changed the key")
 	}
 
 	// Everything schedule-relevant must split the key.
@@ -77,7 +76,6 @@ func TestPlanKeyCoalescingContract(t *testing.T) {
 // is keyed or argued onto this list.
 var planKeyExcluded = map[string]string{
 	"Workers":     "schedules are byte-identical across worker counts",
-	"MILPWorkers": "branch-and-bound is deterministic across worker counts",
 	"Sim":         "ranking-simulator options are fixed by the caller, not the request",
 	"Obs":         "instrumentation only",
 	"SolveCache":  "cache wiring; the engine installs its own",

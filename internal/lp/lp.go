@@ -116,9 +116,6 @@ func NewProblem(n int) *Problem {
 // NumVars returns the number of variables.
 func (p *Problem) NumVars() int { return p.numVars }
 
-// NumConstraints returns the number of constraints added so far.
-func (p *Problem) NumConstraints() int { return len(p.constraints) }
-
 // SetObjective sets the coefficient of variable i in the minimized
 // objective.
 func (p *Problem) SetObjective(i int, coeff float64) { p.c[i] = coeff }

@@ -1,106 +1,57 @@
 package milp
 
 import (
-	"math/rand"
+	"math"
+	"slices"
 	"testing"
-
-	"syccl/internal/lp"
 )
 
-// TestWorkersDeterminism: the parallel branch-and-bound returns the same
-// incumbent — objective and solution vector — for any worker count. The
-// shared-incumbent tie-break (lexicographically smallest among equal
-// objectives) is what makes this hold; brute force pins correctness.
-func TestWorkersDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 8; trial++ {
-		n := 8 + rng.Intn(5)
-		values := make([]float64, n)
-		weights := make([]float64, n)
-		var wsum float64
-		for i := range values {
-			values[i] = float64(1 + rng.Intn(40))
-			weights[i] = float64(1 + rng.Intn(15))
-			wsum += weights[i]
+// TestSearchPinned pins the whole search, not just its answer: solution
+// vector, objective bits, status, node count and pivot count of the
+// serial best-first loop on the time-expanded scheduling shape the exact
+// sub-demand engine emits (equality rows and precedence couplings make
+// the relaxations degenerate — the hard case for reproducibility) and on
+// the strongly-correlated knapsacks. The values were recorded from the
+// one-worker search before the worker pool was removed; a change to heap
+// order, the incumbent tie-break, the warm→cold fallback or a stop rule
+// moves at least one of them. Two consecutive runs must agree on all five
+// fields.
+func TestSearchPinned(t *testing.T) {
+	k18, _ := hardKnapsack(18, 54321)
+	k22, _ := hardKnapsack(22, 12345)
+	for _, tc := range []struct {
+		name         string
+		p            *Problem
+		objBits      uint64
+		nodes, iters int
+		ones         []int // indices of the variables at 1; all others are 0
+	}{
+		{"scheduleMILP(12,4,7)", scheduleMILP(12, 4, 7), 0x403e00000000000a, 6, 110,
+			[]int{2, 7, 11, 12, 18, 21, 26, 28, 33, 37, 40, 47}},
+		{"scheduleMILP(14,5,99)", scheduleMILP(14, 5, 99), 0x4043fffffffffff1, 9, 172,
+			[]int{4, 9, 12, 17, 23, 26, 32, 35, 41, 45, 50, 56, 63, 68}},
+		{"hardKnapsack(18,54321)", k18, 0xc080500000000002, 597, 617,
+			[]int{1, 2, 3, 4, 5, 7, 11, 12, 14, 15}},
+		{"hardKnapsack(22,12345)", k22, 0xc080200000000000, 1581, 1767,
+			[]int{3, 4, 5, 7, 11, 12, 13, 14, 16, 17, 18, 19, 20}},
+	} {
+		want := make([]float64, tc.p.LP.NumVars())
+		for _, i := range tc.ones {
+			want[i] = 1
 		}
-		capacity := wsum * (0.3 + 0.4*rng.Float64())
-
-		best := 0.0
-		for mask := 0; mask < 1<<n; mask++ {
-			w, v := 0.0, 0.0
-			for i := 0; i < n; i++ {
-				if mask&(1<<i) != 0 {
-					w += weights[i]
-					v += values[i]
-				}
-			}
-			if w <= capacity && v > best {
-				best = v
-			}
-		}
-
-		p := NewProblem(n)
-		terms := make([]lp.Term, n)
-		for i := 0; i < n; i++ {
-			p.SetBinary(i)
-			p.LP.SetObjective(i, -values[i])
-			terms[i] = lp.Term{Var: i, Coeff: weights[i]}
-		}
-		p.LP.AddConstraint(terms, lp.LE, capacity)
-
-		var ref *Solution
-		for _, workers := range []int{1, 2, 4, 8} {
-			s, err := Solve(p, Options{Workers: workers})
+		for run := 0; run < 2; run++ {
+			s, err := Solve(tc.p, Options{})
 			if err != nil {
-				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
+				t.Fatalf("%s run %d: %v", tc.name, run, err)
 			}
-			if s.Status != StatusOptimal || !approx(-s.Objective, best, 1e-6) {
-				t.Fatalf("trial %d workers %d: %v objective %g, brute force %g",
-					trial, workers, s.Status, -s.Objective, best)
+			if s.Status != StatusOptimal || math.Float64bits(s.Objective) != tc.objBits ||
+				s.Nodes != tc.nodes || s.LPIters != tc.iters {
+				t.Errorf("%s run %d: %v objective %#x nodes %d pivots %d, pinned optimal %#x %d %d",
+					tc.name, run, s.Status, math.Float64bits(s.Objective), s.Nodes, s.LPIters,
+					tc.objBits, tc.nodes, tc.iters)
 			}
-			if ref == nil {
-				ref = s
-				continue
-			}
-			if !approx(s.Objective, ref.Objective, 1e-6) {
-				t.Errorf("trial %d workers %d: objective %g, workers=1 gave %g",
-					trial, workers, s.Objective, ref.Objective)
-			}
-			for i := range s.X {
-				if !approx(s.X[i], ref.X[i], 1e-6) {
-					t.Errorf("trial %d workers %d: X[%d]=%g, workers=1 gave %g",
-						trial, workers, i, s.X[i], ref.X[i])
-				}
-			}
-		}
-	}
-}
-
-// TestWorkersDeterminismSchedule repeats the check on the time-expanded
-// scheduling shape the exact sub-demand engine emits (equality rows and
-// precedence couplings make the relaxations degenerate — the hard case
-// for reproducibility).
-func TestWorkersDeterminismSchedule(t *testing.T) {
-	p := scheduleMILP(12, 4, 7)
-	var ref *Solution
-	for _, workers := range []int{1, 3, 8} {
-		s, err := Solve(p, Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		if s.Status != StatusOptimal {
-			t.Fatalf("workers %d: status %v", workers, s.Status)
-		}
-		if ref == nil {
-			ref = s
-			continue
-		}
-		if !approx(s.Objective, ref.Objective, 1e-6) {
-			t.Errorf("workers %d: objective %g, workers=1 gave %g", workers, s.Objective, ref.Objective)
-		}
-		for i := range s.X {
-			if !approx(s.X[i], ref.X[i], 1e-6) {
-				t.Errorf("workers %d: X[%d]=%g, workers=1 gave %g", workers, i, s.X[i], ref.X[i])
+			if !slices.Equal(s.X, want) {
+				t.Errorf("%s run %d: X = %v, pinned ones at %v", tc.name, run, s.X, tc.ones)
 			}
 		}
 	}

@@ -8,17 +8,16 @@
 // accuracy/efficiency knobs (τ, E) while staying dependency-free.
 //
 // Nodes carry only their (branchVar, bound) delta against the parent;
-// each worker owns one resolvable tableau (lp.NewResolvableTableau) that
-// is re-solved warm per node — a right-hand-side patch plus a few dual
-// simplex pivots — instead of cloning and rebuilding the whole LP. A
-// worker pool runs the best-first search in parallel with a shared
-// incumbent; the incumbent tie-break is deterministic (lexicographically
-// smallest solution among equal objectives) so results are reproducible
-// across worker counts.
+// one resolvable tableau (lp.NewResolvableTableau) is re-solved warm per
+// node — a right-hand-side patch plus a few dual simplex pivots — instead
+// of cloning and rebuilding the whole LP. The search is one best-first
+// loop on the caller's goroutine, so the solution, the node count and the
+// pivot count are a function of the problem and the options alone;
+// parallelism lives one level up, across sub-demands (core.Options.Workers).
 //
-// The solver supports warm-start incumbents (SyCCL seeds it with the
-// greedy list schedule so a feasible answer exists at any time limit) and
-// deadline-bounded solving that returns the best incumbent found.
+// Effort is bounded by deterministic budgets (MaxNodes, MaxLPIters) and
+// by the caller's context; a search cut short returns the best incumbent
+// found. A caller may seed that incumbent (Options.Incumbent).
 package milp
 
 import (
@@ -26,8 +25,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sync"
-	"time"
 
 	"syccl/internal/lp"
 )
@@ -55,27 +52,17 @@ func (p *Problem) SetBinary(i int) {
 
 // Options controls the branch-and-bound search.
 type Options struct {
-	TimeLimit time.Duration // 0: unlimited
-	MaxNodes  int           // 0: default 100000
+	MaxNodes int // 0: default 100000
 	// MaxLPIters caps the simplex pivots summed over all node
-	// relaxations (0: unlimited). Unlike TimeLimit it is a
-	// deterministic effort bound — with one worker the same search
-	// truncates at the same node on any machine — while still tracking
-	// actual work when nodes have very different relaxation costs.
-	// Checked between nodes, so the cap can overshoot by one node's
-	// pivots.
+	// relaxations (0: unlimited). Like MaxNodes it is a deterministic
+	// effort bound — the same search truncates at the same node on any
+	// machine — while tracking actual work when nodes have very
+	// different relaxation costs. Checked between nodes, so the cap can
+	// overshoot by one node's pivots.
 	MaxLPIters int
-	// Workers is the number of parallel branch-and-bound workers
-	// (default 1). Results are reproducible across worker counts up to
-	// the deterministic incumbent tie-break; node counts are not.
-	Workers int
 	// Incumbent optionally seeds the search with a known feasible point;
 	// it must satisfy all constraints and integrality.
 	Incumbent []float64
-	// AbsGap stops the search once bestBound ≥ incumbent − AbsGap.
-	AbsGap float64
-	// now is injectable for tests.
-	now func() time.Time
 }
 
 // Status classifies a MILP outcome.
@@ -166,31 +153,24 @@ func (h *nodeHeap) Pop() interface{} {
 	return x
 }
 
-// solver is the state shared by all branch-and-bound workers.
+// solver is the state of one branch-and-bound search.
 type solver struct {
 	p              *Problem
 	n              int
 	baseLo, baseHi []float64
-	gap            float64
-	maxNodes       int
-	maxIters       int
-	deadline       time.Time
-	nowFn          func() time.Time
 	ctx            context.Context
+	tab            *lp.Tableau // nil: every node takes the cold path
+	lo, hi         []float64   // scratch bound box of the node being solved
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	h      nodeHeap
-	active int   // workers currently expanding a node
-	nodes  int   // nodes expanded (LP-solved)
-	iters  int   // LP pivots summed
-	seq    int64 // next node sequence number
+	h     nodeHeap
+	nodes int   // nodes expanded (LP-solved)
+	iters int   // LP pivots summed
+	seq   int64 // next node sequence number
 
 	haveInc   bool
 	best      float64 // incumbent objective (+Inf when none)
 	bestX     []float64
 	unbounded bool
-	stop      bool    // a limit fired (or unboundedness proved)
 	dropped   bool    // some subproblem was left unresolved
 	droppedLB float64 // min bound over unresolved subproblems
 	prunedLB  float64 // min bound over subtrees resolved by incumbent pruning
@@ -203,21 +183,14 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 
 // SolveCtx is Solve under a context: cancellation is polled once per
 // branch-and-bound node and every few simplex pivots inside each node's
-// relaxation, and it behaves exactly like the deadline — the search stops,
-// open subtrees are recorded as unresolved, and the best incumbent found
-// so far is returned (StatusFeasible), or StatusUnknown when none exists.
+// relaxation, and it behaves exactly like an exhausted budget — the search
+// stops, open subtrees are recorded as unresolved, and the best incumbent
+// found so far is returned (StatusFeasible), or StatusUnknown when none
+// exists.
 func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) {
 	n := p.LP.NumVars()
 	if len(p.Integer) != n {
 		return nil, errors.New("milp: Integer mask length mismatch")
-	}
-	nowFn := opts.now
-	if nowFn == nil {
-		nowFn = time.Now
-	}
-	deadline := time.Time{}
-	if opts.TimeLimit > 0 {
-		deadline = nowFn().Add(opts.TimeLimit)
 	}
 	maxNodes := opts.MaxNodes
 	if maxNodes <= 0 {
@@ -227,27 +200,18 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 	if maxIters <= 0 {
 		maxIters = math.MaxInt
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	s := &solver{
 		p: p, n: n,
-		gap:       opts.AbsGap,
-		maxNodes:  maxNodes,
-		maxIters:  maxIters,
-		deadline:  deadline,
-		nowFn:     nowFn,
 		ctx:       ctx,
+		lo:        make([]float64, n),
+		hi:        make([]float64, n),
 		best:      math.Inf(1),
 		droppedLB: math.Inf(1),
 		prunedLB:  math.Inf(1),
 	}
-	s.cond = sync.NewCond(&s.mu)
 	if opts.Incumbent != nil {
 		if !p.LP.Feasible(opts.Incumbent, 1e-6) || !integral(p, opts.Incumbent) {
 			return nil, errors.New("milp: provided incumbent is not feasible")
@@ -262,24 +226,44 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 	for i := 0; i < n; i++ {
 		s.baseLo[i], s.baseHi[i] = p.LP.Bounds(i)
 	}
+	s.tab, _ = lp.NewResolvableTableau(p.LP)
+	if s.tab != nil && ctx.Done() != nil {
+		// Cancellation reaches into the pivot loop: a cancelled node solve
+		// returns StatusIterLimit and is recorded as unresolved, exactly
+		// like a node abandoned at a budget.
+		s.tab.SetCancel(func() bool { return ctx.Err() != nil })
+	}
 
 	s.h = nodeHeap{{bound: math.Inf(-1), seq: 0}}
-	heap.Init(&s.h)
 	s.seq = 1
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.worker()
-		}()
+	for len(s.h) > 0 && !s.unbounded {
+		if s.nodes >= maxNodes || s.iters >= maxIters || ctx.Err() != nil {
+			break
+		}
+		nd := heap.Pop(&s.h).(*node)
+		if nd.bound >= s.best-intTol {
+			// Resolved by bound: the subtree cannot beat the incumbent.
+			if nd.bound < s.prunedLB {
+				s.prunedLB = nd.bound
+			}
+			continue
+		}
+		s.nodes++
+		ls := s.solveNode(nd)
+		if ls != nil {
+			s.iters += ls.Iters
+		}
+		s.finishNode(nd, ls)
 	}
-	wg.Wait()
+	// A budget, the context or proved unboundedness ended the search:
+	// every node still open is an unresolved subtree.
+	for _, nd := range s.h {
+		s.noteDropped(nd.bound)
+	}
 
 	sol := &Solution{Nodes: s.nodes, LPIters: s.iters}
 	switch {
-	case s.unbounded && !s.haveInc:
+	case s.unbounded:
 		sol.Status = StatusUnbounded
 		sol.Objective = math.Inf(-1)
 		sol.Bound = math.Inf(-1)
@@ -314,79 +298,18 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 	return sol, nil
 }
 
-// worker runs the branch-and-bound loop against its own warm tableau
-// until the heap drains or a limit fires.
-func (s *solver) worker() {
-	tab, _ := lp.NewResolvableTableau(s.p.LP) // nil tab → cold fallback per node
-	if tab != nil && s.ctx.Done() != nil {
-		// Cancellation reaches into the pivot loop: a cancelled node solve
-		// returns StatusIterLimit and is recorded as unresolved, exactly
-		// like a node abandoned at the deadline.
-		tab.SetCancel(func() bool { return s.ctx.Err() != nil })
-	}
-	lo := make([]float64, s.n)
-	hi := make([]float64, s.n)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		for len(s.h) == 0 && s.active > 0 && !s.stop {
-			s.cond.Wait()
-		}
-		if s.stop {
-			// Drain: every remaining open node is an unresolved subtree.
-			for _, nd := range s.h {
-				s.noteDropped(nd.bound)
-			}
-			s.h = s.h[:0]
-			s.cond.Broadcast()
-			return
-		}
-		if len(s.h) == 0 {
-			return // no open nodes, no active workers: exhausted
-		}
-		if s.nodes >= s.maxNodes || s.iters >= s.maxIters || s.ctx.Err() != nil || (!s.deadline.IsZero() && s.nowFn().After(s.deadline)) {
-			s.stop = true
-			s.cond.Broadcast()
-			continue
-		}
-		nd := heap.Pop(&s.h).(*node)
-		if nd.bound >= s.best-s.gap-intTol {
-			// Resolved by bound: the subtree cannot beat the incumbent.
-			if nd.bound < s.prunedLB {
-				s.prunedLB = nd.bound
-			}
-			continue
-		}
-		s.active++
-		s.nodes++
-		s.mu.Unlock()
-
-		ls := s.solveNode(tab, nd, lo, hi)
-
-		s.mu.Lock()
-		if ls != nil {
-			s.iters += ls.Iters
-		}
-		s.finishNode(nd, ls, lo, hi)
-		s.active--
-		s.cond.Broadcast()
-	}
-}
-
-// solveNode solves the node's LP relaxation, warm via the worker tableau
-// with a cold clone-and-rebuild fallback. Called without the lock; lo/hi
-// are the worker's scratch bound boxes. Returns nil when the relaxation
-// is infeasible or unusable.
-func (s *solver) solveNode(tab *lp.Tableau, nd *node, lo, hi []float64) *lp.Solution {
-	nd.materialize(lo, hi, s.baseLo, s.baseHi)
-	if tab != nil {
-		ls, err := tab.ReSolve(lo, hi)
+// solveNode solves the node's LP relaxation, warm via the tableau with a
+// cold clone-and-rebuild fallback; it leaves the node's bound box in
+// s.lo/s.hi. Returns nil when the relaxation is infeasible or unusable.
+func (s *solver) solveNode(nd *node) *lp.Solution {
+	nd.materialize(s.lo, s.hi, s.baseLo, s.baseHi)
+	if s.tab != nil {
+		ls, err := s.tab.ReSolve(s.lo, s.hi)
 		if err == nil && s.trusted(ls, nd) {
 			return ls
 		}
 	}
-	return s.coldSolve(nd, lo, hi)
+	return s.coldSolve()
 }
 
 // trusted applies the warm-path safety nets: the child bound must not
@@ -406,13 +329,13 @@ func (s *solver) trusted(ls *lp.Solution, nd *node) bool {
 	return true
 }
 
-// coldSolve is the historical per-node path: clone the LP, tighten
-// bounds, rebuild, solve. It remains the fallback whenever the warm
-// tableau cannot absorb a bound change or fails a safety check.
-func (s *solver) coldSolve(nd *node, lo, hi []float64) *lp.Solution {
+// coldSolve clones the LP, tightens it to the node's bound box, rebuilds
+// and solves: the fallback whenever the warm tableau cannot absorb a
+// bound change or fails a safety check.
+func (s *solver) coldSolve() *lp.Solution {
 	rel := s.p.LP.Clone()
 	for i := 0; i < s.n; i++ {
-		rel.SetBounds(i, lo[i], hi[i])
+		rel.SetBounds(i, s.lo[i], s.hi[i])
 	}
 	ls, err := rel.SolveCtx(s.ctx)
 	if err != nil {
@@ -421,9 +344,9 @@ func (s *solver) coldSolve(nd *node, lo, hi []float64) *lp.Solution {
 	return ls
 }
 
-// finishNode classifies the node's relaxation and, under the lock,
-// updates the incumbent or pushes the two children.
-func (s *solver) finishNode(nd *node, ls *lp.Solution, lo, hi []float64) {
+// finishNode classifies the node's relaxation and updates the incumbent
+// or pushes the two children.
+func (s *solver) finishNode(nd *node, ls *lp.Solution) {
 	if ls == nil {
 		return // infeasible child
 	}
@@ -433,7 +356,6 @@ func (s *solver) finishNode(nd *node, ls *lp.Solution, lo, hi []float64) {
 	case lp.StatusUnbounded:
 		if !s.haveInc {
 			s.unbounded = true
-			s.stop = true
 		}
 		return
 	case lp.StatusIterLimit:
@@ -455,8 +377,7 @@ func (s *solver) finishNode(nd *node, ls *lp.Solution, lo, hi []float64) {
 	}
 	if branch < 0 {
 		// Integral: candidate incumbent. Ties on the objective resolve to
-		// the lexicographically smallest solution so the result does not
-		// depend on node exploration order (and hence worker count).
+		// the lexicographically smallest solution.
 		x := roundIntegral(s.p, ls.X)
 		if s.betterIncumbent(ls.Objective, x) {
 			s.best = ls.Objective
@@ -465,7 +386,7 @@ func (s *solver) finishNode(nd *node, ls *lp.Solution, lo, hi []float64) {
 		}
 		return
 	}
-	if ls.Objective >= s.best-s.gap-intTol {
+	if ls.Objective >= s.best-intTol {
 		if ls.Objective < s.prunedLB {
 			s.prunedLB = ls.Objective
 		}
@@ -474,11 +395,11 @@ func (s *solver) finishNode(nd *node, ls *lp.Solution, lo, hi []float64) {
 
 	floorV := math.Floor(ls.X[branch])
 	// Down child: x ≤ floor.
-	if lo[branch] <= math.Min(hi[branch], floorV)+intTol {
+	if s.lo[branch] <= math.Min(s.hi[branch], floorV)+intTol {
 		s.pushChild(&node{parent: nd, branchVar: branch, val: floorV, isUpper: true, bound: ls.Objective})
 	}
 	// Up child: x ≥ floor+1.
-	if math.Max(lo[branch], floorV+1) <= hi[branch]+intTol {
+	if math.Max(s.lo[branch], floorV+1) <= s.hi[branch]+intTol {
 		s.pushChild(&node{parent: nd, branchVar: branch, val: floorV + 1, isUpper: false, bound: ls.Objective})
 	}
 }
@@ -486,10 +407,6 @@ func (s *solver) finishNode(nd *node, ls *lp.Solution, lo, hi []float64) {
 func (s *solver) pushChild(c *node) {
 	c.seq = s.seq
 	s.seq++
-	if s.stop {
-		s.noteDropped(c.bound)
-		return
-	}
 	heap.Push(&s.h, c)
 }
 

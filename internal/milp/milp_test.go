@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"syccl/internal/lp"
 )
@@ -197,36 +196,6 @@ func TestBadIncumbentRejected(t *testing.T) {
 	}
 }
 
-func TestTimeLimitReturnsIncumbent(t *testing.T) {
-	// A 20-item knapsack with an immediate deadline: with a seeded
-	// incumbent the solver must return it as feasible.
-	n := 20
-	p := NewProblem(n)
-	terms := []lp.Term{}
-	for i := 0; i < n; i++ {
-		p.SetBinary(i)
-		p.LP.SetObjective(i, -float64(i+1))
-		terms = append(terms, lp.Term{Var: i, Coeff: float64((i*7)%13 + 1)})
-	}
-	p.LP.AddConstraint(terms, lp.LE, 30)
-	zero := make([]float64, n)
-	fake := time.Now()
-	s, err := Solve(p, Options{
-		TimeLimit: time.Nanosecond,
-		Incumbent: zero,
-		now:       func() time.Time { fake = fake.Add(time.Second); return fake },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Status != StatusFeasible {
-		t.Errorf("status %v, want feasible (deadline)", s.Status)
-	}
-	if s.Objective != 0 {
-		t.Errorf("objective %g, want incumbent 0", s.Objective)
-	}
-}
-
 func TestUnboundedDetection(t *testing.T) {
 	p := NewProblem(1)
 	p.SetInteger(0)
@@ -267,11 +236,10 @@ func TestStatusString(t *testing.T) {
 }
 
 func TestMaxLPItersTruncatesDeterministically(t *testing.T) {
-	// The same knapsack as TestTimeLimitReturnsIncumbent, capped by
-	// pivots instead of wall clock: the truncated search must report a
-	// pivot count near the cap, keep a seeded incumbent as feasible,
-	// and — being a deterministic effort bound — land on the identical
-	// incumbent every run.
+	// A 20-item knapsack capped by pivots: the truncated search must
+	// report a pivot count near the cap, keep a seeded incumbent as
+	// feasible, and — being a deterministic effort bound — land on the
+	// identical incumbent every run.
 	build := func() *Problem {
 		n := 20
 		p := NewProblem(n)

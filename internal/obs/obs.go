@@ -121,9 +121,6 @@ func NewRecorder() *Recorder {
 	}
 }
 
-// Active reports whether the recorder actually records (non-nil).
-func (r *Recorder) Active() bool { return r != nil }
-
 // SetRetention bounds the recorder's retained history for long-lived
 // processes (the syccl-serve daemon records spans and counter samples for
 // every request; without a cap the backing slices grow without bound).
@@ -378,22 +375,6 @@ func (s *Span) End() {
 	r.spans = append(r.spans, rec)
 	r.trimSpansLocked()
 	r.mu.Unlock()
-}
-
-// SpansRebased returns all finished spans with times re-expressed
-// relative to the given epoch — the serve flight recorder uses it to
-// align a flight's span tree with the owning request's start time.
-func (r *Recorder) SpansRebased(epoch time.Time) []SpanRecord {
-	if r == nil {
-		return nil
-	}
-	shift := r.epoch.Sub(epoch)
-	out := r.Spans()
-	for i := range out {
-		out[i].Start += shift
-		out[i].End += shift
-	}
-	return out
 }
 
 // Merge imports another recorder's finished history into r: spans and

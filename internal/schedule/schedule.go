@@ -77,15 +77,6 @@ func (s *Schedule) AddTransfer(t Transfer) int {
 	return len(s.Transfers) - 1
 }
 
-// TotalTransferBytes sums the wire bytes of all transfers.
-func (s *Schedule) TotalTransferBytes() float64 {
-	var sum float64
-	for _, t := range s.Transfers {
-		sum += s.Pieces[t.Piece].Bytes
-	}
-	return sum
-}
-
 // topoOrder returns a topological order of transfer indices, or an error
 // if the dependency graph has a cycle.
 func (s *Schedule) topoOrder() ([]int, error) {

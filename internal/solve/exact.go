@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"syccl/internal/lp"
 	"syccl/internal/milp"
@@ -37,11 +36,11 @@ func (e *TooLargeError) Is(target error) bool { return target == errTooLarge }
 // horizonNodeBudget caps the branch-and-bound nodes spent proving one
 // fixed-horizon MILP; totalNodeBudget and totalPivotBudget cap the
 // nodes and simplex pivots spent across the whole horizon loop of one
-// exact solve. The totals are the deterministic stand-in for a
-// wall-clock limit: they truncate pathological instances — many
-// horizons each burning the node cap, or few nodes with enormous
-// degenerate relaxations — at the same point regardless of machine
-// load, so schedules stay reproducible across worker counts. The
+// exact solve. The totals stand where a wall-clock limit would: they
+// truncate pathological instances — many horizons each burning the
+// node cap, or few nodes with enormous degenerate relaxations — at the
+// same point regardless of machine load, so schedules stay
+// reproducible; the caller's context is the only wall-clock cut. The
 // pivot budget tracks actual work (a 384-binary relaxation can cost
 // a thousand times more per node than a small one); the node budget
 // backstops near-zero-pivot warm re-solves.
@@ -57,7 +56,7 @@ const (
 // sub-demand"). The greedy schedule provides both the incumbent for each
 // MILP and the upper bound on T.
 func exactSolve(ctx context.Context, d *Demand, tau float64, opts Options) (*SubSchedule, error) {
-	maxBinaries, budget := opts.MaxBinaries, opts.TimeLimit
+	maxBinaries := opts.MaxBinaries
 	// Size gate BEFORE any expensive work: the time-expanded variable
 	// count at the smallest useful horizon already tells us whether the
 	// instance is tractable.
@@ -110,27 +109,11 @@ func exactSolve(ctx context.Context, d *Demand, tau float64, opts Options) (*Sub
 		}
 	}
 
-	// A positive budget wall-clock-caps the refinement — an explicit
-	// caller opt-in, because truncation then fires at load-dependent
-	// points and results stop being reproducible across worker counts.
-	// The default (budget 0) leaves effort bounded deterministically by
-	// the size gate above plus the node and pivot budgets.
-	var deadline time.Time
-	if budget > 0 {
-		deadline = time.Now().Add(budget)
-	}
 	best := greedy
 	nodesLeft, pivotsLeft := totalNodeBudget, totalPivotBudget
 	for T := lb; T < greedy.Epochs && nodesLeft > 0 && pivotsLeft > 0; T++ {
-		remain := time.Duration(0)
-		if !deadline.IsZero() {
-			remain = time.Until(deadline)
-			if remain <= 0 {
-				break
-			}
-		}
-		// Cancellation behaves like the per-solve deadline: stop refining
-		// and return the greedy incumbent (anytime semantics).
+		// Cancellation stops refining and returns the greedy incumbent
+		// (anytime semantics).
 		if ctx.Err() != nil {
 			break
 		}
@@ -140,7 +123,7 @@ func exactSolve(ctx context.Context, d *Demand, tau float64, opts Options) (*Sub
 		}
 		hs := sp.Child("milp.horizon")
 		hs.SetInt("T", int64(T))
-		sched, nodes, pivots, err := solveHorizon(ctx, d, tau, T, maxBinaries, remain, maxNodes, pivotsLeft, opts.MILPWorkers, hs)
+		sched, nodes, pivots, err := solveHorizon(ctx, d, tau, T, maxBinaries, maxNodes, pivotsLeft, hs)
 		hs.End()
 		nodesLeft -= nodes
 		pivotsLeft -= pivots
@@ -159,11 +142,11 @@ func exactSolve(ctx context.Context, d *Demand, tau float64, opts Options) (*Sub
 
 // solveHorizon builds and solves the fixed-horizon MILP. It returns a
 // nil schedule (no error) when the horizon is infeasible or unproven
-// within the node/time budget, plus the branch-and-bound nodes spent so
+// within the node/pivot budget, plus the branch-and-bound nodes spent so
 // the caller can charge them against its total budget. The span
 // (nil-safe) receives the MILP's size, node count, and simplex pivot
 // totals.
-func solveHorizon(ctx context.Context, d *Demand, tau float64, T, maxBinaries int, budget time.Duration, maxNodes, maxPivots, workers int, sp *obs.Span) (*SubSchedule, int, int, error) {
+func solveHorizon(ctx context.Context, d *Demand, tau float64, T, maxBinaries, maxNodes, maxPivots int, sp *obs.Span) (*SubSchedule, int, int, error) {
 	n := d.NumGPUs
 	type key struct{ p, i, j, t int }
 	varOf := make(map[key]int)
@@ -304,7 +287,7 @@ func solveHorizon(ctx context.Context, d *Demand, tau float64, T, maxBinaries in
 		}
 	}
 
-	sol, err := milp.SolveCtx(ctx, prob, milp.Options{TimeLimit: budget, MaxNodes: maxNodes, MaxLPIters: maxPivots, Workers: workers})
+	sol, err := milp.SolveCtx(ctx, prob, milp.Options{MaxNodes: maxNodes, MaxLPIters: maxPivots})
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("solve: horizon %d: %w", T, err)
 	}

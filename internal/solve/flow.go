@@ -301,7 +301,7 @@ func flowSolve(ctx context.Context, d *Demand, tau float64, opts Options) *SubSc
 	} else {
 		sp.SetStr("lp", err.Error())
 	}
-	if s := improveSolve(d, tau, opts.Seed, opts.Restarts); s.Epochs < best.Epochs {
+	if s := improveSolve(d, tau, opts.Seed); s.Epochs < best.Epochs {
 		best = s
 	}
 	sp.SetInt("epochs", int64(best.Epochs))
@@ -337,22 +337,4 @@ func flowWeights(ctx context.Context, d *Demand, tau float64) ([][]int, int, err
 		}
 	}
 	return w, pivots, nil
-}
-
-// FlowSolveCtx exposes the flow backend directly (the -solver=flow
-// path): validate, fast paths, then LP-guided rounding. Unlike the
-// exact engine it never rejects an instance for size.
-func FlowSolveCtx(ctx context.Context, d *Demand, opts Options) (*SubSchedule, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	opts = opts.withDefaults()
-	opts.Engine = EngineFlow
-	return SolveCtx(ctx, d, opts)
 }

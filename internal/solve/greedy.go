@@ -180,14 +180,12 @@ func greedyGuided(d *Demand, tau float64, rng *rand.Rand, weights [][]int) *SubS
 	return out
 }
 
-// improveSolve runs randomized greedy restarts and keeps the best
-// schedule. restarts ≤ 0 defaults to 16; the count scales down on large
-// demands where each greedy pass is itself expensive (the quadratic
-// candidate scan), keeping per-demand solve cost roughly flat.
-func improveSolve(d *Demand, tau float64, seed int64, restarts int) *SubSchedule {
-	if restarts <= 0 {
-		restarts = 16
-	}
+// improveSolve runs up to 16 randomized greedy restarts and keeps the
+// best schedule; the count scales down on large demands where each greedy
+// pass is itself expensive (the quadratic candidate scan), keeping
+// per-demand solve cost roughly flat.
+func improveSolve(d *Demand, tau float64, seed int64) *SubSchedule {
+	restarts := 16
 	if dc := deliveryCount(d); dc > 0 {
 		if limit := 2000 / dc; limit < restarts {
 			restarts = limit

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"syccl/internal/obs"
 )
@@ -12,22 +11,22 @@ import (
 // Engine selects the solving strategy.
 type Engine int
 
-// Engines.
+// Engines. The integer values are part of every persisted solve-cache
+// key (core.solveSignature renders them), so they are explicit and
+// frozen; 2 belonged to a removed engine and stays unused.
 const (
-	// EngineAuto tries the exact MILP and falls back to randomized
-	// greedy when the instance exceeds the size budget.
-	EngineAuto Engine = iota
+	// EngineAuto tries the exact MILP and falls back to the flow
+	// backend when the instance exceeds the size budget.
+	EngineAuto Engine = 0
 	// EngineGreedy is deterministic earliest-finish list scheduling.
-	EngineGreedy
-	// EngineRestarts is greedy plus randomized restarts.
-	EngineRestarts
+	EngineGreedy Engine = 1
 	// EngineExact is branch-and-bound MILP only (errors when too large).
-	EngineExact
+	EngineExact Engine = 3
 	// EngineFlow is the multi-commodity-flow relaxation backend: LP
 	// lower bound plus flow-guided greedy rounding. Never rejects an
 	// instance for size, so it is the fallback above the MaxBinaries
 	// gate and the engine of choice for big topologies.
-	EngineFlow
+	EngineFlow Engine = 4
 )
 
 func (e Engine) String() string {
@@ -36,8 +35,6 @@ func (e Engine) String() string {
 		return "auto"
 	case EngineGreedy:
 		return "greedy"
-	case EngineRestarts:
-		return "restarts"
 	case EngineExact:
 		return "exact"
 	case EngineFlow:
@@ -59,20 +56,13 @@ type Options struct {
 	// Engine selects the strategy (default EngineAuto).
 	Engine Engine
 	// MaxBinaries caps the exact MILP's variable count (default 384).
+	// Together with the per-solve node and simplex-pivot budgets it is
+	// the deterministic effort bound of the exact engine; the caller's
+	// context is the only wall-clock cut.
 	MaxBinaries int
-	// TimeLimit, when positive, wall-clock-caps the exact engine per
-	// demand; truncated refinement keeps the greedy incumbent. The
-	// default 0 relies on the deterministic effort bounds instead
-	// (MaxBinaries plus the per-solve node and simplex-pivot budgets),
-	// so results do not depend on machine load.
-	TimeLimit time.Duration
-	// Seed drives randomized restarts (deterministic per seed).
+	// Seed drives the flow backend's randomized restarts (deterministic
+	// per seed).
 	Seed int64
-	// Restarts is the randomized restart count (default 16).
-	Restarts int
-	// MILPWorkers is the branch-and-bound worker count of the exact
-	// engine (default 1; results are deterministic across counts).
-	MILPWorkers int
 	// DisableFlowBound turns off the flow-relaxation lower bound inside
 	// the exact engine (core's SolverExact mode, ablations). It changes
 	// which horizons the search proves infeasible via budget-free LP
@@ -92,9 +82,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBinaries <= 0 {
 		o.MaxBinaries = 384
-	}
-	if o.Restarts <= 0 {
-		o.Restarts = 16
 	}
 	return o
 }
@@ -163,9 +150,6 @@ func SolveCtx(ctx context.Context, d *Demand, opts Options) (*SubSchedule, error
 	case EngineGreedy:
 		opts.Span.Count("solve.greedy", 1)
 		return greedySolve(d, tau, nil), nil
-	case EngineRestarts:
-		opts.Span.Count("solve.restarts", 1)
-		return improveSolve(d, tau, opts.Seed, opts.Restarts), nil
 	case EngineExact:
 		return exactSolve(ctx, d, tau, opts)
 	case EngineFlow:

@@ -22,6 +22,11 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== go test -count=10 (determinism-sensitive leaves, uncached) =="
+# The solver stack promises the same bytes every run; one cached or lucky
+# pass cannot show that, ten uncached ones in a row can (about 2 s).
+go test -count=10 ./internal/lp ./internal/milp ./internal/solve
+
 echo "== go test =="
 go test ./...
 
