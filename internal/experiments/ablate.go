@@ -16,12 +16,17 @@ import (
 func ablationTopology() *topology.Topology { return topology.H800Small(6) }
 
 // PruneRow is one point of Fig 17a: synthesis time and busbw with the
-// §4.1 pruning strategies toggled.
+// §4.1 pruning strategies toggled, next to what the prunings actually
+// change — the run's core.Stats work counts, which repeat exactly where
+// Synth is one noisy wall-clock sample.
 type PruneRow struct {
 	Bytes  float64
 	P1, P2 bool // pruning #1 / #2 enabled
 	Synth  time.Duration
 	BusBW  float64
+	// Sketches emitted by the search, combinations evaluated in the
+	// coarse pass, and sub-demand solves executed.
+	Sketches, Candidates, SolverCalls int
 }
 
 // Fig17a compares synthesis with and without prunings #1 (isomorphism
@@ -50,8 +55,9 @@ func Fig17a(cfg Config) ([]PruneRow, error) {
 			}
 			out = append(out, PruneRow{
 				Bytes: size, P1: mode.p1, P2: mode.p2,
-				Synth: time.Since(start),
-				BusBW: metrics.BusBandwidth(col.Kind, n, size, res.Time),
+				Synth:    time.Since(start),
+				BusBW:    metrics.BusBandwidth(col.Kind, n, size, res.Time),
+				Sketches: res.Stats.Sketches, Candidates: res.Stats.Candidates, SolverCalls: res.Stats.SolverCalls,
 			})
 		}
 	}
@@ -61,7 +67,8 @@ func Fig17a(cfg Config) ([]PruneRow, error) {
 // FormatFig17a renders the pruning ablation.
 func FormatFig17a(rows []PruneRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "fig17a: pruning ablation (24-GPU H800)\n%8s %8s %8s %12s %12s\n", "size", "#1", "#2", "synth", "busbw GBps")
+	fmt.Fprintf(&b, "fig17a: pruning ablation (24-GPU H800)\n%8s %8s %8s %12s %12s %9s %11s %7s\n",
+		"size", "#1", "#2", "synth", "busbw GBps", "sketches", "candidates", "solves")
 	onoff := func(v bool) string {
 		if v {
 			return "on"
@@ -69,8 +76,8 @@ func FormatFig17a(rows []PruneRow) string {
 		return "off"
 	}
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%8s %8s %8s %12s %12.1f\n", SizeLabel(r.Bytes), onoff(r.P1), onoff(r.P2),
-			r.Synth.Round(time.Millisecond), r.BusBW/1e9)
+		fmt.Fprintf(&b, "%8s %8s %8s %12s %12.1f %9d %11d %7d\n", SizeLabel(r.Bytes), onoff(r.P1), onoff(r.P2),
+			r.Synth.Round(time.Millisecond), r.BusBW/1e9, r.Sketches, r.Candidates, r.SolverCalls)
 	}
 	return b.String()
 }

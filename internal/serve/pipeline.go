@@ -25,6 +25,9 @@ type outcome struct {
 	resp   SynthesizeResponse
 	sched  *schedule.Schedule
 	apiErr *APIError
+	// ent is the store entry a store hit was answered from, nil for
+	// every other outcome; it carries the hit's encoded bodies.
+	ent *storeEntry
 	// Telemetry: the admission wait, the engine time, and which cache
 	// tier answered ("store", "warm", "cold"; "none" for a replan).
 	queueWait time.Duration

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -170,31 +172,101 @@ func DecodeRequest(r io.Reader, maxBytes int64) (*Request, *APIError) {
 	return req, nil
 }
 
-// resolved is a fully validated, default-filled request: concrete
-// topology and collective plus the normalized core options that the
-// engine will run with. The coalescing key is derived from this form so
-// that spelled-out defaults and omitted fields coalesce.
-type resolved struct {
-	req *Request
+// identity is everything about a resolved request that follows from its
+// identity fields alone — every Request field except timeout_ms, workers,
+// include_schedule, bypass_store and stream. Two requests that agree on
+// those fields share one identity, and Server.resolve memoizes it, so it
+// is read-only once built: concurrent requests plan on the same topology,
+// collective and hint.
+type identity struct {
 	// top is the topology synthesis runs on: the base topology, or the
 	// degraded one when the request carries a topology_delta. base and
 	// delta keep the un-degraded inputs for the /v1/replan fast path.
-	top     *topology.Topology
-	base    *topology.Topology
-	delta   *topology.Delta
-	col     *collective.Collective
+	top   *topology.Topology
+	base  *topology.Topology
+	delta *topology.Delta
+	col   *collective.Collective
+	// opts are the normalized core options, Workers left for the request.
 	opts    core.Options
+	planKey string
+	id      string
+}
+
+// resolved is a fully validated, default-filled request: its identity
+// plus the per-request fields. The coalescing key is derived from this
+// form so that spelled-out defaults and omitted fields coalesce.
+type resolved struct {
+	identity
+	req     *Request
 	timeout time.Duration
 	key     string
-	id      string
 	// replan marks a POST /v1/replan: the delta is mandatory, the store
 	// read and coalescing are skipped, and the engine call is Replan.
 	replan bool
 }
 
+// maxMemoKey bounds the identity a request may leave in the resolve memo.
+// Real identities are tens of bytes; a body can pad a field with a
+// megabyte of whitespace and still resolve, and such a request is simply
+// resolved every time.
+const maxMemoKey = 1 << 10
+
+// memoKey renders the identity fields of req, each string prefixed with
+// its length so no two field lists share a rendering. The spellings are
+// kept as sent: what a parser accepts is the parser's business, and a
+// respelled request costs one more entry, never a wrong one.
+func memoKey(req *Request) string {
+	b := make([]byte, 0, 128)
+	for _, f := range [...]string{req.Topology, req.Collective, req.Size, req.SketchHint, req.TopologyDelta} {
+		b = strconv.AppendInt(b, int64(len(f)), 10)
+		b = append(b, ':')
+		b = append(b, f...)
+	}
+	for _, f := range [...]float64{req.E1, req.E2, req.StopWithinPct} {
+		b = strconv.AppendUint(append(b, '|'), math.Float64bits(f), 16)
+	}
+	b = strconv.AppendInt(append(b, '|'), req.Seed, 10)
+	return string(b)
+}
+
 // resolve maps request specs onto concrete objects, surfacing each
-// failure as its own structured 400 code.
+// failure as its own structured 400 code. The identity half is built
+// once per distinct identity and kept in s.memo; a request whose identity
+// was resolved before pays a lookup and the per-request fields below. A
+// request that fails to resolve leaves nothing behind, so its error is
+// recomputed each time and bad input cannot displace good entries.
 func (s *Server) resolve(req *Request) (*resolved, *APIError) {
+	mk := memoKey(req)
+	idn, ok := s.memo.Get(mk, "")
+	if !ok {
+		var aerr *APIError
+		if idn, aerr = resolveIdentity(req); aerr != nil {
+			return nil, aerr
+		}
+		if len(mk) <= maxMemoKey {
+			s.memo.Add(mk, "", func() *identity { return idn })
+		}
+	}
+	r := &resolved{identity: *idn, req: req}
+	r.opts.Workers = req.Workers
+	if r.opts.Workers <= 0 {
+		r.opts.Workers = s.opts.DefaultWorkers
+	}
+	r.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	if r.timeout <= 0 {
+		r.timeout = s.opts.DefaultTimeout
+	}
+	// The timeout participates in the key: two identical demands with
+	// different deadlines must not share a flight, or the longer request
+	// would inherit the shorter one's (possibly Partial) result.
+	r.key = r.planKey + "|to=" + strconv.FormatInt(int64(r.timeout), 10) + "|bypass=" + strconv.FormatBool(req.BypassStore)
+	return r, nil
+}
+
+// resolveIdentity does the work resolve memoizes: parse and build the
+// topology (and its degraded form), the collective and the hint, and
+// derive the plan key and schedule id from them.
+func resolveIdentity(req *Request) (*identity, *APIError) {
 	top, err := cli.ParseTopology(req.Topology)
 	if err != nil {
 		return nil, apiErrorf(http.StatusBadRequest, CodeBadTopology, "%v", err)
@@ -225,10 +297,9 @@ func (s *Server) resolve(req *Request) (*resolved, *APIError) {
 		return nil, apiErrorf(http.StatusBadRequest, CodeBadCollective, "%v", err)
 	}
 	opts := core.Options{
-		E1:      req.E1,
-		E2:      req.E2,
-		Workers: req.Workers,
-		Seed:    req.Seed,
+		E1:   req.E1,
+		E2:   req.E2,
+		Seed: req.Seed,
 	}
 	// Normalize so that "absent" and "explicit default" key identically.
 	if opts.E1 <= 0 {
@@ -236,9 +307,6 @@ func (s *Server) resolve(req *Request) (*resolved, *APIError) {
 	}
 	if opts.E2 <= 0 {
 		opts.E2 = 0.5
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = s.opts.DefaultWorkers
 	}
 	// The hint re-parses into its canonical *sketch.Hint, so two
 	// spellings of the same hint coalesce (PlanKey embeds the canonical
@@ -253,16 +321,11 @@ func (s *Server) resolve(req *Request) (*resolved, *APIError) {
 	}
 	opts.Hint = hint
 	opts.StopWithin = req.StopWithinPct / 100
-	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
-	if timeout <= 0 {
-		timeout = s.opts.DefaultTimeout
-	}
-	r := &resolved{req: req, top: top, base: base, delta: delta, col: col, opts: opts, timeout: timeout}
-	// The timeout participates in the key: two identical demands with
-	// different deadlines must not share a flight, or the longer request
-	// would inherit the shorter one's (possibly Partial) result.
+	// Workers is not part of the plan key (worker count never changes the
+	// schedule), so the key of the worker-less options is the request's.
 	planKey := engine.PlanKey(top, col, opts)
-	r.key = fmt.Sprintf("%s|to=%d|bypass=%t", planKey, timeout, req.BypassStore)
-	r.id = scheduleID(planKey)
-	return r, nil
+	return &identity{
+		top: top, base: base, delta: delta, col: col, opts: opts,
+		planKey: planKey, id: scheduleID(planKey),
+	}, nil
 }

@@ -42,7 +42,10 @@ type ScheduleJSON struct {
 	Transfers []TransferJSON `json:"transfers"`
 }
 
-// ToScheduleJSON converts a schedule for the wire.
+// ToScheduleJSON converts a schedule for the wire. The result aliases
+// the schedule's Chunks and Deps slices: it is a view to marshal and
+// drop, not to modify or keep past the schedule. Schedule() is the
+// direction that hands out an owned copy.
 func ToScheduleJSON(s *schedule.Schedule) *ScheduleJSON {
 	if s == nil {
 		return nil
@@ -53,12 +56,12 @@ func ToScheduleJSON(s *schedule.Schedule) *ScheduleJSON {
 		Transfers: make([]TransferJSON, len(s.Transfers)),
 	}
 	for i, p := range s.Pieces {
-		out.Pieces[i] = PieceJSON{Chunks: append([]int(nil), p.Chunks...), Bytes: p.Bytes}
+		out.Pieces[i] = PieceJSON{Chunks: p.Chunks, Bytes: p.Bytes}
 	}
 	for i, t := range s.Transfers {
 		out.Transfers[i] = TransferJSON{
 			Src: t.Src, Dst: t.Dst, Piece: t.Piece, Dim: t.Dim,
-			Deps: append([]int(nil), t.Deps...), Order: t.Order,
+			Deps: t.Deps, Order: t.Order,
 		}
 	}
 	return out

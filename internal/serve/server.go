@@ -229,6 +229,9 @@ type Server struct {
 	adm     *admission
 	flights *flightGroup
 	store   scheduleStore
+	// memo keeps the resolved identity of recently seen requests (see
+	// resolve), bounded like the store it fronts.
+	memo *lru.Cache[*identity]
 
 	met  *serveMetrics
 	frec *flightRecorder
@@ -266,6 +269,7 @@ func New(opts Options) *Server {
 		adm:     newAdmission(opts.Concurrency, opts.QueueDepth),
 		flights: newFlightGroup(),
 		store:   newScheduleStore(opts.StoreEntries, opts.Obs),
+		memo:    lru.New[*identity](opts.StoreEntries, 1, lru.Meters{}),
 		met:     newServeMetrics(opts.Metrics),
 		frec:    newFlightRecorder(opts.RecentRequests, opts.SlowRequests),
 		alog:    newAccessLogger(opts.AccessLog),

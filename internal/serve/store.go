@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net/http"
+	"sync"
 
 	"syccl/internal/lru"
 	"syccl/internal/obs"
@@ -13,14 +14,44 @@ type storeEntry struct {
 	id    string
 	resp  SynthesizeResponse // base response (no per-request flags)
 	sched *schedule.Schedule
+
+	// bodies are the two encoded answers to a one-shot store hit, without
+	// and with the schedule, each built by its first reader. They live and
+	// die with the entry: eviction drops them, a re-insert or a restore
+	// starts from a fresh entry and encodes again.
+	bodies [2]hitBody
+}
+
+type hitBody struct {
+	once sync.Once
+	buf  []byte
 }
 
 // hit is the outcome of answering from the store: the stored base
 // response, marked cached.
 func (ent *storeEntry) hit() outcome {
-	o := outcome{status: http.StatusOK, resp: ent.resp, sched: ent.sched, cache: cacheTierStore}
+	o := outcome{status: http.StatusOK, resp: ent.resp, sched: ent.sched, cache: cacheTierStore, ent: ent}
 	o.resp.Cached = true
 	return o
+}
+
+// body is the encoded hit: exactly what the generic encoder writes for
+// hit() with no per-request flag set. Callers only read it. nil means
+// the encoding failed, and the caller falls back to the generic encoder
+// to report that.
+func (ent *storeEntry) body(includeSchedule bool) []byte {
+	b := &ent.bodies[0]
+	if includeSchedule {
+		b = &ent.bodies[1]
+	}
+	b.once.Do(func() {
+		resp := ent.hit().resp
+		if includeSchedule {
+			resp.Schedule = ToScheduleJSON(ent.sched)
+		}
+		b.buf, _ = encodeBody(&resp)
+	})
+	return b.buf
 }
 
 // scheduleStore is the LRU of completed results, keyed by schedule id.

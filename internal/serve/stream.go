@@ -122,6 +122,12 @@ func (rw *responder) event(ev StreamEvent) {
 // finish ends the response with the outcome: its error, or its base
 // response dressed with this request's flags and, if asked, the
 // schedule. An error before anything was streamed keeps its real status.
+//
+// A one-shot store hit that is nobody's follower is the same bytes every
+// time, so it is written from the entry's encoded body. A stream final
+// wraps the response in an event and a follower says coalesced:true:
+// neither is those bytes, and both take the encoder below, as every cold
+// outcome does.
 func (rw *responder) finish(o *outcome, includeSchedule, coalesced bool) {
 	if o.apiErr != nil {
 		if rw.started {
@@ -130,6 +136,12 @@ func (rw *responder) finish(o *outcome, includeSchedule, coalesced bool) {
 			rw.s.writeError(rw.w, o.apiErr)
 		}
 		return
+	}
+	if o.ent != nil && !rw.stream && !coalesced {
+		if body := o.ent.body(includeSchedule); body != nil {
+			writeBody(rw.w, o.status, body)
+			return
+		}
 	}
 	resp := o.resp
 	resp.Coalesced = coalesced

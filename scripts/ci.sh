@@ -30,6 +30,14 @@ go test -count=10 ./internal/lp ./internal/milp ./internal/solve
 echo "== go test =="
 go test ./...
 
+echo "== cold digests under GOMAXPROCS 1, 4, 16 =="
+# The pinned cold bytes must not depend on how many OS threads run the
+# worker goroutines: two nondeterminism bugs showed only off the default
+# setting (10–25 s per setting on the 2-core box).
+for procs in 1 4 16; do
+    GOMAXPROCS=$procs go test ./internal/core -run 'TestColdScheduleDigests$' -count=1
+done
+
 echo "== go test -race (core/engine/lru/milp/obs/persist/serve/sim/solve/verify shard) =="
 go test -race ./internal/core/ ./internal/engine/ ./internal/lru/ ./internal/milp/ ./internal/obs/ ./internal/persist/ ./internal/serve/ ./internal/sim/ ./internal/solve/ ./internal/verify/
 

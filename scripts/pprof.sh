@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Capture pprof profiles from a running syccl-serve admin listener, or
-# from one of the engine's warm-plan benchmarks.
+# from a Go benchmark (by default one of the engine's warm-plan ones).
 #
 #   scripts/pprof.sh                          # heap + goroutine snapshot
 #   scripts/pprof.sh cpu 10                   # 10s CPU profile
 #   ADMIN=http://127.0.0.1:6060 scripts/pprof.sh
 #   scripts/pprof.sh bench                    # CPU + alloc profile of the recipe-warm plan
 #   scripts/pprof.sh bench BenchmarkEngineWarmPlanFullPass   # ... of the full warm pass
+#   scripts/pprof.sh bench BenchmarkStoreHitHandler ./internal/serve/   # ... of a benchmark in another package
 #
 # Profiles land in ./profiles/ stamped with the capture time; inspect
 # with `go tool pprof <file>`.
@@ -38,13 +39,15 @@ trace)
     ;;
 bench)
     name=${2:-BenchmarkEngineWarmPlan}
-    go test ./internal/engine/ -run='^$' -bench="^$name\$" -benchtime=2s -benchmem \
-        -o "$outdir/engine-$stamp.test" \
+    pkg=${3:-./internal/engine/}
+    bin=$outdir/$(basename "$pkg")-$stamp.test
+    go test "$pkg" -run='^$' -bench="^$name\$" -benchtime=2s -benchmem \
+        -o "$bin" \
         -cpuprofile "$outdir/cpu-$name-$stamp.pb.gz" -memprofile "$outdir/mem-$name-$stamp.pb.gz"
-    echo "wrote $outdir/{cpu,mem}-$name-$stamp.pb.gz (inspect with: go tool pprof $outdir/engine-$stamp.test <profile>)"
+    echo "wrote $outdir/{cpu,mem}-$name-$stamp.pb.gz (inspect with: go tool pprof $bin <profile>)"
     ;;
 *)
-    echo "usage: scripts/pprof.sh [snapshot|cpu|trace] [seconds] | bench [benchmark]" >&2
+    echo "usage: scripts/pprof.sh [snapshot|cpu|trace] [seconds] | bench [benchmark] [package]" >&2
     exit 2
     ;;
 esac
