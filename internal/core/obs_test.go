@@ -123,3 +123,45 @@ func TestNilRecorderSameResult(t *testing.T) {
 		t.Errorf("recorder changed cache stats: %+v vs %+v", withRec.Stats, without.Stats)
 	}
 }
+
+// The exact engine says why no MILP ran. On server8:broadcast:64M every
+// exact solve ends at one of its bound exits, so the three proof
+// counters are pinned together with the zero the bounds buy.
+func TestExactSolveProofCounters(t *testing.T) {
+	top, col := digestCase(t, "server8:broadcast:64M")
+	rec := obs.NewRecorder()
+	if _, err := Synthesize(top, col, Options{Obs: rec}); err != nil {
+		t.Fatal(err)
+	}
+	counters := rec.Counters()
+	for name, want := range map[string]float64{
+		"solve.exact":                  5,
+		"solve.exact.bound_proved":     5,
+		"solve.exact.flow_proved":      0,
+		"solve.exact.horizons_skipped": 0,
+		"milp.nodes":                   0,
+	} {
+		if got := counters[name]; got != want {
+			t.Errorf("counter %q = %g, want %g", name, got, want)
+		}
+	}
+	// The span carries the floor the solve ended with: the greedy
+	// makespan it proved optimal.
+	for _, sp := range rec.Spans() {
+		if sp.Name == "milp.horizon" {
+			t.Errorf("a horizon MILP ran under a bound-proved solve: %v", sp.Attrs)
+		}
+		if sp.Name != "solve.exact" {
+			continue
+		}
+		found := false
+		for _, a := range sp.Attrs {
+			if v, ok := a.Value().(int64); ok && a.Key == "lower-bound" {
+				found = v >= 1
+			}
+		}
+		if !found {
+			t.Errorf("solve.exact span without a positive lower-bound attribute: %v", sp.Attrs)
+		}
+	}
+}

@@ -13,7 +13,8 @@
 //   - exact:  branch-and-bound MILP (package milp) over the time-expanded
 //     formulation, used when the instance is small enough;
 //   - greedy: earliest-finish list scheduling on the epoch grid, always
-//     available, and the incumbent seed for the exact engine;
+//     available; the exact engine takes its makespan as the upper end
+//     of the horizon search and returns it when nothing shorter is found;
 //   - improve: randomized greedy restarts that keep the best result.
 package solve
 
@@ -147,9 +148,45 @@ func paramsFor(d *Demand, tau, bytes float64) epochParams {
 	return epochParams{span: span, lat: lat}
 }
 
-// lowerBoundEpochs computes a simple makespan lower bound: for each piece,
-// arrival latency plus binomial-tree depth from its source set; and a load
-// bound from the busiest ingress port.
+// postalEpochs returns the first epoch at which target GPUs can hold a
+// piece that holders GPUs hold at epoch 0, in the postal model the
+// sub-demand encoding implies: a GPU sends one copy at a time, its
+// egress port is busy ep.span epochs per send, and a copy becomes usable
+// (and forwardable) ep.lat epochs after its send started. Every holder
+// sending back to back from the epoch its copy arrives maximizes the
+// holder count at every epoch, so no schedule — relays through GPUs that
+// do not need the piece included — reaches target earlier.
+func postalEpochs(ep epochParams, holders, target int) int {
+	// starts[t] is the number of sends starting at epoch t: one per copy
+	// that became usable at t, one per GPU that started a send at
+	// t−span. The bound is reached within a few dozen epochs, so the
+	// history normally stays on the stack.
+	var buf [64]int
+	starts := buf[:0]
+	have := 0
+	for t := 0; ; t++ {
+		fresh := 0
+		switch {
+		case t == 0:
+			fresh = holders
+		case t >= ep.lat:
+			fresh = starts[t-ep.lat]
+		}
+		have += fresh
+		if have >= target {
+			return t
+		}
+		if t >= ep.span {
+			fresh += starts[t-ep.span]
+		}
+		starts = append(starts, fresh)
+	}
+}
+
+// lowerBoundEpochs computes a closed-form makespan lower bound: for each
+// piece, the postal-model epoch at which its sources plus its
+// destinations can all hold it (postalEpochs); and a load bound from the
+// busiest ingress port.
 func lowerBoundEpochs(d *Demand, tau float64) int {
 	lb := 1
 	inLoad := make([]int, d.NumGPUs)
@@ -159,13 +196,7 @@ func lowerBoundEpochs(d *Demand, tau float64) int {
 		if need == 0 {
 			continue
 		}
-		// Doubling bound: holders double each lat window at best.
-		holders := len(p.Srcs)
-		rounds := 0
-		for covered := holders; covered < holders+need; covered *= 2 {
-			rounds++
-		}
-		if v := ep.lat + (rounds-1)*ep.span; v > lb {
+		if v := postalEpochs(ep, len(p.Srcs), len(p.Srcs)+need); v > lb {
 			lb = v
 		}
 		for _, t := range p.Dsts {

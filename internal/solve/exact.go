@@ -53,8 +53,9 @@ const (
 // exactSolve finds the minimum-epoch schedule by solving fixed-horizon
 // feasibility MILPs for growing horizons T, starting at the lower bound
 // (Appendix A.1: "the minimum number of epochs required to satisfy the
-// sub-demand"). The greedy schedule provides both the incumbent for each
-// MILP and the upper bound on T.
+// sub-demand"). The greedy schedule is the upper bound on T and the
+// answer when no shorter horizon is feasible (or provable within budget);
+// the MILPs themselves start without an incumbent.
 func exactSolve(ctx context.Context, d *Demand, tau float64, opts Options) (*SubSchedule, error) {
 	maxBinaries := opts.MaxBinaries
 	// Size gate BEFORE any expensive work: the time-expanded variable
@@ -75,13 +76,17 @@ func exactSolve(ctx context.Context, d *Demand, tau float64, opts Options) (*Sub
 	}
 
 	sp := opts.Span.Child("solve.exact")
-	sp.SetInt("lower-bound", int64(lb))
-	defer sp.End()
+	defer func() {
+		// The floor the search ended with, flow bound included.
+		sp.SetInt("lower-bound", int64(lb))
+		sp.End()
+	}()
 	sp.Count("solve.exact", 1)
 
 	greedy := greedySolve(d, tau, nil)
 	if greedy.Epochs <= lb {
-		// Greedy already optimal.
+		// Greedy meets the closed-form bound: optimal, no LP, no MILP.
+		sp.Count("solve.exact.bound_proved", 1)
 		g := *greedy
 		g.Engine = "exact"
 		return &g, nil
@@ -174,6 +179,10 @@ func solveHorizon(ctx context.Context, d *Demand, tau float64, T, maxBinaries, m
 		}
 	}
 	if len(keys) == 0 {
+		// No send fits the horizon: feasible only when nothing is owed.
+		if deliveryCount(d) > 0 {
+			return nil, 0, 0, nil
+		}
 		return &SubSchedule{Tau: tau, Epochs: 0, Engine: "exact"}, 0, 0, nil
 	}
 	if len(keys) > maxBinaries {

@@ -301,9 +301,7 @@ func flowSolve(ctx context.Context, d *Demand, tau float64, opts Options) *SubSc
 	} else {
 		sp.SetStr("lp", err.Error())
 	}
-	if s := improveSolve(d, tau, opts.Seed); s.Epochs < best.Epochs {
-		best = s
-	}
+	best = improveSolve(d, tau, opts.Seed, best)
 	sp.SetInt("epochs", int64(best.Epochs))
 	out := *best
 	out.Engine = "flow"

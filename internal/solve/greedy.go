@@ -2,6 +2,7 @@ package solve
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -25,62 +26,106 @@ func greedyWeighted(d *Demand, tau float64, weights [][]int) *SubSchedule {
 	return s
 }
 
+// interval is one busy [start, end) port reservation in epochs.
+type interval struct{ start, end int }
+
+// earliestFree returns the first epoch ≥ from at which span consecutive
+// epochs are free in busy, which is sorted by start and non-overlapping.
+func earliestFree(busy []interval, from, span int) int {
+	t := from
+	for _, iv := range busy {
+		if iv.end <= t {
+			continue
+		}
+		if t+span <= iv.start {
+			break
+		}
+		t = iv.end
+	}
+	return t
+}
+
+// reserve inserts [start, start+span) into busy, keeping it sorted.
+func reserve(busy []interval, start, span int) []interval {
+	i := len(busy)
+	for i > 0 && busy[i-1].start > start {
+		i--
+	}
+	return slices.Insert(busy, i, interval{start, start + span})
+}
+
+// holder is a GPU that has (or will have) a piece: from epoch avail on
+// it can forward it.
+type holder struct{ gpu, avail int }
+
+// cachedStart is the earliest start of one (open delivery, source)
+// candidate, valid while its source's egress and its destination's
+// ingress hold as many reservations as when it was computed (the counts
+// are stored plus one, so the zero value is "never computed"). A port
+// only ever gains reservations, so a stale start is still a floor for
+// the fresh one.
+type cachedStart struct {
+	start       int
+	egressSeen  int32
+	ingressSeen int32
+}
+
+// openDelivery is one outstanding (piece, destination) pair with its
+// per-source start cache.
+type openDelivery struct {
+	piece, dst int
+	starts     []cachedStart // indexed by source GPU
+}
+
+// greedyGuided is the list scheduler behind greedySolve and
+// greedyWeighted. Every round visits the candidates in (piece,
+// destination, source) order — open deliveries and per-piece holder
+// lists are kept sorted for that — and a committed send invalidates
+// only the cached starts that share its egress or ingress port.
 func greedyGuided(d *Demand, tau float64, rng *rand.Rand, weights [][]int) *SubSchedule {
 	n := d.NumGPUs
-	// avail[p][g]: epoch at which g can forward piece p; -1 = never (yet).
-	avail := make([][]int, len(d.Pieces))
-	needed := make([][]bool, len(d.Pieces))
-	remaining := 0
+	eps := make([]epochParams, len(d.Pieces))
+	holders := make([][]holder, len(d.Pieces))
+	var open []openDelivery
+	role := make([]byte, n) // per piece: 1 = source, 2 = needs it
 	for pi, p := range d.Pieces {
-		avail[pi] = make([]int, n)
-		for g := range avail[pi] {
-			avail[pi][g] = -1
+		eps[pi] = paramsFor(d, tau, p.Bytes)
+		clear(role)
+		for _, t := range p.Dsts {
+			role[t] = 2
 		}
 		for _, s := range p.Srcs {
-			avail[pi][s] = 0
+			role[s] = 1
 		}
-		needed[pi] = make([]bool, n)
-		for _, t := range p.Dsts {
-			if !needed[pi][t] {
-				needed[pi][t] = true
-				remaining++
+		for g, r := range role {
+			switch r {
+			case 1:
+				holders[pi] = append(holders[pi], holder{g, 0})
+			case 2:
+				open = append(open, openDelivery{piece: pi, dst: g})
 			}
 		}
 	}
+	out := &SubSchedule{Tau: tau, Engine: "greedy"}
+	if len(open) == 0 {
+		return out
+	}
+	out.Transfers = make([]Transfer, 0, len(open))
+	slab := make([]cachedStart, len(open)*n)
+	for i := range open {
+		open[i].starts = slab[i*n : (i+1)*n]
+	}
 
-	// Port reservations: for each GPU and direction, busy [start, end)
-	// intervals in epochs. Group sub-demands are small, so linear scans
-	// are fine.
-	type interval struct{ start, end int }
+	// Port reservations: for each GPU and direction, the busy intervals
+	// in start order. Group sub-demands are small, so linear scans are
+	// fine.
 	egress := make([][]interval, n)
 	ingress := make([][]interval, n)
-
-	earliestFree := func(busy []interval, from, span int) int {
-		t := from
-		for {
-			ok := true
-			for _, iv := range busy {
-				if t < iv.end && t+span > iv.start {
-					t = iv.end
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return t
-			}
-		}
-	}
-	reserve := func(busy *[]interval, start, span int) {
-		*busy = append(*busy, interval{start, start + span})
-		sort.Slice(*busy, func(a, b int) bool { return (*busy)[a].start < (*busy)[b].start })
-	}
-
-	out := &SubSchedule{Tau: tau, Engine: "greedy"}
 
 	type cand struct {
 		piece, src, dst int
 		start, arrive   int
+		open            int // index into open
 	}
 
 	// less orders candidates by earliest arrival, then (when flow weights
@@ -88,7 +133,7 @@ func greedyGuided(d *Demand, tau float64, rng *rand.Rand, weights [][]int) *SubS
 	// by ring offset (dst−src mod n): the offset bias makes symmetric
 	// demands such as AllGather fall into rotation patterns that keep
 	// every port busy instead of piling deliveries onto few ingresses.
-	less := func(a, b cand, n int) bool {
+	less := func(a, b cand) bool {
 		if a.arrive != b.arrive {
 			return a.arrive < b.arrive
 		}
@@ -112,39 +157,39 @@ func greedyGuided(d *Demand, tau float64, rng *rand.Rand, weights [][]int) *SubS
 		return a.dst < b.dst
 	}
 
-	for remaining > 0 {
+	var nearBest []cand
+	for len(open) > 0 {
 		found := false
 		var best cand
-		var nearBest []cand
-		for pi, p := range d.Pieces {
-			ep := paramsFor(d, tau, p.Bytes)
-			for dst := 0; dst < n; dst++ {
-				if !needed[pi][dst] {
-					continue
-				}
-				for src := 0; src < n; src++ {
-					if avail[pi][src] < 0 || src == dst {
-						continue
-					}
+		nearBest = nearBest[:0]
+		for oi := range open {
+			o := &open[oi]
+			ep := eps[o.piece]
+			in := ingress[o.dst]
+			for _, h := range holders[o.piece] {
+				eg := egress[h.gpu]
+				cs := &o.starts[h.gpu]
+				if cs.egressSeen != int32(len(eg))+1 || cs.ingressSeen != int32(len(in))+1 {
 					// Earliest epoch where both ports are free for span.
-					start := avail[pi][src]
+					start := max(h.avail, cs.start)
 					for {
-						s1 := earliestFree(egress[src], start, ep.span)
-						s2 := earliestFree(ingress[dst], s1, ep.span)
+						s1 := earliestFree(eg, start, ep.span)
+						s2 := earliestFree(in, s1, ep.span)
 						if s1 == s2 {
 							start = s1
 							break
 						}
 						start = s2
 					}
-					c := cand{pi, src, dst, start, start + ep.lat}
-					if !found || less(c, best, n) {
-						found = true
-						best = c
-					}
-					if rng != nil {
-						nearBest = append(nearBest, c)
-					}
+					*cs = cachedStart{start, int32(len(eg)) + 1, int32(len(in)) + 1}
+				}
+				c := cand{o.piece, h.gpu, o.dst, cs.start, cs.start + ep.lat, oi}
+				if !found || less(c, best) {
+					found = true
+					best = c
+				}
+				if rng != nil {
+					nearBest = append(nearBest, c)
 				}
 			}
 		}
@@ -161,13 +206,16 @@ func greedyGuided(d *Demand, tau float64, rng *rand.Rand, weights [][]int) *SubS
 			}
 			choice = nearBest[rng.Intn(k)]
 		}
-		p := d.Pieces[choice.piece]
-		ep := paramsFor(d, tau, p.Bytes)
-		reserve(&egress[choice.src], choice.start, ep.span)
-		reserve(&ingress[choice.dst], choice.start, ep.span)
-		avail[choice.piece][choice.dst] = choice.arrive
-		needed[choice.piece][choice.dst] = false
-		remaining--
+		span := eps[choice.piece].span
+		egress[choice.src] = reserve(egress[choice.src], choice.start, span)
+		ingress[choice.dst] = reserve(ingress[choice.dst], choice.start, span)
+		open = slices.Delete(open, choice.open, choice.open+1)
+		hs := holders[choice.piece]
+		i := len(hs)
+		for i > 0 && hs[i-1].gpu > choice.dst {
+			i--
+		}
+		holders[choice.piece] = slices.Insert(hs, i, holder{choice.dst, choice.arrive})
 		out.Transfers = append(out.Transfers, Transfer{
 			Src: choice.src, Dst: choice.dst, Piece: choice.piece,
 			Start: choice.start, Arrive: choice.arrive,
@@ -180,18 +228,17 @@ func greedyGuided(d *Demand, tau float64, rng *rand.Rand, weights [][]int) *SubS
 	return out
 }
 
-// improveSolve runs up to 16 randomized greedy restarts and keeps the
-// best schedule; the count scales down on large demands where each greedy
-// pass is itself expensive (the quadratic candidate scan), keeping
-// per-demand solve cost roughly flat.
-func improveSolve(d *Demand, tau float64, seed int64) *SubSchedule {
+// improveSolve runs up to 16 randomized greedy restarts and returns the
+// first schedule that attains the fewest epochs among best and the
+// restarts; the count scales down on large demands where each greedy
+// pass is itself expensive, keeping per-demand solve cost roughly flat.
+func improveSolve(d *Demand, tau float64, seed int64, best *SubSchedule) *SubSchedule {
 	restarts := 16
 	if dc := deliveryCount(d); dc > 0 {
 		if limit := 2000 / dc; limit < restarts {
 			restarts = limit
 		}
 	}
-	best := greedySolve(d, tau, nil)
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < restarts; i++ {
 		s := greedySolve(d, tau, rng)
@@ -199,6 +246,5 @@ func improveSolve(d *Demand, tau float64, seed int64) *SubSchedule {
 			best = s
 		}
 	}
-	best.Engine = "greedy+restarts"
 	return best
 }

@@ -33,7 +33,7 @@ go test ./...
 echo "== cold digests under GOMAXPROCS 1, 4, 16 =="
 # The pinned cold bytes must not depend on how many OS threads run the
 # worker goroutines: two nondeterminism bugs showed only off the default
-# setting (10–25 s per setting on the 2-core box).
+# setting (2–3 s of test per setting on the 2-core box, plus the build).
 for procs in 1 4 16; do
     GOMAXPROCS=$procs go test ./internal/core -run 'TestColdScheduleDigests$' -count=1
 done
@@ -48,6 +48,7 @@ go test ./internal/serve/ -run='^$' -fuzz='^FuzzDecodeRequest$' -fuzztime="$FUZZ
 go test ./internal/serve/ -run='^$' -fuzz='^FuzzDecodeStream$' -fuzztime="$FUZZTIME"
 go test ./internal/topology/ -run='^$' -fuzz='^FuzzDecodeDelta$' -fuzztime="$FUZZTIME"
 go test ./internal/solve/ -run='^$' -fuzz='^FuzzFlowRound$' -fuzztime="$FUZZTIME"
+go test ./internal/solve/ -run='^$' -fuzz='^FuzzGreedyEquivalence$' -fuzztime="$FUZZTIME"
 go test ./internal/persist/ -run='^$' -fuzz='^FuzzPersistDecode$' -fuzztime="$FUZZTIME"
 go test ./internal/lru/ -run='^$' -fuzz='^FuzzLRUModel$' -fuzztime="$FUZZTIME"
 go test ./internal/schedule/ -run='^$' -fuzz='^FuzzValidateEquivalence$' -fuzztime="$FUZZTIME"
