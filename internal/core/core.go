@@ -191,10 +191,11 @@ type BoundCache interface {
 }
 
 // SolveCache is a cross-request store of solved sub-schedules. Lookup
-// must return a sub-schedule that satisfies d under the given solve-option
-// signature — verbatim for an exact signature match (this is what makes
-// warm re-plans bit-identical), or remapped by the implementation for an
-// isomorphic match — and nil on a miss. Implementations must be safe for
+// must return, verbatim, what Store stored for this very demand under
+// the given solve-option signature, and nil on a miss — never a solution
+// remapped from another (isomorphic) demand: verbatim replay is what
+// makes warm re-plans bit-identical and a cached plan the cold plan,
+// whatever was planned before. Implementations must be safe for
 // concurrent use and must not retain or mutate the caller's arguments
 // after Store returns.
 type SolveCache interface {

@@ -3,37 +3,46 @@ package engine
 import (
 	"testing"
 
+	"syccl/internal/isomorph"
 	"syccl/internal/solve"
 )
 
-// bcast is a 4-GPU broadcast demand from root; demands from different
-// roots are isomorphic (same class key) but not identical.
-func bcast(root int, bytes float64) *solve.Demand {
-	var dsts []int
-	for g := 0; g < 4; g++ {
-		if g != root {
-			dsts = append(dsts, g)
-		}
+// hops is a 6-GPU demand of unit relays along the (src, dst) pairs.
+func hops(pairs ...int) *solve.Demand {
+	d := &solve.Demand{NumGPUs: 6, Alpha: 1e-6, Beta: 1e-9}
+	for i := 0; i < len(pairs); i += 2 {
+		d.Pieces = append(d.Pieces, solve.Piece{ID: i / 2, Bytes: 4096, Srcs: []int{pairs[i]}, Dsts: []int{pairs[i+1]}})
 	}
-	return &solve.Demand{
-		NumGPUs: 4, Alpha: 1e-6, Beta: 5e-12,
-		Pieces: []solve.Piece{{ID: 0, Bytes: bytes, Srcs: []int{root}, Dsts: dsts}},
-	}
+	return d
 }
 
-// TestBoundClassSurvivesSiblingEviction: evicting one member of an
-// isomorphism class must not hide the members still resident. Bounds are
-// relabel-invariant, so any of them answers for the class.
-func TestBoundClassSurvivesSiblingEviction(t *testing.T) {
-	eng := New(Options{BoundCacheEntries: 2})
-	bounds := boundCacheAdapter{eng}
-	bounds.Store(bcast(0, 1<<16), "sig", 1.5)
-	bounds.Store(bcast(1, 1<<16), "sig", 1.5)
-	bounds.Store(bcast(0, 1<<20), "sig", 9) // another class; evicts root 0's entry
-	if _, ok := bounds.Lookup(bcast(0, 1<<16), "sig"); !ok {
-		t.Fatal("the class still has a resident member (root 1), but the lookup missed")
+// TestBoundCacheServesOnlyItsDemand: a 6-ring and two 3-rings of unit
+// relays share an isomorph.Key without being isomorphic (the premise
+// TestClassesEquivalence in internal/isomorph pins), so the ring's flow
+// bound is no bound for the triangles and must not be served for them —
+// pruning or ProvedOptimal would act on it. A relabeled ring is
+// isomorphic, but a bound answers only for the demand it was computed
+// on, so it misses too.
+func TestBoundCacheServesOnlyItsDemand(t *testing.T) {
+	ring6 := hops(0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0)
+	triangles := hops(0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 3)
+	relabeled := hops(1, 2, 2, 3, 3, 4, 4, 5, 5, 0, 0, 1)
+	if isomorph.Key(ring6) != isomorph.Key(triangles) {
+		t.Fatal("test premise: the ring and the triangles share a Key")
 	}
-	if b, ok := bounds.Lookup(bcast(2, 1<<16), "sig"); !ok || b != 1.5 {
-		t.Fatalf("iso lookup = %g,%t, want 1.5 from the resident sibling", b, ok)
+	eng := New(Options{})
+	bounds := boundCacheAdapter{eng}
+	bounds.Store(ring6, "sig", 7.5)
+	if b, ok := bounds.Lookup(triangles, "sig"); ok {
+		t.Fatalf("triangles served the ring's bound %g", b)
+	}
+	if b, ok := bounds.Lookup(relabeled, "sig"); ok {
+		t.Fatalf("relabeled ring served the ring's bound %g", b)
+	}
+	if b, ok := bounds.Lookup(ring6, "sig"); !ok || b != 7.5 {
+		t.Fatalf("ring lookup = %g,%t, want 7.5", b, ok)
+	}
+	if st := eng.Stats(); st.BoundHits != 1 || st.BoundMisses != 2 {
+		t.Fatalf("bound counters %+v, want 1 hit and 2 misses", st)
 	}
 }

@@ -9,17 +9,24 @@
 //   - a sketch cache mapping topology fingerprint (plus collective shape,
 //     root, and search options) to the enumerated sketch set, so repeat
 //     plans on the same fabric skip the §4.1 search entirely;
-//   - a sub-schedule cache keyed by the canonical sub-demand signature
-//     plus the solve-option signature, sharded and LRU-bounded. An exact
-//     signature hit returns the stored solution verbatim — warm re-plans
-//     are bit-identical to the cold run — while demands that are
-//     isomorphic to a stored one (but relabeled) are served through
-//     isomorph.FindFullMapping/MapSchedule.
+//   - a sub-schedule cache keyed by the exact sub-demand plus the
+//     solve-option signature (isomorph.CacheKey), sharded and
+//     LRU-bounded. A hit returns the stored solution verbatim, so warm
+//     re-plans are bit-identical to the cold run.
 //
-// Next to them sit a flow-bound cache (scalar lower bounds per demand)
-// and a recipe cache: per plan key, which candidate won last time
-// (core.Recipe), so a repeated plan rebuilds that one candidate from the
-// sub-schedule cache instead of re-ranking all of them.
+// Next to them sit a flow-bound cache (scalar lower bounds per demand,
+// same keys) and a recipe cache: per plan key, which candidate won last
+// time (core.Recipe), so a repeated plan rebuilds that one candidate from
+// the sub-schedule cache instead of re-ranking all of them.
+//
+// Every cache answers only for the exact key it stored: a relabeled
+// (isomorphic) demand misses and is solved, or mapped from its class
+// representative inside the synthesis pass that needs it (§5.3,
+// isomorph.Table). The engine runs no isomorphism search across
+// requests, so a cached plan is the cold plan
+// (TestPlanAnswerIndependentOfHistory; the one residual history
+// dependence, a class member's mapped solution stored under its exact
+// key, is described there).
 //
 // The caches plug into core.Options through the core.SolveCache,
 // core.SketchCache and core.BoundCache interfaces (and the Recipe
@@ -58,13 +65,13 @@ type Options struct {
 	// without re-solving the bound LPs.
 	BoundCacheEntries int
 	// Shards is the lock-striping factor of the sub-schedule cache,
-	// rounded up to a power of two (default 16). Isomorphic demands land
-	// in the same shard, so iso-fallback lookups stay shard-local.
+	// rounded up to a power of two (default 16); entries are sharded by
+	// key.
 	Shards int
 	// Persist optionally backs the sub-schedule cache with a disk tier
 	// (internal/persist): LRU misses fall through to Persist.Load (the
 	// hit is promoted into the memory tier), and first-time stores are
-	// written through with Persist.Put. Solved symmetry classes thereby
+	// written through with Persist.Put. Solved sub-demands thereby
 	// survive process restarts — a rebooted engine replays previously
 	// synthesized plans bit-identically with zero solver calls. Nil
 	// disables the tier.
@@ -100,12 +107,12 @@ func (o Options) withDefaults() Options {
 }
 
 // PersistTier is the disk tier behind the sub-schedule cache. Load
-// returns a stored solution for the demand (exact replay or iso-class
-// mapping onto it) or nil; Put stores a newly solved sub-schedule,
-// first write wins; InvalidateMatching drops every entry whose exact or
-// class key (isomorph.CacheKeys) starts with one of the prefixes and
-// reports how many went — Replan extends selective invalidation to disk
-// through it. Implementations must be safe for concurrent use.
+// returns the solution stored for exactly this demand and signature, or
+// nil; Put stores a newly solved sub-schedule, first write wins;
+// InvalidateMatching drops every entry whose cache key
+// (isomorph.CacheKey) starts with one of the prefixes and reports how
+// many went — Replan extends selective invalidation to disk through it.
+// Implementations must be safe for concurrent use.
 // *persist.Store satisfies this interface.
 type PersistTier interface {
 	Load(d *solve.Demand, sig string) *solve.SubSchedule
@@ -131,8 +138,10 @@ type Stats struct {
 	// Partial results and outright ctx errors).
 	Cancelled int64 `json:"cancelled"`
 	// SolveHits / SolveMisses count cross-request sub-schedule cache
-	// lookups. ExactHits (verbatim replays) plus IsoHits (served through
-	// an isomorphism mapping) sum to SolveHits.
+	// lookups. Every hit is a verbatim replay, so ExactHits equals
+	// SolveHits. IsoHits is always 0: the cross-request isomorphism
+	// fallback it counted is gone, and the field stays only because this
+	// JSON contract never removes one.
 	SolveHits   int64 `json:"solve_hits"`
 	SolveMisses int64 `json:"solve_misses"`
 	ExactHits   int64 `json:"exact_hits"`
@@ -179,7 +188,7 @@ type Stats struct {
 type Engine struct {
 	opts     Options
 	sketches *lru.Cache[[]*sketch.Sketch]
-	solves   *lru.Cache[solved]
+	solves   *lru.Cache[*solve.SubSchedule]
 	bounds   *lru.Cache[float64]
 	recipes  *lru.Cache[*core.Recipe]
 	// persistHit / persistMiss meter the disk tier behind solves;
@@ -216,17 +225,15 @@ func New(opts Options) *Engine {
 		"Cross-request cache lookups by cache and result.", "cache", "result")
 	evict := opts.Metrics.Counter("syccl_engine_cache_evictions_total",
 		"LRU evictions by cache.", "cache")
-	e.solves = lru.New[solved](opts.SolveCacheEntries, opts.Shards, lru.Meters{
-		Hit:      lru.NewMeter(rec, "engine.cache.hits", lookups.With("solve", "exact")),
-		ClassHit: lru.NewMeter(rec, "engine.cache.hits", lookups.With("solve", "iso")),
-		Miss:     lru.NewMeter(rec, "engine.cache.misses", lookups.With("solve", "miss")),
-		Evict:    lru.NewMeter(rec, "engine.cache.evictions", evict.With("solve")),
+	e.solves = lru.New[*solve.SubSchedule](opts.SolveCacheEntries, opts.Shards, lru.Meters{
+		Hit:   lru.NewMeter(rec, "engine.cache.hits", lookups.With("solve", "exact")),
+		Miss:  lru.NewMeter(rec, "engine.cache.misses", lookups.With("solve", "miss")),
+		Evict: lru.NewMeter(rec, "engine.cache.evictions", evict.With("solve")),
 	})
 	e.bounds = lru.New[float64](opts.BoundCacheEntries, 1, lru.Meters{
-		Hit:      lru.NewMeter(rec, "engine.bound.hits", lookups.With("bound", "exact")),
-		ClassHit: lru.NewMeter(rec, "engine.bound.hits", lookups.With("bound", "iso")),
-		Miss:     lru.NewMeter(rec, "engine.bound.misses", lookups.With("bound", "miss")),
-		Evict:    lru.NewMeter(rec, "engine.cache.evictions", evict.With("bound")),
+		Hit:   lru.NewMeter(rec, "engine.bound.hits", lookups.With("bound", "exact")),
+		Miss:  lru.NewMeter(rec, "engine.bound.misses", lookups.With("bound", "miss")),
+		Evict: lru.NewMeter(rec, "engine.cache.evictions", evict.With("bound")),
 	})
 	e.sketches = lru.New[[]*sketch.Sketch](opts.SketchCacheEntries, 1, lru.Meters{
 		Hit:   lru.NewMeter(rec, "engine.sketch.hits", lookups.With("sketch", "hit")),
@@ -292,7 +299,7 @@ func (e *Engine) Plan(ctx context.Context, top *topology.Topology, col *collecti
 	opts.SketchCache = sketchCacheAdapter{e}
 	opts.BoundCache = boundCacheAdapter{e}
 	key := recipeKey(top, col, opts)
-	kept, found := e.recipes.Get(key, "")
+	kept, found := e.recipes.Get(key)
 	if found {
 		opts.Recipe = cloneRecipe(kept)
 	} else {
@@ -311,10 +318,10 @@ func (e *Engine) Plan(ctx context.Context, top *topology.Topology, col *collecti
 			// The full pass ran although a recipe was at hand, so the
 			// replay gave up on it: drop it for the one recorded now.
 			e.recipeStale.Add(1)
-			e.recipes.RemoveIf(func(k, _ string) bool { return k == key })
+			e.recipes.RemoveIf(func(k string) bool { return k == key })
 		}
 		if res.Recipe != nil {
-			e.recipes.Add(key, "", func() *core.Recipe { return cloneRecipe(res.Recipe) })
+			e.recipes.Add(key, func() *core.Recipe { return cloneRecipe(res.Recipe) })
 		}
 	}
 	if (err != nil && ctx.Err() != nil) || (res != nil && res.Partial) {
@@ -351,14 +358,13 @@ func (e *Engine) Stats() Stats {
 	return Stats{
 		Plans:             e.plans.Load(),
 		Cancelled:         e.cancelled.Load(),
-		SolveHits:         sv.Hits + sv.ClassHits,
+		SolveHits:         sv.Hits,
 		SolveMisses:       sv.Misses,
 		ExactHits:         sv.Hits,
-		IsoHits:           sv.ClassHits,
 		Evictions:         sv.Evictions + bd.Evictions + sk.Evictions + rc.Evictions,
 		SketchHits:        sk.Hits,
 		SketchMisses:      sk.Misses,
-		BoundHits:         bd.Hits + bd.ClassHits,
+		BoundHits:         bd.Hits,
 		BoundMisses:       bd.Misses,
 		BoundsPruned:      e.boundsPruned.Load(),
 		BoundsProved:      e.boundsProved.Load(),
@@ -414,31 +420,15 @@ func cloneRecipe(r *core.Recipe) *core.Recipe {
 
 // --- sub-schedule cache ---
 
-// solved is one cached per-demand solution. The demand is kept for the
-// iso-fallback path, which needs the concrete piece sets to find a
-// mapping onto the queried demand. Both halves are private clones and
-// are never mutated once stored.
-type solved struct {
-	demand *solve.Demand
-	sub    *solve.SubSchedule
-}
-
-// solveCacheAdapter implements core.SolveCache on the engine.
+// solveCacheAdapter implements core.SolveCache on the engine. Cached
+// sub-schedules are private clones, never mutated once stored.
 type solveCacheAdapter struct{ e *Engine }
 
 func (a solveCacheAdapter) Lookup(d *solve.Demand, sig string) *solve.SubSchedule {
 	e := a.e
-	exact, iso := isomorph.CacheKeys(d, sig)
-	if hit, ok := e.solves.Get(exact, iso); ok {
-		return cloneSub(hit.sub)
-	}
-	var m *isomorph.Mapping
-	if hit, ok := e.solves.GetClass(iso, func(s solved) bool {
-		m = isomorph.FindFullMapping(s.demand, d)
-		return m != nil
-	}); ok {
-		// MapSchedule allocates a fresh sub-schedule; no extra clone.
-		return isomorph.MapSchedule(hit.sub, *m)
+	key := isomorph.CacheKey(d, sig)
+	if hit, ok := e.solves.Get(key); ok {
+		return cloneSub(hit)
 	}
 	// Memory miss: consult the disk tier (outside any shard lock — disk
 	// reads must not serialize unrelated lookups).
@@ -446,8 +436,8 @@ func (a solveCacheAdapter) Lookup(d *solve.Demand, sig string) *solve.SubSchedul
 		if sub := e.opts.Persist.Load(d, sig); sub != nil {
 			e.persistHit.Add(1)
 			// Promote into the memory tier. No write-back: the bytes just
-			// came from disk (or from an iso sibling already on disk).
-			e.solves.Add(exact, iso, func() solved { return solved{cloneDemand(d), cloneSub(sub)} })
+			// came from disk.
+			e.solves.Add(key, func() *solve.SubSchedule { return cloneSub(sub) })
 			return sub
 		}
 		e.persistMiss.Add(1)
@@ -458,8 +448,7 @@ func (a solveCacheAdapter) Lookup(d *solve.Demand, sig string) *solve.SubSchedul
 
 func (a solveCacheAdapter) Store(d *solve.Demand, sig string, sub *solve.SubSchedule) {
 	e := a.e
-	exact, iso := isomorph.CacheKeys(d, sig)
-	if !e.solves.Add(exact, iso, func() solved { return solved{cloneDemand(d), cloneSub(sub)} }) {
+	if !e.solves.Add(isomorph.CacheKey(d, sig), func() *solve.SubSchedule { return cloneSub(sub) }) {
 		// First write won in memory; the disk tier enforces the same
 		// rule, so nothing to write through.
 		return
@@ -471,17 +460,6 @@ func (a solveCacheAdapter) Store(d *solve.Demand, sig string, sub *solve.SubSche
 	}
 }
 
-func cloneDemand(d *solve.Demand) *solve.Demand {
-	out := &solve.Demand{NumGPUs: d.NumGPUs, Alpha: d.Alpha, Beta: d.Beta}
-	out.Pieces = make([]solve.Piece, len(d.Pieces))
-	for i, p := range d.Pieces {
-		p.Srcs = append([]int(nil), p.Srcs...)
-		p.Dsts = append([]int(nil), p.Dsts...)
-		out.Pieces[i] = p
-	}
-	return out
-}
-
 func cloneSub(s *solve.SubSchedule) *solve.SubSchedule {
 	out := *s
 	out.Transfers = append([]solve.Transfer(nil), s.Transfers...)
@@ -490,18 +468,16 @@ func cloneSub(s *solve.SubSchedule) *solve.SubSchedule {
 
 // --- flow-bound cache ---
 
-// boundCacheAdapter implements core.BoundCache on the engine. The bound
-// is invariant under GPU relabeling (the isomorph keys embed α, β, and
-// the piece structure), so any resident member of the demand's class
-// answers for it — a scalar needs no schedule remapping.
+// boundCacheAdapter implements core.BoundCache on the engine, under the
+// same exact keys as the sub-schedule cache: a bound answers only for the
+// demand it was computed on. (An isomorph.Key match would not do — equal
+// class keys are necessary for isomorphism, not sufficient — and a bound
+// borrowed from a non-isomorphic demand could prune a candidate, or skip
+// a fine pass, on a bound that does not hold.)
 type boundCacheAdapter struct{ e *Engine }
 
 func (a boundCacheAdapter) Lookup(d *solve.Demand, sig string) (float64, bool) {
-	exact, iso := isomorph.CacheKeys(d, sig)
-	if b, ok := a.e.bounds.Get(exact, iso); ok {
-		return b, true
-	}
-	if b, ok := a.e.bounds.GetClass(iso, nil); ok {
+	if b, ok := a.e.bounds.Get(isomorph.CacheKey(d, sig)); ok {
 		return b, true
 	}
 	a.e.bounds.Miss()
@@ -509,8 +485,7 @@ func (a boundCacheAdapter) Lookup(d *solve.Demand, sig string) (float64, bool) {
 }
 
 func (a boundCacheAdapter) Store(d *solve.Demand, sig string, bound float64) {
-	exact, iso := isomorph.CacheKeys(d, sig)
-	a.e.bounds.Add(exact, iso, func() float64 { return bound })
+	a.e.bounds.Add(isomorph.CacheKey(d, sig), func() float64 { return bound })
 }
 
 // --- sketch cache ---
@@ -519,7 +494,7 @@ func (a boundCacheAdapter) Store(d *solve.Demand, sig string, bound float64) {
 type sketchCacheAdapter struct{ e *Engine }
 
 func (a sketchCacheAdapter) Lookup(key string) ([]*sketch.Sketch, bool) {
-	cached, ok := a.e.sketches.Get(key, "")
+	cached, ok := a.e.sketches.Get(key)
 	if !ok {
 		a.e.sketches.Miss()
 		return nil, false
@@ -528,7 +503,7 @@ func (a sketchCacheAdapter) Lookup(key string) ([]*sketch.Sketch, bool) {
 }
 
 func (a sketchCacheAdapter) Store(key string, sketches []*sketch.Sketch) {
-	a.e.sketches.Add(key, "", func() []*sketch.Sketch { return cloneSketches(sketches) })
+	a.e.sketches.Add(key, func() []*sketch.Sketch { return cloneSketches(sketches) })
 }
 
 func cloneSketches(in []*sketch.Sketch) []*sketch.Sketch {

@@ -19,7 +19,7 @@ import (
 // dropRecipes forgets every winner recipe, so the next plan of each key
 // runs the full pass against otherwise warm caches.
 func dropRecipes(e *Engine) {
-	e.recipes.RemoveIf(func(string, string) bool { return true })
+	e.recipes.RemoveIf(func(string) bool { return true })
 }
 
 // sameResult fails the test unless got carries the bytes and the time
@@ -218,20 +218,20 @@ func TestRecipeStaleFallsBack(t *testing.T) {
 		eng := New(Options{})
 		mustPlan(t, eng, top, col, quickOpts())
 		key := recipeKey(top, col, quickOpts())
-		kept, ok := eng.recipes.Get(key, "")
+		kept, ok := eng.recipes.Get(key)
 		if !ok {
 			t.Fatal("no recipe stored")
 		}
 		forged := cloneRecipe(kept)
 		forged.TimeBits ^= 1
 		dropRecipes(eng)
-		eng.recipes.Add(key, "", func() *core.Recipe { return forged })
+		eng.recipes.Add(key, func() *core.Recipe { return forged })
 		staleThenHit(t, eng)
 
 		forged = cloneRecipe(kept)
 		forged.Transfers++
 		dropRecipes(eng)
-		eng.recipes.Add(key, "", func() *core.Recipe { return forged })
+		eng.recipes.Add(key, func() *core.Recipe { return forged })
 		staleThenHit(t, eng)
 	})
 

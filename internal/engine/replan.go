@@ -110,9 +110,9 @@ func (e *Engine) Replan(ctx context.Context, base *topology.Topology, delta *top
 // diffGroups compares the base and degraded topologies group by group.
 // It returns the number of base groups the delta touched (membership or
 // α/β changed, or the whole dimension collapsed), the total base group
-// count, and the key prefixes — exact and iso — of touched demand shapes
-// that no surviving group can still produce (the stale set to
-// invalidate).
+// count, and the cache-key prefixes of touched demand shapes that no
+// surviving group can still produce (the stale set to invalidate), one
+// per shape.
 func diffGroups(base, degraded *topology.Topology) (touched, total int, stale []string) {
 	type shape struct {
 		n    int
@@ -163,29 +163,26 @@ func diffGroups(base, degraded *topology.Topology) (touched, total int, stale []
 	}
 
 	for sh := range staleShapes {
-		// Prefixes of isomorph.ExactKey and isomorph.Key respectively;
-		// cache keys are <demand key>|<solve signature>, so a prefix match
-		// covers every signature variant.
-		stale = append(stale,
-			fmt.Sprintf("n%d;a%.9g;b%.9g;", sh.n, sh.a, sh.b),
-			fmt.Sprintf("n%d;a%.6g;b%.6g;", sh.n, sh.a, sh.b),
-		)
+		// The header of isomorph.ExactKey; cache keys are
+		// <exact key>|<solve signature>, so a prefix match covers every
+		// signature variant.
+		stale = append(stale, fmt.Sprintf("n%d;a%.9g;b%.9g;", sh.n, sh.a, sh.b))
 	}
 	sort.Strings(stale)
 	return touched, total, stale
 }
 
 // Invalidate drops every solve-cache and bound-cache entry (memory and
-// disk tier) whose exact or iso key starts with one of the prefixes. It
-// returns the number of entries removed. Dropping entries never affects
+// disk tier) whose cache key starts with one of the prefixes. It returns
+// the number of entries removed. Dropping entries never affects
 // correctness — caches are content-addressed — only warm-start coverage.
 func (e *Engine) Invalidate(prefixes []string) int {
 	if len(prefixes) == 0 {
 		return 0
 	}
-	stale := func(exactKey, isoKey string) bool {
+	stale := func(key string) bool {
 		for _, p := range prefixes {
-			if strings.HasPrefix(exactKey, p) || strings.HasPrefix(isoKey, p) {
+			if strings.HasPrefix(key, p) {
 				return true
 			}
 		}

@@ -28,7 +28,7 @@ import (
 // The text is "n<gpus>;a<α %.6g>;b<β %.6g>;" + the sorted piece
 // invariants "p(<bytes %.6g>,<|srcs|>,<|dsts|>)" + ";g" + the sorted
 // per-GPU colors joined by "|". It is rendered with strconv, byte for
-// byte what fmt printed before: persisted corpora are addressed by it.
+// byte what fmt printed before: persisted entries record it.
 func Key(d *solve.Demand) string {
 	return string(appendKey(nil, d))
 }
@@ -47,20 +47,17 @@ func ExactKey(d *solve.Demand) string {
 	return string(appendExactKey(nil, d))
 }
 
-// CacheKeys returns the pair every cross-request cache tier addresses a
-// solved demand by: the exact key (verbatim replay) and the class key
-// (isomorphism fallback), each suffixed with the solve signature so
-// solutions found under different solver options never mix. The memory
-// tiers in internal/engine and the on-disk corpus of internal/persist
-// share this one format — persisted entries record both keys, so
-// changing it orphans every stored corpus.
-func CacheKeys(d *solve.Demand, sig string) (exact, class string) {
+// CacheKey returns the key every cross-request cache tier addresses a
+// solved demand by: the exact key, suffixed with the solve signature so
+// solutions found under different solver options never mix. A tier
+// serves a demand only what was stored under this key, so a cached
+// answer is the one a cold run of the same demand would produce. The
+// memory tiers in internal/engine and the on-disk corpus of
+// internal/persist share this one format — changing it orphans every
+// stored corpus.
+func CacheKey(d *solve.Demand, sig string) string {
 	b := appendExactKey(nil, d)
-	b = append(append(b, '|'), sig...)
-	exact = string(b)
-	b = appendKey(b[:0], d)
-	b = append(append(b, '|'), sig...)
-	return exact, string(b)
+	return string(append(append(b, '|'), sig...))
 }
 
 // appendHeader renders "n<gpus>;a<α>;b<β>" at the given %g precision.

@@ -3,6 +3,7 @@ package lru
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,19 +11,17 @@ import (
 )
 
 // model is the reference the cache is checked against: one slice per
-// shard in recency order (front = most recent), an insertion sequence
-// number per entry, and nothing clever — every operation is a linear
-// scan.
+// shard in recency order (front = most recent) and nothing clever —
+// every operation is a linear scan.
 type model struct {
 	shards  [][]modelEntry
 	cap     int
-	seq     int
 	evicted int64
 }
 
 type modelEntry struct {
-	key, class string
-	val, seq   int
+	key string
+	val int
 }
 
 func newModel(entries, shards int) *model {
@@ -33,12 +32,9 @@ func newModel(entries, shards int) *model {
 	return &model{shards: make([][]modelEntry, n), cap: max((entries+n-1)/n, 1)}
 }
 
-func (m *model) shard(key, class string) int {
-	if class == "" {
-		class = key
-	}
+func (m *model) shard(key string) int {
 	h := uint32(2166136261)
-	for _, b := range []byte(class) {
+	for _, b := range []byte(key) {
 		h = (h ^ uint32(b)) * 16777619
 	}
 	return int(h) & (len(m.shards) - 1)
@@ -51,8 +47,8 @@ func (m *model) touch(si, i int) {
 	s[0] = e
 }
 
-func (m *model) get(key, class string) (int, bool) {
-	si := m.shard(key, class)
+func (m *model) get(key string) (int, bool) {
+	si := m.shard(key)
 	for i, e := range m.shards[si] {
 		if e.key == key {
 			m.touch(si, i)
@@ -62,35 +58,15 @@ func (m *model) get(key, class string) (int, bool) {
 	return 0, false
 }
 
-func (m *model) getClass(class string, accept func(int) bool) (int, bool) {
-	if class == "" {
-		return 0, false
-	}
-	si := m.shard("", class)
-	best := -1
-	for i, e := range m.shards[si] {
-		if e.class == class && (accept == nil || accept(e.val)) && (best < 0 || e.seq < m.shards[si][best].seq) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	v := m.shards[si][best].val
-	m.touch(si, best)
-	return v, true
-}
-
-func (m *model) add(key, class string, val int) bool {
-	si := m.shard(key, class)
+func (m *model) add(key string, val int) bool {
+	si := m.shard(key)
 	for i, e := range m.shards[si] {
 		if e.key == key {
 			m.touch(si, i)
 			return false
 		}
 	}
-	m.seq++
-	s := append([]modelEntry{{key, class, val, m.seq}}, m.shards[si]...)
+	s := append([]modelEntry{{key, val}}, m.shards[si]...)
 	if len(s) > m.cap {
 		m.evicted += int64(len(s) - m.cap)
 		s = s[:m.cap]
@@ -99,12 +75,12 @@ func (m *model) add(key, class string, val int) bool {
 	return true
 }
 
-func (m *model) removeIf(drop func(key, class string) bool) int {
+func (m *model) removeIf(drop func(key string) bool) int {
 	removed := 0
 	for si, s := range m.shards {
 		kept := s[:0:0]
 		for _, e := range s {
-			if drop(e.key, e.class) {
+			if drop(e.key) {
 				removed++
 			} else {
 				kept = append(kept, e)
@@ -133,49 +109,33 @@ func runModel(t *testing.T, entries, shards int, ops []byte) {
 	evict := NewMeter(nil, "", nil)
 	c := New[int](entries, shards, Meters{Evict: evict})
 	m := newModel(entries, shards)
-	// Few keys and classes, so hits, duplicates and evictions are all
-	// common; a key always maps to the same class, as callers guarantee.
-	name := func(b byte) (key, class string) {
-		k := int(b) % 24
-		key = fmt.Sprintf("k%d", k)
-		if k%4 != 0 {
-			class = fmt.Sprintf("c%d", k%5)
-		}
-		return key, class
-	}
+	// Few keys, so hits, duplicates and evictions are all common. A
+	// RemoveIf with an even argument also drops the key's group (its
+	// prefix), so multi-entry removals occur too.
 	for i := 0; i+1 < len(ops); i += 2 {
 		op, arg := ops[i]%8, ops[i+1]
-		key, class := name(arg)
+		k := int(arg) % 24
+		group := fmt.Sprintf("g%d/", k%5)
+		key := fmt.Sprintf("%sk%d", group, k)
 		var what string
 		switch {
-		case op < 3:
-			got, ok := c.Get(key, class)
-			want, wok := m.get(key, class)
+		case op < 4:
+			got, ok := c.Get(key)
+			want, wok := m.get(key)
 			what = fmt.Sprintf("Get(%s) = %d,%t want %d,%t", key, got, ok, want, wok)
 			if got != want || ok != wok {
 				t.Fatalf("op %d: %s", i/2, what)
 			}
-		case op < 4:
-			accept := func(v int) bool { return v%2 == int(arg)%2 }
-			if arg%3 == 0 {
-				accept = nil
-			}
-			got, ok := c.GetClass(class, accept)
-			want, wok := m.getClass(class, accept)
-			what = fmt.Sprintf("GetClass(%s) = %d,%t want %d,%t", class, got, ok, want, wok)
-			if got != want || ok != wok {
-				t.Fatalf("op %d: %s", i/2, what)
-			}
 		case op < 7:
-			got, want := c.Add(key, class, func() int { return i }), m.add(key, class, i)
-			what = fmt.Sprintf("Add(%s,%s) = %t want %t", key, class, got, want)
+			got, want := c.Add(key, func() int { return i }), m.add(key, i)
+			what = fmt.Sprintf("Add(%s) = %t want %t", key, got, want)
 			if got != want {
 				t.Fatalf("op %d: %s", i/2, what)
 			}
 		default:
-			drop := func(k, cl string) bool { return k == key || (class != "" && cl == class && arg%2 == 0) }
+			drop := func(dk string) bool { return dk == key || (arg%2 == 0 && strings.HasPrefix(dk, group)) }
 			got, want := c.RemoveIf(drop), m.removeIf(drop)
-			what = fmt.Sprintf("RemoveIf(%s,%s) = %d want %d", key, class, got, want)
+			what = fmt.Sprintf("RemoveIf(%s,%d) = %d want %d", key, arg, got, want)
 			if got != want {
 				t.Fatalf("op %d: %s", i/2, what)
 			}
@@ -212,48 +172,28 @@ func FuzzLRUModel(f *testing.F) {
 	})
 }
 
-// TestClassIndexSurvivesEviction pins the class index against the hole
-// the engine's old bound cache had: it indexed one entry per class and
-// forgot the class when that entry was evicted, although siblings were
-// still resident.
-func TestClassIndexSurvivesEviction(t *testing.T) {
-	c := New[string](2, 1, Meters{})
-	add := func(key, class, v string) { c.Add(key, class, func() string { return v }) }
-	add("a", "class", "A")
-	add("b", "class", "B")
-	add("x", "", "X") // evicts a, the least recently used
-	if _, ok := c.Get("a", "class"); ok {
-		t.Fatal("a should have been evicted")
-	}
-	if v, ok := c.GetClass("class", nil); !ok || v != "B" {
-		t.Fatalf("GetClass after evicting a = %q,%t; b is still resident", v, ok)
-	}
-}
-
 // TestMeters checks every event reaches the meter's three sinks.
 func TestMeters(t *testing.T) {
 	rec := obs.NewRecorder()
 	reg := obs.NewRegistry()
 	vec := reg.Counter("lru_test_total", "", "event")
 	c := New[int](1, 1, Meters{
-		Hit:      NewMeter(rec, "t.hits", vec.With("hit")),
-		ClassHit: NewMeter(rec, "t.hits", vec.With("class")),
-		Miss:     NewMeter(rec, "t.misses", vec.With("miss")),
-		Evict:    NewMeter(rec, "t.evictions", vec.With("evict")),
+		Hit:   NewMeter(rec, "t.hits", vec.With("hit")),
+		Miss:  NewMeter(rec, "t.misses", vec.With("miss")),
+		Evict: NewMeter(rec, "t.evictions", vec.With("evict")),
 	})
-	c.Add("a", "c", func() int { return 1 })
-	c.Get("a", "c")
-	c.GetClass("c", nil)
-	c.Get("nope", "c")
+	c.Add("a", func() int { return 1 })
+	c.Get("a")
+	c.Get("nope")
 	c.Miss()
-	c.Add("b", "c", func() int { return 2 })
-	if st, want := c.Stats(), (Stats{Hits: 1, ClassHits: 1, Misses: 1, Evictions: 1}); st != want {
+	c.Add("b", func() int { return 2 })
+	if st, want := c.Stats(), (Stats{Hits: 1, Misses: 1, Evictions: 1}); st != want {
 		t.Fatalf("stats %+v, want %+v", st, want)
 	}
-	if rec.CounterValue("t.hits") != 2 || rec.CounterValue("t.misses") != 1 || rec.CounterValue("t.evictions") != 1 {
+	if rec.CounterValue("t.hits") != 1 || rec.CounterValue("t.misses") != 1 || rec.CounterValue("t.evictions") != 1 {
 		t.Fatalf("recorder counters %v", rec.Counters())
 	}
-	for label, want := range map[string]float64{"hit": 1, "class": 1, "miss": 1, "evict": 1} {
+	for label, want := range map[string]float64{"hit": 1, "miss": 1, "evict": 1} {
 		if got := vec.With(label).Value(); got != want {
 			t.Errorf("registry child %q = %g, want %g", label, got, want)
 		}
@@ -265,13 +205,13 @@ func TestMeters(t *testing.T) {
 // Add — which must not even mint the value it is not going to keep.
 func TestHitPathsDoNotAllocate(t *testing.T) {
 	c := New[*int](8, 2, Meters{Hit: NewMeter(nil, "", nil)})
-	c.Add("key", "class", func() *int { return new(int) })
-	if n := testing.AllocsPerRun(100, func() { c.Get("key", "class") }); n != 0 {
+	c.Add("key", func() *int { return new(int) })
+	if n := testing.AllocsPerRun(100, func() { c.Get("key") }); n != 0 {
 		t.Fatalf("Get allocates %v times per call", n)
 	}
 	src := 7
 	if n := testing.AllocsPerRun(100, func() {
-		if c.Add("key", "class", func() *int { v := src; return &v }) {
+		if c.Add("key", func() *int { v := src; return &v }) {
 			t.Fatal("duplicate Add reported a fresh insert")
 		}
 	}); n != 0 {
@@ -291,17 +231,15 @@ func TestConcurrentHammer(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 3000; i++ {
 				k := rng.Intn(96)
-				key, class := fmt.Sprintf("k%d", k), fmt.Sprintf("c%d", k%7)
+				key := fmt.Sprintf("k%d", k)
 				switch rng.Intn(6) {
-				case 0, 1:
-					c.Get(key, class)
-				case 2:
-					c.GetClass(class, func(v int) bool { return v%2 == 0 })
+				case 0, 1, 2:
+					c.Get(key)
 				case 3, 4:
-					c.Add(key, class, func() int { return i })
+					c.Add(key, func() int { return i })
 				default:
 					if i%50 == 0 {
-						c.RemoveIf(func(_, cl string) bool { return cl == class })
+						c.RemoveIf(func(dk string) bool { return dk[len(dk)-1] == key[len(key)-1] })
 					}
 					c.Each(func(string, int) {})
 				}

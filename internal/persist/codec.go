@@ -1,9 +1,10 @@
-// Package persist is the disk tier of SyCCL's symmetry reuse: a
-// content-addressed, checksummed store of solved sub-schedules keyed by
-// the same exact/iso-class signatures as the engine's in-memory LRUs
-// (isomorph.ExactKey / isomorph.Key plus the solve-option signature), so
-// a schedule synthesized by one process can be replayed bit-identically
-// by every later one.
+// Package persist is the disk tier behind the engine's sub-schedule
+// cache: a content-addressed, checksummed store of solved sub-schedules
+// keyed by the same exact key as the engine's in-memory LRU
+// (isomorph.CacheKey: the demand's ExactKey plus the solve-option
+// signature), so a schedule synthesized by one process is replayed
+// bit-identically by every later one. A lookup serves exactly the demand
+// that was stored, never a relabeled isomorphic one.
 //
 // On-disk layout under the store directory:
 //
@@ -110,9 +111,11 @@ func decodeContainer(data []byte, wantKind byte) ([]byte, error) {
 	return body[headerSize:], nil
 }
 
-// Entry is one persisted solved sub-demand: the composite cache keys,
-// the concrete demand (needed to find an isomorphism mapping onto a
-// relabeled query), and the solution.
+// Entry is one persisted solved sub-demand: its cache key, its class key
+// (isomorph.Key plus the signature), the concrete demand, and the
+// solution. Load reads only the cache key and the solution; the class key
+// and the demand stay in the v1 format so corpora written by either side
+// of that change remain readable by both.
 type Entry struct {
 	ExactKey string
 	IsoKey   string

@@ -8,6 +8,7 @@ package persist
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -40,7 +41,7 @@ func TestEntryBitFlipDroppedAtLoad(t *testing.T) {
 			if err := s.Put(d, "sig", subFor(d)); err != nil {
 				t.Fatal(err)
 			}
-			path := s.entryPath(func() string { e, _ := compositeKeys(d, "sig"); return e }())
+			path := s.entryPath(cacheKey(d, "sig"))
 			flipByte(t, path, off)
 
 			if got := s.Load(d, "sig"); got != nil {
@@ -71,7 +72,7 @@ func TestEntryBitFlipDroppedAtBoot(t *testing.T) {
 	if err := s1.Put(d, "sig", subFor(d)); err != nil {
 		t.Fatal(err)
 	}
-	path := s1.entryPath(func() string { e, _ := compositeKeys(d, "sig"); return e }())
+	path := s1.entryPath(cacheKey(d, "sig"))
 	flipByte(t, path, headerSize+8)
 
 	s2 := open(t, dir)
@@ -86,8 +87,10 @@ func TestEntryBitFlipDroppedAtBoot(t *testing.T) {
 	}
 }
 
-// A corrupted iso-class sibling must not poison lookups for relabeled
-// demands: the corrupt candidate is dropped and the good one serves.
+// A corrupted entry costs only itself: its lookup misses and drops the
+// file, its healthy iso-class sibling keeps serving its own exact lookup,
+// a third relabeling that was never stored misses (the store serves no
+// class fallback), and a re-Put of the damaged demand serves again.
 func TestIsoLookupSurvivesCorruptSibling(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)
@@ -98,13 +101,23 @@ func TestIsoLookupSurvivesCorruptSibling(t *testing.T) {
 	if err := s.Put(d1, "sig", subFor(d1)); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt d0's file, then look up d2 (isomorphic to both).
-	path := s.entryPath(func() string { e, _ := compositeKeys(d0, "sig"); return e }())
-	flipByte(t, path, headerSize+1)
-	if got := s.Load(demand(2), "sig"); got == nil {
-		t.Fatal("iso lookup failed although a healthy sibling exists")
+	flipByte(t, s.entryPath(cacheKey(d0, "sig")), headerSize+1)
+	if got := s.Load(d0, "sig"); got != nil {
+		t.Fatalf("corrupt entry served: %+v", got)
 	}
-	if st := s.Stats(); st.CorruptEntries != 1 || st.HitIso != 1 {
+	if got := s.Load(d1, "sig"); !reflect.DeepEqual(got, subFor(d1)) {
+		t.Fatalf("healthy sibling lost after the corrupt drop: %+v", got)
+	}
+	if got := s.Load(demand(2), "sig"); got != nil {
+		t.Fatalf("relabeled demand served from another demand's entry: %+v", got)
+	}
+	if err := s.Put(d0, "sig", subFor(d0)); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Load(d0, "sig"); !reflect.DeepEqual(got, subFor(d0)) {
+		t.Fatalf("re-Put entry did not serve: %+v", got)
+	}
+	if st := s.Stats(); st.CorruptEntries != 1 || st.HitExact != 2 || st.Misses != 2 || st.Entries != 2 {
 		t.Fatalf("stats %+v", st)
 	}
 }
@@ -169,7 +182,7 @@ func TestEveryBytePositionDetectedThroughStore(t *testing.T) {
 	if err := s.Put(d, "sig", subFor(d)); err != nil {
 		t.Fatal(err)
 	}
-	path := s.entryPath(func() string { e, _ := compositeKeys(d, "sig"); return e }())
+	path := s.entryPath(cacheKey(d, "sig"))
 	pristine, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -57,8 +57,7 @@ func TestKillBeforeRenameLeavesNoEntry(t *testing.T) {
 
 	// Simulate the dead writer: valid bytes under a tmp name.
 	data := EncodeEntry(&Entry{
-		ExactKey: func() string { e, _ := compositeKeys(d, "sig"); return e }(),
-		IsoKey:   func() string { _, i := compositeKeys(d, "sig"); return i }(),
+		ExactKey: cacheKey(d, "sig"),
 		Demand:   d, Sub: sub,
 	})
 	shard := filepath.Join(dir, objectsDir, "ab")
@@ -97,7 +96,7 @@ func TestTruncatedEntrySkippedOnBoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Truncate the second entry's file to half its size.
-	badPath := s1.entryPath(func() string { e, _ := compositeKeys(dBad, "other-sig"); return e }())
+	badPath := s1.entryPath(cacheKey(dBad, "other-sig"))
 	info, err := os.Stat(badPath)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,6 @@ package persist
 
 import "syccl/internal/isomorph"
 
-// compositeKeys is the crash/corruption harness's name for the shared
-// key pair; the store itself calls isomorph.CacheKeys.
-var compositeKeys = isomorph.CacheKeys
+// cacheKey is the crash/corruption harness's name for the key an entry
+// is addressed by; the store itself calls isomorph.CacheKey.
+var cacheKey = isomorph.CacheKey

@@ -46,10 +46,9 @@ type Options struct {
 
 // Stats is a snapshot of a store's lifetime counters (since Open).
 type Stats struct {
-	// Loads counts Load calls; HitExact + HitIso + Misses = Loads.
+	// Loads counts Load calls; HitExact + Misses = Loads.
 	Loads    int64 `json:"loads"`
 	HitExact int64 `json:"hit_exact"`
-	HitIso   int64 `json:"hit_iso"`
 	Misses   int64 `json:"misses"`
 	// Stores counts Put calls that wrote a new entry; Duplicates counts
 	// first-write-wins drops; StoreErrors counts failed writes.
@@ -80,11 +79,10 @@ type Store struct {
 	fp  string
 
 	mu    sync.Mutex
-	exact map[string]string   // composite exact key -> entry file path
-	iso   map[string][]string // composite iso key -> entry file paths
+	exact map[string]string // cache key (isomorph.CacheKey) -> entry file path
 	bytes int64
 
-	loads, hitExact, hitIso, misses  atomic.Int64
+	loads, hitExact, misses          atomic.Int64
 	stores, duplicates, storeErrors  atomic.Int64
 	corruptEntries, corruptSnaps     atomic.Int64
 	corruptManifest, resets, orphans atomic.Int64
@@ -94,7 +92,7 @@ type Store struct {
 
 // storeMetrics holds the labeled children, resolved once at BindMetrics.
 type storeMetrics struct {
-	loadExact, loadIso, loadMiss     *obs.Counter
+	loadExact, loadMiss              *obs.Counter
 	storeWritten, storeDup, storeErr *obs.Counter
 	corruptEntry, corruptManifest    *obs.Counter
 	corruptSnapshot                  *obs.Counter
@@ -120,7 +118,6 @@ func Open(opts Options) (*Store, error) {
 		dir:   opts.Dir,
 		fp:    opts.Fingerprint,
 		exact: make(map[string]string),
-		iso:   make(map[string][]string),
 	}
 	for _, d := range []string{s.dir, filepath.Join(s.dir, objectsDir), filepath.Join(s.dir, snapshotsDir)} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
@@ -153,7 +150,6 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Loads:            s.loads.Load(),
 		HitExact:         s.hitExact.Load(),
-		HitIso:           s.hitIso.Load(),
 		Misses:           s.misses.Load(),
 		Stores:           s.stores.Load(),
 		Duplicates:       s.duplicates.Load(),
@@ -183,7 +179,6 @@ func (s *Store) BindMetrics(reg *obs.Registry) {
 		"Named snapshot operations by result.", "result")
 	m := &storeMetrics{
 		loadExact:       loads.With("hit_exact"),
-		loadIso:         loads.With("hit_iso"),
 		loadMiss:        loads.With("miss"),
 		storeWritten:    stores.With("written"),
 		storeDup:        stores.With("duplicate"),
@@ -201,7 +196,6 @@ func (s *Store) BindMetrics(reg *obs.Registry) {
 	// Seed with pre-bind history so the exposition agrees with Stats().
 	st := s.Stats()
 	m.loadExact.Add(float64(st.HitExact))
-	m.loadIso.Add(float64(st.HitIso))
 	m.loadMiss.Add(float64(st.Misses))
 	m.storeWritten.Add(float64(st.Stores))
 	m.storeDup.Add(float64(st.Duplicates))
@@ -214,44 +208,25 @@ func (s *Store) BindMetrics(reg *obs.Registry) {
 	s.met.Store(m)
 }
 
-// Load returns the stored sub-schedule for the demand and solve
-// signature, or nil. An exact-key hit replays the stored solution
-// verbatim; otherwise entries in the same iso class are tried and, when
-// a full GPU mapping exists, the stored solution is mapped onto the
-// queried demand. Entries that fail their checksum (or decode to an
-// invalid demand) are dropped from disk and the lookup falls through —
-// corruption degrades to a cold synthesis, never to a bad schedule.
+// Load returns the sub-schedule stored for exactly this demand and solve
+// signature, verbatim, or nil. An entry that fails its checksum (or
+// decodes to an invalid demand) is dropped from disk and the lookup
+// misses — corruption degrades to a cold synthesis, never to a bad
+// schedule.
 func (s *Store) Load(d *solve.Demand, sig string) *solve.SubSchedule {
 	s.loads.Add(1)
-	exact, iso := isomorph.CacheKeys(d, sig)
+	key := isomorph.CacheKey(d, sig)
 	s.mu.Lock()
-	exactPath := s.exact[exact]
-	isoPaths := append([]string(nil), s.iso[iso]...)
+	path := s.exact[key]
 	s.mu.Unlock()
 
-	if exactPath != "" {
-		if e := s.readEntry(exactPath); e != nil && e.ExactKey == exact {
+	if path != "" {
+		if e := s.readEntry(path); e != nil && e.ExactKey == key {
 			s.hitExact.Add(1)
 			if m := s.met.Load(); m != nil {
 				m.loadExact.Inc()
 			}
 			return e.Sub
-		}
-	}
-	for _, p := range isoPaths {
-		if p == exactPath {
-			continue // already tried (and dropped) above
-		}
-		e := s.readEntry(p)
-		if e == nil {
-			continue
-		}
-		if m := isomorph.FindFullMapping(e.Demand, d); m != nil {
-			s.hitIso.Add(1)
-			if mm := s.met.Load(); mm != nil {
-				mm.loadIso.Inc()
-			}
-			return isomorph.MapSchedule(e.Sub, *m)
 		}
 	}
 	s.misses.Add(1)
@@ -267,8 +242,12 @@ func (s *Store) Load(d *solve.Demand, sig string) *solve.SubSchedule {
 // only Put fully validated results — the engine never stores partial or
 // cancelled-flight solutions, and this package cannot tell the
 // difference.
+//
+// The entry still records the demand and its class key (isomorph.Key
+// plus the signature), which nothing reads any more: format v1 carries
+// them, and a corpus must stay readable by binaries that do.
 func (s *Store) Put(d *solve.Demand, sig string, sub *solve.SubSchedule) error {
-	exact, iso := isomorph.CacheKeys(d, sig)
+	exact := isomorph.CacheKey(d, sig)
 	path := s.entryPath(exact)
 
 	s.mu.Lock()
@@ -283,14 +262,12 @@ func (s *Store) Put(d *solve.Demand, sig string, sub *solve.SubSchedule) error {
 	// Reserve the key before the write so a concurrent duplicate Put
 	// becomes a no-op instead of a double write; rolled back on error.
 	s.exact[exact] = path
-	s.iso[iso] = append(s.iso[iso], path)
 	s.mu.Unlock()
 
-	data := EncodeEntry(&Entry{ExactKey: exact, IsoKey: iso, Demand: d, Sub: sub})
+	data := EncodeEntry(&Entry{ExactKey: exact, IsoKey: isomorph.Key(d) + "|" + sig, Demand: d, Sub: sub})
 	if err := atomicWrite(path, data); err != nil {
 		s.mu.Lock()
 		delete(s.exact, exact)
-		s.iso[iso] = removePath(s.iso[iso], path)
 		s.mu.Unlock()
 		s.storeErrors.Add(1)
 		if m := s.met.Load(); m != nil {
@@ -309,9 +286,9 @@ func (s *Store) Put(d *solve.Demand, sig string, sub *solve.SubSchedule) error {
 	return nil
 }
 
-// InvalidateMatching removes every stored entry whose composite exact or
-// iso key starts with one of the prefixes, deleting the backing files,
-// and returns the number of entries removed. It implements the engine's
+// InvalidateMatching removes every stored entry whose cache key starts
+// with one of the prefixes, deleting the backing files, and returns the
+// number of entries removed. It implements the engine's
 // selective invalidation for fault-reactive replanning: entries whose
 // demand shape no longer exists on a degraded fabric are dropped from
 // the disk tier so a later warm boot does not resurrect them. Removal is
@@ -331,41 +308,14 @@ func (s *Store) InvalidateMatching(prefixes []string) int {
 	}
 
 	s.mu.Lock()
-	victims := make(map[string]bool)
+	var victims []string
 	for k, p := range s.exact {
 		if match(k) {
-			victims[p] = true
-		}
-	}
-	for k, ps := range s.iso {
-		if match(k) {
-			for _, p := range ps {
-				victims[p] = true
-			}
-		}
-	}
-	removed := 0
-	for k, p := range s.exact {
-		if victims[p] {
 			delete(s.exact, k)
-			removed++
+			victims = append(victims, p)
 		}
 	}
-	for k, ps := range s.iso {
-		out := ps[:0:0]
-		for _, p := range ps {
-			if !victims[p] {
-				out = append(out, p)
-			}
-		}
-		switch {
-		case len(out) == 0:
-			delete(s.iso, k)
-		case len(out) != len(ps):
-			s.iso[k] = out
-		}
-	}
-	for p := range victims {
+	for _, p := range victims {
 		if fi, err := os.Stat(p); err == nil {
 			s.bytes -= fi.Size()
 		}
@@ -376,10 +326,10 @@ func (s *Store) InvalidateMatching(prefixes []string) int {
 	s.updateGaugesLocked()
 	s.mu.Unlock()
 
-	for p := range victims {
+	for _, p := range victims {
 		_ = os.Remove(p)
 	}
-	return removed
+	return len(victims)
 }
 
 // SaveSnapshot atomically writes a named opaque snapshot (checksummed
@@ -509,7 +459,6 @@ func (s *Store) scan() {
 		s.mu.Lock()
 		if _, dup := s.exact[e.ExactKey]; !dup {
 			s.exact[e.ExactKey] = path
-			s.iso[e.IsoKey] = append(s.iso[e.IsoKey], path)
 			s.bytes += int64(len(data))
 		}
 		s.mu.Unlock()
@@ -552,16 +501,6 @@ func (s *Store) forgetPath(path string) {
 			break
 		}
 	}
-	for k, ps := range s.iso {
-		if out := removePath(ps, path); len(out) != len(ps) {
-			if len(out) == 0 {
-				delete(s.iso, k)
-			} else {
-				s.iso[k] = out
-			}
-			break
-		}
-	}
 	s.updateGaugesLocked()
 }
 
@@ -576,15 +515,6 @@ func (s *Store) entryPath(exactKey string) string {
 	sum := sha256.Sum256([]byte(exactKey))
 	name := hex.EncodeToString(sum[:])
 	return filepath.Join(s.dir, objectsDir, name[:2], name+entrySuffix)
-}
-
-func removePath(paths []string, path string) []string {
-	for i, p := range paths {
-		if p == path {
-			return append(paths[:i], paths[i+1:]...)
-		}
-	}
-	return paths
 }
 
 func hasEntries(root string) bool {

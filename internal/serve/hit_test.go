@@ -368,7 +368,7 @@ func TestResolveMemo(t *testing.T) {
 			t.Fatalf("workers %d / %d", res.opts.Workers, plain.opts.Workers)
 		}
 		// The memoized identity itself stays worker-less.
-		if idn, _ := s.memo.Get(memoKey(&base), ""); idn.opts.Workers != 0 {
+		if idn, _ := s.memo.Get(memoKey(&base)); idn.opts.Workers != 0 {
 			t.Fatalf("a request's workers (%d) leaked into the memo", idn.opts.Workers)
 		}
 	})

@@ -237,14 +237,14 @@ func memoKey(req *Request) string {
 // recomputed each time and bad input cannot displace good entries.
 func (s *Server) resolve(req *Request) (*resolved, *APIError) {
 	mk := memoKey(req)
-	idn, ok := s.memo.Get(mk, "")
+	idn, ok := s.memo.Get(mk)
 	if !ok {
 		var aerr *APIError
 		if idn, aerr = resolveIdentity(req); aerr != nil {
 			return nil, aerr
 		}
 		if len(mk) <= maxMemoKey {
-			s.memo.Add(mk, "", func() *identity { return idn })
+			s.memo.Add(mk, func() *identity { return idn })
 		}
 	}
 	r := &resolved{identity: *idn, req: req}

@@ -65,13 +65,13 @@ func newScheduleStore(cap int, rec *obs.Recorder) scheduleStore {
 	})}
 }
 
-func (st scheduleStore) get(id string) (*storeEntry, bool) { return st.c.Get(id, "") }
+func (st scheduleStore) get(id string) (*storeEntry, bool) { return st.c.Get(id) }
 
 // put inserts a result under its own clone of the schedule; the first
 // write for an id wins so stored results stay stable under concurrent
 // duplicate solves.
 func (st scheduleStore) put(id string, resp SynthesizeResponse, sched *schedule.Schedule) {
-	st.c.Add(id, "", func() *storeEntry { return &storeEntry{id: id, resp: resp, sched: sched.Clone()} })
+	st.c.Add(id, func() *storeEntry { return &storeEntry{id: id, resp: resp, sched: sched.Clone()} })
 }
 
 func (st scheduleStore) len() int { return st.c.Len() }

@@ -30,12 +30,15 @@ go test -count=10 ./internal/lp ./internal/milp ./internal/solve
 echo "== go test =="
 go test ./...
 
-echo "== cold digests under GOMAXPROCS 1, 4, 16 =="
+echo "== cold digests and history independence under GOMAXPROCS 1, 4, 16 =="
 # The pinned cold bytes must not depend on how many OS threads run the
 # worker goroutines: two nondeterminism bugs showed only off the default
-# setting (2–3 s of test per setting on the 2-core box, plus the build).
+# setting. A plan on a long-lived engine must return those same cold
+# bytes whatever was planned before it (3–4 s of test per setting on the
+# 2-core box, plus the build).
 for procs in 1 4 16; do
-    GOMAXPROCS=$procs go test ./internal/core -run 'TestColdScheduleDigests$' -count=1
+    GOMAXPROCS=$procs go test ./internal/core ./internal/engine \
+        -run 'TestColdScheduleDigests$|TestPlanAnswerIndependentOfHistory$' -count=1
 done
 
 echo "== go test -race (core/engine/lru/milp/obs/persist/serve/sim/solve/verify shard) =="
