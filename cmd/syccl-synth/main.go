@@ -25,6 +25,7 @@ import (
 	"syccl/internal/obs"
 	"syccl/internal/schedule"
 	"syccl/internal/sim"
+	"syccl/internal/sketch"
 	"syccl/internal/teccl"
 	"syccl/internal/trace"
 )
@@ -73,7 +74,7 @@ func main() {
 		copts := core.Options{
 			E1: opts.E1, E2: opts.E2, Workers: opts.Workers, Seed: opts.Seed,
 			SolverMode: mode, Obs: rec,
-			Hint:       opts.Hint(),
+			Search:     sketch.SearchOptions{Hint: opts.Hint()},
 			StopWithin: opts.StopWithin / 100,
 		}
 		var onInc func(core.Incumbent)

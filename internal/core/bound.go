@@ -43,11 +43,6 @@ import (
 // Workers setting. A cancelled bound LP yields 0 (no bound, keep the
 // candidate); anytime semantics are unaffected.
 
-// boundSig versions the seconds-domain bound in the engine's bound
-// cache. The bound depends only on the demand (isomorph keys embed α, β,
-// and the piece structure), so the signature is a formulation tag.
-const boundSig = "sec1"
-
 // demandTimeBounds returns, indexed by demand id, the seconds lower bound
 // of every demand the candidates' cells use: served by opts.BoundCache or
 // computed by one solve.FlowTimeBound LP per distinct demand, and 0 where
@@ -60,7 +55,7 @@ func demandTimeBounds(ctx context.Context, tab *isomorph.Table, cands []*candida
 	var misses []int
 	for _, id := range ids {
 		if opts.BoundCache != nil {
-			if v, ok := opts.BoundCache.Lookup(tab.Demand(id), boundSig); ok {
+			if v, ok := opts.BoundCache.Lookup(tab.Demand(id)); ok {
 				sec[id] = v
 				continue
 			}
@@ -77,7 +72,7 @@ func demandTimeBounds(ctx context.Context, tab *isomorph.Table, cands []*candida
 	if opts.BoundCache != nil && ctx.Err() == nil {
 		for k, id := range misses {
 			if solved[k] {
-				opts.BoundCache.Store(tab.Demand(id), boundSig, sec[id])
+				opts.BoundCache.Store(tab.Demand(id), sec[id])
 			}
 		}
 	}

@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"time"
 
 	"syccl/internal/collective"
@@ -35,8 +36,9 @@ type Options struct {
 	Workers int
 	// MaxCombos caps the candidate combinations evaluated (default 12).
 	MaxCombos int
-	// Search configures sketch exploration (pruning toggles, stage
-	// limits — the Fig 17 ablations).
+	// Search configures sketch exploration: pruning toggles and stage
+	// limits (the Fig 17 ablations), and the optional TACCL-style sketch
+	// hint (Search.Hint), validated against the topology before search.
 	Search sketch.SearchOptions
 	// SolverMode selects the solver strategy family (the -solver CLI
 	// knob). SolverAuto (default) runs the exact MILP with
@@ -88,13 +90,6 @@ type Options struct {
 	// selection. No final event is emitted; the returned Result is the
 	// final incumbent (its Time is ≤ the last published one).
 	OnIncumbent func(Incumbent)
-	// Hint optionally constrains the sketch search (TACCL-style
-	// communication sketches): dimension order, per-stage group sizes,
-	// algorithm family. withDefaults folds it into Search.Hint; it is
-	// validated against the topology before search. Hinted runs use
-	// distinct solve/sketch cache signatures (see Hint.Canonical), so
-	// hinted and unhinted plans never collide in shared caches.
-	Hint *sketch.Hint
 	// StopWithin, when positive, enables early termination at the
 	// coarse/fine boundary: if the coarse incumbent's simulated time is
 	// within StopWithin (relative, e.g. 0.05 = 5%) of its flow lower
@@ -182,12 +177,12 @@ func ParseSolverMode(s string) (SolverMode, error) {
 }
 
 // BoundCache is a cross-request store of flow lower bounds, keyed by
-// demand identity plus a bound-formulation signature. Implementations
+// demand identity: the bound depends on the demand alone. Implementations
 // must be safe for concurrent use and must not retain the caller's
 // demand after either call returns.
 type BoundCache interface {
-	Lookup(d *solve.Demand, sig string) (float64, bool)
-	Store(d *solve.Demand, sig string, bound float64)
+	Lookup(d *solve.Demand) (float64, bool)
+	Store(d *solve.Demand, bound float64)
 }
 
 // SolveCache is a cross-request store of solved sub-schedules. Lookup
@@ -234,9 +229,6 @@ func (o Options) withDefaults() Options {
 	if o.Sim.IsZero() {
 		o.Sim = sim.DefaultOptions()
 	}
-	if o.Hint != nil && o.Search.Hint == nil {
-		o.Search.Hint = o.Hint
-	}
 	// Fan the recorder out to the sub-systems that accept one, unless the
 	// caller wired its own.
 	if o.Obs != nil {
@@ -248,6 +240,33 @@ func (o Options) withDefaults() Options {
 		}
 	}
 	return o
+}
+
+// Fingerprint renders every option that steers synthesis at its
+// defaulted value: options that run identically render identically, and
+// options that may run differently never do. engine.PlanKey keys plans
+// by it.
+// Left out are the fields that cannot change the schedule: Workers
+// (schedules are byte-identical across worker counts), Obs, Sim.Rec,
+// Search.Rec and OnIncumbent (observation), the three caches (wiring),
+// and Recipe (a replay returns the full pass's bytes or runs it).
+func (o Options) Fingerprint() string {
+	o = o.withDefaults()
+	b := make([]byte, 0, 192)
+	b = strconv.AppendFloat(append(b, "e1="...), o.E1, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, "|e2="...), o.E2, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, "|r1="...), o.R1, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, "|r2="...), int64(o.R2), 10)
+	b = strconv.AppendInt(append(b, "|mc="...), int64(o.MaxCombos), 10)
+	b = strconv.AppendInt(append(b, "|solver="...), int64(o.SolverMode), 10)
+	b = strconv.AppendInt(append(b, "|seed="...), o.Seed, 10)
+	b = strconv.AppendBool(append(b, "|no2s="...), o.DisableTwoStep)
+	b = strconv.AppendBool(append(b, "|noiso="...), o.DisableIsomorphCache)
+	b = strconv.AppendFloat(append(b, "|sw="...), o.StopWithin, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, "|sim="...), o.Sim.BlockBytes, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, '/'), int64(o.Sim.MaxBlocks), 10)
+	b = append(append(b, "|search="...), o.Search.Fingerprint()...)
+	return string(b)
 }
 
 // Phases records where synthesis time went (Fig 16b).
@@ -326,23 +345,24 @@ type Result struct {
 	Recipe *Recipe
 }
 
-// passSolver resolves the epoch knob and sub-demand engine of a pass.
-// The coarse pass trades accuracy for speed twice over — large epochs
-// (E1) and the greedy engine, whatever the mode: it only ranks
-// candidates, and mode selection concerns how survivors are refined —
-// unless two-step synthesis is disabled, when it is the only pass and
-// runs at fine accuracy.
-func (o Options) passSolver(fine bool) (float64, solve.Engine) {
+// passSolver is what a pass hands the sub-demand solver (the caller adds
+// the per-solve Span); its Fingerprint is the signature the pass's
+// sub-schedules are cached under. The coarse pass trades accuracy for
+// speed twice over — large epochs (E1) and the greedy engine, whatever
+// the mode: it only ranks candidates, and mode selection concerns how
+// survivors are refined — unless two-step synthesis is disabled, when it
+// is the only pass and runs at fine accuracy.
+func (o Options) passSolver(fine bool) solve.Options {
+	so := solve.Options{E: o.E2, Seed: o.Seed, DisableFlowBound: o.SolverMode == SolverExact}
 	switch {
 	case !fine && !o.DisableTwoStep:
-		return o.E1, solve.EngineGreedy
+		so.E, so.Engine = o.E1, solve.EngineGreedy
 	case o.SolverMode == SolverExact:
-		return o.E2, solve.EngineExact
+		so.Engine = solve.EngineExact
 	case o.SolverMode == SolverFlow:
-		return o.E2, solve.EngineFlow
-	default:
-		return o.E2, solve.EngineAuto
+		so.Engine = solve.EngineFlow
 	}
+	return so
 }
 
 func kindForward(k collective.Kind) (forward collective.Kind, mirrored bool) {

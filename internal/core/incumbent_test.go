@@ -102,7 +102,7 @@ func TestAllReduceWinnerByConcatenatedTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Workers: 1, Hint: hint}
+	opts := Options{Workers: 1, Search: sketch.SearchOptions{Hint: hint}}
 
 	res, incs := collectIncumbents(t, top, col, opts)
 	checkIncumbentInvariants(t, col, res, incs)

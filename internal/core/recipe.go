@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -35,7 +34,7 @@ type Recipe struct {
 	// Source is the pass that produced the winner: "coarse", "fine" or
 	// "ring". Together with the options — which the keeper of the recipe
 	// keys it by — it fixes the signature the winner's cells are cached
-	// under (passSolver, solveSignature).
+	// under (passSolver, solve.Options.Fingerprint).
 	Source string
 	// TimeBits (the forward schedule's simulated time, as
 	// math.Float64bits) and Transfers (its transfer count) are the
@@ -88,9 +87,9 @@ func rebuild(top *topology.Topology, col *collective.Collective, opts Options, p
 		}
 		sched = ring
 	case rc.Combination != nil && opts.SolveCache != nil && (rc.Source == "coarse" || rc.Source == "fine"):
-		e, engine := opts.passSolver(rc.Source == "fine")
-		engineName = engine.String()
-		sig := solveSignature(e, engine, opts)
+		so := opts.passSolver(rc.Source == "fine")
+		engineName = so.Engine.String()
+		sig := so.Fingerprint()
 		a, err := newAssembly(top, col, rc.Combination)
 		if err != nil {
 			return nil
@@ -131,38 +130,4 @@ func rebuild(top *topology.Topology, col *collective.Collective, opts Options, p
 	res.Stats.Candidates = 1
 	res.Stats.CrossCacheHits = cells
 	return res
-}
-
-// solveOptions is what a pass hands the sub-demand solver. Every field it
-// sets is rendered by solveSignature below (the two must move together:
-// TestSolveSignatureCoversEveryOption); the caller adds the per-solve Span.
-func solveOptions(e float64, engine solve.Engine, opts Options) solve.Options {
-	return solve.Options{
-		E:                e,
-		Engine:           engine,
-		Seed:             opts.Seed,
-		DisableFlowBound: opts.SolverMode == SolverExact,
-	}
-}
-
-// solveSignature is the solve-option part of a cached sub-schedule's
-// key: solutions found at another accuracy, by another engine, or under
-// another seed or hint never answer for each other. The format is frozen
-// — persisted corpora are keyed by it — so the slot of the removed
-// per-solve time limit stays as the literal "t0" every entry ever
-// written carries.
-func solveSignature(e float64, engine solve.Engine, opts Options) string {
-	// SolverExact disables the flow bound inside the exact engine, which
-	// changes which horizons are searched (and thus the node budget
-	// spent), so the flag is part of the signature.
-	sig := fmt.Sprintf("e%.9g|g%d|t0|s%d|fb%t",
-		e, engine, opts.Seed, opts.SolverMode == SolverExact)
-	// Hinted plans carry the hint in their signature so hinted and
-	// unhinted solutions never collide in the memory or persist tiers.
-	// Unhinted signatures are unchanged, keeping existing persisted
-	// corpora valid.
-	if h := opts.Hint.Canonical(); h != "" {
-		sig += "|h=" + h
-	}
-	return sig
 }

@@ -139,68 +139,3 @@ func TestStaleRecipeRunsTheFullPass(t *testing.T) {
 		}
 	}
 }
-
-// solveSigRendered lists the solve.Options fields core sets
-// (solveOptions), each with an input change that moves it: every one
-// must also move solveSignature, or two different solves would answer
-// for each other in the solve cache, the recipe cache and the persist
-// corpus. solveSigExcluded lists the rest, with the reason core never
-// sets them. A new solve.Options field fails
-// TestSolveSignatureCoversEveryOption until it is on one list.
-var solveSigRendered = map[string]func(e *float64, engine *solve.Engine, opts *Options){
-	"E":                func(e *float64, _ *solve.Engine, _ *Options) { *e = 1.5 },
-	"Engine":           func(_ *float64, engine *solve.Engine, _ *Options) { *engine = solve.EngineFlow },
-	"Seed":             func(_ *float64, _ *solve.Engine, opts *Options) { opts.Seed = 7 },
-	"DisableFlowBound": func(_ *float64, _ *solve.Engine, opts *Options) { opts.SolverMode = SolverExact },
-}
-
-var solveSigExcluded = map[string]string{
-	"Span":        "observability; realizeAll attaches one per solve, it never steers it",
-	"Tau":         "never set by core: the epoch duration is always derived from E",
-	"MaxBinaries": "never set by core: the exact engine's default size gate is the only one in use",
-}
-
-func TestSolveSignatureCoversEveryOption(t *testing.T) {
-	baseE, baseEngine, baseOpts := 0.5, solve.EngineAuto, Options{}
-	baseSig := solveSignature(baseE, baseEngine, baseOpts)
-	base := reflect.ValueOf(solveOptions(baseE, baseEngine, baseOpts))
-
-	st := base.Type()
-	for i := 0; i < st.NumField(); i++ {
-		name := st.Field(i).Name
-		move, rendered := solveSigRendered[name]
-		_, excluded := solveSigExcluded[name]
-		if rendered == excluded {
-			t.Errorf("solve.Options.%s must be on exactly one of solveSigRendered / solveSigExcluded", name)
-			continue
-		}
-		if excluded {
-			continue
-		}
-		e, engine, opts := baseE, baseEngine, baseOpts
-		move(&e, &engine, &opts)
-		got := reflect.ValueOf(solveOptions(e, engine, opts))
-		if reflect.DeepEqual(got.Field(i).Interface(), base.Field(i).Interface()) {
-			t.Errorf("%s: the listed change does not reach solve.Options.%s", name, name)
-		}
-		if solveSignature(e, engine, opts) == baseSig {
-			t.Errorf("solve.Options.%s steers the solve but not solveSignature", name)
-		}
-		// What core hands the solver never carries an excluded field.
-		for ex := range solveSigExcluded {
-			if f := got.FieldByName(ex); !f.IsValid() || !f.IsZero() {
-				t.Errorf("solveOptions sets %s, which solveSignature does not render", ex)
-			}
-		}
-	}
-	for name := range solveSigRendered {
-		if _, ok := st.FieldByName(name); !ok {
-			t.Errorf("solveSigRendered names %s, which solve.Options no longer has", name)
-		}
-	}
-	for name := range solveSigExcluded {
-		if _, ok := st.FieldByName(name); !ok {
-			t.Errorf("solveSigExcluded names %s, which solve.Options no longer has", name)
-		}
-	}
-}

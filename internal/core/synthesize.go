@@ -58,7 +58,7 @@ func SynthesizeContext(ctx context.Context, top *topology.Topology, col *collect
 	if col.NumGPUs != top.NumGPUs() {
 		return nil, fmt.Errorf("core: collective spans %d GPUs, topology has %d", col.NumGPUs, top.NumGPUs())
 	}
-	if err := opts.Hint.Validate(top.NumDims()); err != nil {
+	if err := opts.Search.Hint.Validate(top.NumDims()); err != nil {
 		return nil, err
 	}
 
@@ -229,14 +229,14 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	// (exact MILP where tractable) on the surviving candidates (§5.3).
 	coarseSpan := parent.Child("solve.coarse")
 	t0 = time.Now()
-	e1, eng1 := opts.passSolver(false)
+	coarseSolve := opts.passSolver(false)
 	tab := isomorph.NewTable()
 	pool := assembleAll(top, col, combos, tab, opts, coarseSpan)
-	coarse := realizeAll(ctx, top, tab, pool, e1, eng1, opts, &res.Stats, coarseSpan, pub, "coarse")
+	coarse := realizeAll(ctx, top, tab, pool, coarseSolve, opts, &res.Stats, coarseSpan, pub, "coarse")
 	cands := make([]*candidate, 0, len(combos))
 	for ci, c := range pool {
 		if coarse[ci].ok {
-			c.sched, c.time, c.source, c.engine = coarse[ci].sched, coarse[ci].time, "coarse", eng1.String()
+			c.sched, c.time, c.source, c.engine = coarse[ci].sched, coarse[ci].time, "coarse", coarseSolve.Engine.String()
 			cands = append(cands, c)
 		}
 	}
@@ -325,11 +325,11 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 		return finish(cands, ctx.Err() != nil)
 	}
 	t0 = time.Now()
-	e2, eng2 := opts.passSolver(true)
-	fine := realizeAll(ctx, top, tab, keep, e2, eng2, opts, &res.Stats, fineSpan, pub, "fine")
+	fineSolve := opts.passSolver(true)
+	fine := realizeAll(ctx, top, tab, keep, fineSolve, opts, &res.Stats, fineSpan, pub, "fine")
 	finalists := make([]*candidate, 0, len(cands)+len(keep))
 	finalists = append(finalists, cands...)
-	fineName := eng2.String()
+	fineName := fineSolve.Engine.String()
 	for ci, c := range keep {
 		if fine[ci].ok {
 			finalists = append(finalists, &candidate{
@@ -465,8 +465,8 @@ type realized struct {
 	ok    bool
 }
 
-// realizeAll realizes every candidate of one pass at accuracy e with the
-// given engine, out of the call's demand table: cands carry their
+// realizeAll realizes every candidate of one pass under the pass's solve
+// options (passSolver), out of the call's demand table: cands carry their
 // assembly and the table ids of their cells, so the pass works per
 // distinct demand and fans the result out to the cells that share it.
 //
@@ -493,9 +493,9 @@ type realized struct {
 // exact solve may have returned its greedy incumbent, which must not
 // masquerade as the converged solution in later requests).
 func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table, cands []*candidate,
-	e float64, engine solve.Engine, opts Options, stats *Stats, span *obs.Span, pub *publisher, source string) []realized {
+	solveOpts solve.Options, opts Options, stats *Stats, span *obs.Span, pub *publisher, source string) []realized {
 
-	engineName := engine.String()
+	engineName := solveOpts.Engine.String()
 	out := make([]realized, len(cands))
 	ids, uses, cells := distinctCells(tab, cands)
 
@@ -503,7 +503,7 @@ func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table
 	// before class batching. An exact-signature hit returns the stored
 	// solution verbatim, which is what makes warm re-plans bit-identical
 	// to the cold run that populated the cache.
-	solveSig := solveSignature(e, engine, opts)
+	solveSig := solveOpts.Fingerprint()
 	subs := make([]*solve.SubSchedule, tab.Len()) // the sub-schedule of each demand's cells
 	cached := make([]bool, tab.Len())
 	if opts.SolveCache != nil {
@@ -545,8 +545,6 @@ func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table
 	span.SetInt("distinct", int64(len(ids)))
 	span.SetInt("classes", int64(classes))
 	opts.Obs.Count("core.demands.distinct", float64(len(ids)))
-
-	solveOpts := solveOptions(e, engine, opts)
 
 	// Solve each representative once, in parallel. Durations are collected
 	// per slot and reduced serially below so MaxSolve does not depend on

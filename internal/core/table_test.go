@@ -38,11 +38,11 @@ func (s *seenDemands) note(d *solve.Demand, lookup bool) {
 // missingBounds is a BoundCache that never has anything.
 type missingBounds struct{ seenDemands }
 
-func (c *missingBounds) Lookup(d *solve.Demand, _ string) (float64, bool) {
+func (c *missingBounds) Lookup(d *solve.Demand) (float64, bool) {
 	c.note(d, true)
 	return 0, false
 }
-func (c *missingBounds) Store(d *solve.Demand, _ string, _ float64) { c.note(d, false) }
+func (c *missingBounds) Store(d *solve.Demand, _ float64) { c.note(d, false) }
 
 // missingSolves is a SolveCache that never has anything.
 type missingSolves struct{ seenDemands }
@@ -119,12 +119,12 @@ func TestSharedMappingsAreReadOnly(t *testing.T) {
 	combos := buildCombinations(t.Context(), top, col, sketches, true, false, opts)
 	tab := isomorph.NewTable()
 	pool := assembleAll(top, col, combos, tab, opts, nil)
-	e, engine := opts.passSolver(false)
+	so := opts.passSolver(false)
 
 	var stats [2]Stats
 	var runs [2][]realized
 	for i := range runs {
-		runs[i] = realizeAll(t.Context(), top, tab, pool, e, engine, opts, &stats[i], nil, nil, "coarse")
+		runs[i] = realizeAll(t.Context(), top, tab, pool, so, opts, &stats[i], nil, nil, "coarse")
 	}
 	stats[0].MaxSolve, stats[1].MaxSolve = 0, 0 // wall time
 	if stats[0].CacheHits == 0 || !reflect.DeepEqual(stats[0], stats[1]) {

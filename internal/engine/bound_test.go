@@ -32,14 +32,14 @@ func TestBoundCacheServesOnlyItsDemand(t *testing.T) {
 	}
 	eng := New(Options{})
 	bounds := boundCacheAdapter{eng}
-	bounds.Store(ring6, "sig", 7.5)
-	if b, ok := bounds.Lookup(triangles, "sig"); ok {
+	bounds.Store(ring6, 7.5)
+	if b, ok := bounds.Lookup(triangles); ok {
 		t.Fatalf("triangles served the ring's bound %g", b)
 	}
-	if b, ok := bounds.Lookup(relabeled, "sig"); ok {
+	if b, ok := bounds.Lookup(relabeled); ok {
 		t.Fatalf("relabeled ring served the ring's bound %g", b)
 	}
-	if b, ok := bounds.Lookup(ring6, "sig"); !ok || b != 7.5 {
+	if b, ok := bounds.Lookup(ring6); !ok || b != 7.5 {
 		t.Fatalf("ring lookup = %g,%t, want 7.5", b, ok)
 	}
 	if st := eng.Stats(); st.BoundHits != 1 || st.BoundMisses != 2 {

@@ -9,15 +9,16 @@
 //   - a sketch cache mapping topology fingerprint (plus collective shape,
 //     root, and search options) to the enumerated sketch set, so repeat
 //     plans on the same fabric skip the §4.1 search entirely;
-//   - a sub-schedule cache keyed by the exact sub-demand plus the
-//     solve-option signature (isomorph.CacheKey), sharded and
+//   - a sub-schedule cache keyed by the exact sub-demand plus the solve
+//     options' fingerprint (isomorph.CacheKey), sharded and
 //     LRU-bounded. A hit returns the stored solution verbatim, so warm
 //     re-plans are bit-identical to the cold run.
 //
 // Next to them sit a flow-bound cache (scalar lower bounds per demand,
-// same keys) and a recipe cache: per plan key, which candidate won last
-// time (core.Recipe), so a repeated plan rebuilds that one candidate from
-// the sub-schedule cache instead of re-ranking all of them.
+// keyed by isomorph.ExactKey) and a recipe cache: per plan key, which
+// candidate won last time (core.Recipe), so a repeated plan rebuilds that
+// one candidate from the sub-schedule cache instead of re-ranking all of
+// them.
 //
 // Every cache answers only for the exact key it stored: a relabeled
 // (isomorphic) demand misses and is solved, or mapped from its class
@@ -36,7 +37,6 @@ package engine
 
 import (
 	"context"
-	"strconv"
 	"sync/atomic"
 
 	"syccl/internal/collective"
@@ -44,7 +44,6 @@ import (
 	"syccl/internal/isomorph"
 	"syccl/internal/lru"
 	"syccl/internal/obs"
-	"syccl/internal/sim"
 	"syccl/internal/sketch"
 	"syccl/internal/solve"
 	"syccl/internal/topology"
@@ -298,7 +297,7 @@ func (e *Engine) Plan(ctx context.Context, top *topology.Topology, col *collecti
 	opts.SolveCache = solveCacheAdapter{e}
 	opts.SketchCache = sketchCacheAdapter{e}
 	opts.BoundCache = boundCacheAdapter{e}
-	key := recipeKey(top, col, opts)
+	key := PlanKey(top, col, opts)
 	kept, found := e.recipes.Get(key)
 	if found {
 		opts.Recipe = cloneRecipe(kept)
@@ -388,22 +387,6 @@ func (e *Engine) Stats() Stats {
 // than N/16 winners replayable.
 const recipeCellsPerEntry = 16
 
-// recipeKey identifies what a recipe answers for: PlanKey — everything
-// that steers synthesis — plus the block configuration of the ranking
-// simulator, which PlanKey leaves to the caller but which decides the
-// winner. Defaulted by the rule core applies, so unset and spelled-out
-// defaults share a recipe.
-func recipeKey(top *topology.Topology, col *collective.Collective, opts core.Options) string {
-	sm := opts.Sim
-	if sm.IsZero() {
-		sm = sim.DefaultOptions()
-	}
-	b := append([]byte(PlanKey(top, col, opts)), "|sim="...)
-	b = strconv.AppendFloat(b, sm.BlockBytes, 'g', -1, 64)
-	b = strconv.AppendInt(append(b, '/'), int64(sm.MaxBlocks), 10)
-	return string(b)
-}
-
 // cloneRecipe deep-copies a recipe on its way into and out of the
 // cache: the combination it carries is also handed to the caller as
 // Result.Combination.
@@ -469,23 +452,23 @@ func cloneSub(s *solve.SubSchedule) *solve.SubSchedule {
 // --- flow-bound cache ---
 
 // boundCacheAdapter implements core.BoundCache on the engine, under the
-// same exact keys as the sub-schedule cache: a bound answers only for the
+// demand's exact key (isomorph.ExactKey): a bound answers only for the
 // demand it was computed on. (An isomorph.Key match would not do — equal
 // class keys are necessary for isomorphism, not sufficient — and a bound
 // borrowed from a non-isomorphic demand could prune a candidate, or skip
 // a fine pass, on a bound that does not hold.)
 type boundCacheAdapter struct{ e *Engine }
 
-func (a boundCacheAdapter) Lookup(d *solve.Demand, sig string) (float64, bool) {
-	if b, ok := a.e.bounds.Get(isomorph.CacheKey(d, sig)); ok {
+func (a boundCacheAdapter) Lookup(d *solve.Demand) (float64, bool) {
+	if b, ok := a.e.bounds.Get(isomorph.ExactKey(d)); ok {
 		return b, true
 	}
 	a.e.bounds.Miss()
 	return 0, false
 }
 
-func (a boundCacheAdapter) Store(d *solve.Demand, sig string, bound float64) {
-	a.e.bounds.Add(isomorph.CacheKey(d, sig), func() float64 { return bound })
+func (a boundCacheAdapter) Store(d *solve.Demand, bound float64) {
+	a.e.bounds.Add(isomorph.ExactKey(d), func() float64 { return bound })
 }
 
 // --- sketch cache ---

@@ -12,6 +12,7 @@ import (
 
 	"syccl/internal/collective"
 	"syccl/internal/core"
+	"syccl/internal/sketch"
 	"syccl/internal/topology"
 	"syccl/internal/verify"
 )
@@ -113,7 +114,9 @@ func historyRequests(fabrics ...fabric) []historyRequest {
 // TestPlanAnswerIndependentOfHistory plans a 72-request history in a row
 // on one engine and holds every answer — schedule bytes and the bits of
 // the predicted time — to a cold core.Synthesize of the same request: a
-// cached plan is the cold plan, whatever the engine planned before.
+// cached plan is the cold plan, whatever the engine planned before. Then
+// it plans the history twice more, under a tree and a flat sketch hint,
+// on the same engine.
 //
 // a100x16 is left out. There, realizeAll can serve a demand from an
 // exact-key entry that an earlier request stored as a mapped class member
@@ -146,6 +149,33 @@ func TestPlanAnswerIndependentOfHistory(t *testing.T) {
 	if st := eng.Stats(); st.SolveHits == 0 || st.IsoHits != 0 {
 		t.Fatalf("the history served %d sub-schedules from cache (%d through a mapping), want some and none: %+v",
 			st.SolveHits, st.IsoHits, st)
+	}
+
+	// The same history again, hinted, on the same engine: a hint narrows
+	// the sketch search but not the sub-demand solver, so hinted plans
+	// replay what the unhinted ones solved, and must still be cold plans.
+	for _, hint := range []*sketch.Hint{{Family: sketch.FamilyTree}, {Family: sketch.FamilyFlat}} {
+		hinted := quickOpts()
+		hinted.Search.Hint = hint
+		before := eng.Stats().SolveHits
+		for _, r := range history {
+			got, err := eng.Plan(context.Background(), r.top, r.col, hinted)
+			if err != nil {
+				t.Fatalf("%s [%s]: %v", r.name, hint.Canonical(), err)
+			}
+			want, err := core.Synthesize(r.top, r.col, hinted)
+			if err != nil {
+				t.Fatalf("%s [%s]: cold: %v", r.name, hint.Canonical(), err)
+			}
+			if math.Float64bits(got.Time) != math.Float64bits(want.Time) {
+				t.Errorf("%s [%s]: planned time %v, cold %v", r.name, hint.Canonical(), got.Time, want.Time)
+			} else if !reflect.DeepEqual(got.Schedule, want.Schedule) {
+				t.Errorf("%s [%s]: planned schedule differs from the cold one", r.name, hint.Canonical())
+			}
+		}
+		if eng.Stats().SolveHits == before {
+			t.Errorf("the %s-hinted history served nothing from cache", hint.Canonical())
+		}
 	}
 }
 

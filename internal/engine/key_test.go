@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
-	"strings"
 	"testing"
 
 	"syccl/internal/collective"
 	"syccl/internal/core"
+	"syccl/internal/sim"
 	"syccl/internal/sketch"
 	"syccl/internal/topology"
 )
@@ -69,14 +69,32 @@ func TestPlanKeyCoalescingContract(t *testing.T) {
 	}
 }
 
+// TestPlanKeyIsTheDefaultedOptions: PlanKey keys what runs, not what was
+// spelled. Unset options and their spelled-out defaults run identically
+// and share a key; options that differ only in the ranking simulator's
+// block configuration may pick another winner and do not.
+func TestPlanKeyIsTheDefaultedOptions(t *testing.T) {
+	top := topology.SingleServer(4)
+	col := collective.AllGather(4, 1<<20)
+	unset := PlanKey(top, col, core.Options{})
+	spelled := core.Options{E1: 3, E2: 0.5, R1: 0.2, R2: 8, MaxCombos: 12, Sim: sim.DefaultOptions()}
+	if k := PlanKey(top, col, spelled); k != unset {
+		t.Fatalf("spelled-out defaults keyed differently:\n%s\n%s", unset, k)
+	}
+	other := spelled
+	other.Sim = sim.Options{BlockBytes: 64 << 10, MaxBlocks: 4}
+	if PlanKey(top, col, other) == unset {
+		t.Fatal("options differing only in Sim share a key")
+	}
+}
+
 // planKeyExcluded lists the option fields PlanKey deliberately leaves
 // out, with the reason each can never change the schedule. Every other
-// field of core.Options and sketch.SearchOptions must change the key
-// (TestPlanKeyCoversEveryOption); a new field fails that test until it
-// is keyed or argued onto this list.
+// field of core.Options and of the sketch.SearchOptions and sim.Options
+// nested in it must change the key (TestPlanKeyCoversEveryOption); a new
+// field fails that test until it is keyed or argued onto this list.
 var planKeyExcluded = map[string]string{
 	"Workers":     "schedules are byte-identical across worker counts",
-	"Sim":         "ranking-simulator options are fixed by the caller, not the request",
 	"Obs":         "instrumentation only",
 	"SolveCache":  "cache wiring; the engine installs its own",
 	"SketchCache": "cache wiring; the engine installs its own",
@@ -84,6 +102,7 @@ var planKeyExcluded = map[string]string{
 	"OnIncumbent": "publication is observation-only",
 	"Recipe":      "replays the same bytes or falls back",
 	"Search.Rec":  "instrumentation only",
+	"Sim.Rec":     "instrumentation only",
 }
 
 // perturb sets a field to a non-zero value of its type; it reports false
@@ -108,51 +127,45 @@ func perturb(f reflect.Value) bool {
 }
 
 // TestPlanKeyCoversEveryOption walks every field of core.Options and of
-// the sketch.SearchOptions nested in it: perturbing a field must change
-// the key unless the field is on planKeyExcluded, in which case it must
-// not. Equal keys promise byte-identical schedules, so an option that
-// steers synthesis but not the key would alias two different schedules
-// in the schedule store, the flights and the schedule ids.
+// the sketch.SearchOptions and sim.Options nested in it: perturbing a
+// field must change the key unless the field is on planKeyExcluded, in
+// which case it must not. Equal keys promise byte-identical schedules,
+// so an option that steers synthesis but not the key would alias two
+// different schedules in the schedule store, the flights, the recipe
+// cache and the schedule ids.
 func TestPlanKeyCoversEveryOption(t *testing.T) {
 	top := topology.SingleServer(4)
 	col := collective.AllGather(4, 1<<20)
 	base := PlanKey(top, col, core.Options{})
 
-	check := func(name string, opts core.Options, settable bool) {
-		t.Helper()
-		_, excluded := planKeyExcluded[name]
-		switch changed := PlanKey(top, col, opts) != base; {
-		case excluded && changed:
-			t.Errorf("%s is on the exclusion list but changes the key", name)
-		case !excluded && !settable:
-			t.Errorf("%s: the test cannot perturb this kind of field; key it and teach perturb, or exclude it with a reason", name)
-		case !excluded && !changed:
-			t.Errorf("%s steers synthesis but not PlanKey: key it, or exclude it with a reason", name)
+	seen := map[string]bool{}
+	var walk func(prefix string, field func(*core.Options) reflect.Value)
+	walk = func(prefix string, field func(*core.Options) reflect.Value) {
+		var zero core.Options
+		typ := field(&zero).Type()
+		for i := 0; i < typ.NumField(); i++ {
+			name := prefix + typ.Field(i).Name
+			if name == "Search" || name == "Sim" {
+				walk(name+".", func(o *core.Options) reflect.Value { return field(o).Field(i) })
+				continue
+			}
+			seen[name] = true
+			var opts core.Options
+			settable := perturb(field(&opts).Field(i))
+			_, excluded := planKeyExcluded[name]
+			switch changed := PlanKey(top, col, opts) != base; {
+			case excluded && changed:
+				t.Errorf("%s is on the exclusion list but changes the key", name)
+			case !excluded && !settable:
+				t.Errorf("%s: the test cannot perturb this kind of field; key it and teach perturb, or exclude it with a reason", name)
+			case !excluded && !changed:
+				t.Errorf("%s steers synthesis but not PlanKey: key it, or exclude it with a reason", name)
+			}
 		}
 	}
-
-	ot := reflect.TypeOf(core.Options{})
-	for i := 0; i < ot.NumField(); i++ {
-		if ot.Field(i).Name == "Search" {
-			continue
-		}
-		var opts core.Options
-		settable := perturb(reflect.ValueOf(&opts).Elem().Field(i))
-		check(ot.Field(i).Name, opts, settable)
-	}
-	st := reflect.TypeOf(sketch.SearchOptions{})
-	for i := 0; i < st.NumField(); i++ {
-		var opts core.Options
-		settable := perturb(reflect.ValueOf(&opts.Search).Elem().Field(i))
-		check("Search."+st.Field(i).Name, opts, settable)
-	}
+	walk("", func(o *core.Options) reflect.Value { return reflect.ValueOf(o).Elem() })
 	for name := range planKeyExcluded {
-		field := strings.TrimPrefix(name, "Search.")
-		typ := ot
-		if field != name {
-			typ = st
-		}
-		if _, ok := typ.FieldByName(field); !ok {
+		if !seen[name] {
 			t.Errorf("exclusion list names %s, which no longer exists", name)
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"syccl/internal/collective"
 	"syccl/internal/core"
 	"syccl/internal/persist"
+	"syccl/internal/solve"
 	"syccl/internal/topology"
 	"syccl/internal/verify"
 )
@@ -188,6 +189,37 @@ func TestEnginePersistCorruptFallsBack(t *testing.T) {
 	}
 	if again.Stats.SolverCalls != 0 {
 		t.Fatalf("re-written corpus did not warm-boot: %d solver calls", again.Stats.SolverCalls)
+	}
+}
+
+// forgingTier writes every sub-schedule through with its first transfer
+// naming a piece the demand does not have: bytes whose checksum holds,
+// as a buggy or foreign writer would leave them.
+type forgingTier struct{ *persist.Store }
+
+func (f forgingTier) Put(d *solve.Demand, sig string, sub *solve.SubSchedule) error {
+	bad := *sub
+	bad.Transfers = append([]solve.Transfer(nil), sub.Transfers...)
+	bad.Transfers[0].Piece = len(d.Pieces)
+	return f.Store.Put(d, sig, &bad)
+}
+
+// TestEnginePersistTamperedEntryFallsBack: a rebooted engine over a
+// corpus of checksummed but out-of-range entries must drop them and
+// re-solve, returning the cold plan. Handed to the assembly, such an entry
+// indexes out of range inside a worker goroutine and kills the process.
+func TestEnginePersistTamperedEntryFallsBack(t *testing.T) {
+	dir := t.TempDir()
+	top := topology.H800Small(2)
+	col := collective.AllGather(top.NumGPUs(), 1<<20)
+	opts := core.Options{Workers: 4}
+	cold := mustPlan(t, New(Options{Persist: forgingTier{openPersist(t, dir)}}), top, col, opts)
+
+	store := openPersist(t, dir)
+	res := mustPlan(t, New(Options{Persist: store}), top, col, opts)
+	sameResult(t, "plan over a tampered corpus", res, cold)
+	if ps := store.Stats(); res.Stats.SolverCalls == 0 || ps.CorruptEntries == 0 || ps.HitExact != 0 {
+		t.Fatalf("tampered corpus: %d solver calls, persist stats %+v", res.Stats.SolverCalls, ps)
 	}
 }
 

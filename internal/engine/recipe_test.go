@@ -217,7 +217,7 @@ func TestRecipeStaleFallsBack(t *testing.T) {
 	t.Run("self-check", func(t *testing.T) {
 		eng := New(Options{})
 		mustPlan(t, eng, top, col, quickOpts())
-		key := recipeKey(top, col, quickOpts())
+		key := PlanKey(top, col, quickOpts())
 		kept, ok := eng.recipes.Get(key)
 		if !ok {
 			t.Fatal("no recipe stored")
@@ -319,9 +319,9 @@ func TestNoRecipeFromIncompletePlans(t *testing.T) {
 }
 
 // TestRecipeKeyedBySimOptions: the ranking simulator's block
-// configuration decides the winner and is not in PlanKey, so it is in
-// the recipe key — spelled-out defaults share a recipe with unset ones,
-// anything else does not.
+// configuration decides the winner, so it is in the plan key the recipe
+// cache is keyed by — spelled-out defaults share a recipe with unset
+// ones, anything else does not.
 func TestRecipeKeyedBySimOptions(t *testing.T) {
 	top, col := recipeCase()
 	eng := New(Options{})

@@ -70,7 +70,7 @@ func keysStable(t *testing.T, what string, d *solve.Demand) {
 	if got, want := ExactKey(d), exactKeyReference(d); got != want {
 		t.Fatalf("%s: ExactKey drifted:\n got: %q\nwant: %q", what, got, want)
 	}
-	const sig = "e0.5|g0|t0|s0|fbfalse"
+	const sig = "e0.5|g0|tau0|mb384|s0|fbfalse"
 	if got, want := CacheKey(d, sig), exactKeyReference(d)+"|"+sig; got != want {
 		t.Fatalf("%s: CacheKey drifted:\n got: %q\nwant: %q", what, got, want)
 	}

@@ -8,8 +8,8 @@
 //
 // On-disk layout under the store directory:
 //
-//	MANIFEST                    — versioned header naming the corpus
-//	                              fingerprint; a mismatch discards the
+//	MANIFEST                    — empty container carrying the format
+//	                              version; another version discards the
 //	                              corpus (compatibility rule, see Open)
 //	objects/<2-hex>/<sha256>.sub — one solved sub-schedule per file,
 //	                              sharded by the first byte of the
@@ -38,11 +38,15 @@ import (
 	"syccl/internal/solve"
 )
 
-// FormatVersion is the on-disk container version. Decoders reject any
-// other version with ErrVersion; Open treats a manifest version mismatch
-// as an incompatible corpus and resets it (entries are cheap to
-// re-synthesize, wrong entries are not cheap to debug).
-const FormatVersion = 1
+// FormatVersion is the on-disk container version, and the only version
+// a corpus has: bump it whenever what an entry means changes — its
+// layout, or the key or solver behind it. Decoders reject any other
+// version with ErrVersion; Open treats a manifest version mismatch as an
+// incompatible corpus and resets it (entries are cheap to re-synthesize,
+// wrong entries are not cheap to debug). Version 2 keys entries by the
+// defaulted solve options (solve.Options.Fingerprint) and stores only
+// the key and the solution.
+const FormatVersion = 2
 
 // Container kinds. Each file kind decodes only as itself, so a snapshot
 // can never be mistaken for a solve entry.
@@ -111,16 +115,11 @@ func decodeContainer(data []byte, wantKind byte) ([]byte, error) {
 	return body[headerSize:], nil
 }
 
-// Entry is one persisted solved sub-demand: its cache key, its class key
-// (isomorph.Key plus the signature), the concrete demand, and the
-// solution. Load reads only the cache key and the solution; the class key
-// and the demand stay in the v1 format so corpora written by either side
-// of that change remain readable by both.
+// Entry is one persisted solved sub-demand: its cache key
+// (isomorph.CacheKey) and the solution.
 type Entry struct {
-	ExactKey string
-	IsoKey   string
-	Demand   *solve.Demand
-	Sub      *solve.SubSchedule
+	Key string
+	Sub *solve.SubSchedule
 }
 
 // EncodeEntry serializes an entry into a container. The encoding is
@@ -129,19 +128,7 @@ type Entry struct {
 // holds the codec to that round-trip).
 func EncodeEntry(e *Entry) []byte {
 	var w wbuf
-	w.str(e.ExactKey)
-	w.str(e.IsoKey)
-	d := e.Demand
-	w.i64(int64(d.NumGPUs))
-	w.f64(d.Alpha)
-	w.f64(d.Beta)
-	w.u32(uint32(len(d.Pieces)))
-	for _, p := range d.Pieces {
-		w.i64(int64(p.ID))
-		w.f64(p.Bytes)
-		w.ints(p.Srcs)
-		w.ints(p.Dsts)
-	}
+	w.str(e.Key)
 	s := e.Sub
 	w.str(s.Engine)
 	w.i64(int64(s.Epochs))
@@ -166,20 +153,11 @@ func DecodeEntry(data []byte) (*Entry, error) {
 		return nil, err
 	}
 	r := &rbuf{b: payload}
-	e := &Entry{ExactKey: r.str(), IsoKey: r.str()}
-	d := &solve.Demand{NumGPUs: int(r.i64()), Alpha: r.f64(), Beta: r.f64()}
-	// Element-count sanity caps: a count may never promise more elements
-	// than the remaining payload could possibly hold, so a corrupted
-	// length can neither over-allocate nor run the reader past the end.
-	npieces := r.count(8 + 8 + 4 + 4)
-	for i := 0; i < npieces && r.err == nil; i++ {
-		p := solve.Piece{ID: int(r.i64()), Bytes: r.f64()}
-		p.Srcs = r.intList()
-		p.Dsts = r.intList()
-		d.Pieces = append(d.Pieces, p)
-	}
-	e.Demand = d
+	e := &Entry{Key: r.str()}
 	s := &solve.SubSchedule{Engine: r.str(), Epochs: int(r.i64()), Tau: r.f64()}
+	// A count may never promise more elements than the remaining payload
+	// could possibly hold, so a corrupted length can neither over-allocate
+	// nor run the reader past the end.
 	ntransfers := r.count(5 * 8)
 	for i := 0; i < ntransfers && r.err == nil; i++ {
 		s.Transfers = append(s.Transfers, solve.Transfer{
@@ -197,29 +175,23 @@ func DecodeEntry(data []byte) (*Entry, error) {
 	return e, nil
 }
 
-// EncodeManifest serializes the corpus manifest.
-func EncodeManifest(fingerprint string) []byte {
-	var w wbuf
-	w.str(fingerprint)
-	return encodeContainer(kindManifest, w.b)
+// EncodeManifest serializes the corpus manifest: an empty container
+// whose header carries the format version.
+func EncodeManifest() []byte {
+	return encodeContainer(kindManifest, nil)
 }
 
-// DecodeManifest parses a manifest container and returns the corpus
-// fingerprint.
-func DecodeManifest(data []byte) (string, error) {
+// DecodeManifest validates a manifest container; a manifest of another
+// format version is ErrVersion.
+func DecodeManifest(data []byte) error {
 	payload, err := decodeContainer(data, kindManifest)
 	if err != nil {
-		return "", err
+		return err
 	}
-	r := &rbuf{b: payload}
-	fp := r.str()
-	if r.err != nil {
-		return "", fmt.Errorf("%w: manifest payload: %v", ErrCorrupt, r.err)
+	if len(payload) != 0 {
+		return fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(payload))
 	}
-	if r.off != len(r.b) {
-		return "", fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(r.b)-r.off)
-	}
-	return fp, nil
+	return nil
 }
 
 // EncodeSnapshot frames an opaque snapshot payload.
@@ -242,12 +214,6 @@ func (w *wbuf) f64(v float64) { w.b = binary.LittleEndian.AppendUint64(w.b, math
 func (w *wbuf) str(s string) {
 	w.u32(uint32(len(s)))
 	w.b = append(w.b, s...)
-}
-func (w *wbuf) ints(vs []int) {
-	w.u32(uint32(len(vs)))
-	for _, v := range vs {
-		w.i64(int64(v))
-	}
 }
 
 // rbuf is a bounds-checked reader: the first overrun latches err and all
@@ -317,18 +283,4 @@ func (r *rbuf) count(minElemBytes int) int {
 		return 0
 	}
 	return n
-}
-
-func (r *rbuf) intList() []int {
-	n := r.count(8)
-	if n == 0 || r.err != nil {
-		// Canonical round-trip: a zero count decodes to nil (EncodeEntry
-		// writes nil and empty slices identically).
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(r.i64())
-	}
-	return out
 }

@@ -13,13 +13,6 @@ import (
 )
 
 func sampleEntry() *Entry {
-	d := &solve.Demand{
-		NumGPUs: 4, Alpha: 1e-6, Beta: 5e-12,
-		Pieces: []solve.Piece{
-			{ID: 0, Bytes: 1 << 18, Srcs: []int{0}, Dsts: []int{1, 2, 3}},
-			{ID: 7, Bytes: 1 << 10, Srcs: []int{2, 3}, Dsts: []int{0}},
-		},
-	}
 	sub := &solve.SubSchedule{
 		Engine: "exact", Epochs: 5, Tau: 2.5e-6,
 		Transfers: []solve.Transfer{
@@ -28,7 +21,7 @@ func sampleEntry() *Entry {
 			{Src: 3, Dst: 0, Piece: 1, Start: 0, Arrive: 1},
 		},
 	}
-	return &Entry{ExactKey: "exact-key|sig", IsoKey: "iso-key|sig", Demand: d, Sub: sub}
+	return &Entry{Key: "exact-key|sig", Sub: sub}
 }
 
 // The entry codec must round-trip in both directions: decode(encode(e))
@@ -50,28 +43,31 @@ func TestEntryRoundTrip(t *testing.T) {
 
 // Special float bit patterns must survive the trip exactly.
 func TestEntryFloatBitPatterns(t *testing.T) {
-	e := sampleEntry()
-	e.Demand.Alpha = math.Float64frombits(0x7ff8000000000001) // a NaN payload
-	e.Demand.Beta = math.SmallestNonzeroFloat64
-	e.Sub.Tau = math.MaxFloat64
-	got, err := DecodeEntry(EncodeEntry(e))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(got.Demand.Alpha) != math.Float64bits(e.Demand.Alpha) ||
-		got.Demand.Beta != e.Demand.Beta || got.Sub.Tau != e.Sub.Tau {
-		t.Fatal("float bit patterns not preserved")
+	for _, tau := range []float64{
+		math.Float64frombits(0x7ff8000000000001), // a NaN payload
+		math.SmallestNonzeroFloat64,
+		math.MaxFloat64,
+	} {
+		e := sampleEntry()
+		e.Sub.Tau = tau
+		got, err := DecodeEntry(EncodeEntry(e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.Sub.Tau) != math.Float64bits(tau) {
+			t.Fatalf("float bits %x not preserved: got %x", math.Float64bits(tau), math.Float64bits(got.Sub.Tau))
+		}
 	}
 }
 
 func TestManifestRoundTrip(t *testing.T) {
-	data := EncodeManifest("fp-abc")
-	fp, err := DecodeManifest(data)
-	if err != nil || fp != "fp-abc" {
-		t.Fatalf("manifest round-trip: %q, %v", fp, err)
+	if err := DecodeManifest(EncodeManifest()); err != nil {
+		t.Fatalf("manifest round-trip: %v", err)
 	}
-	if !bytes.Equal(EncodeManifest(fp), data) {
-		t.Fatal("manifest encoding not canonical")
+	// A payload is not part of the format: a manifest carrying one is
+	// corrupt (checksum recomputed so only the payload differs).
+	if err := DecodeManifest(encodeContainer(kindManifest, []byte("syccl-solve-v1"))); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("manifest with a payload: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -132,7 +128,7 @@ func TestVersionMismatchIsErrVersion(t *testing.T) {
 
 // Kind confusion: a manifest must not decode as an entry or snapshot.
 func TestKindConfusionRejected(t *testing.T) {
-	man := EncodeManifest("fp")
+	man := EncodeManifest()
 	if _, err := DecodeEntry(man); err == nil {
 		t.Fatal("manifest decoded as entry")
 	}
@@ -146,11 +142,10 @@ func TestKindConfusionRejected(t *testing.T) {
 func TestHostileCountRejected(t *testing.T) {
 	var w wbuf
 	w.str("k")
-	w.str("i")
+	w.str("greedy")
 	w.i64(2)
 	w.f64(1)
-	w.f64(1)
-	w.u32(0xffffffff) // pieces "count"
+	w.u32(0xffffffff) // transfers "count"
 	data := encodeContainer(kindEntry, w.b)
 	if _, err := DecodeEntry(data); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)

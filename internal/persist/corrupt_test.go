@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"syccl/internal/solve"
 )
 
 // flipByte corrupts one byte of a file in place.
@@ -59,6 +61,38 @@ func TestEntryBitFlipDroppedAtLoad(t *testing.T) {
 			}
 			if got := s.Load(d, "sig"); got == nil {
 				t.Fatal("store unusable after corruption drop")
+			}
+		})
+	}
+}
+
+// An entry with a valid checksum whose transfers address a GPU or piece
+// the demand being looked up does not have — written by a buggy or
+// foreign writer — must be dropped, counted and deleted at Load, never
+// served: the assembly that consumes it would index out of range.
+func TestEntryOutOfRangeDroppedAtLoad(t *testing.T) {
+	for name, forge := range map[string]func(*solve.Transfer){
+		"piece":        func(tr *solve.Transfer) { tr.Piece = 1 },
+		"src":          func(tr *solve.Transfer) { tr.Src = 4 },
+		"dst":          func(tr *solve.Transfer) { tr.Dst = 77 },
+		"negative src": func(tr *solve.Transfer) { tr.Src = -1 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := open(t, t.TempDir())
+			d := demand(0)
+			sub := subFor(d)
+			forge(&sub.Transfers[len(sub.Transfers)-1])
+			if err := s.Put(d, "sig", sub); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Load(d, "sig"); got != nil {
+				t.Fatalf("out-of-range entry served: %+v", got)
+			}
+			if st := s.Stats(); st.CorruptEntries != 1 || st.Entries != 0 {
+				t.Fatalf("stats %+v, want 1 corrupt entry and none left", st)
+			}
+			if _, err := os.Stat(s.entryPath(cacheKey(d, "sig"))); !os.IsNotExist(err) {
+				t.Fatal("out-of-range entry left on disk")
 			}
 		})
 	}

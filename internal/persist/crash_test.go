@@ -56,10 +56,7 @@ func TestKillBeforeRenameLeavesNoEntry(t *testing.T) {
 	d, sub := demand(0), subFor(demand(0))
 
 	// Simulate the dead writer: valid bytes under a tmp name.
-	data := EncodeEntry(&Entry{
-		ExactKey: cacheKey(d, "sig"),
-		Demand:   d, Sub: sub,
-	})
+	data := EncodeEntry(&Entry{Key: cacheKey(d, "sig"), Sub: sub})
 	shard := filepath.Join(dir, objectsDir, "ab")
 	if err := os.MkdirAll(shard, 0o755); err != nil {
 		t.Fatal(err)

@@ -17,12 +17,6 @@ import (
 	"syccl/internal/solve"
 )
 
-// DefaultFingerprint names the corpus produced by the current solver
-// pipeline. Bump it when a change makes previously stored sub-schedules
-// untrustworthy even though the container format is unchanged (the
-// format itself is guarded separately by FormatVersion).
-const DefaultFingerprint = "syccl-solve-v1"
-
 const (
 	manifestName = "MANIFEST"
 	objectsDir   = "objects"
@@ -35,13 +29,10 @@ const (
 // Options configures Open.
 type Options struct {
 	// Dir is the store directory; created (with parents) if absent.
+	// Opening a store whose manifest carries another FormatVersion
+	// discards the corpus and starts fresh: stale entries are
+	// re-synthesized, never silently replayed.
 	Dir string
-	// Fingerprint is the corpus compatibility token recorded in the
-	// manifest (default DefaultFingerprint). Opening a store whose
-	// manifest carries a different fingerprint or format version discards
-	// the corpus and starts fresh: stale entries are re-synthesized, never
-	// silently replayed.
-	Fingerprint string
 }
 
 // Stats is a snapshot of a store's lifetime counters (since Open).
@@ -56,9 +47,10 @@ type Stats struct {
 	Duplicates  int64 `json:"duplicates"`
 	StoreErrors int64 `json:"store_errors"`
 	// CorruptEntries / CorruptSnapshots count checksum-failed files
-	// dropped (at Open or on access); CorruptManifest counts manifest
-	// validation failures; Resets counts whole-corpus discards
-	// (manifest missing/corrupt/incompatible).
+	// dropped (at Open or on access), CorruptEntries also entries whose
+	// transfers do not fit the demand they were looked up for;
+	// CorruptManifest counts manifest validation failures; Resets counts
+	// whole-corpus discards (manifest missing/corrupt/incompatible).
 	CorruptEntries   int64 `json:"corrupt_entries"`
 	CorruptSnapshots int64 `json:"corrupt_snapshots"`
 	CorruptManifest  int64 `json:"corrupt_manifest"`
@@ -76,7 +68,6 @@ type Stats struct {
 // place, so readers never observe partial writes.
 type Store struct {
 	dir string
-	fp  string
 
 	mu    sync.Mutex
 	exact map[string]string // cache key (isomorph.CacheKey) -> entry file path
@@ -111,12 +102,8 @@ func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("persist: Options.Dir is required")
 	}
-	if opts.Fingerprint == "" {
-		opts.Fingerprint = DefaultFingerprint
-	}
 	s := &Store{
 		dir:   opts.Dir,
-		fp:    opts.Fingerprint,
 		exact: make(map[string]string),
 	}
 	for _, d := range []string{s.dir, filepath.Join(s.dir, objectsDir), filepath.Join(s.dir, snapshotsDir)} {
@@ -209,10 +196,10 @@ func (s *Store) BindMetrics(reg *obs.Registry) {
 }
 
 // Load returns the sub-schedule stored for exactly this demand and solve
-// signature, verbatim, or nil. An entry that fails its checksum (or
-// decodes to an invalid demand) is dropped from disk and the lookup
-// misses — corruption degrades to a cold synthesis, never to a bad
-// schedule.
+// signature, verbatim, or nil. An entry that fails its checksum, or
+// whose transfers address a GPU or piece the demand does not have, is
+// dropped from disk and the lookup misses — corruption degrades to a
+// cold synthesis, never to a bad schedule or a crash.
 func (s *Store) Load(d *solve.Demand, sig string) *solve.SubSchedule {
 	s.loads.Add(1)
 	key := isomorph.CacheKey(d, sig)
@@ -221,12 +208,12 @@ func (s *Store) Load(d *solve.Demand, sig string) *solve.SubSchedule {
 	s.mu.Unlock()
 
 	if path != "" {
-		if e := s.readEntry(path); e != nil && e.ExactKey == key {
+		if sub := s.readEntry(path, key, d); sub != nil {
 			s.hitExact.Add(1)
 			if m := s.met.Load(); m != nil {
 				m.loadExact.Inc()
 			}
-			return e.Sub
+			return sub
 		}
 	}
 	s.misses.Add(1)
@@ -242,10 +229,6 @@ func (s *Store) Load(d *solve.Demand, sig string) *solve.SubSchedule {
 // only Put fully validated results — the engine never stores partial or
 // cancelled-flight solutions, and this package cannot tell the
 // difference.
-//
-// The entry still records the demand and its class key (isomorph.Key
-// plus the signature), which nothing reads any more: format v1 carries
-// them, and a corpus must stay readable by binaries that do.
 func (s *Store) Put(d *solve.Demand, sig string, sub *solve.SubSchedule) error {
 	exact := isomorph.CacheKey(d, sig)
 	path := s.entryPath(exact)
@@ -264,7 +247,7 @@ func (s *Store) Put(d *solve.Demand, sig string, sub *solve.SubSchedule) error {
 	s.exact[exact] = path
 	s.mu.Unlock()
 
-	data := EncodeEntry(&Entry{ExactKey: exact, IsoKey: isomorph.Key(d) + "|" + sig, Demand: d, Sub: sub})
+	data := EncodeEntry(&Entry{Key: exact, Sub: sub})
 	if err := atomicWrite(path, data); err != nil {
 		s.mu.Lock()
 		delete(s.exact, exact)
@@ -402,20 +385,20 @@ func (s *Store) cleanOrphans() {
 	})
 }
 
-// checkManifest enforces the compatibility rules: a valid manifest with
-// the expected version and fingerprint keeps the corpus; anything else
-// — missing, corrupt, foreign version, foreign fingerprint — discards
-// every entry and snapshot and writes a fresh manifest. Returns an
-// error only if the fresh manifest cannot be written.
+// checkManifest enforces the compatibility rule: a valid manifest of
+// this FormatVersion keeps the corpus; anything else — missing, corrupt,
+// another version — discards every entry and snapshot and writes a fresh
+// manifest. Returns an error only if the fresh manifest cannot be
+// written.
 func (s *Store) checkManifest() error {
 	path := filepath.Join(s.dir, manifestName)
 	data, err := os.ReadFile(path)
 	if err == nil {
-		fp, derr := DecodeManifest(data)
-		if derr == nil && fp == s.fp {
+		derr := DecodeManifest(data)
+		if derr == nil {
 			return nil
 		}
-		if derr != nil && !errors.Is(derr, ErrVersion) {
+		if !errors.Is(derr, ErrVersion) {
 			s.corruptManifest.Add(1)
 		}
 		s.reset()
@@ -424,7 +407,7 @@ func (s *Store) checkManifest() error {
 		// manifest write itself was lost): treat as incompatible.
 		s.reset()
 	}
-	if err := atomicWrite(path, EncodeManifest(s.fp)); err != nil {
+	if err := atomicWrite(path, EncodeManifest()); err != nil {
 		return fmt.Errorf("persist: write manifest: %w", err)
 	}
 	return nil
@@ -452,13 +435,13 @@ func (s *Store) scan() {
 			return nil
 		}
 		e, derr := DecodeEntry(data)
-		if derr != nil || e.Demand.Validate() != nil {
+		if derr != nil {
 			s.dropCorrupt(path)
 			return nil
 		}
 		s.mu.Lock()
-		if _, dup := s.exact[e.ExactKey]; !dup {
-			s.exact[e.ExactKey] = path
+		if _, dup := s.exact[e.Key]; !dup {
+			s.exact[e.Key] = path
 			s.bytes += int64(len(data))
 		}
 		s.mu.Unlock()
@@ -466,21 +449,38 @@ func (s *Store) scan() {
 	})
 }
 
-// readEntry loads and validates one entry file; on any failure the file
-// is dropped from disk and from the index.
-func (s *Store) readEntry(path string) *Entry {
+// readEntry loads the entry file at path for the lookup of key on d and
+// returns its solution, or nil: an entry of another key misses, and one
+// that fails to decode or does not fit d is dropped from disk and from
+// the index.
+func (s *Store) readEntry(path, key string, d *solve.Demand) *solve.SubSchedule {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		s.forgetPath(path)
 		return nil
 	}
 	e, derr := DecodeEntry(data)
-	if derr != nil || e.Demand.Validate() != nil {
+	if derr == nil && e.Key != key {
+		return nil
+	}
+	if derr != nil || !fits(e.Sub, d) {
 		s.dropCorrupt(path)
 		s.forgetPath(path)
 		return nil
 	}
-	return e
+	return e.Sub
+}
+
+// fits reports whether every transfer of sub addresses a GPU and a piece
+// of d. The checksum proves only that the bytes are the ones written; an
+// index out of range would panic the assembly that consumes the entry.
+func fits(sub *solve.SubSchedule, d *solve.Demand) bool {
+	for _, t := range sub.Transfers {
+		if t.Src < 0 || t.Src >= d.NumGPUs || t.Dst < 0 || t.Dst >= d.NumGPUs || t.Piece < 0 || t.Piece >= len(d.Pieces) {
+			return false
+		}
+	}
+	return true
 }
 
 func (s *Store) dropCorrupt(path string) {

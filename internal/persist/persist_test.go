@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -122,30 +123,45 @@ func TestReopenRestoresIndex(t *testing.T) {
 	}
 }
 
-// A fingerprint change is a compatibility break: the corpus must be
-// discarded, not replayed.
-func TestFingerprintMismatchResetsCorpus(t *testing.T) {
+// A corpus written by format v1 — here the manifest of a v1 daemon's
+// cache directory — is a compatibility break: Open discards its entries
+// and snapshots, counts a reset (not a corrupt manifest: a foreign
+// version is intact, just not ours), and the store serves on.
+func TestV1CorpusResets(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := Open(Options{Dir: dir, Fingerprint: "fpA"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := open(t, dir)
 	if err := s1.Put(demand(0), "sig", subFor(demand(0))); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(Options{Dir: dir, Fingerprint: "fpB"})
+	if err := s1.SaveSnapshot("warm", []byte("image")); err != nil {
+		t.Fatal(err)
+	}
+	v1, err := os.ReadFile(filepath.Join("..", "serve", "testdata", "parent_cache", manifestName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 0 {
-		t.Fatalf("incompatible corpus kept %d entries", s2.Len())
+	if err := DecodeManifest(v1); !errors.Is(err, ErrVersion) {
+		t.Fatalf("v1 manifest: err = %v, want ErrVersion", err)
 	}
-	if s2.Stats().Resets != 1 {
-		t.Fatalf("stats %+v", s2.Stats())
+	if err := os.WriteFile(filepath.Join(dir, manifestName), v1, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// And the store is usable after the reset.
+
+	s2 := open(t, dir)
+	if st := s2.Stats(); st.Entries != 0 || st.Resets != 1 || st.CorruptManifest != 0 {
+		t.Fatalf("v1 corpus after Open: %+v", st)
+	}
+	if _, ok := s2.LoadSnapshot("warm"); ok {
+		t.Fatal("v1 snapshot survived the reset")
+	}
+	if s2.Load(demand(0), "sig") != nil {
+		t.Fatal("v1 corpus served an entry")
+	}
 	if err := s2.Put(demand(0), "sig", subFor(demand(0))); err != nil {
 		t.Fatal(err)
+	}
+	if s3 := open(t, dir); s3.Len() != 1 {
+		t.Fatalf("the fresh v2 corpus did not survive a reopen: %d entries", s3.Len())
 	}
 }
 

@@ -3,8 +3,8 @@ package serve
 // Tests for the one request pipeline: every way into the server — the
 // one-shot body, the NDJSON stream, /v1/replan, the prewarmer — must
 // leave the same store entry behind and refuse work the same way, and a
-// cache directory written before the pipeline existed must still
-// warm-boot it.
+// cache directory of an older persist format must be re-solved, never
+// served.
 
 import (
 	"context"
@@ -13,8 +13,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
+
+	"syccl/internal/cli"
+	"syccl/internal/core"
 )
 
 // storedBytes renders a store entry the way the snapshot does, so "the
@@ -217,11 +221,12 @@ func TestStoreEvictionsCountedOnEveryPath(t *testing.T) {
 }
 
 // TestWarmBootFromParentWrittenCache boots on testdata/parent_cache, a
-// -cache-dir written by the daemon as it was before the caches and the
-// request pipeline were unified (dgx4 allgather 1M and server8 allreduce
-// 4M, then SIGTERM). Corpus keys, snapshot name and image version are
-// compatibility surface: the old directory must restore, serve from the
-// store without the engine, and feed the engine's disk tier.
+// -cache-dir written by a daemon of persist format v1 (dgx4 allgather 1M
+// and server8 allreduce 4M, then SIGTERM). Format v2 keys everything
+// differently, so the old corpus is ignored and re-solved, never
+// mis-served: Open resets it, nothing is restored, and both requests are
+// answered cold, equal to a cold synthesis. A drained reboot on the same
+// directory then restores both under their new ids.
 func TestWarmBootFromParentWrittenCache(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join("testdata", "parent_cache")
@@ -244,35 +249,54 @@ func TestWarmBootFromParentWrittenCache(t *testing.T) {
 	}
 
 	store := openStore(t, dir)
-	if st := store.Stats(); st.Entries != 9 || st.Resets != 0 || st.CorruptEntries != 0 {
-		t.Fatalf("parent corpus did not survive Open: %+v", st)
+	if st := store.Stats(); st.Entries != 0 || st.Resets != 1 {
+		t.Fatalf("the v1 corpus survived Open: %+v", st)
 	}
 	s, ts := newTestServer(t, Options{Persist: store})
-	if got := s.Stats().Server.Restored; got != 2 {
-		t.Fatalf("restored %d schedules from the parent's snapshot, want 2", got)
+	if got := s.Stats().Server.Restored; got != 0 {
+		t.Fatalf("restored %d schedules from the v1 snapshot", got)
 	}
 
-	for _, c := range []struct{ fields, id string }{
-		{`"topology":"dgx4","collective":"allgather","size":"1M"`, "36a9725bfa2e15e6"},
-		{`"topology":"server8","collective":"allreduce","size":"4M"`, "76f15131f2c5e776"},
-	} {
-		resp, raw := postJSON(t, ts.URL, fmt.Sprintf(`{%s,"include_schedule":true}`, c.fields))
+	reqs := []struct{ top, coll, size string }{{"dgx4", "allgather", "1M"}, {"server8", "allreduce", "4M"}}
+	ids := make([]string, len(reqs))
+	for i, r := range reqs {
+		body := fmt.Sprintf(`{"topology":%q,"collective":%q,"size":%q,"include_schedule":true}`, r.top, r.coll, r.size)
+		resp, raw := postJSON(t, ts.URL, body)
 		got := decodeSynth(t, raw)
-		if resp.StatusCode != http.StatusOK || !got.Cached || got.ID != c.id || got.Schedule == nil {
-			t.Fatalf("%s: status %d, not the parent's stored schedule %s: %s", c.fields, resp.StatusCode, c.id, raw)
+		if resp.StatusCode != http.StatusOK || got.Cached || got.SolverCalls == 0 {
+			t.Fatalf("%s: status %d, not a cold answer: %s", body, resp.StatusCode, raw)
 		}
+		top, err := cli.ParseTopology(r.top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, err := cli.ParseSize(r.size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col, err := cli.BuildCollective(r.coll, top.NumGPUs(), size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := core.Synthesize(top, col, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.PredictedTimeS != cold.Time || !reflect.DeepEqual(got.Schedule, ToScheduleJSON(cold.Schedule)) {
+			t.Fatalf("%s: the answer over a v1 corpus differs from a cold synthesis", body)
+		}
+		ids[i] = got.ID
 	}
-	if plans := s.Engine().Stats().Plans; plans != 0 {
-		t.Fatalf("restored hits ran %d engine plans", plans)
-	}
+	s.Drain(context.Background())
 
-	// Past the store, the engine replays the parent's solved sub-demands
-	// from disk under the keys it derives today.
-	_, raw := postJSON(t, ts.URL, `{"topology":"server8","collective":"allreduce","size":"4M","bypass_store":true}`)
-	if got := decodeSynth(t, raw); got.SolverCalls != 0 || got.PredictedTimeS != 0.00004677795555555556 {
-		t.Fatalf("engine did not replay the parent's corpus: %s", raw)
+	s2, ts2 := newTestServer(t, Options{Persist: openStore(t, dir)})
+	if got := s2.Stats().Server.Restored; got != int64(len(reqs)) {
+		t.Fatalf("drained reboot restored %d schedules, want %d", got, len(reqs))
 	}
-	if st := s.Engine().Stats(); st.PersistHits == 0 || st.SolveMisses != 0 {
-		t.Fatalf("disk tier not used: %+v", st)
+	for i, r := range reqs {
+		_, raw := postJSON(t, ts2.URL, fmt.Sprintf(`{"topology":%q,"collective":%q,"size":%q}`, r.top, r.coll, r.size))
+		if got := decodeSynth(t, raw); !got.Cached || got.ID != ids[i] {
+			t.Fatalf("%s %s after the drained reboot: %s", r.top, r.coll, raw)
+		}
 	}
 }

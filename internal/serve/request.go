@@ -52,8 +52,8 @@ type Request struct {
 	BypassStore bool `json:"bypass_store,omitempty"`
 	// SketchHint constrains the sketch search with a TACCL-style hint
 	// spec, e.g. "dims=1,0;sizes=4,2;family=tree" (see sketch.ParseHint).
-	// Hinted requests never share cache entries or flights with unhinted
-	// ones.
+	// Hinted requests never share a flight, a stored result or a sketch
+	// set with unhinted ones; solved sub-demands they do share.
 	SketchHint string `json:"sketch_hint,omitempty"`
 	// Stream switches the response to application/x-ndjson: one
 	// "incumbent" event per improving schedule as synthesis runs,
@@ -186,7 +186,7 @@ type identity struct {
 	base  *topology.Topology
 	delta *topology.Delta
 	col   *collective.Collective
-	// opts are the normalized core options, Workers left for the request.
+	// opts are the request's core options, Workers left for the request.
 	opts    core.Options
 	planKey string
 	id      string
@@ -296,18 +296,6 @@ func resolveIdentity(req *Request) (*identity, *APIError) {
 	if err != nil {
 		return nil, apiErrorf(http.StatusBadRequest, CodeBadCollective, "%v", err)
 	}
-	opts := core.Options{
-		E1:   req.E1,
-		E2:   req.E2,
-		Seed: req.Seed,
-	}
-	// Normalize so that "absent" and "explicit default" key identically.
-	if opts.E1 <= 0 {
-		opts.E1 = 3.0
-	}
-	if opts.E2 <= 0 {
-		opts.E2 = 0.5
-	}
 	// The hint re-parses into its canonical *sketch.Hint, so two
 	// spellings of the same hint coalesce (PlanKey embeds the canonical
 	// form). Syntax was already checked in DecodeRequest; the dimension
@@ -319,8 +307,13 @@ func resolveIdentity(req *Request) (*identity, *APIError) {
 	if err := hint.Validate(top.NumDims()); err != nil {
 		return nil, apiErrorf(http.StatusBadRequest, CodeBadHint, "%v", err)
 	}
-	opts.Hint = hint
-	opts.StopWithin = req.StopWithinPct / 100
+	opts := core.Options{
+		E1:         req.E1,
+		E2:         req.E2,
+		Seed:       req.Seed,
+		Search:     sketch.SearchOptions{Hint: hint},
+		StopWithin: req.StopWithinPct / 100,
+	}
 	// Workers is not part of the plan key (worker count never changes the
 	// schedule), so the key of the worker-less options is the request's.
 	planKey := engine.PlanKey(top, col, opts)

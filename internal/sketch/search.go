@@ -2,8 +2,8 @@ package sketch
 
 import (
 	"context"
-	"fmt"
 	"sort"
+	"strconv"
 
 	"syccl/internal/obs"
 	"syccl/internal/topology"
@@ -45,27 +45,30 @@ type SearchOptions struct {
 }
 
 // Fingerprint renders every option that influences the search's result
-// set (Rec is instrumentation only), as the literal field values. It is
-// the search's share of every cache key — core's sketch-cache key and
-// engine.PlanKey both embed it — so a new option is keyed everywhere by
-// adding it here. The hint is appended only when set, which keeps the
-// keys of unhinted searches in their historical format.
+// set (Rec is instrumentation only), at its defaulted value. It is the
+// search's share of every cache key — core's sketch-cache key and
+// core.Options.Fingerprint both embed it — so a new option is keyed
+// everywhere by adding it here. MaxStages renders 0 for its
+// per-topology default, which a topology-free rendering cannot resolve.
 func (o SearchOptions) Fingerprint() string {
-	fp := fmt.Sprintf("k%d,n%d,m%d,c%d,p1:%t,p2:%t,ff:%t",
-		o.MaxStages, o.MaxNodes, o.MaxSketches, o.MaxCountChoices,
-		o.DisablePrune1, o.DisablePrune2, o.FullFanoutOnly)
-	if h := o.Hint.Canonical(); h != "" {
-		fp += "|h=" + h
-	}
-	return fp
+	o = o.withDefaults()
+	b := make([]byte, 0, 64)
+	b = strconv.AppendInt(append(b, 'k'), int64(o.MaxStages), 10)
+	b = strconv.AppendInt(append(b, ",n"...), int64(o.MaxNodes), 10)
+	b = strconv.AppendInt(append(b, ",m"...), int64(o.MaxSketches), 10)
+	b = strconv.AppendInt(append(b, ",c"...), int64(o.MaxCountChoices), 10)
+	b = strconv.AppendBool(append(b, ",p1:"...), o.DisablePrune1)
+	b = strconv.AppendBool(append(b, ",p2:"...), o.DisablePrune2)
+	b = strconv.AppendBool(append(b, ",ff:"...), o.FullFanoutOnly)
+	b = append(append(b, ",h="...), o.Hint.Canonical()...)
+	return string(b)
 }
 
-func (o SearchOptions) withDefaults(top *topology.Topology, scatter bool) SearchOptions {
-	if o.MaxStages <= 0 {
-		o.MaxStages = top.NumDims() + 1
-		if scatter {
-			o.MaxStages = top.NumDims()
-		}
+// withDefaults fills the defaults that need no topology; MaxStages stays
+// 0 until forTopology resolves it.
+func (o SearchOptions) withDefaults() SearchOptions {
+	if o.MaxStages < 0 {
+		o.MaxStages = 0
 	}
 	if o.MaxSketches <= 0 {
 		o.MaxSketches = 64
@@ -75,6 +78,19 @@ func (o SearchOptions) withDefaults(top *topology.Topology, scatter bool) Search
 	}
 	if o.MaxCountChoices <= 0 {
 		o.MaxCountChoices = 4
+	}
+	return o
+}
+
+// forTopology is withDefaults plus what the topology and search shape
+// decide: the stage budget, and full fan-out for Scatter and flat hints.
+func (o SearchOptions) forTopology(top *topology.Topology, scatter bool) SearchOptions {
+	o = o.withDefaults()
+	if o.MaxStages == 0 {
+		o.MaxStages = top.NumDims() + 1
+		if scatter {
+			o.MaxStages = top.NumDims()
+		}
 	}
 	if scatter {
 		o.FullFanoutOnly = true
@@ -145,7 +161,7 @@ func runSearch(ctx context.Context, top *topology.Topology, root int, scatter bo
 	defer sp.End()
 	s := &searcher{
 		top:     top,
-		opts:    opts.withDefaults(top, scatter),
+		opts:    opts.forTopology(top, scatter),
 		scatter: scatter,
 		seen:    make(map[string]bool),
 		ctx:     ctx,

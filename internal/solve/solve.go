@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"syccl/internal/obs"
 )
@@ -11,22 +12,21 @@ import (
 // Engine selects the solving strategy.
 type Engine int
 
-// Engines. The integer values are part of every persisted solve-cache
-// key (core.solveSignature renders them), so they are explicit and
-// frozen; 2 belonged to a removed engine and stays unused.
+// Engines. Options.Fingerprint renders the integer values, so every
+// cached sub-schedule's key carries them.
 const (
 	// EngineAuto tries the exact MILP and falls back to the flow
 	// backend when the instance exceeds the size budget.
-	EngineAuto Engine = 0
+	EngineAuto Engine = iota
 	// EngineGreedy is deterministic earliest-finish list scheduling.
-	EngineGreedy Engine = 1
+	EngineGreedy
 	// EngineExact is branch-and-bound MILP only (errors when too large).
-	EngineExact Engine = 3
+	EngineExact
 	// EngineFlow is the multi-commodity-flow relaxation backend: LP
 	// lower bound plus flow-guided greedy rounding. Never rejects an
 	// instance for size, so it is the fallback above the MaxBinaries
 	// gate and the engine of choice for big topologies.
-	EngineFlow Engine = 4
+	EngineFlow
 )
 
 func (e Engine) String() string {
@@ -66,13 +66,11 @@ type Options struct {
 	// DisableFlowBound turns off the flow-relaxation lower bound inside
 	// the exact engine (core's SolverExact mode, ablations). It changes
 	// which horizons the search proves infeasible via budget-free LP
-	// bounds instead of branch-and-bound, so it is part of any
-	// option-derived cache key.
+	// bounds instead of branch-and-bound.
 	DisableFlowBound bool
 	// Span optionally parents this solve's instrumentation (engine
 	// sub-spans, lp.pivots / milp.nodes counters). Nil: no recording.
-	// It does not influence the solve and must be excluded from any
-	// option-derived cache keys.
+	// It does not influence the solve, so Fingerprint leaves it out.
 	Span *obs.Span
 }
 
@@ -84,6 +82,23 @@ func (o Options) withDefaults() Options {
 		o.MaxBinaries = 384
 	}
 	return o
+}
+
+// Fingerprint renders the defaulted options — every field but Span — as
+// the solve part of a cached sub-schedule's key (isomorph.CacheKey): on
+// one demand, two solves with equal fingerprints return the same
+// sub-schedule, and options that run identically render identically.
+// The rendering starts "e<E>|g<Engine>|", the head bench/probes.go reads.
+func (o Options) Fingerprint() string {
+	o = o.withDefaults()
+	b := make([]byte, 0, 64)
+	b = strconv.AppendFloat(append(b, 'e'), o.E, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, "|g"...), int64(o.Engine), 10)
+	b = strconv.AppendFloat(append(b, "|tau"...), o.Tau, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, "|mb"...), int64(o.MaxBinaries), 10)
+	b = strconv.AppendInt(append(b, "|s"...), o.Seed, 10)
+	b = strconv.AppendBool(append(b, "|fb"...), o.DisableFlowBound)
+	return string(b)
 }
 
 // TauFor returns the epoch duration the options imply for a demand.

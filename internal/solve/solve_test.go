@@ -2,7 +2,10 @@ package solve
 
 import (
 	"math"
+	"reflect"
 	"testing"
+
+	"syccl/internal/obs"
 )
 
 // uniformDemand builds a demand where α=0 and β·bytes=1s, so with E=1 the
@@ -334,9 +337,45 @@ func TestTauForExplicitOverride(t *testing.T) {
 	}
 }
 
+// TestFingerprintCoversEveryOption walks solve.Options by reflection:
+// every field but Span steers the solve, so perturbing it must move the
+// fingerprint, or two different solves would answer for each other in
+// the engine's caches and the persist corpus. Spelled-out defaults and
+// a Span must not move it.
+func TestFingerprintCoversEveryOption(t *testing.T) {
+	base := Options{}.Fingerprint()
+	typ := reflect.TypeOf(Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		var o Options
+		switch f := reflect.ValueOf(&o).Elem().Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(2)
+		case reflect.Float64:
+			f.SetFloat(1.5)
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			if name != "Span" {
+				t.Errorf("%s: the test cannot perturb this kind of field; teach it", name)
+			}
+			continue
+		}
+		if o.Fingerprint() == base {
+			t.Errorf("Options.%s steers the solve but not Fingerprint", name)
+		}
+	}
+	rec := obs.NewRecorder()
+	for _, o := range []Options{{E: 0.5, MaxBinaries: 384}, {Span: rec.StartSpan("solve")}} {
+		if got := o.Fingerprint(); got != base {
+			t.Errorf("%+v renders %q, want the defaults' %q", o, got, base)
+		}
+	}
+}
+
 func TestEngineString(t *testing.T) {
 	if EngineAuto.String() != "auto" || EngineExact.String() != "exact" ||
-		EngineGreedy.String() != "greedy" || EngineFlow.String() != "flow" || Engine(2).String() != "unknown" {
+		EngineGreedy.String() != "greedy" || EngineFlow.String() != "flow" || Engine(4).String() != "unknown" {
 		t.Error("engine strings wrong")
 	}
 }

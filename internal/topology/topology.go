@@ -321,10 +321,10 @@ func (t *Topology) BandwidthShare(d int) float64 {
 // nodes, and links are deliberately excluded: they do not influence
 // synthesis once dimensions are extracted.
 //
-// Per-group α/β overrides are appended only for groups where they differ
-// from the dimension-level values, so healthy topologies keep their
-// historical fingerprints while a degraded topology can never alias its
-// healthy twin in the engine/persist key space.
+// A group's effective α/β is rendered only where it differs from the
+// dimension-level values — an unrendered group has the dimension's — so
+// the rendering stays canonical while a degraded topology can never
+// alias its healthy twin in the engine/persist key space.
 func (t *Topology) Fingerprint() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "n%d", t.NumGPUs())

@@ -6,7 +6,9 @@
 # through the flight recorder. Finishes with a warm-reboot phase:
 # SIGTERM the daemon, boot a second one on the same -cache-dir, and
 # assert the replay is served from the restored store with an identical
-# schedule. Run from anywhere; used by ci.sh.
+# schedule, then boots once more on a copy of an old-format (persist v1)
+# cache directory, which must be discarded, not restored. Run from
+# anywhere; used by ci.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,16 +21,22 @@ workdir=$(mktemp -d -t syccl_metrics_smoke.XXXXXX)
 trap 'kill "$daemon_pid" 2>/dev/null || true; wait "$daemon_pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 go build -o "$workdir/syccl-serve" ./cmd/syccl-serve
-"$workdir/syccl-serve" -addr "127.0.0.1:$PORT" -admin "127.0.0.1:$ADMIN_PORT" \
-    -cache-dir "$workdir/cache" \
-    -access-log "$workdir/access.log" >"$workdir/daemon.log" 2>&1 &
-daemon_pid=$!
 
-for _ in $(seq 1 100); do
-    if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then break; fi
-    sleep 0.1
-done
-curl -fsS "$BASE/healthz" >/dev/null || { echo "daemon never came up"; cat "$workdir/daemon.log"; exit 1; }
+# boot LOG CACHE_DIR [FLAGS...] starts the daemon and waits for /healthz.
+boot() {
+    local log=$1 cache=$2
+    shift 2
+    "$workdir/syccl-serve" -addr "127.0.0.1:$PORT" -admin "127.0.0.1:$ADMIN_PORT" \
+        -cache-dir "$cache" "$@" >"$log" 2>&1 &
+    daemon_pid=$!
+    for _ in $(seq 1 100); do
+        if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then break; fi
+        sleep 0.1
+    done
+    curl -fsS "$BASE/healthz" >/dev/null || { echo "daemon never came up"; cat "$log"; exit 1; }
+}
+
+boot "$workdir/daemon.log" "$workdir/cache" -access-log "$workdir/access.log"
 
 echo "== drive one synthesis =="
 req_id=$(curl -fsS -D - -o "$workdir/resp.json" "$BASE/v1/synthesize" \
@@ -189,14 +197,7 @@ wait "$daemon_pid" 2>/dev/null || true
 [ -f "$workdir/cache/snapshots/schedule-store.snap" ] \
     || { echo "FAIL: drain wrote no schedule-store snapshot"; exit 1; }
 
-"$workdir/syccl-serve" -addr "127.0.0.1:$PORT" -admin "127.0.0.1:$ADMIN_PORT" \
-    -cache-dir "$workdir/cache" >"$workdir/daemon2.log" 2>&1 &
-daemon_pid=$!
-for _ in $(seq 1 100); do
-    if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then break; fi
-    sleep 0.1
-done
-curl -fsS "$BASE/healthz" >/dev/null || { echo "daemon2 never came up"; cat "$workdir/daemon2.log"; exit 1; }
+boot "$workdir/daemon2.log" "$workdir/cache"
 
 curl -fsS "$BASE/statsz" > "$workdir/statsz2.json"
 grep -q '"restored":0' "$workdir/statsz2.json" \
@@ -220,6 +221,21 @@ grep -q '^syccl_persist_snapshots_total{result="restored"} 1$' "$workdir/metrics
 # The store answered before the engine: zero plans on the new daemon.
 grep -q '^syccl_engine_plans_total{outcome="ok"} 0$' "$workdir/metrics2.txt" \
     || { echo "FAIL: warm-boot replay still ran an engine plan"; exit 1; }
+echo "ok"
+
+kill "$daemon_pid"
+wait "$daemon_pid" 2>/dev/null || true
+
+echo "== boot on an old-format -cache-dir (persist format v1) =="
+# The old corpus must be discarded and re-solved, never served.
+cp -R internal/serve/testdata/parent_cache "$workdir/v1cache"
+boot "$workdir/daemon3.log" "$workdir/v1cache"
+curl -fsS "$BASE/statsz" > "$workdir/statsz3.json"
+grep -q '"restored":0' "$workdir/statsz3.json" \
+    || { echo "FAIL: a v1 snapshot was restored"; cat "$workdir/statsz3.json"; exit 1; }
+code=$(curl -s -o "$workdir/resp3.json" -w '%{http_code}' "$BASE/v1/synthesize" \
+    -d '{"topology":"dgx4","collective":"allgather","size":"1M"}')
+[ "$code" = "200" ] || { echo "FAIL: request over a v1 cache dir returned $code"; cat "$workdir/resp3.json"; exit 1; }
 echo "ok"
 
 kill "$daemon_pid"
