@@ -259,8 +259,10 @@ func (d deliveries) record(slot, idx int) {
 // a.cells[i]), wiring cross-stage and intra-stage dependencies and
 // per-port ordering. The assembly and the sub-schedules are only read, so
 // one assembly builds any number of schedules — the coarse and the fine
-// one of a candidate — and one sub-schedule serves every cell with an
-// equal demand.
+// one of a candidate, and a replay's from its recipe — and one
+// sub-schedule serves every cell with an equal demand. A missing
+// sub-schedule, or a transfer that names a GPU or piece outside its
+// cell's demand, is an error.
 func (a *assembly) build(subs []*solve.SubSchedule) (*schedule.Schedule, error) {
 	const stageStride = 1 << 24
 	total := 0
@@ -293,6 +295,10 @@ func (a *assembly) build(subs []*solve.SubSchedule) (*schedule.Schedule, error) 
 			return transfers[x].Arrive < transfers[y].Arrive
 		})
 		for _, t := range transfers {
+			// A recipe's sub-schedules come from outside the pass.
+			if uint(t.Piece) >= uint(len(cd.demand.Pieces)) || uint(t.Src) >= uint(len(cd.gpus)) || uint(t.Dst) >= uint(len(cd.gpus)) {
+				return nil, fmt.Errorf("core: cell %+v: transfer %+v does not fit the demand", k, t)
+			}
 			piece := cd.demand.Pieces[t.Piece].ID
 			src := cd.gpus[t.Src]
 			dst := cd.gpus[t.Dst]

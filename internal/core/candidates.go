@@ -9,19 +9,23 @@ import (
 	"syccl/internal/obs"
 	"syccl/internal/schedule"
 	"syccl/internal/sketch"
+	"syccl/internal/solve"
 	"syccl/internal/topology"
 )
 
 // candidate is one sketch combination under evaluation. asm and cells are
 // made once, before the coarse pass, and shared by every pass after it:
-// cells[i] is the demand-table id of asm.cells[i]. Injected fixed
-// schedules (the ring) have neither. source and engine record which pass
-// produced the schedule — provenance for the incumbent published when the
-// candidate wins the pipeline.
+// cells[i] is the demand-table id of asm.cells[i]. subs are the per-cell
+// sub-schedules sched was built from (read-only; a winner's become its
+// Recipe.Subs). Injected fixed schedules (the ring) have none of the
+// three. source and engine record which pass produced the schedule —
+// provenance for the incumbent published when the candidate wins the
+// pipeline.
 type candidate struct {
 	combo  *sketch.Combination
 	asm    *assembly
 	cells  []int
+	subs   []*solve.SubSchedule
 	sched  *schedule.Schedule
 	time   float64
 	source string

@@ -100,10 +100,10 @@ type Options struct {
 	StopWithin float64
 	// Recipe, when non-nil, names the winner a previous identical request
 	// arrived at (Result.Recipe; internal/engine keeps them per plan key).
-	// The pipeline then rebuilds that one candidate from SolveCache
-	// instead of searching, and falls back to the full pass when the
-	// recipe turns out stale — see Recipe. Either way the schedule is the
-	// one the full pass returns.
+	// The pipeline then rebuilds that one candidate from the recipe's own
+	// sub-schedules instead of searching, and falls back to the full pass
+	// when the recipe turns out stale — see Recipe. Either way the
+	// schedule is the one the full pass returns.
 	Recipe *Recipe
 }
 
@@ -185,12 +185,15 @@ type BoundCache interface {
 	Store(d *solve.Demand, bound float64)
 }
 
-// SolveCache is a cross-request store of solved sub-schedules. Lookup
-// must return, verbatim, what Store stored for this very demand under
-// the given solve-option signature, and nil on a miss — never a solution
-// remapped from another (isomorphic) demand: verbatim replay is what
-// makes warm re-plans bit-identical and a cached plan the cold plan,
-// whatever was planned before. Implementations must be safe for
+// SolveCache is a cross-request store of solved sub-schedules. The
+// pipeline looks up and stores isomorphism-class representatives only,
+// and stores only what the solver returned for that very demand, so
+// every entry is a solver output. Lookup must return, verbatim, what
+// Store stored for this very demand under the given solve-option
+// signature, and nil on a miss — never a solution remapped from another
+// (isomorphic) demand: a hit is then exactly what solving would give,
+// which makes warm re-plans bit-identical and a cached plan the cold
+// plan, whatever was planned before. Implementations must be safe for
 // concurrent use and must not retain or mutate the caller's arguments
 // after Store returns.
 type SolveCache interface {
@@ -288,9 +291,10 @@ type Stats struct {
 	SolverCalls int // sub-demand solves actually executed
 	CacheHits   int // sub-demands served by isomorphism mapping
 	CacheMisses int // sub-demands that fell through to a solver call
-	// CrossCacheHits counts sub-demands served directly by the
+	// CrossCacheHits counts the cells of class representatives the
 	// cross-request solve cache (the engine's memory/persist tiers)
-	// before any in-run solving; replan reuse accounting reads it.
+	// served, or on a replay the cells the recipe carried; replan reuse
+	// accounting reads it.
 	CrossCacheHits int
 	MaxSolve       time.Duration // longest single sub-demand solve (Fig 17c)
 	// BoundsComputed counts candidate flow lower bounds evaluated
@@ -318,9 +322,10 @@ type Stats struct {
 	TooLarge    int
 	SolveErrors []string
 	// Replayed reports that the result was rebuilt from Options.Recipe:
-	// one candidate assembled from cached sub-schedules, re-simulated and
-	// re-validated, with no search, bounds or ranking. Candidates is 1
-	// and CrossCacheHits the number of cells served.
+	// one candidate assembled from the recipe's sub-schedules,
+	// re-simulated and re-validated, with no search, bounds, ranking or
+	// cache lookup. Candidates is 1 and CrossCacheHits the number of
+	// cells.
 	Replayed bool
 }
 

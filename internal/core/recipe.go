@@ -15,31 +15,34 @@ import (
 )
 
 // Recipe records how a completed pipeline made its winner: not the
-// schedule, but what it takes to rebuild it from the cross-request solve
-// cache. The determinism contract says an identical request arrives at
-// the same winner, so a caller that kept the recipe (internal/engine,
-// per plan key) hands it back through Options.Recipe and the pipeline
-// assembles, simulates, validates and finishes that one candidate
-// instead of searching, bounding and ranking all of them.
+// schedule, but the combination and the per-cell sub-schedules it was
+// assembled from. The determinism contract says an identical request
+// arrives at the same winner, so a caller that kept the recipe
+// (internal/engine, per plan key) hands it back through Options.Recipe
+// and the pipeline assembles, simulates, validates and finishes that one
+// candidate instead of searching, bounding and ranking all of them.
 //
-// A recipe is a hint, never an answer. The replay takes every
-// sub-schedule from Options.SolveCache, and everything it returns has
-// been re-simulated and re-validated; if a cell is gone from the cache,
-// any step fails, or the rebuilt schedule does not match the self-check,
-// the recipe is stale and the full pass runs — same bytes, slower.
+// A recipe is a hint, never an answer. It does not depend on any cache,
+// and everything a replay returns has been re-simulated and re-validated;
+// if any step fails or the rebuilt schedule does not match the
+// self-check, the recipe is stale and the full pass runs — same bytes,
+// slower.
 type Recipe struct {
 	// Combination is the winning sketch combination; nil when the
 	// injected NCCL ring won.
 	Combination *sketch.Combination
+	// Subs are the winner's sub-schedules, one per cell of the
+	// combination's assembly, in cell order. Cells with one demand share
+	// one pointer; nothing may write to them.
+	Subs []*solve.SubSchedule
 	// Source is the pass that produced the winner: "coarse", "fine" or
-	// "ring". Together with the options — which the keeper of the recipe
-	// keys it by — it fixes the signature the winner's cells are cached
-	// under (passSolver, solve.Options.Fingerprint).
+	// "ring". Engine is that pass's sub-demand engine ("" for the ring);
+	// both are provenance for the incumbent a replay publishes.
 	Source string
+	Engine string
 	// TimeBits (the forward schedule's simulated time, as
 	// math.Float64bits) and Transfers (its transfer count) are the
-	// self-check a replay must reproduce: a cache that served an
-	// isomorphic sibling with other bytes shows up here.
+	// self-check a replay must reproduce.
 	TimeBits  uint64
 	Transfers int
 }
@@ -72,13 +75,11 @@ func replay(top *topology.Topology, col *collective.Collective, opts Options, pa
 }
 
 // rebuild is the replay proper: assemble the recipe's combination from
-// cached cells (or rebuild the ring), simulate, validate, compare with
-// the self-check, finish. Any deviation returns nil.
+// its sub-schedules (or rebuild the ring), simulate, validate, compare
+// with the self-check, finish. Any deviation returns nil.
 func rebuild(top *topology.Topology, col *collective.Collective, opts Options, pub *publisher, transform transformFunc) *Result {
 	rc := opts.Recipe
 	var sched *schedule.Schedule
-	engineName := ""
-	cells := 0
 	switch {
 	case rc.Source == "ring" && col.Kind == collective.KindAllGather:
 		ring, err := nccl.AllGather(top, col)
@@ -86,22 +87,12 @@ func rebuild(top *topology.Topology, col *collective.Collective, opts Options, p
 			return nil
 		}
 		sched = ring
-	case rc.Combination != nil && opts.SolveCache != nil && (rc.Source == "coarse" || rc.Source == "fine"):
-		so := opts.passSolver(rc.Source == "fine")
-		engineName = so.Engine.String()
-		sig := so.Fingerprint()
+	case rc.Combination != nil && (rc.Source == "coarse" || rc.Source == "fine"):
 		a, err := newAssembly(top, col, rc.Combination)
-		if err != nil {
+		if err != nil || len(rc.Subs) != len(a.cells) {
 			return nil
 		}
-		cells = len(a.cells)
-		subs := make([]*solve.SubSchedule, cells)
-		parallelFor(cells, opts.Workers, func(i int) {
-			subs[i] = opts.SolveCache.Lookup(a.cells[i].demand, sig)
-		})
-		// A nil cell — evicted or invalidated, and not on disk either —
-		// fails the build.
-		if sched, err = a.build(subs); err != nil {
+		if sched, err = a.build(rc.Subs); err != nil {
 			return nil
 		}
 	default:
@@ -123,11 +114,11 @@ func rebuild(top *topology.Topology, col *collective.Collective, opts Options, p
 	if out != sched && validateForward(sched, col) != nil {
 		return nil
 	}
-	pub.publishFinal(out, t, rc.Source, engineName, rc.Combination)
+	pub.publishFinal(out, t, rc.Source, rc.Engine, rc.Combination)
 
 	res := &Result{Schedule: out, Time: t, Combination: rc.Combination, Recipe: rc}
 	res.Stats.Replayed = true
 	res.Stats.Candidates = 1
-	res.Stats.CrossCacheHits = cells
+	res.Stats.CrossCacheHits = len(rc.Subs)
 	return res
 }

@@ -12,12 +12,12 @@ import (
 	"syccl/internal/topology"
 )
 
-// mapSolveCache is the smallest SolveCache a replay can run against:
+// mapSolveCache is the smallest SolveCache a pipeline can run against:
 // exact keys only, values shared (the pipeline never mutates them).
 type mapSolveCache struct {
-	mu      sync.Mutex
-	subs    map[string]*solve.SubSchedule
-	lookups int
+	mu              sync.Mutex
+	subs            map[string]*solve.SubSchedule
+	lookups, stores int
 }
 
 func (c *mapSolveCache) Lookup(d *solve.Demand, sig string) *solve.SubSchedule {
@@ -30,6 +30,7 @@ func (c *mapSolveCache) Lookup(d *solve.Demand, sig string) *solve.SubSchedule {
 func (c *mapSolveCache) Store(d *solve.Demand, sig string, s *solve.SubSchedule) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.stores++
 	if c.subs == nil {
 		c.subs = map[string]*solve.SubSchedule{}
 	}
@@ -38,8 +39,8 @@ func (c *mapSolveCache) Store(d *solve.Demand, sig string, s *solve.SubSchedule)
 
 // TestReplayIsOneCandidateUnderOneSpan: handed the recipe of a previous
 // run, the pipeline returns the same bytes from one "replay" span under
-// the root — no search, no combine, no passes — and says so in its
-// stats; the time is booked to the winner's pass.
+// the root — no search, no combine, no passes, no solve-cache call — and
+// says so in its stats; the time is booked to the winner's pass.
 func TestReplayIsOneCandidateUnderOneSpan(t *testing.T) {
 	top := topology.A100Clos(2)
 	for _, col := range []*collective.Collective{
@@ -55,9 +56,13 @@ func TestReplayIsOneCandidateUnderOneSpan(t *testing.T) {
 		if cold.Recipe == nil || cold.Stats.Replayed {
 			t.Fatalf("%v: full pass left recipe %v, Replayed %v", col.Kind, cold.Recipe, cold.Stats.Replayed)
 		}
+		cells := len(cold.Recipe.Subs)
+		if cells == 0 || cold.Recipe.Engine == "" {
+			t.Fatalf("%v: recipe of %d cells from engine %q", col.Kind, cells, cold.Recipe.Engine)
+		}
 
 		rec := obs.NewRecorder()
-		cache.lookups = 0
+		cache.lookups, cache.stores = 0, 0
 		warm, err := Synthesize(top, col, Options{SolveCache: cache, Recipe: cold.Recipe, Obs: rec})
 		if err != nil {
 			t.Fatal(err)
@@ -66,8 +71,11 @@ func TestReplayIsOneCandidateUnderOneSpan(t *testing.T) {
 			t.Fatalf("%v: replay differs from the full pass", col.Kind)
 		}
 		st := warm.Stats
-		if !st.Replayed || st.Candidates != 1 || st.SolverCalls != 0 || st.CrossCacheHits != cache.lookups {
-			t.Fatalf("%v: replay stats %+v after %d lookups", col.Kind, st, cache.lookups)
+		if !st.Replayed || st.Candidates != 1 || st.SolverCalls != 0 || st.CrossCacheHits != cells {
+			t.Fatalf("%v: replay stats %+v for %d cells", col.Kind, st, cells)
+		}
+		if cache.lookups != 0 || cache.stores != 0 {
+			t.Fatalf("%v: replay made %d lookups and %d stores", col.Kind, cache.lookups, cache.stores)
 		}
 		if warm.Recipe != cold.Recipe || warm.Partial {
 			t.Fatalf("%v: replay returned recipe %p (given %p), Partial %v", col.Kind, warm.Recipe, cold.Recipe, warm.Partial)
@@ -89,7 +97,7 @@ func TestReplayIsOneCandidateUnderOneSpan(t *testing.T) {
 				for _, a := range s.Attrs {
 					attrs[a.Key] = a.Value()
 				}
-				if s.Parent != "synthesize" || attrs["source"] != cold.Recipe.Source || attrs["cells"] != int64(st.CrossCacheHits) {
+				if s.Parent != "synthesize" || attrs["source"] != cold.Recipe.Source || attrs["cells"] != int64(cells) {
 					t.Fatalf("%v: replay span under %q with %v", col.Kind, s.Parent, attrs)
 				}
 			case "search", "combine", "solve.coarse", "solve.fine", "candidate", "bound":
@@ -102,9 +110,11 @@ func TestReplayIsOneCandidateUnderOneSpan(t *testing.T) {
 	}
 }
 
-// TestStaleRecipeRunsTheFullPass: a recipe the cache can no longer back,
-// one that fails its self-check, and one handed over without a cache at
-// all each fall back to the full pass — same bytes, not a replay, a
+// TestStaleRecipeRunsTheFullPass: a recipe does not depend on the solve
+// cache, so one handed over with an empty cache or none at all replays
+// the cold bytes. One that fails its self-check, names an unknown source,
+// carries the wrong number of cells or a sub-schedule that does not fit
+// its cell falls back to the full pass — same bytes, not a replay, a
 // fresh recipe on the result.
 func TestStaleRecipeRunsTheFullPass(t *testing.T) {
 	top := topology.A100Clos(2)
@@ -118,23 +128,38 @@ func TestStaleRecipeRunsTheFullPass(t *testing.T) {
 	forged.TimeBits++
 	unknown := *cold.Recipe
 	unknown.Source = "elsewhere"
-	for name, opts := range map[string]Options{
-		"cells gone":     {SolveCache: &mapSolveCache{}, Recipe: cold.Recipe},
-		"self-check":     {SolveCache: cache, Recipe: &forged},
-		"no cache":       {Recipe: cold.Recipe},
-		"unknown source": {SolveCache: cache, Recipe: &unknown},
+	short := *cold.Recipe
+	short.Subs = short.Subs[:len(short.Subs)-1]
+	foreign := *cold.Recipe
+	foreign.Subs = append([]*solve.SubSchedule{{Transfers: []solve.Transfer{{Src: 0, Dst: 99}}}}, foreign.Subs[1:]...)
+	for name, tc := range map[string]struct {
+		opts   Options
+		replay bool
+	}{
+		"cells gone":          {Options{SolveCache: &mapSolveCache{}, Recipe: cold.Recipe}, true},
+		"no cache":            {Options{Recipe: cold.Recipe}, true},
+		"self-check":          {Options{SolveCache: cache, Recipe: &forged}, false},
+		"unknown source":      {Options{SolveCache: cache, Recipe: &unknown}, false},
+		"Subs length ≠ cells": {Options{SolveCache: cache, Recipe: &short}, false},
+		"foreign cell":        {Options{SolveCache: cache, Recipe: &foreign}, false},
 	} {
-		res, err := Synthesize(top, col, opts)
+		res, err := Synthesize(top, col, tc.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Time != cold.Time || !reflect.DeepEqual(res.Schedule, cold.Schedule) {
+			t.Fatalf("%s: result differs from the cold run", name)
+		}
+		if tc.replay {
+			if !res.Stats.Replayed || res.Recipe != tc.opts.Recipe {
+				t.Fatalf("%s: stats %+v, recipe %p (given %p)", name, res.Stats, res.Recipe, tc.opts.Recipe)
+			}
+			continue
 		}
 		if res.Stats.Replayed || res.Stats.Candidates <= 1 {
 			t.Fatalf("%s: stats %+v", name, res.Stats)
 		}
-		if res.Time != cold.Time || !reflect.DeepEqual(res.Schedule, cold.Schedule) {
-			t.Fatalf("%s: fallback differs from the cold run", name)
-		}
-		if res.Recipe == nil || res.Recipe == opts.Recipe || !reflect.DeepEqual(res.Recipe, cold.Recipe) {
+		if res.Recipe == nil || res.Recipe == tc.opts.Recipe || !reflect.DeepEqual(res.Recipe, cold.Recipe) {
 			t.Fatalf("%s: fallback recorded recipe %+v", name, res.Recipe)
 		}
 	}

@@ -153,7 +153,9 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 		if !partial {
 			res.Recipe = &Recipe{
 				Combination: best.combo,
+				Subs:        best.subs,
 				Source:      best.source,
+				Engine:      best.engine,
 				TimeBits:    math.Float64bits(best.time),
 				Transfers:   len(best.sched.Transfers),
 			}
@@ -236,7 +238,8 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	cands := make([]*candidate, 0, len(combos))
 	for ci, c := range pool {
 		if coarse[ci].ok {
-			c.sched, c.time, c.source, c.engine = coarse[ci].sched, coarse[ci].time, "coarse", coarseSolve.Engine.String()
+			c.sched, c.time, c.subs = coarse[ci].sched, coarse[ci].time, coarse[ci].subs
+			c.source, c.engine = "coarse", coarseSolve.Engine.String()
 			cands = append(cands, c)
 		}
 	}
@@ -333,7 +336,7 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	for ci, c := range keep {
 		if fine[ci].ok {
 			finalists = append(finalists, &candidate{
-				combo: c.combo, asm: c.asm, cells: c.cells,
+				combo: c.combo, asm: c.asm, cells: c.cells, subs: fine[ci].subs,
 				sched: fine[ci].sched, time: fine[ci].time,
 				source: "fine", engine: fineName,
 			})
@@ -458,10 +461,13 @@ func validateForward(s *schedule.Schedule, col *collective.Collective) error {
 	return nil
 }
 
-// realized is the outcome of one candidate slot in a realization pass.
+// realized is the outcome of one candidate slot in a realization pass:
+// the schedule, its simulated time, and the per-cell sub-schedules it was
+// built from (shared read-only across cells with one demand).
 type realized struct {
 	sched *schedule.Schedule
 	time  float64
+	subs  []*solve.SubSchedule
 	ok    bool
 }
 
@@ -471,10 +477,12 @@ type realized struct {
 // distinct demand and fans the result out to the cells that share it.
 //
 //  1. list the pass's distinct demands in first-occurrence order
-//     (candidate, then cell) and offer each to opts.SolveCache once;
-//  2. partition them into isomorphism classes (Table.Classes; the
-//     representative is the first member in this pass's order) and solve
-//     one representative per class in parallel;
+//     (candidate, then cell) and partition them into isomorphism classes
+//     (Table.Classes; the representative is the first member in this
+//     pass's order; without the isomorphism cache every cell is its own
+//     class);
+//  2. offer each representative to opts.SolveCache once and solve, in
+//     parallel, the ones it did not serve;
 //  3. map every other demand from its representative's sub-schedule —
 //     one mapped sub-schedule per distinct demand, shared read-only — then
 //     assemble and simulate each candidate in parallel.
@@ -487,63 +495,48 @@ type realized struct {
 // failed candidates yield ok=false for their slot only; a failed
 // representative solve marks exactly the candidates that depend on it.
 //
-// Only the representatives of classes the cross-request cache did not
-// serve reach the solver, and every freshly computed sub-schedule is
-// stored back once (unless the context was cancelled, since a truncated
-// exact solve may have returned its greedy incumbent, which must not
-// masquerade as the converged solution in later requests).
+// The cache only ever sees representatives, and is told only what the
+// solver returned in this pass (never after a cancellation, since a
+// truncated exact solve may have returned its greedy incumbent): every
+// entry is the solver's output for exactly the demand it is keyed by, so
+// a hit is what solving would give, and a warm pass maps the same
+// representatives' solutions a cold one does.
 func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table, cands []*candidate,
 	solveOpts solve.Options, opts Options, stats *Stats, span *obs.Span, pub *publisher, source string) []realized {
 
 	engineName := solveOpts.Engine.String()
 	out := make([]realized, len(cands))
 	ids, uses, cells := distinctCells(tab, cands)
-
-	// Cross-request cache: consult the engine-owned store per demand
-	// before class batching. An exact-signature hit returns the stored
-	// solution verbatim, which is what makes warm re-plans bit-identical
-	// to the cold run that populated the cache.
-	solveSig := solveOpts.Fingerprint()
-	subs := make([]*solve.SubSchedule, tab.Len()) // the sub-schedule of each demand's cells
-	cached := make([]bool, tab.Len())
-	if opts.SolveCache != nil {
-		parallelFor(len(ids), opts.Workers, func(k int) {
-			subs[ids[k]] = opts.SolveCache.Lookup(tab.Demand(ids[k]), solveSig)
-		})
-	}
-	missed := false
-	for _, id := range ids {
-		if cached[id] = subs[id] != nil; cached[id] {
-			stats.CrossCacheHits += uses[id]
-		} else {
-			missed = true
-		}
-	}
-	// rep / fromRep are read only for demands the cross-request cache
-	// missed. When it served all of them — a full pass on a warm engine —
-	// the class partition would be dead work, so it is skipped. It is
-	// never narrowed to the missed demands: one of those whose class
-	// representative was served must still be mapped from it, not solved
-	// again. Without the isomorphism cache every cell is its own class.
 	var rep []int
 	var fromRep []*isomorph.Mapping
-	if missed && !opts.DisableIsomorphCache {
+	if !opts.DisableIsomorphCache {
 		rep, fromRep = tab.Classes(ids)
 	}
-	// Representatives the cache did not serve go to the solver.
-	var toSolve []int
-	classes := 0
+	var reps []int
 	for _, id := range ids {
 		if rep == nil || rep[id] == id {
-			classes++
-			if !cached[id] {
-				toSolve = append(toSolve, id)
-			}
+			reps = append(reps, id)
+		}
+	}
+
+	solveSig := solveOpts.Fingerprint()
+	subs := make([]*solve.SubSchedule, tab.Len()) // the sub-schedule of each demand's cells
+	if opts.SolveCache != nil {
+		parallelFor(len(reps), opts.Workers, func(k int) {
+			subs[reps[k]] = opts.SolveCache.Lookup(tab.Demand(reps[k]), solveSig)
+		})
+	}
+	var toSolve []int
+	for _, id := range reps {
+		if subs[id] != nil {
+			stats.CrossCacheHits += uses[id]
+		} else {
+			toSolve = append(toSolve, id)
 		}
 	}
 	span.SetInt("demands", int64(cells))
 	span.SetInt("distinct", int64(len(ids)))
-	span.SetInt("classes", int64(classes))
+	span.SetInt("classes", int64(len(reps)))
 	opts.Obs.Count("core.demands.distinct", float64(len(ids)))
 
 	// Solve each representative once, in parallel. Durations are collected
@@ -567,7 +560,7 @@ func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table
 		}
 		subs[id] = sub
 	})
-	solvedNow := 0
+	solvedNow, hits := 0, 0
 	for k, id := range toSolve {
 		if subs[id] == nil {
 			// Surface why the class failed, in deterministic demand
@@ -585,6 +578,7 @@ func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table
 			continue
 		}
 		solvedNow++
+		hits += uses[id] - 1
 		if durs[k] > stats.MaxSolve {
 			stats.MaxSolve = durs[k]
 		}
@@ -593,27 +587,20 @@ func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table
 	stats.CacheMisses += solvedNow
 	opts.Obs.Count("cache.misses", float64(solvedNow))
 
-	// Everything else the cache did not serve is served by mapping (the
-	// in-run isomorphism cache; cross-request hits are counted by the
-	// engine, not here): each further cell of a representative's demand
+	// Every other member is served by mapping (the in-run isomorphism
+	// cache): each further cell of a solved representative's demand
 	// verbatim, each cell of another member through its mapping, built
 	// once per distinct demand.
 	if rep != nil {
 		parallelFor(len(ids), opts.Workers, func(k int) {
-			id := ids[k]
-			if r := rep[id]; !cached[id] && r != id && subs[r] != nil {
+			if id, r := ids[k], rep[ids[k]]; r != id && subs[r] != nil {
 				subs[id] = isomorph.MapSchedule(subs[r], *fromRep[id])
 			}
 		})
-	}
-	hits := 0
-	for _, id := range ids {
-		switch {
-		case cached[id] || subs[id] == nil:
-		case rep == nil || rep[id] == id:
-			hits += uses[id] - 1
-		default:
-			hits += uses[id]
+		for _, id := range ids {
+			if rep[id] != id && subs[id] != nil {
+				hits += uses[id]
+			}
 		}
 	}
 	stats.CacheHits += hits
@@ -652,7 +639,7 @@ func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table
 		}
 		cs.SetFloat("time", r.Time)
 		cs.End()
-		out[ci] = realized{sched: sched, time: r.Time, ok: true}
+		out[ci] = realized{sched: sched, time: r.Time, subs: mine, ok: true}
 		// Publish as soon as the candidate is simulated: the stream is
 		// anytime, so waiting for the pass barrier would only delay it.
 		pub.offer(sched, r.Time, source, engineName, c.combo)
@@ -661,8 +648,8 @@ func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table
 	// Stores come after the candidates are out: one may write through to
 	// disk and must not hold up the incumbent stream.
 	if opts.SolveCache != nil && ctx.Err() == nil {
-		parallelFor(len(ids), opts.Workers, func(k int) {
-			if id := ids[k]; !cached[id] && subs[id] != nil {
+		parallelFor(len(toSolve), opts.Workers, func(k int) {
+			if id := toSolve[k]; subs[id] != nil {
 				opts.SolveCache.Store(tab.Demand(id), solveSig, subs[id])
 			}
 		})

@@ -6,8 +6,10 @@ import (
 	"sync"
 	"testing"
 
+	"syccl/internal/collective"
 	"syccl/internal/isomorph"
 	"syccl/internal/solve"
+	"syccl/internal/topology"
 )
 
 // seenDemands records, for the counting caches below, which demand
@@ -103,6 +105,64 @@ func TestOneDemandTablePerSynthesize(t *testing.T) {
 		}
 		if got, want := digestOf(res), loadColdDigests(t)[spec]; got != want {
 			t.Errorf("%s: got %+v, pinned %+v", spec, got, want)
+		}
+	}
+}
+
+// askedSolves is a mapSolveCache that also keeps, in call order, every
+// demand it was asked for under each signature. (The pipeline never
+// writes its demands, so a test may keep them.)
+type askedSolves struct {
+	mapSolveCache
+	asked map[string][]*solve.Demand
+}
+
+func (c *askedSolves) Lookup(d *solve.Demand, sig string) *solve.SubSchedule {
+	c.mu.Lock()
+	if c.asked == nil {
+		c.asked = map[string][]*solve.Demand{}
+	}
+	c.asked[sig] = append(c.asked[sig], d)
+	c.mu.Unlock()
+	return c.mapSolveCache.Lookup(d, sig)
+}
+
+// TestStoresAreSolverOutputs: on a100x16 Reduce from root 2, whose
+// isomorphism classes have members, the solve cache is told exactly what
+// the solver returned (one Store per solver call) and is only asked for
+// class representatives: within one pass's signature, no demand asked
+// for maps from one asked before it. A second run on the warm cache
+// solves and stores nothing, asks the same, and returns the cold bytes.
+func TestStoresAreSolverOutputs(t *testing.T) {
+	top := topology.A100Clos(2)
+	for _, size := range []float64{1 << 20, 64 << 20} {
+		col := collective.Reduce(top.NumGPUs(), 2, size)
+		cache := &askedSolves{}
+		cold := synth(t, top, col, Options{Workers: 1, SolveCache: cache})
+		if cold.Stats.CacheHits == 0 {
+			t.Fatalf("%g: no class has a member: %+v", size, cold.Stats)
+		}
+		if cache.stores != cold.Stats.SolverCalls {
+			t.Errorf("%g: %d stores for %d solver calls", size, cache.stores, cold.Stats.SolverCalls)
+		}
+		for sig, asked := range cache.asked {
+			for j, d := range asked {
+				for _, r := range asked[:j] {
+					if isomorph.FindFullMapping(r, d) != nil {
+						t.Fatalf("%g: under %s the cache was asked for a class member", size, sig)
+					}
+				}
+			}
+		}
+
+		first := cache.asked
+		cache.asked, cache.stores = nil, 0
+		warm := synth(t, top, col, Options{Workers: 1, SolveCache: cache})
+		if warm.Stats.SolverCalls != 0 || cache.stores != 0 || !reflect.DeepEqual(cache.asked, first) {
+			t.Errorf("%g: warm run made %d solver calls and %d stores", size, warm.Stats.SolverCalls, cache.stores)
+		}
+		if warm.Time != cold.Time || !reflect.DeepEqual(warm.Schedule, cold.Schedule) {
+			t.Errorf("%g: warm run differs from the cold one", size)
 		}
 	}
 }

@@ -43,7 +43,7 @@ func warmEngine(b *testing.B) *Engine {
 }
 
 // BenchmarkEngineWarmPlan measures the recipe path: a repeated plan on a
-// primed engine rebuilds last time's winner from the sub-schedule cache.
+// primed engine rebuilds last time's winner from its recipe.
 func BenchmarkEngineWarmPlan(b *testing.B) {
 	top, col, opts := benchCase()
 	eng := warmEngine(b)

@@ -16,18 +16,17 @@
 //
 // Next to them sit a flow-bound cache (scalar lower bounds per demand,
 // keyed by isomorph.ExactKey) and a recipe cache: per plan key, which
-// candidate won last time (core.Recipe), so a repeated plan rebuilds that
-// one candidate from the sub-schedule cache instead of re-ranking all of
-// them.
+// candidate won last time and the sub-schedules it was built from
+// (core.Recipe), so a repeated plan rebuilds that one candidate without
+// re-ranking all of them or consulting the sub-schedule cache.
 //
-// Every cache answers only for the exact key it stored: a relabeled
-// (isomorphic) demand misses and is solved, or mapped from its class
+// Every cache answers only for the exact key it stored, and the
+// sub-schedule cache holds solver outputs for isomorphism-class
+// representatives only: a class member is always mapped from its
 // representative inside the synthesis pass that needs it (§5.3,
-// isomorph.Table). The engine runs no isomorphism search across
-// requests, so a cached plan is the cold plan
-// (TestPlanAnswerIndependentOfHistory; the one residual history
-// dependence, a class member's mapped solution stored under its exact
-// key, is described there).
+// isomorph.Table), exactly as a cold run maps it. The engine runs no
+// isomorphism search across requests, so a cached plan is the cold plan
+// (TestPlanAnswerIndependentOfHistory).
 //
 // The caches plug into core.Options through the core.SolveCache,
 // core.SketchCache and core.BoundCache interfaces (and the Recipe
@@ -56,8 +55,9 @@ type Options struct {
 	SketchCacheEntries int
 	// SolveCacheEntries bounds the sub-schedule cache across all shards
 	// (default 4096). The recipe cache is bounded off it, to
-	// SolveCacheEntries/recipeCellsPerEntry plan keys: a recipe only
-	// replays while its winner's cells are resident here.
+	// SolveCacheEntries/recipeCellsPerEntry plan keys: a recipe carries
+	// its winner's sub-schedules, so the two bounds size one budget of
+	// solutions.
 	SolveCacheEntries int
 	// BoundCacheEntries bounds the flow-bound cache (scalar lower bounds
 	// per sub-demand; default 4096). Warm requests prune candidates
@@ -172,9 +172,9 @@ type Stats struct {
 	ReplanInvalidated int64 `json:"replan_invalidated"`
 	// RecipeHits counts plans rebuilt from their winner recipe (one
 	// candidate, no search), RecipeMisses plans that had none, and
-	// RecipeStale plans whose recipe no longer replayed — a cell evicted
-	// or invalidated, or a self-check mismatch — and that fell back to
-	// the full pass, which replaced it.
+	// RecipeStale plans whose recipe no longer replayed — its rebuild
+	// failed or missed the self-check — and that fell back to the full
+	// pass, which replaced it.
 	RecipeHits   int64 `json:"recipe_hits"`
 	RecipeMisses int64 `json:"recipe_misses"`
 	RecipeStale  int64 `json:"recipe_stale"`
@@ -284,10 +284,9 @@ func New(opts Options) *Engine {
 // other options pass through to the pipeline unchanged.
 //
 // A plan whose key has a winner recipe (see core.Recipe) rebuilds that
-// one candidate from the sub-schedule cache instead of running the
-// search; a recipe that no longer replays is dropped and the full pass
-// runs in the same call, so the bytes returned never depend on which
-// path served them.
+// one candidate from the recipe instead of running the search; a recipe
+// that no longer replays is dropped and the full pass runs in the same
+// call, so the bytes returned never depend on which path served them.
 func (e *Engine) Plan(ctx context.Context, top *topology.Topology, col *collective.Collective, opts core.Options) (*core.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -381,15 +380,14 @@ func (e *Engine) Stats() Stats {
 // --- recipe cache ---
 
 // recipeCellsPerEntry sizes the recipe cache against the sub-schedule
-// cache: a recipe is worth keeping only while the cells of its winner
-// are resident there, and the winners of the benchmark cases span 5 to
-// 48 cells, so a sub-schedule cache of N entries cannot keep many more
-// than N/16 winners replayable.
+// cache by memory: a recipe carries one sub-schedule per cell of its
+// winner, and the winners of the benchmark cases span 5 to 48 cells, so
+// N/16 recipes hold about as many solutions as N cache entries.
 const recipeCellsPerEntry = 16
 
-// cloneRecipe deep-copies a recipe on its way into and out of the
-// cache: the combination it carries is also handed to the caller as
-// Result.Combination.
+// cloneRecipe copies a recipe on its way into and out of the cache. The
+// combination is deep-copied, because it is also handed to the caller as
+// Result.Combination; the sub-schedules are read-only and shared.
 func cloneRecipe(r *core.Recipe) *core.Recipe {
 	out := *r
 	if c := r.Combination; c != nil {

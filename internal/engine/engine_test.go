@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"syccl/internal/cli"
 	"syccl/internal/collective"
 	"syccl/internal/core"
 	"syccl/internal/sketch"
@@ -111,41 +113,45 @@ func historyRequests(fabrics ...fabric) []historyRequest {
 	return out
 }
 
-// TestPlanAnswerIndependentOfHistory plans a 72-request history in a row
-// on one engine and holds every answer — schedule bytes and the bits of
-// the predicted time — to a cold core.Synthesize of the same request: a
-// cached plan is the cold plan, whatever the engine planned before. Then
-// it plans the history twice more, under a tree and a flat sketch hint,
-// on the same engine.
-//
-// a100x16 is left out. There, realizeAll can serve a demand from an
-// exact-key entry that an earlier request stored as a mapped class member
-// (a relabeled copy of its class representative's solution) rather than
-// as a solver output, and a cold run that picks a different
-// representative solves it differently: 5 of its 24 requests differ in
-// bytes, 2 in predicted time. Storing only solver outputs closes that.
+// planLikeCold plans the requests in a row on eng under opts and holds
+// every answer — schedule bytes and the bits of the predicted time — to a
+// cold core.Synthesize of the same request.
+func planLikeCold(t *testing.T, eng *Engine, history []historyRequest, opts core.Options, what string) {
+	t.Helper()
+	for _, r := range history {
+		got, err := eng.Plan(context.Background(), r.top, r.col, opts)
+		if err != nil {
+			t.Fatalf("%s%s: %v", r.name, what, err)
+		}
+		want, err := core.Synthesize(r.top, r.col, opts)
+		if err != nil {
+			t.Fatalf("%s%s: cold: %v", r.name, what, err)
+		}
+		if math.Float64bits(got.Time) != math.Float64bits(want.Time) {
+			t.Errorf("%s%s: planned time %v, cold %v", r.name, what, got.Time, want.Time)
+		} else if !reflect.DeepEqual(got.Schedule, want.Schedule) {
+			t.Errorf("%s%s: planned schedule differs from the cold one", r.name, what)
+		}
+	}
+}
+
+// TestPlanAnswerIndependentOfHistory plans a 96-request history in a row
+// on one engine and holds every answer to a cold core.Synthesize of the
+// same request: a cached plan is the cold plan, whatever the engine
+// planned before. Then it plans the history twice more, under a tree and
+// a flat sketch hint, on the same engine. On a100x16 the rooted requests
+// share isomorphism classes whose representatives differ from request to
+// request, so a solve cache that held a class member's mapped solution
+// under the member's own key would answer some of them differently.
 func TestPlanAnswerIndependentOfHistory(t *testing.T) {
 	history := historyRequests(
 		fabric{"dgx4", topology.SingleServer(4)},
 		fabric{"server8", topology.SingleServer(8)},
 		fabric{"h800small", topology.H800Small(6)},
+		fabric{"a100x16", topology.A100Clos(2)},
 	)
 	eng := New(Options{})
-	for _, r := range history {
-		got, err := eng.Plan(context.Background(), r.top, r.col, quickOpts())
-		if err != nil {
-			t.Fatalf("%s: %v", r.name, err)
-		}
-		want, err := core.Synthesize(r.top, r.col, quickOpts())
-		if err != nil {
-			t.Fatalf("%s: cold: %v", r.name, err)
-		}
-		if math.Float64bits(got.Time) != math.Float64bits(want.Time) {
-			t.Errorf("%s: planned time %v, cold %v", r.name, got.Time, want.Time)
-		} else if !reflect.DeepEqual(got.Schedule, want.Schedule) {
-			t.Errorf("%s: planned schedule differs from the cold one", r.name)
-		}
-	}
+	planLikeCold(t, eng, history, quickOpts(), "")
 	if st := eng.Stats(); st.SolveHits == 0 || st.IsoHits != 0 {
 		t.Fatalf("the history served %d sub-schedules from cache (%d through a mapping), want some and none: %+v",
 			st.SolveHits, st.IsoHits, st)
@@ -158,24 +164,47 @@ func TestPlanAnswerIndependentOfHistory(t *testing.T) {
 		hinted := quickOpts()
 		hinted.Search.Hint = hint
 		before := eng.Stats().SolveHits
-		for _, r := range history {
-			got, err := eng.Plan(context.Background(), r.top, r.col, hinted)
-			if err != nil {
-				t.Fatalf("%s [%s]: %v", r.name, hint.Canonical(), err)
-			}
-			want, err := core.Synthesize(r.top, r.col, hinted)
-			if err != nil {
-				t.Fatalf("%s [%s]: cold: %v", r.name, hint.Canonical(), err)
-			}
-			if math.Float64bits(got.Time) != math.Float64bits(want.Time) {
-				t.Errorf("%s [%s]: planned time %v, cold %v", r.name, hint.Canonical(), got.Time, want.Time)
-			} else if !reflect.DeepEqual(got.Schedule, want.Schedule) {
-				t.Errorf("%s [%s]: planned schedule differs from the cold one", r.name, hint.Canonical())
-			}
-		}
+		planLikeCold(t, eng, history, hinted, " ["+hint.Canonical()+"]")
 		if eng.Stats().SolveHits == before {
 			t.Errorf("the %s-hinted history served nothing from cache", hint.Canonical())
 		}
+	}
+}
+
+// TestPlanAnswerIndependentOfRandomHistory is the history test on
+// randomized fabrics, in a seeded random order: per fabric and at 1 MiB
+// and 64 MiB, the nine collectives plus Broadcast, Scatter, Reduce and
+// Gather from a random root, shuffled together and planned in a row on
+// one engine, each held to a cold synthesis.
+func TestPlanAnswerIndependentOfRandomHistory(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var history []historyRequest
+	for f := 0; f < 3; f++ {
+		top := verify.RandomTopology(rng)
+		n := top.NumGPUs()
+		for _, size := range []float64{1 << 20, 64 << 20} {
+			add := func(what string, col *collective.Collective) {
+				history = append(history, historyRequest{fmt.Sprintf("%s#%d:%s:%gM", top.Name, f, what, size/(1<<20)), top, col})
+			}
+			for _, kind := range nineCollectives {
+				col, err := cli.BuildCollective(kind, n, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				add(kind, col)
+			}
+			root := 1 + rng.Intn(n-1)
+			add(fmt.Sprintf("broadcast/%d", root), collective.Broadcast(n, root, size))
+			add(fmt.Sprintf("scatter/%d", root), collective.Scatter(n, root, size/float64(n-1)))
+			add(fmt.Sprintf("reduce/%d", root), collective.Reduce(n, root, size))
+			add(fmt.Sprintf("gather/%d", root), collective.Gather(n, root, size/float64(n-1)))
+		}
+	}
+	rng.Shuffle(len(history), func(i, j int) { history[i], history[j] = history[j], history[i] })
+	eng := New(Options{})
+	planLikeCold(t, eng, history, quickOpts(), "")
+	if eng.Stats().SolveHits == 0 {
+		t.Fatal("the history served nothing from cache")
 	}
 }
 

@@ -101,9 +101,9 @@ func TestEnginePersistWarmBoot(t *testing.T) {
 	}
 }
 
-// After the memory tier is warm, repeat plans must not touch the disk
-// tier at all — the persist counters stay flat — whether they replay the
-// winner recipe or, with it dropped, run the full pass.
+// After the memory tier is warm, a repeat plan that runs the full pass
+// (its winner recipe dropped) is served by the LRU and must not touch the
+// disk tier at all — the persist counters stay flat.
 func TestPersistNotConsultedOnMemoryHit(t *testing.T) {
 	dir := t.TempDir()
 	top := topology.H800Small(2)
@@ -113,23 +113,21 @@ func TestPersistNotConsultedOnMemoryHit(t *testing.T) {
 	if _, err := eng.Plan(context.Background(), top, col, quickOpts()); err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{"recipe", "full pass"} {
-		before := eng.Stats()
-		res, err := eng.Plan(context.Background(), top, col, quickOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.Replayed != (path == "recipe") {
-			t.Fatalf("%s plan: Replayed = %v", path, res.Stats.Replayed)
-		}
-		st := eng.Stats()
-		if st.PersistHits != before.PersistHits || st.PersistMisses != before.PersistMisses {
-			t.Fatalf("memory-warm %s plan consulted the disk tier: before %+v, after %+v", path, before, st)
-		}
-		if st.SolveHits == before.SolveHits {
-			t.Fatalf("memory-warm %s plan missed the LRU: %+v", path, st)
-		}
-		dropRecipes(eng)
+	dropRecipes(eng)
+	before := eng.Stats()
+	res, err := eng.Plan(context.Background(), top, col, quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Replayed {
+		t.Fatal("full-pass plan replayed")
+	}
+	st := eng.Stats()
+	if st.PersistHits != before.PersistHits || st.PersistMisses != before.PersistMisses {
+		t.Fatalf("memory-warm plan consulted the disk tier: before %+v, after %+v", before, st)
+	}
+	if st.SolveHits == before.SolveHits {
+		t.Fatalf("memory-warm plan missed the LRU: %+v", st)
 	}
 }
 

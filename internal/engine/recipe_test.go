@@ -142,7 +142,7 @@ func recipeCase() (*topology.Topology, *collective.Collective) {
 
 // TestRecipeReplaySkipsTheSearch is the recipe-path twin of
 // TestWarmPlanBitIdentical: the second plan is one recipe hit and
-// touches neither the sketch nor the bound cache.
+// touches neither the sketch, the bound nor the sub-schedule cache.
 func TestRecipeReplaySkipsTheSearch(t *testing.T) {
 	top, col := recipeCase()
 	eng := New(Options{})
@@ -161,10 +161,10 @@ func TestRecipeReplaySkipsTheSearch(t *testing.T) {
 		st.BoundHits != before.BoundHits || st.BoundMisses != before.BoundMisses {
 		t.Fatalf("replay searched or bounded: before %+v, after %+v", before, st)
 	}
-	if got := st.SolveHits - before.SolveHits; got != int64(warm.Stats.CrossCacheHits) || got == 0 {
-		t.Fatalf("replay made %d solve-cache hits for %d cells", got, warm.Stats.CrossCacheHits)
+	if st.SolveHits != before.SolveHits || st.SolveMisses != before.SolveMisses {
+		t.Fatalf("replay consulted the sub-schedule cache: before %+v, after %+v", before, st)
 	}
-	if warm.Stats.SolverCalls != 0 || !warm.Stats.Replayed {
+	if warm.Stats.SolverCalls != 0 || !warm.Stats.Replayed || warm.Stats.CrossCacheHits != len(cold.Recipe.Subs) {
 		t.Fatalf("warm stats: %+v", warm.Stats)
 	}
 	sameResult(t, "replay", warm, cold)
@@ -173,9 +173,11 @@ func TestRecipeReplaySkipsTheSearch(t *testing.T) {
 	}
 }
 
-// TestRecipeStaleFallsBack drives each way a recipe goes stale. Every
-// one must return the cold bytes, count recipe_stale, and leave a fresh
-// recipe behind that the next plan replays.
+// TestRecipeStaleFallsBack: a recipe carries its own sub-schedules, so
+// invalidating or evicting the sub-schedule cache leaves it replaying the
+// cold bytes; a recipe that fails its self-check must return the cold
+// bytes, count recipe_stale, and leave a fresh recipe behind that the
+// next plan replays.
 func TestRecipeStaleFallsBack(t *testing.T) {
 	top, col := recipeCase()
 	ref := mustPlan(t, New(Options{}), top, col, quickOpts())
@@ -198,6 +200,16 @@ func TestRecipeStaleFallsBack(t *testing.T) {
 		}
 	}
 
+	// replays plans once more and expects a replay of the cold bytes.
+	replays := func(t *testing.T, eng *Engine) {
+		t.Helper()
+		res := mustPlan(t, eng, top, col, quickOpts())
+		sameResult(t, "replay", res, ref)
+		if st := eng.Stats(); !res.Stats.Replayed || st.RecipeStale != 0 || st.RecipeHits != 1 {
+			t.Fatalf("recipe did not replay: %+v (result %+v)", st, res.Stats)
+		}
+	}
+
 	t.Run("invalidated", func(t *testing.T) {
 		eng := New(Options{})
 		mustPlan(t, eng, top, col, quickOpts())
@@ -211,7 +223,7 @@ func TestRecipeStaleFallsBack(t *testing.T) {
 		if n == 0 {
 			t.Fatal("nothing invalidated")
 		}
-		staleThenHit(t, eng)
+		replays(t, eng)
 	})
 
 	t.Run("self-check", func(t *testing.T) {
@@ -235,21 +247,15 @@ func TestRecipeStaleFallsBack(t *testing.T) {
 		staleThenHit(t, eng)
 	})
 
-	// A sub-schedule cache too small for the winner's cells: the recipe
-	// is found, its cells are not, and the full pass has to solve again.
+	// A sub-schedule cache too small for the winner's cells.
 	t.Run("evicted", func(t *testing.T) {
 		eng := New(Options{SolveCacheEntries: 2, Shards: 1})
 		cold := mustPlan(t, eng, top, col, quickOpts())
 		sameResult(t, "cold plan", cold, ref)
-		if cold.Recipe == nil || eng.recipes.Len() != 1 {
-			t.Fatal("no recipe stored")
+		if cold.Recipe == nil || eng.recipes.Len() != 1 || eng.Stats().Evictions == 0 {
+			t.Fatalf("no recipe stored, or nothing evicted: %+v", eng.Stats())
 		}
-		res := mustPlan(t, eng, top, col, quickOpts())
-		sameResult(t, "plan on the undersized cache", res, ref)
-		st := eng.Stats()
-		if res.Stats.Replayed || st.RecipeStale != 1 || st.RecipeHits != 0 {
-			t.Fatalf("undersized cache: %+v (result %+v)", st, res.Stats)
-		}
+		replays(t, eng)
 	})
 }
 

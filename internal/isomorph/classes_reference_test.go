@@ -279,13 +279,16 @@ func TestClassesEquivalenceRandom(t *testing.T) {
 	}
 }
 
-// FuzzClassesEquivalence holds Table.Classes to the reference on decoded lists
-// with injected duplicates and GPU relabelings.
+// FuzzClassesEquivalence holds Table.Classes, and the piece bijections
+// under it, to their references on decoded lists with injected
+// duplicates and GPU relabelings.
 func FuzzClassesEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 2, 3, 1, 0, 0, 1, 0, 1, 2, 1, 1, 0, 0, 1, 9, 0, 0, 0, 1, 0, 2, 1, 1, 1, 0, 2})
 	f.Add([]byte{7, 7, 3, 4, 2, 1, 0, 1, 0, 1, 0, 3, 2, 1, 1, 1, 0, 0, 5, 1, 0, 0, 20, 0, 1, 1, 2, 2, 0, 1, 1, 0, 2, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sameClasses(t, "fuzz", classesFuzzList(data))
+		list := classesFuzzList(data)
+		sameClasses(t, "fuzz", list)
+		sameBijections(t, "fuzz", list)
 	})
 }

@@ -12,7 +12,6 @@ package isomorph
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -267,11 +266,20 @@ func gpuColors(d *solve.Demand) []string {
 // isomorphic", which costs an extra solve but never a wrong schedule.
 const maxBacktrackNodes = 200000
 
-// FindMapping searches for a GPU permutation f with f[i] = j meaning
+// FindMapping returns the GPU permutation of FindFullMapping(a, b), or
+// nil.
+func FindMapping(a, b *solve.Demand) []int {
+	if m := FindFullMapping(a, b); m != nil {
+		return m.GPUs
+	}
+	return nil
+}
+
+// FindFullMapping searches for a GPU permutation f with f[i] = j meaning
 // a's GPU i plays the role of b's GPU j, such that a's pieces map
 // bijectively onto b's pieces (equal sizes, f(Srcs) = Srcs, f(Dsts) =
-// Dsts as sets). Returns nil when no mapping exists (or the search
-// budget runs out).
+// Dsts as sets), and returns it with the piece bijection that verified
+// it. Returns nil when no mapping exists (or the search budget runs out).
 //
 // Small demands get an exact backtracking search. Large ones — where
 // color classes are fat and backtracking degenerates — get the cheap
@@ -280,7 +288,7 @@ const maxBacktrackNodes = 200000
 // time. The cheap route can miss an isomorphism (costing an extra solve,
 // never a wrong schedule), but on the highly symmetric demands SyCCL
 // produces a color-respecting bijection almost always verifies.
-func FindMapping(a, b *solve.Demand) []int {
+func FindFullMapping(a, b *solve.Demand) *Mapping {
 	if a.NumGPUs != b.NumGPUs || len(a.Pieces) != len(b.Pieces) {
 		return nil
 	}
@@ -327,6 +335,7 @@ func FindMapping(a, b *solve.Demand) []int {
 	// and the filter would dominate the runtime.
 	budget := maxBacktrackNodes
 
+	var pieces []int
 	var rec func(k int) bool
 	rec = func(k int) bool {
 		nodes++
@@ -334,7 +343,8 @@ func FindMapping(a, b *solve.Demand) []int {
 			return false
 		}
 		if k == n {
-			return piecesMatch(a, b, f)
+			pieces = pieceBijection(a, b, f)
+			return pieces != nil
 		}
 		i := order[k]
 		for _, j := range candidates[i] {
@@ -352,15 +362,15 @@ func FindMapping(a, b *solve.Demand) []int {
 		return false
 	}
 	if rec(0) {
-		return f
+		return &Mapping{GPUs: f, Pieces: pieces}
 	}
 	return nil
 }
 
 // findMappingSampled tries the color-sorted canonical alignment and a
 // few randomized color-respecting bijections, verifying each with the
-// near-linear piecesMatch.
-func findMappingSampled(a, b *solve.Demand, ca, cb []string) []int {
+// near-linear pieceBijection.
+func findMappingSampled(a, b *solve.Demand, ca, cb []string) *Mapping {
 	n := a.NumGPUs
 	// Bucket GPUs by color on both sides.
 	byColorA := map[string][]int{}
@@ -378,41 +388,26 @@ func findMappingSampled(a, b *solve.Demand, ca, cb []string) []int {
 	}
 	sort.Strings(colors)
 
-	build := func(permute func(class []int) []int) []int {
+	// The canonical sorted-position alignment within each color class,
+	// then seven rotations within classes, then 24 randomized
+	// color-respecting bijections.
+	rng := rand.New(rand.NewSource(int64(n)*7919 + int64(len(a.Pieces))))
+	for trial := 0; trial < 32; trial++ {
 		f := make([]int, n)
 		for _, c := range colors {
-			as := byColorA[c]
-			bs := permute(append([]int(nil), byColorB[c]...))
-			for k, i := range as {
+			bs := append([]int(nil), byColorB[c]...)
+			if trial < 8 {
+				k := trial % len(bs)
+				bs = append(bs[k:], bs[:k]...)
+			} else {
+				rng.Shuffle(len(bs), func(x, y int) { bs[x], bs[y] = bs[y], bs[x] })
+			}
+			for k, i := range byColorA[c] {
 				f[i] = bs[k]
 			}
 		}
-		return f
-	}
-
-	// Canonical: sorted-position alignment within each color class.
-	if f := build(func(class []int) []int { return class }); piecesMatch(a, b, f) {
-		return f
-	}
-	// Rotations within classes.
-	for shift := 1; shift < 8; shift++ {
-		f := build(func(class []int) []int {
-			k := shift % len(class)
-			return append(class[k:], class[:k]...)
-		})
-		if piecesMatch(a, b, f) {
-			return f
-		}
-	}
-	// Randomized color-respecting bijections.
-	rng := rand.New(rand.NewSource(int64(n)*7919 + int64(len(a.Pieces))))
-	for trial := 0; trial < 24; trial++ {
-		f := build(func(class []int) []int {
-			rng.Shuffle(len(class), func(x, y int) { class[x], class[y] = class[y], class[x] })
-			return class
-		})
-		if piecesMatch(a, b, f) {
-			return f
+		if pieces := pieceBijection(a, b, f); pieces != nil {
+			return &Mapping{GPUs: f, Pieces: pieces}
 		}
 	}
 	return nil
@@ -464,54 +459,62 @@ func setCompatible(sa, sb []int, f []int) bool {
 	return true
 }
 
-// pieceSig renders a piece's canonical signature, optionally under a GPU
-// mapping m.
-func pieceSig(bytes float64, srcs, dsts []int, m []int) string {
-	img := func(set []int) []int {
-		out := make([]int, len(set))
-		for k, v := range set {
-			if m != nil {
-				out[k] = m[v]
-			} else {
-				out[k] = v
+// appendPieceSig renders a piece's canonical signature "<bytes
+// %.9g>|<srcs>|<dsts>", each list sorted and printed as fmt's %v prints
+// an []int, optionally under a GPU mapping m. img is scratch space for
+// the sorted lists and is handed back for reuse.
+func appendPieceSig(b []byte, img []int, p *solve.Piece, m []int) ([]byte, []int) {
+	b = strconv.AppendFloat(b, p.Bytes, 'g', 9, 64)
+	for _, set := range [2][]int{p.Srcs, p.Dsts} {
+		img = append(img[:0], set...)
+		if m != nil {
+			for k, v := range img {
+				img[k] = m[v]
 			}
 		}
-		sort.Ints(out)
-		return out
+		sort.Ints(img)
+		b = appendInts(append(b, '|'), img)
 	}
-	return fmt.Sprintf("%.9g|%v|%v", bytes, img(srcs), img(dsts))
+	return b, img
 }
 
 // pieceBijection verifies a complete GPU mapping f and, when valid,
 // returns the induced piece bijection: out[i] is the b-piece that a's
 // piece i plays under f. Pieces with identical signatures are
-// interchangeable, so any within-bucket assignment is correct. Returns
-// nil when f is not an isomorphism. Near-linear via signature bucketing.
+// interchangeable, so any within-bucket assignment is correct; a's pieces
+// take their bucket's b-pieces from the highest index down. Returns nil
+// when f is not an isomorphism. Near-linear via signature bucketing; the
+// signatures are rendered into one reused buffer, and only a bucket's
+// first one is kept as a string.
 func pieceBijection(a, b *solve.Demand, f []int) []int {
 	if len(a.Pieces) != len(b.Pieces) {
 		return nil
 	}
-	buckets := make(map[string][]int, len(b.Pieces))
-	for j, pb := range b.Pieces {
-		k := pieceSig(pb.Bytes, pb.Srcs, pb.Dsts, nil)
-		buckets[k] = append(buckets[k], j)
+	var buf []byte
+	var img []int
+	bucket := make(map[string]int, len(b.Pieces)) // signature → index into left
+	var left [][]int                              // per bucket, the b-pieces not yet taken
+	for j := range b.Pieces {
+		buf, img = appendPieceSig(buf[:0], img, &b.Pieces[j], nil)
+		k, ok := bucket[string(buf)]
+		if !ok {
+			k = len(left)
+			bucket[string(buf)] = k
+			left = append(left, nil)
+		}
+		left[k] = append(left[k], j)
 	}
 	out := make([]int, len(a.Pieces))
-	for i, pa := range a.Pieces {
-		k := pieceSig(pa.Bytes, pa.Srcs, pa.Dsts, f)
-		lst := buckets[k]
-		if len(lst) == 0 {
+	for i := range a.Pieces {
+		buf, img = appendPieceSig(buf[:0], img, &a.Pieces[i], f)
+		k, ok := bucket[string(buf)]
+		if !ok || len(left[k]) == 0 {
 			return nil
 		}
-		out[i] = lst[len(lst)-1]
-		buckets[k] = lst[:len(lst)-1]
+		lst := left[k]
+		out[i], left[k] = lst[len(lst)-1], lst[:len(lst)-1]
 	}
 	return out
-}
-
-// piecesMatch reports whether f is a valid isomorphism.
-func piecesMatch(a, b *solve.Demand, f []int) bool {
-	return pieceBijection(a, b, f) != nil
 }
 
 // Mapping is a complete isomorphism between two demands: the GPU
@@ -548,19 +551,6 @@ func Equal(a, b *solve.Demand) bool {
 		}
 	}
 	return true
-}
-
-// FindFullMapping returns the complete isomorphism from a to b, or nil.
-func FindFullMapping(a, b *solve.Demand) *Mapping {
-	f := FindMapping(a, b)
-	if f == nil {
-		return nil
-	}
-	pm := pieceBijection(a, b, f)
-	if pm == nil {
-		return nil
-	}
-	return &Mapping{GPUs: f, Pieces: pm}
 }
 
 // Table interns the demands of one synthesis call. Intern gives every

@@ -112,10 +112,10 @@ func TestMappingPreservesStructureRandomized(t *testing.T) {
 		if f == nil {
 			t.Fatalf("trial %d: no mapping for permuted copy", trial)
 		}
-		// Verify f is a valid isomorphism by checking piecesMatch
+		// Verify f is a valid isomorphism by checking pieceBijection
 		// directly (it was validated inside, but double-check the
 		// contract).
-		if !piecesMatch(d, e, f) {
+		if pieceBijection(d, e, f) == nil {
 			t.Fatalf("trial %d: returned mapping invalid", trial)
 		}
 	}

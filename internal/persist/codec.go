@@ -45,8 +45,11 @@ import (
 // incompatible corpus and resets it (entries are cheap to re-synthesize,
 // wrong entries are not cheap to debug). Version 2 keys entries by the
 // defaulted solve options (solve.Options.Fingerprint) and stores only
-// the key and the solution.
-const FormatVersion = 2
+// the key and the solution. Version 3 has the same layout, but every
+// entry is the solver's output for exactly the demand it is keyed by: a
+// v2 corpus may hold an isomorphism-class member's solution mapped from
+// its representative, which a cold run would not produce.
+const FormatVersion = 3
 
 // Container kinds. Each file kind decodes only as itself, so a snapshot
 // can never be mistaken for a solve entry.

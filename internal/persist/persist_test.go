@@ -1,6 +1,8 @@
 package persist
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -123,45 +125,58 @@ func TestReopenRestoresIndex(t *testing.T) {
 	}
 }
 
-// A corpus written by format v1 — here the manifest of a v1 daemon's
-// cache directory — is a compatibility break: Open discards its entries
-// and snapshots, counts a reset (not a corrupt manifest: a foreign
-// version is intact, just not ours), and the store serves on.
+// A corpus written by an older format — here the manifest of a v1
+// daemon's cache directory, and the manifest a v2 build wrote, whose
+// corpus may hold class members' mapped solutions under their own keys —
+// is a compatibility break: Open discards its entries and snapshots,
+// counts a reset (not a corrupt manifest: a foreign version is intact,
+// just not ours), and the store serves on.
 func TestV1CorpusResets(t *testing.T) {
-	dir := t.TempDir()
-	s1 := open(t, dir)
-	if err := s1.Put(demand(0), "sig", subFor(demand(0))); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.SaveSnapshot("warm", []byte("image")); err != nil {
-		t.Fatal(err)
-	}
 	v1, err := os.ReadFile(filepath.Join("..", "serve", "testdata", "parent_cache", manifestName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := DecodeManifest(v1); !errors.Is(err, ErrVersion) {
-		t.Fatalf("v1 manifest: err = %v, want ErrVersion", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// A v2 manifest is today's with the version field set to 2 and the
+	// checksum recomputed: the layout has not changed since.
+	v2 := append([]byte(nil), EncodeManifest()[:headerSize]...)
+	binary.LittleEndian.PutUint16(v2[4:6], 2)
+	sum := sha256.Sum256(v2)
+	v2 = append(v2, sum[:]...)
 
-	s2 := open(t, dir)
-	if st := s2.Stats(); st.Entries != 0 || st.Resets != 1 || st.CorruptManifest != 0 {
-		t.Fatalf("v1 corpus after Open: %+v", st)
-	}
-	if _, ok := s2.LoadSnapshot("warm"); ok {
-		t.Fatal("v1 snapshot survived the reset")
-	}
-	if s2.Load(demand(0), "sig") != nil {
-		t.Fatal("v1 corpus served an entry")
-	}
-	if err := s2.Put(demand(0), "sig", subFor(demand(0))); err != nil {
-		t.Fatal(err)
-	}
-	if s3 := open(t, dir); s3.Len() != 1 {
-		t.Fatalf("the fresh v2 corpus did not survive a reopen: %d entries", s3.Len())
+	for name, manifest := range map[string][]byte{"v1": v1, "v2": v2} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1 := open(t, dir)
+			if err := s1.Put(demand(0), "sig", subFor(demand(0))); err != nil {
+				t.Fatal(err)
+			}
+			if err := s1.SaveSnapshot("warm", []byte("image")); err != nil {
+				t.Fatal(err)
+			}
+			if err := DecodeManifest(manifest); !errors.Is(err, ErrVersion) {
+				t.Fatalf("%s manifest: err = %v, want ErrVersion", name, err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s2 := open(t, dir)
+			if st := s2.Stats(); st.Entries != 0 || st.Resets != 1 || st.CorruptManifest != 0 {
+				t.Fatalf("%s corpus after Open: %+v", name, st)
+			}
+			if _, ok := s2.LoadSnapshot("warm"); ok {
+				t.Fatalf("%s snapshot survived the reset", name)
+			}
+			if s2.Load(demand(0), "sig") != nil {
+				t.Fatalf("%s corpus served an entry", name)
+			}
+			if err := s2.Put(demand(0), "sig", subFor(demand(0))); err != nil {
+				t.Fatal(err)
+			}
+			if s3 := open(t, dir); s3.Len() != 1 {
+				t.Fatalf("the fresh corpus did not survive a reopen: %d entries", s3.Len())
+			}
+		})
 	}
 }
 

@@ -34,11 +34,12 @@ echo "== cold digests and history independence under GOMAXPROCS 1, 4, 16 =="
 # The pinned cold bytes must not depend on how many OS threads run the
 # worker goroutines: two nondeterminism bugs showed only off the default
 # setting. A plan on a long-lived engine must return those same cold
-# bytes whatever was planned before it (3–4 s of test per setting on the
-# 2-core box, plus the build).
+# bytes whatever was planned before it, on the paper's fabrics and on
+# randomized ones in a shuffled order (about 10 s of test per setting on
+# a 2-core box, plus the build).
 for procs in 1 4 16; do
     GOMAXPROCS=$procs go test ./internal/core ./internal/engine \
-        -run 'TestColdScheduleDigests$|TestPlanAnswerIndependentOfHistory$' -count=1
+        -run 'TestColdScheduleDigests$|TestPlanAnswerIndependentOfHistory$|TestPlanAnswerIndependentOfRandomHistory$' -count=1
 done
 
 echo "== go test -race (core/engine/lru/milp/obs/persist/serve/sim/solve/verify shard) =="
