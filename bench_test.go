@@ -281,7 +281,7 @@ func BenchmarkFlowBound(b *testing.B) {
 }
 
 // BenchmarkFlowSolve: the flow backend on a 16-GPU AllGather sub-demand
-// (3840 binaries — ten times over the exact engine's MaxBinaries gate).
+// (3840 binaries — ten times over the exact engine's size gate).
 func BenchmarkFlowSolve(b *testing.B) {
 	d := flowBenchDemand(16, 1<<17)
 	b.ResetTimer()
@@ -296,7 +296,7 @@ func BenchmarkFlowSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkFlowPruneH800AG: one auto-mode synthesis on the 64-GPU H800
+// BenchmarkFlowPruneH800AG: one synthesis on the 64-GPU H800
 // rail (1 MiB AllGather), reporting the bound-pruning internals: bounds
 // evaluated, candidates pruned, and MILP builds avoided (flow-proved
 // optimal at the greedy incumbent plus over-gate instances served by the
@@ -316,22 +316,6 @@ func BenchmarkFlowPruneH800AG(b *testing.B) {
 			b.ReportMetric(float64(res.Stats.PrunedLB), "pruned_lb")
 			avoided := rec.CounterValue("solve.exact.flow_proved") + rec.CounterValue("solve.flow")
 			b.ReportMetric(avoided, "milp.avoided")
-		}
-	}
-}
-
-// BenchmarkFig14aExact: the Fig 14a sweep with every flow component
-// disabled (pure-MILP baseline the flow section compares against).
-func BenchmarkFig14aExact(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := quickCfg()
-		cfg.Solver = core.SolverExact
-		s, err := experiments.Fig14a(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(s.Rows) == 0 {
-			b.Fatal("empty series")
 		}
 	}
 }

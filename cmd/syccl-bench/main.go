@@ -18,7 +18,6 @@ import (
 	"strings"
 	"time"
 
-	"syccl/internal/core"
 	"syccl/internal/engine"
 	"syccl/internal/experiments"
 	"syccl/internal/obs"
@@ -128,15 +127,8 @@ func main() {
 	budget := flag.Duration("teccl-budget", 0, "TECCL per-case budget (0: default)")
 	timeout := flag.Duration("timeout", 0, "per-synthesis deadline; on expiry the best schedule found so far is used (0 = no limit)")
 	seed := flag.Int64("seed", 0, "random seed")
-	solver := flag.String("solver", "auto", "sub-demand solver: auto | exact | flow")
 	tracePath := flag.String("trace", "", "write a Chrome trace covering every synthesis run (open in Perfetto)")
 	flag.Parse()
-
-	mode, err := core.ParseSolverMode(*solver)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "syccl-bench:", err)
-		os.Exit(1)
-	}
 
 	all := runners()
 	var ids []string
@@ -156,7 +148,7 @@ func main() {
 		return
 	}
 
-	cfg := experiments.Config{Quick: *quick, TECCLBudget: *budget, Seed: *seed, Timeout: *timeout, Solver: mode}
+	cfg := experiments.Config{Quick: *quick, TECCLBudget: *budget, Seed: *seed, Timeout: *timeout}
 	if *tracePath != "" {
 		cfg.Obs = obs.NewRecorder()
 	}

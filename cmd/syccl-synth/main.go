@@ -66,14 +66,10 @@ func main() {
 	start := time.Now()
 	switch opts.System {
 	case "syccl":
-		mode, err := core.ParseSolverMode(opts.Solver)
-		if err != nil {
-			fail(err)
-		}
 		eng := engine.New(engine.Options{Obs: rec})
 		copts := core.Options{
 			E1: opts.E1, E2: opts.E2, Workers: opts.Workers, Seed: opts.Seed,
-			SolverMode: mode, Obs: rec,
+			Obs:        rec,
 			Search:     sketch.SearchOptions{Hint: opts.Hint()},
 			StopWithin: opts.StopWithin / 100,
 		}

@@ -18,7 +18,6 @@ type SynthFlags struct {
 	Collective string
 	Size       string
 	System     string
-	Solver     string
 	Out        string
 	E1, E2     float64
 	Workers    int
@@ -50,7 +49,6 @@ func NewSynthFlags(fs *flag.FlagSet) *SynthFlags {
 	fs.StringVar(&f.Collective, "coll", "allgather", "alias for -collective")
 	fs.StringVar(&f.Size, "size", "64M", "aggregate data size (e.g. 1K, 64M, 1G)")
 	fs.StringVar(&f.System, "system", "syccl", "synthesizer: syccl | teccl | nccl")
-	fs.StringVar(&f.Solver, "solver", "auto", "sub-demand solver: auto (MILP with flow-bound pruning and flow fallback) | exact (pure MILP) | flow (LP relaxation + guided rounding; syccl only)")
 	fs.StringVar(&f.Out, "out", "", "write the schedule as MSCCL XML to this file")
 	fs.Float64Var(&f.E1, "e1", 3.0, "coarse-pass epoch knob E1")
 	fs.Float64Var(&f.E2, "e2", 0.5, "fine-pass epoch knob E2")
@@ -112,11 +110,6 @@ func (f *SynthFlags) Resolve() (*topology.Topology, *collective.Collective, erro
 	case "syccl", "teccl", "nccl":
 	default:
 		return nil, nil, fmt.Errorf("unknown system %q", f.System)
-	}
-	switch f.Solver {
-	case "", "auto", "exact", "flow":
-	default:
-		return nil, nil, fmt.Errorf("unknown solver mode %q (want auto, exact, or flow)", f.Solver)
 	}
 	if f.StopWithin < 0 || f.StopWithin > 100 {
 		return nil, nil, fmt.Errorf("-stop-within %g out of range [0,100]", f.StopWithin)

@@ -32,7 +32,7 @@ func TestSynthFlagsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f.Topo != "a100x16" || f.Collective != "allgather" || f.Size != "64M" ||
-		f.System != "syccl" || f.Solver != "auto" || f.E1 != 3.0 || f.E2 != 0.5 ||
+		f.System != "syccl" || f.E1 != 3.0 || f.E2 != 0.5 ||
 		f.Budget != 10*time.Second {
 		t.Fatalf("defaults: %+v", f)
 	}
@@ -59,21 +59,6 @@ func TestSynthFlagsCollAlias(t *testing.T) {
 	}
 	if f.Collective != "reduce" {
 		t.Fatalf("-collective: %q", f.Collective)
-	}
-}
-
-func TestSynthFlagsSolver(t *testing.T) {
-	for _, mode := range []string{"auto", "exact", "flow"} {
-		f, err := newSynth(t, "-solver", mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Solver != mode {
-			t.Fatalf("-solver %s: Solver = %q", mode, f.Solver)
-		}
-		if _, _, err := f.Resolve(); err != nil {
-			t.Fatalf("-solver %s rejected: %v", mode, err)
-		}
 	}
 }
 
@@ -116,7 +101,6 @@ func TestSynthFlagsErrorPaths(t *testing.T) {
 		{[]string{"-coll", "nope"}, "unknown collective"},
 		{[]string{"-size", "banana"}, "bad size"},
 		{[]string{"-system", "magic"}, "unknown system"},
-		{[]string{"-solver", "quantum"}, "unknown solver mode"},
 	}
 	for _, c := range cases {
 		f, err := newSynth(t, c.args...)

@@ -6,7 +6,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"strconv"
 	"time"
@@ -40,19 +39,6 @@ type Options struct {
 	// limits (the Fig 17 ablations), and the optional TACCL-style sketch
 	// hint (Search.Hint), validated against the topology before search.
 	Search sketch.SearchOptions
-	// SolverMode selects the solver strategy family (the -solver CLI
-	// knob). SolverAuto (default) runs the exact MILP with
-	// flow-relaxation bound pruning — candidates and horizons the LP
-	// bound proves hopeless are skipped — and hands instances over the
-	// MaxBinaries gate to the flow backend. SolverExact disables every
-	// flow component (pure MILP; oversized demands fail their candidates
-	// and surface in Stats). SolverFlow uses the flow backend for every
-	// sub-demand. Whatever the mode, an exact solve is bounded only by
-	// deterministic effort limits (the MaxBinaries size gate plus
-	// per-solve node and simplex-pivot budgets) and by the caller's
-	// context, which is what keeps schedules byte-identical across
-	// Workers counts and machine load.
-	SolverMode SolverMode
 	// Seed drives randomized components.
 	Seed int64
 	// DisableTwoStep solves every candidate at E2 directly (ablation).
@@ -96,7 +82,6 @@ type Options struct {
 	// bound, the fine pass is skipped and the coarse schedule returned
 	// with Stats.StoppedEarly set. The check runs at a deterministic
 	// pipeline boundary, so results remain byte-identical across Workers.
-	// No-op under SolverExact (no flow bounds are computed).
 	StopWithin float64
 	// Recipe, when non-nil, names the winner a previous identical request
 	// arrived at (Result.Recipe; internal/engine keeps them per plan key).
@@ -119,14 +104,15 @@ type Incumbent struct {
 	// strictly decreasing across the published stream.
 	Time float64
 	// Bound is the best known flow lower bound for the plan at publish
-	// time (0 until bounds are computed, and always 0 under SolverExact).
+	// time (0 until bounds are computed).
 	Bound float64
 	// Source names the pipeline stage that produced the schedule:
 	// "direct" (routed one-to-one), "coarse", "ring" (injected NCCL
 	// ring), or "fine".
 	Source string
-	// Engine is the sub-demand engine of the producing pass ("greedy",
-	// "exact", "flow", ...), or "" where no solver ran.
+	// Engine is the sub-demand engine of the producing pass ("greedy"
+	// for the coarse pass, "auto" for the fine one), or "" where no
+	// solver ran.
 	Engine string
 	// Combination is the sketch combination behind the schedule (nil for
 	// injected or routed schedules, and for mirrored/concatenated
@@ -134,46 +120,6 @@ type Incumbent struct {
 	Combination *sketch.Combination
 	// Seq numbers the stream from 1.
 	Seq int
-}
-
-// SolverMode selects the solver strategy family for sub-demand solving.
-type SolverMode int
-
-// Solver modes (the -solver CLI knob).
-const (
-	// SolverAuto: exact MILP with flow-bound pruning, flow backend
-	// fallback above the MaxBinaries gate.
-	SolverAuto SolverMode = iota
-	// SolverExact: exact MILP only; no flow bounds, no fallback.
-	SolverExact
-	// SolverFlow: flow-relaxation backend for every sub-demand.
-	SolverFlow
-)
-
-func (m SolverMode) String() string {
-	switch m {
-	case SolverAuto:
-		return "auto"
-	case SolverExact:
-		return "exact"
-	case SolverFlow:
-		return "flow"
-	default:
-		return "unknown"
-	}
-}
-
-// ParseSolverMode parses the -solver flag value.
-func ParseSolverMode(s string) (SolverMode, error) {
-	switch s {
-	case "", "auto":
-		return SolverAuto, nil
-	case "exact":
-		return SolverExact, nil
-	case "flow":
-		return SolverFlow, nil
-	}
-	return 0, fmt.Errorf("core: unknown solver mode %q (want auto, exact, or flow)", s)
 }
 
 // BoundCache is a cross-request store of flow lower bounds, keyed by
@@ -261,7 +207,6 @@ func (o Options) Fingerprint() string {
 	b = strconv.AppendFloat(append(b, "|r1="...), o.R1, 'g', -1, 64)
 	b = strconv.AppendInt(append(b, "|r2="...), int64(o.R2), 10)
 	b = strconv.AppendInt(append(b, "|mc="...), int64(o.MaxCombos), 10)
-	b = strconv.AppendInt(append(b, "|solver="...), int64(o.SolverMode), 10)
 	b = strconv.AppendInt(append(b, "|seed="...), o.Seed, 10)
 	b = strconv.AppendBool(append(b, "|no2s="...), o.DisableTwoStep)
 	b = strconv.AppendBool(append(b, "|noiso="...), o.DisableIsomorphCache)
@@ -313,13 +258,9 @@ type Stats struct {
 	// Partial) — the knob trades potential fine-pass improvement for
 	// latency, deterministically.
 	StoppedEarly bool
-	// TooLarge counts sub-demand solves rejected at the exact engine's
-	// MaxBinaries size gate (SolverExact mode — SolverAuto reroutes
-	// these to the flow backend instead). SolveErrors carries the
-	// distinct solver error messages behind failed candidates, in
-	// deterministic order, so oversized instances are diagnosable
-	// instead of silently dropping candidates.
-	TooLarge    int
+	// SolveErrors carries the distinct solver error messages behind
+	// failed candidates, in deterministic order, so a failing solve is
+	// diagnosable instead of silently dropping candidates.
 	SolveErrors []string
 	// Replayed reports that the result was rebuilt from Options.Recipe:
 	// one candidate assembled from the recipe's sub-schedules,
@@ -353,21 +294,16 @@ type Result struct {
 // passSolver is what a pass hands the sub-demand solver (the caller adds
 // the per-solve Span); its Fingerprint is the signature the pass's
 // sub-schedules are cached under. The coarse pass trades accuracy for
-// speed twice over — large epochs (E1) and the greedy engine, whatever
-// the mode: it only ranks candidates, and mode selection concerns how
-// survivors are refined — unless two-step synthesis is disabled, when it
-// is the only pass and runs at fine accuracy.
+// speed twice over — large epochs (E1) and the greedy engine: it only
+// ranks candidates. The fine pass refines the survivors with EngineAuto:
+// exact MILP under the flow-bound horizon floor, and the flow backend
+// for instances over the MILP size gate. With two-step synthesis
+// disabled, the one pass is the fine one.
 func (o Options) passSolver(fine bool) solve.Options {
-	so := solve.Options{E: o.E2, Seed: o.Seed, DisableFlowBound: o.SolverMode == SolverExact}
-	switch {
-	case !fine && !o.DisableTwoStep:
-		so.E, so.Engine = o.E1, solve.EngineGreedy
-	case o.SolverMode == SolverExact:
-		so.Engine = solve.EngineExact
-	case o.SolverMode == SolverFlow:
-		so.Engine = solve.EngineFlow
+	if !fine && !o.DisableTwoStep {
+		return solve.Options{E: o.E1, Engine: solve.EngineGreedy, Seed: o.Seed}
 	}
-	return so
+	return solve.Options{E: o.E2, Engine: solve.EngineAuto, Seed: o.Seed}
 }
 
 func kindForward(k collective.Kind) (forward collective.Kind, mirrored bool) {

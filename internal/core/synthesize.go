@@ -293,12 +293,8 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	// lower bound proves they cannot beat the incumbent, and detect when
 	// the incumbent's own bound proves the coarse schedule optimal. See
 	// bound.go; pruning never changes the fine-pass winner.
-	proved := false
-	incLB := 0.0
-	if opts.SolverMode != SolverExact {
-		keep, proved, incLB = pruneByBound(ctx, top, tab, keep, opts, &res.Stats, parent)
-		pub.setBound(incLB)
-	}
+	keep, proved, incLB := pruneByBound(ctx, top, tab, keep, opts, &res.Stats, parent)
+	pub.setBound(incLB)
 	res.Stats.Refined = len(keep)
 
 	// Phase 2b: fine synthesis of the survivors, from the assemblies and
@@ -567,10 +563,6 @@ func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table
 			// order, instead of silently dropping its candidates.
 			// Cancellation is not an error condition (anytime path).
 			if err := errs[k]; err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-				var tle *solve.TooLargeError
-				if errors.As(err, &tle) {
-					stats.TooLarge++
-				}
 				if msg := err.Error(); len(stats.SolveErrors) < maxSolveErrors && !containsString(stats.SolveErrors, msg) {
 					stats.SolveErrors = append(stats.SolveErrors, msg)
 				}

@@ -52,15 +52,12 @@ type Config struct {
 	// Timeout bounds each SyCCL synthesis; on expiry the best schedule
 	// found by then is used (anytime semantics). Zero disables the limit.
 	Timeout time.Duration
-	// Solver selects the sub-demand solver strategy for every SyCCL run
-	// (the -solver knob): auto, exact, or flow.
-	Solver core.SolverMode
 }
 
 // coreOptions builds the core.Options shared by every SyCCL run in an
 // experiment; callers override the knob under study.
 func (c Config) coreOptions() core.Options {
-	return core.Options{Seed: c.Seed, Workers: c.Workers, Obs: c.Obs, SolverMode: c.Solver}
+	return core.Options{Seed: c.Seed, Workers: c.Workers, Obs: c.Obs}
 }
 
 // synthesize runs one SyCCL case through the configured Engine (when one

@@ -48,8 +48,11 @@ import (
 // the key and the solution. Version 3 has the same layout, but every
 // entry is the solver's output for exactly the demand it is keyed by: a
 // v2 corpus may hold an isomorphism-class member's solution mapped from
-// its representative, which a cold run would not produce.
-const FormatVersion = 3
+// its representative, which a cold run would not produce. Version 4 has
+// the same layout under a shorter key: solve.Options lost its epoch
+// override, MILP size knob and flow-bound switch, so no v3 key can be
+// looked up again.
+const FormatVersion = 4
 
 // Container kinds. Each file kind decodes only as itself, so a snapshot
 // can never be mistaken for a solve entry.

@@ -17,21 +17,27 @@ var errTooLarge = errors.New("solve: MILP instance exceeds size budget")
 
 // TooLargeError reports an instance rejected at the exact engine's size
 // gate, with enough detail to act on: the binary-variable count the
-// time-expanded MILP would need and the MaxBinaries gate it exceeded.
+// time-expanded MILP would need and the gate it exceeded.
 // errors.Is(err, TooLargeError{...}) matches errTooLarge so existing
 // sentinel checks keep working.
 type TooLargeError struct {
 	Binaries int // time-expanded binary variables the instance needs
-	Gate     int // the MaxBinaries budget in effect
+	Gate     int // the size gate in effect
 }
 
 func (e *TooLargeError) Error() string {
-	return fmt.Sprintf("solve: MILP instance needs %d binaries, over the MaxBinaries gate %d (raise MaxBinaries or use the flow backend)",
+	return fmt.Sprintf("solve: MILP instance needs %d binaries, over the size gate %d (EngineAuto hands it to the flow backend)",
 		e.Binaries, e.Gate)
 }
 
 // Is makes errors.Is(err, errTooLarge) succeed on the detailed error.
 func (e *TooLargeError) Is(target error) bool { return target == errTooLarge }
+
+// maxBinaries caps the exact MILP's binary-variable count. Together with
+// the per-solve node and simplex-pivot budgets below it is the
+// deterministic effort bound of the exact engine; the caller's context
+// is the only wall-clock cut.
+const maxBinaries = 384
 
 // horizonNodeBudget caps the branch-and-bound nodes spent proving one
 // fixed-horizon MILP; totalNodeBudget and totalPivotBudget cap the
@@ -57,7 +63,6 @@ const (
 // answer when no shorter horizon is feasible (or provable within budget);
 // the MILPs themselves start without an incumbent.
 func exactSolve(ctx context.Context, d *Demand, tau float64, opts Options) (*SubSchedule, error) {
-	maxBinaries := opts.MaxBinaries
 	// Size gate BEFORE any expensive work: the time-expanded variable
 	// count at the smallest useful horizon already tells us whether the
 	// instance is tractable.
@@ -97,20 +102,18 @@ func exactSolve(ctx context.Context, d *Demand, tau float64, opts Options) (*Sub
 	// that would only prove infeasibility (and burn node budget doing
 	// it). When the bound meets the greedy makespan, optimality is
 	// proved with no MILP built at all.
-	if !opts.DisableFlowBound {
-		if flb, pivots, err := FlowEpochBound(ctx, d, tau); err == nil {
-			sp.Count("lp.pivots", float64(pivots))
-			if flb > lb {
-				sp.Count("solve.exact.horizons_skipped", float64(flb-lb))
-				sp.SetInt("flow-bound", int64(flb))
-				lb = flb
-			}
-			if greedy.Epochs <= lb {
-				sp.Count("solve.exact.flow_proved", 1)
-				g := *greedy
-				g.Engine = "exact"
-				return &g, nil
-			}
+	if flb, pivots, err := FlowEpochBound(ctx, d, tau); err == nil {
+		sp.Count("lp.pivots", float64(pivots))
+		if flb > lb {
+			sp.Count("solve.exact.horizons_skipped", float64(flb-lb))
+			sp.SetInt("flow-bound", int64(flb))
+			lb = flb
+		}
+		if greedy.Epochs <= lb {
+			sp.Count("solve.exact.flow_proved", 1)
+			g := *greedy
+			g.Engine = "exact"
+			return &g, nil
 		}
 	}
 

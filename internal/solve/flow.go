@@ -54,7 +54,7 @@ import (
 //     against incumbent simulated times.
 //
 // flowSolve is the approximate backend for instances over the exact
-// engine's MaxBinaries gate: it rounds the fractional flow by re-running
+// engine's maxBinaries gate: it rounds the fractional flow by re-running
 // greedy list scheduling biased toward the relays the LP routes through,
 // and keeps the best of that, plain greedy, and randomized restarts.
 
@@ -81,7 +81,7 @@ const flowPivotOpBudget = 100_000_000
 // prunes. Over the gate the LP is skipped and callers keep the
 // closed-form load bound, which is near-tight exactly on those shapes
 // (they are port-load dominated). Every instance small enough for the
-// exact engine's MaxBinaries gate fits far under this cap.
+// exact engine's maxBinaries gate fits far under this cap.
 //
 // The solve path (flowWeights) affords the full cap: it runs once per
 // over-gate sub-demand, where the alternative is thousands of greedy

@@ -211,7 +211,7 @@ func TestFlowBoundCancelled(t *testing.T) {
 func TestTooLargeErrorDetail(t *testing.T) {
 	d := allGatherDemand(8)
 	d.Pieces[0].Bytes = 2 // defeat the rotation fast path
-	opts := Options{E: 1, MaxBinaries: 50}.withDefaults()
+	opts := Options{E: 1}.withDefaults()
 	_, err := exactSolve(context.Background(), d, opts.TauFor(d), opts)
 	if !errors.Is(err, errTooLarge) {
 		t.Fatalf("want errTooLarge match, got %v", err)
@@ -220,10 +220,10 @@ func TestTooLargeErrorDetail(t *testing.T) {
 	if !errors.As(err, &tle) {
 		t.Fatalf("want *TooLargeError, got %T", err)
 	}
-	if tle.Binaries <= tle.Gate || tle.Gate != 50 {
+	if tle.Binaries <= tle.Gate || tle.Gate != maxBinaries {
 		t.Fatalf("uninformative detail: %+v", tle)
 	}
-	for _, frag := range []string{"binaries", "50"} {
+	for _, frag := range []string{"binaries", "448", "384"} {
 		if !strings.Contains(err.Error(), frag) {
 			t.Fatalf("error %q missing %q", err.Error(), frag)
 		}

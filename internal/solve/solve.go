@@ -13,7 +13,10 @@ import (
 type Engine int
 
 // Engines. Options.Fingerprint renders the integer values, so every
-// cached sub-schedule's key carries them.
+// cached sub-schedule's key carries them. The pipeline runs EngineGreedy
+// (coarse pass) and EngineAuto (fine pass); EngineExact and EngineFlow,
+// the two halves of EngineAuto, remain selectable for per-engine probes
+// and tests.
 const (
 	// EngineAuto tries the exact MILP and falls back to the flow
 	// backend when the instance exceeds the size budget.
@@ -24,8 +27,7 @@ const (
 	EngineExact
 	// EngineFlow is the multi-commodity-flow relaxation backend: LP
 	// lower bound plus flow-guided greedy rounding. Never rejects an
-	// instance for size, so it is the fallback above the MaxBinaries
-	// gate and the engine of choice for big topologies.
+	// instance for size, so it is the fallback above the MILP size gate.
 	EngineFlow
 )
 
@@ -49,25 +51,13 @@ type Options struct {
 	// E is the accuracy/efficiency knob of §5.3/Appendix A.3: the epoch
 	// duration is derived as τ ≈ E·(α+β·s). The paper's two-step
 	// synthesis uses E1=3.0 for the coarse pass and E2=0.5 for the fine
-	// pass. Ignored when Tau is set. Zero defaults to 0.5.
+	// pass. Zero defaults to 0.5.
 	E float64
-	// Tau overrides the epoch duration directly (seconds).
-	Tau float64
 	// Engine selects the strategy (default EngineAuto).
 	Engine Engine
-	// MaxBinaries caps the exact MILP's variable count (default 384).
-	// Together with the per-solve node and simplex-pivot budgets it is
-	// the deterministic effort bound of the exact engine; the caller's
-	// context is the only wall-clock cut.
-	MaxBinaries int
 	// Seed drives the flow backend's randomized restarts (deterministic
 	// per seed).
 	Seed int64
-	// DisableFlowBound turns off the flow-relaxation lower bound inside
-	// the exact engine (core's SolverExact mode, ablations). It changes
-	// which horizons the search proves infeasible via budget-free LP
-	// bounds instead of branch-and-bound.
-	DisableFlowBound bool
 	// Span optionally parents this solve's instrumentation (engine
 	// sub-spans, lp.pivots / milp.nodes counters). Nil: no recording.
 	// It does not influence the solve, so Fingerprint leaves it out.
@@ -77,9 +67,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.E <= 0 {
 		o.E = 0.5
-	}
-	if o.MaxBinaries <= 0 {
-		o.MaxBinaries = 384
 	}
 	return o
 }
@@ -91,22 +78,17 @@ func (o Options) withDefaults() Options {
 // The rendering starts "e<E>|g<Engine>|", the head bench/probes.go reads.
 func (o Options) Fingerprint() string {
 	o = o.withDefaults()
-	b := make([]byte, 0, 64)
+	b := make([]byte, 0, 32)
 	b = strconv.AppendFloat(append(b, 'e'), o.E, 'g', -1, 64)
 	b = strconv.AppendInt(append(b, "|g"...), int64(o.Engine), 10)
-	b = strconv.AppendFloat(append(b, "|tau"...), o.Tau, 'g', -1, 64)
-	b = strconv.AppendInt(append(b, "|mb"...), int64(o.MaxBinaries), 10)
 	b = strconv.AppendInt(append(b, "|s"...), o.Seed, 10)
-	b = strconv.AppendBool(append(b, "|fb"...), o.DisableFlowBound)
 	return string(b)
 }
 
-// TauFor returns the epoch duration the options imply for a demand.
+// TauFor returns the epoch duration the options imply for a demand:
+// τ ≈ E·(α+β·s) for its largest piece.
 func (o Options) TauFor(d *Demand) float64 {
 	o = o.withDefaults()
-	if o.Tau > 0 {
-		return o.Tau
-	}
 	maxBytes := 0.0
 	for _, p := range d.Pieces {
 		if p.Bytes > maxBytes {

@@ -1,6 +1,7 @@
 package solve
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -126,7 +127,7 @@ func TestExactWithLatency(t *testing.T) {
 	// → 4 epochs; the flat fan-out 0→1,0→2,0→3 also ends at 2+... start
 	// 2, arrive 4. Optimum 4.
 	d := &Demand{NumGPUs: 4, Alpha: 1, Beta: 1, Pieces: []Piece{{ID: 0, Bytes: 1, Srcs: []int{0}, Dsts: []int{1, 2, 3}}}}
-	s, err := Solve(d, Options{Engine: EngineExact, Tau: 1})
+	s, err := exactSolve(context.Background(), d, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,14 +192,14 @@ func TestRestartsNeverWorseThanGreedy(t *testing.T) {
 }
 
 func TestAutoFallsBackWhenTooLarge(t *testing.T) {
-	d := allGatherDemand(8) // 8 pieces × 8×7 links × T — way past budget
+	d := allGatherDemand(8) // 8 pieces × 8×7 links = 448 binaries per epoch, over the gate
 	d.Pieces[0].Bytes = 2   // break the uniform shape so no fast path fires
-	s, err := Solve(d, Options{Engine: EngineAuto, E: 1, MaxBinaries: 50})
+	s, err := Solve(d, Options{Engine: EngineAuto, E: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Engine != "flow" && s.Engine != "exact" {
-		t.Errorf("engine = %q", s.Engine)
+	if s.Engine != "flow" {
+		t.Errorf("engine = %q, want flow", s.Engine)
 	}
 	if err := CheckSolution(d, s); err != nil {
 		t.Fatal(err)
@@ -330,13 +331,6 @@ func TestMakespanSeconds(t *testing.T) {
 	}
 }
 
-func TestTauForExplicitOverride(t *testing.T) {
-	d := broadcastDemand(4)
-	if got := (Options{Tau: 0.125}).TauFor(d); got != 0.125 {
-		t.Errorf("TauFor = %g", got)
-	}
-}
-
 // TestFingerprintCoversEveryOption walks solve.Options by reflection:
 // every field but Span steers the solve, so perturbing it must move the
 // fingerprint, or two different solves would answer for each other in
@@ -366,7 +360,7 @@ func TestFingerprintCoversEveryOption(t *testing.T) {
 		}
 	}
 	rec := obs.NewRecorder()
-	for _, o := range []Options{{E: 0.5, MaxBinaries: 384}, {Span: rec.StartSpan("solve")}} {
+	for _, o := range []Options{{E: 0.5}, {Span: rec.StartSpan("solve")}} {
 		if got := o.Fingerprint(); got != base {
 			t.Errorf("%+v renders %q, want the defaults' %q", o, got, base)
 		}

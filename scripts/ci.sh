@@ -59,6 +59,12 @@ go test ./internal/schedule/ -run='^$' -fuzz='^FuzzValidateEquivalence$' -fuzzti
 go test ./internal/isomorph/ -run='^$' -fuzz='^FuzzCacheKeysStable$' -fuzztime="$FUZZTIME"
 go test ./internal/isomorph/ -run='^$' -fuzz='^FuzzClassesEquivalence$' -fuzztime="$FUZZTIME"
 
+echo "== go benchmarks, one iteration each =="
+# No test runs the Go benchmarks, so one that b.Fatal()s would rot unseen;
+# a single -short iteration of each catches that (about 30 s with the
+# compile).
+go test -run '^$' -bench . -benchtime 1x -short ./...
+
 echo "== bench smoke =="
 # One round of the two smallest cases of every workload of the perf
 # ledger (bench/README.md), every result oracle-checked: catches

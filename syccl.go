@@ -68,19 +68,6 @@ type (
 	// EngineStats is a snapshot of an Engine's lifetime cache and
 	// cancellation counters.
 	EngineStats = engine.Stats
-	// SolverMode selects the sub-demand solver strategy for
-	// Options.SolverMode (the -solver CLI knob).
-	SolverMode = core.SolverMode
-)
-
-// Solver modes for Options.SolverMode: SolverAuto runs the exact MILP
-// with flow-relaxation bound pruning and hands oversized instances to
-// the flow backend; SolverExact is pure MILP; SolverFlow uses the
-// LP-relaxation backend for every sub-demand.
-const (
-	SolverAuto  = core.SolverAuto
-	SolverExact = core.SolverExact
-	SolverFlow  = core.SolverFlow
 )
 
 // Topology constructors (§7.1 and Appendix B).
