@@ -9,8 +9,8 @@
 // With -big, the example additionally walks the 64-SERVER cluster
 // (H800Rail(64), 512 GPUs) — the Fig 15(b) scale, where the merged
 // AllGather sub-demands are far over the exact MILP's size gate. The
-// default pipeline hands them to the flow backend (LP relaxation plus
-// guided rounding): the 1 GiB AllGather synthesizes in about 7.5 s on a
+// default pipeline solves them with the closed-form and greedy
+// schedulers: the 1 GiB AllGather synthesizes in about 7.5 s on a
 // 2-core Xeon (2 093 056 transfers), and the schedule validates against
 // the exhaustive delivery oracle. Budget a few minutes for the oracle
 // itself at this scale.

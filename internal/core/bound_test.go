@@ -60,18 +60,17 @@ func TestPruningPreservesSchedule(t *testing.T) {
 	}
 }
 
-// TestSolverFlowDeterministicAcrossWorkers: on a100x16:allgather:1M the
-// fine pass hands over-gate sub-demands to the flow backend (LP-guided
-// rounding with seeded restarts), and the schedule keeps the cross-worker
-// determinism contract.
-func TestSolverFlowDeterministicAcrossWorkers(t *testing.T) {
+// TestOverGateDeterministicAcrossWorkers: on a100x16:allgather:1M the
+// fine pass solves over-gate sub-demands greedily, and the schedule
+// keeps the cross-worker determinism contract.
+func TestOverGateDeterministicAcrossWorkers(t *testing.T) {
 	top, col := digestCase(t, "a100x16:allgather:1M")
 	var ref coldDigest
 	for _, workers := range []int{1, 2, 8} {
 		rec := obs.NewRecorder()
 		res := synth(t, top, col, Options{Seed: 7, Workers: workers, Obs: rec})
-		if n := rec.CounterValue("solve.flow"); n == 0 {
-			t.Fatalf("workers=%d: the fine pass never reached the flow backend", workers)
+		if n := rec.CounterValue("solve.too_large"); n == 0 {
+			t.Fatalf("workers=%d: the fine pass never met an over-gate sub-demand", workers)
 		}
 		got := digestOf(res)
 		if workers == 1 {
@@ -85,8 +84,8 @@ func TestSolverFlowDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestSolverExactSurfacesTooLarge: the merged AllGather cells of a
-// 16-GPU Clos are over the exact engine's size gate; the fine pass hands
-// them to the flow backend, so no candidate is lost to a solver error.
+// 16-GPU Clos are over the exact engine's size gate; the fine pass solves
+// them greedily, so no candidate is lost to a solver error.
 func TestSolverExactSurfacesTooLarge(t *testing.T) {
 	top := topology.A100Clos(2)
 	col := collective.AllGather(top.NumGPUs(), 1<<20)
@@ -98,8 +97,8 @@ func TestSolverExactSurfacesTooLarge(t *testing.T) {
 	if len(res.Stats.SolveErrors) != 0 {
 		t.Errorf("solver failures surfaced: %q", res.Stats.SolveErrors)
 	}
-	if rec.CounterValue("solve.flow") == 0 {
-		t.Error("no sub-demand reached the flow backend")
+	if rec.CounterValue("solve.too_large") == 0 {
+		t.Error("no sub-demand was over the size gate")
 	}
 }
 

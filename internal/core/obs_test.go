@@ -126,42 +126,66 @@ func TestNilRecorderSameResult(t *testing.T) {
 
 // The exact engine says why no MILP ran. On server8:broadcast:64M every
 // exact solve ends at one of its bound exits, so the three proof
-// counters are pinned together with the zero the bounds buy.
+// counters are pinned together with the zero the bounds buy. Over the
+// whole cold-digest matrix the totals pin the solver census: the flow
+// bound closes 23 of the 133 exact solves the postal bound leaves open,
+// no exact solve builds a MILP, and 64 sub-demands are over the exact
+// engine's size gate and solved greedily.
 func TestExactSolveProofCounters(t *testing.T) {
-	top, col := digestCase(t, "server8:broadcast:64M")
-	rec := obs.NewRecorder()
-	if _, err := Synthesize(top, col, Options{Obs: rec}); err != nil {
-		t.Fatal(err)
-	}
-	counters := rec.Counters()
-	for name, want := range map[string]float64{
-		"solve.exact":                  5,
-		"solve.exact.bound_proved":     5,
-		"solve.exact.flow_proved":      0,
-		"solve.exact.horizons_skipped": 0,
-		"milp.nodes":                   0,
+	for _, tc := range []struct {
+		name  string
+		specs []string
+		want  map[string]float64
+	}{
+		{"server8:broadcast:64M", []string{"server8:broadcast:64M"}, map[string]float64{
+			"solve.exact":                  5,
+			"solve.exact.bound_proved":     5,
+			"solve.exact.flow_proved":      0,
+			"solve.exact.horizons_skipped": 0,
+			"milp.nodes":                   0,
+			"solve.too_large":              0,
+		}},
+		{"cold digest matrix", coldDigestSpecs(), map[string]float64{
+			"solve.exact":              133,
+			"solve.exact.bound_proved": 110,
+			"solve.exact.flow_proved":  23,
+			"milp.nodes":               0,
+			"solve.too_large":          64,
+		}},
 	} {
-		if got := counters[name]; got != want {
-			t.Errorf("counter %q = %g, want %g", name, got, want)
-		}
-	}
-	// The span carries the floor the solve ended with: the greedy
-	// makespan it proved optimal.
-	for _, sp := range rec.Spans() {
-		if sp.Name == "milp.horizon" {
-			t.Errorf("a horizon MILP ran under a bound-proved solve: %v", sp.Attrs)
-		}
-		if sp.Name != "solve.exact" {
-			continue
-		}
-		found := false
-		for _, a := range sp.Attrs {
-			if v, ok := a.Value().(int64); ok && a.Key == "lower-bound" {
-				found = v >= 1
+		t.Run(tc.name, func(t *testing.T) {
+			rec := obs.NewRecorder()
+			for _, spec := range tc.specs {
+				top, col := digestCase(t, spec)
+				if _, err := Synthesize(top, col, Options{Obs: rec}); err != nil {
+					t.Fatalf("%s: %v", spec, err)
+				}
 			}
-		}
-		if !found {
-			t.Errorf("solve.exact span without a positive lower-bound attribute: %v", sp.Attrs)
-		}
+			counters := rec.Counters()
+			for name, want := range tc.want {
+				if got := counters[name]; got != want {
+					t.Errorf("counter %q = %g, want %g", name, got, want)
+				}
+			}
+			// The span carries the floor the solve ended with: the greedy
+			// makespan it proved optimal.
+			for _, sp := range rec.Spans() {
+				if sp.Name == "milp.horizon" {
+					t.Errorf("a horizon MILP ran under a bound-proved solve: %v", sp.Attrs)
+				}
+				if sp.Name != "solve.exact" {
+					continue
+				}
+				found := false
+				for _, a := range sp.Attrs {
+					if v, ok := a.Value().(int64); ok && a.Key == "lower-bound" {
+						found = v >= 1
+					}
+				}
+				if !found {
+					t.Errorf("solve.exact span without a positive lower-bound attribute: %v", sp.Attrs)
+				}
+			}
+		})
 	}
 }

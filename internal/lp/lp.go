@@ -1254,15 +1254,6 @@ func (t *Tableau) bDualPrimal() (*Solution, bool) {
 	return sol, true
 }
 
-// Evaluate returns cᵀx for the problem's objective at the given point.
-func (p *Problem) Evaluate(x []float64) float64 {
-	var v float64
-	for i, c := range p.c {
-		v += c * x[i]
-	}
-	return v
-}
-
 // Feasible reports whether x satisfies all constraints and bounds within
 // tolerance eps.
 func (p *Problem) Feasible(x []float64, eps float64) bool {

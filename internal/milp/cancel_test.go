@@ -36,22 +36,48 @@ func TestSolveCtxCancelledNoIncumbent(t *testing.T) {
 	}
 }
 
-// TestSolveCtxCancelledKeepsIncumbent: with a feasible incumbent seeded,
-// a cancelled search must return it as StatusFeasible (anytime result)
-// rather than discarding it.
+// pollCtx reports Canceled once Err has been polled a fixed number of
+// times, landing the cancellation at a reproducible point of the search.
+type pollCtx struct {
+	context.Context
+	left int
+}
+
+func (c *pollCtx) Err() error {
+	if c.left <= 0 {
+		return context.Canceled
+	}
+	c.left--
+	return nil
+}
+
+func (c *pollCtx) Done() <-chan struct{} { return make(chan struct{}) }
+
+// TestSolveCtxCancelledKeepsIncumbent: a search cancelled after it found
+// an incumbent but before proving it optimal must return that incumbent
+// as StatusFeasible (anytime result) rather than discarding it. The
+// cancellation point walks forward one poll at a time until it lands
+// after the first incumbent.
 func TestSolveCtxCancelledKeepsIncumbent(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	inc := []float64{0, 1, 1, 0} // value 20, weight 6: feasible, not optimal
-	s, err := SolveCtx(ctx, cancelKnapsack(), Options{Incumbent: inc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Status != StatusFeasible {
-		t.Fatalf("status %v, want StatusFeasible", s.Status)
-	}
-	if !approx(-s.Objective, 20, 1e-6) {
-		t.Fatalf("objective %g, want the incumbent's 20", -s.Objective)
+	p, opt := hardKnapsack(18, 54321)
+	for polls := 1; ; polls++ {
+		s, err := SolveCtx(&pollCtx{Context: context.Background(), left: polls}, p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Status == StatusUnknown {
+			continue // cancelled before the first incumbent
+		}
+		if s.Status != StatusFeasible {
+			t.Fatalf("%d polls: status %v before any cancelled search kept an incumbent", polls, s.Status)
+		}
+		if !p.LP.Feasible(s.X, 1e-6) || !integral(p, s.X) {
+			t.Fatalf("%d polls: kept incumbent %v is not an integral feasible point", polls, s.X)
+		}
+		if s.Objective < opt-1e-6 || s.Bound > s.Objective+1e-6 {
+			t.Fatalf("%d polls: objective %g bound %g around optimum %g", polls, s.Objective, s.Bound, opt)
+		}
+		return
 	}
 }
 

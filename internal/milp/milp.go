@@ -17,7 +17,7 @@
 //
 // Effort is bounded by deterministic budgets (MaxNodes, MaxLPIters) and
 // by the caller's context; a search cut short returns the best incumbent
-// found. A caller may seed that incumbent (Options.Incumbent).
+// found.
 package milp
 
 import (
@@ -60,9 +60,6 @@ type Options struct {
 	// different relaxation costs. Checked between nodes, so the cap can
 	// overshoot by one node's pivots.
 	MaxLPIters int
-	// Incumbent optionally seeds the search with a known feasible point;
-	// it must satisfy all constraints and integrality.
-	Incumbent []float64
 }
 
 // Status classifies a MILP outcome.
@@ -211,14 +208,6 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 		best:      math.Inf(1),
 		droppedLB: math.Inf(1),
 		prunedLB:  math.Inf(1),
-	}
-	if opts.Incumbent != nil {
-		if !p.LP.Feasible(opts.Incumbent, 1e-6) || !integral(p, opts.Incumbent) {
-			return nil, errors.New("milp: provided incumbent is not feasible")
-		}
-		s.haveInc = true
-		s.bestX = append([]float64(nil), opts.Incumbent...)
-		s.best = p.LP.Evaluate(opts.Incumbent)
 	}
 
 	s.baseLo = make([]float64, n)

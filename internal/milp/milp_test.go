@@ -165,37 +165,6 @@ func TestMixedIntegerContinuous(t *testing.T) {
 	}
 }
 
-func TestIncumbentSeed(t *testing.T) {
-	// Seeded incumbent must be returned when the node limit is zero-ish.
-	p := NewProblem(2)
-	for i := 0; i < 2; i++ {
-		p.SetBinary(i)
-		p.LP.SetObjective(i, -1)
-	}
-	p.LP.AddConstraint([]lp.Term{{Var: 0, Coeff: 1}, {Var: 1, Coeff: 1}}, lp.LE, 1)
-	s, err := Solve(p, Options{Incumbent: []float64{1, 0}, MaxNodes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Objective > -1+1e-9 {
-		t.Errorf("objective %g, incumbent lost", s.Objective)
-	}
-	if s.Status == StatusInfeasible {
-		t.Error("incumbent should guarantee feasibility")
-	}
-}
-
-func TestBadIncumbentRejected(t *testing.T) {
-	p := NewProblem(1)
-	p.SetBinary(0)
-	if _, err := Solve(p, Options{Incumbent: []float64{0.5}}); err == nil {
-		t.Error("accepted fractional incumbent")
-	}
-	if _, err := Solve(p, Options{Incumbent: []float64{7}}); err == nil {
-		t.Error("accepted infeasible incumbent")
-	}
-}
-
 func TestUnboundedDetection(t *testing.T) {
 	p := NewProblem(1)
 	p.SetInteger(0)
@@ -237,9 +206,9 @@ func TestStatusString(t *testing.T) {
 
 func TestMaxLPItersTruncatesDeterministically(t *testing.T) {
 	// A 20-item knapsack capped by pivots: the truncated search must
-	// report a pivot count near the cap, keep a seeded incumbent as
-	// feasible, and — being a deterministic effort bound — land on the
-	// identical incumbent every run.
+	// report a pivot count near the cap, keep the incumbent it found, and
+	// — being a deterministic effort bound — land on the identical
+	// incumbent every run.
 	build := func() *Problem {
 		n := 20
 		p := NewProblem(n)
@@ -260,10 +229,9 @@ func TestMaxLPItersTruncatesDeterministically(t *testing.T) {
 		t.Skipf("instance solved in %d pivots, too cheap to truncate", full.LPIters)
 	}
 	cap := full.LPIters / 2
-	zero := make([]float64, 20)
 	var first *Solution
 	for run := 0; run < 3; run++ {
-		s, err := Solve(build(), Options{MaxLPIters: cap, Incumbent: zero})
+		s, err := Solve(build(), Options{MaxLPIters: cap})
 		if err != nil {
 			t.Fatal(err)
 		}

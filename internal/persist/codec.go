@@ -51,8 +51,11 @@ import (
 // its representative, which a cold run would not produce. Version 4 has
 // the same layout under a shorter key: solve.Options lost its epoch
 // override, MILP size knob and flow-bound switch, so no v3 key can be
-// looked up again.
-const FormatVersion = 4
+// looked up again. Version 5 has the v4 layout and keys, but EngineAuto
+// now solves instances over the exact engine's size gate with plain
+// greedy: a v4 entry for such a demand may hold a schedule from the
+// deleted LP-rounding backend that solving no longer returns.
+const FormatVersion = 5
 
 // Container kinds. Each file kind decodes only as itself, so a snapshot
 // can never be mistaken for a solve entry.

@@ -127,18 +127,20 @@ func TestReopenRestoresIndex(t *testing.T) {
 
 // A corpus written by an older format — here the manifest of a v1
 // daemon's cache directory, the manifest a v2 build wrote, whose corpus
-// may hold class members' mapped solutions under their own keys, and the
+// may hold class members' mapped solutions under their own keys, the
 // manifest a v3 build wrote, whose keys carry solve options that no
-// longer exist — is a compatibility break: Open discards its entries and
-// snapshots, counts a reset (not a corrupt manifest: a foreign version is
-// intact, just not ours), and the store serves on.
+// longer exist, and the manifest a v4 build wrote, whose over-gate
+// entries may hold schedules solving no longer returns — is a
+// compatibility break: Open discards its entries and snapshots, counts a
+// reset (not a corrupt manifest: a foreign version is intact, just not
+// ours), and the store serves on.
 func TestV1CorpusResets(t *testing.T) {
 	v1, err := os.ReadFile(filepath.Join("..", "serve", "testdata", "parent_cache", manifestName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A v2 or v3 manifest is today's with the version field rewritten and
-	// the checksum recomputed: the layout has not changed since v2.
+	// A v2, v3 or v4 manifest is today's with the version field rewritten
+	// and the checksum recomputed: the layout has not changed since v2.
 	manifestOf := func(version uint16) []byte {
 		m := append([]byte(nil), EncodeManifest()[:headerSize]...)
 		binary.LittleEndian.PutUint16(m[4:6], version)
@@ -146,7 +148,7 @@ func TestV1CorpusResets(t *testing.T) {
 		return append(m, sum[:]...)
 	}
 
-	for name, manifest := range map[string][]byte{"v1": v1, "v2": manifestOf(2), "v3": manifestOf(3)} {
+	for name, manifest := range map[string][]byte{"v1": v1, "v2": manifestOf(2), "v3": manifestOf(3), "v4": manifestOf(4)} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			s1 := open(t, dir)

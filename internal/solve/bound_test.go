@@ -66,7 +66,7 @@ func TestPostalTightOnBroadcast(t *testing.T) {
 						}
 					}
 					d.Pieces = []Piece{p}
-					lb, s := lowerBoundEpochs(d, 1), greedySolve(d, 1, nil)
+					lb, s := lowerBoundEpochs(d, 1), greedySolve(d, 1)
 					if lb != s.Epochs {
 						t.Fatalf("n %d srcs %d span %d lat %d: bound %d, greedy %d", n, srcs, span, lat, lb, s.Epochs)
 					}
@@ -116,7 +116,7 @@ func TestLowerBoundSoundAgainstMILP(t *testing.T) {
 		if deliveryCount(d) == 0 {
 			continue
 		}
-		if s := greedySolve(d, 1, nil); lb > s.Epochs {
+		if s := greedySolve(d, 1); lb > s.Epochs {
 			t.Fatalf("bound %d above greedy makespan %d (demand %+v)", lb, s.Epochs, d)
 		}
 		for T := 1; T < lb; T++ {

@@ -8,14 +8,15 @@
 // automatically (Appendix A.3), trading solve speed (large E → large τ →
 // few epochs) against schedule accuracy.
 //
-// Three engines share this encoding:
+// Two engines share this encoding:
 //
 //   - exact:  branch-and-bound MILP (package milp) over the time-expanded
 //     formulation, used when the instance is small enough;
 //   - greedy: earliest-finish list scheduling on the epoch grid, always
 //     available; the exact engine takes its makespan as the upper end
-//     of the horizon search and returns it when nothing shorter is found;
-//   - improve: randomized greedy restarts that keep the best result.
+//     of the horizon search and returns it when nothing shorter is
+//     found, and it is the answer for instances over the exact engine's
+//     size gate.
 package solve
 
 import (

@@ -90,7 +90,7 @@ func TestLowerBoundSoundProperty(t *testing.T) {
 		}
 		tau := 1.0
 		lb := lowerBoundEpochs(d, tau)
-		s := greedySolve(d, tau, nil)
+		s := greedySolve(d, tau)
 		return lb <= s.Epochs
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

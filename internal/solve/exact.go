@@ -11,7 +11,7 @@ import (
 )
 
 // errTooLarge signals that the time-expanded MILP would exceed the size
-// budget; callers fall back to the flow backend. Match with errors.Is —
+// budget; EngineAuto falls back to greedy. Match with errors.Is —
 // the concrete error is a TooLargeError carrying the counts.
 var errTooLarge = errors.New("solve: MILP instance exceeds size budget")
 
@@ -26,7 +26,7 @@ type TooLargeError struct {
 }
 
 func (e *TooLargeError) Error() string {
-	return fmt.Sprintf("solve: MILP instance needs %d binaries, over the size gate %d (EngineAuto hands it to the flow backend)",
+	return fmt.Sprintf("solve: MILP instance needs %d binaries, over the size gate %d (EngineAuto solves it greedily)",
 		e.Binaries, e.Gate)
 }
 
@@ -88,7 +88,7 @@ func exactSolve(ctx context.Context, d *Demand, tau float64, opts Options) (*Sub
 	}()
 	sp.Count("solve.exact", 1)
 
-	greedy := greedySolve(d, tau, nil)
+	greedy := greedySolve(d, tau)
 	if greedy.Epochs <= lb {
 		// Greedy meets the closed-form bound: optimal, no LP, no MILP.
 		sp.Count("solve.exact.bound_proved", 1)

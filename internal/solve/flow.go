@@ -8,7 +8,7 @@ import (
 	"syccl/internal/lp"
 )
 
-// Flow-relaxation lower-bound oracle and approximate backend.
+// Flow-relaxation lower-bound oracle.
 //
 // The schedule-time question for a sub-demand relaxes to a
 // multi-commodity-flow LP (Arzani et al., "Rethinking Machine Learning
@@ -52,11 +52,6 @@ import (
 //     bound on the α-β simulated completion time that is independent of
 //     any epoch discretization — what core's candidate pruning compares
 //     against incumbent simulated times.
-//
-// flowSolve is the approximate backend for instances over the exact
-// engine's maxBinaries gate: it rounds the fractional flow by re-running
-// greedy list scheduling biased toward the relays the LP routes through,
-// and keeps the best of that, plain greedy, and randomized restarts.
 
 // flowPivotBudget caps simplex pivots per bound LP. The relaxation is
 // tiny (≈2nP variables) and solves in tens of pivots; the cap only
@@ -67,11 +62,10 @@ const flowPivotBudget = 20000
 // relaxation: each pivot eliminates across a rows×cols tableau, so the
 // effective pivot cap is flowPivotOpBudget/(rows·cols), never above
 // flowPivotBudget. A flat pivot cap is the wrong unit — 20k pivots on a
-// 320×830 tableau is seconds of arithmetic, which on the solve path can
-// dwarf the greedy restarts the LP guidance is meant to improve on. An
-// LP that cannot converge within the work budget reports
-// errFlowUnavailable and callers keep their closed-form / unguided
-// fallbacks.
+// 320×830 tableau is seconds of arithmetic, far more than the MILP
+// horizons the bound exists to skip. An LP that cannot converge within
+// the work budget reports errFlowUnavailable and callers keep their
+// closed-form bounds.
 const flowPivotOpBudget = 100_000_000
 
 // flowLPMaxRows gates the relaxation's constraint count (≈ P·(n+2)+2n
@@ -81,14 +75,13 @@ const flowPivotOpBudget = 100_000_000
 // prunes. Over the gate the LP is skipped and callers keep the
 // closed-form load bound, which is near-tight exactly on those shapes
 // (they are port-load dominated). Every instance small enough for the
-// exact engine's maxBinaries gate fits far under this cap.
+// exact engine's maxBinaries gate fits far under this cap, which is the
+// one FlowEpochBound uses.
 //
-// The solve path (flowWeights) affords the full cap: it runs once per
-// over-gate sub-demand, where the alternative is thousands of greedy
-// restarts. The bound path (FlowTimeBound) runs per candidate × cell
-// before any solving, so it gets the much tighter flowBoundMaxRows —
-// milliseconds, not hundreds of milliseconds — and larger cells keep
-// the closed-form load and chain bounds.
+// FlowTimeBound runs per candidate × cell before any solving, so it gets
+// the much tighter flowBoundMaxRows — milliseconds, not hundreds of
+// milliseconds — and larger cells keep the closed-form load and chain
+// bounds.
 const (
 	flowLPMaxRows    = 600
 	flowBoundMaxRows = 256
@@ -105,9 +98,8 @@ var errFlowUnavailable = errors.New("solve: flow relaxation unavailable")
 
 // flowLP builds and solves the relaxation with per-piece port cost in an
 // arbitrary time unit. It returns the LP optimum T* (port-work bound,
-// before any latency tail) and the per-piece outflow values y[k][i] for
-// the rounding pass, alongside the simplex pivots spent.
-func flowLP(ctx context.Context, d *Demand, cost []float64, maxRows int) (tStar float64, outflow [][]float64, pivots int, err error) {
+// before any latency tail) and the simplex pivots spent.
+func flowLP(ctx context.Context, d *Demand, cost []float64, maxRows int) (tStar float64, pivots int, err error) {
 	n := d.NumGPUs
 	// Active pieces: those with at least one needed destination.
 	var active []int
@@ -117,10 +109,10 @@ func flowLP(ctx context.Context, d *Demand, cost []float64, maxRows int) (tStar 
 		}
 	}
 	if len(active) == 0 {
-		return 0, nil, 0, nil
+		return 0, 0, nil
 	}
 	if len(active)*(n+2)+2*n > maxRows {
-		return 0, nil, 0, errFlowUnavailable
+		return 0, 0, errFlowUnavailable
 	}
 
 	// Variable layout: per active piece k, y block then z block; T last.
@@ -182,7 +174,7 @@ func flowLP(ctx context.Context, d *Demand, cost []float64, maxRows int) (tStar 
 
 	tab, err := lp.NewResolvableTableau(prob)
 	if err != nil {
-		return 0, nil, 0, err
+		return 0, 0, err
 	}
 	rows := len(active)*(n+2) + 2*n
 	budget := flowPivotBudget
@@ -197,16 +189,12 @@ func flowLP(ctx context.Context, d *Demand, cost []float64, maxRows int) (tStar 
 	})
 	sol, err := tab.Solve()
 	if err != nil {
-		return 0, nil, 0, err
+		return 0, 0, err
 	}
 	if sol.Status != lp.StatusOptimal {
-		return 0, nil, sol.Iters, errFlowUnavailable
+		return 0, sol.Iters, errFlowUnavailable
 	}
-	outflow = make([][]float64, len(d.Pieces))
-	for k, pi := range active {
-		outflow[pi] = sol.X[yVar(k, 0) : yVar(k, 0)+n]
-	}
-	return sol.Objective, outflow, sol.Iters, nil
+	return sol.Objective, sol.Iters, nil
 }
 
 // cancelCheckStride mirrors the tableau's cancel polling interval (one
@@ -237,7 +225,7 @@ func FlowEpochBound(ctx context.Context, d *Demand, tau float64) (int, int, erro
 		// feasible, so the closed-form floor of 1 would be unsound.
 		return 0, 0, nil
 	}
-	tStar, _, pivots, err := flowLP(ctx, d, cost, flowLPMaxRows)
+	tStar, pivots, err := flowLP(ctx, d, cost, flowLPMaxRows)
 	if err != nil {
 		return base, pivots, err
 	}
@@ -271,7 +259,7 @@ func FlowTimeBound(ctx context.Context, d *Demand) (float64, int, error) {
 	if maxLat == 0 {
 		return 0, 0, nil // nothing to deliver: empty schedule is feasible
 	}
-	tStar, _, pivots, err := flowLP(ctx, d, cost, flowBoundMaxRows)
+	tStar, pivots, err := flowLP(ctx, d, cost, flowBoundMaxRows)
 	if err != nil {
 		return 0, pivots, err
 	}
@@ -280,59 +268,4 @@ func FlowTimeBound(ctx context.Context, d *Demand) (float64, int, error) {
 		sec = maxLat
 	}
 	return sec, pivots, nil
-}
-
-// flowSolve is the flow-relaxation backend for demands over the exact
-// engine's size gate: solve the LP relaxation, round it by flow-guided
-// list scheduling, and keep the best of that, deterministic greedy, and
-// the randomized restarts the auto fallback used before. The result is
-// always a complete valid schedule; LP failure (cancellation) just drops
-// the guided pass. Deterministic for a fixed demand and seed.
-func flowSolve(ctx context.Context, d *Demand, tau float64, opts Options) *SubSchedule {
-	sp := opts.Span.Child("solve.flow")
-	defer sp.End()
-
-	best := greedySolve(d, tau, nil)
-	if outflow, pivots, err := flowWeights(ctx, d, tau); err == nil {
-		sp.Count("lp.pivots", float64(pivots))
-		if s := greedyWeighted(d, tau, outflow); s.Epochs < best.Epochs {
-			best = s
-		}
-	} else {
-		sp.SetStr("lp", err.Error())
-	}
-	best = improveSolve(d, tau, opts.Seed, best)
-	sp.SetInt("epochs", int64(best.Epochs))
-	out := *best
-	out.Engine = "flow"
-	return &out
-}
-
-// flowWeights solves the epoch-cost relaxation and returns the per-piece
-// per-GPU fractional outflow, quantized for deterministic tie-breaking.
-func flowWeights(ctx context.Context, d *Demand, tau float64) ([][]int, int, error) {
-	cost := make([]float64, len(d.Pieces))
-	for pi, p := range d.Pieces {
-		cost[pi] = float64(paramsFor(d, tau, p.Bytes).span)
-	}
-	_, outflow, pivots, err := flowLP(ctx, d, cost, flowLPMaxRows)
-	if err != nil {
-		return nil, pivots, err
-	}
-	if outflow == nil {
-		return nil, pivots, errFlowUnavailable
-	}
-	w := make([][]int, len(outflow))
-	for pi, ys := range outflow {
-		if ys == nil {
-			continue
-		}
-		w[pi] = make([]int, len(ys))
-		for i, y := range ys {
-			// Quantize so float noise below 2⁻¹² never reorders
-			// candidates across platforms.
-			w[pi][i] = int(math.Round(y * 4096))
-		}
-	}
-	return w, pivots, nil
 }

@@ -1,30 +1,9 @@
 package solve
 
 import (
-	"math/rand"
 	"slices"
 	"sort"
 )
-
-// greedySolve runs earliest-finish list scheduling on the epoch grid.
-// At every step it considers all (piece, holder, needy destination)
-// triples, computes the earliest epoch at which that send could start
-// given port reservations and piece availability, and commits the send
-// with the earliest arrival. rng, when non-nil, randomizes near-ties to
-// diversify restarts; a nil rng is fully deterministic.
-func greedySolve(d *Demand, tau float64, rng *rand.Rand) *SubSchedule {
-	return greedyGuided(d, tau, rng, nil)
-}
-
-// greedyWeighted is greedySolve biased by the flow relaxation: among
-// equal-arrival candidates it prefers sends from GPUs the fractional
-// flow routes more outflow through (quantized weights from flowWeights),
-// steering the rounding toward the LP's relay structure. Deterministic.
-func greedyWeighted(d *Demand, tau float64, weights [][]int) *SubSchedule {
-	s := greedyGuided(d, tau, nil, weights)
-	s.Engine = "greedy+flow"
-	return s
-}
 
 // interval is one busy [start, end) port reservation in epochs.
 type interval struct{ start, end int }
@@ -77,12 +56,16 @@ type openDelivery struct {
 	starts     []cachedStart // indexed by source GPU
 }
 
-// greedyGuided is the list scheduler behind greedySolve and
-// greedyWeighted. Every round visits the candidates in (piece,
-// destination, source) order — open deliveries and per-piece holder
-// lists are kept sorted for that — and a committed send invalidates
-// only the cached starts that share its egress or ingress port.
-func greedyGuided(d *Demand, tau float64, rng *rand.Rand, weights [][]int) *SubSchedule {
+// greedySolve runs earliest-finish list scheduling on the epoch grid.
+// At every step it considers all (piece, holder, needy destination)
+// triples, computes the earliest epoch at which that send could start
+// given port reservations and piece availability, and commits the send
+// with the earliest arrival. Every round visits the candidates in
+// (piece, destination, source) order — open deliveries and per-piece
+// holder lists are kept sorted for that — and a committed send
+// invalidates only the cached starts that share its egress or ingress
+// port. Deterministic.
+func greedySolve(d *Demand, tau float64) *SubSchedule {
 	n := d.NumGPUs
 	eps := make([]epochParams, len(d.Pieces))
 	holders := make([][]holder, len(d.Pieces))
@@ -128,20 +111,13 @@ func greedyGuided(d *Demand, tau float64, rng *rand.Rand, weights [][]int) *SubS
 		open            int // index into open
 	}
 
-	// less orders candidates by earliest arrival, then (when flow weights
-	// are present) by descending fractional outflow at the source, then
-	// by ring offset (dst−src mod n): the offset bias makes symmetric
-	// demands such as AllGather fall into rotation patterns that keep
-	// every port busy instead of piling deliveries onto few ingresses.
+	// less orders candidates by earliest arrival, then by ring offset
+	// (dst−src mod n): the offset bias makes symmetric demands such as
+	// AllGather fall into rotation patterns that keep every port busy
+	// instead of piling deliveries onto few ingresses.
 	less := func(a, b cand) bool {
 		if a.arrive != b.arrive {
 			return a.arrive < b.arrive
-		}
-		if weights != nil {
-			aw, bw := weights[a.piece][a.src], weights[b.piece][b.src]
-			if aw != bw {
-				return aw > bw
-			}
 		}
 		ao := ((a.dst-a.src)%n + n) % n
 		bo := ((b.dst-b.src)%n + n) % n
@@ -157,11 +133,9 @@ func greedyGuided(d *Demand, tau float64, rng *rand.Rand, weights [][]int) *SubS
 		return a.dst < b.dst
 	}
 
-	var nearBest []cand
 	for len(open) > 0 {
 		found := false
-		var best cand
-		nearBest = nearBest[:0]
+		var choice cand
 		for oi := range open {
 			o := &open[oi]
 			ep := eps[o.piece]
@@ -184,27 +158,11 @@ func greedyGuided(d *Demand, tau float64, rng *rand.Rand, weights [][]int) *SubS
 					*cs = cachedStart{start, int32(len(eg)) + 1, int32(len(in)) + 1}
 				}
 				c := cand{o.piece, h.gpu, o.dst, cs.start, cs.start + ep.lat, oi}
-				if !found || less(c, best) {
+				if !found || less(c, choice) {
 					found = true
-					best = c
-				}
-				if rng != nil {
-					nearBest = append(nearBest, c)
+					choice = c
 				}
 			}
-		}
-		choice := best
-		if rng != nil {
-			// Pick uniformly among candidates arriving within one epoch
-			// of the best.
-			k := 0
-			for _, c := range nearBest {
-				if c.arrive <= best.arrive+1 {
-					nearBest[k] = c
-					k++
-				}
-			}
-			choice = nearBest[rng.Intn(k)]
 		}
 		span := eps[choice.piece].span
 		egress[choice.src] = reserve(egress[choice.src], choice.start, span)
@@ -226,25 +184,4 @@ func greedyGuided(d *Demand, tau float64, rng *rand.Rand, weights [][]int) *SubS
 	}
 	sort.SliceStable(out.Transfers, func(a, b int) bool { return out.Transfers[a].Start < out.Transfers[b].Start })
 	return out
-}
-
-// improveSolve runs up to 16 randomized greedy restarts and returns the
-// first schedule that attains the fewest epochs among best and the
-// restarts; the count scales down on large demands where each greedy
-// pass is itself expensive, keeping per-demand solve cost roughly flat.
-func improveSolve(d *Demand, tau float64, seed int64, best *SubSchedule) *SubSchedule {
-	restarts := 16
-	if dc := deliveryCount(d); dc > 0 {
-		if limit := 2000 / dc; limit < restarts {
-			restarts = limit
-		}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < restarts; i++ {
-		s := greedySolve(d, tau, rng)
-		if s.Epochs < best.Epochs {
-			best = s
-		}
-	}
-	return best
 }

@@ -14,20 +14,19 @@ type Engine int
 
 // Engines. Options.Fingerprint renders the integer values, so every
 // cached sub-schedule's key carries them. The pipeline runs EngineGreedy
-// (coarse pass) and EngineAuto (fine pass); EngineExact and EngineFlow,
-// the two halves of EngineAuto, remain selectable for per-engine probes
-// and tests.
+// (coarse pass) and EngineAuto (fine pass); EngineExact, the exact half
+// of EngineAuto, remains selectable for per-engine probes and tests.
 const (
-	// EngineAuto tries the exact MILP and falls back to the flow
-	// backend when the instance exceeds the size budget.
+	// EngineAuto is the exact MILP where the size gate admits the
+	// instance, else greedy.
 	EngineAuto Engine = iota
 	// EngineGreedy is deterministic earliest-finish list scheduling.
 	EngineGreedy
 	// EngineExact is branch-and-bound MILP only (errors when too large).
 	EngineExact
-	// EngineFlow is the multi-commodity-flow relaxation backend: LP
-	// lower bound plus flow-guided greedy rounding. Never rejects an
-	// instance for size, so it is the fallback above the MILP size gate.
+	// EngineFlow solves exactly as EngineGreedy. It named the deleted
+	// LP-rounding backend and stays only because the benchmark's
+	// per-engine probes (bench/probes.go) still name it.
 	EngineFlow
 )
 
@@ -55,8 +54,10 @@ type Options struct {
 	E float64
 	// Engine selects the strategy (default EngineAuto).
 	Engine Engine
-	// Seed drives the flow backend's randomized restarts (deterministic
-	// per seed).
+	// Seed steers nothing: no engine is randomized. It stays in the
+	// options and in Fingerprint because core.Options.Seed flows into it
+	// and the benchmark's stream requests rely on a fresh seed for a
+	// never-seen cold plan.
 	Seed int64
 	// Span optionally parents this solve's instrumentation (engine
 	// sub-spans, lp.pivots / milp.nodes counters). Nil: no recording.
@@ -144,19 +145,16 @@ func SolveCtx(ctx context.Context, d *Demand, opts Options) (*SubSchedule, error
 	}
 
 	switch opts.Engine {
-	case EngineGreedy:
+	case EngineGreedy, EngineFlow:
 		opts.Span.Count("solve.greedy", 1)
-		return greedySolve(d, tau, nil), nil
+		return greedySolve(d, tau), nil
 	case EngineExact:
 		return exactSolve(ctx, d, tau, opts)
-	case EngineFlow:
-		opts.Span.Count("solve.flow", 1)
-		return flowSolve(ctx, d, tau, opts), nil
 	case EngineAuto:
 		s, err := exactSolve(ctx, d, tau, opts)
 		if errors.Is(err, errTooLarge) {
-			opts.Span.Count("solve.flow", 1)
-			return flowSolve(ctx, d, tau, opts), nil
+			opts.Span.Count("solve.too_large", 1)
+			return greedySolve(d, tau), nil
 		}
 		return s, err
 	default:

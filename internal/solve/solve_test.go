@@ -170,36 +170,19 @@ func TestExactNeverWorseThanGreedy(t *testing.T) {
 	}
 }
 
-// The randomized restarts live inside the flow backend: its answer is the
-// best of greedy, the LP-guided rounding and the restarts.
-func TestRestartsNeverWorseThanGreedy(t *testing.T) {
-	d := allGatherDemand(6)
-	d.Pieces[0].Bytes = 2 // break the uniform shape so no fast path fires
-	g, _ := Solve(d, Options{Engine: EngineGreedy, E: 1})
-	r, err := Solve(d, Options{Engine: EngineFlow, E: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Engine != "flow" {
-		t.Fatalf("engine = %q, want flow", r.Engine)
-	}
-	if r.Epochs > g.Epochs {
-		t.Errorf("restarts %d worse than greedy %d", r.Epochs, g.Epochs)
-	}
-	if err := CheckSolution(d, r); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAutoFallsBackWhenTooLarge(t *testing.T) {
 	d := allGatherDemand(8) // 8 pieces × 8×7 links = 448 binaries per epoch, over the gate
 	d.Pieces[0].Bytes = 2   // break the uniform shape so no fast path fires
-	s, err := Solve(d, Options{Engine: EngineAuto, E: 1})
+	opts := Options{Engine: EngineAuto, E: 1}
+	s, err := Solve(d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Engine != "flow" {
-		t.Errorf("engine = %q, want flow", s.Engine)
+	if s.Engine != "greedy" {
+		t.Errorf("engine = %q, want greedy", s.Engine)
+	}
+	if want := greedySolve(d, opts.TauFor(d)); !reflect.DeepEqual(s.Transfers, want.Transfers) {
+		t.Errorf("over-gate transfers differ from greedySolve's:\n got %+v\nwant %+v", s.Transfers, want.Transfers)
 	}
 	if err := CheckSolution(d, s); err != nil {
 		t.Fatal(err)
@@ -332,10 +315,11 @@ func TestMakespanSeconds(t *testing.T) {
 }
 
 // TestFingerprintCoversEveryOption walks solve.Options by reflection:
-// every field but Span steers the solve, so perturbing it must move the
-// fingerprint, or two different solves would answer for each other in
-// the engine's caches and the persist corpus. Spelled-out defaults and
-// a Span must not move it.
+// every field but Span is keyed (all steer the solve except Seed, which
+// Options documents), so perturbing it must move the fingerprint, or two
+// different solves would answer for each other in the engine's caches
+// and the persist corpus. Spelled-out defaults and a Span must not move
+// it.
 func TestFingerprintCoversEveryOption(t *testing.T) {
 	base := Options{}.Fingerprint()
 	typ := reflect.TypeOf(Options{})

@@ -51,7 +51,7 @@ go test ./internal/verify/ -run='^$' -fuzz='^FuzzSimParity$' -fuzztime="$FUZZTIM
 go test ./internal/serve/ -run='^$' -fuzz='^FuzzDecodeRequest$' -fuzztime="$FUZZTIME"
 go test ./internal/serve/ -run='^$' -fuzz='^FuzzDecodeStream$' -fuzztime="$FUZZTIME"
 go test ./internal/topology/ -run='^$' -fuzz='^FuzzDecodeDelta$' -fuzztime="$FUZZTIME"
-go test ./internal/solve/ -run='^$' -fuzz='^FuzzFlowRound$' -fuzztime="$FUZZTIME"
+go test ./internal/solve/ -run='^$' -fuzz='^FuzzFlowBound$' -fuzztime="$FUZZTIME"
 go test ./internal/solve/ -run='^$' -fuzz='^FuzzGreedyEquivalence$' -fuzztime="$FUZZTIME"
 go test ./internal/persist/ -run='^$' -fuzz='^FuzzPersistDecode$' -fuzztime="$FUZZTIME"
 go test ./internal/lru/ -run='^$' -fuzz='^FuzzLRUModel$' -fuzztime="$FUZZTIME"
