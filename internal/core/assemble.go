@@ -221,11 +221,13 @@ func scatterSubtrees(sk *sketch.Sketch) map[int]map[int]bool {
 // (at 512 GPUs the flat index would be 536 MB per build).
 var denseDeliverySlots = 64
 
-// deliveries remembers, per slot piece*numGPUs+gpu, the transfer that
-// first delivered the piece to the GPU: flat while that is small next to
-// the schedule, a map beyond.
+// deliveries remembers the first index recorded per slot: in
+// assembly.build, per piece*numGPUs+gpu, the transfer that first
+// delivered the piece to the GPU (candidateTimeBound keeps its arrival
+// and port tables the same way). Flat while that is small next to the
+// deliveries, a map beyond.
 type deliveries struct {
-	dense  []int32 // 1 + transfer index, 0 while none
+	dense  []int32 // 1 + index, 0 while none
 	sparse map[int]int32
 }
 
@@ -244,7 +246,7 @@ func (d deliveries) first(slot int) int32 {
 	return d.dense[slot]
 }
 
-// record notes transfer idx as the slot's delivery unless it has one.
+// record notes idx as the slot's index unless it has one.
 func (d deliveries) record(slot, idx int) {
 	if d.sparse != nil {
 		if _, ok := d.sparse[slot]; !ok {

@@ -87,21 +87,34 @@ func demandTimeBounds(ctx context.Context, tab *isomorph.Table, cands []*candida
 // bounds of demandTimeBounds, or returns 0 when no bound is available
 // (injected fixed schedules have no assembly).
 func candidateTimeBound(top *topology.Topology, c *candidate, sec []float64) float64 {
-	if c.asm == nil {
+	a := c.asm
+	if a == nil {
 		return 0
 	}
+	n := a.numGPUs
+	// Port tables are flat over dim*n+gpu. (piece, GPU) tables follow
+	// assembly.build's dense-or-sparse rule, sized by the deliveries:
+	// arrivals index into arrival (1 + position, in first-delivery order),
+	// and counted marks, per (piece, GPU, dim), a delivery whose ingress
+	// load is on its port already.
+	total := 0
+	for _, cd := range a.cells {
+		for _, p := range cd.demand.Pieces {
+			total += len(p.Dsts)
+		}
+	}
+	dims := top.NumDims()
+	load := make([]float64, dims*n)
+	alphaOf := make([]float64, len(load))
+	loaded := make([]bool, len(load))
+	counted := newDeliveries(len(a.pieces)*n*dims, total)
+	arrivals := newDeliveries(len(a.pieces)*n, total)
+	arrival := make([]float64, 0, total)
 	best := 0.0
-	type port struct{ dim, gpu int }
-	type delivery struct{ dim, piece, gpu int }
-	type arrival struct{ piece, gpu int }
-	load := make(map[port]float64)
-	alphaOf := make(map[port]float64)
-	seen := make(map[delivery]bool)
-	arr := make(map[arrival]float64)
 	// Cells are sorted by ascending stage, so arrival chains propagate
 	// forward; same-stage cells processed out of dependency order only
 	// loosen the chain (unseen sources read as 0), never tighten it.
-	for i, cd := range c.asm.cells {
+	for i, cd := range a.cells {
 		k := cd.key
 		if v := sec[c.cells[i]]; v > best {
 			best = v
@@ -111,7 +124,11 @@ func candidateTimeBound(top *topology.Topology, c *candidate, sec []float64) flo
 		for _, p := range cd.demand.Pieces {
 			start := math.Inf(1)
 			for _, s := range p.Srcs {
-				if v := arr[arrival{p.ID, cd.gpus[s]}]; v < start {
+				v := 0.0
+				if at := arrivals.first(p.ID*n + cd.gpus[s]); at != 0 {
+					v = arrival[at-1]
+				}
+				if v < start {
 					start = v
 				}
 			}
@@ -120,26 +137,30 @@ func candidateTimeBound(top *topology.Topology, c *candidate, sec []float64) flo
 			}
 			hop := start + alpha + beta*p.Bytes
 			for _, j := range p.Dsts {
-				d := delivery{k.dim, p.ID, cd.gpus[j]}
-				if !seen[d] {
-					seen[d] = true
-					pk := port{k.dim, cd.gpus[j]}
-					load[pk] += beta * p.Bytes
-					alphaOf[pk] = alpha
+				g := cd.gpus[j]
+				slot := p.ID*n + g
+				if d := slot*dims + k.dim; counted.first(d) == 0 {
+					counted.record(d, 0)
+					pt := k.dim*n + g
+					load[pt] += beta * p.Bytes
+					alphaOf[pt] = alpha
+					loaded[pt] = true
 				}
-				ak := arrival{p.ID, cd.gpus[j]}
-				if old, ok := arr[ak]; !ok || hop < old {
-					arr[ak] = hop
+				if at := arrivals.first(slot); at == 0 {
+					arrival = append(arrival, hop)
+					arrivals.record(slot, len(arrival)-1)
+				} else if hop < arrival[at-1] {
+					arrival[at-1] = hop
 				}
 			}
 		}
 	}
 	for pt, l := range load {
-		if v := l + alphaOf[pt]; v > best {
+		if v := l + alphaOf[pt]; loaded[pt] && v > best {
 			best = v
 		}
 	}
-	for _, v := range arr {
+	for _, v := range arrival {
 		if v > best {
 			best = v
 		}

@@ -9,54 +9,60 @@ import (
 	"syccl/internal/sketch"
 )
 
-// transformFunc finishes a raw forward-pipeline schedule into the
-// caller-visible one — identity for forward collectives, mirror (+
-// re-simulate) for reductions, mirror+concat (+ re-simulate) for
-// AllReduce — returning the finished schedule and its simulated time, or
-// why the finished schedule does not validate or simulate. A transform
-// must be safe for concurrent use and must not mutate its input.
-type transformFunc func(fwd *schedule.Schedule, fwdTime float64) (*schedule.Schedule, float64, error)
+// finisher turns the forward pipeline's schedules into the caller-visible
+// collective's. finish mirrors (reductions) or mirrors and concatenates
+// (AllReduce) a forward schedule and re-simulates the result, returning
+// the finished schedule and its time; a forward collective's schedule
+// comes back as is. check validates a finished schedule against the
+// requested collective (fwd is the schedule it was finished from). Ranking
+// needs only finish, so the pipeline checks just the schedules it hands
+// out. Both must be safe for concurrent use and must not mutate their
+// inputs.
+type finisher struct {
+	finish func(fwd *schedule.Schedule, fwdTime float64) (*schedule.Schedule, float64, error)
+	check  func(fwd, out *schedule.Schedule) error
+}
 
-// identityTransform validates a forward schedule against the requested
-// collective and passes it through unchanged.
-func identityTransform(col *collective.Collective) transformFunc {
-	return func(s *schedule.Schedule, t float64) (*schedule.Schedule, float64, error) {
-		return s, t, validateForward(s, col)
+// forwardFinisher finishes a forward collective: nothing to do but
+// validate.
+func forwardFinisher(col *collective.Collective) finisher {
+	return finisher{
+		finish: func(s *schedule.Schedule, t float64) (*schedule.Schedule, float64, error) { return s, t, nil },
+		check:  func(_, out *schedule.Schedule) error { return validateForward(out, col) },
 	}
 }
 
 // publisher serializes the incumbent stream behind Options.OnIncumbent.
 // Candidates are offered opportunistically from worker goroutines as they
 // finish simulation; the publisher gates twice — on forward time before
-// the (possibly expensive) transform, and on transformed time before
+// the (possibly expensive) finish and check, and on finished time before
 // emission — so the published stream is strictly improving regardless of
 // completion order. A nil publisher is a no-op, which keeps every call
 // site unconditional.
 type publisher struct {
-	cb        func(Incumbent)
-	transform transformFunc
+	cb  func(Incumbent)
+	fin finisher
 
 	mu sync.Mutex
 	// bestFwd gates offers by raw forward time: an offer that does not
 	// improve on the best forward time seen so far usually cannot improve
-	// the stream and skips the transform entirely. That is a heuristic —
-	// transforms are not monotone (the concatenated AllReduce time can
+	// the stream and skips finishing entirely. That is a heuristic —
+	// finishing is not monotone (the concatenated AllReduce time can
 	// invert the forward order) — so the pipeline's winner selection
-	// re-evaluates every finalist through the transform and publishFinal
-	// backstops any improvement the gate skipped. bestTime gates emission
-	// by transformed time, which is what the strict-improvement contract
-	// is stated over.
+	// finishes every finalist and publishFinal backstops any improvement
+	// the gate skipped. bestTime gates emission by finished time, which is
+	// what the strict-improvement contract is stated over.
 	bestFwd  float64
 	bestTime float64
 	bound    float64
 	seq      int
 }
 
-func newPublisher(cb func(Incumbent), transform transformFunc) *publisher {
+func newPublisher(cb func(Incumbent), fin finisher) *publisher {
 	if cb == nil {
 		return nil
 	}
-	return &publisher{cb: cb, transform: transform, bestFwd: math.Inf(1), bestTime: math.Inf(1)}
+	return &publisher{cb: cb, fin: fin, bestFwd: math.Inf(1), bestTime: math.Inf(1)}
 }
 
 // setBound records the best known flow lower bound; later incumbents
@@ -89,8 +95,8 @@ func (p *publisher) offer(sched *schedule.Schedule, fwdTime float64, source, eng
 	p.bestFwd = fwdTime
 	p.mu.Unlock()
 
-	out, t, err := p.transform(sched, fwdTime)
-	if err != nil {
+	out, t, err := p.fin.finish(sched, fwdTime)
+	if err != nil || p.fin.check(sched, out) != nil {
 		return
 	}
 
@@ -98,7 +104,7 @@ func (p *publisher) offer(sched *schedule.Schedule, fwdTime float64, source, eng
 	defer p.mu.Unlock()
 	if t >= p.bestTime {
 		// A concurrent offer with a worse forward time but better
-		// transformed time won the race; strict improvement holds.
+		// finished time won the race; strict improvement holds.
 		return
 	}
 	p.bestTime = t
@@ -115,11 +121,12 @@ func (p *publisher) offer(sched *schedule.Schedule, fwdTime float64, source, eng
 }
 
 // publishFinal force-offers the pipeline's deterministic winner, already
-// transformed, bypassing the forward-time gate: a winner whose forward
-// time never led the race was never transformed during the passes, yet
-// its finished time may beat every published incumbent. It emits only on
-// strict improvement, so the stream stays strictly decreasing and a
-// winner that was already published — the common case — adds no event.
+// finished and checked, bypassing the forward-time gate: a winner whose
+// forward time never led the race was never finished during the passes,
+// yet its finished time may beat every published incumbent. It emits
+// only on strict improvement, so the stream stays strictly decreasing
+// and a winner that was already published — the common case — adds no
+// event.
 func (p *publisher) publishFinal(out *schedule.Schedule, t float64, source, engineName string, combo *sketch.Combination) {
 	if p == nil {
 		return

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -166,7 +167,7 @@ func TestNoFinalistFinishesIsAnError(t *testing.T) {
 		return nil, 0, refuse
 	}
 	for _, opts := range []Options{{}, {DisableTwoStep: true}} {
-		res, err := synthesizeForward(context.Background(), top, col, opts.withDefaults(), nil, nil, failing)
+		res, err := synthesizeForward(context.Background(), top, col, opts.withDefaults(), nil, nil, finisher{finish: failing})
 		if !errors.Is(err, refuse) {
 			t.Errorf("DisableTwoStep=%t: err = %v, want the transform's error", opts.DisableTwoStep, err)
 		}
@@ -174,4 +175,76 @@ func TestNoFinalistFinishesIsAnError(t *testing.T) {
 			t.Errorf("DisableTwoStep=%t: a schedule came back although no finalist finished", opts.DisableTwoStep)
 		}
 	}
+}
+
+// TestPickWinnerRanking: pickWinner finishes every finalist, ranks by
+// finished time and checks down the ranking, so its winner is the fastest
+// finalist that finishes and passes — first in order on a tie — and the
+// check runs once when that is the fastest.
+func TestPickWinnerRanking(t *testing.T) {
+	// Finalist i's schedule has i+1 GPUs, so the finisher can tell them
+	// apart; finishing scales the time by 10.
+	finalists := func(times ...float64) []*candidate {
+		out := make([]*candidate, len(times))
+		for i, tm := range times {
+			out[i] = &candidate{sched: &schedule.Schedule{NumGPUs: i + 1}, time: tm}
+		}
+		return out
+	}
+	finish := func(s *schedule.Schedule, tm float64) (*schedule.Schedule, float64, error) {
+		return s, 10 * tm, nil
+	}
+	refuse := func(idx ...int) func(_, out *schedule.Schedule) error {
+		return func(_, out *schedule.Schedule) error {
+			for _, i := range idx {
+				if out.NumGPUs == i+1 {
+					return fmt.Errorf("finalist %d refused", i)
+				}
+			}
+			return nil
+		}
+	}
+
+	t.Run("fastest fails its check, the next wins", func(t *testing.T) {
+		pool := finalists(3, 1, 2, 2)
+		best, out, tm, err := pickWinner(pool, finisher{finish: finish, check: refuse(1)}, nil)
+		if err != nil || best != pool[2] || out != pool[2].sched || tm != 20 {
+			t.Fatalf("winner %v (time %g, err %v), want finalist 2 at 20", best, tm, err)
+		}
+	})
+
+	t.Run("none passes: the first finalist's error", func(t *testing.T) {
+		pool := finalists(3, 1, 2)
+		finishFirstFails := func(s *schedule.Schedule, tm float64) (*schedule.Schedule, float64, error) {
+			if s == pool[0].sched {
+				return nil, 0, errors.New("finalist 0 does not finish")
+			}
+			return finish(s, tm)
+		}
+		for _, c := range []struct {
+			fin  finisher
+			want string
+		}{
+			{finisher{finish: finish, check: refuse(0, 1, 2)}, "finalist 0 refused"},
+			{finisher{finish: finishFirstFails, check: refuse(1, 2)}, "finalist 0 does not finish"},
+		} {
+			best, _, _, err := pickWinner(pool, c.fin, nil)
+			if best != nil || err == nil || err.Error() != c.want {
+				t.Errorf("winner %v, err %v; want no winner and %q", best, err, c.want)
+			}
+		}
+	})
+
+	t.Run("one check when the fastest passes", func(t *testing.T) {
+		pool := finalists(3, 1, 2, 1)
+		checks := 0
+		count := func(_, _ *schedule.Schedule) error { checks++; return nil }
+		best, _, tm, err := pickWinner(pool, finisher{finish: finish, check: count}, nil)
+		if err != nil || best != pool[1] || tm != 10 {
+			t.Fatalf("winner %v (time %g, err %v), want finalist 1 at 10", best, tm, err)
+		}
+		if checks != 1 {
+			t.Errorf("%d checks, want 1", checks)
+		}
+	})
 }

@@ -95,22 +95,35 @@ func synthesizeAllReduce(ctx context.Context, top *topology.Topology, col *colle
 
 	// Each AllGather-phase candidate — incumbents and the final result
 	// alike — is finished into a full AllReduce schedule the same way:
-	// mirror into the ReduceScatter phase, validate it, concatenate,
-	// re-simulate. The same transform ranks the pipeline's finalists (the
-	// concatenated time is what the caller sees — it is not monotone in the
-	// AllGather time) and gates the incumbent stream.
-	transform := func(fwd *schedule.Schedule, _ float64) (*schedule.Schedule, float64, error) {
-		rs := mirrorSchedule(fwd, agCol, rsCol)
-		if err := rs.Validate(rsCol); err != nil {
-			return nil, 0, fmt.Errorf("core: ReduceScatter phase invalid: %w", err)
-		}
-		full := schedule.Concat(rs, fwd)
-		r, err := sim.Simulate(top, full, opts.Sim)
-		if err != nil {
-			return nil, 0, err
-		}
-		return full, r.Time, nil
+	// mirror into the ReduceScatter phase, concatenate, re-simulate. The
+	// finished time ranks the pipeline's finalists (it is what the caller
+	// sees, and it is not monotone in the AllGather time) and gates the
+	// incumbent stream.
+	fin := finisher{
+		finish: func(fwd *schedule.Schedule, _ float64) (*schedule.Schedule, float64, error) {
+			full := schedule.Concat(mirrorSchedule(fwd, agCol, rsCol), fwd)
+			r, err := sim.Simulate(top, full, opts.Sim)
+			if err != nil {
+				return nil, 0, err
+			}
+			return full, r.Time, nil
+		},
+		// The ReduceScatter phase is full's prefix: Concat copies it
+		// first, and a mirror has the forward schedule's piece and
+		// transfer counts. (The AllGather phase is validated as the
+		// forward schedule.)
+		check: func(fwd, full *schedule.Schedule) error {
+			rs := &schedule.Schedule{
+				NumGPUs:   full.NumGPUs,
+				Pieces:    full.Pieces[:len(fwd.Pieces)],
+				Transfers: full.Transfers[:len(fwd.Transfers)],
+			}
+			if err := rs.Validate(rsCol); err != nil {
+				return fmt.Errorf("core: ReduceScatter phase invalid: %w", err)
+			}
+			return nil
+		},
 	}
-	pub := newPublisher(opts.OnIncumbent, transform)
-	return synthesizeForward(ctx, top, agCol, opts, parent, pub, transform)
+	pub := newPublisher(opts.OnIncumbent, fin)
+	return synthesizeForward(ctx, top, agCol, opts, parent, pub, fin)
 }

@@ -52,11 +52,11 @@ type Recipe struct {
 // ignores cancellation and runs to completion, so its result is never
 // Partial. pub receives one incumbent, the winner, with its original
 // provenance.
-func replay(top *topology.Topology, col *collective.Collective, opts Options, parent *obs.Span, pub *publisher, transform transformFunc) *Result {
+func replay(top *topology.Topology, col *collective.Collective, opts Options, parent *obs.Span, pub *publisher, fin finisher) *Result {
 	t0 := time.Now()
 	span := parent.Child("replay")
 	span.SetStr("source", opts.Recipe.Source)
-	res := rebuild(top, col, opts, pub, transform)
+	res := rebuild(top, col, opts, pub, fin)
 	if res == nil {
 		span.SetStr("outcome", "stale")
 		span.End()
@@ -75,9 +75,9 @@ func replay(top *topology.Topology, col *collective.Collective, opts Options, pa
 }
 
 // rebuild is the replay proper: assemble the recipe's combination from
-// its sub-schedules (or rebuild the ring), simulate, validate, compare
-// with the self-check, finish. Any deviation returns nil.
-func rebuild(top *topology.Topology, col *collective.Collective, opts Options, pub *publisher, transform transformFunc) *Result {
+// its sub-schedules (or rebuild the ring), simulate, compare with the
+// self-check, finish, validate. Any deviation returns nil.
+func rebuild(top *topology.Topology, col *collective.Collective, opts Options, pub *publisher, fin finisher) *Result {
 	rc := opts.Recipe
 	var sched *schedule.Schedule
 	switch {
@@ -103,14 +103,13 @@ func rebuild(top *topology.Topology, col *collective.Collective, opts Options, p
 	if err != nil || math.Float64bits(r.Time) != rc.TimeBits || len(sched.Transfers) != rc.Transfers {
 		return nil
 	}
-	out, t, err := transform(sched, r.Time)
-	if err != nil {
+	out, t, err := fin.finish(sched, r.Time)
+	if err != nil || fin.check(sched, out) != nil {
 		return nil
 	}
-	// A forward collective's transform is the validation of sched itself
-	// (it hands its input back). Any other validates what it finished
-	// sched into, so sched is validated here as at every exit of the
-	// full pass.
+	// A forward collective's finished schedule is sched itself. Any other
+	// is validated in what sched was finished into, so sched is validated
+	// here as at every exit of the full pass.
 	if out != sched && validateForward(sched, col) != nil {
 		return nil
 	}

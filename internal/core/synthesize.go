@@ -79,26 +79,29 @@ func SynthesizeContext(ctx context.Context, top *topology.Topology, col *collect
 
 	forwardKind, mirrored := kindForward(col.Kind)
 	forwardCol := col
-	transform := identityTransform(col)
+	fin := forwardFinisher(col)
 	if mirrored {
 		forwardCol = forwardCollective(col, forwardKind)
 		// Every candidate of a mirrored collective — incumbents and the
 		// final result alike — is finished the same way: mirror,
-		// validate, re-simulate.
-		transform = func(fwd *schedule.Schedule, _ float64) (*schedule.Schedule, float64, error) {
+		// re-simulate; what is handed out is validated as a reduction.
+		fin.finish = func(fwd *schedule.Schedule, _ float64) (*schedule.Schedule, float64, error) {
 			m := mirrorSchedule(fwd, forwardCol, col)
-			if err := m.Validate(col); err != nil {
-				return nil, 0, fmt.Errorf("core: mirrored schedule invalid: %w", err)
-			}
 			r, err := sim.Simulate(top, m, opts.Sim)
 			if err != nil {
 				return nil, 0, fmt.Errorf("core: mirrored schedule: %w", err)
 			}
 			return m, r.Time, nil
 		}
+		fin.check = func(_, m *schedule.Schedule) error {
+			if err := m.Validate(col); err != nil {
+				return fmt.Errorf("core: mirrored schedule invalid: %w", err)
+			}
+			return nil
+		}
 	}
-	pub := newPublisher(opts.OnIncumbent, transform)
-	return synthesizeForward(ctx, top, forwardCol, opts, root, pub, transform)
+	pub := newPublisher(opts.OnIncumbent, fin)
+	return synthesizeForward(ctx, top, forwardCol, opts, root, pub, fin)
 }
 
 // seedCounters registers the pipeline's counter series with an initial
@@ -121,17 +124,17 @@ func seedCounters(rec *obs.Recorder) {
 // collectives. The parent span (nil-safe) roots the per-phase spans. pub
 // (nil-safe) receives every improving candidate as it completes
 // simulation; publication is observation only and never influences which
-// candidate wins. transform finishes forward schedules into the
-// caller-visible collective (identity for forward kinds) — the winner at
-// every return site is the candidate whose finished time is minimal,
-// which is the same criterion the publisher's improvement gate uses, and
-// the Result carries that finished schedule and time. Finishing is cheap
-// and ignores cancellation, so a Partial forward result still becomes a
-// complete, timed schedule; a run none of whose finalists finishes is an
-// error, never a schedule.
-func synthesizeForward(ctx context.Context, top *topology.Topology, col *collective.Collective, opts Options, parent *obs.Span, pub *publisher, transform transformFunc) (*Result, error) {
+// candidate wins. fin finishes forward schedules into the caller-visible
+// collective (identity for forward kinds) — the winner at every return
+// site is the candidate whose finished time is minimal among those whose
+// finished schedule passes fin.check, which is the same criterion the
+// publisher's improvement gate uses, and the Result carries that finished
+// schedule and time. Finishing is cheap and ignores cancellation, so a
+// Partial forward result still becomes a complete, timed schedule; a run
+// none of whose finalists finishes is an error, never a schedule.
+func synthesizeForward(ctx context.Context, top *topology.Topology, col *collective.Collective, opts Options, parent *obs.Span, pub *publisher, fin finisher) (*Result, error) {
 	if opts.Recipe != nil {
-		if res := replay(top, col, opts, parent, pub, transform); res != nil {
+		if res := replay(top, col, opts, parent, pub, fin); res != nil {
 			return res, nil
 		}
 		// Stale recipe: the full pass below returns the same bytes and
@@ -141,12 +144,16 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	// finish closes the pipeline at every exit below: the winner of the
 	// pool by finished time, its recipe when the run was not cut short.
 	finish := func(pool []*candidate, partial bool) (*Result, error) {
-		best, out, t, err := pickWinner(pool, transform, pub)
+		best, out, t, err := pickWinner(pool, fin, pub)
 		if err != nil {
 			return nil, err
 		}
-		if err := validateForward(best.sched, col); err != nil {
-			return nil, err
+		// pickWinner checked out; a reduction's forward schedule is
+		// validated too.
+		if out != best.sched {
+			if err := validateForward(best.sched, col); err != nil {
+				return nil, err
+			}
 		}
 		res.Schedule, res.Time, res.Combination = out, t, best.combo
 		res.Partial = partial
@@ -347,42 +354,52 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	return out, err
 }
 
-// pickWinner selects the pipeline's result by caller-visible time: each
-// finalist's forward schedule is finished through the transform and the
-// minimal finished time wins, first in order on ties. Ranking by forward
-// time instead would be wrong for AllReduce — the concatenated
+// pickWinner selects the pipeline's result by caller-visible time: every
+// finalist's forward schedule is finished, the finalists are ranked by
+// finished time (stably, so the first in order wins a tie), and the first
+// in the ranking whose finished schedule passes the check wins — the
+// minimal finished time among the finalists that finish and pass, for one
+// check in the common case instead of one per finalist. Ranking by
+// forward time instead would be wrong for AllReduce — the concatenated
 // ReduceScatter+AllGather time is not monotone in the AllGather-phase
 // time, so the forward-best candidate can finish into a schedule worse
 // than one already published on the incumbent stream. The chosen winner
 // is force-offered to the publisher (no-op when it was already the best
 // published), which is what keeps the stream's last event equal to the
-// returned result. Finalists whose transform fails are skipped; if none
-// survives, the first failure is the error. The winner comes back with
-// its finished schedule and time, so nobody runs the (deterministic)
-// transform on it again. Deterministic: a pure fold over a deterministic
-// finalist list.
-func pickWinner(finalists []*candidate, transform transformFunc, pub *publisher) (*candidate, *schedule.Schedule, float64, error) {
-	var best *candidate
-	var bestOut *schedule.Schedule
-	var firstErr error
-	bestT := math.Inf(1)
-	for _, f := range finalists {
-		out, t, err := transform(f.sched, f.time)
+// returned result. If no finalist finishes and passes, the error is the
+// first finalist's (in finalist order). The winner comes back with its
+// finished schedule and time, so nobody finishes it again.
+// Deterministic: a pure function of a deterministic finalist list.
+func pickWinner(finalists []*candidate, fin finisher, pub *publisher) (*candidate, *schedule.Schedule, float64, error) {
+	type finished struct {
+		at  int // finalist index
+		out *schedule.Schedule
+		t   float64
+	}
+	ranked := make([]finished, 0, len(finalists))
+	errs := make([]error, len(finalists))
+	for i, f := range finalists {
+		out, t, err := fin.finish(f.sched, f.time)
 		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
+			errs[i] = err
 			continue
 		}
-		if t < bestT {
-			best, bestT, bestOut = f, t, out
+		ranked = append(ranked, finished{i, out, t})
+	}
+	sort.SliceStable(ranked, func(a, b int) bool { return ranked[a].t < ranked[b].t })
+	for _, r := range ranked {
+		best := finalists[r.at]
+		if errs[r.at] = fin.check(best.sched, r.out); errs[r.at] == nil {
+			pub.publishFinal(r.out, r.t, best.source, best.engine, best.combo)
+			return best, r.out, r.t, nil
 		}
 	}
-	if best == nil {
-		return nil, nil, 0, firstErr
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, 0, err
+		}
 	}
-	pub.publishFinal(bestOut, bestT, best.source, best.engine, best.combo)
-	return best, bestOut, bestT, nil
+	return nil, nil, 0, errors.New("core: no finalists")
 }
 
 // searchCached serves the sketch search from opts.SketchCache when one is

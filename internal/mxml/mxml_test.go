@@ -119,3 +119,19 @@ func TestParseRejectsGarbage(t *testing.T) {
 		t.Error("accepted dangling dependency")
 	}
 }
+
+// TestParsedMissingPieceIsASimError: Parse does not range-check piece=,
+// so a step naming a piece the file never declares reaches the simulator,
+// which must reject it rather than index past the pieces.
+func TestParsedMissingPieceIsASimError(t *testing.T) {
+	top := topology.SingleServer(2)
+	bad := `<algo ngpus="2"><piece id="0" bytes="1024" chunks="0"/><gpu id="0"><tb id="0" peer="1" dim="0"><step s="0" piece="5" order="0" seq="0"/></tb></gpu></algo>`
+	s, _, err := Parse([]byte(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sim.Simulate(top, s, sim.DefaultOptions())
+	if err == nil || !strings.Contains(err.Error(), "transfer 0 references missing piece 5") {
+		t.Fatalf("err = %v, want the missing-piece error", err)
+	}
+}

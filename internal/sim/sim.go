@@ -16,14 +16,18 @@
 //
 // Transfers sharing a port are served FIFO in schedule order (Order field,
 // then index), matching the paper's "previous events on the link have been
-// completed" rule; dependency readiness gates each event.
+// completed" rule; dependency readiness gates each event. The serving
+// order is one sort of (Order, index) keys for schedules whose
+// dependencies all rank earlier, as the pipeline's do, so evaluation is
+// linear in events after it; other schedules take Kahn's algorithm.
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"syccl/internal/obs"
 	"syccl/internal/schedule"
@@ -106,15 +110,10 @@ func (r *Result) LinkUtilization(g, c int) float64 {
 	return busy[c] / r.Time
 }
 
-type blockEvent struct {
-	transfer int
-	block    int
-	bytes    float64
-}
-
 // Simulate executes the schedule on the topology and returns the result.
 // It returns an error if a transfer uses a dimension whose group does not
-// contain both endpoints, or if dependencies are cyclic.
+// contain both endpoints, names a missing piece or dependency, or if
+// dependencies are cyclic.
 func Simulate(top *topology.Topology, s *schedule.Schedule, opts Options) (*Result, error) {
 	return SimulateCtx(context.Background(), top, s, opts)
 }
@@ -143,7 +142,8 @@ func simulate(ctx context.Context, top *topology.Topology, s *schedule.Schedule,
 	if s.NumGPUs != n {
 		return nil, fmt.Errorf("sim: schedule has %d GPUs, topology %d", s.NumGPUs, n)
 	}
-	for i, t := range s.Transfers {
+	for i := range s.Transfers {
+		t := &s.Transfers[i]
 		if t.Dim < 0 || t.Dim >= top.NumDims() {
 			return nil, fmt.Errorf("sim: transfer %d uses missing dimension %d", i, t.Dim)
 		}
@@ -151,9 +151,13 @@ func simulate(ctx context.Context, top *topology.Topology, s *schedule.Schedule,
 			return nil, fmt.Errorf("sim: transfer %d: GPUs %d and %d not connected in dimension %d (%s)",
 				i, t.Src, t.Dst, t.Dim, top.Dim(t.Dim).Name)
 		}
+		if t.Piece < 0 || t.Piece >= len(s.Pieces) {
+			return nil, fmt.Errorf("sim: transfer %d references missing piece %d", i, t.Piece)
+		}
 	}
 
-	// Expand transfers into block events.
+	// Expand transfers into block events: transfer i owns the slots
+	// first[i]:first[i+1] of one flat array of block finish times.
 	blocksOf := func(bytes float64) int {
 		if opts.BlockBytes <= 0 || bytes <= opts.BlockBytes {
 			return 1
@@ -168,135 +172,205 @@ func simulate(ctx context.Context, top *topology.Topology, s *schedule.Schedule,
 		}
 		return nb
 	}
-
-	type transferState struct {
-		nb          int
-		blockFinish []float64
+	first := make([]int, len(s.Transfers)+1)
+	for i := range s.Transfers {
+		first[i+1] = first[i] + blocksOf(s.Pieces[s.Transfers[i].Piece].Bytes)
 	}
-	states := make([]transferState, len(s.Transfers))
-	for i, t := range s.Transfers {
-		nb := blocksOf(s.Pieces[t.Piece].Bytes)
-		states[i] = transferState{nb: nb, blockFinish: make([]float64, nb)}
-	}
+	blockFinish := make([]float64, first[len(s.Transfers)])
 
 	// Process transfers in priority order: a topological order refined by
 	// Order. Ties on shared ports resolve FIFO in this sequence.
-	seq, err := prioritizedTopoOrder(s)
+	seq, err := servingOrder(s.Transfers)
 	if err != nil {
 		return nil, err
 	}
 
 	// Ports are per physical class, not per dimension: all network tiers
 	// share each GPU's NIC, so leaf- and spine-dimension transfers from
-	// one GPU serialize.
-	numClasses := top.NumPortClasses()
-	egress := make([][]float64, n) // [gpu][class] port free time
-	ingress := make([][]float64, n)
-	for g := 0; g < n; g++ {
-		egress[g] = make([]float64, numClasses)
-		ingress[g] = make([]float64, numClasses)
-	}
-
+	// one GPU serialize. Port state is flat, indexed gpu*classes+class;
+	// LinkBusy's rows are views of one array.
+	classes := top.NumPortClasses()
+	egress := make([]float64, n*classes) // port free times
+	ingress := make([]float64, n*classes)
+	linkBusy := make([]float64, n*classes)
 	res := &Result{
+		Events:   len(blockFinish),
 		PortBusy: make([]float64, top.NumDims()),
 		LinkBusy: make([][]float64, n),
 		FinishAt: make([]float64, len(s.Transfers)),
 		StartAt:  make([]float64, len(s.Transfers)),
 	}
-	for g := 0; g < n; g++ {
-		res.LinkBusy[g] = make([]float64, numClasses)
+	for g := range res.LinkBusy {
+		res.LinkBusy[g] = linkBusy[g*classes : (g+1)*classes : (g+1)*classes]
 	}
 
 	for k, i := range seq {
 		if k&255 == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		t := s.Transfers[i]
+		t := &s.Transfers[i]
 		dim := top.Dim(t.Dim)
-		class := dim.PortClass
+		out := t.Src*classes + dim.PortClass
+		in := t.Dst*classes + dim.PortClass
 		// Per-group α/β: degraded topologies carry per-group overrides, so
 		// a transfer is costed by the group it actually crosses.
 		alpha := dim.AlphaOf(dim.GroupOf(t.Src))
 		beta := dim.BetaOf(dim.GroupOf(t.Src))
-		st := &states[i]
-		total := s.Pieces[t.Piece].Bytes
-		per := total / float64(st.nb)
-		for b := 0; b < st.nb; b++ {
+		blocks := blockFinish[first[i]:first[i+1]]
+		nb := len(blocks)
+		per := s.Pieces[t.Piece].Bytes / float64(nb)
+		for b := range blocks {
 			// Dependency readiness: block b may go once the matching
 			// fraction of every dependency has arrived.
 			ready := 0.0
 			for _, d := range t.Deps {
-				ds := &states[d]
+				dep := blockFinish[first[d]:first[d+1]]
 				// The dep block covering the same payload fraction.
-				db := ((b+1)*ds.nb+st.nb-1)/st.nb - 1
+				db := ((b+1)*len(dep)+nb-1)/nb - 1
 				if db < 0 {
 					db = 0
 				}
-				if db >= ds.nb {
-					db = ds.nb - 1
+				if db >= len(dep) {
+					db = len(dep) - 1
 				}
-				if f := ds.blockFinish[db]; f > ready {
+				if f := dep[db]; f > ready {
 					ready = f
 				}
 			}
 			start := ready
-			if f := egress[t.Src][class]; f > start {
+			if f := egress[out]; f > start {
 				start = f
 			}
-			if f := ingress[t.Dst][class]; f > start {
+			if f := ingress[in]; f > start {
 				start = f
 			}
 			busy := beta * per
 			finish := start + alpha + busy
-			egress[t.Src][class] = start + busy
-			ingress[t.Dst][class] = start + busy
+			egress[out] = start + busy
+			ingress[in] = start + busy
 			res.PortBusy[t.Dim] += busy
-			res.LinkBusy[t.Src][class] += busy
+			linkBusy[out] += busy
 			if b == 0 {
 				res.StartAt[i] = start
 			}
-			st.blockFinish[b] = finish
-			res.Events++
+			blocks[b] = finish
 			if finish > res.Time {
 				res.Time = finish
 			}
 		}
-		res.FinishAt[i] = st.blockFinish[st.nb-1]
+		res.FinishAt[i] = blocks[nb-1]
 	}
 	return res, nil
 }
 
-// prioritizedTopoOrder returns transfer indices in a dependency-respecting
-// order that follows Order (then index) whenever multiple transfers are
-// simultaneously schedulable.
-func prioritizedTopoOrder(s *schedule.Schedule) ([]int, error) {
-	n := len(s.Transfers)
-	indeg := make([]int, n)
-	succ := make([][]int, n)
-	for i, t := range s.Transfers {
+// servingOrder returns the transfer indices in the order the simulator
+// serves them: the dependency-respecting order that, whenever several
+// transfers are ready, takes the smallest (Order, index) first — Kahn's
+// algorithm over a min-heap on that key.
+//
+// The pipeline's assembled schedules list every dependency ahead of its
+// dependent in (Order, index), and for those the sorted order is the
+// answer: the smallest remaining key always has all its dependencies
+// served, so it is what the heap would pop next. One sort and an O(E)
+// check establish that. Only a schedule with a dependency ranked later
+// (hand-written, XML-imported, baselines) runs Kahn's algorithm.
+func servingOrder(ts []schedule.Transfer) ([]int32, error) {
+	byKey := sortByOrder(ts)
+	sorted := true
+	for i := range ts {
+		t := &ts[i]
 		for _, d := range t.Deps {
-			if d < 0 || d >= n {
+			if d < 0 || d >= len(ts) {
 				return nil, fmt.Errorf("sim: transfer %d has out-of-range dep %d", i, d)
 			}
-			succ[d] = append(succ[d], i)
+			if o := ts[d].Order; o > t.Order || o == t.Order && d >= i {
+				sorted = false
+			}
+		}
+	}
+	if sorted {
+		return byKey, nil
+	}
+	return kahn(ts, byKey)
+}
+
+// sortByOrder returns the transfer indices sorted by (Order, index). Keys
+// pack Order (relative to the smallest) above the index, so the sort
+// compares integers; Orders spanning 2³² or more fall back to comparing
+// the fields.
+func sortByOrder(ts []schedule.Transfer) []int32 {
+	out := make([]int32, len(ts))
+	if len(ts) == 0 {
+		return out
+	}
+	lo, hi := ts[0].Order, ts[0].Order
+	for i := range ts {
+		lo, hi = min(lo, ts[i].Order), max(hi, ts[i].Order)
+	}
+	if uint64(hi)-uint64(lo) < 1<<32 {
+		keys := make([]uint64, len(ts))
+		for i := range ts {
+			keys[i] = (uint64(ts[i].Order)-uint64(lo))<<32 | uint64(i)
+		}
+		slices.Sort(keys)
+		for r, k := range keys {
+			out[r] = int32(uint32(k))
+		}
+		return out
+	}
+	for i := range out {
+		out[i] = int32(i)
+	}
+	slices.SortFunc(out, func(a, b int32) int {
+		if c := cmp.Compare(ts[a].Order, ts[b].Order); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return out
+}
+
+// kahn is servingOrder for schedules whose dependencies do not all rank
+// earlier: Kahn's algorithm, serving the smallest ready rank in byKey.
+func kahn(ts []schedule.Transfer, byKey []int32) ([]int32, error) {
+	n := len(ts)
+	rank := make([]int32, n)
+	for r, i := range byKey {
+		rank[i] = int32(r)
+	}
+	// Successor lists, flat: succ[start[d]:start[d+1]] depend on d.
+	indeg := make([]int32, n)
+	start := make([]int32, n+1)
+	for i := range ts {
+		for _, d := range ts[i].Deps {
+			start[d+1]++
 			indeg[i]++
 		}
 	}
-	// Min-heap on (Order, index).
-	h := &transferHeap{s: s}
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			h.push(i)
+	for d := 0; d < n; d++ {
+		start[d+1] += start[d]
+	}
+	succ := make([]int32, start[n])
+	fill := append([]int32(nil), start[:n]...)
+	for i := range ts {
+		for _, d := range ts[i].Deps {
+			succ[fill[d]] = int32(i)
+			fill[d]++
 		}
 	}
-	order := make([]int, 0, n)
-	for h.len() > 0 {
-		i := h.pop()
+	h := make(rankHeap, 0, n)
+	for i := range ts {
+		if indeg[i] == 0 {
+			h.push(rank[i])
+		}
+	}
+	order := make([]int32, 0, n)
+	for len(h) > 0 {
+		i := byKey[h.pop()]
 		order = append(order, i)
-		for _, j := range succ[i] {
-			indeg[j]--
-			if indeg[j] == 0 {
-				h.push(j)
+		for _, j := range succ[start[i]:start[i+1]] {
+			if indeg[j]--; indeg[j] == 0 {
+				h.push(rank[j])
 			}
 		}
 	}
@@ -306,62 +380,42 @@ func prioritizedTopoOrder(s *schedule.Schedule) ([]int, error) {
 	return order, nil
 }
 
-type transferHeap struct {
-	s    *schedule.Schedule
-	heap []int
-}
+// rankHeap is a binary min-heap of transfer ranks.
+type rankHeap []int32
 
-func (h *transferHeap) len() int { return len(h.heap) }
-
-func (h *transferHeap) less(a, b int) bool {
-	ta, tb := h.s.Transfers[a], h.s.Transfers[b]
-	if ta.Order != tb.Order {
-		return ta.Order < tb.Order
-	}
-	return a < b
-}
-
-func (h *transferHeap) push(x int) {
-	h.heap = append(h.heap, x)
-	i := len(h.heap) - 1
-	for i > 0 {
+func (h *rankHeap) push(r int32) {
+	*h = append(*h, r)
+	q := *h
+	for i := len(q) - 1; i > 0; {
 		p := (i - 1) / 2
-		if !h.less(h.heap[i], h.heap[p]) {
+		if q[p] <= q[i] {
 			break
 		}
-		h.heap[i], h.heap[p] = h.heap[p], h.heap[i]
+		q[i], q[p] = q[p], q[i]
 		i = p
 	}
 }
 
-func (h *transferHeap) pop() int {
-	top := h.heap[0]
-	last := len(h.heap) - 1
-	h.heap[0] = h.heap[last]
-	h.heap = h.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
+func (h *rankHeap) pop() int32 {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
 		m := i
-		if l < len(h.heap) && h.less(h.heap[l], h.heap[m]) {
+		if l := 2*i + 1; l < len(q) && q[l] < q[m] {
 			m = l
 		}
-		if r < len(h.heap) && h.less(h.heap[r], h.heap[m]) {
+		if r := 2*i + 2; r < len(q) && q[r] < q[m] {
 			m = r
 		}
 		if m == i {
 			break
 		}
-		h.heap[i], h.heap[m] = h.heap[m], h.heap[i]
+		q[i], q[m] = q[m], q[i]
 		i = m
 	}
+	*h = q
 	return top
-}
-
-// sortedFinishTimes returns the transfer finish times ascending — handy in
-// tests and debugging dumps.
-func sortedFinishTimes(r *Result) []float64 {
-	out := append([]float64(nil), r.FinishAt...)
-	sort.Float64s(out)
-	return out
 }

@@ -2,10 +2,13 @@ package sim
 
 import (
 	"math"
+	"sort"
+	"strings"
 	"testing"
 
 	"syccl/internal/schedule"
 	"syccl/internal/topology"
+	"syccl/internal/verify"
 )
 
 // testTopo returns a 2-server × 4-GPU topology with round numbers:
@@ -253,6 +256,13 @@ func TestUtilization(t *testing.T) {
 	}
 }
 
+// sortedFinishTimes returns the transfer finish times ascending.
+func sortedFinishTimes(r *Result) []float64 {
+	out := append([]float64(nil), r.FinishAt...)
+	sort.Float64s(out)
+	return out
+}
+
 func TestFinishTimesSorted(t *testing.T) {
 	top := testTopo()
 	s := &schedule.Schedule{NumGPUs: 8}
@@ -328,5 +338,111 @@ func TestUtilizationZeroDuration(t *testing.T) {
 	}
 	if u := r.LinkUtilization(0, 0); u != 0 {
 		t.Errorf("link utilization %g", u)
+	}
+}
+
+// TestRejectsMalformed: a schedule the simulator cannot run is an error
+// naming the offending transfer, never a panic.
+func TestRejectsMalformed(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(s *schedule.Schedule)
+		want string
+	}{
+		{"missing dimension", func(s *schedule.Schedule) { s.Transfers[1].Dim = 7 }, "transfer 1 uses missing dimension 7"},
+		{"piece past the end", func(s *schedule.Schedule) { s.Transfers[1].Piece = 3 }, "transfer 1 references missing piece 3"},
+		{"negative piece", func(s *schedule.Schedule) { s.Transfers[0].Piece = -1 }, "transfer 0 references missing piece -1"},
+		{"dep past the end", func(s *schedule.Schedule) { s.Transfers[1].Deps = []int{2} }, "transfer 1 has out-of-range dep 2"},
+		{"negative dep", func(s *schedule.Schedule) { s.Transfers[1].Deps = []int{-1} }, "transfer 1 has out-of-range dep -1"},
+		{"self dep", func(s *schedule.Schedule) { s.Transfers[0].Deps = []int{0} }, "dependency cycle"},
+		{"GPU count", func(s *schedule.Schedule) { s.NumGPUs = 4 }, "schedule has 4 GPUs, topology 8"},
+	}
+	for _, c := range cases {
+		s := &schedule.Schedule{NumGPUs: 8}
+		p := s.AddPiece(1000, 0)
+		t0 := s.AddTransfer(schedule.Transfer{Src: 0, Dst: 1, Piece: p, Dim: 0})
+		s.AddTransfer(schedule.Transfer{Src: 1, Dst: 2, Piece: p, Dim: 0, Deps: []int{t0}})
+		c.edit(s)
+		_, err := Simulate(testTopo(), s, DefaultOptions())
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// depsRankEarlier reports whether every dependency precedes its
+// dependent in (Order, index) — the schedules servingOrder answers with
+// one sort; the rest take Kahn's algorithm.
+func depsRankEarlier(s *schedule.Schedule) bool {
+	for i, t := range s.Transfers {
+		for _, d := range t.Deps {
+			if o := s.Transfers[d].Order; o > t.Order || o == t.Order && d >= i {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestServingOrderParity holds both paths of servingOrder to the
+// reference simulator's naive ready-scan, bit for bit: hand-made schedules
+// whose dependencies all rank earlier (the sort is the order) and ones
+// that force Kahn's algorithm — a dependency with a larger Order, equal
+// Orders with the dependency at a higher index, and a cycle.
+func TestServingOrderParity(t *testing.T) {
+	top := testTopo()
+	type tr struct {
+		src, dst, dim, order int
+		deps                 []int
+	}
+	cases := []struct {
+		name   string
+		sorted bool
+		ts     []tr
+	}{
+		{"chain", true, []tr{{0, 1, 0, 0, nil}, {1, 2, 0, 1, []int{0}}, {2, 3, 0, 2, []int{1}}}},
+		{"ties by index", true, []tr{{0, 1, 0, 3, nil}, {0, 2, 0, 3, nil}, {1, 5, 1, 3, []int{0}}, {2, 6, 1, 3, []int{1}}}},
+		{"negative orders", true, []tr{{4, 0, 1, -9, nil}, {0, 1, 0, -4, []int{0}}, {0, 2, 0, -4, []int{0}}}},
+		{"wide orders", true, []tr{{0, 1, 0, math.MinInt, nil}, {1, 2, 0, 0, []int{0}}, {0, 3, 0, math.MaxInt, nil}}},
+		{"dep with larger order", false, []tr{{0, 1, 0, 5, nil}, {1, 2, 0, 1, []int{0}}, {0, 3, 0, 1, nil}}},
+		{"equal orders, dep at higher index", false, []tr{{1, 2, 0, 2, []int{2}}, {0, 3, 0, 2, nil}, {0, 1, 0, 2, nil}}},
+		{"wide orders, dep ranked later", false, []tr{{1, 2, 0, math.MinInt, []int{1}}, {0, 1, 0, math.MaxInt, nil}, {0, 3, 0, 0, nil}}},
+		{"shared ports out of rank", false, []tr{{0, 1, 0, 9, nil}, {0, 2, 0, 4, nil}, {1, 3, 0, 0, []int{0}}, {2, 3, 0, 1, []int{1}}, {0, 4, 1, 2, []int{3}}}},
+		{"cycle", false, []tr{{0, 1, 0, 0, []int{1}}, {1, 2, 0, 1, []int{0}}, {0, 3, 0, 2, nil}}},
+	}
+	for _, c := range cases {
+		for _, opts := range []Options{{}, DefaultOptions(), {BlockBytes: 300, MaxBlocks: 3}} {
+			s := &schedule.Schedule{NumGPUs: 8}
+			small, big := s.AddPiece(1000, 0), s.AddPiece(1e6, 0)
+			for i, x := range c.ts {
+				p := small
+				if i%2 == 1 {
+					p = big
+				}
+				s.AddTransfer(schedule.Transfer{Src: x.src, Dst: x.dst, Piece: p, Dim: x.dim, Order: x.order, Deps: x.deps})
+			}
+			if got := depsRankEarlier(s); got != c.sorted {
+				t.Fatalf("%s: deps rank earlier = %t, the case is meant to be %t", c.name, got, c.sorted)
+			}
+			got, gErr := Simulate(top, s, opts)
+			want, wErr := verify.ReferenceSimulate(top, s, opts.BlockBytes, opts.MaxBlocks)
+			if (gErr == nil) != (wErr == nil) {
+				t.Fatalf("%s: sim err %v, reference err %v", c.name, gErr, wErr)
+			}
+			if gErr != nil {
+				if !strings.Contains(gErr.Error(), "cycle") {
+					t.Errorf("%s: err = %v, want the cycle error", c.name, gErr)
+				}
+				continue
+			}
+			if got.Time != want.Time || got.Events != want.Events {
+				t.Errorf("%s %+v: time/events %v/%d, reference %v/%d", c.name, opts, got.Time, got.Events, want.Time, want.Events)
+			}
+			for i := range s.Transfers {
+				if got.FinishAt[i] != want.FinishAt[i] {
+					t.Errorf("%s %+v: transfer %d finishes at %v, reference %v", c.name, opts, i, got.FinishAt[i], want.FinishAt[i])
+				}
+			}
+		}
 	}
 }

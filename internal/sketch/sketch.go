@@ -66,16 +66,26 @@ func (s *Sketch) Covered() map[int]bool {
 
 // Validate checks sketch invariants against a topology: sources must be
 // informed before their stage, each GPU is a destination at most once, and
-// every sub-demand stays within its declared group.
+// every sub-demand stays within its declared group. A missing dimension or
+// an out-of-range GPU is an error too.
 func (s *Sketch) Validate(top *topology.Topology) error {
-	informed := map[int]bool{s.Root: true}
-	seenDst := map[int]bool{}
+	// state[g] is 0 while GPU g is uninformed, else 1 + the stage that
+	// informed it, the root's stage being 0.
+	state := make([]int32, top.NumGPUs())
+	if s.Root < 0 || s.Root >= len(state) {
+		return fmt.Errorf("sketch: root %d out of range", s.Root)
+	}
+	state[s.Root] = 1
 	for k, st := range s.Stages {
-		newly := map[int]bool{}
+		// A GPU informed before stage k has 0 < state ≤ before.
+		before := int32(k + 1)
 		for _, sd := range st {
+			if sd.Dim < 0 || sd.Dim >= top.NumDims() {
+				return fmt.Errorf("sketch: stage %d: missing dimension %d", k, sd.Dim)
+			}
 			dim := top.Dim(sd.Dim)
 			for _, src := range sd.Srcs {
-				if !informed[src] {
+				if src < 0 || src >= len(state) || state[src] == 0 || state[src] > before {
 					return fmt.Errorf("sketch: stage %d: source %d not informed", k, src)
 				}
 				if dim.GroupOf(src) != sd.Group {
@@ -83,21 +93,17 @@ func (s *Sketch) Validate(top *topology.Topology) error {
 				}
 			}
 			for _, dst := range sd.Dsts {
-				if informed[dst] || seenDst[dst] {
+				if dst >= 0 && dst < len(state) && state[dst] != 0 {
 					return fmt.Errorf("sketch: stage %d: GPU %d is a destination twice", k, dst)
 				}
-				if dim.GroupOf(dst) != sd.Group {
+				if dst < 0 || dst >= len(state) || dim.GroupOf(dst) != sd.Group {
 					return fmt.Errorf("sketch: stage %d: destination %d not in dim %d group %d", k, dst, sd.Dim, sd.Group)
 				}
-				seenDst[dst] = true
-				newly[dst] = true
+				state[dst] = before + 1
 			}
 			if len(sd.Srcs) == 0 || len(sd.Dsts) == 0 {
 				return fmt.Errorf("sketch: stage %d has empty sub-demand", k)
 			}
-		}
-		for d := range newly {
-			informed[d] = true
 		}
 	}
 	return nil

@@ -344,27 +344,54 @@ func TestSketchMapPreservesStructure(t *testing.T) {
 
 func TestValidateRejectsBadSketches(t *testing.T) {
 	top := topology.H800Small(2)
-	// Source not informed.
-	bad := &Sketch{Root: 0, Stages: []Stage{
-		{{Dim: 0, Group: 1, Srcs: []int{4}, Dsts: []int{5}}},
-	}}
-	if bad.Validate(top) == nil {
-		t.Error("accepted uninformed source")
+	n := top.NumGPUs()
+	cases := []struct {
+		name string
+		sk   *Sketch
+	}{
+		{"uninformed source", &Sketch{Root: 0, Stages: []Stage{
+			{{Dim: 0, Group: 1, Srcs: []int{4}, Dsts: []int{5}}},
+		}}},
+		{"source informed in the same stage", &Sketch{Root: 0, Stages: []Stage{
+			{{Dim: 0, Group: 0, Srcs: []int{0}, Dsts: []int{1}}, {Dim: 0, Group: 0, Srcs: []int{1}, Dsts: []int{2}}},
+		}}},
+		{"double destination", &Sketch{Root: 0, Stages: []Stage{
+			{{Dim: 0, Group: 0, Srcs: []int{0}, Dsts: []int{1}}},
+			{{Dim: 0, Group: 0, Srcs: []int{0}, Dsts: []int{1}}},
+		}}},
+		{"root as destination", &Sketch{Root: 0, Stages: []Stage{
+			{{Dim: 0, Group: 0, Srcs: []int{0}, Dsts: []int{0}}},
+		}}},
+		{"cross-group destination", &Sketch{Root: 0, Stages: []Stage{
+			{{Dim: 0, Group: 0, Srcs: []int{0}, Dsts: []int{5}}},
+		}}},
+		{"empty sub-demand", &Sketch{Root: 0, Stages: []Stage{
+			{{Dim: 0, Group: 0, Srcs: []int{0}}},
+		}}},
+		{"missing dimension", &Sketch{Root: 0, Stages: []Stage{
+			{{Dim: top.NumDims(), Group: 0, Srcs: []int{0}, Dsts: []int{1}}},
+		}}},
+		{"negative dimension", &Sketch{Root: 0, Stages: []Stage{
+			{{Dim: -1, Group: 0, Srcs: []int{0}, Dsts: []int{1}}},
+		}}},
+		{"source out of range", &Sketch{Root: 0, Stages: []Stage{
+			{{Dim: 0, Group: 0, Srcs: []int{n}, Dsts: []int{1}}},
+		}}},
+		{"destination out of range", &Sketch{Root: 0, Stages: []Stage{
+			{{Dim: 0, Group: 0, Srcs: []int{0}, Dsts: []int{n}}},
+		}}},
+		{"negative destination", &Sketch{Root: 0, Stages: []Stage{
+			{{Dim: 0, Group: 0, Srcs: []int{0}, Dsts: []int{-1}}},
+		}}},
+		{"root out of range", &Sketch{Root: n, Stages: []Stage{
+			{{Dim: 0, Group: 0, Srcs: []int{0}, Dsts: []int{1}}},
+		}}},
+		{"negative root", &Sketch{Root: -1}},
 	}
-	// Destination twice.
-	bad2 := &Sketch{Root: 0, Stages: []Stage{
-		{{Dim: 0, Group: 0, Srcs: []int{0}, Dsts: []int{1}}},
-		{{Dim: 0, Group: 0, Srcs: []int{0}, Dsts: []int{1}}},
-	}}
-	if bad2.Validate(top) == nil {
-		t.Error("accepted double destination")
-	}
-	// Cross-group sub-demand.
-	bad3 := &Sketch{Root: 0, Stages: []Stage{
-		{{Dim: 0, Group: 0, Srcs: []int{0}, Dsts: []int{5}}},
-	}}
-	if bad3.Validate(top) == nil {
-		t.Error("accepted cross-group destination")
+	for _, c := range cases {
+		if err := c.sk.Validate(top); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
 	}
 }
 
