@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"syccl/internal/collective"
 	"syccl/internal/schedule"
@@ -28,15 +29,13 @@ type assembly struct {
 	origin []int
 
 	// cells holds one merged demand per cell, by ascending (stage, dim,
-	// group), plus bookkeeping to map local GPU indices back to global
-	// ones.
+	// group).
 	cells []*cellDemand
 }
 
 type cellDemand struct {
 	key    cellKey
-	gpus   []int       // sorted global GPU IDs of the group
-	local  map[int]int // global → local index
+	gpus   []int // sorted global GPU IDs of the group, by local index
 	demand *solve.Demand
 }
 
@@ -44,52 +43,180 @@ type cellDemand struct {
 // per-cell demands. Broadcast-style sketches contribute one piece per
 // sketch (a fraction of the root's chunk); Scatter-style sketches
 // contribute one piece per (sketch, final destination), routed along the
-// sketch's canonical tree.
+// sketch's canonical tree (sketch.ScatterTree).
+//
+// A recipe hands over its combination from outside the pipeline, so
+// nothing is trusted: a missing dimension or group, a sub-demand GPU
+// outside its group, a scatter tree that does not reach every destination
+// from the root, and a relay that does not hold the piece it forwards are
+// errors.
+//
+// Two passes over the combination, one to check and count and one to
+// fill, keep everything flat: cells are found by (stage, dim, group) slot,
+// local indices by per-dimension position tables, and the pieces, cells
+// and demand pieces are cut from presized backing arrays.
 func newAssembly(top *topology.Topology, col *collective.Collective, combo *sketch.Combination) (*assembly, error) {
-	a := &assembly{numGPUs: top.NumGPUs()}
-	byKey := make(map[cellKey]*cellDemand)
-	// addPiece registers a schedule piece of one chunk, which starts on
-	// that chunk's source.
+	if len(combo.Fracs) != len(combo.Sketches) {
+		return nil, fmt.Errorf("core: %d fractions for %d sketches", len(combo.Fracs), len(combo.Sketches))
+	}
+	n, dims := top.NumGPUs(), top.NumDims()
+	// Cell slots run over (stage, dim, group) in ascending key order:
+	// stage*groups + groupBase[dim] + group.
+	groupBase := make([]int, dims+1)
+	for d := 0; d < dims; d++ {
+		groupBase[d+1] = groupBase[d] + len(top.Dim(d).Groups)
+	}
+	groups := groupBase[dims]
+	stages := 0
+	for j, sk := range combo.Sketches {
+		if combo.Fracs[j] > 0 {
+			stages = max(stages, len(sk.Stages))
+		}
+	}
+	// One int32 scratch array holds:
+	//   - pos[d*n+g], GPU g's local index in its group of dimension d;
+	//   - chunkBySrc[g], 1 + the chunk sourced at g (0: none);
+	//   - holder[v] and pieceOf[v], the GPU holding a scatter sketch's
+	//     piece for final destination v so far, and that piece;
+	//   - slot[s], 1 + the demand pieces of cell slot s in the first pass
+	//     (0: no cell), 1 + the cell's index in the second.
+	scratch := make([]int32, dims*n+3*n+stages*groups)
+	pos, scratch := scratch[:dims*n], scratch[dims*n:]
+	chunkBySrc, scratch := scratch[:n], scratch[n:]
+	holder, scratch := scratch[:n], scratch[n:]
+	pieceOf, slot := scratch[:n], scratch[n:]
+	for d := 0; d < dims; d++ {
+		for _, grp := range top.Dim(d).Groups {
+			for i, g := range grp {
+				pos[d*n+g] = int32(i)
+			}
+		}
+	}
+	for _, ch := range col.Chunks {
+		chunkBySrc[ch.Src] = int32(ch.ID + 1)
+	}
+	// chunkBySrcDst[s*n+d] is 1 + the chunk from s to d, n² entries built
+	// when a scatter sketch shows up.
+	var chunkBySrcDst []int32
+
+	cellSlot := func(k int, sd *sketch.SubDemand) (int, error) {
+		if sd.Dim < 0 || sd.Dim >= dims {
+			return 0, fmt.Errorf("core: stage %d: missing dimension %d", k, sd.Dim)
+		}
+		dim := top.Dim(sd.Dim)
+		if sd.Group < 0 || sd.Group >= len(dim.Groups) {
+			return 0, fmt.Errorf("core: stage %d: dimension %d has no group %d", k, sd.Dim, sd.Group)
+		}
+		for _, gpus := range [2][]int{sd.Srcs, sd.Dsts} {
+			for _, g := range gpus {
+				if dim.GroupOf(g) != sd.Group {
+					return 0, fmt.Errorf("core: stage %d: GPU %d not in dim %d group %d", k, g, sd.Dim, sd.Group)
+				}
+			}
+		}
+		return k*groups + groupBase[sd.Dim] + sd.Group, nil
+	}
+
+	// First pass: check every sub-demand and scatter tree, and count the
+	// schedule pieces, each cell's demand pieces and their GPU indices.
+	var tree sketch.ScatterTree
+	numPieces, numDemand, numInts := 0, 0, 0
+	for j, sk := range combo.Sketches {
+		if combo.Fracs[j] <= 0 {
+			continue
+		}
+		if sk.Scatter {
+			if err := tree.Build(sk, n); err != nil {
+				return nil, fmt.Errorf("core: %w", err)
+			}
+			numPieces += tree.Size(sk.Root) - 1
+		} else {
+			numPieces++
+		}
+		for k, st := range sk.Stages {
+			for i := range st {
+				sd := &st[i]
+				s, err := cellSlot(k, sd)
+				if err != nil {
+					return nil, err
+				}
+				m := 1
+				if sk.Scatter {
+					m = 0
+					for _, w := range sd.Dsts {
+						m += tree.Size(w)
+					}
+					numInts += 2 * m
+				} else {
+					numInts += len(sd.Srcs) + len(sd.Dsts)
+				}
+				if slot[s] == 0 {
+					slot[s] = 1
+				}
+				slot[s] += int32(m)
+				numDemand += m
+			}
+		}
+	}
+
+	a := &assembly{
+		numGPUs: n,
+		pieces:  make([]schedule.Piece, 0, numPieces),
+		origin:  make([]int, 0, numPieces),
+	}
+	numCells := 0
+	for _, v := range slot {
+		if v != 0 {
+			numCells++
+		}
+	}
+	cells := make([]cellDemand, numCells)
+	demands := make([]solve.Demand, numCells)
+	demandPieces := make([]solve.Piece, numDemand)
+	a.cells = make([]*cellDemand, numCells)
+	ci := 0
+	for k := 0; k < stages; k++ {
+		for d := 0; d < dims; d++ {
+			dim := top.Dim(d)
+			for g, gpus := range dim.Groups {
+				s := k*groups + groupBase[d] + g
+				if slot[s] == 0 {
+					continue
+				}
+				demands[ci] = solve.Demand{NumGPUs: len(gpus), Alpha: dim.AlphaOf(g), Beta: dim.BetaOf(g)}
+				if m := int(slot[s] - 1); m > 0 {
+					demands[ci].Pieces, demandPieces = demandPieces[:0:m], demandPieces[m:]
+				}
+				cells[ci] = cellDemand{key: cellKey{k, d, g}, gpus: gpus, demand: &demands[ci]}
+				a.cells[ci] = &cells[ci]
+				slot[s] = int32(ci + 1)
+				ci++
+			}
+		}
+	}
+
+	// Second pass: fill. Pieces' chunk lists and demand pieces' GPU lists
+	// are cut, without spare capacity, from one array each.
+	chunkIDs := make([]int, 0, numPieces)
+	ints := make([]int, numInts)
+	cut := func(m int) []int {
+		if m == 0 {
+			return nil
+		}
+		out := ints[:m:m]
+		ints = ints[m:]
+		return out
+	}
 	addPiece := func(bytes float64, chunkID int) int {
-		a.pieces = append(a.pieces, schedule.Piece{Chunks: []int{chunkID}, Bytes: bytes})
+		chunkIDs = append(chunkIDs, chunkID)
+		c := len(chunkIDs)
+		a.pieces = append(a.pieces, schedule.Piece{Chunks: chunkIDs[c-1 : c : c], Bytes: bytes})
 		a.origin = append(a.origin, col.Chunks[chunkID].Src)
 		return len(a.pieces) - 1
 	}
-
-	// chunkBySrc resolves the chunk a broadcast sketch carries; scatter
-	// sketches need the (source, destination) index, n² entries that are
-	// only built when one shows up.
-	chunkBySrc := map[int]int{}
-	for _, ch := range col.Chunks {
-		chunkBySrc[ch.Src] = ch.ID
+	cellOf := func(k int, sd *sketch.SubDemand) *cellDemand {
+		return a.cells[slot[k*groups+groupBase[sd.Dim]+sd.Group]-1]
 	}
-	var chunkBySrcDst map[[2]int]int
-
-	cell := func(k cellKey) *cellDemand {
-		cd, ok := byKey[k]
-		if !ok {
-			dim := top.Dim(k.dim)
-			gpus := dim.Groups[k.group]
-			local := make(map[int]int, len(gpus))
-			for i, g := range gpus {
-				local[g] = i
-			}
-			cd = &cellDemand{
-				key:   k,
-				gpus:  gpus,
-				local: local,
-				demand: &solve.Demand{
-					NumGPUs: len(gpus),
-					Alpha:   dim.AlphaOf(k.group),
-					Beta:    dim.BetaOf(k.group),
-				},
-			}
-			byKey[k] = cd
-			a.cells = append(a.cells, cd)
-		}
-		return cd
-	}
-
 	for j, sk := range combo.Sketches {
 		frac := combo.Fracs[j]
 		if frac <= 0 {
@@ -98,20 +225,20 @@ func newAssembly(top *topology.Topology, col *collective.Collective, combo *sket
 		bytes := frac * col.ChunkSize
 		if !sk.Scatter {
 			// One piece per sketch: the fraction of the root's chunk.
-			chunkID, ok := chunkBySrc[sk.Root]
-			if !ok {
+			if sk.Root < 0 || sk.Root >= n || chunkBySrc[sk.Root] == 0 {
 				return nil, fmt.Errorf("core: no chunk sourced at sketch root %d", sk.Root)
 			}
-			piece := addPiece(bytes, chunkID)
+			piece := addPiece(bytes, int(chunkBySrc[sk.Root]-1))
 			for k, st := range sk.Stages {
-				for _, sd := range st {
-					cd := cell(cellKey{k, sd.Dim, sd.Group})
-					dp := solve.Piece{ID: piece, Bytes: bytes}
-					for _, s := range sd.Srcs {
-						dp.Srcs = append(dp.Srcs, cd.local[s])
+				for i := range st {
+					sd := &st[i]
+					cd, local := cellOf(k, sd), pos[sd.Dim*n:]
+					dp := solve.Piece{ID: piece, Bytes: bytes, Srcs: cut(len(sd.Srcs)), Dsts: cut(len(sd.Dsts))}
+					for x, g := range sd.Srcs {
+						dp.Srcs[x] = int(local[g])
 					}
-					for _, d := range sd.Dsts {
-						dp.Dsts = append(dp.Dsts, cd.local[d])
+					for x, g := range sd.Dsts {
+						dp.Dsts[x] = int(local[g])
 					}
 					cd.demand.Pieces = append(cd.demand.Pieces, dp)
 				}
@@ -122,96 +249,47 @@ func newAssembly(top *topology.Topology, col *collective.Collective, combo *sket
 		// Scatter sketch: walk stages tracking each final destination's
 		// current holder along the canonical tree.
 		if chunkBySrcDst == nil {
-			chunkBySrcDst = map[[2]int]int{}
+			chunkBySrcDst = make([]int32, n*n)
 			for _, ch := range col.Chunks {
 				for _, d := range ch.Dsts {
-					chunkBySrcDst[[2]int{ch.Src, d}] = ch.ID
+					chunkBySrcDst[ch.Src*n+d] = int32(ch.ID + 1)
 				}
 			}
 		}
-		subtree := scatterSubtrees(sk)
-		holder := map[int]int{} // finalDst → current holder
-		pieces := map[int]int{} // finalDst → schedule piece index
-		for _, v := range sortedKeys(subtree[sk.Root]) {
-			if v == sk.Root {
+		_ = tree.Build(sk, n) // checked in the first pass
+		root := sk.Root
+		for _, v := range tree.Subtree(root) {
+			if int(v) == root {
 				continue
 			}
-			chunkID, ok := chunkBySrcDst[[2]int{sk.Root, v}]
-			if !ok {
-				return nil, fmt.Errorf("core: no chunk for pair %d→%d", sk.Root, v)
+			c := chunkBySrcDst[root*n+int(v)]
+			if c == 0 {
+				return nil, fmt.Errorf("core: no chunk for pair %d→%d", root, v)
 			}
-			pieces[v] = addPiece(bytes, chunkID)
-			holder[v] = sk.Root
+			pieceOf[v] = int32(addPiece(bytes, int(c-1)))
+			holder[v] = int32(root)
 		}
 		for k, st := range sk.Stages {
-			for _, sd := range st {
-				cd := cell(cellKey{k, sd.Dim, sd.Group})
+			for i := range st {
+				sd := &st[i]
+				cd, local, dim := cellOf(k, sd), pos[sd.Dim*n:], top.Dim(sd.Dim)
 				for _, w := range sd.Dsts {
-					for _, v := range sortedKeys(subtree[w]) {
-						h := holder[v]
-						cd.demand.Pieces = append(cd.demand.Pieces, solve.Piece{
-							ID:    pieces[v],
-							Bytes: bytes,
-							Srcs:  []int{cd.local[h]},
-							Dsts:  []int{cd.local[w]},
-						})
-						holder[v] = w
+					for _, v := range tree.Subtree(w) {
+						h := int(holder[v])
+						if dim.GroupOf(h) != sd.Group {
+							return nil, fmt.Errorf("core: stage %d: GPU %d would relay %d's piece to %d from outside dim %d group %d",
+								k, h, v, w, sd.Dim, sd.Group)
+						}
+						src, dst := cut(1), cut(1)
+						src[0], dst[0] = int(local[h]), int(local[w])
+						cd.demand.Pieces = append(cd.demand.Pieces, solve.Piece{ID: int(pieceOf[v]), Bytes: bytes, Srcs: src, Dsts: dst})
+						holder[v] = int32(w)
 					}
 				}
 			}
 		}
 	}
-
-	sort.Slice(a.cells, func(x, y int) bool {
-		kx, ky := a.cells[x].key, a.cells[y].key
-		if kx.stage != ky.stage {
-			return kx.stage < ky.stage
-		}
-		if kx.dim != ky.dim {
-			return kx.dim < ky.dim
-		}
-		return kx.group < ky.group
-	})
 	return a, nil
-}
-
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// scatterSubtrees computes, per GPU, the set of final destinations (plus
-// itself) routed through it under the sketch's canonical parenting.
-func scatterSubtrees(sk *sketch.Sketch) map[int]map[int]bool {
-	parent := map[int]int{}
-	for _, st := range sk.Stages {
-		for _, sd := range st {
-			for d, p := range sd.ParentAssignment() {
-				parent[d] = p
-			}
-		}
-	}
-	out := map[int]map[int]bool{sk.Root: {sk.Root: true}}
-	for v := range parent {
-		out[v] = map[int]bool{v: true}
-	}
-	for v := range parent {
-		// Walk up the tree marking v in every ancestor's subtree.
-		cur := v
-		for {
-			p, ok := parent[cur]
-			if !ok {
-				break
-			}
-			out[p][v] = true
-			cur = p
-		}
-	}
-	return out
 }
 
 // denseDeliverySlots is how many (piece, GPU) slots per transfer the flat
@@ -225,17 +303,28 @@ var denseDeliverySlots = 64
 // assembly.build, per piece*numGPUs+gpu, the transfer that first
 // delivered the piece to the GPU (candidateTimeBound keeps its arrival
 // and port tables the same way). Flat while that is small next to the
-// deliveries, a map beyond.
+// deliveries, a map beyond. Flat tables are recycled through
+// denseTables: their user forgets every slot it recorded, then releases
+// the table, so each build zeroes what it wrote, not the whole table.
 type deliveries struct {
 	dense  []int32 // 1 + index, 0 while none
+	pooled *[]int32
 	sparse map[int]int32
 }
 
+// denseTables holds released flat tables, all zeros.
+var denseTables sync.Pool
+
 func newDeliveries(slots, transfers int) deliveries {
-	if slots <= denseDeliverySlots*transfers {
-		return deliveries{dense: make([]int32, slots)}
+	if slots > denseDeliverySlots*transfers {
+		return deliveries{sparse: make(map[int]int32, transfers)}
 	}
-	return deliveries{sparse: make(map[int]int32, transfers)}
+	p, _ := denseTables.Get().(*[]int32)
+	if p == nil || cap(*p) < slots {
+		table := make([]int32, slots)
+		p = &table
+	}
+	return deliveries{dense: (*p)[:slots], pooled: p}
 }
 
 // first is 1 + the index of the slot's first delivery, 0 while none.
@@ -257,6 +346,33 @@ func (d deliveries) record(slot, idx int) {
 	}
 }
 
+// forget zeroes a recorded slot of a flat table.
+func (d deliveries) forget(slot int) {
+	if d.dense != nil {
+		d.dense[slot] = 0
+	}
+}
+
+// release hands a flat table, every recorded slot forgotten, back for
+// reuse.
+func (d deliveries) release() {
+	if d.pooled != nil {
+		denseTables.Put(d.pooled)
+	}
+}
+
+// inStartArriveOrder reports whether transfers are sorted by (Start,
+// Arrive), the order assembly.build processes them in.
+func inStartArriveOrder(transfers []solve.Transfer) bool {
+	for i := 1; i < len(transfers); i++ {
+		p, t := &transfers[i-1], &transfers[i]
+		if t.Start < p.Start || (t.Start == p.Start && t.Arrive < p.Arrive) {
+			return false
+		}
+	}
+	return true
+}
+
 // build assembles a schedule from per-cell sub-schedules (subs[i] solves
 // a.cells[i]), wiring cross-stage and intra-stage dependencies and
 // per-port ordering. The assembly and the sub-schedules are only read, so
@@ -273,12 +389,20 @@ func (a *assembly) build(subs []*solve.SubSchedule) (*schedule.Schedule, error) 
 			total += len(sub.Transfers)
 		}
 	}
-	deliver := newDeliveries(len(a.pieces)*a.numGPUs, total)
+	n := a.numGPUs
+	deliver := newDeliveries(len(a.pieces)*n, total)
 	sched := &schedule.Schedule{
-		NumGPUs:   a.numGPUs,
+		NumGPUs:   n,
 		Pieces:    append([]schedule.Piece(nil), a.pieces...),
 		Transfers: make([]schedule.Transfer, 0, total),
 	}
+	// The slots recorded are the added transfers' (piece, destination).
+	defer func() {
+		for i := range sched.Transfers {
+			deliver.forget(sched.Transfers[i].Piece*n + sched.Transfers[i].Dst)
+		}
+		deliver.release()
+	}()
 	// Every transfer has at most one dependency; they are cut, each with
 	// no spare capacity, from one backing array.
 	deps := make([]int, 0, total)
@@ -288,14 +412,18 @@ func (a *assembly) build(subs []*solve.SubSchedule) (*schedule.Schedule, error) 
 			return nil, fmt.Errorf("core: cell %+v not solved", k)
 		}
 		// Process in (Start, Arrive) order so intra-stage relays see
-		// their deliveries first.
-		transfers := append([]solve.Transfer(nil), sub.Transfers...)
-		sort.SliceStable(transfers, func(x, y int) bool {
-			if transfers[x].Start != transfers[y].Start {
-				return transfers[x].Start < transfers[y].Start
-			}
-			return transfers[x].Arrive < transfers[y].Arrive
-		})
+		// their deliveries first. The solvers return that order already;
+		// anything else is sorted on a copy.
+		transfers := sub.Transfers
+		if !inStartArriveOrder(transfers) {
+			transfers = append([]solve.Transfer(nil), transfers...)
+			sort.SliceStable(transfers, func(x, y int) bool {
+				if transfers[x].Start != transfers[y].Start {
+					return transfers[x].Start < transfers[y].Start
+				}
+				return transfers[x].Arrive < transfers[y].Arrive
+			})
+		}
 		for _, t := range transfers {
 			// A recipe's sub-schedules come from outside the pass.
 			if uint(t.Piece) >= uint(len(cd.demand.Pieces)) || uint(t.Src) >= uint(len(cd.gpus)) || uint(t.Dst) >= uint(len(cd.gpus)) {
@@ -312,14 +440,14 @@ func (a *assembly) build(subs []*solve.SubSchedule) (*schedule.Schedule, error) 
 				Order: k.stage*stageStride + t.Start,
 			}
 			if src != a.origin[piece] {
-				di := deliver.first(piece*a.numGPUs + src)
+				di := deliver.first(piece*n + src)
 				if di == 0 {
 					return nil, fmt.Errorf("core: stage %d: GPU %d sends piece %d before receiving it", k.stage, src, piece)
 				}
 				deps = append(deps, int(di-1))
 				nt.Deps = deps[len(deps)-1 : len(deps) : len(deps)]
 			}
-			deliver.record(piece*a.numGPUs+dst, sched.AddTransfer(nt))
+			deliver.record(piece*n+dst, sched.AddTransfer(nt))
 		}
 	}
 	return sched, nil

@@ -2,10 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
 	"syccl/internal/collective"
 	"syccl/internal/sketch"
+	"syccl/internal/solve"
 	"syccl/internal/topology"
 )
 
@@ -19,23 +23,43 @@ func TestScatterSubtrees(t *testing.T) {
 	if err := sk.Validate(top); err != nil {
 		t.Fatal(err)
 	}
-	sub := scatterSubtrees(sk)
-	// GPU 4's subtree: itself plus 5,6,7.
-	if len(sub[4]) != 4 {
-		t.Errorf("subtree(4) = %v", sub[4])
+	var tree sketch.ScatterTree
+	if err := tree.Build(sk, top.NumGPUs()); err != nil {
+		t.Fatal(err)
 	}
-	for _, v := range []int{4, 5, 6, 7} {
-		if !sub[4][v] {
-			t.Errorf("subtree(4) missing %d", v)
+	// Subtrees list the GPU itself and everything routed through it,
+	// ascending: GPU 4 relays 5, 6 and 7, leaves carry only themselves,
+	// and the root's subtree covers all.
+	for v, want := range map[int][]int32{
+		4: {4, 5, 6, 7},
+		5: {5},
+		1: {1},
+		0: {0, 1, 2, 3, 4, 5, 6, 7},
+	} {
+		if got := tree.Subtree(v); !reflect.DeepEqual(got, want) || tree.Size(v) != len(want) {
+			t.Errorf("subtree(%d) = %v, want %v", v, got, want)
 		}
 	}
-	// Leaves carry only themselves.
-	if len(sub[5]) != 1 || !sub[5][5] {
-		t.Errorf("subtree(5) = %v", sub[5])
-	}
-	// Root's subtree covers all.
-	if len(sub[0]) != 8 {
-		t.Errorf("subtree(root) = %d nodes", len(sub[0]))
+
+	// A tree that does not reach every destination from the root is an
+	// error, and what it cannot route is in no subtree.
+	for name, stages := range map[string][]sketch.Stage{
+		"uninformed source": {{{Dim: 0, Group: 1, Srcs: []int{4}, Dsts: []int{5}}}},
+		"cycle": {
+			{{Dim: 0, Group: 1, Srcs: []int{5}, Dsts: []int{4}}},
+			{{Dim: 0, Group: 1, Srcs: []int{4}, Dsts: []int{5}}},
+		},
+		"root as destination": {{{Dim: 0, Group: 0, Srcs: []int{1}, Dsts: []int{0}}}},
+		"no sources":          {{{Dim: 0, Group: 0, Dsts: []int{1}}}},
+		"out of range":        {{{Dim: 0, Group: 0, Srcs: []int{0}, Dsts: []int{8}}}},
+	} {
+		bad := &sketch.Sketch{Root: 0, Scatter: true, Stages: stages}
+		if err := tree.Build(bad, top.NumGPUs()); err == nil {
+			t.Errorf("%s: no error", name)
+		}
+		if tree.Size(4) != 0 || tree.Size(5) != 0 || tree.Size(0) != 1 {
+			t.Errorf("%s: sizes %d, %d, %d", name, tree.Size(4), tree.Size(5), tree.Size(0))
+		}
 	}
 }
 
@@ -128,5 +152,87 @@ func TestBuildDeliveryIndexForms(t *testing.T) {
 	}
 	if d := newDeliveries(4032*64, 7168); d.dense == nil {
 		t.Error("the 64-GPU AlltoAll lost its flat index")
+	}
+}
+
+// TestSolvedSubSchedulesInStartArriveOrder pins the fast path of
+// assembly.build, which sorts a sub-schedule only when it is out of
+// (Start, Arrive) order: every sub-schedule the solver returns on the
+// pinned cold cases, and every cell sub-schedule their winners were built
+// from, arrives in that order already.
+func TestSolvedSubSchedulesInStartArriveOrder(t *testing.T) {
+	specs := coldDigestSpecs()
+	if testing.Short() {
+		specs = specs[:36] // dgx4 and server8
+	}
+	subs := 0
+	for _, spec := range specs {
+		top, col := digestCase(t, spec)
+		cache := &mapSolveCache{}
+		res := synth(t, top, col, Options{SolveCache: cache})
+		var cells []*solve.SubSchedule
+		if res.Recipe != nil {
+			cells = res.Recipe.Subs
+		}
+		for key, sub := range cache.subs {
+			if !inStartArriveOrder(sub.Transfers) {
+				t.Errorf("%s: solver output %s out of (Start, Arrive) order", spec, key)
+			}
+		}
+		for i, sub := range cells {
+			if !inStartArriveOrder(sub.Transfers) {
+				t.Errorf("%s: the winner's cell %d is out of (Start, Arrive) order", spec, i)
+			}
+		}
+		subs += len(cache.subs) + len(cells)
+	}
+	if subs == 0 {
+		t.Fatal("no sub-schedules seen")
+	}
+}
+
+// TestBuildSortsOutOfOrderSubSchedules: a sub-schedule out of (Start,
+// Arrive) order — one from outside the solvers — is sorted on a copy,
+// stably, so it builds what the ordered one builds and stays as it was.
+func TestBuildSortsOutOfOrderSubSchedules(t *testing.T) {
+	top, col := digestCase(t, "h800small:allgather:1M")
+	rc := synth(t, top, col, Options{}).Recipe
+	a, err := newAssembly(top, col, rc.Combination)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := a.build(rc.Subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Descending (Start, Arrive), ties in their original order: the
+	// stable ascending sort restores the solver's order exactly.
+	shuffled := make([]*solve.SubSchedule, len(rc.Subs))
+	sorted := 0
+	for i, sub := range rc.Subs {
+		cp := *sub
+		cp.Transfers = append([]solve.Transfer(nil), sub.Transfers...)
+		sort.SliceStable(cp.Transfers, func(x, y int) bool {
+			tx, ty := cp.Transfers[x], cp.Transfers[y]
+			return tx.Start > ty.Start || (tx.Start == ty.Start && tx.Arrive > ty.Arrive)
+		})
+		if !inStartArriveOrder(cp.Transfers) {
+			sorted++
+		}
+		shuffled[i] = &cp
+	}
+	if sorted == 0 {
+		t.Fatal("no sub-schedule left out of order")
+	}
+	before := fmt.Sprint(shuffled[0].Transfers)
+	got, err := a.build(shuffled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("an out-of-order sub-schedule built another schedule")
+	}
+	if fmt.Sprint(shuffled[0].Transfers) != before {
+		t.Error("build reordered its input")
 	}
 }

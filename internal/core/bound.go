@@ -93,7 +93,8 @@ func candidateTimeBound(top *topology.Topology, c *candidate, sec []float64) flo
 	}
 	n := a.numGPUs
 	// Port tables are flat over dim*n+gpu. (piece, GPU) tables follow
-	// assembly.build's dense-or-sparse rule, sized by the deliveries:
+	// assembly.build's dense-or-sparse rule and recycling, sized by the
+	// deliveries:
 	// arrivals index into arrival (1 + position, in first-delivery order),
 	// and counted marks, per (piece, GPU, dim), a delivery whose ingress
 	// load is on its port already.
@@ -109,6 +110,20 @@ func candidateTimeBound(top *topology.Topology, c *candidate, sec []float64) flo
 	loaded := make([]bool, len(load))
 	counted := newDeliveries(len(a.pieces)*n*dims, total)
 	arrivals := newDeliveries(len(a.pieces)*n, total)
+	// The slots recorded are every demanded delivery's.
+	defer func() {
+		for _, cd := range a.cells {
+			for _, p := range cd.demand.Pieces {
+				for _, j := range p.Dsts {
+					slot := p.ID*n + cd.gpus[j]
+					counted.forget(slot*dims + cd.key.dim)
+					arrivals.forget(slot)
+				}
+			}
+		}
+		counted.release()
+		arrivals.release()
+	}()
 	arrival := make([]float64, 0, total)
 	best := 0.0
 	// Cells are sorted by ascending stage, so arrival chains propagate

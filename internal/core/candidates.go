@@ -255,9 +255,9 @@ func rankSketches(top *topology.Topology, chunkBytes float64, sketches []*sketch
 }
 
 func estimateTime(top *topology.Topology, chunkBytes float64, sk *sketch.Sketch) float64 {
-	var subtree map[int]int
+	var tree sketch.ScatterTree
 	if sk.Scatter {
-		subtree = sk.SubtreeSizes(top)
+		_ = tree.Build(sk, top.NumGPUs()) // destinations it leaves out weigh 0
 	}
 	total := 0.0
 	for _, st := range sk.Stages {
@@ -268,7 +268,7 @@ func estimateTime(top *topology.Topology, chunkBytes float64, sk *sketch.Sketch)
 			if sk.Scatter {
 				deliveries = 0
 				for _, d := range sd.Dsts {
-					deliveries += float64(subtree[d])
+					deliveries += float64(tree.Size(d))
 				}
 			}
 			perSrc := deliveries / float64(len(sd.Srcs))

@@ -4,10 +4,12 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"syccl/internal/collective"
 	"syccl/internal/isomorph"
 	"syccl/internal/obs"
+	"syccl/internal/sketch"
 	"syccl/internal/solve"
 	"syccl/internal/topology"
 )
@@ -115,7 +117,9 @@ func TestReplayIsOneCandidateUnderOneSpan(t *testing.T) {
 // the cold bytes. One that fails its self-check, names an unknown source,
 // carries the wrong number of cells or a sub-schedule that does not fit
 // its cell falls back to the full pass — same bytes, not a replay, a
-// fresh recipe on the result.
+// fresh recipe on the result. So does one whose combination does not
+// assemble: a sub-demand GPU outside its group, or a scatter sketch whose
+// tree relays through a GPU no stage informs or runs in a cycle.
 func TestStaleRecipeRunsTheFullPass(t *testing.T) {
 	top := topology.A100Clos(2)
 	col := collective.ReduceScatter(top.NumGPUs(), 1<<20)
@@ -132,18 +136,72 @@ func TestStaleRecipeRunsTheFullPass(t *testing.T) {
 	short.Subs = short.Subs[:len(short.Subs)-1]
 	foreign := *cold.Recipe
 	foreign.Subs = append([]*solve.SubSchedule{{Transfers: []solve.Transfer{{Src: 0, Dst: 99}}}}, foreign.Subs[1:]...)
+
+	// withFirst is the cold recipe with the first sketch of its
+	// combination replaced.
+	withFirst := func(sk *sketch.Sketch) *Recipe {
+		r := *cold.Recipe
+		combo := *r.Combination
+		combo.Sketches = append([]*sketch.Sketch{sk}, combo.Sketches[1:]...)
+		r.Combination = &combo
+		return &r
+	}
+	first := cold.Recipe.Combination.Sketches[0]
+	stray := first.Clone()
+	sd := &stray.Stages[0][0]
+	for g := 0; g < top.NumGPUs(); g++ {
+		if top.Dim(sd.Dim).GroupOf(g) != sd.Group {
+			sd.Dsts[0] = g
+			break
+		}
+	}
+	// Two GPUs besides the root in the root's NVLink group route each
+	// other's chunks: from an uninformed source, or in a cycle.
+	group := top.Dim(0).GroupOf(first.Root)
+	var others []int
+	for _, g := range top.Dim(0).Groups[group] {
+		if g != first.Root {
+			others = append(others, g)
+		}
+	}
+	a, b := others[0], others[1]
+	relay := func(src, dst int) sketch.Stage {
+		return sketch.Stage{{Dim: 0, Group: group, Srcs: []int{src}, Dsts: []int{dst}}}
+	}
+	uninformed := &sketch.Sketch{Root: first.Root, Scatter: true, Stages: []sketch.Stage{relay(a, b)}}
+	cycle := &sketch.Sketch{Root: first.Root, Scatter: true, Stages: []sketch.Stage{relay(a, b), relay(b, a)}}
+
 	for name, tc := range map[string]struct {
 		opts   Options
 		replay bool
 	}{
-		"cells gone":          {Options{SolveCache: &mapSolveCache{}, Recipe: cold.Recipe}, true},
-		"no cache":            {Options{Recipe: cold.Recipe}, true},
-		"self-check":          {Options{SolveCache: cache, Recipe: &forged}, false},
-		"unknown source":      {Options{SolveCache: cache, Recipe: &unknown}, false},
-		"Subs length ≠ cells": {Options{SolveCache: cache, Recipe: &short}, false},
-		"foreign cell":        {Options{SolveCache: cache, Recipe: &foreign}, false},
+		"cells gone":             {Options{SolveCache: &mapSolveCache{}, Recipe: cold.Recipe}, true},
+		"no cache":               {Options{Recipe: cold.Recipe}, true},
+		"self-check":             {Options{SolveCache: cache, Recipe: &forged}, false},
+		"unknown source":         {Options{SolveCache: cache, Recipe: &unknown}, false},
+		"Subs length ≠ cells":    {Options{SolveCache: cache, Recipe: &short}, false},
+		"foreign cell":           {Options{SolveCache: cache, Recipe: &foreign}, false},
+		"GPU outside its group":  {Options{SolveCache: cache, Recipe: withFirst(stray)}, false},
+		"uninformed scatter src": {Options{SolveCache: cache, Recipe: withFirst(uninformed)}, false},
+		"scatter parent cycle":   {Options{SolveCache: cache, Recipe: withFirst(cycle)}, false},
 	} {
-		res, err := Synthesize(top, col, tc.opts)
+		// A malformed tree must not hang the replay: give up on it.
+		type outcome struct {
+			res *Result
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := Synthesize(top, col, tc.opts)
+			done <- outcome{res, err}
+		}()
+		var res *Result
+		select {
+		case out := <-done:
+			res, err = out.res, out.err
+		case <-time.After(time.Minute):
+			t.Fatalf("%s: no result after a minute", name)
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -161,6 +219,28 @@ func TestStaleRecipeRunsTheFullPass(t *testing.T) {
 		}
 		if res.Recipe == nil || res.Recipe == tc.opts.Recipe || !reflect.DeepEqual(res.Recipe, cold.Recipe) {
 			t.Fatalf("%s: fallback recorded recipe %+v", name, res.Recipe)
+		}
+	}
+}
+
+// TestReplayAllocs is a tripwire on what a recipe replay allocates: the
+// budgets are about 1.5× the counts measured when the replay went flat
+// (48 and 472), so a map or per-transfer allocation creeping back into
+// assembly, validation or finishing fails here.
+func TestReplayAllocs(t *testing.T) {
+	for spec, budget := range map[string]float64{
+		"h800x64:alltoall:64M":  72,
+		"a100x16:allreduce:64M": 708,
+	} {
+		top, col := digestCase(t, spec)
+		opts := Options{Recipe: synth(t, top, col, Options{}).Recipe}
+		allocs := testing.AllocsPerRun(10, func() {
+			if res, err := Synthesize(top, col, opts); err != nil || !res.Stats.Replayed {
+				t.Fatalf("%s: not replayed (%v)", spec, err)
+			}
+		})
+		if allocs > budget {
+			t.Errorf("%s: a replay allocates %.0f times, budget %.0f", spec, allocs, budget)
 		}
 	}
 }

@@ -101,23 +101,23 @@ func AllGather(top *topology.Topology, col *collective.Collective) (*schedule.Sc
 	n := top.NumGPUs()
 	rs := rings(top)
 	numRings := len(rs)
-	sched := &schedule.Schedule{NumGPUs: n}
-
-	// pieces[c][r]: ring r's share of chunk c.
-	pieces := make([][]int, n)
-	for c := 0; c < n; c++ {
-		pieces[c] = make([]int, numRings)
-		for r := 0; r < numRings; r++ {
-			pieces[c][r] = sched.AddPiece(col.ChunkSize/float64(numRings), c)
-		}
+	// Ring r's share of chunk c is piece c*numRings+r. Every piece covers
+	// one chunk and every transfer has at most one dependency; both lists
+	// are cut, without spare capacity, from one array each.
+	sched := &schedule.Schedule{
+		NumGPUs:   n,
+		Pieces:    make([]schedule.Piece, n*numRings),
+		Transfers: make([]schedule.Transfer, 0, numRings*n*(n-1)),
 	}
+	chunks := make([]int, len(sched.Pieces))
+	for p := range sched.Pieces {
+		chunks[p] = p / numRings
+		sched.Pieces[p] = schedule.Piece{Chunks: chunks[p : p+1 : p+1], Bytes: col.ChunkSize / float64(numRings)}
+	}
+	deps := make([]int, 0, numRings*n*max(n-2, 0))
 
+	last := make([]int, n) // last transfer of chunk owned by ring position
 	for r, ring := range rs {
-		pos := make(map[int]int, n)
-		for i, gpu := range ring {
-			pos[gpu] = i
-		}
-		last := make([]int, n) // last transfer of chunk owned by ring position
 		for i := range last {
 			last[i] = -1
 		}
@@ -132,10 +132,11 @@ func AllGather(top *topology.Topology, col *collective.Collective) (*schedule.Sc
 					return nil, err
 				}
 				t := schedule.Transfer{
-					Src: src, Dst: dst, Piece: pieces[chunk][r], Dim: dim, Order: step,
+					Src: src, Dst: dst, Piece: chunk*numRings + r, Dim: dim, Order: step,
 				}
 				if last[ownerPos] >= 0 {
-					t.Deps = []int{last[ownerPos]}
+					deps = append(deps, last[ownerPos])
+					t.Deps = deps[len(deps)-1 : len(deps) : len(deps)]
 				}
 				last[ownerPos] = sched.AddTransfer(t)
 			}

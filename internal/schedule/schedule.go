@@ -77,36 +77,61 @@ func (s *Schedule) AddTransfer(t Transfer) int {
 	return len(s.Transfers) - 1
 }
 
-// topoOrder returns a topological order of transfer indices, or an error
-// if the dependency graph has a cycle.
-func (s *Schedule) topoOrder() ([]int, error) {
+// dependents lists, per transfer, the transfers that depend on it, in
+// ascending index order (once per dependency naming it): the list of d is
+// succ[start[d]:start[d+1]]. It reports the first out-of-range dependency,
+// scanning transfers and their deps in order.
+func (s *Schedule) dependents() (start, succ []int, err error) {
 	n := len(s.Transfers)
-	indeg := make([]int, n)
-	succ := make([][]int, n)
+	start = make([]int, n+1)
 	for i, t := range s.Transfers {
 		for _, d := range t.Deps {
 			if d < 0 || d >= n {
-				return nil, fmt.Errorf("schedule: transfer %d has out-of-range dep %d", i, d)
+				return nil, nil, fmt.Errorf("schedule: transfer %d has out-of-range dep %d", i, d)
 			}
-			succ[d] = append(succ[d], i)
-			indeg[i]++
+			start[d]++
 		}
 	}
-	queue := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
+	for d := 1; d <= n; d++ {
+		start[d] += start[d-1] // now the end of d's list
+	}
+	// Filled back to front, so each list ascends and start[d] ends up at
+	// its beginning.
+	succ = make([]int, start[n])
+	for i := n - 1; i >= 0; i-- {
+		deps := s.Transfers[i].Deps
+		for k := len(deps) - 1; k >= 0; k-- {
+			start[deps[k]]--
+			succ[start[deps[k]]] = i
 		}
+	}
+	return start, succ, nil
+}
+
+// topoOrder returns a topological order of transfer indices, or an error
+// if the dependency graph has a cycle: Kahn's algorithm with a FIFO queue,
+// which is the order slice itself.
+func (s *Schedule) topoOrder() ([]int, error) {
+	n := len(s.Transfers)
+	start, succ, err := s.dependents()
+	if err != nil {
+		return nil, err
+	}
+	indeg := make([]int32, n)
+	for i := range s.Transfers {
+		indeg[i] = int32(len(s.Transfers[i].Deps))
 	}
 	order := make([]int, 0, n)
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		order = append(order, i)
-		for _, j := range succ[i] {
-			indeg[j]--
-			if indeg[j] == 0 {
-				queue = append(queue, j)
+	for i := 0; i < n; i++ {
+		if indeg[i] == 0 {
+			order = append(order, i)
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		i := order[head]
+		for _, j := range succ[start[i]:start[i+1]] {
+			if indeg[j]--; indeg[j] == 0 {
+				order = append(order, j)
 			}
 		}
 	}
@@ -175,7 +200,17 @@ func (s *Schedule) Validate(col *collective.Collective) error {
 		s.markOrigins(col, p, has[p*words:(p+1)*words])
 	}
 	origin := append([]uint64(nil), has...)
-	inbound := s.inboundIndex()
+	// Only a reduction needs every transfer into a GPU; the forward check
+	// finds its inbound delivery among the sender's own dependencies.
+	var inbound inboundIndex
+	if col.Reduce {
+		for _, p := range s.Pieces {
+			if len(p.Chunks) > 1 {
+				inbound = s.inboundIndex()
+				break
+			}
+		}
+	}
 	for _, i := range order {
 		t := &s.Transfers[i]
 		p := t.Piece
@@ -190,18 +225,9 @@ func (s *Schedule) Validate(col *collective.Collective) error {
 					return fmt.Errorf("schedule: reduction transfer %d from GPU %d missing dep on inbound transfer %d", i, t.Src, in)
 				}
 			}
-		} else if !holds(origin, words, p, t.Src) {
+		} else if !holds(origin, words, p, t.Src) && !s.dependsOnArrival(t) {
 			// Sender must depend on at least one inbound delivery.
-			ok := false
-			for _, in := range inbound.into(p, t.Src) {
-				if dependsOn(t, in) {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return fmt.Errorf("schedule: transfer %d relays piece %d from GPU %d without a dependency on its arrival", i, p, t.Src)
-			}
+			return fmt.Errorf("schedule: transfer %d relays piece %d from GPU %d without a dependency on its arrival", i, p, t.Src)
 		}
 		setGPU(has[p*words:(p+1)*words], t.Dst)
 	}
@@ -307,6 +333,18 @@ func dependsOn(t *Transfer, in int) bool {
 	return false
 }
 
+// dependsOnArrival reports whether t depends on a transfer delivering its
+// piece into its source — on some transfer inboundIndex.into(t.Piece,
+// t.Src) would list. t's dependencies must be in range.
+func (s *Schedule) dependsOnArrival(t *Transfer) bool {
+	for _, d := range t.Deps {
+		if in := &s.Transfers[d]; in.Piece == t.Piece && in.Dst == t.Src {
+			return true
+		}
+	}
+	return false
+}
+
 // inboundIndex answers "which transfers deliver piece p into GPU g":
 // transfer indices sorted by (piece, destination, index) by two stable
 // counting sorts, with the end of every piece's run.
@@ -317,20 +355,8 @@ type inboundIndex struct {
 }
 
 func (s *Schedule) inboundIndex() inboundIndex {
-	n := len(s.Transfers)
-	byDst := make([]int, n)
-	dstEnd := make([]int, s.NumGPUs+1)
-	for _, t := range s.Transfers {
-		dstEnd[t.Dst+1]++
-	}
-	for g := 0; g < s.NumGPUs; g++ {
-		dstEnd[g+1] += dstEnd[g]
-	}
-	for i, t := range s.Transfers {
-		byDst[dstEnd[t.Dst]] = i
-		dstEnd[t.Dst]++
-	}
-	ix := inboundIndex{transfers: s.Transfers, sorted: make([]int, n), pieceEnd: make([]int, len(s.Pieces)+1)}
+	_, byDst := s.inboundByGPU()
+	ix := inboundIndex{transfers: s.Transfers, sorted: make([]int, len(s.Transfers)), pieceEnd: make([]int, len(s.Pieces)+1)}
 	for _, t := range s.Transfers {
 		ix.pieceEnd[t.Piece+1]++
 	}
@@ -384,12 +410,11 @@ func (s *Schedule) Mirror(remap func(Piece) Piece) *Schedule {
 		m.Pieces[i] = q
 	}
 	// Reversed dependency edges: if t2 depended on t1, mirrored t1'
-	// depends on t2'.
-	rev := make([][]int, len(s.Transfers))
-	for i, t := range s.Transfers {
-		for _, d := range t.Deps {
-			rev[d] = append(rev[d], i)
-		}
+	// depends on t2'. Each mirrored transfer's deps are its dependents,
+	// cut without spare capacity from the one array that lists them.
+	start, succ, err := s.dependents()
+	if err != nil {
+		panic(err) // an out-of-range dependency has no mirror image
 	}
 	m.Transfers = make([]Transfer, len(s.Transfers))
 	for i, t := range s.Transfers {
@@ -398,8 +423,10 @@ func (s *Schedule) Mirror(remap func(Piece) Piece) *Schedule {
 			Dst:   t.Src,
 			Piece: t.Piece,
 			Dim:   t.Dim,
-			Deps:  append([]int(nil), rev[i]...),
 			Order: -t.Order,
+		}
+		if lo, hi := start[i], start[i+1]; hi > lo {
+			m.Transfers[i].Deps = succ[lo:hi:hi]
 		}
 	}
 	return m
@@ -420,16 +447,59 @@ func Concat(a, b *Schedule) *Schedule {
 	if a.NumGPUs != b.NumGPUs {
 		panic("schedule.Concat: GPU count mismatch")
 	}
-	out := a.Clone()
-	pieceOff := len(out.Pieces)
-	transOff := len(out.Transfers)
-	for _, p := range b.Pieces {
-		out.Pieces = append(out.Pieces, Piece{Chunks: append([]int(nil), p.Chunks...), Bytes: p.Bytes})
+	pieceOff := len(a.Pieces)
+	transOff := len(a.Transfers)
+	out := &Schedule{
+		NumGPUs:   a.NumGPUs,
+		Pieces:    make([]Piece, 0, len(a.Pieces)+len(b.Pieces)),
+		Transfers: make([]Transfer, 0, len(a.Transfers)+len(b.Transfers)),
 	}
-	// a's inbound transfers per GPU.
-	inboundA := make(map[int][]int)
-	for i, t := range a.Transfers {
-		inboundA[t.Dst] = append(inboundA[t.Dst], i)
+	// a's inbound transfers per GPU, in ascending index order.
+	inStart, inboundA := a.inboundByGPU()
+	inboundOf := func(g int) []int {
+		if g < 0 || g >= a.NumGPUs {
+			return nil
+		}
+		return inboundA[inStart[g]:inStart[g+1]]
+	}
+
+	// Every chunk list and dependency list is cut, without spare capacity,
+	// from one array each; an empty one stays nil.
+	chunks, deps := 0, 0
+	for _, s := range []*Schedule{a, b} {
+		for _, p := range s.Pieces {
+			chunks += len(p.Chunks)
+		}
+	}
+	for _, t := range a.Transfers {
+		deps += len(t.Deps)
+	}
+	for _, t := range b.Transfers {
+		if len(t.Deps) > 0 {
+			deps += len(t.Deps)
+		} else {
+			deps += len(inboundOf(t.Src))
+		}
+	}
+	chunkArr, depArr := make([]int, 0, chunks), make([]int, 0, deps)
+	cut := func(arr []int, from int) []int {
+		if len(arr) == from {
+			return nil
+		}
+		return arr[from:len(arr):len(arr)]
+	}
+	for _, s := range []*Schedule{a, b} {
+		for _, p := range s.Pieces {
+			from := len(chunkArr)
+			chunkArr = append(chunkArr, p.Chunks...)
+			out.Pieces = append(out.Pieces, Piece{Chunks: cut(chunkArr, from), Bytes: p.Bytes})
+		}
+	}
+	for _, t := range a.Transfers {
+		from := len(depArr)
+		depArr = append(depArr, t.Deps...)
+		t.Deps = cut(depArr, from)
+		out.Transfers = append(out.Transfers, t)
 	}
 	for _, t := range b.Transfers {
 		nt := Transfer{
@@ -439,16 +509,41 @@ func Concat(a, b *Schedule) *Schedule {
 			Dim:   t.Dim,
 			Order: t.Order + PhaseOrderBase, // phase-b transfers order after phase a
 		}
+		from := len(depArr)
 		for _, d := range t.Deps {
-			nt.Deps = append(nt.Deps, d+transOff)
+			depArr = append(depArr, d+transOff)
 		}
 		if len(t.Deps) == 0 {
 			// b-phase origin transfer: wait for phase a to finish at src.
-			nt.Deps = append(nt.Deps, inboundA[t.Src]...)
+			depArr = append(depArr, inboundOf(t.Src)...)
 		}
+		nt.Deps = cut(depArr, from)
 		out.Transfers = append(out.Transfers, nt)
 	}
 	return out
+}
+
+// inboundByGPU lists the transfers into each GPU in ascending index order:
+// those into g are byDst[start[g]:start[g+1]]. Transfers into a GPU out of
+// range are in no list.
+func (s *Schedule) inboundByGPU() (start, byDst []int) {
+	start = make([]int, s.NumGPUs+1)
+	for _, t := range s.Transfers {
+		if t.Dst >= 0 && t.Dst < s.NumGPUs {
+			start[t.Dst]++
+		}
+	}
+	for g := 1; g <= s.NumGPUs; g++ {
+		start[g] += start[g-1] // now the end of g's list
+	}
+	byDst = make([]int, start[s.NumGPUs])
+	for i := len(s.Transfers) - 1; i >= 0; i-- {
+		if g := s.Transfers[i].Dst; g >= 0 && g < s.NumGPUs {
+			start[g]--
+			byDst[start[g]] = i
+		}
+	}
+	return start, byDst
 }
 
 // Stats summarizes a schedule for reporting and lint checks.

@@ -3,10 +3,51 @@ package schedule
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"syccl/internal/collective"
 )
+
+// topoOrderReference is topoOrder as it stood before the CSR rewrite, kept
+// verbatim: per-transfer successor slices and a FIFO queue. The reference
+// validator below walks its order, so it does not follow the rewrite.
+func (s *Schedule) topoOrderReference() ([]int, error) {
+	n := len(s.Transfers)
+	indeg := make([]int, n)
+	succ := make([][]int, n)
+	for i, t := range s.Transfers {
+		for _, d := range t.Deps {
+			if d < 0 || d >= n {
+				return nil, fmt.Errorf("schedule: transfer %d has out-of-range dep %d", i, d)
+			}
+			succ[d] = append(succ[d], i)
+			indeg[i]++
+		}
+	}
+	queue := make([]int, 0, n)
+	for i := 0; i < n; i++ {
+		if indeg[i] == 0 {
+			queue = append(queue, i)
+		}
+	}
+	order := make([]int, 0, n)
+	for len(queue) > 0 {
+		i := queue[0]
+		queue = queue[1:]
+		order = append(order, i)
+		for _, j := range succ[i] {
+			indeg[j]--
+			if indeg[j] == 0 {
+				queue = append(queue, j)
+			}
+		}
+	}
+	if len(order) != n {
+		return nil, fmt.Errorf("schedule: dependency cycle among transfers")
+	}
+	return order, nil
+}
 
 // validateReference is Validate as it stood before the linear rewrite,
 // kept verbatim: it recomputes each piece's origin set and a dependency
@@ -17,7 +58,7 @@ func (s *Schedule) validateReference(col *collective.Collective) error {
 	if s.NumGPUs != col.NumGPUs {
 		return fmt.Errorf("schedule: NumGPUs %d != collective %d", s.NumGPUs, col.NumGPUs)
 	}
-	order, err := s.topoOrder()
+	order, err := s.topoOrderReference()
 	if err != nil {
 		return err
 	}
@@ -155,9 +196,15 @@ func (s *Schedule) validateReference(col *collective.Collective) error {
 
 // sameVerdict fails the test when Validate and validateReference
 // disagree on the schedule: one accepts what the other rejects, or the
-// error texts differ.
+// error texts differ. topoOrder must return the reference's order, or its
+// error.
 func sameVerdict(t *testing.T, what string, s *Schedule, col *collective.Collective) (accepted bool) {
 	t.Helper()
+	order, err := s.topoOrder()
+	refOrder, refErr := s.topoOrderReference()
+	if fmt.Sprint(err) != fmt.Sprint(refErr) || !reflect.DeepEqual(order, refOrder) {
+		t.Fatalf("%s: topoOrder = %v, %v; reference = %v, %v", what, order, err, refOrder, refErr)
+	}
 	got, want := s.Validate(col), s.validateReference(col)
 	switch {
 	case (got == nil) != (want == nil):

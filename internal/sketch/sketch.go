@@ -114,49 +114,155 @@ func (s *Sketch) Complete(top *topology.Topology) bool {
 	return len(s.Covered()) == top.NumGPUs()
 }
 
-// ParentAssignment assigns each destination a parent source, round-robin
-// over the sub-demand's sorted sources. This canonical assignment is used
-// for Scatter subtree bookkeeping and workload estimates; the sub-schedule
-// solver remains free to schedule within each group.
-func (sd *SubDemand) ParentAssignment() map[int]int {
-	out := make(map[int]int, len(sd.Dsts))
-	for i, d := range sd.Dsts {
-		out[d] = sd.Srcs[i%len(sd.Srcs)]
-	}
-	return out
+// ScatterTree is the canonical routing forest of a Scatter sketch: each
+// destination's parent is a source of the sub-demand that informs it,
+// round-robin over the sub-demand's sorted sources, and a GPU's subtree is
+// itself plus every destination whose chunk it relays. Scatter workload
+// accounting weighs deliveries by subtree size, and core routes each final
+// destination's piece along the tree; the sub-schedule solver remains free
+// to schedule within each group. The arrays are flat and reused by the
+// next Build.
+type ScatterTree struct {
+	parent []int32 // canonical parent; -1 for the root and GPUs no stage informs
+	mark   []int32 // Build's scratch: resolution state, then fill cursors
+	start  []int32 // desc[start[v]:start[v+1]] is v's subtree, ascending
+	desc   []int32
+	path   []int32
 }
 
-// SubtreeSizes returns, for every GPU, the size of its subtree (itself
-// plus all GPUs whose chunks it relays) under the canonical parent
-// assignment. For Broadcast sketches every GPU's subtree is 1 — the value
-// is only meaningful for Scatter workload accounting.
-func (s *Sketch) SubtreeSizes(top *topology.Topology) map[int]int {
-	parent := map[int]int{}
-	for _, st := range s.Stages {
+// Build computes the tree of sketch s over numGPUs GPUs. Every destination
+// must reach the root through its parents; a destination or root out of
+// range, a sub-demand without sources, the root as a destination, a
+// parent that no earlier stage informs and a parent cycle are errors, and
+// the destinations concerned (with everything routed through them) are
+// left out of every subtree.
+func (t *ScatterTree) Build(s *Sketch, numGPUs int) error {
+	n := numGPUs
+	t.parent = resize(t.parent, n)
+	t.mark = resize(t.mark, n)
+	t.start = resize(t.start, n+1)
+	for v := range t.parent {
+		t.parent[v], t.mark[v] = -1, 0
+	}
+	clear(t.start) // every subtree empty until the end
+	if s.Root < 0 || s.Root >= n {
+		return fmt.Errorf("sketch: root %d out of range", s.Root)
+	}
+	var err error
+	fail := func(e error) {
+		if err == nil {
+			err = e
+		}
+	}
+	for k, st := range s.Stages {
 		for _, sd := range st {
-			for d, p := range sd.ParentAssignment() {
-				parent[d] = p
+			for i, d := range sd.Dsts {
+				switch {
+				case d < 0 || d >= n:
+					fail(fmt.Errorf("sketch: stage %d: destination %d out of range", k, d))
+				case len(sd.Srcs) == 0:
+					fail(fmt.Errorf("sketch: stage %d has empty sub-demand", k))
+				case d == s.Root:
+					fail(fmt.Errorf("sketch: stage %d: root %d is a destination", k, d))
+				default:
+					p := sd.Srcs[i%len(sd.Srcs)]
+					if p < 0 || p >= n {
+						p = -1 // reaches nothing
+					}
+					t.parent[d] = int32(p)
+					t.mark[d] = unresolved
+				}
 			}
 		}
 	}
-	size := map[int]int{}
-	// Depth-first accumulation over the parent forest.
-	children := map[int][]int{}
-	for d, p := range parent {
-		children[p] = append(children[p], d)
-	}
-	var count func(v int) int
-	count = func(v int) int {
-		c := 1
-		for _, ch := range children[v] {
-			c += count(ch)
+
+	// Resolve every destination's chain, memoized: it reaches the root, or
+	// a GPU no stage informs, or runs into a cycle.
+	root := int32(s.Root)
+	t.mark[root] = reachesRoot
+	for v := range t.parent {
+		if t.mark[v] != unresolved {
+			continue
 		}
-		size[v] = c
-		return c
+		t.path = t.path[:0]
+		cur := int32(v)
+		for cur >= 0 && t.mark[cur] == unresolved {
+			t.mark[cur] = onPath
+			t.path = append(t.path, cur)
+			cur = t.parent[cur]
+		}
+		state := int32(cutOff)
+		switch {
+		case cur < 0 || t.mark[cur] == 0:
+			fail(fmt.Errorf("sketch: GPU %d's chunk is routed through a GPU no stage informs", v))
+		case t.mark[cur] == onPath:
+			fail(fmt.Errorf("sketch: GPU %d's chunk is routed in a cycle", v))
+		default:
+			state = t.mark[cur] // reachesRoot or cutOff
+		}
+		for _, u := range t.path {
+			t.mark[u] = state
+		}
 	}
-	count(s.Root)
-	return size
+
+	// Count every subtree, then fill the lists in ascending GPU order so
+	// each comes out sorted.
+	for v := range t.parent {
+		if t.mark[v] == reachesRoot {
+			for u := int32(v); ; u = t.parent[u] {
+				t.start[u+1]++
+				if u == root {
+					break
+				}
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		t.start[v+1] += t.start[v]
+	}
+	t.desc = resize(t.desc, int(t.start[n]))
+	copy(t.mark, t.start[:n])
+	for v := range t.parent {
+		if t.start[v+1] == t.start[v] {
+			continue // not in the tree
+		}
+		for u := int32(v); ; u = t.parent[u] {
+			t.desc[t.mark[u]] = int32(v)
+			t.mark[u]++
+			if u == root {
+				break
+			}
+		}
+	}
+	return err
 }
+
+// Resolution states of ScatterTree.Build; 0 is a GPU no stage informs.
+const (
+	unresolved = iota + 1
+	onPath
+	reachesRoot
+	cutOff
+)
+
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+// Subtree lists v's subtree in ascending order: v itself and every
+// destination routed through it. It is empty when v is not in the tree.
+func (t *ScatterTree) Subtree(v int) []int32 {
+	if v < 0 || v >= len(t.parent) {
+		return nil
+	}
+	return t.desc[t.start[v]:t.start[v+1]]
+}
+
+// Size is len(Subtree(v)).
+func (t *ScatterTree) Size(v int) int { return len(t.Subtree(v)) }
 
 // Workload computes w_{d,g} (§4.2): for Broadcast, the number of
 // deliveries each group carries; for Scatter, deliveries weighted by the
@@ -167,15 +273,15 @@ func (s *Sketch) Workload(top *topology.Topology) [][]float64 {
 	for d := range w {
 		w[d] = make([]float64, len(top.Dim(d).Groups))
 	}
-	var subtree map[int]int
+	var tree ScatterTree
 	if s.Scatter {
-		subtree = s.SubtreeSizes(top)
+		_ = tree.Build(s, top.NumGPUs()) // destinations it leaves out weigh 0
 	}
 	for _, st := range s.Stages {
 		for _, sd := range st {
 			for _, dst := range sd.Dsts {
 				if s.Scatter {
-					w[sd.Dim][sd.Group] += float64(subtree[dst])
+					w[sd.Dim][sd.Group] += float64(tree.Size(dst))
 				} else {
 					w[sd.Dim][sd.Group]++
 				}

@@ -36,10 +36,12 @@ echo "== cold digests and history independence under GOMAXPROCS 1, 4, 16 =="
 # setting. A plan on a long-lived engine must return those same cold
 # bytes whatever was planned before it, on the paper's fabrics and on
 # randomized ones in a shuffled order (about 10 s of test per setting on
-# a 2-core box, plus the build).
+# a 2-core box, plus the build). The flat assembly must build what the
+# map-based reference builds, from every combination the pipeline makes
+# at that setting.
 for procs in 1 4 16; do
     GOMAXPROCS=$procs go test ./internal/core ./internal/engine \
-        -run 'TestColdScheduleDigests$|TestPlanAnswerIndependentOfHistory$|TestPlanAnswerIndependentOfRandomHistory$' -count=1
+        -run 'TestColdScheduleDigests$|TestPlanAnswerIndependentOfHistory$|TestPlanAnswerIndependentOfRandomHistory$|TestAssemblyEquivalence$|FuzzAssemblyEquivalence$' -count=1
 done
 
 echo "== go test -race (core/engine/lru/milp/obs/persist/serve/sim/solve/verify shard) =="
@@ -56,6 +58,7 @@ go test ./internal/solve/ -run='^$' -fuzz='^FuzzGreedyEquivalence$' -fuzztime="$
 go test ./internal/persist/ -run='^$' -fuzz='^FuzzPersistDecode$' -fuzztime="$FUZZTIME"
 go test ./internal/lru/ -run='^$' -fuzz='^FuzzLRUModel$' -fuzztime="$FUZZTIME"
 go test ./internal/schedule/ -run='^$' -fuzz='^FuzzValidateEquivalence$' -fuzztime="$FUZZTIME"
+go test ./internal/core/ -run='^$' -fuzz='^FuzzAssemblyEquivalence$' -fuzztime="$FUZZTIME"
 go test ./internal/isomorph/ -run='^$' -fuzz='^FuzzCacheKeysStable$' -fuzztime="$FUZZTIME"
 go test ./internal/isomorph/ -run='^$' -fuzz='^FuzzClassesEquivalence$' -fuzztime="$FUZZTIME"
 
