@@ -73,9 +73,8 @@ func main() {
 			Search:     sketch.SearchOptions{Hint: opts.Hint()},
 			StopWithin: opts.StopWithin / 100,
 		}
-		var onInc func(core.Incumbent)
 		if opts.Stream {
-			onInc = func(inc core.Incumbent) {
+			copts.OnIncumbent = func(inc core.Incumbent) {
 				line := fmt.Sprintf("incumbent #%d: %.4gs source=%s", inc.Seq, inc.Time, inc.Source)
 				if inc.Engine != "" {
 					line += " engine=" + inc.Engine
@@ -86,7 +85,7 @@ func main() {
 				fmt.Printf("%s (+%v)\n", line, time.Since(start).Round(time.Millisecond))
 			}
 		}
-		res, err := eng.SynthesizeStream(ctx, top, col, copts, onInc)
+		res, err := eng.Plan(ctx, top, col, copts)
 		if err != nil {
 			fail(err)
 		}

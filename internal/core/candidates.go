@@ -36,8 +36,7 @@ type candidate struct {
 // interns their cell demands into the call's demand table, in
 // candidate-then-cell order: from here on a cell is known by the id of the
 // first structurally equal demand, and per-demand work is done once per
-// id. Under DisableIsomorphCache nothing is interned, so every cell is
-// solved separately. An unrealizable combination leaves a nil entry.
+// id. An unrealizable combination leaves a nil entry.
 func assembleAll(top *topology.Topology, col *collective.Collective, combos []*sketch.Combination,
 	tab *isomorph.Table, opts Options, span *obs.Span) []*candidate {
 
@@ -59,11 +58,7 @@ func assembleAll(top *topology.Topology, col *collective.Collective, combos []*s
 		}
 		c.cells = make([]int, len(c.asm.cells))
 		for i, cd := range c.asm.cells {
-			if opts.DisableIsomorphCache {
-				c.cells[i] = tab.Add(cd.demand)
-			} else {
-				c.cells[i] = tab.Intern(cd.demand)
-			}
+			c.cells[i] = tab.Intern(cd.demand)
 		}
 	}
 	return out

@@ -44,11 +44,6 @@ type Options struct {
 	// key) because the benchmark's stream requests set a fresh seed to
 	// get a never-seen cold plan.
 	Seed int64
-	// DisableTwoStep solves every candidate at E2 directly (ablation).
-	DisableTwoStep bool
-	// DisableIsomorphCache solves every sub-demand separately (§5.3
-	// ablation).
-	DisableIsomorphCache bool
 	// Sim configures the ranking simulator.
 	Sim sim.Options
 	// Obs optionally records the run: hierarchical spans over every
@@ -211,8 +206,6 @@ func (o Options) Fingerprint() string {
 	b = strconv.AppendInt(append(b, "|r2="...), int64(o.R2), 10)
 	b = strconv.AppendInt(append(b, "|mc="...), int64(o.MaxCombos), 10)
 	b = strconv.AppendInt(append(b, "|seed="...), o.Seed, 10)
-	b = strconv.AppendBool(append(b, "|no2s="...), o.DisableTwoStep)
-	b = strconv.AppendBool(append(b, "|noiso="...), o.DisableIsomorphCache)
 	b = strconv.AppendFloat(append(b, "|sw="...), o.StopWithin, 'g', -1, 64)
 	b = strconv.AppendFloat(append(b, "|sim="...), o.Sim.BlockBytes, 'g', -1, 64)
 	b = strconv.AppendInt(append(b, '/'), int64(o.Sim.MaxBlocks), 10)
@@ -300,13 +293,12 @@ type Result struct {
 // speed twice over — large epochs (E1) and the greedy engine: it only
 // ranks candidates. The fine pass refines the survivors with EngineAuto:
 // exact MILP under the flow-bound horizon floor, and greedy for
-// instances over the MILP size gate. With two-step synthesis disabled,
-// the one pass is the fine one.
+// instances over the MILP size gate.
 func (o Options) passSolver(fine bool) solve.Options {
-	if !fine && !o.DisableTwoStep {
-		return solve.Options{E: o.E1, Engine: solve.EngineGreedy, Seed: o.Seed}
+	if fine {
+		return solve.Options{E: o.E2, Engine: solve.EngineAuto, Seed: o.Seed}
 	}
-	return solve.Options{E: o.E2, Engine: solve.EngineAuto, Seed: o.Seed}
+	return solve.Options{E: o.E1, Engine: solve.EngineGreedy, Seed: o.Seed}
 }
 
 func kindForward(k collective.Kind) (forward collective.Kind, mirrored bool) {

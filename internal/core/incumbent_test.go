@@ -157,8 +157,7 @@ func TestStopWithinStopsEarly(t *testing.T) {
 // finalist — a mirror that never validates, a concatenation that never
 // simulates — the pipeline has no caller-visible schedule, and says so
 // with the first transform error. It used to hand back the forward-best
-// schedule for the callers to re-finish without validating it. Covered
-// at the single-pass exit and at the end of the fine pass.
+// schedule for the callers to re-finish without validating it.
 func TestNoFinalistFinishesIsAnError(t *testing.T) {
 	top := topology.H800Small(2)
 	col := collective.AllGather(top.NumGPUs(), 1<<20)
@@ -166,14 +165,12 @@ func TestNoFinalistFinishesIsAnError(t *testing.T) {
 	failing := func(*schedule.Schedule, float64) (*schedule.Schedule, float64, error) {
 		return nil, 0, refuse
 	}
-	for _, opts := range []Options{{}, {DisableTwoStep: true}} {
-		res, err := synthesizeForward(context.Background(), top, col, opts.withDefaults(), nil, nil, finisher{finish: failing})
-		if !errors.Is(err, refuse) {
-			t.Errorf("DisableTwoStep=%t: err = %v, want the transform's error", opts.DisableTwoStep, err)
-		}
-		if res != nil {
-			t.Errorf("DisableTwoStep=%t: a schedule came back although no finalist finished", opts.DisableTwoStep)
-		}
+	res, err := synthesizeForward(context.Background(), top, col, Options{}.withDefaults(), nil, nil, finisher{finish: failing})
+	if !errors.Is(err, refuse) {
+		t.Errorf("err = %v, want the transform's error", err)
+	}
+	if res != nil {
+		t.Error("a schedule came back although no finalist finished")
 	}
 }
 

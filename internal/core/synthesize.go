@@ -275,10 +275,6 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	}
 	sort.SliceStable(cands, func(a, b int) bool { return cands[a].time < cands[b].time })
 
-	if opts.DisableTwoStep {
-		return finish(cands, ctx.Err() != nil)
-	}
-
 	// Anytime exit: the deadline passed during (or right after) the coarse
 	// pass. The surviving candidates are complete, simulated schedules —
 	// return the best of them instead of starting the fine pass.
@@ -492,8 +488,7 @@ type realized struct {
 //  1. list the pass's distinct demands in first-occurrence order
 //     (candidate, then cell) and partition them into isomorphism classes
 //     (Table.Classes; the representative is the first member in this
-//     pass's order; without the isomorphism cache every cell is its own
-//     class);
+//     pass's order);
 //  2. offer each representative to opts.SolveCache once and solve, in
 //     parallel, the ones it did not serve;
 //  3. map every other demand from its representative's sub-schedule —
@@ -520,14 +515,10 @@ func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table
 	engineName := solveOpts.Engine.String()
 	out := make([]realized, len(cands))
 	ids, uses, cells := distinctCells(tab, cands)
-	var rep []int
-	var fromRep []*isomorph.Mapping
-	if !opts.DisableIsomorphCache {
-		rep, fromRep = tab.Classes(ids)
-	}
+	rep, fromRep := tab.Classes(ids)
 	var reps []int
 	for _, id := range ids {
-		if rep == nil || rep[id] == id {
+		if rep[id] == id {
 			reps = append(reps, id)
 		}
 	}
@@ -600,16 +591,14 @@ func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table
 	// cache): each further cell of a solved representative's demand
 	// verbatim, each cell of another member through its mapping, built
 	// once per distinct demand.
-	if rep != nil {
-		parallelFor(len(ids), opts.Workers, func(k int) {
-			if id, r := ids[k], rep[ids[k]]; r != id && subs[r] != nil {
-				subs[id] = isomorph.MapSchedule(subs[r], *fromRep[id])
-			}
-		})
-		for _, id := range ids {
-			if rep[id] != id && subs[id] != nil {
-				hits += uses[id]
-			}
+	parallelFor(len(ids), opts.Workers, func(k int) {
+		if id, r := ids[k], rep[ids[k]]; r != id && subs[r] != nil {
+			subs[id] = isomorph.MapSchedule(subs[r], *fromRep[id])
+		}
+	})
+	for _, id := range ids {
+		if rep[id] != id && subs[id] != nil {
+			hits += uses[id]
 		}
 	}
 	stats.CacheHits += hits

@@ -50,23 +50,12 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// SketchCacheEntries bounds the sketch cache (whole search results;
-	// default 64).
-	SketchCacheEntries int
-	// SolveCacheEntries bounds the sub-schedule cache across all shards
-	// (default 4096). The recipe cache is bounded off it, to
-	// SolveCacheEntries/recipeCellsPerEntry plan keys: a recipe carries
-	// its winner's sub-schedules, so the two bounds size one budget of
-	// solutions.
+	// SolveCacheEntries bounds the sub-schedule cache across its
+	// solveCacheShards shards (default 4096). The recipe cache is bounded
+	// off it, to SolveCacheEntries/recipeCellsPerEntry plan keys: a recipe
+	// carries its winner's sub-schedules, so the two bounds size one
+	// budget of solutions.
 	SolveCacheEntries int
-	// BoundCacheEntries bounds the flow-bound cache (scalar lower bounds
-	// per sub-demand; default 4096). Warm requests prune candidates
-	// without re-solving the bound LPs.
-	BoundCacheEntries int
-	// Shards is the lock-striping factor of the sub-schedule cache,
-	// rounded up to a power of two (default 16); entries are sharded by
-	// key.
-	Shards int
 	// Persist optionally backs the sub-schedule cache with a disk tier
 	// (internal/persist): LRU misses fall through to Persist.Load (the
 	// hit is promoted into the memory tier), and first-time stores are
@@ -90,20 +79,21 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.SketchCacheEntries <= 0 {
-		o.SketchCacheEntries = 64
-	}
 	if o.SolveCacheEntries <= 0 {
 		o.SolveCacheEntries = 4096
 	}
-	if o.BoundCacheEntries <= 0 {
-		o.BoundCacheEntries = 4096
-	}
-	if o.Shards <= 0 {
-		o.Shards = 16
-	}
 	return o
 }
+
+// The fixed cache bounds: the sketch cache holds whole search results,
+// the flow-bound cache scalar lower bounds per sub-demand (warm requests
+// prune candidates without re-solving the bound LPs), and the
+// sub-schedule cache is lock-striped over solveCacheShards shards by key.
+const (
+	sketchCacheEntries = 64
+	boundCacheEntries  = 4096
+	solveCacheShards   = 16
+)
 
 // PersistTier is the disk tier behind the sub-schedule cache. Load
 // returns the solution stored for exactly this demand and signature, or
@@ -224,17 +214,17 @@ func New(opts Options) *Engine {
 		"Cross-request cache lookups by cache and result.", "cache", "result")
 	evict := opts.Metrics.Counter("syccl_engine_cache_evictions_total",
 		"LRU evictions by cache.", "cache")
-	e.solves = lru.New[*solve.SubSchedule](opts.SolveCacheEntries, opts.Shards, lru.Meters{
+	e.solves = lru.New[*solve.SubSchedule](opts.SolveCacheEntries, solveCacheShards, lru.Meters{
 		Hit:   lru.NewMeter(rec, "engine.cache.hits", lookups.With("solve", "exact")),
 		Miss:  lru.NewMeter(rec, "engine.cache.misses", lookups.With("solve", "miss")),
 		Evict: lru.NewMeter(rec, "engine.cache.evictions", evict.With("solve")),
 	})
-	e.bounds = lru.New[float64](opts.BoundCacheEntries, 1, lru.Meters{
+	e.bounds = lru.New[float64](boundCacheEntries, 1, lru.Meters{
 		Hit:   lru.NewMeter(rec, "engine.bound.hits", lookups.With("bound", "exact")),
 		Miss:  lru.NewMeter(rec, "engine.bound.misses", lookups.With("bound", "miss")),
 		Evict: lru.NewMeter(rec, "engine.cache.evictions", evict.With("bound")),
 	})
-	e.sketches = lru.New[[]*sketch.Sketch](opts.SketchCacheEntries, 1, lru.Meters{
+	e.sketches = lru.New[[]*sketch.Sketch](sketchCacheEntries, 1, lru.Meters{
 		Hit:   lru.NewMeter(rec, "engine.sketch.hits", lookups.With("sketch", "hit")),
 		Miss:  lru.NewMeter(rec, "engine.sketch.misses", lookups.With("sketch", "miss")),
 		Evict: lru.NewMeter(rec, "engine.cache.evictions", evict.With("sketch")),
@@ -287,6 +277,24 @@ func New(opts Options) *Engine {
 // one candidate from the recipe instead of running the search; a recipe
 // that no longer replays is dropped and the full pass runs in the same
 // call, so the bytes returned never depend on which path served them.
+//
+// A non-nil opts.OnIncumbent makes the plan a live incumbent stream: it
+// receives every improving, fully validated incumbent the pipeline
+// publishes, in strictly decreasing Time order, and the returned Result
+// is the final incumbent — byte-identical to the plan without a callback,
+// since publication never influences candidate selection. No final
+// stream event is emitted: the return value IS the final incumbent (its
+// Time is ≤ the last streamed one), so callers that relay the stream
+// append their own terminal event from the Result. On a recipe replay the
+// stream is exactly one event, the winner, with the provenance it had
+// when the full pass published it (and Bound 0: a replay computes no
+// bounds); serving layers that cache whole results (the schedule store in
+// internal/serve) short-circuit even that by emitting one immediate final
+// event. The callback runs on synthesis worker goroutines with a pipeline
+// lock held: it must be fast and non-blocking (hand events to a channel
+// or buffer, don't do I/O inline). A cancelled stream still returns the
+// best validated incumbent with Result.Partial set, and every event
+// already streamed remains valid.
 func (e *Engine) Plan(ctx context.Context, top *topology.Topology, col *collective.Collective, opts core.Options) (*core.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

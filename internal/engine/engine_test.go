@@ -364,11 +364,11 @@ func TestPlanCancellationGoroutineGrace(t *testing.T) {
 	t.Fatalf("goroutines: %d before, %d after grace period", before, runtime.NumGoroutine())
 }
 
-// TestSolveCacheEviction: a tiny cache must evict (and count it) without
-// corrupting results.
+// TestSolveCacheEviction: a tiny cache — one entry per shard — must
+// evict (and count it) without corrupting results.
 func TestSolveCacheEviction(t *testing.T) {
 	top := topology.SingleServer(8)
-	eng := New(Options{SolveCacheEntries: 2, Shards: 1, SketchCacheEntries: 1})
+	eng := New(Options{SolveCacheEntries: solveCacheShards})
 
 	for _, size := range []float64{1 << 10, 1 << 14, 1 << 18, 1 << 20} {
 		col := collective.AllGather(top.NumGPUs(), size)
@@ -381,7 +381,7 @@ func TestSolveCacheEviction(t *testing.T) {
 		}
 	}
 	if st := eng.Stats(); st.Evictions == 0 {
-		t.Fatalf("no evictions with a 2-entry cache across 4 distinct plans: %+v", st)
+		t.Fatalf("no evictions with a %d-entry cache across 4 distinct plans: %+v", solveCacheShards, st)
 	}
 }
 
@@ -389,7 +389,7 @@ func TestSolveCacheEviction(t *testing.T) {
 // of repeated and distinct requests. Run under -race in CI.
 func TestConcurrentPlans(t *testing.T) {
 	top := topology.SingleServer(8)
-	eng := New(Options{SolveCacheEntries: 8, Shards: 2})
+	eng := New(Options{SolveCacheEntries: solveCacheShards})
 	cols := []*collective.Collective{
 		collective.AllGather(top.NumGPUs(), 1<<16),
 		collective.Broadcast(top.NumGPUs(), 0, 1<<16),
@@ -462,21 +462,5 @@ func TestBoundCacheWarmHits(t *testing.T) {
 	}
 	if st.BoundMisses != coldMisses {
 		t.Fatalf("warm plan missed bounds: %d -> %d", coldMisses, st.BoundMisses)
-	}
-}
-
-// TestBoundCacheEviction: the bound LRU respects its entry cap.
-func TestBoundCacheEviction(t *testing.T) {
-	eng := New(Options{BoundCacheEntries: 2})
-	top := topology.A100Clos(2)
-	for _, size := range []float64{1 << 18, 1 << 19, 1 << 20, 1 << 21} {
-		col := collective.Broadcast(top.NumGPUs(), 0, size)
-		if _, err := eng.Plan(context.Background(), top, col, quickOpts()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n := eng.bounds.Len()
-	if n > 2 {
-		t.Fatalf("bound cache holds %d entries, cap 2", n)
 	}
 }

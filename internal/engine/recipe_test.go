@@ -247,9 +247,10 @@ func TestRecipeStaleFallsBack(t *testing.T) {
 		staleThenHit(t, eng)
 	})
 
-	// A sub-schedule cache too small for the winner's cells.
+	// A sub-schedule cache too small for the winner's cells: one entry
+	// per shard.
 	t.Run("evicted", func(t *testing.T) {
-		eng := New(Options{SolveCacheEntries: 2, Shards: 1})
+		eng := New(Options{SolveCacheEntries: solveCacheShards})
 		cold := mustPlan(t, eng, top, col, quickOpts())
 		sameResult(t, "cold plan", cold, ref)
 		if cold.Recipe == nil || eng.recipes.Len() != 1 || eng.Stats().Evictions == 0 {
@@ -367,16 +368,12 @@ func TestStreamOnRecipeHit(t *testing.T) {
 	} {
 		eng := New(Options{})
 		var coldEvents, warmEvents []core.Incumbent
-		cold, err := eng.SynthesizeStream(context.Background(), top, col, quickOpts(),
-			func(inc core.Incumbent) { coldEvents = append(coldEvents, inc) })
-		if err != nil {
-			t.Fatal(err)
+		stream := func(events *[]core.Incumbent) *core.Result {
+			opts := quickOpts()
+			opts.OnIncumbent = func(inc core.Incumbent) { *events = append(*events, inc) }
+			return mustPlan(t, eng, top, col, opts)
 		}
-		warm, err := eng.SynthesizeStream(context.Background(), top, col, quickOpts(),
-			func(inc core.Incumbent) { warmEvents = append(warmEvents, inc) })
-		if err != nil {
-			t.Fatal(err)
-		}
+		cold, warm := stream(&coldEvents), stream(&warmEvents)
 		if !warm.Stats.Replayed || len(warmEvents) != 1 {
 			t.Fatalf("%v: replayed=%v with %d stream events", col.Kind, warm.Stats.Replayed, len(warmEvents))
 		}

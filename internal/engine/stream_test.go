@@ -12,17 +12,18 @@ import (
 	"syccl/internal/verify"
 )
 
-// TestSynthesizeStreamInvariants is the stream contract at the engine
-// layer: every streamed incumbent is valid and strictly improving, and
-// the returned result — the final incumbent — is byte-identical to a
-// plain Plan of the same request on a fresh engine.
-func TestSynthesizeStreamInvariants(t *testing.T) {
+// TestPlanStreamInvariants is the stream contract at the engine layer:
+// every streamed incumbent is valid and strictly improving, and the
+// returned result — the final incumbent — is byte-identical to a Plan of
+// the same request without a callback on a fresh engine.
+func TestPlanStreamInvariants(t *testing.T) {
 	top := topology.H800Small(2)
 	col := collective.AllGather(top.NumGPUs(), 1<<20)
 
 	var events []core.Incumbent
-	streamed, err := New(Options{}).SynthesizeStream(context.Background(), top, col, quickOpts(),
-		func(inc core.Incumbent) { events = append(events, inc) })
+	opts := quickOpts()
+	opts.OnIncumbent = func(inc core.Incumbent) { events = append(events, inc) }
+	streamed, err := New(Options{}).Plan(context.Background(), top, col, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,8 +209,8 @@ func TestClassesEquivalence(t *testing.T) {
 	if na, nb := tab.Intern(near(a)), tab.Intern(near(b)); na == nb {
 		t.Fatal("demands that differ below nine digits share an id")
 	}
-	if fresh := tab.Add(twin(r0)); fresh == i0 {
-		t.Fatal("Add reused an id")
+	if fresh := tab.add(twin(r0)); fresh == i0 {
+		t.Fatal("add reused an id")
 	}
 	rep, m := tab.Classes([]int{i0, i1, i2})
 	if rep[i0] != i0 || rep[i1] != i0 || m[i0] != nil || m[i1] == nil {

@@ -578,9 +578,8 @@ func NewTable() *Table {
 func (t *Table) Len() int                    { return len(t.demands) }
 func (t *Table) Demand(id int) *solve.Demand { return t.demands[id] }
 
-// Add gives d a fresh id without looking for an equal demand (the
-// "solve every cell separately" ablation).
-func (t *Table) Add(d *solve.Demand) int {
+// add gives d a fresh id without looking for an equal demand.
+func (t *Table) add(d *solve.Demand) int {
 	t.demands = append(t.demands, d)
 	t.keys = append(t.keys, "")
 	return len(t.demands) - 1
@@ -597,7 +596,7 @@ func (t *Table) Intern(d *solve.Demand) int {
 			return id
 		}
 	}
-	id := t.Add(d)
+	id := t.add(d)
 	t.byExact[string(t.buf)] = append(ids, id)
 	return id
 }

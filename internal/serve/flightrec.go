@@ -9,7 +9,8 @@ import (
 	"syccl/internal/obs"
 )
 
-// Defaults for the flight recorder's two windows.
+// The flight recorder's two windows: the most recent requests and the
+// slowest ones.
 const (
 	DefaultRecentRequests = 256
 	DefaultSlowRequests   = 32
@@ -70,12 +71,6 @@ type flightRecorder struct {
 }
 
 func newFlightRecorder(recentN, slowK int) *flightRecorder {
-	if recentN <= 0 {
-		recentN = DefaultRecentRequests
-	}
-	if slowK <= 0 {
-		slowK = DefaultSlowRequests
-	}
 	return &flightRecorder{
 		ring:    make([]*RequestRecord, 0, recentN),
 		byID:    make(map[string]*RequestRecord),

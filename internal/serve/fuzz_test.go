@@ -19,7 +19,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	seeds := []string{
 		// Valid: minimal, fully specified, with optional knobs.
 		`{"topology":"dgx4","collective":"allgather","size":"1M"}`,
-		`{"topology":"a100x16","collective":"alltoall","size":"64M","timeout_ms":500,"e1":3.0,"e2":0.5,"workers":4,"seed":7,"include_schedule":true,"bypass_store":true}`,
+		`{"topology":"a100x16","collective":"alltoall","size":"64M","timeout_ms":500,"e1":3.0,"e2":0.5,"workers":4,"seed":7,"include_schedule":true}`,
 		`{"topology":"server8","collective":"allreduce","size":"1G","seed":-1}`,
 		`  {"topology":"h800x64","collective":"reducescatter","size":"4K"}  `,
 		// Streaming + sketch-hint knobs.
@@ -42,6 +42,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		`"just a string"`,
 		`{"topology":42,"collective":true,"size":[]}`,
 		`{"topology":"dgx4","collective":"allgather","size":"1M","unknown_field":1}`,
+		`{"topology":"dgx4","collective":"allgather","size":"1M","bypass_store":true}`,
 		`{"topology":"dgx4","collective":"allgather","size":"1M"}{"trailing":1}`,
 		`{"timeout_ms":-9223372036854775808}`,
 		"\x00\x01\x02",

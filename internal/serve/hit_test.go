@@ -196,20 +196,21 @@ func TestHitBodyFlagsNeverLeak(t *testing.T) {
 		}
 	})
 
-	t.Run("bypass_store", func(t *testing.T) {
-		s, ts := newTestServer(t, Options{})
+	t.Run("engine-warm", func(t *testing.T) {
+		s, ts := newTestServer(t, Options{StoreEntries: 1})
 		ent := mustSolve(t, s, body)
 		_, hit := postJSON(t, ts.URL, body)
-		resp, raw := postJSON(t, ts.URL, strings.Replace(body, "}", `,"bypass_store":true}`, 1))
+		mustSolve(t, s, synthBody("dgx4", "alltoall", "")) // evicts the entry
+		resp, raw := postJSON(t, ts.URL, body)
 		got := decodeSynth(t, raw)
 		if resp.StatusCode != http.StatusOK || got.Cached || got.Schedule == nil {
-			t.Fatalf("bypass_store: status %d cached=%t: %s", resp.StatusCode, got.Cached, raw)
+			t.Fatalf("engine-warm: status %d cached=%t: %s", resp.StatusCode, got.Cached, raw)
 		}
 		if bytes.Equal(raw, hit) || bytes.Equal(raw, ent.body(true)) {
-			t.Fatal("bypass_store was answered with the entry's cached body")
+			t.Fatal("engine-warm was answered with the evicted entry's cached body")
 		}
-		if plans := s.Engine().Stats().Plans; plans != 2 {
-			t.Fatalf("bypass_store: %d engine plans, want 2", plans)
+		if plans := s.Engine().Stats().Plans; plans != 3 {
+			t.Fatalf("engine-warm: %d engine plans, want 3", plans)
 		}
 	})
 }
@@ -337,12 +338,11 @@ func TestResolveMemo(t *testing.T) {
 		s := New(Options{DefaultWorkers: 3, DefaultTimeout: time.Minute})
 		base := Request{Topology: "a100x16", Collective: "allreduce", Size: "64M", SketchHint: "family=tree"}
 		plain := mustResolve(t, s, &base)
-		variants := []Request{base, base, base, base, base}
+		variants := []Request{base, base, base, base}
 		variants[0].TimeoutMS = 250
 		variants[1].Workers = 7
-		variants[2].BypassStore = true
-		variants[3].IncludeSchedule = true
-		variants[4].Stream = true
+		variants[2].IncludeSchedule = true
+		variants[3].Stream = true
 		keys := map[string]bool{plain.key: true}
 		for i := range variants {
 			res := mustResolve(t, s, &variants[i])
@@ -357,9 +357,9 @@ func TestResolveMemo(t *testing.T) {
 		if n := s.memo.Len(); n != 1 {
 			t.Fatalf("memo holds %d entries for one identity", n)
 		}
-		// Deadline and bypass split flights; the rest coalesce.
-		if len(keys) != 3 {
-			t.Fatalf("%d distinct flight keys, want 3 (plain, timeout, bypass)", len(keys))
+		// The deadline splits flights; the rest coalesce.
+		if len(keys) != 2 {
+			t.Fatalf("%d distinct flight keys, want 2 (plain, timeout)", len(keys))
 		}
 		if res := mustResolve(t, s, &variants[0]); res.timeout != 250*time.Millisecond || plain.timeout != time.Minute {
 			t.Fatalf("timeouts %v / %v", res.timeout, plain.timeout)
@@ -514,10 +514,25 @@ func TestSharedIdentityConcurrentPlans(t *testing.T) {
 		}
 	}
 
-	// Distinct deadlines: distinct flights, one identity.
-	same("synthesize", run("/v1/synthesize", func(i int) string {
-		return fmt.Sprintf(`{"topology":"a100x16","collective":"allreduce","size":"1M","bypass_store":true,"timeout_ms":%d}`, 60000+i)
-	}))
+	// Distinct deadlines: distinct flights, one identity. The plans run
+	// below the store, which would otherwise answer the later ones.
+	plans := make([]result, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, aerr := s.resolve(&Request{Topology: "a100x16", Collective: "allreduce", Size: "1M", TimeoutMS: int64(60000 + i)})
+			if aerr != nil {
+				t.Error(aerr)
+				return
+			}
+			o := s.plan(context.Background(), res, nil, "", nil)
+			plans[i] = result{o.status, o.resp}
+		}(i)
+	}
+	wg.Wait()
+	same("synthesize", plans)
 	if got := s.memo.Len(); got != 1 {
 		t.Fatalf("memo holds %d entries for one identity", got)
 	}

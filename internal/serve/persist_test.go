@@ -97,10 +97,10 @@ func TestWarmBootServesFromStore(t *testing.T) {
 	}
 }
 
-// Bypassing the store on a rebooted daemon exercises the engine's disk
-// tier instead: the plan must come back engine-warm — zero solver
-// calls — because every solved sub-demand was written through to disk
-// by the first daemon.
+// Past the store on a rebooted daemon (its restored entry evicted by
+// another plan) the engine's disk tier answers: the plan must come back
+// engine-warm — zero solver calls — because every solved sub-demand was
+// written through to disk by the first daemon.
 func TestWarmBootEngineTierZeroSolves(t *testing.T) {
 	dir := t.TempDir()
 	body := `{"topology":"dgx4","collective":"allgather","size":"1M"}`
@@ -113,13 +113,15 @@ func TestWarmBootEngineTierZeroSolves(t *testing.T) {
 	s1.Drain(context.Background())
 	ts1.Close()
 
-	s2 := New(Options{Persist: openStore(t, dir)})
+	s2 := New(Options{Persist: openStore(t, dir), StoreEntries: 1})
 	ts2 := httptest.NewServer(s2)
 	defer ts2.Close()
-	bypass := `{"topology":"dgx4","collective":"allgather","size":"1M","bypass_store":true}`
-	resp, b := postJSON(t, ts2.URL, bypass)
+	if resp, b := postJSON(t, ts2.URL, `{"topology":"dgx4","collective":"alltoall","size":"1M"}`); resp.StatusCode != 200 {
+		t.Fatalf("evicting synthesize: status %d: %s", resp.StatusCode, b)
+	}
+	resp, b := postJSON(t, ts2.URL, body)
 	if resp.StatusCode != 200 {
-		t.Fatalf("bypass synthesize: status %d: %s", resp.StatusCode, b)
+		t.Fatalf("warm synthesize: status %d: %s", resp.StatusCode, b)
 	}
 	warm := decodeSynth(t, b)
 	if warm.SolverCalls != 0 {

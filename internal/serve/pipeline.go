@@ -35,11 +35,11 @@ type outcome struct {
 	cache     string
 }
 
-// storeHit answers a request from the schedule store — unless it asked to
-// bypass the store, or is a replan: a fault is news, and serving
-// yesterday's answer defeats the point.
+// storeHit answers a request from the schedule store — unless it is a
+// replan: a fault is news, and serving yesterday's answer defeats the
+// point.
 func (s *Server) storeHit(res *resolved) (outcome, bool) {
-	if res.req.BypassStore || res.replan {
+	if res.replan {
 		return outcome{}, false
 	}
 	ent, ok := s.store.get(res.id)
@@ -137,7 +137,8 @@ func (s *Server) plan(ctx context.Context, res *resolved, rec *obs.Recorder, req
 			}
 		}
 	} else {
-		result, err = s.eng.SynthesizeStream(ctx, res.top, res.col, opts, onIncumbent)
+		opts.OnIncumbent = onIncumbent
+		result, err = s.eng.Plan(ctx, res.top, res.col, opts)
 	}
 	o.solve = time.Since(solveStart)
 	sp.End()

@@ -40,16 +40,13 @@ type Request struct {
 	// count never changes the schedule, so it is excluded from the
 	// coalescing key.
 	Workers int `json:"workers,omitempty"`
-	// Seed drives randomized pipeline components.
+	// Seed steers nothing (no part of the pipeline is randomized), but it
+	// is part of the plan identity: requests that differ only in seed get
+	// distinct plans, flights and schedule ids.
 	Seed int64 `json:"seed,omitempty"`
 	// IncludeSchedule asks for the full transfer list in the response
 	// (it is always available later via GET /v1/schedule/{id}).
 	IncludeSchedule bool `json:"include_schedule,omitempty"`
-	// BypassStore skips the served-result store so the request always
-	// reaches the engine (it still coalesces with identical in-flight
-	// requests and still warms the engine caches). Load tests use this
-	// to measure the engine-warm rather than the store-hit path.
-	BypassStore bool `json:"bypass_store,omitempty"`
 	// SketchHint constrains the sketch search with a TACCL-style hint
 	// spec, e.g. "dims=1,0;sizes=4,2;family=tree" (see sketch.ParseHint).
 	// Hinted requests never share a flight, a stored result or a sketch
@@ -174,7 +171,7 @@ func DecodeRequest(r io.Reader, maxBytes int64) (*Request, *APIError) {
 
 // identity is everything about a resolved request that follows from its
 // identity fields alone — every Request field except timeout_ms, workers,
-// include_schedule, bypass_store and stream. Two requests that agree on
+// include_schedule and stream. Two requests that agree on
 // those fields share one identity, and Server.resolve memoizes it, so it
 // is read-only once built: concurrent requests plan on the same topology,
 // collective and hint.
@@ -259,7 +256,7 @@ func (s *Server) resolve(req *Request) (*resolved, *APIError) {
 	// The timeout participates in the key: two identical demands with
 	// different deadlines must not share a flight, or the longer request
 	// would inherit the shorter one's (possibly Partial) result.
-	r.key = r.planKey + "|to=" + strconv.FormatInt(int64(r.timeout), 10) + "|bypass=" + strconv.FormatBool(req.BypassStore)
+	r.key = r.planKey + "|to=" + strconv.FormatInt(int64(r.timeout), 10)
 	return r, nil
 }
 

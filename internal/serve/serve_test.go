@@ -172,6 +172,7 @@ func TestErrorPaths(t *testing.T) {
 		{"malformed body", `{"topology":`, 400, CodeBadRequest},
 		{"trailing garbage", `{"topology":"dgx4","collective":"allgather","size":"1M"}{}`, 400, CodeBadRequest},
 		{"unknown field", `{"topology":"dgx4","collective":"allgather","size":"1M","turbo":true}`, 400, CodeBadRequest},
+		{"deleted bypass_store flag", `{"topology":"dgx4","collective":"allgather","size":"1M","bypass_store":true}`, 400, CodeBadRequest},
 		{"missing topology", `{"collective":"allgather","size":"1M"}`, 400, CodeBadRequest},
 		{"missing collective", `{"topology":"dgx4","size":"1M"}`, 400, CodeBadRequest},
 		{"missing size", `{"topology":"dgx4","collective":"allgather"}`, 400, CodeBadRequest},

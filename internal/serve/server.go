@@ -93,10 +93,6 @@ type Options struct {
 	// AccessLog, when non-nil, receives one structured JSON line per
 	// API request. Writes are serialized by the server.
 	AccessLog io.Writer
-	// RecentRequests / SlowRequests bound the flight recorder's two
-	// windows (defaults 256 / 32).
-	RecentRequests int
-	SlowRequests   int
 	// Persist, when non-nil, is the disk tier shared by the engine (solve
 	// entries, written through as they are solved) and the schedule store
 	// (flushed as a snapshot, restored before the listener comes up). A
@@ -271,7 +267,7 @@ func New(opts Options) *Server {
 		store:   newScheduleStore(opts.StoreEntries, opts.Obs),
 		memo:    lru.New[*identity](opts.StoreEntries, 1, lru.Meters{}),
 		met:     newServeMetrics(opts.Metrics),
-		frec:    newFlightRecorder(opts.RecentRequests, opts.SlowRequests),
+		frec:    newFlightRecorder(DefaultRecentRequests, DefaultSlowRequests),
 		alog:    newAccessLogger(opts.AccessLog),
 		ids:     newRequestIDs(),
 		persist: opts.Persist,
@@ -459,7 +455,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Cold or bypassing: join (or start) the single flight for this key.
+	// Cold: join (or start) the single flight for this key.
 	f, leader := s.flights.join(res.key)
 	defer s.flights.leave(f)
 	if leader {

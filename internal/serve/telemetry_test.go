@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func postSynthesize(t *testing.T, base, body string) *http.Response {
@@ -119,10 +121,10 @@ func TestRequestIDHeaderAndFlightRecord(t *testing.T) {
 }
 
 // Cache-tier labels: a fresh demand is cold, its duplicate is a store
-// hit, and a bypass-store duplicate that the engine answers entirely
-// from its caches is warm.
+// hit, and a duplicate whose store entry was evicted, answered by the
+// engine entirely from its caches, is warm.
 func TestCacheTierProgression(t *testing.T) {
-	s := New(Options{})
+	s := New(Options{StoreEntries: 1})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -148,9 +150,11 @@ func TestCacheTierProgression(t *testing.T) {
 	if tier := tierOf(postSynthesize(t, ts.URL, body)); tier != cacheTierStore {
 		t.Fatalf("duplicate demand: cache %q, want store", tier)
 	}
-	warmBody := `{"topology":"dgx4","collective":"allgather","size":"1M","bypass_store":true}`
-	if tier := tierOf(postSynthesize(t, ts.URL, warmBody)); tier != cacheTierWarm {
-		t.Fatalf("bypass-store duplicate: cache %q, want warm (engine caches)", tier)
+	if tier := tierOf(postSynthesize(t, ts.URL, `{"topology":"dgx4","collective":"alltoall","size":"1M"}`)); tier != cacheTierCold {
+		t.Fatalf("evicting demand: cache %q, want cold", tier)
+	}
+	if tier := tierOf(postSynthesize(t, ts.URL, body)); tier != cacheTierWarm {
+		t.Fatalf("evicted duplicate: cache %q, want warm (engine caches)", tier)
 	}
 }
 
@@ -392,14 +396,20 @@ func TestFlightRecorderWindows(t *testing.T) {
 }
 
 // Coalesced followers share the leader's span tree and carry their own
-// request ids.
+// request ids. The test holds the one solve slot until every request has
+// joined the flight, so none of them can be answered from the store.
 func TestCoalescedFollowerRecord(t *testing.T) {
 	s := New(Options{Concurrency: 1})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
+	if err := s.adm.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	release := sync.OnceFunc(s.adm.release)
+	defer release()
 
 	const n = 6
-	body := `{"topology":"dgx4","collective":"allgather","size":"1M","bypass_store":true,"seed":77}`
+	body := `{"topology":"dgx4","collective":"allgather","size":"1M","seed":77}`
 	ids := make([]string, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -416,6 +426,8 @@ func TestCoalescedFollowerRecord(t *testing.T) {
 			resp.Body.Close()
 		}(i)
 	}
+	waitFor(t, 10*time.Second, "every request to join the flight", func() bool { return s.coalesced.Load() == n-1 })
+	release()
 	wg.Wait()
 
 	leaders, followers := 0, 0

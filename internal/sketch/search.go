@@ -19,20 +19,11 @@ type SearchOptions struct {
 	// (default 64). The search explores shallow, full-fan-out shapes
 	// first so the classic hierarchical sketches always survive the cap.
 	MaxSketches int
-	// MaxNodes caps explored search nodes (default 50000).
-	MaxNodes int
 	// DisablePrune1 turns off isomorphism deduplication (Fig 17a).
 	DisablePrune1 bool
 	// DisablePrune2 turns off the cross-group consistency requirement
 	// (Fig 17a).
 	DisablePrune2 bool
-	// FullFanoutOnly restricts each sub-demand to cover all remaining
-	// GPUs of its group (always set for Scatter, where partial coverage
-	// multiplies relayed volume).
-	FullFanoutOnly bool
-	// MaxCountChoices bounds how many distinct destination counts are
-	// tried per dimension per stage (default 3: full, half, one).
-	MaxCountChoices int
 	// Hint optionally constrains the enumeration (TACCL-style sketch
 	// hints): per-stage dimension order, per-stage destination counts,
 	// and an algorithm family. Constraints are hard filters, so hinted
@@ -54,12 +45,9 @@ func (o SearchOptions) Fingerprint() string {
 	o = o.withDefaults()
 	b := make([]byte, 0, 64)
 	b = strconv.AppendInt(append(b, 'k'), int64(o.MaxStages), 10)
-	b = strconv.AppendInt(append(b, ",n"...), int64(o.MaxNodes), 10)
 	b = strconv.AppendInt(append(b, ",m"...), int64(o.MaxSketches), 10)
-	b = strconv.AppendInt(append(b, ",c"...), int64(o.MaxCountChoices), 10)
 	b = strconv.AppendBool(append(b, ",p1:"...), o.DisablePrune1)
 	b = strconv.AppendBool(append(b, ",p2:"...), o.DisablePrune2)
-	b = strconv.AppendBool(append(b, ",ff:"...), o.FullFanoutOnly)
 	b = append(append(b, ",h="...), o.Hint.Canonical()...)
 	return string(b)
 }
@@ -73,17 +61,11 @@ func (o SearchOptions) withDefaults() SearchOptions {
 	if o.MaxSketches <= 0 {
 		o.MaxSketches = 64
 	}
-	if o.MaxNodes <= 0 {
-		o.MaxNodes = 50000
-	}
-	if o.MaxCountChoices <= 0 {
-		o.MaxCountChoices = 4
-	}
 	return o
 }
 
-// forTopology is withDefaults plus what the topology and search shape
-// decide: the stage budget, and full fan-out for Scatter and flat hints.
+// forTopology is withDefaults plus the stage budget the topology and
+// search shape decide.
 func (o SearchOptions) forTopology(top *topology.Topology, scatter bool) SearchOptions {
 	o = o.withDefaults()
 	if o.MaxStages == 0 {
@@ -92,19 +74,11 @@ func (o SearchOptions) forTopology(top *topology.Topology, scatter bool) SearchO
 			o.MaxStages = top.NumDims()
 		}
 	}
-	if scatter {
-		o.FullFanoutOnly = true
-	}
-	if o.Hint != nil {
-		if o.Hint.Family == FamilyFlat {
-			o.FullFanoutOnly = true
-		}
-		// A dimension order longer than the stage budget is an explicit
-		// ask for a deeper tree (including dimension reuse on Scatter,
-		// where MaxStages > NumDims is the documented relay opt-out).
-		if len(o.Hint.DimOrder) > o.MaxStages {
-			o.MaxStages = len(o.Hint.DimOrder)
-		}
+	// A hinted dimension order longer than the stage budget is an explicit
+	// ask for a deeper tree (including dimension reuse on Scatter, where
+	// MaxStages > NumDims is the documented relay opt-out).
+	if o.Hint != nil && len(o.Hint.DimOrder) > o.MaxStages {
+		o.MaxStages = len(o.Hint.DimOrder)
 	}
 	return o
 }
@@ -136,15 +110,27 @@ type dimState struct {
 	suggested []int
 }
 
+// Search budgets: at most maxNodes explored nodes per search, and at most
+// maxCountChoices destination counts per dimension per stage (full
+// fan-out, the structure-derived counts, half, one — in that order).
+const (
+	maxNodes        = 50000
+	maxCountChoices = 4
+)
+
 type searcher struct {
-	top       *topology.Topology
-	opts      SearchOptions
-	scatter   bool
-	seen      map[string]bool
-	out       []*Sketch
-	nodes     int
-	ctx       context.Context
-	cancelled bool
+	top     *topology.Topology
+	opts    SearchOptions
+	scatter bool
+	// fullFanout restricts each sub-demand to cover all remaining GPUs of
+	// its group: always for Scatter, where partial coverage multiplies
+	// relayed volume, and for a flat-family hint.
+	fullFanout bool
+	seen       map[string]bool
+	out        []*Sketch
+	nodes      int
+	ctx        context.Context
+	cancelled  bool
 }
 
 func runSearch(ctx context.Context, top *topology.Topology, root int, scatter bool, opts SearchOptions) []*Sketch {
@@ -160,11 +146,12 @@ func runSearch(ctx context.Context, top *topology.Topology, root int, scatter bo
 	}
 	defer sp.End()
 	s := &searcher{
-		top:     top,
-		opts:    opts.forTopology(top, scatter),
-		scatter: scatter,
-		seen:    make(map[string]bool),
-		ctx:     ctx,
+		top:        top,
+		opts:       opts.forTopology(top, scatter),
+		scatter:    scatter,
+		fullFanout: scatter || (opts.Hint != nil && opts.Hint.Family == FamilyFlat),
+		seen:       make(map[string]bool),
+		ctx:        ctx,
 	}
 	informed := make([]bool, top.NumGPUs())
 	informed[root] = true
@@ -176,12 +163,11 @@ func runSearch(ctx context.Context, top *topology.Topology, root int, scatter bo
 	// classic hierarchical shape (including multi-dimension stages such
 	// as Fig 5's sketch ①) and must not be crowded out of the sketch
 	// budget by deep partial-count variants.
-	if !s.opts.FullFanoutOnly {
-		saved := s.opts
-		s.opts.FullFanoutOnly = true
+	if !s.fullFanout {
+		s.fullFanout = true
 		inf, sk := start()
 		s.recurse(sk, inf, top.NumGPUs()-1, 0)
-		s.opts = saved
+		s.fullFanout = false
 	}
 	// Pass 2: the general enumeration (a no-op re-walk of pass 1's
 	// shapes thanks to descriptor dedupe).
@@ -200,7 +186,7 @@ func (s *searcher) done() bool {
 	if !s.cancelled && s.ctx.Done() != nil && s.nodes&63 == 0 && s.ctx.Err() != nil {
 		s.cancelled = true
 	}
-	return s.cancelled || len(s.out) >= s.opts.MaxSketches || s.nodes >= s.opts.MaxNodes
+	return s.cancelled || len(s.out) >= s.opts.MaxSketches || s.nodes >= maxNodes
 }
 
 // recurse runs the three-step stage enumeration of §4.1: choose the
@@ -338,12 +324,12 @@ func (s *searcher) recurse(sk *Sketch, informed []bool, remaining, usedDims int)
 func (s *searcher) countChoices(ds dimState, stage int) []int {
 	full := ds.minUn
 	if forced := s.opts.Hint.stageSize(stage); forced > 0 {
-		if forced > full || (s.opts.FullFanoutOnly && forced != full) {
+		if forced > full || (s.fullFanout && forced != full) {
 			return nil
 		}
 		return []int{forced}
 	}
-	if s.opts.FullFanoutOnly || full == 1 {
+	if s.fullFanout || full == 1 {
 		return []int{full}
 	}
 	choices := []int{full}
@@ -359,8 +345,8 @@ func (s *searcher) countChoices(ds dimState, stage int) []int {
 	}
 	add(full / 2)
 	add(1)
-	if len(choices) > s.opts.MaxCountChoices {
-		choices = choices[:s.opts.MaxCountChoices]
+	if len(choices) > maxCountChoices {
+		choices = choices[:maxCountChoices]
 	}
 	return choices
 }

@@ -97,8 +97,8 @@ func TestSearchFindsAlternativeHierarchical(t *testing.T) {
 
 func TestPrune1ReducesSketches(t *testing.T) {
 	top := topology.H800Small(4)
-	with := SearchBroadcast(context.Background(), top, 0, SearchOptions{MaxSketches: 1 << 20, MaxNodes: 20000})
-	without := SearchBroadcast(context.Background(), top, 0, SearchOptions{MaxSketches: 1 << 20, MaxNodes: 20000, DisablePrune1: true})
+	with := SearchBroadcast(context.Background(), top, 0, SearchOptions{MaxSketches: 1 << 20})
+	without := SearchBroadcast(context.Background(), top, 0, SearchOptions{MaxSketches: 1 << 20, DisablePrune1: true})
 	if len(without) < len(with) {
 		t.Errorf("disabling prune1 reduced sketches: %d < %d", len(without), len(with))
 	}
@@ -106,8 +106,8 @@ func TestPrune1ReducesSketches(t *testing.T) {
 
 func TestPrune2ReducesSketches(t *testing.T) {
 	top := topology.H800Small(4)
-	with := SearchBroadcast(context.Background(), top, 0, SearchOptions{MaxSketches: 1 << 20, MaxNodes: 200000})
-	without := SearchBroadcast(context.Background(), top, 0, SearchOptions{MaxSketches: 1 << 20, MaxNodes: 200000, DisablePrune2: true})
+	with := SearchBroadcast(context.Background(), top, 0, SearchOptions{MaxSketches: 1 << 20})
+	without := SearchBroadcast(context.Background(), top, 0, SearchOptions{MaxSketches: 1 << 20, DisablePrune2: true})
 	if len(without) <= len(with) {
 		t.Errorf("disabling prune2 did not expand the space: %d <= %d", len(without), len(with))
 	}

@@ -23,9 +23,10 @@ echo "== go build =="
 go build ./...
 
 echo "== go test -count=10 (determinism-sensitive leaves, uncached) =="
-# The solver stack promises the same bytes every run; one cached or lucky
+# The solver stack and the sketch search (which feeds the sketch-cache
+# and plan keys) promise the same bytes every run; one cached or lucky
 # pass cannot show that, ten uncached ones in a row can (about 2 s).
-go test -count=10 ./internal/lp ./internal/milp ./internal/solve
+go test -count=10 ./internal/lp ./internal/milp ./internal/solve ./internal/sketch
 
 echo "== go test =="
 go test ./...

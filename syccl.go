@@ -62,8 +62,8 @@ type (
 	// per canonical sub-demand signature). Serve repeated or concurrent
 	// synthesis requests through one Engine to reuse work across them.
 	Engine = engine.Engine
-	// EngineOptions configures an Engine (cache bounds, shard count,
-	// observability).
+	// EngineOptions configures an Engine (the sub-schedule cache bound,
+	// the disk tier, observability).
 	EngineOptions = engine.Options
 	// EngineStats is a snapshot of an Engine's lifetime cache and
 	// cancellation counters.
