@@ -69,46 +69,7 @@ func BenchmarkLPSolve(b *testing.B) {
 func BenchmarkLPResolveBounds(b *testing.B) {
 	p := benchProblem(40, 36, 7)
 	n := p.NumVars()
-	t, err := NewResolvableTableau(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := t.Solve(); err != nil {
-		b.Fatal(err)
-	}
-	lo := make([]float64, n)
-	hi := make([]float64, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k := 0; k < 16; k++ {
-			v := (i + 3*k) % n
-			for j := 0; j < n; j++ {
-				lo[j], hi[j] = p.Bounds(j)
-			}
-			hi[v] = (lo[v] + hi[v]) / 2
-			sol, err := t.ReSolve(lo, hi)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if sol.Status != StatusOptimal {
-				b.Fatalf("status %v", sol.Status)
-			}
-		}
-	}
-}
-
-// BenchmarkLPColLimit quantifies the post-phase-1 column-limit
-// optimization: with disableColLimit set, every pivot and objective-row
-// update sweeps the stale artificial block too. It runs the same warm
-// re-solve loop as BenchmarkLPResolveBounds — where no pivot ever needs
-// the artificial columns — so the delta between the two benchmarks is
-// exactly the cost of dragging dead columns through each elimination.
-func BenchmarkLPColLimit(b *testing.B) {
-	p := benchProblem(40, 36, 7)
-	disableColLimit = true
-	defer func() { disableColLimit = false }()
-	n := p.NumVars()
-	t, err := NewResolvableTableau(p)
+	t, err := NewTableau(p)
 	if err != nil {
 		b.Fatal(err)
 	}

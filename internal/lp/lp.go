@@ -1,7 +1,7 @@
-// Package lp implements a linear-programming solver: a two-phase primal
-// simplex over a dense tableau, with Bland's rule for anti-cycling and a
-// dual-simplex warm-start path for re-solving under changed variable
-// bounds.
+// Package lp implements a linear-programming solver: a bounded-variable
+// simplex over a dense tableau, with a two-phase primal simplex for cold
+// solves, a bound-flipping dual simplex for re-solving under changed
+// variable bounds, and Bland's rule for anti-cycling in both.
 //
 // It is the foundation of the MILP solver (package milp) that SyCCL and
 // the TECCL baseline use to synthesize sub-schedules (§5.1, Appendix A).
@@ -12,13 +12,12 @@
 //	            lo ≤ x ≤ hi
 //
 // The solver targets the modest problem sizes produced by SyCCL's
-// symmetry decomposition (hundreds of variables). Two engines share the
-// flat tableau storage: Problem.Solve builds a one-shot tableau where
-// finite upper bounds are explicit rows, while NewResolvableTableau uses
-// a bounded-variable simplex — bounds live on the columns, nonbasic
-// variables rest at their lower or upper bound, and a bound change is an
-// O(m) right-hand-side update — so branch-and-bound re-solves sibling
-// nodes with a handful of dual-simplex pivots instead of a full rebuild.
+// symmetry decomposition (hundreds of variables). Variable bounds live on
+// the tableau's columns, not in extra rows: the tableau has one row per
+// constraint, nonbasic variables rest at their lower or upper bound, and a
+// bound change is an O(m) right-hand-side update — so branch-and-bound
+// re-solves sibling nodes with a handful of dual-simplex pivots instead of
+// a full rebuild.
 package lp
 
 import (
@@ -172,12 +171,6 @@ const (
 	dualPivotTol = 1e-7
 )
 
-// disableColLimit widens phase-2 pivot and objective-row updates back to
-// every column, including the artificial block that is never read after
-// phase 1. It exists only so BenchmarkLPColLimit can measure the win of
-// the restricted width; production code leaves it false.
-var disableColLimit = false
-
 // Solve runs two-phase primal simplex and returns the solution. The X and
 // Objective fields are meaningful only when Status is StatusOptimal.
 func (p *Problem) Solve() (*Solution, error) {
@@ -203,23 +196,20 @@ func (p *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 }
 
 // Tableau is the standard-form expansion of a Problem with variables
-// shifted to x' = x - lo and slack/surplus/artificial columns appended.
-// The coefficient matrix is one flat backing array (row-major) for cache
-// locality.
+// shifted to x' = x - lo and slack/surplus/artificial columns appended,
+// one row per constraint. The coefficient matrix is one flat backing
+// array (row-major) for cache locality.
 //
-// The one-shot layout (NewTableau) turns finite upper bounds into
-// explicit rows, exactly as Problem.Solve always has. The resolvable
-// layout (NewResolvableTableau) instead runs a bounded-variable simplex:
-// bounds are attributes of the columns (colLo/colUp), nonbasic columns
-// rest at one of their bounds (atUpper), and rhs holds the *values* of
-// the basic variables. A bound change moves the resting value of a
-// nonbasic column — an O(m) rhs update — and dual simplex repairs any
-// basic variable pushed outside its bounds, so ReSolve needs no
+// Variable bounds are attributes of the columns (colLo/colUp), nonbasic
+// columns rest at one of their bounds (atUpper), and rhs holds the
+// *values* of the basic variables. A bound change moves the resting value
+// of a nonbasic column — an O(m) rhs update — and dual simplex repairs
+// any basic variable pushed outside its bounds, so ReSolve needs no
 // construction work and typically only a few pivots per node.
 type Tableau struct {
-	m, n      int       // constraint rows, structural columns (shifted vars)
+	m         int       // constraint rows
 	a         []float64 // m × totalCols coefficient matrix, flat row-major
-	rhs       []float64 // one-shot: transformed rhs; resolvable: basic values
+	rhs       []float64 // values of the basic variables
 	obj       []float64 // phase-2 objective over all columns
 	objShift  float64   // constant from the lo-shift
 	basis     []int     // basic column per row
@@ -234,27 +224,21 @@ type Tableau struct {
 	lo0     []float64 // base lower bounds: the shift origin
 	hi0     []float64 // base upper bounds
 
-	// Bounded-variable state (resolvable tableaus only). Column bounds are
-	// in shifted space: structural column i covers x'_i ∈ [colLo, colUp];
-	// slack/surplus/artificial columns are [0, +inf).
-	resolvable bool
-	colLo      []float64
-	colUp      []float64
-	atUpper    []bool // nonbasic column rests at its upper bound
-	basicRow   []int  // row a column is basic in, -1 if nonbasic
-	solved     bool   // an optimal basis is loaded
-	used       bool   // solved before: the next cold solve refills first
+	// Column bounds are in shifted space: structural column i covers
+	// x'_i ∈ [colLo, colUp]; slack/surplus/artificial columns are [0, +inf).
+	colLo    []float64
+	colUp    []float64
+	atUpper  []bool // nonbasic column rests at its upper bound
+	basicRow []int  // row a column is basic in, -1 if nonbasic
+	solved   bool   // an optimal basis is loaded
+	used     bool   // solved before: the next cold solve refills first
 
-	// The rows the tableau was built from — the problem's constraints,
-	// then (one-shot layout) one upper-bound row per variable of ubVars —
-	// kept so a resolvable tableau can be refilled to its construction-time
-	// state without holding a second copy of the matrix.
-	cons   []Constraint
-	ubVars []int
-	unit   [1]Term // scratch: the single term of an upper-bound row
+	// The problem's constraints, kept so the tableau can be refilled to
+	// its construction-time state without holding a second copy of the
+	// matrix.
+	cons []Constraint
 
 	objRow, phase1 []float64  // pooled scratch: objective row, phase-1 cost
-	xbuf           []float64  // pooled scratch: extraction buffer
 	dcands         []dualCand // pooled scratch: dual ratio-test candidates
 
 	// cancel, when set, is polled every cancelCheckMask+1 pivots by every
@@ -270,9 +254,8 @@ type Tableau struct {
 const cancelCheckMask = 63
 
 // SetCancel installs (or clears, with nil) a cancellation poll. It is
-// polled from the pivot loops of both the one-shot and the resolvable
-// engines; when it returns true the running solve stops and reports
-// StatusIterLimit.
+// polled from the primal and dual pivot loops; when it returns true the
+// running solve stops and reports StatusIterLimit.
 func (t *Tableau) SetCancel(cancel func() bool) { t.cancel = cancel }
 
 // cancelled reports whether the installed poll requests an abort, checking
@@ -288,22 +271,9 @@ type dualCand struct {
 	ratio float64
 }
 
-// NewTableau builds a one-shot tableau for the problem, matching the
-// layout Problem.Solve has always used (upper-bound rows only where the
-// bound is finite).
+// NewTableau builds the tableau of a problem: one row per constraint,
+// with the variable bounds on the columns, ready for Solve and ReSolve.
 func NewTableau(p *Problem) (*Tableau, error) {
-	return buildTableau(p, false)
-}
-
-// NewResolvableTableau builds a bounded-variable tableau that supports
-// ReSolve: variable bounds are column attributes rather than rows, so the
-// tableau has only the constraint rows and a bound change is an O(m)
-// right-hand-side patch followed by a short dual-simplex repair.
-func NewResolvableTableau(p *Problem) (*Tableau, error) {
-	return buildTableau(p, true)
-}
-
-func buildTableau(p *Problem, resolvable bool) (*Tableau, error) {
 	for i := 0; i < p.numVars; i++ {
 		if p.lo[i] > p.hi[i]+tol {
 			return nil, fmt.Errorf("lp: variable %d has empty bounds [%g,%g]", i, p.lo[i], p.hi[i])
@@ -314,28 +284,15 @@ func buildTableau(p *Problem, resolvable bool) (*Tableau, error) {
 	}
 
 	t := &Tableau{
-		n:          p.numVars,
-		numVars:    p.numVars,
-		resolvable: resolvable,
-		c:          append([]float64(nil), p.c...),
-		lo0:        append([]float64(nil), p.lo...),
-		hi0:        append([]float64(nil), p.hi...),
+		numVars: p.numVars,
+		c:       append([]float64(nil), p.c...),
+		lo0:     append([]float64(nil), p.lo...),
+		hi0:     append([]float64(nil), p.hi...),
 		// A Problem only ever appends constraints, and copies their terms
 		// when it does, so the rows as of now can be kept by reference.
 		cons: p.constraints[:len(p.constraints):len(p.constraints)],
 	}
-	// One-shot layout: finite upper bounds become rows x' ≤ hi - lo,
-	// normalized together with the constraints (exactly the historical
-	// Problem.Solve construction). The resolvable layout keeps bounds on
-	// the columns instead — no rows added.
-	if !resolvable {
-		for i := 0; i < p.numVars; i++ {
-			if !math.IsInf(p.hi[i], 1) {
-				t.ubVars = append(t.ubVars, i)
-			}
-		}
-	}
-	t.m = len(t.cons) + len(t.ubVars)
+	t.m = len(t.cons)
 	numSlack := 0
 	for i := 0; i < t.m; i++ {
 		switch _, op, _, _ := t.rowSpec(i); op {
@@ -362,36 +319,26 @@ func buildTableau(p *Problem, resolvable bool) (*Tableau, error) {
 		t.objShift += p.c[i] * p.lo[i]
 	}
 
-	t.objRow = make([]float64, t.totalCols+1)
+	t.objRow = make([]float64, t.totalCols)
 	t.phase1 = make([]float64, t.totalCols)
-	t.xbuf = make([]float64, t.totalCols)
 
-	if resolvable {
-		t.colLo = make([]float64, t.totalCols)
-		t.colUp = make([]float64, t.totalCols)
-		t.atUpper = make([]bool, t.totalCols)
-		t.basicRow = make([]int, t.totalCols)
-		t.resetColumns()
-	}
+	t.colLo = make([]float64, t.totalCols)
+	t.colUp = make([]float64, t.totalCols)
+	t.atUpper = make([]bool, t.totalCols)
+	t.basicRow = make([]int, t.totalCols)
+	t.resetColumns()
 	return t, nil
 }
 
-// rowSpec returns row i of the standard form: its terms over the shifted
-// variables x' = x - lo, and its sense and right-hand side normalized to
-// rhs ≥ 0 — neg reports that the row's coefficients change sign for that.
-// Rows past the constraints are the one-shot layout's upper-bound rows
-// x' ≤ hi - lo; their single term lives in t.unit until the next call.
+// rowSpec returns constraint row i of the standard form: its terms over
+// the shifted variables x' = x - lo, and its sense and right-hand side
+// normalized to rhs ≥ 0 — neg reports that the row's coefficients change
+// sign for that.
 func (t *Tableau) rowSpec(i int) (terms []Term, op Op, rhs float64, neg bool) {
-	if i < len(t.cons) {
-		con := &t.cons[i]
-		terms, op, rhs = con.Terms, con.Op, con.RHS
-		for _, tm := range terms {
-			rhs -= tm.Coeff * t.lo0[tm.Var]
-		}
-	} else {
-		v := t.ubVars[i-len(t.cons)]
-		t.unit[0] = Term{Var: v, Coeff: 1}
-		terms, op, rhs = t.unit[:], LE, t.hi0[v]-t.lo0[v]
+	con := &t.cons[i]
+	terms, op, rhs = con.Terms, con.Op, con.RHS
+	for _, tm := range terms {
+		rhs -= tm.Coeff * t.lo0[tm.Var]
 	}
 	if rhs < 0 {
 		neg, rhs = true, -rhs
@@ -462,46 +409,15 @@ func (t *Tableau) resetColumns() {
 	}
 }
 
-// Clone returns an independent copy sharing only the immutable
-// construction-time rows (each branch-and-bound worker owns one).
-func (t *Tableau) Clone() *Tableau {
-	q := *t
-	q.a = append([]float64(nil), t.a...)
-	q.rhs = append([]float64(nil), t.rhs...)
-	q.basis = append([]int(nil), t.basis...)
-	q.objRow = make([]float64, t.totalCols+1)
-	q.phase1 = make([]float64, t.totalCols)
-	q.xbuf = make([]float64, t.totalCols)
-	q.dcands = nil
-	if t.resolvable {
-		q.colLo = append([]float64(nil), t.colLo...)
-		q.colUp = append([]float64(nil), t.colUp...)
-		q.atUpper = append([]bool(nil), t.atUpper...)
-		q.basicRow = append([]int(nil), t.basicRow...)
-	}
-	return &q
-}
-
 func (t *Tableau) row(i int) []float64 {
 	return t.a[i*t.totalCols : (i+1)*t.totalCols]
 }
 
-// pivotWidth is how far pivot and objective-row updates reach once phase
-// 1 is done: the artificial block is stale from then on and never read,
-// so updates stop at artStart (unless the benchmark toggle is set).
-func (t *Tableau) pivotWidth() int {
-	if disableColLimit {
-		return t.totalCols
-	}
-	return t.artStart
-}
-
-// objectiveRowInto fills out with z_j - c_j terms: cost[j] - Σ_i
-// costB[i]·a[i][j] for j < width, and the negated basic objective in
-// out[totalCols].
-func (t *Tableau) objectiveRowInto(cost []float64, out []float64, width int) {
+// loadObjective fills t.objRow with the reduced costs cost[j] - Σ_i
+// costB[i]·a[i][j] for j < width.
+func (t *Tableau) loadObjective(cost []float64, width int) {
+	out := t.objRow
 	copy(out[:width], cost[:width])
-	out[t.totalCols] = 0
 	for i := 0; i < t.m; i++ {
 		cb := cost[t.basis[i]]
 		if cb == 0 {
@@ -511,199 +427,24 @@ func (t *Tableau) objectiveRowInto(cost []float64, out []float64, width int) {
 		for j := 0; j < width; j++ {
 			out[j] -= cb * r[j]
 		}
-		out[t.totalCols] -= cb * t.rhs[i]
 	}
 }
 
-// pivot performs a pivot on (row, col), updating columns < width.
-func (t *Tableau) pivot(row, col, width int, objRow []float64) {
-	pr := t.row(row)
-	pv := pr[col]
-	inv := 1 / pv
-	for j := 0; j < width; j++ {
-		pr[j] *= inv
-	}
-	t.rhs[row] *= inv
-	for i := 0; i < t.m; i++ {
-		if i == row {
-			continue
-		}
-		ri := t.row(i)
-		f := ri[col]
-		if f == 0 {
-			continue
-		}
-		for j := 0; j < width; j++ {
-			ri[j] -= f * pr[j]
-		}
-		t.rhs[i] -= f * t.rhs[row]
-		if math.Abs(t.rhs[i]) < 1e-12 {
-			t.rhs[i] = 0
-		}
-	}
-	if f := objRow[col]; f != 0 {
-		for j := 0; j < width; j++ {
-			objRow[j] -= f * pr[j]
-		}
-		objRow[t.totalCols] -= f * t.rhs[row]
-	}
-	t.basis[row] = col
-}
-
-// iterate runs primal simplex iterations on the given objective row,
-// restricted to entering columns < colLimit and updates < width. Returns
-// StatusOptimal, StatusUnbounded or StatusIterLimit.
-func (t *Tableau) iterate(objRow []float64, colLimit, width int) Status {
-	noProgress := 0
-	lastObj := objRow[t.totalCols]
-	for ; t.iters < t.maxIters; t.iters++ {
-		if t.cancelled() {
-			return StatusIterLimit
-		}
-		// Entering column: Dantzig (most negative reduced cost);
-		// Bland's rule after stalling to escape degenerate cycling.
-		col := -1
-		if noProgress < 40 {
-			best := -tol
-			for j := 0; j < colLimit; j++ {
-				if objRow[j] < best {
-					best = objRow[j]
-					col = j
-				}
-			}
-		} else {
-			for j := 0; j < colLimit; j++ {
-				if objRow[j] < -tol {
-					col = j
-					break
-				}
-			}
-		}
-		if col < 0 {
-			return StatusOptimal
-		}
-		// Ratio test (Bland tie-break on basis index).
-		row := -1
-		bestRatio := math.Inf(1)
-		for i := 0; i < t.m; i++ {
-			a := t.a[i*t.totalCols+col]
-			if a > pivotTol {
-				r := t.rhs[i] / a
-				if r < bestRatio-tol || (r < bestRatio+tol && (row < 0 || t.basis[i] < t.basis[row])) {
-					bestRatio = r
-					row = i
-				}
-			}
-		}
-		if row < 0 {
-			return StatusUnbounded
-		}
-		t.pivot(row, col, width, objRow)
-		// Minimizing drives the stored objective cell upward (it holds
-		// the negated basic contribution), so an increase is progress.
-		if objRow[t.totalCols] < lastObj+1e-12 {
-			noProgress++
-		} else {
-			noProgress = 0
-			lastObj = objRow[t.totalCols]
-		}
-	}
-	return StatusIterLimit
-}
-
-// twoPhase runs the standard cold solve on the current tableau state:
-// phase 1 over the artificial sum, artificial drive-out, then phase 2 on
-// the real objective.
-func (t *Tableau) twoPhase() Status {
-	if t.numArt > 0 {
-		for j := range t.phase1 {
-			t.phase1[j] = 0
-		}
-		for j := t.artStart; j < t.totalCols; j++ {
-			t.phase1[j] = 1
-		}
-		// Phase 1 pivots full-width: the artificial block is live here.
-		t.objectiveRowInto(t.phase1, t.objRow, t.totalCols)
-		st := t.iterate(t.objRow, t.totalCols, t.totalCols)
-		if st == StatusIterLimit {
-			return StatusIterLimit
-		}
-		// Phase-1 optimum is -objRow[last] (objectiveRowInto stores the
-		// negated basic contribution).
-		if -t.objRow[t.totalCols] > 1e-6 {
-			return StatusInfeasible
-		}
-		// Drive remaining artificials out of the basis where possible.
-		width := t.pivotWidth()
-		for i := 0; i < t.m; i++ {
-			if t.basis[i] < t.artStart {
-				continue
-			}
-			ri := t.row(i)
-			for j := 0; j < t.artStart; j++ {
-				if math.Abs(ri[j]) > 1e-7 {
-					t.pivot(i, j, width, t.objRow)
-					break
-				}
-			}
-			// A redundant row keeps its (zero-valued) artificial.
-		}
-	}
-
-	// Phase 2 on the real objective, excluding artificial columns.
-	width := t.pivotWidth()
-	t.objectiveRowInto(t.obj, t.objRow, width)
-	return t.iterate(t.objRow, t.artStart, width)
-}
-
-// extract reads the solution out of an optimal basis.
-func (t *Tableau) extract() *Solution {
-	sol := &Solution{Iters: t.iters}
-	x := t.xbuf
-	for j := range x {
-		x[j] = 0
-	}
-	for i := 0; i < t.m; i++ {
-		if t.basis[i] >= t.artStart && t.rhs[i] > 1e-6 {
-			// Artificial stuck basic at nonzero value: infeasible.
-			sol.Status = StatusInfeasible
-			return sol
-		}
-		x[t.basis[i]] = t.rhs[i]
-	}
-	sol.X = make([]float64, t.numVars)
-	obj := t.objShift
-	for i := 0; i < t.numVars; i++ {
-		sol.X[i] = x[i] + t.lo0[i]
-		obj += t.c[i] * x[i]
-	}
-	sol.Objective = obj
-	sol.Status = StatusOptimal
-	return sol
-}
-
-// Solve runs a cold two-phase solve. On a resolvable tableau it first
-// restores the pristine construction-time state (base bounds).
+// Solve runs a cold two-phase solve from the construction-time state
+// (base bounds).
 func (t *Tableau) Solve() (*Solution, error) {
 	t.iters = 0
-	if t.resolvable {
-		t.restore()
-		st := t.bTwoPhase()
-		if st != StatusOptimal {
-			return &Solution{Status: st, Iters: t.iters}, nil
-		}
-		sol := t.bExtract()
-		t.solved = sol.Status == StatusOptimal
-		return sol, nil
-	}
+	t.restore()
 	st := t.twoPhase()
 	if st != StatusOptimal {
 		return &Solution{Status: st, Iters: t.iters}, nil
 	}
-	return t.extract(), nil
+	sol := t.extract()
+	t.solved = sol.Status == StatusOptimal
+	return sol, nil
 }
 
-// restore resets a resolvable tableau to its construction-time state by
+// restore resets the tableau to its construction-time state by
 // refilling it from its rows: a tableau that is solved once and dropped
 // (the flow relaxations) never pays for a snapshot.
 func (t *Tableau) restore() {
@@ -724,11 +465,12 @@ func (t *Tableau) colVal(j int) float64 {
 	return t.colLo[j]
 }
 
-// bElim performs the row elimination of a pivot on (row, col) over the
-// coefficient matrix and objective row only — the bounded-variable engine
-// updates rhs (basic values) separately, before elimination, using the
-// pre-pivot column. The caller updates basis/basicRow.
-func (t *Tableau) bElim(row, col, width int, objRow []float64) {
+// elim performs the row elimination of a pivot on (row, col) over the
+// coefficient matrix and objective row only — the pivot loops update rhs
+// (basic values) separately, before elimination, using the pre-pivot
+// column. The caller updates basis/basicRow.
+func (t *Tableau) elim(row, col, width int) {
+	objRow := t.objRow
 	pr := t.row(row)
 	inv := 1 / pr[col]
 	for j := 0; j < width; j++ {
@@ -754,12 +496,13 @@ func (t *Tableau) bElim(row, col, width int, objRow []float64) {
 	}
 }
 
-// bIterate runs bounded-variable primal simplex: entering candidates are
+// iterate runs bounded-variable primal simplex: entering candidates are
 // nonbasic columns < colLimit whose reduced cost improves from their
 // resting bound; the ratio test may end in a bound flip (the entering
 // column runs to its opposite bound without a basis change). Returns
 // StatusOptimal, StatusUnbounded or StatusIterLimit.
-func (t *Tableau) bIterate(objRow []float64, colLimit, width int) Status {
+func (t *Tableau) iterate(colLimit, width int) Status {
+	objRow := t.objRow
 	noProgress := 0
 	for ; t.iters < t.maxIters; t.iters++ {
 		if t.cancelled() {
@@ -858,7 +601,7 @@ func (t *Tableau) bIterate(objRow []float64, colLimit, width int) Status {
 			leaving := t.basis[leaveRow]
 			t.basicRow[leaving] = -1
 			t.atUpper[leaving] = leaveUpper
-			t.bElim(leaveRow, col, width, objRow)
+			t.elim(leaveRow, col, width)
 			t.basis[leaveRow] = col
 			t.basicRow[col] = leaveRow
 			t.rhs[leaveRow] = newVal
@@ -874,7 +617,7 @@ func (t *Tableau) bIterate(objRow []float64, colLimit, width int) Status {
 	return StatusIterLimit
 }
 
-// bDualIterate restores primal feasibility (a basic variable outside its
+// dualIterate restores primal feasibility (a basic variable outside its
 // column bounds) while preserving dual feasibility: the warm-start engine
 // for ReSolve. The leaving variable exits at its violated bound; the
 // entering column comes from a bound-flipping dual ratio test: candidates
@@ -883,8 +626,8 @@ func (t *Tableau) bIterate(objRow []float64, colLimit, width int) Status {
 // basis change) rather than entered — which would overshoot its own
 // bounds and cascade new violations. Returns StatusOptimal (primal
 // feasible), StatusInfeasible or StatusIterLimit.
-func (t *Tableau) bDualIterate(objRow []float64) Status {
-	width := t.pivotWidth()
+func (t *Tableau) dualIterate() Status {
+	objRow := t.objRow
 	noProgress := 0
 	for ; t.iters < t.maxIters; t.iters++ {
 		if t.cancelled() {
@@ -1036,7 +779,7 @@ func (t *Tableau) bDualIterate(objRow []float64) Status {
 		newVal := t.colVal(col) + move
 		t.basicRow[bi] = -1
 		t.atUpper[bi] = !tooLow
-		t.bElim(r, col, width, objRow)
+		t.elim(r, col, t.artStart)
 		t.basis[r] = col
 		t.basicRow[col] = r
 		t.rhs[r] = newVal
@@ -1049,9 +792,9 @@ func (t *Tableau) bDualIterate(objRow []float64) Status {
 	return StatusIterLimit
 }
 
-// bTwoPhase runs the cold bounded-variable solve on the current state:
+// twoPhase runs the cold bounded-variable solve on the current state:
 // phase 1 over the artificial sum, artificial drive-out, then phase 2.
-func (t *Tableau) bTwoPhase() Status {
+func (t *Tableau) twoPhase() Status {
 	if t.numArt > 0 {
 		for j := range t.phase1 {
 			t.phase1[j] = 0
@@ -1059,8 +802,8 @@ func (t *Tableau) bTwoPhase() Status {
 		for j := t.artStart; j < t.totalCols; j++ {
 			t.phase1[j] = 1
 		}
-		t.objectiveRowInto(t.phase1, t.objRow, t.totalCols)
-		st := t.bIterate(t.objRow, t.totalCols, t.totalCols)
+		t.loadObjective(t.phase1, t.totalCols)
+		st := t.iterate(t.totalCols, t.totalCols)
 		if st != StatusOptimal {
 			return st
 		}
@@ -1078,7 +821,6 @@ func (t *Tableau) bTwoPhase() Status {
 		// The artificial's value is ~0, so this is a representation swap
 		// at an unchanged point: the entering column keeps its resting
 		// value, which becomes the new basic value.
-		width := t.pivotWidth()
 		for i := 0; i < t.m; i++ {
 			if t.basis[i] < t.artStart {
 				continue
@@ -1090,7 +832,7 @@ func (t *Tableau) bTwoPhase() Status {
 					t.basicRow[leaving] = -1
 					t.atUpper[leaving] = false
 					newVal := t.colVal(j)
-					t.bElim(i, j, width, t.objRow)
+					t.elim(i, j, t.artStart)
 					t.basis[i] = j
 					t.basicRow[j] = i
 					t.rhs[i] = newVal
@@ -1101,13 +843,14 @@ func (t *Tableau) bTwoPhase() Status {
 		}
 	}
 
-	width := t.pivotWidth()
-	t.objectiveRowInto(t.obj, t.objRow, width)
-	return t.bIterate(t.objRow, t.artStart, width)
+	// Phase 2 never reads the artificial block again, so pivots and the
+	// objective row stop updating it.
+	t.loadObjective(t.obj, t.artStart)
+	return t.iterate(t.artStart, t.artStart)
 }
 
-// bExtract reads the solution out of an optimal bounded-variable basis.
-func (t *Tableau) bExtract() *Solution {
+// extract reads the solution out of an optimal bounded-variable basis.
+func (t *Tableau) extract() *Solution {
 	sol := &Solution{Iters: t.iters}
 	for i := 0; i < t.m; i++ {
 		if t.basis[i] >= t.artStart && math.Abs(t.rhs[i]) > 1e-6 {
@@ -1133,12 +876,12 @@ func (t *Tableau) bExtract() *Solution {
 	return sol
 }
 
-// bPatch loads new variable bounds into the columns. A basic column just
+// patch loads new variable bounds into the columns. A basic column just
 // takes the new bounds (dual simplex repairs any violation); a nonbasic
 // column rests on a bound, so its value shifts with that bound and every
 // basic value is updated by -delta times the column — O(m) per changed
 // variable.
-func (t *Tableau) bPatch(lo, hi []float64) {
+func (t *Tableau) patch(lo, hi []float64) {
 	for i := 0; i < t.numVars; i++ {
 		nl := lo[i] - t.lo0[i]
 		nu := hi[i] - t.lo0[i] // +Inf stays +Inf
@@ -1177,13 +920,11 @@ func (t *Tableau) bPatch(lo, hi []float64) {
 // bounds: the bounds are patched onto the columns in place and dual
 // simplex restores feasibility from the previous optimal basis, falling
 // back to one cold base solve plus a patch when the warm basis cannot
-// absorb the change. Returns ErrWarmStart when even the cold retry fails
+// absorb the change. Returns ErrWarmStart when the base program is
+// unbounded (no optimal basis to repair from) or even the cold retry fails
 // numerically (the caller should rebuild from the Problem); otherwise the
 // Solution status is authoritative (StatusInfeasible for empty nodes).
 func (t *Tableau) ReSolve(lo, hi []float64) (*Solution, error) {
-	if !t.resolvable {
-		return nil, ErrWarmStart
-	}
 	if len(lo) != t.numVars || len(hi) != t.numVars {
 		return nil, errors.New("lp: ReSolve bounds length mismatch")
 	}
@@ -1197,8 +938,8 @@ func (t *Tableau) ReSolve(lo, hi []float64) (*Solution, error) {
 	}
 	t.iters = 0
 	if t.solved {
-		t.bPatch(lo, hi)
-		if sol, ok := t.bDualPrimal(); ok {
+		t.patch(lo, hi)
+		if sol, ok := t.dualPrimal(); ok {
 			return sol, nil
 		}
 	}
@@ -1207,7 +948,7 @@ func (t *Tableau) ReSolve(lo, hi []float64) (*Solution, error) {
 	// bounds and repair.
 	t.restore()
 	t.iters = 0
-	st := t.bTwoPhase()
+	st := t.twoPhase()
 	switch st {
 	case StatusInfeasible:
 		// The base box is infeasible; callers only tighten it (branch-and-
@@ -1218,34 +959,33 @@ func (t *Tableau) ReSolve(lo, hi []float64) (*Solution, error) {
 		return nil, ErrWarmStart
 	}
 	t.solved = true
-	t.bPatch(lo, hi)
-	if sol, ok := t.bDualPrimal(); ok {
+	t.patch(lo, hi)
+	if sol, ok := t.dualPrimal(); ok {
 		return sol, nil
 	}
 	t.solved = false
 	return nil, ErrWarmStart
 }
 
-// bDualPrimal runs dual simplex to primal feasibility, then a primal
+// dualPrimal runs dual simplex to primal feasibility, then a primal
 // polish, on the already-loaded basis. ok=false means the basis could not
 // be repaired (iteration limit or numerical degradation) and the caller
 // should recover cold.
-func (t *Tableau) bDualPrimal() (*Solution, bool) {
-	width := t.pivotWidth()
-	t.objectiveRowInto(t.obj, t.objRow, width)
-	switch t.bDualIterate(t.objRow) {
+func (t *Tableau) dualPrimal() (*Solution, bool) {
+	t.loadObjective(t.obj, t.artStart)
+	switch t.dualIterate() {
 	case StatusIterLimit:
 		return nil, false
 	case StatusInfeasible:
 		return &Solution{Status: StatusInfeasible, Iters: t.iters}, true
 	}
-	switch t.bIterate(t.objRow, t.artStart, width) {
+	switch t.iterate(t.artStart, t.artStart) {
 	case StatusIterLimit:
 		return nil, false
 	case StatusUnbounded:
 		return &Solution{Status: StatusUnbounded, Iters: t.iters}, true
 	}
-	sol := t.bExtract()
+	sol := t.extract()
 	if sol.Status != StatusOptimal {
 		// An artificial crept back to a nonzero value: numerically
 		// degraded, not a trustworthy infeasibility verdict.

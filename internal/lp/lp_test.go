@@ -1,7 +1,6 @@
 package lp
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -300,12 +299,11 @@ func TestOpString(t *testing.T) {
 	}
 }
 
-// buildTableauReference is the builder buildTableau replaced, kept
-// verbatim (minus the construction-time snapshot, which no longer
-// exists): a dense row per constraint, normalized, then copied into the
-// flat matrix. TestBuildTableauEquivalence holds the direct-fill builder
-// to it bit for bit.
-func buildTableauReference(p *Problem, resolvable bool) (*Tableau, error) {
+// buildTableauReference is the dense-row builder NewTableau replaced: a
+// dense row per constraint, normalized, then copied into the flat matrix.
+// TestBuildTableauEquivalence holds the direct-fill builder to it bit for
+// bit.
+func buildTableauReference(p *Problem) (*Tableau, error) {
 	// Shifted rows: substitute x = lo + x'.
 	type row struct {
 		coeffs []float64
@@ -320,16 +318,6 @@ func buildTableauReference(p *Problem, resolvable bool) (*Tableau, error) {
 			r.rhs -= t.Coeff * p.lo[t.Var]
 		}
 		rows = append(rows, r)
-	}
-	if !resolvable {
-		for i := 0; i < p.numVars; i++ {
-			if math.IsInf(p.hi[i], 1) {
-				continue
-			}
-			r := row{coeffs: make([]float64, p.numVars), op: LE, rhs: p.hi[i] - p.lo[i]}
-			r.coeffs[i] = 1
-			rows = append(rows, r)
-		}
 	}
 	// Normalize to rhs ≥ 0.
 	for i := range rows {
@@ -362,7 +350,7 @@ func buildTableauReference(p *Problem, resolvable bool) (*Tableau, error) {
 		}
 	}
 	t := &Tableau{
-		m: m, n: p.numVars,
+		m:         m,
 		totalCols: p.numVars + numSlack + numArt,
 		numArt:    numArt,
 		artStart:  p.numVars + numSlack,
@@ -405,32 +393,28 @@ func buildTableauReference(p *Problem, resolvable bool) (*Tableau, error) {
 		t.objShift += p.c[i] * p.lo[i]
 	}
 
-	t.objRow = make([]float64, t.totalCols+1)
+	t.objRow = make([]float64, t.totalCols)
 	t.phase1 = make([]float64, t.totalCols)
-	t.xbuf = make([]float64, t.totalCols)
 
-	if resolvable {
-		t.resolvable = true
-		t.colLo = make([]float64, t.totalCols)
-		t.colUp = make([]float64, t.totalCols)
-		t.atUpper = make([]bool, t.totalCols)
-		t.basicRow = make([]int, t.totalCols)
-		for j := range t.colUp {
-			t.colUp[j] = math.Inf(1)
+	t.colLo = make([]float64, t.totalCols)
+	t.colUp = make([]float64, t.totalCols)
+	t.atUpper = make([]bool, t.totalCols)
+	t.basicRow = make([]int, t.totalCols)
+	for j := range t.colUp {
+		t.colUp[j] = math.Inf(1)
+	}
+	for i := 0; i < p.numVars; i++ {
+		ub := p.hi[i] - p.lo[i]
+		if ub < 0 {
+			ub = 0
 		}
-		for i := 0; i < p.numVars; i++ {
-			ub := p.hi[i] - p.lo[i]
-			if ub < 0 {
-				ub = 0
-			}
-			t.colUp[i] = ub
-		}
-		for j := range t.basicRow {
-			t.basicRow[j] = -1
-		}
-		for i, b := range t.basis {
-			t.basicRow[b] = i
-		}
+		t.colUp[i] = ub
+	}
+	for j := range t.basicRow {
+		t.basicRow[j] = -1
+	}
+	for i, b := range t.basis {
+		t.basicRow[b] = i
 	}
 	return t, nil
 }
@@ -546,28 +530,22 @@ func TestBuildTableauEquivalence(t *testing.T) {
 		"flow":             flowShapeProblem(6, 5),
 		"schedule-MILP":    scheduleShapeProblem(),
 	} {
-		for _, resolvable := range []bool{false, true} {
-			what := fmt.Sprintf("%s resolvable=%v", name, resolvable)
-			got, err := buildTableau(p, resolvable)
-			if err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
-			want, _ := buildTableauReference(p, resolvable)
-			sameLayout(what, got, want)
-			gs, _ := got.Solve()
-			ws, _ := want.Solve()
-			sameSolution(what, gs, ws)
-			if !resolvable {
-				continue
-			}
-			// A second cold solve starts from the refilled construction
-			// state: same layout as a fresh reference, same answer.
-			got.restore()
-			fresh, _ := buildTableauReference(p, true)
-			sameLayout(what+" refilled", got, fresh)
-			again, _ := got.Solve()
-			sameSolution(what+" second solve", again, ws)
+		got, err := NewTableau(p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		want, _ := buildTableauReference(p)
+		sameLayout(name, got, want)
+		gs, _ := got.Solve()
+		ws, _ := want.Solve()
+		sameSolution(name, gs, ws)
+		// A second cold solve starts from the refilled construction
+		// state: same layout as a fresh reference, same answer.
+		got.restore()
+		fresh, _ := buildTableauReference(p)
+		sameLayout(name+" refilled", got, fresh)
+		again, _ := got.Solve()
+		sameSolution(name+" second solve", again, ws)
 	}
 }
 

@@ -8,12 +8,14 @@ import (
 
 // TestReSolveMatchesFresh: warm-started re-solves under randomized bound
 // changes agree — status, objective, and feasibility — with a cold solve
-// of the same tightened problem.
+// of the same tightened problem: the dual-simplex repair of one tableau
+// held to the two-phase primal simplex on a fresh one. Both run on the
+// same engine; TestLPMatchesVertexEnumeration is the independent oracle.
 func TestReSolveMatchesFresh(t *testing.T) {
 	for _, seed := range []uint64{3, 11, 29} {
 		p := benchProblem(24, 20, seed)
 		n := p.NumVars()
-		tab, err := NewResolvableTableau(p)
+		tab, err := NewTableau(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +79,7 @@ func TestReSolveDegenerateCycling(t *testing.T) {
 	p.AddConstraint([]Term{{0, 0.5}, {1, -90}, {2, -0.02}, {3, 3}}, LE, 0)
 	p.AddConstraint([]Term{{2, 1}}, LE, 1)
 
-	tab, err := NewResolvableTableau(p)
+	tab, err := NewTableau(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +135,7 @@ func TestReSolveDegenerateCycling(t *testing.T) {
 func TestReSolveEmptyBox(t *testing.T) {
 	p := benchProblem(10, 8, 5)
 	n := p.NumVars()
-	tab, err := NewResolvableTableau(p)
+	tab, err := NewTableau(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +175,7 @@ func TestReSolveInfiniteUpper(t *testing.T) {
 	p.SetObjective(0, -1) // maximize x0
 	p.SetObjective(1, -1)
 	p.AddConstraint([]Term{{0, 1}, {1, 1}}, LE, 10)
-	tab, err := NewResolvableTableau(p)
+	tab, err := NewTableau(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,12 +8,12 @@
 // accuracy/efficiency knobs (τ, E) while staying dependency-free.
 //
 // Nodes carry only their (branchVar, bound) delta against the parent;
-// one resolvable tableau (lp.NewResolvableTableau) is re-solved warm per
-// node — a right-hand-side patch plus a few dual simplex pivots — instead
-// of cloning and rebuilding the whole LP. The search is one best-first
-// loop on the caller's goroutine, so the solution, the node count and the
-// pivot count are a function of the problem and the options alone;
-// parallelism lives one level up, across sub-demands (core.Options.Workers).
+// one tableau (lp.NewTableau) is re-solved warm per node — a
+// right-hand-side patch plus a few dual simplex pivots — instead of
+// cloning and rebuilding the whole LP. The search is one best-first loop
+// on the caller's goroutine, so the solution, the node count and the pivot
+// count are a function of the problem and the options alone; parallelism
+// lives one level up, across sub-demands (core.Options.Workers).
 //
 // Effort is bounded by deterministic budgets (MaxNodes, MaxLPIters) and
 // by the caller's context; a search cut short returns the best incumbent
@@ -215,7 +215,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 	for i := 0; i < n; i++ {
 		s.baseLo[i], s.baseHi[i] = p.LP.Bounds(i)
 	}
-	s.tab, _ = lp.NewResolvableTableau(p.LP)
+	s.tab, _ = lp.NewTableau(p.LP)
 	if s.tab != nil && ctx.Done() != nil {
 		// Cancellation reaches into the pivot loop: a cancelled node solve
 		// returns StatusIterLimit and is recorded as unresolved, exactly

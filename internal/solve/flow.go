@@ -172,7 +172,7 @@ func flowLP(ctx context.Context, d *Demand, cost []float64, maxRows int) (tStar 
 		prob.AddConstraint(ingress, lp.LE, 0)
 	}
 
-	tab, err := lp.NewResolvableTableau(prob)
+	tab, err := lp.NewTableau(prob)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -25,7 +25,7 @@ go build ./...
 echo "== go test -count=10 (determinism-sensitive leaves, uncached) =="
 # The solver stack and the sketch search (which feeds the sketch-cache
 # and plan keys) promise the same bytes every run; one cached or lucky
-# pass cannot show that, ten uncached ones in a row can (about 2 s).
+# pass cannot show that, ten uncached ones in a row can (about 5 s).
 go test -count=10 ./internal/lp ./internal/milp ./internal/solve ./internal/sketch
 
 echo "== go test =="
@@ -56,6 +56,7 @@ go test ./internal/serve/ -run='^$' -fuzz='^FuzzDecodeStream$' -fuzztime="$FUZZT
 go test ./internal/topology/ -run='^$' -fuzz='^FuzzDecodeDelta$' -fuzztime="$FUZZTIME"
 go test ./internal/solve/ -run='^$' -fuzz='^FuzzFlowBound$' -fuzztime="$FUZZTIME"
 go test ./internal/solve/ -run='^$' -fuzz='^FuzzGreedyEquivalence$' -fuzztime="$FUZZTIME"
+go test ./internal/lp/ -run='^$' -fuzz='^FuzzLPOracle$' -fuzztime="$FUZZTIME"
 go test ./internal/persist/ -run='^$' -fuzz='^FuzzPersistDecode$' -fuzztime="$FUZZTIME"
 go test ./internal/lru/ -run='^$' -fuzz='^FuzzLRUModel$' -fuzztime="$FUZZTIME"
 go test ./internal/schedule/ -run='^$' -fuzz='^FuzzValidateEquivalence$' -fuzztime="$FUZZTIME"
