@@ -13,9 +13,9 @@ import (
 // Flow-relaxation candidate pruning: between the coarse and fine passes,
 // each surviving candidate gets a provable lower bound on the simulated
 // completion time of ANY schedule realizing its combination. Candidates
-// whose bound already exceeds the incumbent's simulated coarse time can
-// never win the fine pass (fine times only count when strictly better
-// than the incumbent's), so their MILPs are never built. When the
+// whose bound already reaches the incumbent's simulated coarse time can
+// at best tie it in the fine pass (fine times only count when strictly
+// better than the incumbent's), so their MILPs are never built. When the
 // incumbent itself meets its own bound and every rival is pruned, the
 // fine pass is skipped entirely — the coarse schedule is optimal under
 // the port model and the run reports ProvedOptimal.
@@ -36,19 +36,34 @@ import (
 //     α+β·b hop lower-bounds the piece's last delivery. Unknown sources
 //     (original holders) contribute 0, keeping the chain conservative.
 //
-// Pruning is deterministic (the LP is) and strictly conservative: a
-// candidate is dropped only when its bound strictly exceeds the
-// incumbent's achieved time, so the fine-pass winner — and the final
-// schedule bytes — are identical with and without pruning, for any
-// Workers setting. A cancelled bound LP yields 0 (no bound, keep the
-// candidate); anytime semantics are unaffected.
+// Pruning is deterministic (the LP is): a candidate is dropped when its
+// bound reaches the incumbent's achieved time to within boundSlack, the
+// same relative tolerance the optimality proof accepts — a rival that
+// could at best tie, or win by less than floating-point rounding of the
+// bound, is not worth its MILPs. The fine-pass winner, and the final
+// schedule bytes, are therefore the same for any Workers setting. A
+// cancelled bound LP yields 0 (no bound, keep the candidate); anytime
+// semantics are unaffected.
+
+// boundSlack is the relative tolerance of both bound decisions: pruning
+// a rival and proving the incumbent optimal. A bound and a simulated
+// time that are equal in exact arithmetic can round either way by a few
+// ulps, depending on how the LP was formulated.
+const boundSlack = 1e-9
+
+// boundReaches reports whether lower bound lb reaches time t within
+// boundSlack. A missing bound (0) reaches nothing.
+func boundReaches(lb, t float64) bool {
+	return lb > 0 && lb*(1+boundSlack) >= t
+}
 
 // demandTimeBounds returns, indexed by demand id, the seconds lower bound
 // of every demand the candidates' cells use: served by opts.BoundCache or
 // computed by one solve.FlowTimeBound LP per distinct demand, and 0 where
 // unavailable (cancelled LP). The LPs of the cache misses run through
 // parallelFor in first-occurrence order and are joined serially, so the
-// result does not depend on Workers.
+// result does not depend on Workers; the span records the simplex pivots
+// they spent (the lp.pivots counter stays the exact engine's).
 func demandTimeBounds(ctx context.Context, tab *isomorph.Table, cands []*candidate, opts Options, span *obs.Span) []float64 {
 	ids, _, cells := distinctCells(tab, cands)
 	sec := make([]float64, tab.Len())
@@ -63,8 +78,10 @@ func demandTimeBounds(ctx context.Context, tab *isomorph.Table, cands []*candida
 		misses = append(misses, id)
 	}
 	solved := make([]bool, len(misses))
+	pivots := make([]int, len(misses))
 	parallelFor(len(misses), opts.Workers, func(k int) {
-		v, _, err := solve.FlowTimeBound(ctx, tab.Demand(misses[k]))
+		v, n, err := solve.FlowTimeBound(ctx, tab.Demand(misses[k]))
+		pivots[k] = n
 		if err == nil {
 			sec[misses[k]], solved[k] = v, true
 		}
@@ -79,6 +96,11 @@ func demandTimeBounds(ctx context.Context, tab *isomorph.Table, cands []*candida
 	span.SetInt("cells", int64(cells))
 	span.SetInt("distinct", int64(len(ids)))
 	span.SetInt("lps", int64(len(misses)))
+	total := 0
+	for _, n := range pivots {
+		total += n
+	}
+	span.SetInt("pivots", int64(total))
 	return sec
 }
 
@@ -209,7 +231,7 @@ func pruneByBound(ctx context.Context, top *topology.Topology, tab *isomorph.Tab
 		if i == 0 {
 			continue
 		}
-		if lbs[i] > incumbent.time {
+		if boundReaches(lbs[i], incumbent.time) {
 			stats.PrunedLB++
 			continue
 		}
@@ -219,7 +241,7 @@ func pruneByBound(ctx context.Context, top *topology.Topology, tab *isomorph.Tab
 	bs.SetInt("bounds", int64(stats.BoundsComputed))
 	bs.SetInt("pruned", int64(stats.PrunedLB))
 	bs.SetFloat("incumbent-lb", incLB)
-	proved := incLB > 0 && incumbent.time <= incLB*(1+1e-9) && len(kept) == 1
+	proved := boundReaches(incLB, incumbent.time) && len(kept) == 1
 	if proved {
 		bs.SetStr("outcome", "proved-optimal")
 	}

@@ -112,3 +112,27 @@ func TestBoundStatsPopulated(t *testing.T) {
 		t.Errorf("no bounds computed: %+v", res.Stats)
 	}
 }
+
+// TestBoundReaches pins the one tolerance of both bound decisions: a
+// bound within rounding of the incumbent's time, on either side, prunes
+// the rival (and proves the incumbent); a bound measurably below keeps
+// it, and a missing bound reaches nothing.
+func TestBoundReaches(t *testing.T) {
+	const inc = 3.0517578125e-4
+	for _, tc := range []struct {
+		name string
+		lb   float64
+		want bool
+	}{
+		{"equal", inc, true},
+		{"1e-15 above", inc * (1 + 1e-15), true},
+		{"1e-15 below", inc * (1 - 1e-15), true},
+		{"above", 2 * inc, true},
+		{"1e-6 below", inc * (1 - 1e-6), false},
+		{"no bound", 0, false},
+	} {
+		if got := boundReaches(tc.lb, inc); got != tc.want {
+			t.Errorf("%s: boundReaches(%.17g, %.17g) = %v, want %v", tc.name, tc.lb, inc, got, tc.want)
+		}
+	}
+}

@@ -37,14 +37,14 @@ func TestSynthesizeRecordsSpansAndCounters(t *testing.T) {
 
 	// The passes say how much of their work was repetition: cells pooled,
 	// distinct demands among them, classes solved; the bound pass, cells,
-	// distinct demands and LPs actually run.
+	// distinct demands, LPs actually run and the pivots they spent.
 	for _, sp := range rec.Spans() {
 		var want []string
 		switch sp.Name {
 		case "solve.coarse", "solve.fine":
 			want = []string{"demands", "distinct", "classes"}
 		case "solve.bound":
-			want = []string{"cells", "distinct", "lps"}
+			want = []string{"cells", "distinct", "lps", "pivots"}
 		default:
 			continue
 		}
@@ -150,7 +150,7 @@ func TestExactSolveProofCounters(t *testing.T) {
 			"solve.exact.bound_proved": 110,
 			"solve.exact.flow_proved":  23,
 			"milp.nodes":               0,
-			"solve.too_large":          64,
+			"solve.too_large":          58,
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -419,7 +419,8 @@ func buildTableauReference(p *Problem) (*Tableau, error) {
 	return t, nil
 }
 
-// flowShapeProblem is solve.flowLP's relaxation for `pieces` broadcast
+// flowShapeProblem is solve's per-(piece, GPU) flow relaxation (the
+// reference its quotient LP is tested against) for `pieces` broadcast
 // pieces over n GPUs (lp cannot import solve): fixed and unit-lower
 // bounds, EQ / GE / LE rows, a shared makespan variable.
 func flowShapeProblem(n, pieces int) *Problem {
