@@ -190,7 +190,68 @@ func buildCombinations(ctx context.Context, top *topology.Topology, col *collect
 	if len(combos) > 2*opts.MaxCombos {
 		combos = combos[:2*opts.MaxCombos]
 	}
+	// Pipelined pieces: on the one-to-all path every combination also
+	// runs split k ways along time, the same mechanism as the §4.2
+	// step-2 split across sketches. The all-to-all expansion already
+	// pipelines across its N roots.
+	if !allToAll {
+		for _, c := range combos[:len(combos):len(combos)] {
+			if k := splitFactor(top, col.ChunkSize, c); k > 1 {
+				combos = append(combos, c.Split(k))
+			}
+		}
+	}
 	return combos
+}
+
+// maxSplit caps the pipelining factor of a split combination: k = 16
+// buys little over k = 8 (NCCL's time over ours 1.637 against 1.571 on
+// the 8-GPU server's 64 MiB Broadcast) for 1.4× the synthesis time
+// (DESIGN.md, "Pipelined pieces").
+const maxSplit = 8
+
+// splitFactor is how many ways combination c splits along time: the
+// largest power of two k ≤ maxSplit that keeps every piece at least the
+// Hockney half-bandwidth size n½ = α/β of every (dim, group) it crosses,
+// and keeps k times the deliveries of the combination's largest cell
+// within solve.FlattenDeliveries, so no split cell leaves the search
+// engines. 1: no split.
+func splitFactor(top *topology.Topology, chunkBytes float64, c *sketch.Combination) int {
+	k := maxSplit
+	cells := map[cellKey]int{}
+	var tree sketch.ScatterTree
+	for j, sk := range c.Sketches {
+		frac := c.Fracs[j]
+		if frac <= 0 {
+			continue
+		}
+		if sk.Scatter && tree.Build(sk, top.NumGPUs()) != nil {
+			return 1 // newAssembly rejects it
+		}
+		bytes := frac * chunkBytes
+		for st, stage := range sk.Stages {
+			for _, sd := range stage {
+				dim := top.Dim(sd.Dim)
+				for k > 1 && bytes/float64(k) < dim.AlphaOf(sd.Group)/dim.BetaOf(sd.Group) {
+					k /= 2
+				}
+				m := len(sd.Dsts)
+				if sk.Scatter {
+					m = 0
+					for _, w := range sd.Dsts {
+						m += tree.Size(w)
+					}
+				}
+				cells[cellKey{st, sd.Dim, sd.Group}] += m
+			}
+		}
+	}
+	for _, m := range cells {
+		for k > 1 && k*m > solve.FlattenDeliveries {
+			k /= 2
+		}
+	}
+	return k
 }
 
 // fillMissingRoots completes a partially-expanded all-to-all combination

@@ -124,13 +124,19 @@ func TestNilRecorderSameResult(t *testing.T) {
 	}
 }
 
-// The exact engine says why no MILP ran. On server8:broadcast:64M every
+// The exact engine says why no MILP ran. On server8:broadcast:1M every
 // exact solve ends at one of its bound exits, so the three proof
-// counters are pinned together with the zero the bounds buy. Over the
-// whole cold-digest matrix the totals pin the solver census: the flow
-// bound closes 23 of the 133 exact solves the postal bound leaves open,
-// no exact solve builds a MILP, and 64 sub-demands are over the exact
-// engine's size gate and solved greedily.
+// counters are pinned together with the zero the bounds buy. The 64 MiB
+// case is won by an 8-way split whose fine-pass cell (8 pieces × 56
+// arcs) is over the size gate before any bound is computed. On
+// dgx4:broadcast:64M the split cell (8 pieces × 12 arcs) passes the
+// per-epoch gate, the flow bound raises the floor without proving the
+// greedy makespan, and the first horizon's time expansion is over the
+// gate: the solve counts as too large and builds no MILP (DESIGN.md,
+// "Pipelined pieces"). Over the whole cold-digest matrix the totals pin
+// the solver census: the flow bound closes 23 of the 87 exact solves the
+// postal bound leaves open, no exact solve builds a MILP, and 110
+// sub-demands are over the exact engine's size gate and solved greedily.
 func TestExactSolveProofCounters(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -138,6 +144,14 @@ func TestExactSolveProofCounters(t *testing.T) {
 		want  map[string]float64
 	}{
 		{"server8:broadcast:64M", []string{"server8:broadcast:64M"}, map[string]float64{
+			"solve.exact":                  0,
+			"solve.exact.bound_proved":     0,
+			"solve.exact.flow_proved":      0,
+			"solve.exact.horizons_skipped": 0,
+			"milp.nodes":                   0,
+			"solve.too_large":              1,
+		}},
+		{"server8:broadcast:1M", []string{"server8:broadcast:1M"}, map[string]float64{
 			"solve.exact":                  5,
 			"solve.exact.bound_proved":     5,
 			"solve.exact.flow_proved":      0,
@@ -145,12 +159,20 @@ func TestExactSolveProofCounters(t *testing.T) {
 			"milp.nodes":                   0,
 			"solve.too_large":              0,
 		}},
+		{"dgx4:broadcast:64M", []string{"dgx4:broadcast:64M"}, map[string]float64{
+			"solve.exact":                  1,
+			"solve.exact.bound_proved":     0,
+			"solve.exact.flow_proved":      0,
+			"solve.exact.horizons_skipped": 1,
+			"milp.nodes":                   0,
+			"solve.too_large":              1,
+		}},
 		{"cold digest matrix", coldDigestSpecs(), map[string]float64{
-			"solve.exact":              133,
-			"solve.exact.bound_proved": 110,
+			"solve.exact":              87,
+			"solve.exact.bound_proved": 60,
 			"solve.exact.flow_proved":  23,
 			"milp.nodes":               0,
-			"solve.too_large":          58,
+			"solve.too_large":          110,
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

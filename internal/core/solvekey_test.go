@@ -16,6 +16,7 @@ var solveKeysByFormat = map[int]struct{ coarse, fine string }{
 	3: {"e3|g1|tau0|mb384|s0|fbfalse", "e0.5|g0|tau0|mb384|s0|fbfalse"},
 	4: {"e3|g1|s0", "e0.5|g0|s0"},
 	5: {"e3|g1|s0", "e0.5|g0|s0"}, // v4's keys; the over-gate fine-pass solver changed
+	6: {"e3|g1|s0", "e0.5|g0|s0"}, // v5's keys; the exact engine's pivot budget counts every pivot
 }
 
 func TestSolveKeysPinnedToFormatVersion(t *testing.T) {

@@ -217,7 +217,9 @@ type Tableau struct {
 	numArt    int
 	artStart  int
 	iters     int
-	maxIters  int
+	maxIters  int // pivot cap of one Solve or ReSolve call, from the size
+	iterCap   int // caller's tighter cap (SetIterLimit), 0: none
+	stopAt    int // the cap in force for the running call
 
 	numVars int
 	c       []float64 // problem objective (copy)
@@ -257,6 +259,21 @@ const cancelCheckMask = 63
 // polled from the primal and dual pivot loops; when it returns true the
 // running solve stops and reports StatusIterLimit.
 func (t *Tableau) SetCancel(cancel func() bool) { t.cancel = cancel }
+
+// SetIterLimit caps the pivots of every later Solve and ReSolve call at
+// n, below the size-derived cap (n ≤ 0 lifts the caller's cap). A call
+// that reaches it stops as it does at the size-derived one.
+func (t *Tableau) SetIterLimit(n int) { t.iterCap = n }
+
+// startCall resets the pivot count and fixes the cap of a Solve or
+// ReSolve call.
+func (t *Tableau) startCall() {
+	t.iters = 0
+	t.stopAt = t.maxIters
+	if t.iterCap > 0 && t.iterCap < t.stopAt {
+		t.stopAt = t.iterCap
+	}
+}
 
 // cancelled reports whether the installed poll requests an abort, checking
 // only every cancelCheckMask+1 iterations.
@@ -433,7 +450,7 @@ func (t *Tableau) loadObjective(cost []float64, width int) {
 // Solve runs a cold two-phase solve from the construction-time state
 // (base bounds).
 func (t *Tableau) Solve() (*Solution, error) {
-	t.iters = 0
+	t.startCall()
 	t.restore()
 	st := t.twoPhase()
 	if st != StatusOptimal {
@@ -504,7 +521,7 @@ func (t *Tableau) elim(row, col, width int) {
 func (t *Tableau) iterate(colLimit, width int) Status {
 	objRow := t.objRow
 	noProgress := 0
-	for ; t.iters < t.maxIters; t.iters++ {
+	for ; t.iters < t.stopAt; t.iters++ {
 		if t.cancelled() {
 			return StatusIterLimit
 		}
@@ -629,7 +646,7 @@ func (t *Tableau) iterate(colLimit, width int) Status {
 func (t *Tableau) dualIterate() Status {
 	objRow := t.objRow
 	noProgress := 0
-	for ; t.iters < t.maxIters; t.iters++ {
+	for ; t.iters < t.stopAt; t.iters++ {
 		if t.cancelled() {
 			return StatusIterLimit
 		}
@@ -920,8 +937,11 @@ func (t *Tableau) patch(lo, hi []float64) {
 // bounds: the bounds are patched onto the columns in place and dual
 // simplex restores feasibility from the previous optimal basis, falling
 // back to one cold base solve plus a patch when the warm basis cannot
-// absorb the change. Returns ErrWarmStart when the base program is
-// unbounded (no optimal basis to repair from) or even the cold retry fails
+// absorb the change. The warm attempt and the cold retry share one pivot
+// cap, and the returned Solution's Iters counts both on every path.
+// Returns ErrWarmStart, with a StatusIterLimit Solution carrying the
+// pivots spent, when the base program is unbounded (no optimal basis to
+// repair from), the cap runs out, or even the cold retry fails
 // numerically (the caller should rebuild from the Problem); otherwise the
 // Solution status is authoritative (StatusInfeasible for empty nodes).
 func (t *Tableau) ReSolve(lo, hi []float64) (*Solution, error) {
@@ -936,7 +956,7 @@ func (t *Tableau) ReSolve(lo, hi []float64) (*Solution, error) {
 			return &Solution{Status: StatusInfeasible}, nil
 		}
 	}
-	t.iters = 0
+	t.startCall()
 	if t.solved {
 		t.patch(lo, hi)
 		if sol, ok := t.dualPrimal(); ok {
@@ -947,7 +967,6 @@ func (t *Tableau) ReSolve(lo, hi []float64) (*Solution, error) {
 	// feasible start by construction there), then patch to the requested
 	// bounds and repair.
 	t.restore()
-	t.iters = 0
 	st := t.twoPhase()
 	switch st {
 	case StatusInfeasible:
@@ -956,7 +975,7 @@ func (t *Tableau) ReSolve(lo, hi []float64) (*Solution, error) {
 		return &Solution{Status: StatusInfeasible, Iters: t.iters}, nil
 	case StatusOptimal:
 	default:
-		return nil, ErrWarmStart
+		return &Solution{Status: StatusIterLimit, Iters: t.iters}, ErrWarmStart
 	}
 	t.solved = true
 	t.patch(lo, hi)
@@ -964,7 +983,7 @@ func (t *Tableau) ReSolve(lo, hi []float64) (*Solution, error) {
 		return sol, nil
 	}
 	t.solved = false
-	return nil, ErrWarmStart
+	return &Solution{Status: StatusIterLimit, Iters: t.iters}, ErrWarmStart
 }
 
 // dualPrimal runs dual simplex to primal feasibility, then a primal

@@ -202,3 +202,48 @@ func TestReSolveInfiniteUpper(t *testing.T) {
 		}
 	}
 }
+
+// TestReSolveIterLimit: a capped call stops at the cap on the warm path
+// and its cold retry alike, reports every pivot it spent, and hands the
+// node back with ErrWarmStart; lifting the cap restores the full solve.
+func TestReSolveIterLimit(t *testing.T) {
+	p := benchProblem(24, 20, 3)
+	n := p.NumVars()
+	tab, err := NewTableau(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := tab.Solve()
+	if err != nil || base.Status != StatusOptimal || base.Iters < 4 {
+		t.Fatalf("base solve: %v %+v", err, base)
+	}
+	lo := make([]float64, n)
+	hi := make([]float64, n)
+	for j := 0; j < n; j++ {
+		lo[j], hi[j] = p.Bounds(j)
+		if base.X[j] > lo[j]+1e-6 {
+			hi[j] = lo[j] + (base.X[j]-lo[j])/2 // cut every active variable
+		}
+	}
+	want, err := tab.ReSolve(lo, hi)
+	if err != nil || want.Iters < 2 {
+		t.Fatalf("uncapped ReSolve: %v %+v", err, want)
+	}
+	if _, err := tab.Solve(); err != nil { // back to the base basis
+		t.Fatal(err)
+	}
+	tab.SetIterLimit(1)
+	got, err := tab.ReSolve(lo, hi)
+	if err != ErrWarmStart || got == nil || got.Status != StatusIterLimit || got.Iters != 1 {
+		t.Fatalf("capped at 1: %v %+v, want ErrWarmStart after exactly 1 pivot", err, got)
+	}
+	tab.SetIterLimit(0)
+	if _, err := tab.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := tab.ReSolve(lo, hi)
+	if err != nil || again.Status != want.Status || again.Iters != want.Iters ||
+		math.Float64bits(again.Objective) != math.Float64bits(want.Objective) {
+		t.Fatalf("cap lifted: %v %+v, want %+v", err, again, want)
+	}
+}

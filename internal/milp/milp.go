@@ -54,11 +54,12 @@ func (p *Problem) SetBinary(i int) {
 type Options struct {
 	MaxNodes int // 0: default 100000
 	// MaxLPIters caps the simplex pivots summed over all node
-	// relaxations (0: unlimited). Like MaxNodes it is a deterministic
-	// effort bound — the same search truncates at the same node on any
-	// machine — while tracking actual work when nodes have very
-	// different relaxation costs. Checked between nodes, so the cap can
-	// overshoot by one node's pivots.
+	// relaxations (0: unlimited), the warm re-solves and their cold
+	// fallbacks alike. Like MaxNodes it is a deterministic effort bound —
+	// the same search truncates at the same node on any machine — while
+	// tracking actual work when nodes have very different relaxation
+	// costs. Each node's solve is capped at what is left, so the total
+	// never exceeds it; the node that runs it out is left unresolved.
 	MaxLPIters int
 }
 
@@ -238,11 +239,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 			continue
 		}
 		s.nodes++
-		ls := s.solveNode(nd)
-		if ls != nil {
-			s.iters += ls.Iters
-		}
-		s.finishNode(nd, ls)
+		s.finishNode(nd, s.solveNode(nd, maxIters-s.iters))
 	}
 	// A budget, the context or proved unboundedness ended the search:
 	// every node still open is an unresolved subtree.
@@ -288,17 +285,27 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 }
 
 // solveNode solves the node's LP relaxation, warm via the tableau with a
-// cold clone-and-rebuild fallback; it leaves the node's bound box in
-// s.lo/s.hi. Returns nil when the relaxation is infeasible or unusable.
-func (s *solver) solveNode(nd *node) *lp.Solution {
+// cold clone-and-rebuild fallback, within budget pivots over both, and
+// charges every pivot either spends to s.iters; it leaves the node's
+// bound box in s.lo/s.hi. Returns nil when the relaxation is infeasible
+// or unusable, and a StatusIterLimit solution when the budget ran out.
+func (s *solver) solveNode(nd *node, budget int) *lp.Solution {
 	nd.materialize(s.lo, s.hi, s.baseLo, s.baseHi)
 	if s.tab != nil {
+		s.tab.SetIterLimit(budget)
 		ls, err := s.tab.ReSolve(s.lo, s.hi)
+		if ls != nil {
+			s.iters += ls.Iters
+			budget -= ls.Iters
+		}
 		if err == nil && s.trusted(ls, nd) {
 			return ls
 		}
+		if budget <= 0 {
+			return &lp.Solution{Status: lp.StatusIterLimit}
+		}
 	}
-	return s.coldSolve()
+	return s.coldSolve(budget)
 }
 
 // trusted applies the warm-path safety nets: the child bound must not
@@ -319,17 +326,24 @@ func (s *solver) trusted(ls *lp.Solution, nd *node) bool {
 }
 
 // coldSolve clones the LP, tightens it to the node's bound box, rebuilds
-// and solves: the fallback whenever the warm tableau cannot absorb a
-// bound change or fails a safety check.
-func (s *solver) coldSolve() *lp.Solution {
+// and solves within budget pivots, charged to s.iters: the fallback
+// whenever the warm tableau cannot absorb a bound change or fails a
+// safety check.
+func (s *solver) coldSolve(budget int) *lp.Solution {
 	rel := s.p.LP.Clone()
 	for i := 0; i < s.n; i++ {
 		rel.SetBounds(i, s.lo[i], s.hi[i])
 	}
-	ls, err := rel.SolveCtx(s.ctx)
+	tab, err := lp.NewTableau(rel)
 	if err != nil {
 		return nil // empty bounds from branching: infeasible child
 	}
+	tab.SetIterLimit(budget)
+	if s.ctx.Done() != nil {
+		tab.SetCancel(func() bool { return s.ctx.Err() != nil })
+	}
+	ls, _ := tab.Solve()
+	s.iters += ls.Iters
 	return ls
 }
 

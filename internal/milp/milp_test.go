@@ -206,7 +206,7 @@ func TestStatusString(t *testing.T) {
 
 func TestMaxLPItersTruncatesDeterministically(t *testing.T) {
 	// A 20-item knapsack capped by pivots: the truncated search must
-	// report a pivot count near the cap, keep the incumbent it found, and
+	// report a pivot count within the cap, keep the incumbent it found, and
 	// — being a deterministic effort bound — land on the identical
 	// incumbent every run.
 	build := func() *Problem {
@@ -237,6 +237,9 @@ func TestMaxLPItersTruncatesDeterministically(t *testing.T) {
 		}
 		if s.Status != StatusFeasible && s.Status != StatusOptimal {
 			t.Fatalf("run %d: status %v, want feasible/optimal", run, s.Status)
+		}
+		if s.LPIters > cap {
+			t.Fatalf("run %d: %d pivots charged, over the cap %d", run, s.LPIters, cap)
 		}
 		if s.Status == StatusFeasible && s.LPIters >= full.LPIters {
 			t.Fatalf("run %d: cap %d did not truncate (%d pivots, full %d)", run, cap, s.LPIters, full.LPIters)

@@ -54,8 +54,12 @@ import (
 // looked up again. Version 5 has the v4 layout and keys, but EngineAuto
 // now solves instances over the exact engine's size gate with plain
 // greedy: a v4 entry for such a demand may hold a schedule from the
-// deleted LP-rounding backend that solving no longer returns.
-const FormatVersion = 5
+// deleted LP-rounding backend that solving no longer returns. Version 6
+// has the v5 layout and keys, but the exact engine's pivot budget now
+// also counts the warm re-solves that ran into their own pivot guard: a
+// v5 entry for a demand whose MILP burned such uncounted pivots may hold
+// a schedule a v6 solve, stopping at the budget, does not return.
+const FormatVersion = 6
 
 // Container kinds. Each file kind decodes only as itself, so a snapshot
 // can never be mistaken for a solve entry.

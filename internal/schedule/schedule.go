@@ -180,6 +180,28 @@ func (s *Schedule) Validate(col *collective.Collective) error {
 			cover[c] += p.Bytes
 		}
 	}
+	if col.Reduce {
+		// A reduction piece folds one contribution per source: covering
+		// two chunks of one source would count one payload as two.
+		// chunkOf[g] is 1 + the chunk of source g the piece covers.
+		chunkOf := make([]int, s.NumGPUs)
+		for pi, p := range s.Pieces {
+			if len(p.Chunks) < 2 {
+				continue
+			}
+			clear(chunkOf)
+			for _, c := range p.Chunks {
+				src := col.Chunks[c].Src
+				if src < 0 || src >= len(chunkOf) {
+					continue
+				}
+				if chunkOf[src] != 0 && chunkOf[src] != c+1 {
+					return fmt.Errorf("schedule: reduction piece %d covers chunks %d and %d of source %d", pi, chunkOf[src]-1, c, src)
+				}
+				chunkOf[src] = c + 1
+			}
+		}
+	}
 	const tol = 1e-6
 	for c, got := range cover {
 		if len(col.Chunks[c].Dsts) == 0 {

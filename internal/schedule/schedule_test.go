@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"strings"
 	"testing"
 
 	"syccl/internal/collective"
@@ -132,6 +133,55 @@ func TestSplitPiecesValidate(t *testing.T) {
 	s.AddTransfer(Transfer{Src: 2, Dst: 1, Piece: pb, Deps: []int{b0}})
 	if err := s.Validate(col); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestValidateReductionPieces is the edge table of the rule that a
+// reduction piece covers at most one chunk per source.
+func TestValidateReductionPieces(t *testing.T) {
+	// splitReduce is a 3-GPU Reduce to GPU 0 whose sources each hold
+	// two 50-byte chunks, the layout of a caller-split Reduce.
+	splitReduce := &collective.Collective{Kind: collective.KindReduce, NumGPUs: 3, ChunkSize: 50, Root: 0, Reduce: true}
+	for i, src := range []int{1, 1, 2, 2} {
+		splitReduce.Chunks = append(splitReduce.Chunks, collective.Chunk{ID: i, Src: src, Dsts: []int{0}})
+	}
+	// tree reduces every piece 2 → 1 → 0.
+	tree := func(pieces ...Piece) *Schedule {
+		s := &Schedule{NumGPUs: 3}
+		for _, p := range pieces {
+			id := s.AddPiece(p.Bytes, p.Chunks...)
+			in := s.AddTransfer(Transfer{Src: 2, Dst: 1, Piece: id})
+			s.AddTransfer(Transfer{Src: 1, Dst: 0, Piece: id, Deps: []int{in}})
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name    string
+		col     *collective.Collective
+		s       *Schedule
+		wantErr string // "" accepts
+	}{
+		{"one piece over both chunks of each source", splitReduce,
+			tree(Piece{Bytes: 50, Chunks: []int{0, 1, 2, 3}}),
+			"reduction piece 0 covers chunks 0 and 1 of source 1"},
+		{"one piece per chunk pair, one chunk per source", splitReduce,
+			tree(Piece{Bytes: 50, Chunks: []int{0, 2}}, Piece{Bytes: 50, Chunks: []int{1, 3}}), ""},
+		{"pipelined Reduce: k pieces of chunk/k, one chunk per source", collective.Reduce(3, 0, 100),
+			tree(Piece{Bytes: 25, Chunks: []int{0, 1}}, Piece{Bytes: 25, Chunks: []int{0, 1}},
+				Piece{Bytes: 25, Chunks: []int{0, 1}}, Piece{Bytes: 25, Chunks: []int{0, 1}}), ""},
+		{"ReduceScatter slice over two chunks of source 2", collective.ReduceScatter(3, 100),
+			tree(Piece{Bytes: 100, Chunks: []int{1, 3}}),
+			"reduction piece 0 covers chunks 1 and 3 of source 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.s.Validate(tc.col)
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Fatalf("got %v, want %q", err, tc.wantErr)
+			}
+		})
 	}
 }
 

@@ -81,6 +81,26 @@ func (s *Schedule) validateReference(col *collective.Collective) error {
 			cover[c] += p.Bytes
 		}
 	}
+	// The one-chunk-per-source rule for reduction pieces, added to
+	// Validate after the rewrite.
+	if col.Reduce {
+		for pi, p := range s.Pieces {
+			if len(p.Chunks) < 2 {
+				continue
+			}
+			seen := map[int]int{}
+			for _, c := range p.Chunks {
+				src := col.Chunks[c].Src
+				if src < 0 || src >= s.NumGPUs {
+					continue
+				}
+				if prev, ok := seen[src]; ok && prev != c {
+					return fmt.Errorf("schedule: reduction piece %d covers chunks %d and %d of source %d", pi, prev, c, src)
+				}
+				seen[src] = c
+			}
+		}
+	}
 	const tol = 1e-6
 	for c, got := range cover {
 		if len(col.Chunks[c].Dsts) == 0 {

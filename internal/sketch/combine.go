@@ -20,6 +20,22 @@ func Single(sk *Sketch) *Combination {
 	return &Combination{Sketches: []*Sketch{sk}, Fracs: []float64{1}}
 }
 
+// Split returns the combination pipelined k ways: every sketch repeated
+// k times in a row, each copy carrying Fracs/k of the chunk.
+func (c *Combination) Split(k int) *Combination {
+	out := &Combination{
+		Sketches: make([]*Sketch, 0, k*len(c.Sketches)),
+		Fracs:    make([]float64, 0, k*len(c.Fracs)),
+	}
+	for i, sk := range c.Sketches {
+		for j := 0; j < k; j++ {
+			out.Sketches = append(out.Sketches, sk)
+			out.Fracs = append(out.Fracs, c.Fracs[i]/float64(k))
+		}
+	}
+	return out
+}
+
 // Workload returns the fraction-weighted per-dimension, per-group
 // workload of the combination.
 func (c *Combination) Workload(top *topology.Topology) [][]float64 {
@@ -91,6 +107,23 @@ func deficit(w [][]float64) float64 {
 	return total
 }
 
+// deficitPlus is deficit(a + b), without building the sum.
+func deficitPlus(a, b [][]float64) float64 {
+	total := 0.0
+	for d := range a {
+		hi := 0.0
+		for g, v := range a[d] {
+			if s := v + b[d][g]; s > hi {
+				hi = s
+			}
+		}
+		for g, v := range a[d] {
+			total += hi - (v + b[d][g])
+		}
+	}
+	return total
+}
+
 // Replicate implements §4.2 step 1: it replicates the sketch through the
 // topology's symmetry action until the workload is balanced across groups
 // in every dimension, and returns the resulting equal-fraction
@@ -103,29 +136,30 @@ func Replicate(top *topology.Topology, sk *Sketch, maxReplicas int) *Combination
 
 	sketches := []*Sketch{sk}
 	load := sk.Workload(top)
-	add := func(a, b [][]float64) [][]float64 {
-		out := make([][]float64, len(a))
-		for d := range a {
-			out[d] = make([]float64, len(a[d]))
-			for g := range a[d] {
-				out[d][g] = a[d][g] + b[d][g]
-			}
-		}
-		return out
-	}
 
-	// Pre-map the sketch under every non-identity automorphism once.
+	// The workload of the sketch under every non-identity automorphism.
+	// A broadcast sketch's is its own moved group by group — each
+	// sub-demand lands in the group its sources map to — so only the
+	// replicas chosen below are mapped; a scatter sketch's depends on
+	// its mapped tree, so it is mapped up front.
 	type variant struct {
-		sk *Sketch
-		w  [][]float64
+		perm []int
+		sk   *Sketch
+		w    [][]float64
 	}
 	variants := make([]variant, 0, len(perms))
 	for _, p := range perms {
 		if isIdentityPerm(p) {
 			continue
 		}
-		m := sk.Map(top, p)
-		variants = append(variants, variant{m, m.Workload(top)})
+		v := variant{perm: p}
+		if sk.Scatter {
+			v.sk = sk.Map(top, p)
+			v.w = v.sk.Workload(top)
+		} else {
+			v.w = sk.mappedWorkload(top, p)
+		}
+		variants = append(variants, v)
 	}
 
 	for len(sketches) < maxReplicas {
@@ -135,7 +169,7 @@ func Replicate(top *topology.Topology, sk *Sketch, maxReplicas int) *Combination
 		}
 		bestIdx, bestScore := -1, cur
 		for i, v := range variants {
-			score := deficit(add(load, v.w))
+			score := deficitPlus(load, v.w)
 			if score < bestScore-1e-12 {
 				bestScore = score
 				bestIdx = i
@@ -144,8 +178,16 @@ func Replicate(top *topology.Topology, sk *Sketch, maxReplicas int) *Combination
 		if bestIdx < 0 {
 			break // no replica improves balance further
 		}
-		sketches = append(sketches, variants[bestIdx].sk)
-		load = add(load, variants[bestIdx].w)
+		v := &variants[bestIdx]
+		if v.sk == nil {
+			v.sk = sk.Map(top, v.perm)
+		}
+		sketches = append(sketches, v.sk)
+		for d := range load {
+			for g := range load[d] {
+				load[d][g] += v.w[d][g]
+			}
+		}
 	}
 
 	fracs := make([]float64, len(sketches))

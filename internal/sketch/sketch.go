@@ -7,6 +7,7 @@ package sketch
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -291,6 +292,22 @@ func (s *Sketch) Workload(top *topology.Topology) [][]float64 {
 	return w
 }
 
+// mappedWorkload is Workload of the broadcast sketch s.Map(top, perm):
+// every sub-demand's deliveries land in the group its sources map to.
+func (s *Sketch) mappedWorkload(top *topology.Topology, perm []int) [][]float64 {
+	w := make([][]float64, top.NumDims())
+	for d := range w {
+		w[d] = make([]float64, len(top.Dim(d).Groups))
+	}
+	for _, st := range s.Stages {
+		for _, sd := range st {
+			g := top.Dim(sd.Dim).GroupOf(perm[sd.Srcs[0]])
+			w[sd.Dim][g] += float64(len(sd.Dsts))
+		}
+	}
+	return w
+}
+
 // DimWorkload sums Workload over groups per dimension.
 func (s *Sketch) DimWorkload(top *topology.Topology) []float64 {
 	w := s.Workload(top)
@@ -306,20 +323,36 @@ func (s *Sketch) DimWorkload(top *topology.Topology) []float64 {
 // Map applies a GPU permutation to the sketch, recomputing group indices
 // from the topology. perm must be an automorphism (group-preserving), as
 // produced by topology.Symmetry.
+//
+// The stages' sub-demands and their GPU lists are cut, without spare
+// capacity, from one array each.
 func (s *Sketch) Map(top *topology.Topology, perm []int) *Sketch {
+	subs, gpus := 0, 0
+	for _, st := range s.Stages {
+		subs += len(st)
+		for _, sd := range st {
+			gpus += len(sd.Srcs) + len(sd.Dsts)
+		}
+	}
+	sds := make([]SubDemand, subs)
+	ids := make([]int, gpus)
+	mapped := func(from []int) []int {
+		if len(from) == 0 {
+			return nil
+		}
+		out := ids[:len(from):len(from)]
+		ids = ids[len(from):]
+		for i, v := range from {
+			out[i] = perm[v]
+		}
+		slices.Sort(out)
+		return out
+	}
 	out := &Sketch{Root: perm[s.Root], Scatter: s.Scatter, Stages: make([]Stage, len(s.Stages))}
 	for k, st := range s.Stages {
-		out.Stages[k] = make(Stage, len(st))
+		out.Stages[k], sds = sds[:len(st):len(st)], sds[len(st):]
 		for i, sd := range st {
-			nd := SubDemand{Dim: sd.Dim}
-			for _, v := range sd.Srcs {
-				nd.Srcs = append(nd.Srcs, perm[v])
-			}
-			for _, v := range sd.Dsts {
-				nd.Dsts = append(nd.Dsts, perm[v])
-			}
-			sort.Ints(nd.Srcs)
-			sort.Ints(nd.Dsts)
+			nd := SubDemand{Dim: sd.Dim, Srcs: mapped(sd.Srcs), Dsts: mapped(sd.Dsts)}
 			nd.Group = top.Dim(sd.Dim).GroupOf(nd.Srcs[0])
 			out.Stages[k][i] = nd
 		}

@@ -4,6 +4,9 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+	"time"
+
+	"syccl/internal/obs"
 )
 
 // doublingEpochs is the per-piece term lowerBoundEpochs used before the
@@ -159,4 +162,70 @@ func TestSolveHorizonShorterThanLatency(t *testing.T) {
 	if err != nil || s == nil || s.Epochs != 0 || len(s.Transfers) != 0 {
 		t.Fatalf("nothing owed: got %+v, %v; want the empty schedule", s, err)
 	}
+}
+
+// TestExactSolveEffortBounded holds the exact engine to its deterministic
+// effort bound on a pipelined broadcast cell: four interchangeable
+// 16 MiB pieces from GPU 0 to GPUs 1–3 over NVLink. Its horizon MILPs
+// are degenerate enough that a warm re-solve once ran to its own pivot
+// cap, dropped the count and fell back cold, so the solve ran until the
+// caller's deadline. Every pivot, warm and cold, is now charged against
+// the budgets.
+func TestExactSolveEffortBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("one goroutine spending a 20 000-pivot budget: nothing to race, 20× slower")
+	}
+	d := &Demand{NumGPUs: 4, Alpha: 3e-6, Beta: 1 / 180e9}
+	for i := 0; i < 4; i++ {
+		d.Pieces = append(d.Pieces, Piece{ID: i, Bytes: 16 << 20, Srcs: []int{0}, Dsts: []int{1, 2, 3}})
+	}
+	rec := obs.NewRecorder()
+	sp := rec.StartSpan("solve")
+	// The deadline only guards the test run; the assertions are on counts.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	s, err := SolveCtx(ctx, d, Options{E: 0.5, Engine: EngineAuto, Span: sp})
+	sp.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.Err() != nil {
+		t.Fatal("the solve ran until the deadline")
+	}
+	if err := CheckSolution(d, s); err != nil {
+		t.Fatal(err)
+	}
+	nodes, pivots, horizons := 0, 0, 0
+	for _, r := range rec.Spans() {
+		if r.Name != "milp.horizon" {
+			continue
+		}
+		horizons++
+		for _, a := range r.Attrs {
+			v, _ := a.Value().(int64)
+			switch a.Key {
+			case "milp.nodes":
+				if v > horizonNodeBudget {
+					t.Errorf("horizon %v: %d nodes, over the per-horizon budget %d", r.Attrs, v, horizonNodeBudget)
+				}
+				nodes += int(v)
+			case "lp.pivots":
+				pivots += int(v)
+			}
+		}
+	}
+	if horizons == 0 {
+		t.Fatal("no horizon MILP ran: the demand no longer exercises the budgets")
+	}
+	if nodes > totalNodeBudget || pivots > totalPivotBudget {
+		t.Errorf("%d horizons charged %d nodes and %d pivots, budgets %d and %d",
+			horizons, nodes, pivots, totalNodeBudget, totalPivotBudget)
+	}
+	if c := rec.Counters(); c["milp.nodes"] != float64(nodes) {
+		t.Errorf("milp.nodes counter %g, horizon spans sum to %d", c["milp.nodes"], nodes)
+	}
+	if g := greedySolve(d, s.Tau); s.Epochs > g.Epochs {
+		t.Errorf("exact makespan %d above greedy %d", s.Epochs, g.Epochs)
+	}
+	t.Logf("%d horizons, %d nodes, %d pivots, %d epochs", horizons, nodes, pivots, s.Epochs)
 }

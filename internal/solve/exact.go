@@ -129,10 +129,7 @@ func exactSolve(ctx context.Context, d *Demand, tau float64, opts Options) (*Sub
 		if nodesLeft < maxNodes {
 			maxNodes = nodesLeft
 		}
-		hs := sp.Child("milp.horizon")
-		hs.SetInt("T", int64(T))
-		sched, nodes, pivots, err := solveHorizon(ctx, d, tau, T, maxBinaries, maxNodes, pivotsLeft, hs)
-		hs.End()
+		sched, nodes, pivots, err := solveHorizon(ctx, d, tau, T, maxBinaries, maxNodes, pivotsLeft, sp)
 		nodesLeft -= nodes
 		pivotsLeft -= pivots
 		if err != nil {
@@ -151,10 +148,11 @@ func exactSolve(ctx context.Context, d *Demand, tau float64, opts Options) (*Sub
 // solveHorizon builds and solves the fixed-horizon MILP. It returns a
 // nil schedule (no error) when the horizon is infeasible or unproven
 // within the node/pivot budget, plus the branch-and-bound nodes spent so
-// the caller can charge them against its total budget. The span
-// (nil-safe) receives the MILP's size, node count, and simplex pivot
-// totals.
-func solveHorizon(ctx context.Context, d *Demand, tau float64, T, maxBinaries, maxNodes, maxPivots int, sp *obs.Span) (*SubSchedule, int, int, error) {
+// the caller can charge them against its total budget. A MILP that is
+// built gets a "milp.horizon" child of parent (nil-safe) with its size,
+// node count, and simplex pivot totals; one rejected at the size gate
+// or owed nothing to solve gets none.
+func solveHorizon(ctx context.Context, d *Demand, tau float64, T, maxBinaries, maxNodes, maxPivots int, parent *obs.Span) (*SubSchedule, int, int, error) {
 	n := d.NumGPUs
 	type key struct{ p, i, j, t int }
 	varOf := make(map[key]int)
@@ -191,6 +189,9 @@ func solveHorizon(ctx context.Context, d *Demand, tau float64, T, maxBinaries, m
 	if len(keys) > maxBinaries {
 		return nil, 0, 0, &TooLargeError{Binaries: len(keys), Gate: maxBinaries}
 	}
+	sp := parent.Child("milp.horizon")
+	sp.SetInt("T", int64(T))
+	defer sp.End()
 
 	prob := milp.NewProblem(len(keys))
 	for v := range keys {

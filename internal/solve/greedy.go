@@ -1,21 +1,29 @@
 package solve
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 )
 
 // interval is one busy [start, end) port reservation in epochs.
 type interval struct{ start, end int }
 
 // earliestFree returns the first epoch ≥ from at which span consecutive
-// epochs are free in busy, which is sorted by start and non-overlapping.
+// epochs are free in busy, which is sorted by start and non-overlapping
+// (so by end too): the scan starts at the first interval ending after
+// from, found by binary search.
 func earliestFree(busy []interval, from, span int) int {
-	t := from
-	for _, iv := range busy {
-		if iv.end <= t {
-			continue
+	lo, hi := 0, len(busy)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if busy[m].end <= from {
+			lo = m + 1
+		} else {
+			hi = m
 		}
+	}
+	t := from
+	for _, iv := range busy[lo:] {
 		if t+span <= iv.start {
 			break
 		}
@@ -53,6 +61,7 @@ type cachedStart struct {
 // per-source start cache.
 type openDelivery struct {
 	piece, dst int
+	rank       uint64        // piece·n² + dst: a send's rank less its source terms
 	starts     []cachedStart // indexed by source GPU
 }
 
@@ -60,16 +69,28 @@ type openDelivery struct {
 // At every step it considers all (piece, holder, needy destination)
 // triples, computes the earliest epoch at which that send could start
 // given port reservations and piece availability, and commits the send
-// with the earliest arrival. Every round visits the candidates in
-// (piece, destination, source) order — open deliveries and per-piece
-// holder lists are kept sorted for that — and a committed send
-// invalidates only the cached starts that share its egress or ingress
-// port. Deterministic.
+// with the earliest arrival, equal arrivals going to the lowest rank.
+// That order is total, so the order the triples are visited in is free:
+// a committed delivery's slot takes the last open one, and a new holder
+// joins the end of its piece's list. A committed send invalidates only
+// the cached starts that share its egress or ingress port, and a triple
+// whose cached start (a floor) cannot beat the round's best so far is
+// passed over without a port scan. Deterministic.
 func greedySolve(d *Demand, tau float64) *SubSchedule {
 	n := d.NumGPUs
 	eps := make([]epochParams, len(d.Pieces))
 	holders := make([][]holder, len(d.Pieces))
-	var open []openDelivery
+	// Every piece's holder list is cut from one array with room for all
+	// the GPUs it names, so the appends below never reallocate; each
+	// ingress port likewise gets room for the deliveries it receives.
+	room, owed := 0, 0
+	for _, p := range d.Pieces {
+		room += len(p.Srcs) + len(p.Dsts)
+		owed += len(p.Dsts)
+	}
+	held := make([]holder, 0, room)
+	open := make([]openDelivery, 0, owed)
+	received := make([]int, n)
 	role := make([]byte, n) // per piece: 1 = source, 2 = needs it
 	for pi, p := range d.Pieces {
 		eps[pi] = paramsFor(d, tau, p.Bytes)
@@ -80,14 +101,19 @@ func greedySolve(d *Demand, tau float64) *SubSchedule {
 		for _, s := range p.Srcs {
 			role[s] = 1
 		}
+		first := len(held)
 		for g, r := range role {
 			switch r {
 			case 1:
-				holders[pi] = append(holders[pi], holder{g, 0})
+				held = append(held, holder{g, 0})
 			case 2:
 				open = append(open, openDelivery{piece: pi, dst: g})
+				received[g]++
 			}
 		}
+		end := first + len(p.Srcs) + len(p.Dsts)
+		holders[pi] = held[first:len(held):end]
+		held = held[:end]
 	}
 	out := &SubSchedule{Tau: tau, Engine: "greedy"}
 	if len(open) == 0 {
@@ -100,39 +126,39 @@ func greedySolve(d *Demand, tau float64) *SubSchedule {
 	}
 
 	// Port reservations: for each GPU and direction, the busy intervals
-	// in start order. Group sub-demands are small, so linear scans are
-	// fine.
+	// in start order.
 	egress := make([][]interval, n)
 	ingress := make([][]interval, n)
+	busy := make([]interval, len(open))
+	for g, m := range received {
+		ingress[g], busy = busy[:0:m], busy[m:]
+	}
+
+	// A send's rank orders equal arrivals: ring offset (dst−src mod n)
+	// first — the offset bias makes symmetric demands such as AllGather
+	// fall into rotation patterns that keep every port busy instead of
+	// piling deliveries onto few ingresses — then piece, source and
+	// destination, packed into one integer. The offset is never 0, so
+	// neither is a rank.
+	un := uint64(n)
+	perOffset := uint64(len(d.Pieces)) * un * un
+	for i := range open {
+		open[i].rank = uint64(open[i].piece)*un*un + uint64(open[i].dst)
+	}
+	rank := func(o *openDelivery, src int) uint64 {
+		off := o.dst - src
+		if off < 0 {
+			off += n
+		}
+		return uint64(off)*perOffset + o.rank + uint64(src)*un
+	}
 
 	type cand struct {
 		piece, src, dst int
 		start, arrive   int
+		rank            uint64
 		open            int // index into open
 	}
-
-	// less orders candidates by earliest arrival, then by ring offset
-	// (dst−src mod n): the offset bias makes symmetric demands such as
-	// AllGather fall into rotation patterns that keep every port busy
-	// instead of piling deliveries onto few ingresses.
-	less := func(a, b cand) bool {
-		if a.arrive != b.arrive {
-			return a.arrive < b.arrive
-		}
-		ao := ((a.dst-a.src)%n + n) % n
-		bo := ((b.dst-b.src)%n + n) % n
-		if ao != bo {
-			return ao < bo
-		}
-		if a.piece != b.piece {
-			return a.piece < b.piece
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.dst < b.dst
-	}
-
 	for len(open) > 0 {
 		found := false
 		var choice cand
@@ -141,8 +167,20 @@ func greedySolve(d *Demand, tau float64) *SubSchedule {
 			ep := eps[o.piece]
 			in := ingress[o.dst]
 			for _, h := range holders[o.piece] {
-				eg := egress[h.gpu]
 				cs := &o.starts[h.gpu]
+				var r uint64 // the send's rank, 0 until needed
+				if found {
+					// Pass over a send whose floor cannot beat the choice.
+					if a := max(h.avail, cs.start) + ep.lat; a >= choice.arrive {
+						if a > choice.arrive {
+							continue
+						}
+						if r = rank(o, h.gpu); r > choice.rank {
+							continue
+						}
+					}
+				}
+				eg := egress[h.gpu]
 				if cs.egressSeen != int32(len(eg))+1 || cs.ingressSeen != int32(len(in))+1 {
 					// Earliest epoch where both ports are free for span.
 					start := max(h.avail, cs.start)
@@ -157,23 +195,27 @@ func greedySolve(d *Demand, tau float64) *SubSchedule {
 					}
 					*cs = cachedStart{start, int32(len(eg)) + 1, int32(len(in)) + 1}
 				}
-				c := cand{o.piece, h.gpu, o.dst, cs.start, cs.start + ep.lat, oi}
-				if !found || less(c, choice) {
-					found = true
-					choice = c
+				arrive := cs.start + ep.lat
+				if found && arrive > choice.arrive {
+					continue
 				}
+				if r == 0 {
+					r = rank(o, h.gpu)
+				}
+				if found && arrive == choice.arrive && r > choice.rank {
+					continue
+				}
+				found = true
+				choice = cand{o.piece, h.gpu, o.dst, cs.start, arrive, r, oi}
 			}
 		}
 		span := eps[choice.piece].span
 		egress[choice.src] = reserve(egress[choice.src], choice.start, span)
 		ingress[choice.dst] = reserve(ingress[choice.dst], choice.start, span)
-		open = slices.Delete(open, choice.open, choice.open+1)
-		hs := holders[choice.piece]
-		i := len(hs)
-		for i > 0 && hs[i-1].gpu > choice.dst {
-			i--
-		}
-		holders[choice.piece] = slices.Insert(hs, i, holder{choice.dst, choice.arrive})
+		last := len(open) - 1
+		open[choice.open] = open[last]
+		open = open[:last]
+		holders[choice.piece] = append(holders[choice.piece], holder{choice.dst, choice.arrive})
 		out.Transfers = append(out.Transfers, Transfer{
 			Src: choice.src, Dst: choice.dst, Piece: choice.piece,
 			Start: choice.start, Arrive: choice.arrive,
@@ -182,6 +224,6 @@ func greedySolve(d *Demand, tau float64) *SubSchedule {
 			out.Epochs = choice.arrive
 		}
 	}
-	sort.SliceStable(out.Transfers, func(a, b int) bool { return out.Transfers[a].Start < out.Transfers[b].Start })
+	slices.SortStableFunc(out.Transfers, func(a, b Transfer) int { return cmp.Compare(a.Start, b.Start) })
 	return out
 }

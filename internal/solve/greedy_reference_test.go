@@ -1,6 +1,7 @@
 package solve
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -169,10 +170,27 @@ func greedyGuidedReference(d *Demand, tau float64, rng *rand.Rand, weights [][]i
 
 // schedulerDemand draws a demand for the equivalence suite: up to 8
 // GPUs and 6 pieces, latency up to three spans, multi-source pieces,
-// pieces nobody needs, unsorted source and destination lists.
+// pieces nobody needs, unsorted source and destination lists. One draw
+// in three is the shape a pipelined split makes instead: up to 8
+// interchangeable copies of one piece with one or two sources.
 func schedulerDemand(rng *rand.Rand) *Demand {
 	n := 2 + rng.Intn(7)
 	d := &Demand{NumGPUs: n, Alpha: float64(rng.Intn(4)) * 1024e-9, Beta: 1e-9}
+	if rng.Intn(3) == 0 {
+		perm := rng.Perm(n)
+		srcs := 1 + rng.Intn(min(2, n-1))
+		p := Piece{Bytes: float64(1+rng.Intn(3)) * 1024, Srcs: perm[:srcs]}
+		for _, g := range perm[srcs:] {
+			if rng.Intn(4) > 0 {
+				p.Dsts = append(p.Dsts, g)
+			}
+		}
+		for k := 1 + rng.Intn(8); len(d.Pieces) < k; {
+			p.ID = len(d.Pieces)
+			d.Pieces = append(d.Pieces, p)
+		}
+		return d
+	}
 	for pi, pieces := 0, 1+rng.Intn(6); pi < pieces; pi++ {
 		p := Piece{ID: pi, Bytes: float64(1+rng.Intn(3)) * 1024}
 		perm := rng.Perm(n)
@@ -230,4 +248,25 @@ func FuzzGreedyEquivalence(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) { checkGreedyEquivalence(t, seed) })
+}
+
+// BenchmarkGreedySplit schedules the second-stage cell of the 8-GPU
+// server's two-stage broadcast tree (sources {0, 1}, destinations
+// {2..7}, 64 MiB over H800 NVLink) cut into k interchangeable pieces, at
+// the fine pass's epoch knob.
+func BenchmarkGreedySplit(b *testing.B) {
+	for _, k := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			d := &Demand{NumGPUs: 8, Alpha: 3e-6, Beta: 1 / 180e9}
+			for i := 0; i < k; i++ {
+				d.Pieces = append(d.Pieces, Piece{ID: i, Bytes: float64(64<<20) / float64(k),
+					Srcs: []int{0, 1}, Dsts: []int{2, 3, 4, 5, 6, 7}})
+			}
+			tau := Options{E: 0.5}.TauFor(d)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				greedySolve(d, tau)
+			}
+		})
+	}
 }

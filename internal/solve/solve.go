@@ -102,6 +102,14 @@ func (o Options) TauFor(d *Demand) float64 {
 	return DeriveTau(d.Alpha, d.Beta, maxBytes, o.E)
 }
 
+// FlattenDeliveries is the most (piece, destination) deliveries a demand
+// may owe for the search engines to take it: larger demands are
+// scheduled port by port (flattenSolve, firstFitSolve). It keeps the
+// search engines on the small per-group demands where relay choices
+// matter (single-server cells, small testbeds) and routes merged
+// many-piece cells to the linear paths.
+const FlattenDeliveries = 128
+
 // Solve synthesizes a sub-schedule for the demand.
 func Solve(d *Demand, opts Options) (*SubSchedule, error) {
 	return SolveCtx(context.Background(), d, opts)
@@ -132,11 +140,8 @@ func SolveCtx(ctx context.Context, d *Demand, opts Options) (*SubSchedule, error
 		return s, nil
 	}
 	// Large bundles: direct port scheduling instead of the generic
-	// greedy, whose candidate scan is quadratic in deliveries. The
-	// threshold keeps the search engines on the small per-group demands
-	// where relay choices matter (single-server cells, small testbeds)
-	// and routes merged many-piece cells to the linear paths.
-	if deliveryCount(d) > 128 {
+	// greedy, whose candidate scan is quadratic in deliveries.
+	if deliveryCount(d) > FlattenDeliveries {
 		opts.Span.Count("solve.flatten", 1)
 		if pointToPoint(d) {
 			return firstFitSolve(d, tau), nil

@@ -184,12 +184,16 @@ func (r *replay) resolve(i int) (map[int]bool, error) {
 		if dt.Piece != t.Piece || dt.Dst != t.Src {
 			continue // a timing-only dependency carries no payload
 		}
+		twice := -1 // the smallest chunk folded twice: map order must not pick the report
 		for c := range dp {
-			if got[c] && r.isReduce(t.Piece) {
-				return nil, fmt.Errorf("verify: transfer %d folds chunk %d's contribution into GPU %d twice",
-					i, c, t.Src)
+			if got[c] && r.isReduce(t.Piece) && (twice < 0 || c < twice) {
+				twice = c
 			}
 			got[c] = true
+		}
+		if twice >= 0 {
+			return nil, fmt.Errorf("verify: transfer %d folds chunk %d's contribution into GPU %d twice",
+				i, twice, t.Src)
 		}
 	}
 	if len(got) == 0 {
