@@ -20,8 +20,8 @@ func main() {
 	col := syccl.AllGather(top.NumGPUs(), float64(64<<20)/float64(top.NumGPUs()))
 	fmt.Println("collective:", col)
 
-	// Synthesize with the paper's default knobs (E1=3.0, E2=0.5,
-	// R1=20%, R2=8).
+	// Synthesize with the paper's default knobs (E1=3.0, E2=0.5; the
+	// candidate filter R1=20%, R2=8 is fixed).
 	res, err := syccl.Synthesize(top, col, syccl.Options{})
 	if err != nil {
 		log.Fatal(err)

@@ -242,6 +242,25 @@ func AllReduce(n int, bytes float64) *Collective {
 	return c
 }
 
+// Forward returns the one-to-all / all-to-all collective whose time
+// reverse realizes c — Reduce ↔ Broadcast, Gather ↔ Scatter,
+// ReduceScatter ↔ AllGather (§4.1: "all-to-one collectives are their
+// inverses") — and true. For every other kind it returns c and false.
+// schedule.MirrorInto turns a schedule of the forward collective into one
+// of c.
+func (c *Collective) Forward() (*Collective, bool) {
+	switch c.Kind {
+	case KindReduce:
+		return Broadcast(c.NumGPUs, c.Root, c.ChunkSize), true
+	case KindGather:
+		return Scatter(c.NumGPUs, c.Root, c.ChunkSize), true
+	case KindReduceScatter:
+		return AllGather(c.NumGPUs, c.ChunkSize), true
+	default:
+		return c, false
+	}
+}
+
 // AllReducePhases returns the two phases of an AllReduce of `bytes` per
 // GPU: a ReduceScatter and an AllGather over n-th sized slices (§4.3).
 func AllReducePhases(n int, bytes float64) (rs, ag *Collective) {

@@ -265,11 +265,9 @@ func sameAssembly(t testing.TB, what string, top *topology.Topology, col *collec
 func forwardCombinations(t testing.TB, top *topology.Topology, col *collective.Collective) (*collective.Collective, []*sketch.Combination) {
 	t.Helper()
 	opts := Options{}.withDefaults()
-	fwd := col
+	fwd, _ := col.Forward()
 	if col.Kind == collective.KindAllReduce {
 		fwd = collective.AllGather(col.NumGPUs, col.ChunkSize)
-	} else if kind, mirrored := kindForward(col.Kind); mirrored {
-		fwd = forwardCollective(col, kind)
 	}
 	var root int
 	var scatter, allToAll bool

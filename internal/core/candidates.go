@@ -101,7 +101,7 @@ func buildCombinations(ctx context.Context, top *topology.Topology, col *collect
 	sketches []*sketch.Sketch, allToAll, scatter bool, opts Options) []*sketch.Combination {
 
 	ranked := rankSketches(top, col.ChunkSize, sketches)
-	take := opts.MaxCombos
+	take := maxCombos
 	if take > len(ranked) {
 		take = len(ranked)
 	}
@@ -187,8 +187,8 @@ func buildCombinations(ctx context.Context, top *topology.Topology, col *collect
 		}
 	}
 
-	if len(combos) > 2*opts.MaxCombos {
-		combos = combos[:2*opts.MaxCombos]
+	if len(combos) > 2*maxCombos {
+		combos = combos[:2*maxCombos]
 	}
 	// Pipelined pieces: on the one-to-all path every combination also
 	// runs split k ways along time, the same mechanism as the §4.2

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"time"
 
-	"syccl/internal/collective"
 	"syccl/internal/obs"
 	"syccl/internal/schedule"
 	"syccl/internal/sim"
@@ -18,23 +17,30 @@ import (
 	"syccl/internal/solve"
 )
 
+// The §5.3 candidate filter and the combination cap, fixed at the
+// paper's evaluation setup (§7.1).
+const (
+	// r1 is the relative-performance filter after the coarse pass: drop
+	// candidates more than r1 worse than the best.
+	r1 = 0.20
+	// r2 caps the candidates refined in the fine pass.
+	r2 = 8
+	// maxCombos caps the ranked sketches expanded into combinations; at
+	// most 2·maxCombos combinations (before the pipelined splits) reach
+	// the coarse pass.
+	maxCombos = 12
+)
+
 // Options configures a synthesis run. The defaults match the paper's
-// evaluation setup (§7.1): E1=3.0, E2=0.5, R1=20%, R2=8.
+// evaluation setup (§7.1): E1=3.0, E2=0.5.
 type Options struct {
 	// E1 is the coarse-pass epoch knob, E2 the fine-pass one.
 	E1, E2 float64
-	// R1 is the relative-performance filter after the coarse pass: drop
-	// candidates more than R1 worse than the best.
-	R1 float64
-	// R2 caps the candidates refined in the fine pass.
-	R2 int
 	// Workers bounds the synthesis-level parallelism: candidate
 	// assembly/simulation and sub-demand solving all fan out over this
 	// many goroutines (default GOMAXPROCS). Results are deterministic
 	// for any value.
 	Workers int
-	// MaxCombos caps the candidate combinations evaluated (default 12).
-	MaxCombos int
 	// Search configures sketch exploration: pruning toggles and stage
 	// limits (the Fig 17 ablations), and the optional TACCL-style sketch
 	// hint (Search.Hint), validated against the topology before search.
@@ -161,17 +167,8 @@ func (o Options) withDefaults() Options {
 	if o.E2 <= 0 {
 		o.E2 = 0.5
 	}
-	if o.R1 <= 0 {
-		o.R1 = 0.20
-	}
-	if o.R2 <= 0 {
-		o.R2 = 8
-	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.MaxCombos <= 0 {
-		o.MaxCombos = 12
 	}
 	if o.Sim.IsZero() {
 		o.Sim = sim.DefaultOptions()
@@ -202,9 +199,6 @@ func (o Options) Fingerprint() string {
 	b := make([]byte, 0, 192)
 	b = strconv.AppendFloat(append(b, "e1="...), o.E1, 'g', -1, 64)
 	b = strconv.AppendFloat(append(b, "|e2="...), o.E2, 'g', -1, 64)
-	b = strconv.AppendFloat(append(b, "|r1="...), o.R1, 'g', -1, 64)
-	b = strconv.AppendInt(append(b, "|r2="...), int64(o.R2), 10)
-	b = strconv.AppendInt(append(b, "|mc="...), int64(o.MaxCombos), 10)
 	b = strconv.AppendInt(append(b, "|seed="...), o.Seed, 10)
 	b = strconv.AppendFloat(append(b, "|sw="...), o.StopWithin, 'g', -1, 64)
 	b = strconv.AppendFloat(append(b, "|sim="...), o.Sim.BlockBytes, 'g', -1, 64)
@@ -299,17 +293,4 @@ func (o Options) passSolver(fine bool) solve.Options {
 		return solve.Options{E: o.E2, Engine: solve.EngineAuto, Seed: o.Seed}
 	}
 	return solve.Options{E: o.E1, Engine: solve.EngineGreedy, Seed: o.Seed}
-}
-
-func kindForward(k collective.Kind) (forward collective.Kind, mirrored bool) {
-	switch k {
-	case collective.KindReduce:
-		return collective.KindBroadcast, true
-	case collective.KindGather:
-		return collective.KindScatter, true
-	case collective.KindReduceScatter:
-		return collective.KindAllGather, true
-	default:
-		return k, false
-	}
 }

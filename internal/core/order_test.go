@@ -34,9 +34,6 @@ func TestAssembledSchedulesFollowOrder(t *testing.T) {
 	for _, spec := range specs {
 		top, col := digestCase(t, spec)
 		opts := Options{Workers: 2}
-		if spec == scale512Spec {
-			opts = scale512Options()
-		}
 		var published []*schedule.Schedule
 		opts.OnIncumbent = func(inc Incumbent) { published = append(published, inc.Schedule) }
 		res := synth(t, top, col, opts)

@@ -77,16 +77,14 @@ func SynthesizeContext(ctx context.Context, top *topology.Topology, col *collect
 		return synthesizeAllReduce(ctx, top, col, opts, root)
 	}
 
-	forwardKind, mirrored := kindForward(col.Kind)
-	forwardCol := col
+	forwardCol, mirrored := col.Forward()
 	fin := forwardFinisher(col)
 	if mirrored {
-		forwardCol = forwardCollective(col, forwardKind)
 		// Every candidate of a mirrored collective — incumbents and the
 		// final result alike — is finished the same way: mirror,
 		// re-simulate; what is handed out is validated as a reduction.
 		fin.finish = func(fwd *schedule.Schedule, _ float64) (*schedule.Schedule, float64, error) {
-			m := mirrorSchedule(fwd, forwardCol, col)
+			m := schedule.MirrorInto(fwd, forwardCol, col)
 			r, err := sim.Simulate(top, m, opts.Sim)
 			if err != nil {
 				return nil, 0, fmt.Errorf("core: mirrored schedule: %w", err)
@@ -282,11 +280,11 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 		return finish(cands, true)
 	}
 
-	// Filter: keep candidates within R1 of the best, at most R2 (§5.3).
+	// Filter: keep candidates within r1 of the best, at most r2 (§5.3).
 	keep := cands[:0:0]
-	limit := cands[0].time * (1 + opts.R1)
+	limit := cands[0].time * (1 + r1)
 	for _, c := range cands {
-		if c.time <= limit && len(keep) < opts.R2 {
+		if c.time <= limit && len(keep) < r2 {
 			keep = append(keep, c)
 		}
 	}

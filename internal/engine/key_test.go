@@ -77,7 +77,7 @@ func TestPlanKeyIsTheDefaultedOptions(t *testing.T) {
 	top := topology.SingleServer(4)
 	col := collective.AllGather(4, 1<<20)
 	unset := PlanKey(top, col, core.Options{})
-	spelled := core.Options{E1: 3, E2: 0.5, R1: 0.2, R2: 8, MaxCombos: 12, Sim: sim.DefaultOptions()}
+	spelled := core.Options{E1: 3, E2: 0.5, Sim: sim.DefaultOptions()}
 	if k := PlanKey(top, col, spelled); k != unset {
 		t.Fatalf("spelled-out defaults keyed differently:\n%s\n%s", unset, k)
 	}

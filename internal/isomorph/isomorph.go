@@ -26,8 +26,9 @@ import (
 //
 // The text is "n<gpus>;a<α %.6g>;b<β %.6g>;" + the sorted piece
 // invariants "p(<bytes %.6g>,<|srcs|>,<|dsts|>)" + ";g" + the sorted
-// per-GPU colors joined by "|". It is rendered with strconv, byte for
-// byte what fmt printed before: persisted entries record it.
+// per-GPU colors joined by "|". It never reaches disk (persisted entries
+// carry ExactKey and CacheKey only): within one run it buckets the
+// isomorphism table's demands and screens FindFullMapping.
 func Key(d *solve.Demand) string {
 	return string(appendKey(nil, d))
 }

@@ -152,22 +152,12 @@ func ReduceScatter(top *topology.Topology, col *collective.Collective) (*schedul
 	if col.Kind != collective.KindReduceScatter {
 		return nil, fmt.Errorf("nccl.ReduceScatter: got %v", col.Kind)
 	}
-	ag := collective.AllGather(col.NumGPUs, col.ChunkSize)
+	ag, _ := col.Forward()
 	fwd, err := AllGather(top, ag)
 	if err != nil {
 		return nil, err
 	}
-	byDst := map[int][]int{}
-	for _, ch := range col.Chunks {
-		byDst[ch.Dsts[0]] = append(byDst[ch.Dsts[0]], ch.ID)
-	}
-	return fwd.Mirror(func(p schedule.Piece) schedule.Piece {
-		out := schedule.Piece{Bytes: p.Bytes}
-		for _, c := range p.Chunks {
-			out.Chunks = append(out.Chunks, byDst[ag.Chunks[c].Src]...)
-		}
-		return out
-	}), nil
+	return schedule.MirrorInto(fwd, ag, col), nil
 }
 
 // AllReduceRing is ring ReduceScatter followed by ring AllGather over
@@ -256,18 +246,12 @@ func Reduce(top *topology.Topology, col *collective.Collective) (*schedule.Sched
 	if col.Kind != collective.KindReduce {
 		return nil, fmt.Errorf("nccl.Reduce: got %v", col.Kind)
 	}
-	bc := collective.Broadcast(col.NumGPUs, col.Root, col.ChunkSize)
+	bc, _ := col.Forward()
 	fwd, err := Broadcast(top, bc)
 	if err != nil {
 		return nil, err
 	}
-	all := make([]int, len(col.Chunks))
-	for i := range all {
-		all[i] = i
-	}
-	return fwd.Mirror(func(p schedule.Piece) schedule.Piece {
-		return schedule.Piece{Chunks: all, Bytes: p.Bytes}
-	}), nil
+	return schedule.MirrorInto(fwd, bc, col), nil
 }
 
 // AlltoAll builds the pairwise exchange. On topologies where any pair

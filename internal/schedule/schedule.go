@@ -454,6 +454,60 @@ func (s *Schedule) Mirror(remap func(Piece) Piece) *Schedule {
 	return m
 }
 
+// MirrorInto time-reverses fwd, a schedule of fwdCol = col.Forward(), into
+// a schedule of the all-to-one collective col, remapping each piece onto
+// col's chunks:
+//
+//   - Reduce: the broadcast piece of the root's chunk becomes the
+//     reduction slice covering every contribution;
+//   - Gather: the scatter piece destined to GPU v becomes the gather
+//     chunk sourced at v;
+//   - ReduceScatter: the AllGather piece of chunk r becomes the reduction
+//     slice covering all contributions destined to GPU r.
+func MirrorInto(fwd *Schedule, fwdCol, col *collective.Collective) *Schedule {
+	switch col.Kind {
+	case collective.KindReduce:
+		all := make([]int, len(col.Chunks))
+		for i := range all {
+			all[i] = i
+		}
+		return fwd.Mirror(func(p Piece) Piece {
+			return Piece{Chunks: all, Bytes: p.Bytes}
+		})
+	case collective.KindGather:
+		bySrc := make([]int, col.NumGPUs)
+		for _, ch := range col.Chunks {
+			bySrc[ch.Src] = ch.ID
+		}
+		return fwd.Mirror(func(p Piece) Piece {
+			out := Piece{Bytes: p.Bytes}
+			for _, c := range p.Chunks {
+				// Forward scatter chunk c is destined to one GPU; that
+				// GPU sources the mirrored gather chunk.
+				out.Chunks = append(out.Chunks, bySrc[fwdCol.Chunks[c].Dsts[0]])
+			}
+			return out
+		})
+	case collective.KindReduceScatter:
+		byDst := make([][]int, col.NumGPUs)
+		for _, ch := range col.Chunks {
+			byDst[ch.Dsts[0]] = append(byDst[ch.Dsts[0]], ch.ID)
+		}
+		return fwd.Mirror(func(p Piece) Piece {
+			out := Piece{Bytes: p.Bytes}
+			for _, c := range p.Chunks {
+				// Forward AllGather chunk c is sourced at GPU c; the
+				// mirrored slice aggregates contributions destined
+				// there.
+				out.Chunks = append(out.Chunks, byDst[fwdCol.Chunks[c].Src]...)
+			}
+			return out
+		})
+	default:
+		panic(fmt.Sprintf("schedule: cannot mirror into %v", col.Kind))
+	}
+}
+
 // PhaseOrderBase is the Order offset Concat adds to phase-b transfers so
 // they sort after every phase-a transfer on shared ports. Consumers (e.g.
 // the verify oracle) use it to split a concatenated schedule back into its

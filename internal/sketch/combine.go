@@ -129,7 +129,7 @@ func deficitPlus(a, b [][]float64) float64 {
 // in every dimension, and returns the resulting equal-fraction
 // combination. maxReplicas ≤ 0 defaults to the symmetry order.
 func Replicate(top *topology.Topology, sk *Sketch, maxReplicas int) *Combination {
-	perms := Automorphisms(top)
+	perms := top.Automorphisms()
 	if maxReplicas <= 0 {
 		maxReplicas = len(perms)
 	}
@@ -233,7 +233,7 @@ func ExpandAllToAll(top *topology.Topology, sk *Sketch) (combo *Combination, mis
 			continue
 		}
 		if autos == nil {
-			autos = Automorphisms(top)
+			autos = top.Automorphisms()
 		}
 		found := false
 		for _, perm := range autos {

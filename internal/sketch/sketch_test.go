@@ -410,7 +410,7 @@ func TestDescriptorDistinguishesShapes(t *testing.T) {
 
 func TestAutomorphismsIncludeRootStabilizers(t *testing.T) {
 	top := topology.H800Rail(2)
-	perms := Automorphisms(top)
+	perms := top.Automorphisms()
 	if len(perms) == 0 {
 		t.Fatal("no automorphisms")
 	}
@@ -435,15 +435,22 @@ func TestAutomorphismsIncludeRootStabilizers(t *testing.T) {
 	}
 	// All returned permutations must preserve every dimension's groups.
 	for _, p := range perms {
-		if !groupPreserving(top, p) {
-			t.Fatal("invalid automorphism returned")
+		for _, dim := range top.Dims {
+			for _, grp := range dim.Groups {
+				img := dim.GroupOf(p[grp[0]])
+				for _, gpu := range grp {
+					if dim.GroupOf(p[gpu]) != img {
+						t.Fatalf("automorphism %v splits a %s group", p, dim.Name)
+					}
+				}
+			}
 		}
 	}
 }
 
 func TestAutomorphismsHierarchical(t *testing.T) {
 	top := topology.Fig20() // Clos with nested server blocks
-	perms := Automorphisms(top)
+	perms := top.Automorphisms()
 	// Cyclic server rotation by 1 is NOT an automorphism (breaks leaf
 	// pairs); XOR shifts are. All survivors must preserve groups, and the
 	// family must still be transitive enough to move server 0's GPUs to

@@ -89,28 +89,21 @@ func deliveryCount(d *Demand) int {
 	return c
 }
 
-// pointToPoint reports whether every piece has exactly one source and one
-// destination (the shape AlltoAll decomposition produces).
-func pointToPoint(d *Demand) bool {
-	for _, p := range d.Pieces {
-		if len(p.Srcs) != 1 || len(p.Dsts) != 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// flattenSolve handles very large demands that fit neither the rotation
-// nor the point-to-point shape: every (piece, destination) delivery is
-// served directly from one of the piece's initial holders (round-robin),
-// placed first-fit on the port grid in rotation order. Relaying is given
-// up — acceptable because at this scale the quality-critical demand
-// shapes are covered by the rotation path, and candidates realized this
-// way simply rank behind them in the simulator.
+// flattenSolve handles very large demands that do not fit the rotation
+// shape: every (piece, destination) delivery is served directly from one
+// of the piece's initial holders (round-robin), placed first-fit on the
+// port grid in rotation order (ascending (dst−src) mod n, then source,
+// then piece), so each wave forms near-perfect port matchings. Linear in
+// deliveries, where the generic greedy's candidate scan is quadratic.
+// Relaying is given up — acceptable because at this scale the
+// quality-critical demand shapes are covered by the rotation path, and
+// candidates realized this way simply rank behind them in the simulator.
+// On point-to-point demands (one source, one destination per piece, the
+// shape AlltoAll decomposition produces) only port timing remains.
 func flattenSolve(d *Demand, tau float64) *SubSchedule {
 	n := d.NumGPUs
 	type job struct{ piece, src, dst int }
-	var jobs []job
+	jobs := make([]job, 0, deliveryCount(d))
 	for pi, p := range d.Pieces {
 		for k, dst := range p.Dsts {
 			jobs = append(jobs, job{pi, p.Srcs[k%len(p.Srcs)], dst})
@@ -129,7 +122,7 @@ func flattenSolve(d *Demand, tau float64) *SubSchedule {
 	})
 	egress := make([]int, n)
 	ingress := make([]int, n)
-	out := &SubSchedule{Tau: tau, Engine: "flatten"}
+	out := &SubSchedule{Tau: tau, Engine: "flatten", Transfers: make([]Transfer, 0, len(jobs))}
 	for _, j := range jobs {
 		ep := paramsFor(d, tau, d.Pieces[j.piece].Bytes)
 		start := egress[j.src]
@@ -140,51 +133,6 @@ func flattenSolve(d *Demand, tau float64) *SubSchedule {
 		ingress[j.dst] = start + ep.span
 		arrive := start + ep.lat
 		out.Transfers = append(out.Transfers, Transfer{Src: j.src, Dst: j.dst, Piece: j.piece, Start: start, Arrive: arrive})
-		if arrive > out.Epochs {
-			out.Epochs = arrive
-		}
-	}
-	sort.SliceStable(out.Transfers, func(a, b int) bool { return out.Transfers[a].Start < out.Transfers[b].Start })
-	return out
-}
-
-// firstFitSolve schedules point-to-point demands directly: each piece has
-// a fixed sender and receiver, so only port timing remains. Pieces are
-// processed in rotation order (ascending (dst−src) mod n, then source) so
-// each wave forms near-perfect port matchings, and each is placed at the
-// earliest epoch where both ports are free. Linear in deliveries — used
-// for the large merged demands of all-to-all collectives where the
-// generic greedy's candidate scan would be quadratic.
-func firstFitSolve(d *Demand, tau float64) *SubSchedule {
-	n := d.NumGPUs
-	order := make([]int, len(d.Pieces))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		pa, pb := d.Pieces[order[a]], d.Pieces[order[b]]
-		oa := ((pa.Dsts[0]-pa.Srcs[0])%n + n) % n
-		ob := ((pb.Dsts[0]-pb.Srcs[0])%n + n) % n
-		if oa != ob {
-			return oa < ob
-		}
-		return pa.Srcs[0] < pb.Srcs[0]
-	})
-	egress := make([]int, n)  // next free epoch per egress port
-	ingress := make([]int, n) // next free epoch per ingress port
-	out := &SubSchedule{Tau: tau, Engine: "firstfit"}
-	for _, pi := range order {
-		p := d.Pieces[pi]
-		ep := paramsFor(d, tau, p.Bytes)
-		src, dst := p.Srcs[0], p.Dsts[0]
-		start := egress[src]
-		if ingress[dst] > start {
-			start = ingress[dst]
-		}
-		egress[src] = start + ep.span
-		ingress[dst] = start + ep.span
-		arrive := start + ep.lat
-		out.Transfers = append(out.Transfers, Transfer{Src: src, Dst: dst, Piece: pi, Start: start, Arrive: arrive})
 		if arrive > out.Epochs {
 			out.Epochs = arrive
 		}

@@ -104,10 +104,10 @@ func (o Options) TauFor(d *Demand) float64 {
 
 // FlattenDeliveries is the most (piece, destination) deliveries a demand
 // may owe for the search engines to take it: larger demands are
-// scheduled port by port (flattenSolve, firstFitSolve). It keeps the
-// search engines on the small per-group demands where relay choices
-// matter (single-server cells, small testbeds) and routes merged
-// many-piece cells to the linear paths.
+// scheduled port by port (flattenSolve). It keeps the search engines on
+// the small per-group demands where relay choices matter (single-server
+// cells, small testbeds) and routes merged many-piece cells to the linear
+// path.
 const FlattenDeliveries = 128
 
 // Solve synthesizes a sub-schedule for the demand.
@@ -143,9 +143,6 @@ func SolveCtx(ctx context.Context, d *Demand, opts Options) (*SubSchedule, error
 	// greedy, whose candidate scan is quadratic in deliveries.
 	if deliveryCount(d) > FlattenDeliveries {
 		opts.Span.Count("solve.flatten", 1)
-		if pointToPoint(d) {
-			return firstFitSolve(d, tau), nil
-		}
 		return flattenSolve(d, tau), nil
 	}
 

@@ -239,8 +239,8 @@ func TestFirstFitFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Engine != "firstfit" {
-		t.Errorf("engine = %q, want firstfit", s.Engine)
+	if s.Engine != "flatten" {
+		t.Errorf("engine = %q, want flatten", s.Engine)
 	}
 	// Perfect matching waves: exactly reps·(n-1) epochs.
 	if s.Epochs != reps*(n-1) {

@@ -92,22 +92,12 @@ func Synthesize(top *topology.Topology, col *collective.Collective, opts Options
 
 	switch col.Kind {
 	case collective.KindReduceScatter:
-		ag := collective.AllGather(col.NumGPUs, col.ChunkSize)
+		ag, _ := col.Forward()
 		res, err := Synthesize(top, ag, opts)
 		if err != nil {
 			return nil, err
 		}
-		byDst := map[int][]int{}
-		for _, ch := range col.Chunks {
-			byDst[ch.Dsts[0]] = append(byDst[ch.Dsts[0]], ch.ID)
-		}
-		res.Schedule = res.Schedule.Mirror(func(p schedule.Piece) schedule.Piece {
-			out := schedule.Piece{Bytes: p.Bytes}
-			for _, c := range p.Chunks {
-				out.Chunks = append(out.Chunks, byDst[ag.Chunks[c].Src]...)
-			}
-			return out
-		})
+		res.Schedule = schedule.MirrorInto(res.Schedule, ag, col)
 		r, err := sim.Simulate(top, res.Schedule, opts.Sim)
 		if err != nil {
 			return nil, err

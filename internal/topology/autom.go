@@ -1,39 +1,24 @@
-package sketch
-
-import (
-	"sync"
-
-	"syccl/internal/topology"
-)
+package topology
 
 // Automorphisms returns a family of verified GPU permutations that
 // preserve every dimension's group partition. It is richer than the
-// regular action in topology.Symmetry: besides global axis shifts it
-// includes root-stabilizing elements (tail rotations, transpositions),
-// which replication needs to rebalance a Broadcast without moving its
+// regular action in Symmetry: besides global axis shifts it includes
+// root-stabilizing elements (tail rotations, transpositions), which
+// sketch replication needs to rebalance a Broadcast without moving its
 // root (Fig 10 maps D1.G1→D1.G3 while GPU 0 stays fixed).
 //
 // Every candidate is validated against the topology, so over-generation
-// is harmless; results are memoized per topology.
-func Automorphisms(top *topology.Topology) [][]int {
-	automCacheMu.Lock()
-	defer automCacheMu.Unlock()
-	if perms, ok := automCache[top]; ok {
-		return perms
-	}
-	perms := generateAutomorphisms(top)
-	automCache[top] = perms
-	return perms
+// is harmless. The family is generated on the first call, safely under
+// concurrent callers, and lives (and is released) with the topology.
+// Callers must not modify it.
+func (t *Topology) Automorphisms() [][]int {
+	t.autom.once.Do(func() { t.autom.perms = generateAutomorphisms(t) })
+	return t.autom.perms
 }
-
-var (
-	automCacheMu sync.Mutex
-	automCache   = map[*topology.Topology][][]int{}
-)
 
 const maxAutomorphisms = 4096
 
-func generateAutomorphisms(top *topology.Topology) [][]int {
+func generateAutomorphisms(top *Topology) [][]int {
 	sym := top.Sym
 	sPerms := axisPerms(sym.Server)
 	gPerms := axisPerms(sym.Local)
@@ -97,7 +82,7 @@ func identity(n int) []int {
 
 // globalShifts returns the axis's transitive shift family (XOR masks or
 // cyclic rotations).
-func globalShifts(a topology.Axis) [][]int {
+func globalShifts(a Axis) [][]int {
 	n := a.N
 	if n <= 0 {
 		n = 1
@@ -120,7 +105,7 @@ func globalShifts(a topology.Axis) [][]int {
 // axisPerms over-generates candidate axis permutations: global shifts,
 // rotations of the tail fixing index 0, and (for small axes)
 // transpositions. Invalid candidates are filtered by the topology check.
-func axisPerms(a topology.Axis) [][]int {
+func axisPerms(a Axis) [][]int {
 	n := a.N
 	if n <= 1 {
 		return [][]int{identity(max(n, 1))}
@@ -154,7 +139,7 @@ func axisPerms(a topology.Axis) [][]int {
 	return out
 }
 
-func groupPreserving(top *topology.Topology, perm []int) bool {
+func groupPreserving(top *Topology, perm []int) bool {
 	for _, dim := range top.Dims {
 		for g, grp := range dim.Groups {
 			img := dim.GroupOf(perm[grp[0]])
@@ -184,11 +169,4 @@ func permKey(p []int) string {
 		b = append(b, byte(v), byte(v>>8))
 	}
 	return string(b)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -115,13 +115,6 @@ func (s *Symmetry) Validate(t *Topology) error {
 	return nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // buildSymmetry derives the symmetry action from the builder config.

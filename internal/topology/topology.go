@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // NodeKind classifies a physical node.
@@ -190,6 +191,12 @@ type Topology struct {
 	// Sym is the symmetry action over the (server × local) GPU grid used
 	// by sketch replication; populated by Build.
 	Sym *Symmetry
+
+	// autom memoizes Automorphisms.
+	autom struct {
+		once  sync.Once
+		perms [][]int
+	}
 }
 
 // NumGPUs returns the number of GPU nodes.

@@ -45,8 +45,8 @@ for procs in 1 4 16; do
         -run 'TestColdScheduleDigests$|TestPlanAnswerIndependentOfHistory$|TestPlanAnswerIndependentOfRandomHistory$|TestAssemblyEquivalence$|FuzzAssemblyEquivalence$' -count=1
 done
 
-echo "== go test -race (core/engine/lru/milp/obs/persist/serve/sim/solve/verify shard) =="
-go test -race ./internal/core/ ./internal/engine/ ./internal/lru/ ./internal/milp/ ./internal/obs/ ./internal/persist/ ./internal/serve/ ./internal/sim/ ./internal/solve/ ./internal/verify/
+echo "== go test -race (core/engine/lru/milp/obs/persist/serve/sim/sketch/solve/topology/verify shard) =="
+go test -race ./internal/core/ ./internal/engine/ ./internal/lru/ ./internal/milp/ ./internal/obs/ ./internal/persist/ ./internal/serve/ ./internal/sim/ ./internal/sketch/ ./internal/solve/ ./internal/topology/ ./internal/verify/
 
 echo "== fuzz smoke ($FUZZTIME per target) =="
 go test ./internal/verify/ -run='^$' -fuzz='^FuzzValidate$' -fuzztime="$FUZZTIME"

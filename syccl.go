@@ -43,7 +43,8 @@ type (
 	Collective = collective.Collective
 	// Schedule is a concrete set of inter-GPU transfers.
 	Schedule = schedule.Schedule
-	// Options configures the synthesizer (E1/E2, R1/R2, pruning…).
+	// Options configures the synthesizer (E1/E2, pruning…); the §5.3
+	// filter R1/R2 is fixed at the paper's 20 % and 8.
 	Options = core.Options
 	// Result is a synthesized schedule plus predicted time and stats.
 	Result = core.Result
