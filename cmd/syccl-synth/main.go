@@ -98,6 +98,9 @@ func main() {
 			fmt.Printf("bounds: computed=%d pruned=%d proved-optimal=%t\n",
 				res.Stats.BoundsComputed, res.Stats.PrunedLB, res.Stats.ProvedOptimal)
 		}
+		if res.Bound > 0 {
+			fmt.Printf("bound: %.4gs on the forward schedule, gap %.3f\n", res.Bound, res.Time/res.Bound)
+		}
 		for _, e := range res.Stats.SolveErrors {
 			fmt.Fprintln(os.Stderr, "syccl-synth: solver:", e)
 		}

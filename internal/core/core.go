@@ -265,6 +265,15 @@ type Result struct {
 	Schedule *schedule.Schedule
 	// Time is the simulator-predicted completion time in seconds.
 	Time float64
+	// Bound is the flow lower bound the pipeline computed for its coarse
+	// incumbent (the one pruning and StopWithin compare against), in
+	// seconds: no schedule realizing that combination can run faster
+	// under the simulator. It bounds the forward schedule — the
+	// AllGather phase of an AllReduce, the one-to-all inverse of a
+	// Reduce or Gather — and is 0 when none was computed: a replay, a
+	// routed one-to-one transfer, a run that stopped before the bound
+	// pass, or a cancelled bound LP.
+	Bound float64
 	// Combination is the winning sketch combination (nil for mirrored
 	// or concatenated schedules where the forward combination applied).
 	Combination *sketch.Combination

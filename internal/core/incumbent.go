@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
 	"syccl/internal/collective"
 	"syccl/internal/schedule"
+	"syccl/internal/sim"
 	"syccl/internal/sketch"
+	"syccl/internal/topology"
 )
 
 // finisher turns the forward pipeline's schedules into the caller-visible
@@ -18,9 +21,17 @@ import (
 // needs only finish, so the pipeline checks just the schedules it hands
 // out. Both must be safe for concurrent use and must not mutate their
 // inputs.
+//
+// shape is finish without the simulation (nil: the forward schedule
+// itself), for a replay that times the finished schedule once, in its
+// recipe's serving order. twoPhase marks a finished schedule that is
+// Concat(mirror, fwd): its first len(fwd.Transfers) transfers are one
+// phase and the rest another, and a re-keying must keep them apart.
 type finisher struct {
-	finish func(fwd *schedule.Schedule, fwdTime float64) (*schedule.Schedule, float64, error)
-	check  func(fwd, out *schedule.Schedule) error
+	finish   func(fwd *schedule.Schedule, fwdTime float64) (*schedule.Schedule, float64, error)
+	check    func(fwd, out *schedule.Schedule) error
+	shape    func(fwd *schedule.Schedule) *schedule.Schedule
+	twoPhase bool
 }
 
 // forwardFinisher finishes a forward collective: nothing to do but
@@ -29,6 +40,25 @@ func forwardFinisher(col *collective.Collective) finisher {
 	return finisher{
 		finish: func(s *schedule.Schedule, t float64) (*schedule.Schedule, float64, error) { return s, t, nil },
 		check:  func(_, out *schedule.Schedule) error { return validateForward(out, col) },
+	}
+}
+
+// shapedFinisher finishes by shape and times the finished schedule with
+// the time-only simulator.
+func shapedFinisher(top *topology.Topology, so sim.Options, shape func(*schedule.Schedule) *schedule.Schedule,
+	check func(fwd, out *schedule.Schedule) error, twoPhase bool) finisher {
+	return finisher{
+		finish: func(fwd *schedule.Schedule, _ float64) (*schedule.Schedule, float64, error) {
+			out := shape(fwd)
+			t, err := sim.Time(top, out, so)
+			if err != nil {
+				return nil, 0, fmt.Errorf("core: finished schedule: %w", err)
+			}
+			return out, t, nil
+		},
+		check:    check,
+		shape:    shape,
+		twoPhase: twoPhase,
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"syccl/internal/collective"
 	"syccl/internal/schedule"
@@ -204,7 +205,7 @@ func TestPickWinnerRanking(t *testing.T) {
 
 	t.Run("fastest fails its check, the next wins", func(t *testing.T) {
 		pool := finalists(3, 1, 2, 2)
-		best, out, tm, err := pickWinner(pool, finisher{finish: finish, check: refuse(1)}, nil)
+		best, out, tm, err := pickWinner(pool, finisher{finish: finish, check: refuse(1)})
 		if err != nil || best != pool[2] || out != pool[2].sched || tm != 20 {
 			t.Fatalf("winner %v (time %g, err %v), want finalist 2 at 20", best, tm, err)
 		}
@@ -225,7 +226,7 @@ func TestPickWinnerRanking(t *testing.T) {
 			{finisher{finish: finish, check: refuse(0, 1, 2)}, "finalist 0 refused"},
 			{finisher{finish: finishFirstFails, check: refuse(1, 2)}, "finalist 0 does not finish"},
 		} {
-			best, _, _, err := pickWinner(pool, c.fin, nil)
+			best, _, _, err := pickWinner(pool, c.fin)
 			if best != nil || err == nil || err.Error() != c.want {
 				t.Errorf("winner %v, err %v; want no winner and %q", best, err, c.want)
 			}
@@ -236,7 +237,7 @@ func TestPickWinnerRanking(t *testing.T) {
 		pool := finalists(3, 1, 2, 1)
 		checks := 0
 		count := func(_, _ *schedule.Schedule) error { checks++; return nil }
-		best, _, tm, err := pickWinner(pool, finisher{finish: finish, check: count}, nil)
+		best, _, tm, err := pickWinner(pool, finisher{finish: finish, check: count})
 		if err != nil || best != pool[1] || tm != 10 {
 			t.Fatalf("winner %v (time %g, err %v), want finalist 1 at 10", best, tm, err)
 		}
@@ -244,4 +245,22 @@ func TestPickWinnerRanking(t *testing.T) {
 			t.Errorf("%d checks, want 1", checks)
 		}
 	})
+}
+
+// lateTimer is a context past its deadline whose timer has not fired:
+// Done is open and Err nil, as while every P runs pipeline work.
+type lateTimer struct{ context.Context }
+
+func (lateTimer) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestDeadlineReadOffTheClock: the pipeline reads its deadline off the
+// clock, so a deadline whose timer has not fired still stops it before
+// any solve — the run ends in context.DeadlineExceeded, not in a
+// candidate finished after its deadline.
+func TestDeadlineReadOffTheClock(t *testing.T) {
+	top, col := digestCase(t, "a100x16:alltoall:64M")
+	res, err := SynthesizeContext(lateTimer{context.Background()}, top, col, Options{})
+	if !errors.Is(err, context.DeadlineExceeded) || res != nil {
+		t.Fatalf("got result %v, error %v; want context.DeadlineExceeded", res != nil, err)
+	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"os"
+	"strconv"
 	"testing"
 
 	"syccl/internal/collective"
@@ -14,10 +15,14 @@ import (
 const qualityFile = "testdata/quality.json"
 
 // qualityEntry pins one cold Synthesize's quality: NCCL's simulated time
-// over SyCCL's (nil when NCCL has no schedule for the collective) and the
-// pipeline stage the winner came from.
+// over SyCCL's (nil when NCCL has no schedule for the collective), the
+// result's time over its flow lower bound Result.Bound (nil when no bound
+// was computed), and the pipeline stage the winner came from. The bound
+// is the forward schedule's, so an AllReduce's gap also counts its
+// ReduceScatter phase.
 type qualityEntry struct {
 	NCCLRatio *float64 `json:"nccl_ratio"`
+	Gap       *float64 `json:"gap"`
 	Source    string   `json:"source"`
 }
 
@@ -49,13 +54,17 @@ func qualityOf(t testing.TB, spec string) qualityEntry {
 	if r, ok := ncclRatio(t, top, col, res, sim.DefaultOptions()); ok {
 		e.NCCLRatio = &r
 	}
+	if res.Bound > 0 {
+		g := res.Time / res.Bound
+		e.Gap = &g
+	}
 	return e
 }
 
-// TestQualityPinned holds every cold-digest spec's ratio against NCCL to
-// testdata/quality.json: a change that lowers any ratio fails, and one
-// that raises some regenerates the file
-// (go test ./internal/core -run TestQualityPinned -update).
+// TestQualityPinned holds every cold-digest spec's ratio against NCCL and
+// gap to its bound to testdata/quality.json: a change that lowers any
+// ratio or widens any gap fails, and one that improves some regenerates
+// the file (go test ./internal/core -run TestQualityPinned -update).
 func TestQualityPinned(t *testing.T) {
 	specs := coldDigestSpecs()
 	if *updateDigests {
@@ -96,8 +105,22 @@ func TestQualityPinned(t *testing.T) {
 		case got.NCCLRatio != nil && *got.NCCLRatio < *want.NCCLRatio*(1-1e-12):
 			t.Errorf("%s: ratio vs NCCL dropped: %.6f, pinned %.6f", spec, *got.NCCLRatio, *want.NCCLRatio)
 		}
-		if testing.Verbose() && got.NCCLRatio != nil {
-			t.Logf("%-26s %.3f %s", spec, *got.NCCLRatio, got.Source)
+		switch {
+		case (got.Gap == nil) != (want.Gap == nil):
+			t.Errorf("%s: bound presence changed: got %v, pinned %v", spec, got.Gap != nil, want.Gap != nil)
+		case got.Gap != nil && *got.Gap > *want.Gap*(1+1e-12):
+			t.Errorf("%s: gap to the bound grew: %.6f, pinned %.6f", spec, *got.Gap, *want.Gap)
+		}
+		if testing.Verbose() {
+			t.Logf("%-26s ratio %s gap %s %s", spec, fmtRatio(got.NCCLRatio), fmtRatio(got.Gap), got.Source)
 		}
 	}
+}
+
+// fmtRatio prints a pinned ratio to three places, "-" for null.
+func fmtRatio(r *float64) string {
+	if r == nil {
+		return "-"
+	}
+	return strconv.FormatFloat(*r, 'f', 3, 64)
 }

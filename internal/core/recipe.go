@@ -40,9 +40,15 @@ type Recipe struct {
 	// both are provenance for the incumbent a replay publishes.
 	Source string
 	Engine string
-	// TimeBits (the forward schedule's simulated time, as
-	// math.Float64bits) and Transfers (its transfer count) are the
-	// self-check a replay must reproduce.
+	// Ranks are the finished schedule's transfer Orders after the
+	// pipeline re-keyed them into arrival order (readyOrder), one per
+	// transfer; nil when the winner kept its assembled Orders. A replay
+	// applies them instead of simulating to find them again.
+	Ranks []int32
+	// TimeBits (the finished schedule's simulated time, as
+	// math.Float64bits: the result's Time) and Transfers (the forward
+	// schedule's transfer count) are the self-check a replay must
+	// reproduce.
 	TimeBits  uint64
 	Transfers int
 }
@@ -75,8 +81,9 @@ func replay(top *topology.Topology, col *collective.Collective, opts Options, pa
 }
 
 // rebuild is the replay proper: assemble the recipe's combination from
-// its sub-schedules (or rebuild the ring), simulate, compare with the
-// self-check, finish, validate. Any deviation returns nil.
+// its sub-schedules (or rebuild the ring), finish it, re-key it by the
+// recipe's ranks, simulate once, compare with the self-check, validate.
+// Any deviation returns nil.
 func rebuild(top *topology.Topology, col *collective.Collective, opts Options, pub *publisher, fin finisher) *Result {
 	rc := opts.Recipe
 	var sched *schedule.Schedule
@@ -98,13 +105,24 @@ func rebuild(top *topology.Topology, col *collective.Collective, opts Options, p
 	default:
 		return nil
 	}
-
-	r, err := sim.Simulate(top, sched, opts.Sim)
-	if err != nil || math.Float64bits(r.Time) != rc.TimeBits || len(sched.Transfers) != rc.Transfers {
+	if len(sched.Transfers) != rc.Transfers {
 		return nil
 	}
-	out, t, err := fin.finish(sched, r.Time)
-	if err != nil || fin.check(sched, out) != nil {
+
+	// Everything out is made of was built here, so the ranks are applied
+	// in place.
+	out := sched
+	if fin.shape != nil {
+		out = fin.shape(sched)
+	}
+	if rc.Ranks != nil {
+		if len(rc.Ranks) != len(out.Transfers) {
+			return nil
+		}
+		applyRanks(out, rc.Ranks)
+	}
+	t, err := sim.Time(top, out, opts.Sim)
+	if err != nil || math.Float64bits(t) != rc.TimeBits || fin.check(sched, out) != nil {
 		return nil
 	}
 	// A forward collective's finished schedule is sched itself. Any other

@@ -1,0 +1,137 @@
+package core
+
+import (
+	"cmp"
+	"slices"
+
+	"syccl/internal/schedule"
+	"syccl/internal/sim"
+	"syccl/internal/topology"
+)
+
+// readyOrder re-keys the winner's finished schedule out (of forward
+// schedule fwd, simulated at t) so that each port serves its transfers in
+// arrival order rather than in stage order. Assembly keys a transfer by
+// (stage, cell-local epoch), so a later-stage port sends in its cell's
+// solver order however late its pieces actually arrive, and a late piece
+// holds up the ones behind it. Here one simulation gives every transfer a
+// ready time — the latest FinishAt among its dependencies, 0 for none —
+// and each transfer's new Order is its rank by (ready time, old Order,
+// index). An AllReduce (fin.twoPhase) is ranked within each phase, the
+// second phase from schedule.PhaseOrderBase, so Concat's phase split
+// still holds.
+//
+// A dependency finishes no later than the transfer that waits on it is
+// ready, so dependencies keep ranking earlier and the simulator's sorted
+// serving order still applies. Ready order is a heuristic: it can also
+// be slower, so the re-keyed schedule is simulated and kept only when
+// strictly faster. When every port would serve its transfers in the
+// order the old keys already did, the time cannot change and the second
+// simulation is skipped. The re-keyed schedule shares its pieces and
+// dependency lists with out; its new Orders come back as ranks, for the
+// recipe (nil when out is returned as it was).
+func readyOrder(top *topology.Topology, fwd, out *schedule.Schedule, t float64, fin finisher, so sim.Options) (*schedule.Schedule, float64, []int32) {
+	split := 0
+	if fin.twoPhase {
+		split = len(fwd.Transfers)
+		if split > len(out.Transfers) || split >= schedule.PhaseOrderBase/2 {
+			return out, t, nil
+		}
+	}
+	if len(out.Transfers) < 2 {
+		return out, t, nil
+	}
+	r, err := sim.Simulate(top, out, so)
+	if err != nil {
+		return out, t, nil
+	}
+	ranks := readyRanks(top, out.Transfers, r.FinishAt, split)
+	if ranks == nil {
+		return out, t, nil
+	}
+	rekeyed := &schedule.Schedule{NumGPUs: out.NumGPUs, Pieces: out.Pieces, Transfers: slices.Clone(out.Transfers)}
+	applyRanks(rekeyed, ranks)
+	if rt, err := sim.Time(top, rekeyed, so); err == nil && rt < t {
+		return rekeyed, rt, ranks
+	}
+	return out, t, nil
+}
+
+// readyRanks ranks the transfers by (ready time, Order, index), where a
+// transfer is ready at the latest finishAt among its dependencies, and
+// returns each one's rank as its new Order. With split > 0 the transfers
+// below split and the rest are ranked apart, the second phase from
+// schedule.PhaseOrderBase. It returns nil when every port would serve its
+// transfers in the order their old (Order, index) keys already do: the
+// simulation, which orders transfers only per port, would not change.
+func readyRanks(top *topology.Topology, ts []schedule.Transfer, finishAt []float64, split int) []int32 {
+	// Sorting flat keys, not indices into ts, keeps the comparisons in
+	// cache on the 512-GPU schedules.
+	type key struct {
+		ready float64
+		order int
+		i     int32
+	}
+	keys := make([]key, len(ts))
+	for i := range ts {
+		k := key{order: ts[i].Order, i: int32(i)}
+		for _, d := range ts[i].Deps {
+			k.ready = max(k.ready, finishAt[d])
+		}
+		keys[i] = k
+	}
+	byReady := func(a, b key) int {
+		if c := cmp.Compare(a.ready, b.ready); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.order, b.order); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
+	}
+	slices.SortFunc(keys[:split], byReady)
+	slices.SortFunc(keys[split:], byReady)
+	seq := make([]int32, len(keys))
+	for k := range keys {
+		seq[k] = keys[k].i
+	}
+	if keepsPortOrder(top, ts, seq) {
+		return nil
+	}
+	ranks := make([]int32, len(seq))
+	for k, i := range seq {
+		if split > 0 && k >= split {
+			k += schedule.PhaseOrderBase - split
+		}
+		ranks[i] = int32(k)
+	}
+	return ranks
+}
+
+// keepsPortOrder reports whether serving the transfers in seq keeps every
+// port's transfers in (Order, index) order.
+func keepsPortOrder(top *topology.Topology, ts []schedule.Transfer, seq []int32) bool {
+	// last[p] is 1 + the transfer port p served last: egress ports first,
+	// then ingress, each gpu*classes+class.
+	classes := top.NumPortClasses()
+	egress := top.NumGPUs() * classes
+	last := make([]int32, 2*egress)
+	for _, i := range seq {
+		t := &ts[i]
+		c := top.Dim(t.Dim).PortClass
+		for _, p := range [2]int{t.Src*classes + c, egress + t.Dst*classes + c} {
+			if j := last[p] - 1; j >= 0 && (ts[j].Order > t.Order || ts[j].Order == t.Order && j > i) {
+				return false
+			}
+			last[p] = i + 1
+		}
+	}
+	return true
+}
+
+// applyRanks sets transfer i's Order to ranks[i].
+func applyRanks(s *schedule.Schedule, ranks []int32) {
+	for i := range s.Transfers {
+		s.Transfers[i].Order = int(ranks[i])
+	}
+}

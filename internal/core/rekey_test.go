@@ -1,0 +1,217 @@
+package core
+
+import (
+	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"syccl/internal/collective"
+	"syccl/internal/nccl"
+	"syccl/internal/obs"
+	"syccl/internal/schedule"
+	"syccl/internal/sim"
+	"syccl/internal/topology"
+	"syccl/internal/verify"
+)
+
+// assembledWinner rebuilds a result's winner as the pipeline had it
+// before readyOrder: the forward schedule from the recipe, finished, in
+// its assembled Orders, with its finished time and the finisher.
+func assembledWinner(t *testing.T, top *topology.Topology, col *collective.Collective, res *Result, so sim.Options) (fwd, out *schedule.Schedule, tm float64, fin finisher) {
+	t.Helper()
+	fwdCol, fin := finisherFor(top, col, so)
+	rc := res.Recipe
+	var err error
+	if rc.Source == "ring" {
+		fwd, err = nccl.AllGather(top, fwdCol)
+	} else {
+		var a *assembly
+		if a, err = newAssembly(top, fwdCol, rc.Combination); err == nil {
+			fwd, err = a.build(rc.Subs)
+		}
+	}
+	if err != nil {
+		t.Fatalf("rebuilding the winner: %v", err)
+	}
+	fwdTime, err := sim.Time(top, fwd, so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, tm, err = fin.finish(fwd, fwdTime); err != nil {
+		t.Fatal(err)
+	}
+	return fwd, out, tm, fin
+}
+
+// withRanks is s with transfer i's Order set to ranks[i].
+func withRanks(s *schedule.Schedule, ranks []int32) *schedule.Schedule {
+	out := &schedule.Schedule{NumGPUs: s.NumGPUs, Pieces: s.Pieces, Transfers: slices.Clone(s.Transfers)}
+	applyRanks(out, ranks)
+	return out
+}
+
+// checkReadyOrder holds one synthesis result to the re-keying contract:
+//   - the ready ranks (kept or not) leave every dependency ranked earlier
+//     and pass the oracle — an AllReduce as two phases;
+//   - readyOrder is never slower than its input, and keeps the ranks
+//     exactly when strictly faster;
+//   - the result is what readyOrder returns (the ring's, what it was
+//     given), and its recipe carries the ranks it kept.
+//
+// It reports whether the ranks were kept.
+func checkReadyOrder(t *testing.T, top *topology.Topology, col *collective.Collective, res *Result, so sim.Options) bool {
+	t.Helper()
+	if res.Recipe == nil {
+		return false // a routed one-to-one transfer: nothing is re-keyed
+	}
+	fwd, out, tm, fin := assembledWinner(t, top, col, res, so)
+	if ok, i, d := depsRankEarlier(out); !ok {
+		t.Fatalf("assembled winner: transfer %d depends on %d, ranked later", i, d)
+	}
+	r, err := sim.Simulate(top, out, so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := 0
+	if fin.twoPhase {
+		split = len(fwd.Transfers)
+	}
+	if ranks := readyRanks(top, out.Transfers, r.FinishAt, split); ranks != nil {
+		ranked := withRanks(out, ranks)
+		if ok, i, d := depsRankEarlier(ranked); !ok {
+			t.Fatalf("ready ranks: transfer %d depends on %d, ranked later", i, d)
+		}
+		if err := verify.CheckSchedule(col, ranked); err != nil {
+			t.Fatalf("ready ranks fail the oracle: %v", err)
+		}
+	}
+	got, gt, kept := readyOrder(top, fwd, out, tm, fin, so)
+	switch {
+	case gt > tm:
+		t.Fatalf("re-keyed %v, slower than the input's %v", gt, tm)
+	case (kept != nil) != (gt < tm):
+		t.Fatalf("ranks kept %v at %v against %v", kept != nil, gt, tm)
+	}
+	if res.Recipe.Source == "ring" {
+		got, gt, kept = out, tm, nil // the pipeline leaves the ring as built
+	}
+	switch {
+	case gt != res.Time || !reflect.DeepEqual(got, res.Schedule):
+		t.Fatalf("the result (%v) is not readyOrder's (%v)", res.Time, gt)
+	case !reflect.DeepEqual(kept, res.Recipe.Ranks):
+		t.Fatal("the recipe does not carry the kept ranks")
+	}
+	return kept != nil
+}
+
+// TestReadyOrderProperty runs checkReadyOrder over
+// TestDifferentialRandomized's corpus (verify's 200 random topology ×
+// collective pairs, seed 7, the same simulator options) and over the
+// cold-digest specs, nine of which keep their ranks.
+func TestReadyOrderProperty(t *testing.T) {
+	t.Run("randomized", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		kept := 0
+		for i := 0; i < 200; i++ {
+			top := verify.RandomTopology(rng)
+			kind := verify.AllKinds[i%len(verify.AllKinds)]
+			col := verify.RandomCollective(rng, kind, top.NumGPUs())
+			so := sim.DefaultOptions()
+			switch i % 3 {
+			case 1:
+				so = sim.Options{}
+			case 2:
+				so = sim.Options{BlockBytes: 64 * 1024, MaxBlocks: 4}
+			}
+			opts := Options{Sim: so}
+			res, err := Synthesize(top, col, opts)
+			if err != nil {
+				t.Fatalf("%03d %v on %s: %v", i, kind, top.Name, err)
+			}
+			// Zero options run at the defaults.
+			if checkReadyOrder(t, top, col, res, opts.withDefaults().Sim) {
+				kept++
+			}
+		}
+		if kept == 0 {
+			t.Error("no winner of the corpus keeps ready ranks")
+		}
+		t.Logf("%d of 200 winners keep ready ranks", kept)
+	})
+	t.Run("cold specs", func(t *testing.T) {
+		specs := coldDigestSpecs()
+		if testing.Short() {
+			specs = specs[:36] // dgx4 and server8
+		}
+		var kept []string
+		for _, spec := range specs {
+			top, col := digestCase(t, spec)
+			if checkReadyOrder(t, top, col, synth(t, top, col, Options{}), sim.DefaultOptions()) {
+				kept = append(kept, spec)
+			}
+		}
+		if !testing.Short() && len(kept) != 9 {
+			t.Errorf("%d specs keep their ranks, want 9: %v", len(kept), kept)
+		}
+	})
+}
+
+// TestReadyRanksStayInPhase: ranking an AllReduce's transfers across its
+// two phases puts ReduceScatter transfers among the AllGather ones, and
+// the oracle no longer finds the phase split ("not in two-phase form");
+// ranked within each phase, the same schedule passes.
+func TestReadyRanksStayInPhase(t *testing.T) {
+	top, col := digestCase(t, "h800small:allreduce:1M")
+	so := sim.DefaultOptions()
+	res := synth(t, top, col, Options{})
+	fwd, out, _, _ := assembledWinner(t, top, col, res, so)
+	r, err := sim.Simulate(top, out, so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	across := readyRanks(top, out.Transfers, r.FinishAt, 0)
+	if across == nil {
+		t.Fatal("ready order keeps the assembled order")
+	}
+	if err := verify.CheckAllReduce(col, withRanks(out, across)); err == nil || !strings.Contains(err.Error(), "not in two-phase form") {
+		t.Errorf("ranked across phases: oracle says %v, want the two-phase error", err)
+	}
+	within := readyRanks(top, out.Transfers, r.FinishAt, len(fwd.Transfers))
+	if err := verify.CheckAllReduce(col, withRanks(out, within)); err != nil {
+		t.Errorf("ranked within phases: %v", err)
+	}
+}
+
+// TestReplayOfRekeyedWinner: a recipe of a re-keyed winner replays the
+// re-keyed bytes with one simulation, where the replay before ready
+// order ran one for the forward schedule and, for a reduction or an
+// AllReduce, a second for the finished one.
+func TestReplayOfRekeyedWinner(t *testing.T) {
+	for spec, parentSims := range map[string]int{
+		"h800x64:alltoall:64M":   1,
+		"a100x16:gather:64M":     2,
+		"h800small:allreduce:1M": 2,
+	} {
+		top, col := digestCase(t, spec)
+		cold := synth(t, top, col, Options{})
+		if cold.Recipe.Ranks == nil {
+			t.Fatalf("%s: the winner kept its assembled order", spec)
+		}
+		rec := obs.NewRecorder()
+		warm := synth(t, top, col, Options{Recipe: cold.Recipe, Obs: rec})
+		if !warm.Stats.Replayed || warm.Time != cold.Time || !reflect.DeepEqual(warm.Schedule, cold.Schedule) {
+			t.Fatalf("%s: replay differs from the full pass (replayed %v)", spec, warm.Stats.Replayed)
+		}
+		sims := 0
+		for _, s := range rec.Spans() {
+			if s.Name == "sim.simulate" {
+				sims++
+			}
+		}
+		if sims != 1 {
+			t.Errorf("%s: the replay ran %d simulations, want 1 (%d before)", spec, sims, parentSims)
+		}
+	}
+}

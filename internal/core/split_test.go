@@ -81,10 +81,11 @@ func TestSplitCandidates(t *testing.T) {
 
 // TestPipelinedBeatsNCCL: with split candidates the 8-GPU server's
 // 64 MiB Broadcast and Reduce beat NCCL's chain, with pipelined blocks
-// in the simulator and without.
+// in the simulator and without; with ready-ordered relays (readyOrder)
+// the rail fabrics' AlltoAll at least ties NCCL's PXN.
 func TestPipelinedBeatsNCCL(t *testing.T) {
 	for _, so := range []sim.Options{sim.DefaultOptions(), {BlockBytes: 512 * 1024, MaxBlocks: 1}} {
-		for _, spec := range []string{"server8:broadcast:64M", "server8:reduce:64M"} {
+		for _, spec := range []string{"server8:broadcast:64M", "server8:reduce:64M", "h800x64:alltoall:64M", "h800small:alltoall:1M"} {
 			top, col := digestCase(t, spec)
 			res := synth(t, top, col, Options{Sim: so})
 			if r, ok := ncclRatio(t, top, col, res, so); !ok || r < 1 {

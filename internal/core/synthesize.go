@@ -41,6 +41,9 @@ func SynthesizeContext(ctx context.Context, top *topology.Topology, col *collect
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if at, ok := ctx.Deadline(); ok {
+		ctx = clockDeadline{ctx, at}
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -72,34 +75,31 @@ func SynthesizeContext(ctx context.Context, top *topology.Topology, col *collect
 	defer root.End()
 	seedCounters(opts.Obs)
 
-	switch col.Kind {
-	case collective.KindAllReduce:
-		return synthesizeAllReduce(ctx, top, col, opts, root)
-	}
-
-	forwardCol, mirrored := col.Forward()
-	fin := forwardFinisher(col)
-	if mirrored {
-		// Every candidate of a mirrored collective — incumbents and the
-		// final result alike — is finished the same way: mirror,
-		// re-simulate; what is handed out is validated as a reduction.
-		fin.finish = func(fwd *schedule.Schedule, _ float64) (*schedule.Schedule, float64, error) {
-			m := schedule.MirrorInto(fwd, forwardCol, col)
-			r, err := sim.Simulate(top, m, opts.Sim)
-			if err != nil {
-				return nil, 0, fmt.Errorf("core: mirrored schedule: %w", err)
-			}
-			return m, r.Time, nil
-		}
-		fin.check = func(_, m *schedule.Schedule) error {
-			if err := m.Validate(col); err != nil {
-				return fmt.Errorf("core: mirrored schedule invalid: %w", err)
-			}
-			return nil
-		}
-	}
+	fwdCol, fin := finisherFor(top, col, opts.Sim)
 	pub := newPublisher(opts.OnIncumbent, fin)
-	return synthesizeForward(ctx, top, forwardCol, opts, root, pub, fin)
+	return synthesizeForward(ctx, top, fwdCol, opts, root, pub, fin)
+}
+
+// clockDeadline is a context whose Err also reads the clock: past its
+// deadline it reports context.DeadlineExceeded even if the deadline's
+// timer has not fired yet. While every P runs pipeline work the timer can
+// fire milliseconds late — late enough for the coarse pass to start its
+// solves after the deadline and finish a candidate well past it.
+// Everything in the pipeline polls Err, so with this it stops at the
+// next poll after the deadline instead.
+type clockDeadline struct {
+	context.Context
+	at time.Time
+}
+
+func (c clockDeadline) Err() error {
+	if err := c.Context.Err(); err != nil {
+		return err
+	}
+	if !time.Now().Before(c.at) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // seedCounters registers the pipeline's counter series with an initial
@@ -142,7 +142,7 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	// finish closes the pipeline at every exit below: the winner of the
 	// pool by finished time, its recipe when the run was not cut short.
 	finish := func(pool []*candidate, partial bool) (*Result, error) {
-		best, out, t, err := pickWinner(pool, fin, pub)
+		best, out, t, err := pickWinner(pool, fin)
 		if err != nil {
 			return nil, err
 		}
@@ -153,6 +153,21 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 				return nil, err
 			}
 		}
+		// A complete run serves the winner's ports in arrival order when
+		// that is strictly faster (readyOrder); an anytime result is
+		// returned as ranked, without the extra simulations. The injected
+		// ring is left as built: each of its steps forwards what arrived
+		// in the step before, so it already sends in arrival order, and
+		// at 512 GPUs its two million transfers would make the re-keying
+		// cost most of the run.
+		var ranks []int32
+		if !partial && best.source != "ring" {
+			out, t, ranks = readyOrder(top, best.sched, out, t, fin, opts.Sim)
+		}
+		// The winner is force-offered to the publisher (no-op when it was
+		// already the best published), which is what keeps the stream's
+		// last event equal to the returned result.
+		pub.publishFinal(out, t, best.source, best.engine, best.combo)
 		res.Schedule, res.Time, res.Combination = out, t, best.combo
 		res.Partial = partial
 		if !partial {
@@ -161,7 +176,8 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 				Subs:        best.subs,
 				Source:      best.source,
 				Engine:      best.engine,
-				TimeBits:    math.Float64bits(best.time),
+				Ranks:       ranks,
+				TimeBits:    math.Float64bits(t),
 				Transfers:   len(best.sched.Transfers),
 			}
 		}
@@ -254,9 +270,9 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	// contention where they win (large sizes on ring-friendly fabrics).
 	if col.Kind == collective.KindAllGather {
 		if ring, err := nccl.AllGather(top, col); err == nil {
-			if r, err := sim.Simulate(top, ring, opts.Sim); err == nil {
-				pub.offer(ring, r.Time, "ring", "", nil)
-				cands = append(cands, &candidate{sched: ring, time: r.Time, source: "ring"})
+			if t, err := sim.Time(top, ring, opts.Sim); err == nil {
+				pub.offer(ring, t, "ring", "", nil)
+				cands = append(cands, &candidate{sched: ring, time: t, source: "ring"})
 			}
 		}
 	}
@@ -296,6 +312,7 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	// bound.go; pruning never changes the fine-pass winner.
 	keep, proved, incLB := pruneByBound(ctx, top, tab, keep, opts, &res.Stats, parent)
 	pub.setBound(incLB)
+	res.Bound = incLB
 	res.Stats.Refined = len(keep)
 
 	// Phase 2b: fine synthesis of the survivors, from the assemblies and
@@ -357,14 +374,12 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 // forward time instead would be wrong for AllReduce — the concatenated
 // ReduceScatter+AllGather time is not monotone in the AllGather-phase
 // time, so the forward-best candidate can finish into a schedule worse
-// than one already published on the incumbent stream. The chosen winner
-// is force-offered to the publisher (no-op when it was already the best
-// published), which is what keeps the stream's last event equal to the
-// returned result. If no finalist finishes and passes, the error is the
-// first finalist's (in finalist order). The winner comes back with its
-// finished schedule and time, so nobody finishes it again.
+// than one already published on the incumbent stream. If no finalist
+// finishes and passes, the error is the first finalist's (in finalist
+// order). The winner comes back with its finished schedule and time, so
+// nobody finishes it again; the caller publishes it.
 // Deterministic: a pure function of a deterministic finalist list.
-func pickWinner(finalists []*candidate, fin finisher, pub *publisher) (*candidate, *schedule.Schedule, float64, error) {
+func pickWinner(finalists []*candidate, fin finisher) (*candidate, *schedule.Schedule, float64, error) {
 	type finished struct {
 		at  int // finalist index
 		out *schedule.Schedule
@@ -384,7 +399,6 @@ func pickWinner(finalists []*candidate, fin finisher, pub *publisher) (*candidat
 	for _, r := range ranked {
 		best := finalists[r.at]
 		if errs[r.at] = fin.check(best.sched, r.out); errs[r.at] == nil {
-			pub.publishFinal(r.out, r.t, best.source, best.engine, best.combo)
 			return best, r.out, r.t, nil
 		}
 	}
@@ -627,18 +641,18 @@ func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table
 		// Simulation of an assembled candidate is cheap and bounded;
 		// honoring the context here would discard completed solver work
 		// and break the anytime guarantee, so it runs to completion.
-		r, err := sim.Simulate(top, sched, opts.Sim)
+		t, err := sim.Time(top, sched, opts.Sim)
 		if err != nil {
 			cs.SetStr("outcome", "sim-failed")
 			cs.End()
 			return
 		}
-		cs.SetFloat("time", r.Time)
+		cs.SetFloat("time", t)
 		cs.End()
-		out[ci] = realized{sched: sched, time: r.Time, subs: mine, ok: true}
+		out[ci] = realized{sched: sched, time: t, subs: mine, ok: true}
 		// Publish as soon as the candidate is simulated: the stream is
 		// anytime, so waiting for the pass barrier would only delay it.
-		pub.offer(sched, r.Time, source, engineName, c.combo)
+		pub.offer(sched, t, source, engineName, c.combo)
 	})
 
 	// Stores come after the candidates are out: one may write through to

@@ -36,6 +36,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 
 	"syccl/internal/collective"
@@ -330,7 +331,9 @@ func (e *Engine) Plan(ctx context.Context, top *topology.Topology, col *collecti
 			e.recipes.Add(key, func() *core.Recipe { return cloneRecipe(res.Recipe) })
 		}
 	}
-	if (err != nil && ctx.Err() != nil) || (res != nil && res.Partial) {
+	// The pipeline reads a deadline off the clock, so its error can come
+	// before the context's timer fires.
+	if (err != nil && (ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded))) || (res != nil && res.Partial) {
 		e.cancelled.Add(1)
 		e.opts.Obs.Count("engine.cancelled", 1)
 	}

@@ -144,7 +144,9 @@ func (s *Server) plan(ctx context.Context, res *resolved, rec *obs.Recorder, req
 	sp.End()
 	s.met.solveDur.With(strings.ToLower(res.col.Kind.String()), strings.ToLower(res.req.Topology)).Observe(o.solve.Seconds())
 	if err != nil {
-		if ctx.Err() != nil {
+		// The pipeline reads its deadline off the clock, so it can give up
+		// before the context's timer fires.
+		if ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
 			o.apiErr = apiErrorf(http.StatusGatewayTimeout, CodeDeadline,
 				"deadline expired before any candidate completed")
 		} else {

@@ -20,6 +20,10 @@
 // order is one sort of (Order, index) keys for schedules whose
 // dependencies all rank earlier, as the pipeline's do, so evaluation is
 // linear in events after it; other schedules take Kahn's algorithm.
+//
+// Simulate returns per-transfer and per-port detail; Time runs the same
+// simulation for the completion time alone, which is all candidate
+// ranking reads. Both draw their working memory from one pool.
 package sim
 
 import (
@@ -28,6 +32,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"syccl/internal/obs"
 	"syccl/internal/schedule"
@@ -125,9 +130,31 @@ func SimulateCtx(ctx context.Context, top *topology.Topology, s *schedule.Schedu
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	res, err := run(ctx, top, s, opts, true)
+	if err != nil {
+		return nil, err
+	}
+	return &res, nil
+}
+
+// Time is Simulate for callers that read only the completion time: the
+// same simulation, bit for bit the same Result.Time, without any of
+// Result's per-port and per-transfer arrays. Its working memory comes
+// from a pool shared by every simulation, so timing candidate after
+// candidate allocates nothing per schedule in the steady state.
+func Time(top *topology.Topology, s *schedule.Schedule, opts Options) (float64, error) {
+	res, err := run(context.Background(), top, s, opts, false)
+	return res.Time, err
+}
+
+// run is the one simulation behind Simulate and Time, under one
+// "sim.simulate" span; full asks for Result's arrays.
+func run(ctx context.Context, top *topology.Topology, s *schedule.Schedule, opts Options, full bool) (Result, error) {
 	sp := opts.Rec.StartSpan("sim.simulate")
 	sp.SetInt("transfers", int64(len(s.Transfers)))
-	res, err := simulate(ctx, top, s, opts)
+	sc := scratchPool.Get().(*scratch)
+	res, err := simulate(ctx, top, s, opts, full, sc)
+	scratchPool.Put(sc)
 	if err == nil {
 		sp.SetInt("events", int64(res.Events))
 		sp.SetFloat("makespan", res.Time)
@@ -137,27 +164,55 @@ func SimulateCtx(ctx context.Context, top *topology.Topology, s *schedule.Schedu
 	return res, err
 }
 
-func simulate(ctx context.Context, top *topology.Topology, s *schedule.Schedule, opts Options) (*Result, error) {
+// scratch is a simulation's working memory: transfer i's block slots
+// first[i]:first[i+1], the block finish times, the serving-order sort
+// keys and order, and the port clocks (egress, then ingress, one per GPU
+// and port class). Simulations take one from scratchPool and put it back,
+// so its arrays only ever grow.
+type scratch struct {
+	first       []int
+	blockFinish []float64
+	keys        []uint64
+	seq         []int32
+	ports       []float64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// sized returns buf resliced to n elements, reallocated when too short.
+// The contents are whatever the last simulation left: every user writes
+// a slot before it reads it, or clears the slice.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// simulate runs the schedule in sc, which it leaves grown to fit.
+func simulate(ctx context.Context, top *topology.Topology, s *schedule.Schedule, opts Options, full bool, sc *scratch) (Result, error) {
 	n := top.NumGPUs()
 	if s.NumGPUs != n {
-		return nil, fmt.Errorf("sim: schedule has %d GPUs, topology %d", s.NumGPUs, n)
+		return Result{}, fmt.Errorf("sim: schedule has %d GPUs, topology %d", s.NumGPUs, n)
 	}
 	for i := range s.Transfers {
 		t := &s.Transfers[i]
 		if t.Dim < 0 || t.Dim >= top.NumDims() {
-			return nil, fmt.Errorf("sim: transfer %d uses missing dimension %d", i, t.Dim)
+			return Result{}, fmt.Errorf("sim: transfer %d uses missing dimension %d", i, t.Dim)
 		}
 		if !top.SameGroup(t.Dim, t.Src, t.Dst) {
-			return nil, fmt.Errorf("sim: transfer %d: GPUs %d and %d not connected in dimension %d (%s)",
+			return Result{}, fmt.Errorf("sim: transfer %d: GPUs %d and %d not connected in dimension %d (%s)",
 				i, t.Src, t.Dst, t.Dim, top.Dim(t.Dim).Name)
 		}
 		if t.Piece < 0 || t.Piece >= len(s.Pieces) {
-			return nil, fmt.Errorf("sim: transfer %d references missing piece %d", i, t.Piece)
+			return Result{}, fmt.Errorf("sim: transfer %d references missing piece %d", i, t.Piece)
 		}
 	}
 
 	// Expand transfers into block events: transfer i owns the slots
-	// first[i]:first[i+1] of one flat array of block finish times.
+	// first[i]:first[i+1] of one flat array of block finish times. Every
+	// slot is written before it is read, since a transfer is served after
+	// its dependencies.
 	blocksOf := func(bytes float64) int {
 		if opts.BlockBytes <= 0 || bytes <= opts.BlockBytes {
 			return 1
@@ -172,17 +227,19 @@ func simulate(ctx context.Context, top *topology.Topology, s *schedule.Schedule,
 		}
 		return nb
 	}
-	first := make([]int, len(s.Transfers)+1)
+	first := sized(sc.first, len(s.Transfers)+1)
+	first[0] = 0
 	for i := range s.Transfers {
 		first[i+1] = first[i] + blocksOf(s.Pieces[s.Transfers[i].Piece].Bytes)
 	}
-	blockFinish := make([]float64, first[len(s.Transfers)])
+	blockFinish := sized(sc.blockFinish, first[len(s.Transfers)])
+	sc.first, sc.blockFinish = first, blockFinish
 
 	// Process transfers in priority order: a topological order refined by
 	// Order. Ties on shared ports resolve FIFO in this sequence.
-	seq, err := servingOrder(s.Transfers)
+	seq, err := servingOrder(s.Transfers, sc)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 
 	// Ports are per physical class, not per dimension: all network tiers
@@ -190,23 +247,25 @@ func simulate(ctx context.Context, top *topology.Topology, s *schedule.Schedule,
 	// one GPU serialize. Port state is flat, indexed gpu*classes+class;
 	// LinkBusy's rows are views of one array.
 	classes := top.NumPortClasses()
-	egress := make([]float64, n*classes) // port free times
-	ingress := make([]float64, n*classes)
-	linkBusy := make([]float64, n*classes)
-	res := &Result{
-		Events:   len(blockFinish),
-		PortBusy: make([]float64, top.NumDims()),
-		LinkBusy: make([][]float64, n),
-		FinishAt: make([]float64, len(s.Transfers)),
-		StartAt:  make([]float64, len(s.Transfers)),
-	}
-	for g := range res.LinkBusy {
-		res.LinkBusy[g] = linkBusy[g*classes : (g+1)*classes : (g+1)*classes]
+	sc.ports = sized(sc.ports, 2*n*classes)
+	clear(sc.ports)
+	egress, ingress := sc.ports[:n*classes], sc.ports[n*classes:] // port free times
+	res := Result{Events: len(blockFinish)}
+	var linkBusy []float64
+	if full {
+		linkBusy = make([]float64, n*classes)
+		res.PortBusy = make([]float64, top.NumDims())
+		res.LinkBusy = make([][]float64, n)
+		res.FinishAt = make([]float64, len(s.Transfers))
+		res.StartAt = make([]float64, len(s.Transfers))
+		for g := range res.LinkBusy {
+			res.LinkBusy[g] = linkBusy[g*classes : (g+1)*classes : (g+1)*classes]
+		}
 	}
 
 	for k, i := range seq {
 		if k&255 == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
+			return Result{}, ctx.Err()
 		}
 		t := &s.Transfers[i]
 		dim := top.Dim(t.Dim)
@@ -248,17 +307,21 @@ func simulate(ctx context.Context, top *topology.Topology, s *schedule.Schedule,
 			finish := start + alpha + busy
 			egress[out] = start + busy
 			ingress[in] = start + busy
-			res.PortBusy[t.Dim] += busy
-			linkBusy[out] += busy
-			if b == 0 {
-				res.StartAt[i] = start
+			if full {
+				res.PortBusy[t.Dim] += busy
+				linkBusy[out] += busy
+				if b == 0 {
+					res.StartAt[i] = start
+				}
 			}
 			blocks[b] = finish
 			if finish > res.Time {
 				res.Time = finish
 			}
 		}
-		res.FinishAt[i] = blocks[nb-1]
+		if full {
+			res.FinishAt[i] = blocks[nb-1]
+		}
 	}
 	return res, nil
 }
@@ -274,8 +337,8 @@ func simulate(ctx context.Context, top *topology.Topology, s *schedule.Schedule,
 // served, so it is what the heap would pop next. One sort and an O(E)
 // check establish that. Only a schedule with a dependency ranked later
 // (hand-written, XML-imported, baselines) runs Kahn's algorithm.
-func servingOrder(ts []schedule.Transfer) ([]int32, error) {
-	byKey := sortByOrder(ts)
+func servingOrder(ts []schedule.Transfer, sc *scratch) ([]int32, error) {
+	byKey := sortByOrder(ts, sc)
 	sorted := true
 	for i := range ts {
 		t := &ts[i]
@@ -294,12 +357,13 @@ func servingOrder(ts []schedule.Transfer) ([]int32, error) {
 	return kahn(ts, byKey)
 }
 
-// sortByOrder returns the transfer indices sorted by (Order, index). Keys
-// pack Order (relative to the smallest) above the index, so the sort
-// compares integers; Orders spanning 2³² or more fall back to comparing
-// the fields.
-func sortByOrder(ts []schedule.Transfer) []int32 {
-	out := make([]int32, len(ts))
+// sortByOrder returns the transfer indices sorted by (Order, index), in
+// sc.seq. Keys pack Order (relative to the smallest) above the index, so
+// the sort compares integers; Orders spanning 2³² or more fall back to
+// comparing the fields.
+func sortByOrder(ts []schedule.Transfer, sc *scratch) []int32 {
+	out := sized(sc.seq, len(ts))
+	sc.seq = out
 	if len(ts) == 0 {
 		return out
 	}
@@ -308,7 +372,8 @@ func sortByOrder(ts []schedule.Transfer) []int32 {
 		lo, hi = min(lo, ts[i].Order), max(hi, ts[i].Order)
 	}
 	if uint64(hi)-uint64(lo) < 1<<32 {
-		keys := make([]uint64, len(ts))
+		keys := sized(sc.keys, len(ts))
+		sc.keys = keys
 		for i := range ts {
 			keys[i] = (uint64(ts[i].Order)-uint64(lo))<<32 | uint64(i)
 		}

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"context"
 	"math"
+	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"syccl/internal/schedule"
@@ -429,6 +432,9 @@ func TestServingOrderParity(t *testing.T) {
 			if (gErr == nil) != (wErr == nil) {
 				t.Fatalf("%s: sim err %v, reference err %v", c.name, gErr, wErr)
 			}
+			if _, err := Time(top, s, opts); (err == nil) != (gErr == nil) {
+				t.Fatalf("%s: Time err %v, Simulate err %v", c.name, err, gErr)
+			}
 			if gErr != nil {
 				if !strings.Contains(gErr.Error(), "cycle") {
 					t.Errorf("%s: err = %v, want the cycle error", c.name, gErr)
@@ -438,6 +444,9 @@ func TestServingOrderParity(t *testing.T) {
 			if got.Time != want.Time || got.Events != want.Events {
 				t.Errorf("%s %+v: time/events %v/%d, reference %v/%d", c.name, opts, got.Time, got.Events, want.Time, want.Events)
 			}
+			if tm, err := Time(top, s, opts); err != nil || math.Float64bits(tm) != math.Float64bits(got.Time) {
+				t.Errorf("%s %+v: Time %v (%v), Simulate %v", c.name, opts, tm, err, got.Time)
+			}
 			for i := range s.Transfers {
 				if got.FinishAt[i] != want.FinishAt[i] {
 					t.Errorf("%s %+v: transfer %d finishes at %v, reference %v", c.name, opts, i, got.FinishAt[i], want.FinishAt[i])
@@ -445,4 +454,146 @@ func TestServingOrderParity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// pxnAlltoAll is a 7 168-transfer AlltoAll on H800Rail(8): every pair in
+// a server or on a rail goes direct, and every other pair relays through
+// the sender's server-mate on the receiver's rail, PXN-style.
+func pxnAlltoAll() (*topology.Topology, *schedule.Schedule) {
+	top := topology.H800Rail(8)
+	n, g := top.NumGPUs(), top.Sym.Local.N
+	s := &schedule.Schedule{NumGPUs: n}
+	dimFor := func(a, b int) int {
+		for d := 0; d < top.NumDims(); d++ {
+			if top.SameGroup(d, a, b) {
+				return d
+			}
+		}
+		return -1
+	}
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			if src == dst {
+				continue
+			}
+			p := s.AddPiece(float64(1<<20+src), 0)
+			if d := dimFor(src, dst); d >= 0 {
+				s.AddTransfer(schedule.Transfer{Src: src, Dst: dst, Piece: p, Dim: d, Order: dst})
+				continue
+			}
+			relay := src/g*g + dst%g
+			first := s.AddTransfer(schedule.Transfer{Src: src, Dst: relay, Piece: p, Dim: dimFor(src, relay)})
+			s.AddTransfer(schedule.Transfer{Src: relay, Dst: dst, Piece: p, Dim: dimFor(relay, dst), Deps: []int{first}, Order: 1})
+		}
+	}
+	return top, s
+}
+
+// TestTimeParity: Time returns Simulate's Time bit for bit on every
+// serving-order case and on a large schedule, and a scratch grown by the
+// 7 168-transfer schedule and left full of garbage times a 12-transfer
+// one exactly as a fresh scratch does.
+func TestTimeParity(t *testing.T) {
+	bigTop, big := pxnAlltoAll()
+	if len(big.Transfers) != 7168 {
+		t.Fatalf("%d transfers, want 7168", len(big.Transfers))
+	}
+	smallTop := testTopo()
+	small := &schedule.Schedule{NumGPUs: 8}
+	for i := 0; i < 12; i++ {
+		p := small.AddPiece(float64(1000*(i+1)), 0)
+		tr := schedule.Transfer{Src: i % 4, Dst: 4 + i%4, Piece: p, Dim: 1, Order: 12 - i}
+		if i >= 4 {
+			tr = schedule.Transfer{Src: 4 + i%4, Dst: 4 + (i+1)%4, Piece: i - 4, Dim: 0, Order: i, Deps: []int{i - 4}}
+		}
+		small.AddTransfer(tr)
+	}
+	for _, opts := range []Options{{}, DefaultOptions(), {BlockBytes: 300, MaxBlocks: 3}} {
+		sc := new(scratch)
+		for _, c := range []struct {
+			top *topology.Topology
+			s   *schedule.Schedule
+		}{{bigTop, big}, {smallTop, small}, {bigTop, big}} {
+			want, err := Simulate(c.top, c.s, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Time(c.top, c.s, opts)
+			if err != nil || math.Float64bits(got) != math.Float64bits(want.Time) {
+				t.Fatalf("%d transfers %+v: Time %v (%v), Simulate %v", len(c.s.Transfers), opts, got, err, want.Time)
+			}
+			// The same scratch throughout, dirtied between runs.
+			for _, buf := range [][]float64{sc.blockFinish[:cap(sc.blockFinish)], sc.ports[:cap(sc.ports)]} {
+				for i := range buf {
+					buf[i] = math.NaN()
+				}
+			}
+			keys := sc.keys[:cap(sc.keys)]
+			for i := range keys {
+				keys[i] = math.MaxUint64
+			}
+			res, err := simulate(context.Background(), c.top, c.s, opts, false, sc)
+			if err != nil || math.Float64bits(res.Time) != math.Float64bits(want.Time) || res.FinishAt != nil {
+				t.Fatalf("%d transfers %+v: reused scratch gives %v (%v), Simulate %v", len(c.s.Transfers), opts, res.Time, err, want.Time)
+			}
+		}
+		if cap(sc.first) < 7169 {
+			t.Fatalf("scratch did not keep the large schedule's arrays")
+		}
+	}
+}
+
+// TestTimeAllocatesNothing: timing a schedule again allocates nothing —
+// the scratch comes from the pool and no Result array is made.
+func TestTimeAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items")
+	}
+	top, s := pxnAlltoAll()
+	opts := DefaultOptions()
+	if _, err := Time(top, s, opts); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = Time(top, s, opts) }); allocs != 0 {
+		t.Errorf("Time allocates %.1f times per call", allocs)
+	}
+}
+
+// TestTimeConcurrent: simulations running at once each get their own
+// pooled scratch — schedules of different sizes timed from several
+// goroutines keep their exact times (run under -race in CI).
+func TestTimeConcurrent(t *testing.T) {
+	bigTop, big := pxnAlltoAll()
+	smallTop, small := topology.SingleServer(8), randomSchedule(rand.New(rand.NewSource(1)), 8, 1<<20)
+	opts := DefaultOptions()
+	want := [2]float64{}
+	for k, s := range []*schedule.Schedule{big, small} {
+		top := bigTop
+		if k == 1 {
+			top = smallTop
+		}
+		r, err := Simulate(top, s, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = r.Time
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				k := (g + i) % 2
+				top, s := bigTop, big
+				if k == 1 {
+					top, s = smallTop, small
+				}
+				if got, err := Time(top, s, opts); err != nil || math.Float64bits(got) != math.Float64bits(want[k]) {
+					t.Errorf("goroutine %d: Time %v (%v), want %v", g, got, err, want[k])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

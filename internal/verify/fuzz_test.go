@@ -192,7 +192,8 @@ func fuzzSimSchedule(b *byteScript) (*topology.Topology, *schedule.Schedule, sim
 }
 
 // FuzzSimParity feeds random well-formed schedules to both simulators and
-// demands agreement to 1e-9 on completion time and every arrival.
+// demands agreement to 1e-9 on completion time and every arrival, and the
+// time-only entry sim.Time to return Simulate's time bit for bit.
 func FuzzSimParity(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 9, 3, 11, 5, 0, 1, 2, 0, 1, 3, 0, 2, 1, 4, 0})
@@ -205,8 +206,15 @@ func FuzzSimParity(f *testing.F) {
 		if (gErr == nil) != (wErr == nil) {
 			t.Fatalf("disagreement on admissibility: sim err %v, refsim err %v", gErr, wErr)
 		}
+		tm, tErr := sim.Time(top, s, opts)
+		if (tErr == nil) != (gErr == nil) {
+			t.Fatalf("disagreement on admissibility: Simulate err %v, Time err %v", gErr, tErr)
+		}
 		if gErr != nil {
 			return
+		}
+		if math.Float64bits(tm) != math.Float64bits(got.Time) {
+			t.Fatalf("time: Simulate %.17g vs Time %.17g", got.Time, tm)
 		}
 		if math.Abs(got.Time-want.Time) > parityTol {
 			t.Fatalf("time: sim %.12g vs refsim %.12g", got.Time, want.Time)
