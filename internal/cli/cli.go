@@ -4,6 +4,7 @@ package cli
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -48,9 +49,10 @@ func ParseTopology(spec string) (*topology.Topology, error) {
 	}
 }
 
-// ParseSize parses a byte size like "64M", "1G", "4K", "1024".
-func ParseSize(s string) (float64, error) {
-	s = strings.TrimSpace(strings.ToUpper(s))
+// ParseSize parses a byte size like "64M", "1G", "4K", "1024". The size
+// must be finite and positive: "NaN", "Inf" and "infM" are refused.
+func ParseSize(in string) (float64, error) {
+	s := strings.TrimSpace(strings.ToUpper(in))
 	mult := 1.0
 	switch {
 	case strings.HasSuffix(s, "G"):
@@ -66,10 +68,11 @@ func ParseSize(s string) (float64, error) {
 		s = s[:len(s)-1]
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v <= 0 {
-		return 0, fmt.Errorf("bad size %q", s)
+	v *= mult
+	if err != nil || !(v > 0) || math.IsInf(v, 1) {
+		return 0, fmt.Errorf("bad size %q", in)
 	}
-	return v * mult, nil
+	return v, nil
 }
 
 // BuildCollective instantiates a collective by name with an aggregate

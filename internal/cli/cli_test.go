@@ -36,7 +36,7 @@ func TestParseSize(t *testing.T) {
 			t.Errorf("ParseSize(%q) = %g, %v; want %g", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "-1K", "abc", "0"} {
+	for _, bad := range []string{"", "-1K", "abc", "0", "NaN", "nanK", "Inf", "-Inf", "infM", "1e308G"} {
 		if _, err := ParseSize(bad); err == nil {
 			t.Errorf("accepted %q", bad)
 		}

@@ -1,6 +1,8 @@
 package collective
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -162,24 +164,75 @@ func TestSendRecv(t *testing.T) {
 }
 
 func TestValidateRejections(t *testing.T) {
-	c := AllGather(4, 100)
-	c.Chunks[1].ID = 7
-	if c.Validate() == nil {
-		t.Error("accepted non-dense chunk IDs")
+	for _, tc := range []struct {
+		name string
+		col  *Collective
+		edit func(*Collective)
+	}{
+		{"non-dense chunk IDs", AllGather(4, 100), func(c *Collective) { c.Chunks[1].ID = 7 }},
+		{"out-of-range destination", AllGather(4, 100), func(c *Collective) { c.Chunks[0].Dsts = []int{9} }},
+		{"zero chunk size", AllGather(4, 0), func(*Collective) {}},
+		{"NaN chunk size", AllGather(4, math.NaN()), func(*Collective) {}},
+		{"infinite chunk size", AllGather(4, math.Inf(1)), func(*Collective) {}},
+		{"self-demand", Broadcast(4, 0, 10), func(c *Collective) { c.Chunks[0].Dsts = []int{0, 1} }},
+		{"unsorted destinations", Broadcast(4, 0, 10), func(c *Collective) { c.Chunks[0].Dsts = []int{3, 2, 1} }},
+		{"swapped chunks", Scatter(4, 0, 10), func(c *Collective) { c.Chunks[0].Dsts, c.Chunks[1].Dsts = c.Chunks[1].Dsts, c.Chunks[0].Dsts }},
+		{"split chunk", AllReduce(4, 400), func(c *Collective) {
+			c.ChunkSize /= 2
+			c.Chunks = append(c.Chunks, AllGather(4, 1).Chunks...)
+			for i := range c.Chunks {
+				c.Chunks[i].ID = i
+			}
+		}},
+		{"reduce flag off", Reduce(4, 1, 10), func(c *Collective) { c.Reduce = false }},
+		{"reduce flag on", AllReduce(4, 400), func(c *Collective) { c.Reduce = true }},
+		{"root out of range", Gather(4, 1, 10), func(c *Collective) { c.Root = 4 }},
+		{"root on an unrooted kind", AlltoAll(4, 10), func(c *Collective) { c.Root = 0 }},
+		{"SendRecv to its root", SendRecv(4, 2, 3, 10), func(c *Collective) { c.Chunks[0].Dsts = []int{2} }},
+		{"SendRecv to two GPUs", SendRecv(4, 2, 3, 10), func(c *Collective) { c.Chunks[0].Dsts = []int{0, 3} }},
+		{"one GPU", AllGather(1, 10), func(*Collective) {}},
+		{"unknown kind", AllGather(4, 10), func(c *Collective) { c.Kind = Kind(99) }},
+	} {
+		tc.edit(tc.col)
+		if err := tc.col.Validate(); !errors.Is(err, ErrUnsupported) {
+			t.Errorf("%s: Validate = %v, want ErrUnsupported", tc.name, err)
+		}
 	}
-	c2 := AllGather(4, 100)
-	c2.Chunks[0].Dsts = []int{9}
-	if c2.Validate() == nil {
-		t.Error("accepted out-of-range destination")
+}
+
+// TestValidateAdmitsConstructors: every constructor's output, at every
+// root and destination, is admitted.
+func TestValidateAdmitsConstructors(t *testing.T) {
+	for n := 2; n <= 9; n++ {
+		cols := []*Collective{AllGather(n, 1), AlltoAll(n, 1), ReduceScatter(n, 1), AllReduce(n, 1)}
+		for r := 0; r < n; r++ {
+			cols = append(cols, Broadcast(n, r, 1), Scatter(n, r, 1), Gather(n, r, 1), Reduce(n, r, 1))
+			for d := 0; d < n; d++ {
+				if d != r {
+					cols = append(cols, SendRecv(n, r, d, 1))
+				}
+			}
+		}
+		for _, c := range cols {
+			if err := c.Validate(); err != nil {
+				t.Errorf("%v: %v", c, err)
+			}
+		}
 	}
-	c3 := AllGather(4, 0)
-	if c3.Validate() == nil {
-		t.Error("accepted zero chunk size")
-	}
-	c4 := Broadcast(4, 0, 10)
-	c4.Chunks[0].Dsts = []int{0, 1}
-	if c4.Validate() == nil {
-		t.Error("accepted self-demand without reduce")
+}
+
+// TestValidateAllocatesNothing: the admission check runs on every
+// Synthesize and Plan, so it is allocation-free on the 64-GPU (h800x64)
+// AlltoAll and AllGather.
+func TestValidateAllocatesNothing(t *testing.T) {
+	for _, c := range []*Collective{AlltoAll(64, 1<<14), AllGather(64, 1<<20), SendRecv(64, 0, 63, 1)} {
+		if a := testing.AllocsPerRun(20, func() {
+			if c.Validate() != nil {
+				t.Fatal("refused")
+			}
+		}); a != 0 {
+			t.Errorf("%v: Validate allocates %v times", c, a)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"strings"
+	"errors"
 	"testing"
 
 	"syccl/internal/collective"
@@ -96,9 +96,11 @@ func TestPipelinedBeatsNCCL(t *testing.T) {
 }
 
 // TestCallerSplitReduceRejected: a Reduce whose sources each hold k
-// chunks (a split the caller made, not the pipeline) cannot be mirrored
-// from a Broadcast, whose pieces then cover all k chunks of a source at
-// 1/k of their bytes; Synthesize refuses it instead of timing it at 1/k.
+// chunks (a split the caller made, not the pipeline) is not what the
+// Reduce constructor builds, so Synthesize refuses it at the door instead
+// of timing a mirror whose pieces cover each source's k chunks at 1/k of
+// their bytes. schedule's TestValidateReductionPieces pins the rule that
+// would refuse such a mirror.
 func TestCallerSplitReduceRejected(t *testing.T) {
 	for _, topo := range []string{"dgx4", "server8"} {
 		for _, k := range []int{2, 4, 8} {
@@ -111,8 +113,8 @@ func TestCallerSplitReduceRejected(t *testing.T) {
 				}
 			}
 			res, err := Synthesize(top, col, Options{})
-			if err == nil || !strings.Contains(err.Error(), "reduction piece") {
-				t.Errorf("%s k=%d: got %v (result %v), want the one-chunk-per-source rejection", topo, k, err, res != nil)
+			if !errors.Is(err, collective.ErrUnsupported) {
+				t.Errorf("%s k=%d: got %v (result %v), want collective.ErrUnsupported", topo, k, err, res != nil)
 			}
 		}
 	}

@@ -26,6 +26,9 @@ import (
 // All-to-one collectives (Reduce, Gather) and ReduceScatter are
 // synthesized as the mirror of their one-to-all inverses (§4.1, §4.3);
 // AllReduce is synthesized as ReduceScatter followed by AllGather (§4.3).
+// A collective that is not what its kind's constructor builds is refused
+// with an error wrapping collective.ErrUnsupported (see
+// Collective.Validate).
 func Synthesize(top *topology.Topology, col *collective.Collective, opts Options) (*Result, error) {
 	return SynthesizeContext(context.Background(), top, col, opts)
 }
@@ -47,17 +50,13 @@ func SynthesizeContext(ctx context.Context, top *topology.Topology, col *collect
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Request-scoped fan-in: a caller that attached a recorder to the
-	// context (the serving layer's per-flight recorder) gets the whole
-	// pipeline's span tree on it without plumbing an explicit option. An
-	// explicit opts.Obs always wins.
-	if opts.Obs == nil {
-		opts.Obs = obs.FromContext(ctx)
-	}
-	opts = opts.withDefaults()
+	// The door: only what a constructor builds goes further, so nothing
+	// below — recipe replay included — sees a chunk layout the oracle
+	// cannot check.
 	if err := col.Validate(); err != nil {
 		return nil, err
 	}
+	opts = opts.withDefaults()
 	if col.NumGPUs != top.NumGPUs() {
 		return nil, fmt.Errorf("core: collective spans %d GPUs, topology has %d", col.NumGPUs, top.NumGPUs())
 	}

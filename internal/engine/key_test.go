@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -60,12 +58,27 @@ func TestPlanKeyCoalescingContract(t *testing.T) {
 		seen[k] = what
 	}
 
-	// Two Broadcasts from different roots differ only in the chunk maps:
-	// the digest must separate them.
-	b0 := PlanKey(top, collective.Broadcast(4, 0, 1<<20), base)
-	b1 := PlanKey(top, collective.Broadcast(4, 1, 1<<20), base)
-	if b0 == b1 {
-		t.Fatal("chunk digest missed a root change")
+	// Every rooted kind, built at roots 0 and 1: the chunk maps are all
+	// that differ, and the key no longer digests them, so the root must
+	// split the key.
+	rooted := map[string]func(root int) *collective.Collective{
+		"sendrecv":  func(r int) *collective.Collective { return collective.SendRecv(4, r, 2, 1<<20) },
+		"broadcast": func(r int) *collective.Collective { return collective.Broadcast(4, r, 1<<20) },
+		"scatter":   func(r int) *collective.Collective { return collective.Scatter(4, r, 1<<20) },
+		"gather":    func(r int) *collective.Collective { return collective.Gather(4, r, 1<<20) },
+		"reduce":    func(r int) *collective.Collective { return collective.Reduce(4, r, 1<<20) },
+	}
+	for kind, build := range rooted {
+		if PlanKey(top, build(0), base) == PlanKey(top, build(1), base) {
+			t.Errorf("%s: root missed by the key", kind)
+		}
+	}
+
+	// Two SendRecvs from one root differ only in the destination.
+	d2 := PlanKey(top, collective.SendRecv(4, 0, 2, 1<<20), base)
+	d3 := PlanKey(top, collective.SendRecv(4, 0, 3, 1<<20), base)
+	if d2 == d3 {
+		t.Fatal("SendRecv destination missed by the key")
 	}
 }
 
@@ -194,38 +207,5 @@ func TestPlanKeySearchOptionsChangeSchedules(t *testing.T) {
 	}
 	if PlanKey(top, col, full) == PlanKey(top, col, capped) {
 		t.Fatalf("schedules differ (%g s vs %g s) under one PlanKey", a.Time, b.Time)
-	}
-}
-
-// chunkDigestReference is chunkDigest as it stood when it fed the hash
-// through fmt, kept verbatim: every schedule id, serve golden and
-// persisted snapshot hangs off these bytes.
-func chunkDigestReference(col *collective.Collective) uint64 {
-	h := fnv.New64a()
-	for _, ch := range col.Chunks {
-		fmt.Fprintf(h, "%d:%d:", ch.ID, ch.Src)
-		for _, d := range ch.Dsts {
-			fmt.Fprintf(h, "%d,", d)
-		}
-		h.Write([]byte{';'})
-	}
-	return h.Sum64()
-}
-
-func TestChunkDigestStable(t *testing.T) {
-	cols := []*collective.Collective{
-		{}, // no chunks
-		{Chunks: []collective.Chunk{{ID: -3, Src: -1}, {ID: 1 << 40, Src: 7, Dsts: []int{-2, 0, 1 << 33}}}},
-	}
-	for _, n := range []int{2, 5, 64} {
-		cols = append(cols,
-			collective.SendRecv(n, 0, n-1, 1), collective.Broadcast(n, 1, 1), collective.Scatter(n, 0, 1),
-			collective.Gather(n, 1, 1), collective.Reduce(n, 0, 1), collective.AllGather(n, 1),
-			collective.AlltoAll(n, 1), collective.ReduceScatter(n, 1), collective.AllReduce(n, 1))
-	}
-	for i, col := range cols {
-		if got, want := chunkDigest(col), chunkDigestReference(col); got != want {
-			t.Errorf("collective %d (%v, %d chunks): digest %016x, want %016x", i, col.Kind, len(col.Chunks), got, want)
-		}
 	}
 }

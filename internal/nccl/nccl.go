@@ -1,9 +1,8 @@
 // Package nccl reimplements NCCL's fixed collective schedules as the
 // paper's baseline (§2.1): hierarchical multi-ring AllGather/
 // ReduceScatter/AllReduce (Fig 2), double-tree style Broadcast/Reduce,
-// and direct/PXN AlltoAll. A Tune entry point mimics NCCL's tuner by
-// picking the best fixed algorithm for a given size via the α-β
-// simulator.
+// and direct/PXN AlltoAll. Schedule builds the kind's algorithm and
+// times it with the α-β simulator.
 //
 // Rings follow NCCL's rail-aligned construction: within each server GPUs
 // form a chain; chains link across servers through same-rail network
@@ -289,46 +288,33 @@ func AlltoAll(top *topology.Topology, col *collective.Collective) (*schedule.Sch
 	return sched, nil
 }
 
-// Schedule returns NCCL's schedule for a collective, picking among the
-// library's fixed algorithms by simulated time the way NCCL's tuner
-// selects by size class.
+// Schedule returns NCCL's schedule for a collective — its one fixed
+// algorithm for the kind — and the schedule's simulated time.
 func Schedule(top *topology.Topology, col *collective.Collective, opts sim.Options) (*schedule.Schedule, float64, error) {
-	type variant func(*topology.Topology, *collective.Collective) (*schedule.Schedule, error)
-	var variants []variant
+	var build func(*topology.Topology, *collective.Collective) (*schedule.Schedule, error)
 	switch col.Kind {
 	case collective.KindAllGather:
-		variants = []variant{AllGather}
+		build = AllGather
 	case collective.KindReduceScatter:
-		variants = []variant{ReduceScatter}
+		build = ReduceScatter
 	case collective.KindAllReduce:
-		variants = []variant{AllReduceRing}
+		build = AllReduceRing
 	case collective.KindBroadcast:
-		variants = []variant{Broadcast}
+		build = Broadcast
 	case collective.KindReduce:
-		variants = []variant{Reduce}
+		build = Reduce
 	case collective.KindAlltoAll:
-		variants = []variant{AlltoAll}
+		build = AlltoAll
 	default:
 		return nil, 0, fmt.Errorf("nccl: unsupported collective %v", col.Kind)
 	}
-	var best *schedule.Schedule
-	bestTime := 0.0
-	for _, v := range variants {
-		s, err := v(top, col)
-		if err != nil {
-			continue
-		}
-		r, err := sim.Simulate(top, s, opts)
-		if err != nil {
-			continue
-		}
-		if best == nil || r.Time < bestTime {
-			best = s
-			bestTime = r.Time
-		}
+	s, err := build(top, col)
+	if err != nil {
+		return nil, 0, err
 	}
-	if best == nil {
-		return nil, 0, fmt.Errorf("nccl: no valid schedule for %v on %s", col.Kind, top.Name)
+	t, err := sim.Time(top, s, opts)
+	if err != nil {
+		return nil, 0, err
 	}
-	return best, bestTime, nil
+	return s, t, nil
 }

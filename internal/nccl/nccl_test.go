@@ -208,6 +208,14 @@ func TestScheduleTuner(t *testing.T) {
 		if s == nil || tm <= 0 {
 			t.Fatalf("%v: empty result", col.Kind)
 		}
+		// The baselines the benchmark quotes are the full simulation's.
+		full, err := sim.Simulate(top, s, sim.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%v: %v", col.Kind, err)
+		}
+		if math.Float64bits(full.Time) != math.Float64bits(tm) {
+			t.Fatalf("%v: Schedule time %v, Simulate time %v", col.Kind, tm, full.Time)
+		}
 	}
 }
 

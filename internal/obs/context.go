@@ -1,38 +1,14 @@
 package obs
 
-// Request-scoped observability plumbing: the serving layer assigns every
-// request an ID and a per-flight recorder, and threads both through
-// context.Context so the engine and core pipeline annotate the request's
-// own span tree without any API change on the synthesis path. A context
-// without values behaves exactly like a nil recorder / empty ID.
+// Request-scoped plumbing: the serving layer assigns every request an ID
+// and threads it through context.Context, so the core pipeline tags the
+// request's span tree with it. A context without one yields "".
 
 import "context"
 
 type ctxKey int
 
-const (
-	ctxKeyRecorder ctxKey = iota
-	ctxKeyRequestID
-)
-
-// NewContext attaches a recorder to the context. Attaching nil returns
-// ctx unchanged.
-func NewContext(ctx context.Context, r *Recorder) context.Context {
-	if r == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKeyRecorder, r)
-}
-
-// FromContext returns the recorder attached by NewContext, or nil (a
-// valid no-op recorder) when none is attached.
-func FromContext(ctx context.Context) *Recorder {
-	if ctx == nil {
-		return nil
-	}
-	r, _ := ctx.Value(ctxKeyRecorder).(*Recorder)
-	return r
-}
+const ctxKeyRequestID ctxKey = 0
 
 // WithRequestID attaches a request ID to the context.
 func WithRequestID(ctx context.Context, id string) context.Context {

@@ -32,6 +32,9 @@ func FuzzDecodeRequest(f *testing.F) {
 		`{"topology":"dgx4","collective":"allgather","size":"1M","sketch_hint":";;;"}`,
 		`{"topology":"dgx4","collective":"allgather","size":"1M","stop_within_pct":101}`,
 		`{"topology":"dgx4","collective":"allgather","size":"1M","stop_within_pct":-1}`,
+		// Non-finite sizes decode; resolve refuses them as bad_size.
+		`{"topology":"dgx4","collective":"allgather","size":"NaN"}`,
+		`{"topology":"dgx4","collective":"allgather","size":"infM"}`,
 		// Truncated at various depths.
 		`{"topology":"dgx4","collective":"allgather","si`,
 		`{"topology":"dgx4",`,

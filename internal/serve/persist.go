@@ -28,8 +28,9 @@ const scheduleStoreSnapshot = "schedule-store"
 
 // snapshotVersion versions the JSON image inside the (already
 // container-versioned) snapshot. Bump on incompatible field changes; a
-// mismatched image is ignored, which degrades to a cold boot.
-const snapshotVersion = 1
+// mismatched image is ignored, which degrades to a cold boot. Version 2:
+// schedule ids hash plan keys that no longer digest chunk lists.
+const snapshotVersion = 2
 
 // snapEntry is one stored result in the snapshot image.
 type snapEntry struct {

@@ -156,6 +156,24 @@ func TestWarmDuplicateSkipsEngine(t *testing.T) {
 	}
 }
 
+// TestNonFiniteSizeRefused: a NaN or infinite size is a 400 bad_size at
+// the door, not a request that reaches the pipeline (a NaN chunk size
+// once panicked a solver goroutine and took the daemon down); the server
+// keeps answering afterwards.
+func TestNonFiniteSizeRefused(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, size := range []string{"NaN", "Inf", "infM", "-Inf"} {
+		resp, raw := postJSON(t, ts.URL, `{"topology":"dgx4","collective":"allgather","size":"`+size+`"}`)
+		var eb errorBody
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(raw, &eb) != nil || eb.Error == nil || eb.Error.Code != CodeBadSize {
+			t.Fatalf("size %q: status %d, body %s; want 400 %s", size, resp.StatusCode, raw, CodeBadSize)
+		}
+	}
+	if resp, raw := postJSON(t, ts.URL, `{"topology":"dgx4","collective":"allgather","size":"1M"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("server stopped answering after the refusals: %d %s", resp.StatusCode, raw)
+	}
+}
+
 // TestErrorPaths checks that every malformed input maps to its own
 // structured 400 (or 404/413) body.
 func TestErrorPaths(t *testing.T) {

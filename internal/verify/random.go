@@ -101,34 +101,9 @@ func RandomCollective(rng *rand.Rand, kind collective.Kind, n int) *collective.C
 	}
 }
 
-// PermuteCollective relabels every GPU reference of the collective through
-// perm (a bijection over 0..NumGPUs-1): chunk sources, destinations, and
-// the root. Chunk IDs and sizes are untouched, so the result is the
-// isomorphic image of the demand under the relabeling.
-func PermuteCollective(col *collective.Collective, perm []int) *collective.Collective {
-	out := &collective.Collective{
-		Kind: col.Kind, NumGPUs: col.NumGPUs, ChunkSize: col.ChunkSize,
-		Reduce: col.Reduce, Root: col.Root,
-	}
-	if col.Root >= 0 {
-		out.Root = perm[col.Root]
-	}
-	for _, ch := range col.Chunks {
-		nc := collective.Chunk{ID: ch.ID, Src: perm[ch.Src]}
-		nc.Dsts = make([]int, len(ch.Dsts))
-		for i, d := range ch.Dsts {
-			nc.Dsts[i] = perm[d]
-		}
-		sort.Ints(nc.Dsts)
-		out.Chunks = append(out.Chunks, nc)
-	}
-	return out
-}
-
 // PermuteSchedule relabels every transfer endpoint of the schedule through
-// perm. Piece chunk IDs are untouched: chunk c of the original collective
-// corresponds to chunk c of the permuted collective (PermuteCollective),
-// whose source and destinations moved with the same relabeling.
+// perm. Piece chunk IDs are untouched, so the result serves the image of
+// the collective under the relabeling, chunk for chunk.
 func PermuteSchedule(s *schedule.Schedule, perm []int) *schedule.Schedule {
 	out := s.Clone()
 	for i := range out.Transfers {

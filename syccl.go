@@ -89,7 +89,15 @@ var (
 	BuildTopology = topology.Build
 )
 
-// Collective constructors (Table 1).
+// ErrUnsupportedCollective is wrapped by the error Synthesize, Plan and
+// Collective.Validate return for a collective that is not what its kind's
+// constructor builds: a relabeled or split chunk list, a wrong root or
+// reduce flag, a chunk size that is not finite and positive. Test with
+// errors.Is.
+var ErrUnsupportedCollective = collective.ErrUnsupported
+
+// Collective constructors (Table 1). Synthesize admits exactly the
+// collectives these build.
 var (
 	SendRecv      = collective.SendRecv
 	Broadcast     = collective.Broadcast

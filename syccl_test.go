@@ -1,6 +1,9 @@
 package syccl
 
 import (
+	"context"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -77,6 +80,36 @@ func TestCollectiveConstructors(t *testing.T) {
 	} {
 		if err := col.Validate(); err != nil {
 			t.Errorf("%v: %v", col.Kind, err)
+		}
+	}
+}
+
+// TestUnsupportedCollective: the public entry points refuse what no
+// constructor builds with ErrUnsupportedCollective — a non-finite size,
+// and an AllReduce the caller split into 2n chunks of half the bytes,
+// which would otherwise come back as an AllReduce of half the data.
+func TestUnsupportedCollective(t *testing.T) {
+	top := SingleServer(4)
+	split := AllReduce(4, 1<<20)
+	split.ChunkSize /= 2
+	for _, ch := range AllGather(4, 1).Chunks {
+		ch.ID = len(split.Chunks)
+		split.Chunks = append(split.Chunks, ch)
+	}
+	noDst := SendRecv(4, 0, 1, 1<<20)
+	noDst.Chunks[0].Dsts = nil
+	eng := NewEngine(EngineOptions{})
+	for name, col := range map[string]*Collective{
+		"NaN size":               AllGather(4, math.NaN()),
+		"+Inf size":              Broadcast(4, 0, math.Inf(1)),
+		"caller-split AllReduce": split,
+		"SendRecv to nobody":     noDst, // keyed by Plan before the door
+	} {
+		if _, err := Synthesize(top, col, Options{}); !errors.Is(err, ErrUnsupportedCollective) {
+			t.Errorf("%s: Synthesize = %v, want ErrUnsupportedCollective", name, err)
+		}
+		if _, err := eng.Plan(context.Background(), top, col, Options{}); !errors.Is(err, ErrUnsupportedCollective) {
+			t.Errorf("%s: Plan = %v, want ErrUnsupportedCollective", name, err)
 		}
 	}
 }
