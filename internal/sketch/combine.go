@@ -1,8 +1,6 @@
 package sketch
 
 import (
-	"math"
-
 	"syccl/internal/lp"
 	"syccl/internal/topology"
 )
@@ -43,11 +41,15 @@ func (c *Combination) Workload(top *topology.Topology) [][]float64 {
 	for d := range w {
 		w[d] = make([]float64, len(top.Dim(d).Groups))
 	}
+	off := groupOffsets(top)
+	sw := make([]float64, off[len(off)-1])
+	var tree ScatterTree
 	for i, sk := range c.Sketches {
-		sw := sk.Workload(top)
-		for d := range sw {
-			for g := range sw[d] {
-				w[d][g] += c.Fracs[i] * sw[d][g]
+		clear(sw)
+		sk.addWorkload(top, &tree, sw, off)
+		for d := range w {
+			for g := range w[d] {
+				w[d][g] += c.Fracs[i] * sw[off[d]+g]
 			}
 		}
 	}
@@ -66,41 +68,21 @@ func (c *Combination) DimWorkload(top *topology.Topology) []float64 {
 	return out
 }
 
-// imbalance measures, per dimension, the spread between the most and
-// least loaded active groups, summed over dimensions with any load.
-func imbalance(w [][]float64) float64 {
-	total := 0.0
-	for d := range w {
-		lo, hi := math.Inf(1), 0.0
-		for _, v := range w[d] {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		if hi > 0 {
-			total += hi - lo
-		}
-	}
-	return total
-}
-
 // deficit is the replication objective: the total headroom below each
-// dimension's most loaded group, Σ_d Σ_g (max_g' w[d][g'] − w[d][g]).
-// Unlike max−min it strictly decreases as under-loaded groups fill, which
-// lets the greedy replica selection make progress one replica at a time.
-func deficit(w [][]float64) float64 {
+// dimension's most loaded group, Σ_d Σ_g (max_g' w[d][g'] − w[d][g]), on
+// a flat workload laid out by off. Unlike max−min it strictly decreases
+// as under-loaded groups fill, which lets the greedy replica selection
+// make progress one replica at a time.
+func deficit(w []float64, off []int) float64 {
 	total := 0.0
-	for d := range w {
+	for d := 0; d+1 < len(off); d++ {
 		hi := 0.0
-		for _, v := range w[d] {
+		for _, v := range w[off[d]:off[d+1]] {
 			if v > hi {
 				hi = v
 			}
 		}
-		for _, v := range w[d] {
+		for _, v := range w[off[d]:off[d+1]] {
 			total += hi - v
 		}
 	}
@@ -108,17 +90,18 @@ func deficit(w [][]float64) float64 {
 }
 
 // deficitPlus is deficit(a + b), without building the sum.
-func deficitPlus(a, b [][]float64) float64 {
+func deficitPlus(a, b []float64, off []int) float64 {
 	total := 0.0
-	for d := range a {
-		hi := 0.0
-		for g, v := range a[d] {
-			if s := v + b[d][g]; s > hi {
-				hi = s
+	for d := 0; d+1 < len(off); d++ {
+		lo, hi := off[d], off[d+1]
+		peak := 0.0
+		for g, v := range a[lo:hi] {
+			if s := v + b[lo+g]; s > peak {
+				peak = s
 			}
 		}
-		for g, v := range a[d] {
-			total += hi - (v + b[d][g])
+		for g, v := range a[lo:hi] {
+			total += peak - (v + b[lo+g])
 		}
 	}
 	return total
@@ -135,41 +118,45 @@ func Replicate(top *topology.Topology, sk *Sketch, maxReplicas int) *Combination
 	}
 
 	sketches := []*Sketch{sk}
-	load := sk.Workload(top)
+	off := groupOffsets(top)
+	width := off[len(off)-1]
+	var tree ScatterTree
+	load := make([]float64, width)
+	sk.addWorkload(top, &tree, load, off)
 
-	// The workload of the sketch under every non-identity automorphism.
-	// A broadcast sketch's is its own moved group by group — each
-	// sub-demand lands in the group its sources map to — so only the
-	// replicas chosen below are mapped; a scatter sketch's depends on
-	// its mapped tree, so it is mapped up front.
-	type variant struct {
-		perm []int
-		sk   *Sketch
-		w    [][]float64
-	}
-	variants := make([]variant, 0, len(perms))
+	// The workload of the sketch under every non-identity automorphism,
+	// variant i's at w[i*width:(i+1)*width]. A broadcast sketch's is its
+	// own moved group by group — each sub-demand lands in the group its
+	// sources map to — so only the replicas chosen below are mapped; a
+	// scatter sketch's depends on its mapped tree, so it is mapped up
+	// front.
+	vperm := make([][]int, 0, len(perms))
+	vsk := make([]*Sketch, 0, len(perms))
+	w := make([]float64, 0, len(perms)*width)
 	for _, p := range perms {
 		if isIdentityPerm(p) {
 			continue
 		}
-		v := variant{perm: p}
+		row := w[len(w) : len(w)+width]
+		w = w[:len(w)+width]
+		var m *Sketch
 		if sk.Scatter {
-			v.sk = sk.Map(top, p)
-			v.w = v.sk.Workload(top)
+			m = sk.Map(top, p)
+			m.addWorkload(top, &tree, row, off)
 		} else {
-			v.w = sk.mappedWorkload(top, p)
+			sk.addMappedWorkload(top, p, row, off)
 		}
-		variants = append(variants, v)
+		vperm, vsk = append(vperm, p), append(vsk, m)
 	}
 
 	for len(sketches) < maxReplicas {
-		cur := deficit(load)
+		cur := deficit(load, off)
 		if cur < 1e-9 {
 			break
 		}
 		bestIdx, bestScore := -1, cur
-		for i, v := range variants {
-			score := deficitPlus(load, v.w)
+		for i := range vperm {
+			score := deficitPlus(load, w[i*width:(i+1)*width], off)
 			if score < bestScore-1e-12 {
 				bestScore = score
 				bestIdx = i
@@ -178,15 +165,12 @@ func Replicate(top *topology.Topology, sk *Sketch, maxReplicas int) *Combination
 		if bestIdx < 0 {
 			break // no replica improves balance further
 		}
-		v := &variants[bestIdx]
-		if v.sk == nil {
-			v.sk = sk.Map(top, v.perm)
+		if vsk[bestIdx] == nil {
+			vsk[bestIdx] = sk.Map(top, vperm[bestIdx])
 		}
-		sketches = append(sketches, v.sk)
-		for d := range load {
-			for g := range load[d] {
-				load[d][g] += v.w[d][g]
-			}
+		sketches = append(sketches, vsk[bestIdx])
+		for j, v := range w[bestIdx*width : (bestIdx+1)*width] {
+			load[j] += v
 		}
 	}
 

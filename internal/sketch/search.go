@@ -2,7 +2,7 @@ package sketch
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"strconv"
 
 	"syccl/internal/obs"
@@ -118,6 +118,11 @@ const (
 	maxCountChoices = 4
 )
 
+// searcher is one depth-first enumeration. Its state is allocated once
+// and reused: a node's eligible dimensions, chosen subset, counts and
+// stage live in the level of its depth, which the node's siblings
+// overwrite, and informed and taken are marked on the way down and
+// cleared on the way back.
 type searcher struct {
 	top     *topology.Topology
 	opts    SearchOptions
@@ -126,11 +131,33 @@ type searcher struct {
 	// its group: always for Scatter, where partial coverage multiplies
 	// relayed volume, and for a flat-family hint.
 	fullFanout bool
-	seen       map[string]bool
+	seen       map[string]struct{}
 	out        []*Sketch
 	nodes      int
 	ctx        context.Context
 	cancelled  bool
+
+	sk       Sketch   // the partial sketch; Stages[k] is levels[k].stage
+	levels   []*level // by depth
+	informed []bool
+	taken    []bool  // destinations of the stage being built
+	stamp    []int32 // stamp[g] == gen: group g counted for this (node, dimension)
+	gen      int32
+	subsets  [][]int // subsets[m]: the masks over m eligible dimensions, in visiting order
+	cand     []int   // farthest-first candidates, in ascending order
+	far      []int   // far[i] = farness(cand[i])
+	desc     []byte  // the descriptor emit dedupes on
+	parts    []descPart
+}
+
+// level is the state of the node at one depth.
+type level struct {
+	remaining, used int // uninformed GPUs; mask of the dimensions used on the path
+	eligible        []dimState
+	chosen          []int // indices into eligible
+	counts          []int // destination count per chosen dimension
+	stage           Stage
+	ids             []int // the stage's Srcs and Dsts are cut from it
 }
 
 func runSearch(ctx context.Context, top *topology.Topology, root int, scatter bool, opts SearchOptions) []*Sketch {
@@ -145,34 +172,36 @@ func runSearch(ctx context.Context, top *topology.Topology, root int, scatter bo
 		sp.SetStr("shape", "broadcast")
 	}
 	defer sp.End()
+	n, groups := top.NumGPUs(), 0
+	for _, dim := range top.Dims {
+		groups = max(groups, len(dim.Groups))
+	}
 	s := &searcher{
 		top:        top,
 		opts:       opts.forTopology(top, scatter),
 		scatter:    scatter,
 		fullFanout: scatter || (opts.Hint != nil && opts.Hint.Family == FamilyFlat),
-		seen:       make(map[string]bool),
+		seen:       make(map[string]struct{}),
 		ctx:        ctx,
+		sk:         Sketch{Root: root, Scatter: scatter},
+		informed:   make([]bool, n),
+		taken:      make([]bool, n),
+		stamp:      make([]int32, groups),
+		subsets:    make([][]int, top.NumDims()+1),
 	}
-	informed := make([]bool, top.NumGPUs())
-	informed[root] = true
-	start := func() ([]bool, *Sketch) {
-		inf := append([]bool(nil), informed...)
-		return inf, &Sketch{Root: root, Scatter: scatter}
-	}
+	s.informed[root] = true
 	// Pass 1: full fan-out only. This small space contains every
 	// classic hierarchical shape (including multi-dimension stages such
 	// as Fig 5's sketch ①) and must not be crowded out of the sketch
 	// budget by deep partial-count variants.
 	if !s.fullFanout {
 		s.fullFanout = true
-		inf, sk := start()
-		s.recurse(sk, inf, top.NumGPUs()-1, 0)
+		s.recurse(n-1, 0)
 		s.fullFanout = false
 	}
 	// Pass 2: the general enumeration (a no-op re-walk of pass 1's
 	// shapes thanks to descriptor dedupe).
-	inf, sk := start()
-	s.recurse(sk, inf, top.NumGPUs()-1, 0)
+	s.recurse(n-1, 0)
 	sp.SetInt("nodes", int64(s.nodes))
 	sp.SetInt("sketches", int64(len(s.out)))
 	sp.Count("sketch.nodes", float64(s.nodes))
@@ -181,11 +210,6 @@ func runSearch(ctx context.Context, top *topology.Topology, root int, scatter bo
 }
 
 func (s *searcher) done() bool {
-	// Cancellation is polled every 64 nodes (ctx.Err takes an atomic load
-	// plus a mutex on the done path; the mask keeps it off the hot path).
-	if !s.cancelled && s.ctx.Done() != nil && s.nodes&63 == 0 && s.ctx.Err() != nil {
-		s.cancelled = true
-	}
 	return s.cancelled || len(s.out) >= s.opts.MaxSketches || s.nodes >= maxNodes
 }
 
@@ -195,15 +219,21 @@ func (s *searcher) done() bool {
 // Sources are all informed GPUs of a group; destinations are chosen
 // canonically (lowest index first) — replication (§4.2) later rebalances
 // the concrete choice across isomorphic alternatives.
-func (s *searcher) recurse(sk *Sketch, informed []bool, remaining, usedDims int) {
+func (s *searcher) recurse(remaining, usedDims int) {
 	if remaining == 0 {
-		s.emit(sk)
+		s.emit()
 		return
 	}
-	if len(sk.Stages) >= s.opts.MaxStages || s.done() {
+	stage := len(s.sk.Stages)
+	if stage >= s.opts.MaxStages || s.done() {
 		return
 	}
 	s.nodes++
+	if stage == len(s.levels) {
+		s.levels = append(s.levels, &level{})
+	}
+	lv := s.levels[stage]
+	lv.remaining, lv.used = remaining, usedDims
 
 	// Pruning #3 (Scatter relay limit): each dimension is passed at most
 	// once along a root-to-leaf path. Raising MaxStages beyond the
@@ -211,9 +241,8 @@ func (s *searcher) recurse(sk *Sketch, informed []bool, remaining, usedDims int)
 	// sweeps — deeper trees with dimension reuse become searchable.
 	limitRelays := s.scatter && s.opts.MaxStages <= s.top.NumDims()
 
-	stage := len(sk.Stages)
-	var eligible []dimState
-	for d := 0; d < s.top.NumDims(); d++ {
+	lv.eligible = lv.eligible[:0]
+	for d, dim := range s.top.Dims {
 		if limitRelays && usedDims&(1<<d) != 0 {
 			continue
 		}
@@ -221,262 +250,275 @@ func (s *searcher) recurse(sk *Sketch, informed []bool, remaining, usedDims int)
 		if !s.opts.Hint.allowsDim(stage, d) {
 			continue
 		}
-		dim := s.top.Dim(d)
-		ds := dimState{dim: d, minUn: 1 << 30, minInf: 1 << 30}
-		for g := range dim.Groups {
-			inf, un := 0, 0
-			for _, gpu := range dim.Groups[g] {
-				if informed[gpu] {
+		// Reuse the slot's slices from an earlier node at this depth.
+		lv.eligible = slices.Grow(lv.eligible, 1)[:len(lv.eligible)+1]
+		ds := &lv.eligible[len(lv.eligible)-1]
+		*ds = dimState{dim: d, groups: ds.groups[:0], suggested: ds.suggested[:0], minUn: 1 << 30, minInf: 1 << 30}
+		for g, members := range dim.Groups {
+			inf := 0
+			for _, gpu := range members {
+				if s.informed[gpu] {
 					inf++
-				} else {
-					un++
 				}
 			}
-			if inf > 0 && un > 0 {
+			if un := len(members) - inf; inf > 0 && un > 0 {
 				ds.groups = append(ds.groups, g)
-				if un < ds.minUn {
-					ds.minUn = un
-				}
-				if un > ds.maxUn {
-					ds.maxUn = un
-				}
-				if inf < ds.minInf {
-					ds.minInf = inf
-				}
-				if inf > ds.maxInf {
-					ds.maxInf = inf
-				}
+				ds.minUn, ds.maxUn = min(ds.minUn, un), max(ds.maxUn, un)
+				ds.minInf, ds.maxInf = min(ds.minInf, inf), max(ds.maxInf, inf)
 			}
-		}
-		if len(ds.groups) == 0 {
-			continue
 		}
 		// Pruning #2: participating groups must present a consistent
 		// destination/source ratio (|Vr|/|Vs| uniform, §4.1); groups in
 		// asymmetric states cannot.
-		if !s.opts.DisablePrune2 && (ds.minUn != ds.maxUn || ds.minInf != ds.maxInf) {
+		if len(ds.groups) == 0 || (!s.opts.DisablePrune2 && (ds.minUn != ds.maxUn || ds.minInf != ds.maxInf)) {
+			lv.eligible = lv.eligible[:len(lv.eligible)-1]
 			continue
 		}
 		// Structure-derived counts from the first group (consistent
 		// across groups under pruning #2): one destination per lower-dim
 		// sub-structure present among the uninformed.
-		rep := ds.groups[0]
-		for d2 := 0; d2 < s.top.NumDims(); d2++ {
+		for d2, dim2 := range s.top.Dims {
 			if d2 == d {
 				continue
 			}
-			dim2 := s.top.Dim(d2)
-			seen := map[int]bool{}
-			for _, gpu := range dim.Groups[rep] {
-				if !informed[gpu] {
-					if g2 := dim2.GroupOf(gpu); g2 >= 0 {
-						seen[g2] = true
-					}
+			s.gen++
+			c := 0
+			for _, gpu := range dim.Groups[ds.groups[0]] {
+				if g2 := dim2.GroupOf(gpu); g2 >= 0 && !s.informed[gpu] && s.stamp[g2] != s.gen {
+					s.stamp[g2] = s.gen
+					c++
 				}
 			}
-			if c := len(seen); c >= 1 && c < ds.minUn {
+			if c >= 1 && c < ds.minUn {
 				ds.suggested = append(ds.suggested, c)
 			}
 		}
-		eligible = append(eligible, ds)
 	}
-	if len(eligible) == 0 {
+	if len(lv.eligible) == 0 {
 		return
 	}
 
-	// Non-empty dimension subsets, smaller first (hierarchical
-	// one-dim-per-stage sketches are explored first).
-	subsets := make([]int, 0, 1<<len(eligible)-1)
-	for m := 1; m < 1<<len(eligible); m++ {
-		subsets = append(subsets, m)
-	}
-	sort.Slice(subsets, func(a, b int) bool {
-		pa, pb := popcount(subsets[a]), popcount(subsets[b])
-		if pa != pb {
-			return pa < pb
-		}
-		return subsets[a] < subsets[b]
-	})
-
-	for _, mask := range subsets {
+	for _, mask := range s.subsetsOf(len(lv.eligible)) {
 		// Hint: tree-family (and explicitly dim-ordered) stages use
 		// exactly one dimension.
 		if s.opts.Hint.singleDim(stage) && popcount(mask) != 1 {
 			continue
 		}
-		var chosen []dimState
-		for i := range eligible {
+		lv.chosen = lv.chosen[:0]
+		for i := range lv.eligible {
 			if mask&(1<<i) != 0 {
-				chosen = append(chosen, eligible[i])
+				lv.chosen = append(lv.chosen, i)
 			}
 		}
-		s.enumCounts(sk, informed, usedDims, chosen, nil)
+		lv.counts = slices.Grow(lv.counts[:0], len(lv.chosen))[:len(lv.chosen)]
+		s.enumCounts(lv, 0)
 		if s.done() {
 			return
 		}
 	}
+}
+
+// subsetsOf returns the non-empty subsets of m eligible dimensions as
+// bit masks, smaller first (hierarchical one-dim-per-stage sketches are
+// explored first), then by value.
+func (s *searcher) subsetsOf(m int) []int {
+	if s.subsets[m] == nil {
+		masks := make([]int, 0, 1<<m-1)
+		for mask := 1; mask < 1<<m; mask++ {
+			masks = append(masks, mask)
+		}
+		slices.SortFunc(masks, func(a, b int) int {
+			if pa, pb := popcount(a), popcount(b); pa != pb {
+				return pa - pb
+			}
+			return a - b
+		})
+		s.subsets[m] = masks
+	}
+	return s.subsets[m]
 }
 
 // countChoices returns the destination counts to try for a dimension at
-// the given stage, largest (full fan-out) first. A hinted stage size
-// forces one count (or none, pruning the branch, when it is infeasible
-// from this state or contradicts full fan-out).
-func (s *searcher) countChoices(ds dimState, stage int) []int {
+// the given stage, largest (full fan-out) first: c[:n]. A hinted stage
+// size forces one count (or none, pruning the branch, when it is
+// infeasible from this state or contradicts full fan-out).
+func (s *searcher) countChoices(ds *dimState, stage int) (c [maxCountChoices]int, n int) {
 	full := ds.minUn
 	if forced := s.opts.Hint.stageSize(stage); forced > 0 {
 		if forced > full || (s.fullFanout && forced != full) {
-			return nil
+			return c, 0
 		}
-		return []int{forced}
+		c[0] = forced
+		return c, 1
 	}
+	c[0], n = full, 1
 	if s.fullFanout || full == 1 {
-		return []int{full}
+		return c, n
 	}
-	choices := []int{full}
-	seen := map[int]bool{full: true}
-	add := func(c int) {
-		if c >= 1 && !seen[c] {
-			choices = append(choices, c)
-			seen[c] = true
+	add := func(x int) {
+		if x >= 1 && n < maxCountChoices && !slices.Contains(c[:n], x) {
+			c[n] = x
+			n++
 		}
 	}
-	for _, c := range ds.suggested {
-		add(c)
+	for _, x := range ds.suggested {
+		add(x)
 	}
 	add(full / 2)
 	add(1)
-	if len(choices) > maxCountChoices {
-		choices = choices[:maxCountChoices]
-	}
-	return choices
+	return c, n
 }
 
-// enumCounts assigns a destination count to each chosen dimension and,
-// once all are fixed, materializes the stage and recurses.
-func (s *searcher) enumCounts(sk *Sketch, informed []bool, usedDims int, chosen []dimState, counts []int) {
+// enumCounts assigns a destination count to each chosen dimension from
+// position i on and, once all are fixed, materializes the stage.
+func (s *searcher) enumCounts(lv *level, i int) {
 	if s.done() {
 		return
 	}
-	if len(counts) == len(chosen) {
-		s.applyStage(sk, informed, usedDims, chosen, counts)
+	if i == len(lv.chosen) {
+		s.applyStage(lv)
 		return
 	}
-	for _, c := range s.countChoices(chosen[len(counts)], len(sk.Stages)) {
-		s.enumCounts(sk, informed, usedDims, chosen, append(counts, c))
+	choices, n := s.countChoices(&lv.eligible[lv.chosen[i]], len(s.sk.Stages))
+	for _, c := range choices[:n] {
+		lv.counts[i] = c
+		s.enumCounts(lv, i+1)
 		if s.done() {
 			return
 		}
 	}
 }
 
-// applyStage materializes one stage: per participating group, sources are
-// the informed members; destinations are the `count` FARTHEST uninformed
-// members — those whose cheapest connection to any informed GPU uses the
-// highest dimension — with index as tie-break. Farthest-first matters on
-// Clos fabrics: when a network group spans several servers, partial
-// fan-out should reach one GPU per remote server (which NVLink cannot
-// serve) rather than burn network bandwidth on server-mates.
-func (s *searcher) applyStage(sk *Sketch, informed []bool, usedDims int, chosen []dimState, counts []int) {
-	taken := map[int]bool{}
-	var stage Stage
-	newUsed := usedDims
-
-	// farness(g) = the smallest dimension index connecting g to an
-	// informed GPU (bigger = farther from the informed set).
-	farness := func(gpu int) int {
-		for d := 0; d < s.top.NumDims(); d++ {
-			dim := s.top.Dim(d)
-			grp := dim.GroupOf(gpu)
-			if grp < 0 {
-				continue
-			}
-			for _, other := range dim.Groups[grp] {
-				if informed[other] {
-					return d
-				}
-			}
-		}
-		return s.top.NumDims()
-	}
-
-	for ci, ds := range chosen {
-		dim := s.top.Dim(ds.dim)
-		newUsed |= 1 << ds.dim
-		for _, g := range ds.groups {
-			var srcs, candidates []int
-			for _, gpu := range dim.Groups[g] {
-				if informed[gpu] {
-					srcs = append(srcs, gpu)
-				} else if !taken[gpu] {
-					candidates = append(candidates, gpu)
-				}
-			}
-			if len(candidates) < counts[ci] {
-				return // another dimension claimed the GPUs; skip combo
-			}
-			var dsts []int
-			if counts[ci] >= len(candidates) {
-				dsts = append(dsts, candidates...)
-			} else {
-				// Greedy farthest-first with spreading: a candidate's
-				// effective distance drops once a nearby destination has
-				// been picked, so partial fan-out lands one destination
-				// per far sub-structure (e.g. one per remote server).
-				static := make(map[int]int, len(candidates))
-				for _, c := range candidates {
-					static[c] = farness(c)
-				}
-				var picked []int
-				remaining := append([]int(nil), candidates...)
-				for len(picked) < counts[ci] {
-					bestIdx, bestScore := -1, -1
-					for idx, c := range remaining {
-						score := static[c]
-						for _, p := range picked {
-							for d := 0; d < s.top.NumDims() && d < score; d++ {
-								if s.top.SameGroup(d, c, p) {
-									score = d
-									break
-								}
-							}
-						}
-						if score > bestScore || (score == bestScore && bestIdx >= 0 && c < remaining[bestIdx]) {
-							bestScore = score
-							bestIdx = idx
-						}
-					}
-					picked = append(picked, remaining[bestIdx])
-					remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-				}
-				dsts = picked
-			}
-			sort.Ints(dsts)
-			for _, d := range dsts {
-				taken[d] = true
-			}
-			stage = append(stage, SubDemand{Dim: ds.dim, Group: g, Srcs: srcs, Dsts: dsts})
-		}
-	}
-	if len(stage) == 0 {
+// applyStage materializes one stage and recurses into it. Per
+// participating group, sources are the informed members; destinations are
+// the `count` FARTHEST uninformed members — those whose cheapest
+// connection to any informed GPU uses the highest dimension — with index
+// as tie-break. Farthest-first matters on Clos fabrics: when a network
+// group spans several servers, partial fan-out should reach one GPU per
+// remote server (which NVLink cannot serve) rather than burn network
+// bandwidth on server-mates.
+//
+// Cancellation is polled here, once per stage (ctx.Err takes an atomic
+// load plus a mutex on the done path, and a stage costs far more).
+func (s *searcher) applyStage(lv *level) {
+	if s.ctx.Done() != nil && s.ctx.Err() != nil {
+		s.cancelled = true
 		return
 	}
-	newInformed := append([]bool(nil), informed...)
-	covered := 0
-	for _, sd := range stage {
+	lv.stage, lv.ids = lv.stage[:0], lv.ids[:0]
+	newUsed, complete := lv.used, true
+	for ci, ei := range lv.chosen {
+		ds := &lv.eligible[ei]
+		dim, count := s.top.Dims[ds.dim], lv.counts[ci]
+		newUsed |= 1 << ds.dim
+		for _, g := range ds.groups {
+			lo := len(lv.ids)
+			s.cand = s.cand[:0]
+			for _, gpu := range dim.Groups[g] {
+				if s.informed[gpu] {
+					lv.ids = append(lv.ids, gpu)
+				} else if !s.taken[gpu] {
+					s.cand = append(s.cand, gpu)
+				}
+			}
+			if len(s.cand) < count {
+				complete = false // another dimension claimed the GPUs; skip combo
+				break
+			}
+			mid := len(lv.ids)
+			if count >= len(s.cand) {
+				lv.ids = append(lv.ids, s.cand...)
+			} else {
+				lv.ids = s.pickFarthest(lv.ids, count)
+			}
+			dsts := lv.ids[mid:len(lv.ids):len(lv.ids)]
+			slices.Sort(dsts)
+			for _, d := range dsts {
+				s.taken[d] = true
+			}
+			lv.stage = append(lv.stage, SubDemand{Dim: ds.dim, Group: g, Srcs: lv.ids[lo:mid:mid], Dsts: dsts})
+		}
+		if !complete {
+			break
+		}
+	}
+	for _, sd := range lv.stage {
 		for _, d := range sd.Dsts {
-			newInformed[d] = true
-			covered++
+			s.taken[d] = false
 		}
 	}
-	sk.Stages = append(sk.Stages, stage)
-	remaining := 0
-	for _, inf := range newInformed {
-		if !inf {
-			remaining++
+	if !complete {
+		return
+	}
+	covered := s.inform(lv.stage, true)
+	s.sk.Stages = append(s.sk.Stages, lv.stage)
+	s.recurse(lv.remaining-covered, newUsed)
+	s.sk.Stages = s.sk.Stages[:len(s.sk.Stages)-1]
+	s.inform(lv.stage, false)
+}
+
+// inform sets the informed state of the stage's destinations and returns
+// how many there are.
+func (s *searcher) inform(st Stage, v bool) int {
+	n := 0
+	for _, sd := range st {
+		for _, d := range sd.Dsts {
+			s.informed[d] = v
+		}
+		n += len(sd.Dsts)
+	}
+	return n
+}
+
+// pickFarthest appends count of the candidates to ids, greedily farthest
+// first with spreading: a candidate's effective distance drops once a
+// nearby destination has been picked, so partial fan-out lands one
+// destination per far sub-structure (e.g. one per remote server).
+func (s *searcher) pickFarthest(ids []int, count int) []int {
+	s.far = s.far[:0]
+	for _, c := range s.cand {
+		s.far = append(s.far, s.farness(c))
+	}
+	for n := 0; n < count; n++ {
+		best := 0
+		for i, c := range s.cand {
+			if s.far[i] > s.far[best] || (s.far[i] == s.far[best] && c < s.cand[best]) {
+				best = i
+			}
+		}
+		p := s.cand[best]
+		ids = append(ids, p)
+		s.cand = slices.Delete(s.cand, best, best+1)
+		s.far = slices.Delete(s.far, best, best+1)
+		// A candidate sharing a group of dimension d with p is now at
+		// most d away.
+		for i, c := range s.cand {
+			for d := 0; d < s.far[i]; d++ {
+				if s.top.SameGroup(d, c, p) {
+					s.far[i] = d
+					break
+				}
+			}
 		}
 	}
-	s.recurse(sk, newInformed, remaining, newUsed)
-	sk.Stages = sk.Stages[:len(sk.Stages)-1]
+	return ids
+}
+
+// farness is the smallest dimension index connecting gpu to an informed
+// GPU (bigger = farther from the informed set).
+func (s *searcher) farness(gpu int) int {
+	for d, dim := range s.top.Dims {
+		grp := dim.GroupOf(gpu)
+		if grp < 0 {
+			continue
+		}
+		for _, other := range dim.Groups[grp] {
+			if s.informed[other] {
+				return d
+			}
+		}
+	}
+	return s.top.NumDims()
 }
 
 func popcount(x int) int {
@@ -488,14 +530,16 @@ func popcount(x int) int {
 	return c
 }
 
-func (s *searcher) emit(sk *Sketch) {
-	key := sk.Descriptor()
+// emit records the complete sketch unless an isomorphic one (pruning #1)
+// or, with pruning #1 off, an identical one was recorded before.
+func (s *searcher) emit() {
+	s.desc, s.parts = s.sk.appendDescriptor(s.desc[:0], s.parts)
 	if s.opts.DisablePrune1 {
-		key = sk.ExactDescriptor()
+		s.desc = s.sk.appendExact(s.desc)
 	}
-	if s.seen[key] {
+	if _, dup := s.seen[string(s.desc)]; dup {
 		return
 	}
-	s.seen[key] = true
-	s.out = append(s.out, sk.Clone())
+	s.seen[string(s.desc)] = struct{}{}
+	s.out = append(s.out, s.sk.Clone())
 }

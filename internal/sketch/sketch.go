@@ -6,9 +6,10 @@
 package sketch
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
-	"sort"
+	"strconv"
 	"strings"
 
 	"syccl/internal/topology"
@@ -34,32 +35,31 @@ type Sketch struct {
 	Stages  []Stage
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy. The stages' sub-demands and their GPU lists
+// are cut, without spare capacity, from one array each.
 func (s *Sketch) Clone() *Sketch {
-	out := &Sketch{Root: s.Root, Scatter: s.Scatter, Stages: make([]Stage, len(s.Stages))}
-	for k, st := range s.Stages {
-		out.Stages[k] = make(Stage, len(st))
-		for i, sd := range st {
-			out.Stages[k][i] = SubDemand{
-				Dim:   sd.Dim,
-				Group: sd.Group,
-				Srcs:  append([]int(nil), sd.Srcs...),
-				Dsts:  append([]int(nil), sd.Dsts...),
-			}
+	subs, gpus := 0, 0
+	for _, st := range s.Stages {
+		subs += len(st)
+		for _, sd := range st {
+			gpus += len(sd.Srcs) + len(sd.Dsts)
 		}
 	}
-	return out
-}
-
-// Covered returns the set of GPUs informed by the sketch (root plus all
-// destinations).
-func (s *Sketch) Covered() map[int]bool {
-	out := map[int]bool{s.Root: true}
-	for _, st := range s.Stages {
-		for _, sd := range st {
-			for _, d := range sd.Dsts {
-				out[d] = true
-			}
+	sds := make([]SubDemand, subs)
+	ids := make([]int, gpus)
+	cut := func(from []int) []int {
+		if len(from) == 0 {
+			return nil
+		}
+		out := ids[:len(from):len(from)]
+		ids = ids[copy(out, from):]
+		return out
+	}
+	out := &Sketch{Root: s.Root, Scatter: s.Scatter, Stages: make([]Stage, len(s.Stages))}
+	for k, st := range s.Stages {
+		out.Stages[k], sds = sds[:len(st):len(st)], sds[len(st):]
+		for i, sd := range st {
+			out.Stages[k][i] = SubDemand{Dim: sd.Dim, Group: sd.Group, Srcs: cut(sd.Srcs), Dsts: cut(sd.Dsts)}
 		}
 	}
 	return out
@@ -108,11 +108,6 @@ func (s *Sketch) Validate(top *topology.Topology) error {
 		}
 	}
 	return nil
-}
-
-// Complete reports whether the sketch informs every GPU of the topology.
-func (s *Sketch) Complete(top *topology.Topology) bool {
-	return len(s.Covered()) == top.NumGPUs()
 }
 
 // ScatterTree is the canonical routing forest of a Scatter sketch: each
@@ -270,11 +265,29 @@ func (t *ScatterTree) Size(v int) int { return len(t.Subtree(v)) }
 // receiving GPU's subtree size (a GPU with f descendants receives f+1
 // chunks through its inbound edge).
 func (s *Sketch) Workload(top *topology.Topology) [][]float64 {
+	off := groupOffsets(top)
+	flat := make([]float64, off[len(off)-1])
+	s.addWorkload(top, new(ScatterTree), flat, off)
 	w := make([][]float64, top.NumDims())
 	for d := range w {
-		w[d] = make([]float64, len(top.Dim(d).Groups))
+		w[d] = flat[off[d]:off[d+1]:off[d+1]]
 	}
-	var tree ScatterTree
+	return w
+}
+
+// groupOffsets lays the (dimension, group) pairs of top out flat:
+// dimension d's groups are at off[d]:off[d+1], off[NumDims] in all.
+func groupOffsets(top *topology.Topology) []int {
+	off := make([]int, top.NumDims()+1)
+	for d, dim := range top.Dims {
+		off[d+1] = off[d] + len(dim.Groups)
+	}
+	return off
+}
+
+// addWorkload adds Workload to the flat w laid out by off; tree is
+// scratch for a scatter sketch.
+func (s *Sketch) addWorkload(top *topology.Topology, tree *ScatterTree, w []float64, off []int) {
 	if s.Scatter {
 		_ = tree.Build(s, top.NumGPUs()) // destinations it leaves out weigh 0
 	}
@@ -282,30 +295,25 @@ func (s *Sketch) Workload(top *topology.Topology) [][]float64 {
 		for _, sd := range st {
 			for _, dst := range sd.Dsts {
 				if s.Scatter {
-					w[sd.Dim][sd.Group] += float64(tree.Size(dst))
+					w[off[sd.Dim]+sd.Group] += float64(tree.Size(dst))
 				} else {
-					w[sd.Dim][sd.Group]++
+					w[off[sd.Dim]+sd.Group]++
 				}
 			}
 		}
 	}
-	return w
 }
 
-// mappedWorkload is Workload of the broadcast sketch s.Map(top, perm):
-// every sub-demand's deliveries land in the group its sources map to.
-func (s *Sketch) mappedWorkload(top *topology.Topology, perm []int) [][]float64 {
-	w := make([][]float64, top.NumDims())
-	for d := range w {
-		w[d] = make([]float64, len(top.Dim(d).Groups))
-	}
+// addMappedWorkload adds the Workload of the broadcast sketch
+// s.Map(top, perm) to the flat w laid out by off: every sub-demand's
+// deliveries land in the group its sources map to.
+func (s *Sketch) addMappedWorkload(top *topology.Topology, perm []int, w []float64, off []int) {
 	for _, st := range s.Stages {
 		for _, sd := range st {
 			g := top.Dim(sd.Dim).GroupOf(perm[sd.Srcs[0]])
-			w[sd.Dim][g] += float64(len(sd.Dsts))
+			w[off[sd.Dim]+g] += float64(len(sd.Dsts))
 		}
 	}
-	return w
 }
 
 // DimWorkload sums Workload over groups per dimension.
@@ -322,39 +330,20 @@ func (s *Sketch) DimWorkload(top *topology.Topology) []float64 {
 
 // Map applies a GPU permutation to the sketch, recomputing group indices
 // from the topology. perm must be an automorphism (group-preserving), as
-// produced by topology.Symmetry.
-//
-// The stages' sub-demands and their GPU lists are cut, without spare
-// capacity, from one array each.
+// produced by topology.Symmetry. The copy is laid out as Clone's.
 func (s *Sketch) Map(top *topology.Topology, perm []int) *Sketch {
-	subs, gpus := 0, 0
-	for _, st := range s.Stages {
-		subs += len(st)
-		for _, sd := range st {
-			gpus += len(sd.Srcs) + len(sd.Dsts)
-		}
-	}
-	sds := make([]SubDemand, subs)
-	ids := make([]int, gpus)
-	mapped := func(from []int) []int {
-		if len(from) == 0 {
-			return nil
-		}
-		out := ids[:len(from):len(from)]
-		ids = ids[len(from):]
-		for i, v := range from {
-			out[i] = perm[v]
-		}
-		slices.Sort(out)
-		return out
-	}
-	out := &Sketch{Root: perm[s.Root], Scatter: s.Scatter, Stages: make([]Stage, len(s.Stages))}
-	for k, st := range s.Stages {
-		out.Stages[k], sds = sds[:len(st):len(st)], sds[len(st):]
-		for i, sd := range st {
-			nd := SubDemand{Dim: sd.Dim, Srcs: mapped(sd.Srcs), Dsts: mapped(sd.Dsts)}
-			nd.Group = top.Dim(sd.Dim).GroupOf(nd.Srcs[0])
-			out.Stages[k][i] = nd
+	out := s.Clone()
+	out.Root = perm[s.Root]
+	for _, st := range out.Stages {
+		for i := range st {
+			sd := &st[i]
+			for _, gpus := range [2][]int{sd.Srcs, sd.Dsts} {
+				for j, v := range gpus {
+					gpus[j] = perm[v]
+				}
+				slices.Sort(gpus)
+			}
+			sd.Group = top.Dim(sd.Dim).GroupOf(sd.Srcs[0])
 		}
 	}
 	return out
@@ -364,34 +353,79 @@ func (s *Sketch) Map(top *topology.Topology, perm []int) *Sketch {
 // sketches generated with canonical destination selection that share a
 // descriptor are isomorphic under the topology's symmetry.
 func (s *Sketch) Descriptor() string {
-	var sb strings.Builder
-	if s.Scatter {
-		sb.WriteString("S|")
-	} else {
-		sb.WriteString("B|")
-	}
-	for k, st := range s.Stages {
-		parts := make([]string, len(st))
-		for i, sd := range st {
-			parts[i] = fmt.Sprintf("d%d:s%d:r%d", sd.Dim, len(sd.Srcs), len(sd.Dsts))
-		}
-		sort.Strings(parts)
-		fmt.Fprintf(&sb, "k%d[%s]", k, strings.Join(parts, ","))
-	}
-	return sb.String()
+	var buf [256]byte
+	var parts [32]descPart
+	b, _ := s.appendDescriptor(buf[:0], parts[:0])
+	return string(b)
 }
 
-// ExactDescriptor includes the concrete GPU sets; used when pruning #1 is
-// disabled so only literally identical sketches collapse.
-func (s *Sketch) ExactDescriptor() string {
-	var sb strings.Builder
-	sb.WriteString(s.Descriptor())
+// appendDescriptor appends Descriptor to b. parts is scratch, returned for
+// reuse.
+func (s *Sketch) appendDescriptor(b []byte, parts []descPart) ([]byte, []descPart) {
+	if s.Scatter {
+		b = append(b, "S|"...)
+	} else {
+		b = append(b, "B|"...)
+	}
+	for k, st := range s.Stages {
+		parts = parts[:0]
+		for _, sd := range st {
+			parts = append(parts, descPart{sd.Dim, len(sd.Srcs), len(sd.Dsts)})
+		}
+		slices.SortFunc(parts, comparePart)
+		b = append(strconv.AppendInt(append(b, 'k'), int64(k), 10), '[')
+		for i, p := range parts {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = p.append(b)
+		}
+		b = append(b, ']')
+	}
+	return b, parts
+}
+
+// descPart is one sub-demand's share of a descriptor: its dimension,
+// source count and destination count, rendered "d<dim>:s<srcs>:r<dsts>".
+type descPart [3]int
+
+func (p descPart) append(b []byte) []byte {
+	b = strconv.AppendInt(append(b, 'd'), int64(p[0]), 10)
+	b = strconv.AppendInt(append(b, ":s"...), int64(p[1]), 10)
+	return strconv.AppendInt(append(b, ":r"...), int64(p[2]), 10)
+}
+
+// comparePart orders parts as their renderings sort.
+func comparePart(x, y descPart) int {
+	if x == y {
+		return 0
+	}
+	var bx, by [64]byte
+	return bytes.Compare(x.append(bx[:0]), y.append(by[:0]))
+}
+
+// appendExact appends the concrete GPU sets to a descriptor — per
+// sub-demand, "|[srcs]>[dsts]" with space-separated GPU IDs — so that,
+// with pruning #1 disabled, only literally identical sketches collapse.
+func (s *Sketch) appendExact(b []byte) []byte {
 	for _, st := range s.Stages {
 		for _, sd := range st {
-			fmt.Fprintf(&sb, "|%v>%v", sd.Srcs, sd.Dsts)
+			b = appendIntList(append(b, '|'), sd.Srcs)
+			b = appendIntList(append(b, '>'), sd.Dsts)
 		}
 	}
-	return sb.String()
+	return b
+}
+
+func appendIntList(b []byte, xs []int) []byte {
+	b = append(b, '[')
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return append(b, ']')
 }
 
 // String renders the sketch compactly for logs and debugging.

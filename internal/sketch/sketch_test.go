@@ -20,7 +20,7 @@ func TestSearchBroadcastFig5(t *testing.T) {
 		if err := sk.Validate(top); err != nil {
 			t.Fatalf("invalid sketch %v: %v", sk, err)
 		}
-		if !sk.Complete(top) {
+		if !complete(sk, top) {
 			t.Fatalf("incomplete sketch %v", sk)
 		}
 		// Fig 5 sketch ①: stage 0 = {dim0 root server fan-out (3 dsts) +
@@ -252,7 +252,7 @@ func TestExpandAllToAll(t *testing.T) {
 		if err := sk.Validate(top); err != nil {
 			t.Fatalf("replica for root %d invalid: %v", sk.Root, err)
 		}
-		if !sk.Complete(top) {
+		if !complete(sk, top) {
 			t.Fatalf("replica for root %d incomplete", sk.Root)
 		}
 		roots[sk.Root] = true
@@ -334,7 +334,7 @@ func TestSketchMapPreservesStructure(t *testing.T) {
 	if err := m.Validate(top); err != nil {
 		t.Fatalf("mapped sketch invalid: %v", err)
 	}
-	if !m.Complete(top) {
+	if !complete(m, top) {
 		t.Error("mapped sketch incomplete")
 	}
 	if m.Descriptor() != sk.Descriptor() {
@@ -502,4 +502,38 @@ func TestIntSet(t *testing.T) {
 
 func contains(s, sub string) bool {
 	return len(s) >= len(sub) && strings.Contains(s, sub)
+}
+
+// complete reports whether the sketch informs every GPU of the topology.
+func complete(s *Sketch, top *topology.Topology) bool {
+	covered := map[int]bool{s.Root: true}
+	for _, st := range s.Stages {
+		for _, sd := range st {
+			for _, d := range sd.Dsts {
+				covered[d] = true
+			}
+		}
+	}
+	return len(covered) == top.NumGPUs()
+}
+
+// imbalance measures, per dimension, the spread between the most and
+// least loaded active groups, summed over dimensions with any load.
+func imbalance(w [][]float64) float64 {
+	total := 0.0
+	for d := range w {
+		lo, hi := math.Inf(1), 0.0
+		for _, v := range w[d] {
+			if v < lo {
+				lo = v
+			}
+			if v > hi {
+				hi = v
+			}
+		}
+		if hi > 0 {
+			total += hi - lo
+		}
+	}
+	return total
 }

@@ -25,7 +25,8 @@ go build ./...
 echo "== go test -count=10 (determinism-sensitive leaves, uncached) =="
 # The solver stack and the sketch search (which feeds the sketch-cache
 # and plan keys) promise the same bytes every run; one cached or lucky
-# pass cannot show that, ten uncached ones in a row can (about 5 s).
+# pass cannot show that, ten uncached ones in a row can (about a minute
+# on 2 cores, most of it the solver and sketch equivalence checks).
 go test -count=10 ./internal/lp ./internal/milp ./internal/solve ./internal/sketch
 
 echo "== go test =="
@@ -65,6 +66,7 @@ go test ./internal/core/ -run='^$' -fuzz='^FuzzAssemblyEquivalence$' -fuzztime="
 go test ./internal/core/ -run='^$' -fuzz='^FuzzSynthesizeContract$' -fuzztime="$FUZZTIME"
 go test ./internal/isomorph/ -run='^$' -fuzz='^FuzzCacheKeysStable$' -fuzztime="$FUZZTIME"
 go test ./internal/isomorph/ -run='^$' -fuzz='^FuzzClassesEquivalence$' -fuzztime="$FUZZTIME"
+go test ./internal/sketch/ -run='^$' -fuzz='^FuzzSearchEquivalence$' -fuzztime="$FUZZTIME"
 
 echo "== go benchmarks, one iteration each =="
 # No test runs the Go benchmarks, so one that b.Fatal()s would rot unseen;
