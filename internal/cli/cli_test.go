@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"syccl/internal/collective"
+	"syccl/internal/metrics"
 )
 
 func TestParseTopology(t *testing.T) {
@@ -39,6 +40,28 @@ func TestParseSize(t *testing.T) {
 	for _, bad := range []string{"", "-1K", "abc", "0", "NaN", "nanK", "Inf", "-Inf", "infM", "1e308G"} {
 		if _, err := ParseSize(bad); err == nil {
 			t.Errorf("accepted %q", bad)
+		}
+	}
+}
+
+// TestBuildCollectiveDataBytes: BuildCollective's aggregate-size
+// convention is the one metrics.DataBytes reads back, for every kind by
+// its Kind name (the form the experiments pass).
+func TestBuildCollectiveDataBytes(t *testing.T) {
+	for k := collective.KindSendRecv; k <= collective.KindAllReduce; k++ {
+		for _, n := range []int{2, 8, 24} {
+			for _, b := range []float64{1 << 20, 64 << 20, 3e6} {
+				col, err := BuildCollective(k.String(), n, b)
+				if err != nil {
+					t.Fatalf("%v: %v", k, err)
+				}
+				if col.Kind != k {
+					t.Errorf("%v: built %v", k, col.Kind)
+				}
+				if got := metrics.DataBytes(col); got != b {
+					t.Errorf("%v on %d GPUs: DataBytes %g, built from %g", k, n, got, b)
+				}
+			}
 		}
 	}
 }

@@ -323,28 +323,35 @@ func AllReduce(n int, bytes float64) *Collective {
 	return build(KindAllReduce, n, -1, -1, bytes/float64(n))
 }
 
-// Forward returns the one-to-all / all-to-all collective whose time
-// reverse realizes c — Reduce ↔ Broadcast, Gather ↔ Scatter,
-// ReduceScatter ↔ AllGather (§4.1: "all-to-one collectives are their
-// inverses") — and true. For every other kind it returns c and false.
-// schedule.MirrorInto turns a schedule of the forward collective into one
-// of c.
-func (c *Collective) Forward() (*Collective, bool) {
-	switch c.Kind {
-	case KindReduce:
-		return Broadcast(c.NumGPUs, c.Root, c.ChunkSize), true
-	case KindGather:
-		return Scatter(c.NumGPUs, c.Root, c.ChunkSize), true
-	case KindReduceScatter:
-		return AllGather(c.NumGPUs, c.ChunkSize), true
-	default:
-		return c, false
-	}
+// Phase is one step of a collective realized from its forward
+// collective's schedule: that schedule itself, or its time reverse
+// (Mirrored) remapped onto Col's chunks.
+type Phase struct {
+	Col      *Collective
+	Mirrored bool
 }
 
-// AllReducePhases returns the two phases of an AllReduce of `bytes` per
-// GPU: a ReduceScatter and an AllGather over n-th sized slices (§4.3).
-func AllReducePhases(n int, bytes float64) (rs, ag *Collective) {
-	per := bytes / float64(n)
-	return ReduceScatter(n, per), AllGather(n, per)
+// Phases returns the one forward (one-to-all or all-to-all) collective
+// whose schedule realizes c, and the phases that schedule is turned into,
+// concatenated in order. All-to-one collectives are the time reverse of
+// their one-to-all inverses — Reduce ↔ Broadcast, Gather ↔ Scatter,
+// ReduceScatter ↔ AllGather (§4.1) — and AllReduce is ReduceScatter then
+// AllGather over n-th sized slices (§4.3). A forward kind returns c and
+// no phases, allocating nothing. Only the first phase is ever mirrored.
+func (c *Collective) Phases() (fwd *Collective, phases []Phase) {
+	n := c.NumGPUs
+	switch c.Kind {
+	case KindReduce:
+		return Broadcast(n, c.Root, c.ChunkSize), []Phase{{c, true}}
+	case KindGather:
+		return Scatter(n, c.Root, c.ChunkSize), []Phase{{c, true}}
+	case KindReduceScatter:
+		return AllGather(n, c.ChunkSize), []Phase{{c, true}}
+	case KindAllReduce:
+		// AllReduce stores the per-slice size.
+		ag := AllGather(n, c.ChunkSize)
+		return ag, []Phase{{ReduceScatter(n, c.ChunkSize), true}, {ag, false}}
+	default:
+		return c, nil
+	}
 }

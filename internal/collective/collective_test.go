@@ -144,12 +144,62 @@ func TestReduceScatterShape(t *testing.T) {
 }
 
 func TestAllReducePhases(t *testing.T) {
-	rs, ag := AllReducePhases(4, 400)
+	ag, phases := AllReduce(4, 400).Phases()
+	if len(phases) != 2 {
+		t.Fatalf("%d phases, want 2", len(phases))
+	}
+	rs := phases[0].Col
 	if rs.ChunkSize != 100 || ag.ChunkSize != 100 {
 		t.Errorf("chunk sizes %g, %g, want 100", rs.ChunkSize, ag.ChunkSize)
 	}
-	if rs.Kind != KindReduceScatter || ag.Kind != KindAllGather {
-		t.Error("phase kinds wrong")
+	if rs.Kind != KindReduceScatter || !phases[0].Mirrored || ag.Kind != KindAllGather ||
+		phases[1].Col != ag || phases[1].Mirrored {
+		t.Errorf("phases %+v over %v, want mirrored ReduceScatter then the forward AllGather", phases, ag.Kind)
+	}
+}
+
+// TestPhases holds every kind to the phase table's contract: one valid
+// forward collective of the same GPUs; a forward kind is its own and has
+// no phases (allocating nothing); the all-to-one kinds and ReduceScatter
+// are one mirrored phase of themselves; only a first phase is mirrored,
+// and a forward phase is the forward collective.
+func TestPhases(t *testing.T) {
+	cols := []*Collective{
+		SendRecv(6, 1, 4, 10), Broadcast(6, 2, 10), Scatter(6, 2, 10), Gather(6, 2, 10),
+		Reduce(6, 2, 10), AllGather(6, 10), AlltoAll(6, 10), ReduceScatter(6, 10), AllReduce(6, 60),
+	}
+	for _, c := range cols {
+		fwd, phases := c.Phases()
+		if err := fwd.Validate(); err != nil || fwd.NumGPUs != c.NumGPUs || fwd.ChunkSize != c.ChunkSize {
+			t.Errorf("%v: forward %v (%v)", c.Kind, fwd, err)
+		}
+		if fwd.Reduce {
+			t.Errorf("%v: forward collective %v reduces", c.Kind, fwd.Kind)
+		}
+		switch c.Kind {
+		case KindSendRecv, KindBroadcast, KindScatter, KindAllGather, KindAlltoAll:
+			if fwd != c || phases != nil {
+				t.Errorf("%v: forward %v, phases %+v, want itself and none", c.Kind, fwd.Kind, phases)
+			}
+			if a := testing.AllocsPerRun(10, func() { c.Phases() }); a != 0 {
+				t.Errorf("%v: Phases allocates %g times", c.Kind, a)
+			}
+		case KindGather, KindReduce, KindReduceScatter:
+			if len(phases) != 1 || phases[0].Col != c || !phases[0].Mirrored {
+				t.Errorf("%v: phases %+v, want one mirrored phase of itself", c.Kind, phases)
+			}
+		}
+		for i, ph := range phases {
+			if err := ph.Col.Validate(); err != nil {
+				t.Errorf("%v phase %d: %v", c.Kind, i, err)
+			}
+			if ph.Mirrored && i > 0 {
+				t.Errorf("%v phase %d is mirrored", c.Kind, i)
+			}
+			if !ph.Mirrored && ph.Col != fwd {
+				t.Errorf("%v phase %d: forward phase %v is not the forward collective", c.Kind, i, ph.Col.Kind)
+			}
+		}
 	}
 }
 

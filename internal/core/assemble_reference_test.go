@@ -265,10 +265,7 @@ func sameAssembly(t testing.TB, what string, top *topology.Topology, col *collec
 func forwardCombinations(t testing.TB, top *topology.Topology, col *collective.Collective) (*collective.Collective, []*sketch.Combination) {
 	t.Helper()
 	opts := Options{}.withDefaults()
-	fwd, _ := col.Forward()
-	if col.Kind == collective.KindAllReduce {
-		fwd = collective.AllGather(col.NumGPUs, col.ChunkSize)
-	}
+	fwd, _ := col.Phases()
 	var root int
 	var scatter, allToAll bool
 	switch fwd.Kind {

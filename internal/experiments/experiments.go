@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"syccl/internal/cli"
 	"syccl/internal/collective"
 	"syccl/internal/core"
 	"syccl/internal/engine"
@@ -195,23 +196,6 @@ func (s *PerfSeries) Format() string {
 	return b.String()
 }
 
-// buildCollective instantiates a collective of the figure's kind with the
-// figure's aggregate data size.
-func buildCollective(kind collective.Kind, n int, dataBytes float64) *collective.Collective {
-	switch kind {
-	case collective.KindAllGather:
-		return collective.AllGather(n, dataBytes/float64(n))
-	case collective.KindReduceScatter:
-		return collective.ReduceScatter(n, dataBytes/float64(n))
-	case collective.KindAlltoAll:
-		return collective.AlltoAll(n, dataBytes/float64(n*(n-1)))
-	case collective.KindAllReduce:
-		return collective.AllReduce(n, dataBytes)
-	default:
-		panic(fmt.Sprintf("experiments: unsupported kind %v", kind))
-	}
-}
-
 // perfSweep measures one figure: busbw per size per system.
 func perfSweep(id, title string, top *topology.Topology, kind collective.Kind,
 	cfg Config, withTECCL, withCrafted bool) (*PerfSeries, error) {
@@ -220,7 +204,10 @@ func perfSweep(id, title string, top *topology.Topology, kind collective.Kind,
 	n := top.NumGPUs()
 	series := &PerfSeries{ID: id, Title: title, GPUs: n}
 	for _, size := range cfg.Sizes {
-		col := buildCollective(kind, n, size)
+		col, err := cli.BuildCollective(kind.String(), n, size)
+		if err != nil {
+			return nil, err
+		}
 		row := PerfRow{Bytes: size, TECCL: math.NaN(), Crafted: math.NaN()}
 
 		// NCCL.

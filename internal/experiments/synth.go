@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"syccl/internal/cli"
 	"syccl/internal/collective"
 	"syccl/internal/teccl"
 	"syccl/internal/topology"
@@ -49,7 +50,10 @@ func synthSweep(id, title string, top *topology.Topology, kind collective.Kind, 
 	n := top.NumGPUs()
 	out := &SynthSeries{ID: id, Title: title}
 	for _, size := range cfg.Sizes {
-		col := buildCollective(kind, n, size)
+		col, err := cli.BuildCollective(kind.String(), n, size)
+		if err != nil {
+			return nil, err
+		}
 		row := SynthRow{Bytes: size}
 
 		start := time.Now()
@@ -102,7 +106,10 @@ func Fig16b(cfg Config) ([]BreakdownRow, error) {
 	var out []BreakdownRow
 	for _, kind := range []collective.Kind{collective.KindAllGather, collective.KindAlltoAll} {
 		for _, size := range cfg.Sizes {
-			col := buildCollective(kind, top.NumGPUs(), size)
+			col, err := cli.BuildCollective(kind.String(), top.NumGPUs(), size)
+			if err != nil {
+				return nil, err
+			}
 			res, err := cfg.synthesizeCold(top, col, cfg.coreOptions())
 			if err != nil {
 				return nil, err
@@ -211,7 +218,10 @@ func Table5(cfg Config) ([]Table5Row, error) {
 		var tSum, sSum time.Duration
 		var tN, sN int
 		for _, size := range sizes {
-			col := buildCollective(sc.kind, sc.top.NumGPUs(), size)
+			col, err := cli.BuildCollective(sc.kind.String(), sc.top.NumGPUs(), size)
+			if err != nil {
+				return nil, err
+			}
 			start := time.Now()
 			if _, err := cfg.synthesizeCold(sc.top, col, cfg.coreOptions()); err != nil {
 				return nil, fmt.Errorf("table5 %s: %w", sc.name, err)

@@ -59,6 +59,9 @@ func DataBytes(c *collective.Collective) float64 {
 		// n·(n-1) chunks model the per-source contributions, but the
 		// logical buffer is n slices of ChunkSize.
 		return float64(c.NumGPUs) * c.ChunkSize
+	case collective.KindReduce:
+		// n-1 chunks model the contributions to one buffer of ChunkSize.
+		return c.ChunkSize
 	default:
 		return c.TotalBytes()
 	}

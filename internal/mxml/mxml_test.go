@@ -60,7 +60,7 @@ func TestRoundTripReduction(t *testing.T) {
 	// must preserve them.
 	top := topology.A100Clos(2)
 	col := collective.ReduceScatter(16, 1<<20)
-	s, err := nccl.ReduceScatter(top, col)
+	s, _, err := nccl.Schedule(top, col, sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 // Package nccl reimplements NCCL's fixed collective schedules as the
 // paper's baseline (§2.1): hierarchical multi-ring AllGather/
-// ReduceScatter/AllReduce (Fig 2), double-tree style Broadcast/Reduce,
-// and direct/PXN AlltoAll. Schedule builds the kind's algorithm and
-// times it with the α-β simulator.
+// ReduceScatter/AllReduce (Fig 2), a binary tree over servers then a
+// chain inside each for Broadcast/Reduce, and direct/PXN AlltoAll.
+// Schedule builds the kind's algorithm and times it with the α-β
+// simulator.
 //
 // Rings follow NCCL's rail-aligned construction: within each server GPUs
 // form a chain; chains link across servers through same-rail network
@@ -144,41 +145,6 @@ func AllGather(top *topology.Topology, col *collective.Collective) (*schedule.Sc
 	return sched, nil
 }
 
-// ReduceScatter mirrors the ring AllGather (NCCL's ring ReduceScatter is
-// its time reverse): contributions travel the ring accumulating toward
-// each destination.
-func ReduceScatter(top *topology.Topology, col *collective.Collective) (*schedule.Schedule, error) {
-	if col.Kind != collective.KindReduceScatter {
-		return nil, fmt.Errorf("nccl.ReduceScatter: got %v", col.Kind)
-	}
-	ag, _ := col.Forward()
-	fwd, err := AllGather(top, ag)
-	if err != nil {
-		return nil, err
-	}
-	return schedule.MirrorInto(fwd, ag, col), nil
-}
-
-// AllReduceRing is ring ReduceScatter followed by ring AllGather over
-// n-th slices.
-func AllReduceRing(top *topology.Topology, col *collective.Collective) (*schedule.Schedule, error) {
-	if col.Kind != collective.KindAllReduce {
-		return nil, fmt.Errorf("nccl.AllReduceRing: got %v", col.Kind)
-	}
-	n := col.NumGPUs
-	rsCol := collective.ReduceScatter(n, col.ChunkSize)
-	agCol := collective.AllGather(n, col.ChunkSize)
-	rs, err := ReduceScatter(top, rsCol)
-	if err != nil {
-		return nil, err
-	}
-	ag, err := AllGather(top, agCol)
-	if err != nil {
-		return nil, err
-	}
-	return schedule.Concat(rs, ag), nil
-}
-
 // Broadcast builds NCCL's hierarchical tree broadcast: the root fans out
 // through a binary tree over servers (rail hops from the root's local
 // index), then chains inside each server.
@@ -240,19 +206,6 @@ func Broadcast(top *topology.Topology, col *collective.Collective) (*schedule.Sc
 	return sched, nil
 }
 
-// Reduce mirrors Broadcast.
-func Reduce(top *topology.Topology, col *collective.Collective) (*schedule.Schedule, error) {
-	if col.Kind != collective.KindReduce {
-		return nil, fmt.Errorf("nccl.Reduce: got %v", col.Kind)
-	}
-	bc, _ := col.Forward()
-	fwd, err := Broadcast(top, bc)
-	if err != nil {
-		return nil, err
-	}
-	return schedule.MirrorInto(fwd, bc, col), nil
-}
-
 // AlltoAll builds the pairwise exchange. On topologies where any pair
 // shares a network dimension it sends directly; on rail-only fabrics it
 // uses PXN: first an NVLink hop to the server-mate on the destination
@@ -289,29 +242,29 @@ func AlltoAll(top *topology.Topology, col *collective.Collective) (*schedule.Sch
 }
 
 // Schedule returns NCCL's schedule for a collective — its one fixed
-// algorithm for the kind — and the schedule's simulated time.
+// algorithm for the kind — and the schedule's simulated time. A reduction
+// is its forward collective's schedule composed by collective.Phases:
+// ring ReduceScatter is the ring AllGather's time reverse, Reduce the
+// broadcast tree's, and ring AllReduce is ring ReduceScatter then ring
+// AllGather.
 func Schedule(top *topology.Topology, col *collective.Collective, opts sim.Options) (*schedule.Schedule, float64, error) {
+	fwdCol, phases := col.Phases()
 	var build func(*topology.Topology, *collective.Collective) (*schedule.Schedule, error)
-	switch col.Kind {
+	switch fwdCol.Kind {
 	case collective.KindAllGather:
 		build = AllGather
-	case collective.KindReduceScatter:
-		build = ReduceScatter
-	case collective.KindAllReduce:
-		build = AllReduceRing
 	case collective.KindBroadcast:
 		build = Broadcast
-	case collective.KindReduce:
-		build = Reduce
 	case collective.KindAlltoAll:
 		build = AlltoAll
 	default:
 		return nil, 0, fmt.Errorf("nccl: unsupported collective %v", col.Kind)
 	}
-	s, err := build(top, col)
+	fwd, err := build(top, fwdCol)
 	if err != nil {
 		return nil, 0, err
 	}
+	s := schedule.Compose(fwd, fwdCol, phases)
 	t, err := sim.Time(top, s, opts)
 	if err != nil {
 		return nil, 0, err

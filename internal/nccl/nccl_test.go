@@ -112,7 +112,7 @@ func TestFig2NetworkWaste(t *testing.T) {
 func TestReduceScatterValidates(t *testing.T) {
 	top := topology.A100Clos(2)
 	col := collective.ReduceScatter(16, 1<<20)
-	s, err := ReduceScatter(top, col)
+	s, _, err := Schedule(top, col, sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestReduceScatterValidates(t *testing.T) {
 func TestAllReduceRing(t *testing.T) {
 	top := topology.A100Clos(2)
 	col := collective.AllReduce(16, 1<<22)
-	s, err := AllReduceRing(top, col)
+	s, _, err := Schedule(top, col, sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestBroadcastValidates(t *testing.T) {
 func TestReduceMirror(t *testing.T) {
 	top := topology.H800Rail(2)
 	col := collective.Reduce(16, 0, 1<<20)
-	s, err := Reduce(top, col)
+	s, _, err := Schedule(top, col, sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,9 +45,9 @@ func TestMirrorIntoReductions(t *testing.T) {
 		}
 		for _, col := range cols {
 			t.Run(fmt.Sprintf("%v/n=%d/root=%d", col.Kind, n, col.Root), func(t *testing.T) {
-				fwdCol, ok := col.Forward()
-				if !ok {
-					t.Fatalf("%v has no forward collective", col.Kind)
+				fwdCol, phases := col.Phases()
+				if len(phases) != 1 || !phases[0].Mirrored || phases[0].Col != col {
+					t.Fatalf("%v: phases %+v, want one mirrored phase of itself", col.Kind, phases)
 				}
 				fwd := forwardSchedule(fwdCol)
 				if err := verify.CheckSchedule(fwdCol, fwd); err != nil {

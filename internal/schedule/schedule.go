@@ -454,9 +454,9 @@ func (s *Schedule) Mirror(remap func(Piece) Piece) *Schedule {
 	return m
 }
 
-// MirrorInto time-reverses fwd, a schedule of fwdCol = col.Forward(), into
-// a schedule of the all-to-one collective col, remapping each piece onto
-// col's chunks:
+// MirrorInto time-reverses fwd, a schedule of col's forward collective
+// fwdCol (collective.Phases), into a schedule of the all-to-one
+// collective col, remapping each piece onto col's chunks:
 //
 //   - Reduce: the broadcast piece of the root's chunk becomes the
 //     reduction slice covering every contribution;
@@ -506,6 +506,26 @@ func MirrorInto(fwd *Schedule, fwdCol, col *collective.Collective) *Schedule {
 	default:
 		panic(fmt.Sprintf("schedule: cannot mirror into %v", col.Kind))
 	}
+}
+
+// Compose turns fwd, a schedule of the forward collective fwdCol, into
+// the schedule phases describe (see collective.Phases): each mirrored
+// phase is MirrorInto of fwd, every other phase fwd itself, and the
+// phases are concatenated in order. With no phases it returns fwd.
+func Compose(fwd *Schedule, fwdCol *collective.Collective, phases []collective.Phase) *Schedule {
+	out := fwd
+	for i, ph := range phases {
+		s := fwd
+		if ph.Mirrored {
+			s = MirrorInto(fwd, fwdCol, ph.Col)
+		}
+		if i == 0 {
+			out = s
+		} else {
+			out = Concat(out, s)
+		}
+	}
+	return out
 }
 
 // PhaseOrderBase is the Order offset Concat adds to phase-b transfers so

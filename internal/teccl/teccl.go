@@ -80,8 +80,13 @@ type Result struct {
 	TimedOut bool          // budget expired before the first schedule
 }
 
-// Synthesize produces a TECCL schedule for the collective.
+// Synthesize produces a TECCL schedule for the collective: it synthesizes
+// the forward collective (collective.Phases) within the budget and
+// composes the reductions from it, as core and nccl do.
 func Synthesize(top *topology.Topology, col *collective.Collective, opts Options) (*Result, error) {
+	if col.Kind == collective.KindReduce || col.Kind == collective.KindGather {
+		return nil, fmt.Errorf("teccl: %v not modeled (out of the paper's evaluation scope)", col.Kind)
+	}
 	opts = opts.withDefaults()
 	sp := opts.Rec.StartSpan("teccl.synthesize")
 	sp.SetStr("topology", top.Name)
@@ -89,47 +94,11 @@ func Synthesize(top *topology.Topology, col *collective.Collective, opts Options
 	defer sp.End()
 	start := time.Now()
 	deadline := start.Add(opts.TimeBudget)
-
-	switch col.Kind {
-	case collective.KindReduceScatter:
-		ag, _ := col.Forward()
-		res, err := Synthesize(top, ag, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Schedule = schedule.MirrorInto(res.Schedule, ag, col)
-		r, err := sim.Simulate(top, res.Schedule, opts.Sim)
-		if err != nil {
-			return nil, err
-		}
-		res.Time = r.Time
-		res.Spent = time.Since(start)
-		return res, nil
-	case collective.KindAllReduce:
-		rsCol, agCol := collective.AllReducePhases(col.NumGPUs, col.ChunkSize*float64(col.NumGPUs))
-		half := opts
-		half.TimeBudget = opts.TimeBudget / 2
-		rs, err := Synthesize(top, rsCol, half)
-		if err != nil {
-			return nil, err
-		}
-		ag, err := Synthesize(top, agCol, half)
-		if err != nil {
-			return nil, err
-		}
-		full := schedule.Concat(rs.Schedule, ag.Schedule)
-		r, err := sim.Simulate(top, full, opts.Sim)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Schedule: full, Time: r.Time, Spent: time.Since(start), Rounds: rs.Rounds + ag.Rounds}, nil
-	case collective.KindReduce, collective.KindGather:
-		return nil, fmt.Errorf("teccl: %v not modeled (out of the paper's evaluation scope)", col.Kind)
-	}
+	fwdCol, phases := col.Phases()
 
 	splits := opts.Splits
 	if splits <= 0 {
-		splits = int(math.Ceil(col.ChunkSize / 4e6))
+		splits = int(math.Ceil(fwdCol.ChunkSize / 4e6))
 		if splits < 1 {
 			splits = 1
 		}
@@ -137,7 +106,7 @@ func Synthesize(top *topology.Topology, col *collective.Collective, opts Options
 			splits = 8
 		}
 	}
-	pieceBytes := col.ChunkSize / float64(splits)
+	pieceBytes := fwdCol.ChunkSize / float64(splits)
 	tau := opts.Tau
 	if tau <= 0 {
 		// τ_min = β·s of the fastest link (§7.1).
@@ -150,7 +119,7 @@ func Synthesize(top *topology.Topology, col *collective.Collective, opts Options
 		tau = minBeta * pieceBytes * opts.TauScale
 	}
 
-	best, err := greedyGlobal(top, col, pieceBytes, splits, tau, nil)
+	best, err := greedyGlobal(top, fwdCol, pieceBytes, splits, tau, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -166,8 +135,8 @@ func Synthesize(top *topology.Topology, col *collective.Collective, opts Options
 	// does not construct them spontaneously, so evaluate the ring
 	// explicitly and keep it when it wins — typically at bandwidth-bound
 	// sizes on ring-friendly fabrics.
-	if col.Kind == collective.KindAllGather {
-		if ring, err := nccl.AllGather(top, col); err == nil {
+	if fwdCol.Kind == collective.KindAllGather {
+		if ring, err := nccl.AllGather(top, fwdCol); err == nil {
 			if r, err := sim.Simulate(top, ring, opts.Sim); err == nil && r.Time < res.Time {
 				res.Schedule, res.Time = ring, r.Time
 			}
@@ -175,7 +144,7 @@ func Synthesize(top *topology.Topology, col *collective.Collective, opts Options
 	}
 	rng := rand.New(rand.NewSource(opts.Seed + 1))
 	for time.Now().Before(deadline) {
-		cand, err := greedyGlobal(top, col, pieceBytes, splits, tau, rng)
+		cand, err := greedyGlobal(top, fwdCol, pieceBytes, splits, tau, rng)
 		if err != nil {
 			break
 		}
@@ -187,6 +156,12 @@ func Synthesize(top *topology.Topology, col *collective.Collective, opts Options
 		if r.Time < res.Time {
 			res.Time = r.Time
 			res.Schedule = cand
+		}
+	}
+	if phases != nil {
+		res.Schedule = schedule.Compose(res.Schedule, fwdCol, phases)
+		if res.Time, err = sim.Time(top, res.Schedule, opts.Sim); err != nil {
+			return nil, err
 		}
 	}
 	res.Spent = time.Since(start)

@@ -64,6 +64,7 @@ go test ./internal/lru/ -run='^$' -fuzz='^FuzzLRUModel$' -fuzztime="$FUZZTIME"
 go test ./internal/schedule/ -run='^$' -fuzz='^FuzzValidateEquivalence$' -fuzztime="$FUZZTIME"
 go test ./internal/core/ -run='^$' -fuzz='^FuzzAssemblyEquivalence$' -fuzztime="$FUZZTIME"
 go test ./internal/core/ -run='^$' -fuzz='^FuzzSynthesizeContract$' -fuzztime="$FUZZTIME"
+go test ./internal/verify/ -run='^$' -fuzz='^FuzzBaselineOracle$' -fuzztime="$FUZZTIME"
 go test ./internal/isomorph/ -run='^$' -fuzz='^FuzzCacheKeysStable$' -fuzztime="$FUZZTIME"
 go test ./internal/isomorph/ -run='^$' -fuzz='^FuzzClassesEquivalence$' -fuzztime="$FUZZTIME"
 go test ./internal/sketch/ -run='^$' -fuzz='^FuzzSearchEquivalence$' -fuzztime="$FUZZTIME"
