@@ -292,73 +292,119 @@ func newAssembly(top *topology.Topology, col *collective.Collective, combo *sket
 	return a, nil
 }
 
-// denseDeliverySlots is how many (piece, GPU) slots per transfer the flat
-// delivery index may take: 64 int32 slots are 256 B, a few times the
-// schedule.Transfer being built, so the index stays O(transfers). AlltoAll
-// on n GPUs has n³ slots for ~2n² transfers and crosses it past n = 128
-// (at 512 GPUs the flat index would be 536 MB per build).
-var denseDeliverySlots = 64
+// flatDeliverySlots is how many slots per hashed entry a flat delivery
+// index may take: three, the words of an entry, so the flat form is
+// chosen exactly when it is no larger than the hashed one.
+var flatDeliverySlots = 3
 
 // deliveries remembers the first index recorded per slot: in
 // assembly.build, per piece*numGPUs+gpu, the transfer that first
 // delivered the piece to the GPU (candidateTimeBound keeps its arrival
-// and port tables the same way). Flat while that is small next to the
-// deliveries, a map beyond. Flat tables are recycled through
-// denseTables: their user forgets every slot it recorded, then releases
-// the table, so each build zeroes what it wrote, not the whole table.
+// and port tables the same way). It lives in one []int32 table, in the
+// smaller of two forms: flat, 1 + the index at each slot; or hashed, open
+// addressing over entries of three words — 1 + the slot as two words,
+// then 1 + the index — with at least twice as many entries as
+// deliveries. AlltoAll on n GPUs has n³ slots for ~2n² transfers and
+// hashes (flat, 64 GPUs would take 1 MB per build and 512 GPUs 536 MB);
+// the other collectives have about as many slots as transfers and stay
+// flat.
+//
+// Tables are recycled, through a build buffer or deliveryTables, all
+// zeros: their user forgets every slot it recorded and then resets the
+// table, so a flat table gets back what it wrote, not the whole table,
+// and a hashed one, O(deliveries) already, is zeroed whole.
 type deliveries struct {
-	dense  []int32 // 1 + index, 0 while none
+	table  []int32
+	mask   int // a hashed table's entries - 1; -1 for a flat one
 	pooled *[]int32
-	sparse map[int]int32
 }
 
-// denseTables holds released flat tables, all zeros.
-var denseTables sync.Pool
+// deliveryTables holds released tables, all zeros.
+var deliveryTables sync.Pool
+
+// deliveryForm sizes the index of slots slots and at most transfers
+// deliveries: the words of its table, and the mask of a hashed one (-1:
+// flat).
+func deliveryForm(slots, transfers int) (words, mask int) {
+	entries := 1
+	for entries < 2*transfers {
+		entries *= 2
+	}
+	if slots <= flatDeliverySlots*entries {
+		return slots, -1
+	}
+	return 3 * entries, entries - 1
+}
 
 func newDeliveries(slots, transfers int) deliveries {
-	if slots > denseDeliverySlots*transfers {
-		return deliveries{sparse: make(map[int]int32, transfers)}
-	}
-	p, _ := denseTables.Get().(*[]int32)
-	if p == nil || cap(*p) < slots {
-		table := make([]int32, slots)
+	words, mask := deliveryForm(slots, transfers)
+	p := deliveryTable(words)
+	return deliveries{table: (*p)[:words], mask: mask, pooled: p}
+}
+
+// deliveryTable returns a table of all zeros with room for words words,
+// from deliveryTables when the one there is large enough.
+func deliveryTable(words int) *[]int32 {
+	p, _ := deliveryTables.Get().(*[]int32)
+	if p == nil || cap(*p) < words {
+		table := make([]int32, words)
 		p = &table
 	}
-	return deliveries{dense: (*p)[:slots], pooled: p}
+	return p
+}
+
+// entry returns a hashed table's entry of slot — the one holding it, or
+// the free one, all zeros, where it goes — and the slot's key words.
+func (d deliveries) entry(slot int) (e []int32, lo, hi int32) {
+	k := uint64(slot) + 1
+	lo, hi = int32(uint32(k)), int32(uint32(k>>32))
+	for i := int(k*0x9e3779b97f4a7c15>>32) & d.mask; ; i = (i + 1) & d.mask {
+		e = d.table[3*i : 3*i+3 : 3*i+3]
+		if e[0] == lo && e[1] == hi || e[0] == 0 && e[1] == 0 {
+			return e, lo, hi
+		}
+	}
 }
 
 // first is 1 + the index of the slot's first delivery, 0 while none.
 func (d deliveries) first(slot int) int32 {
-	if d.sparse != nil {
-		return d.sparse[slot]
+	if d.mask < 0 {
+		return d.table[slot]
 	}
-	return d.dense[slot]
+	e, _, _ := d.entry(slot)
+	return e[2]
 }
 
 // record notes idx as the slot's index unless it has one.
 func (d deliveries) record(slot, idx int) {
-	if d.sparse != nil {
-		if _, ok := d.sparse[slot]; !ok {
-			d.sparse[slot] = int32(idx + 1)
+	if d.mask < 0 {
+		if d.table[slot] == 0 {
+			d.table[slot] = int32(idx + 1)
 		}
-	} else if d.dense[slot] == 0 {
-		d.dense[slot] = int32(idx + 1)
+	} else if e, lo, hi := d.entry(slot); e[2] == 0 {
+		e[0], e[1], e[2] = lo, hi, int32(idx+1)
 	}
 }
 
 // forget zeroes a recorded slot of a flat table.
 func (d deliveries) forget(slot int) {
-	if d.dense != nil {
-		d.dense[slot] = 0
+	if d.mask < 0 {
+		d.table[slot] = 0
 	}
 }
 
-// release hands a flat table, every recorded slot forgotten, back for
-// reuse.
-func (d deliveries) release() {
-	if d.pooled != nil {
-		denseTables.Put(d.pooled)
+// reset zeroes a hashed table whose slots were forgotten.
+func (d deliveries) reset() {
+	if d.mask >= 0 {
+		clear(d.table)
 	}
+}
+
+// release resets the table, every recorded slot forgotten, and hands it
+// back for reuse.
+func (d deliveries) release() {
+	d.reset()
+	deliveryTables.Put(d.pooled)
 }
 
 // inStartArriveOrder reports whether transfers are sorted by (Start,
@@ -373,15 +419,65 @@ func inStartArriveOrder(transfers []solve.Transfer) bool {
 	return true
 }
 
-// build assembles a schedule from per-cell sub-schedules (subs[i] solves
-// a.cells[i]), wiring cross-stage and intra-stage dependencies and
-// per-port ordering. The assembly and the sub-schedules are only read, so
-// one assembly builds any number of schedules — the coarse and the fine
-// one of a candidate, and a replay's from its recipe — and one
-// sub-schedule serves every cell with an equal demand. A missing
-// sub-schedule, or a transfer that names a GPU or piece outside its
-// cell's demand, is an error.
-func (a *assembly) build(subs []*solve.SubSchedule) (*schedule.Schedule, error) {
+// buildBuffer is the memory assembly.build writes a schedule into: the
+// schedule, whose Pieces and Transfers arrays it reuses, the array the
+// transfers' dependency lists are cut from, and the delivery table.
+// A worker that times every candidate of a pass builds each one into its
+// own buffer and allocates again only when a candidate outgrows it; a
+// schedule that leaves the pipeline is built into a new buffer. What a
+// build returns lives in the buffer until the next build into it. The
+// buffer holds its delivery table until release.
+type buildBuffer struct {
+	sched schedule.Schedule
+	deps  []int
+	table *[]int32
+}
+
+// deliveries is newDeliveries on the buffer's table.
+func (b *buildBuffer) deliveries(slots, transfers int) deliveries {
+	words, mask := deliveryForm(slots, transfers)
+	if b.table == nil || cap(*b.table) < words {
+		p := deliveryTable(words)
+		b.release()
+		b.table = p
+	}
+	return deliveries{table: (*b.table)[:words], mask: mask}
+}
+
+// release hands the buffer's delivery table, every slot forgotten, to
+// deliveryTables.
+func (b *buildBuffer) release() {
+	if b.table != nil {
+		deliveryTables.Put(b.table)
+		b.table = nil
+	}
+}
+
+// buildBuffers holds one buildBuffer per worker. The passes of one
+// synthesis share them, so a buffer grows to the largest candidate any
+// pass built into it and no further. A pass releases the buffers'
+// delivery tables when it ends, for the flow bounds and the next pass.
+type buildBuffers []buildBuffer
+
+func newBuildBuffers(workers int) buildBuffers {
+	return make(buildBuffers, max(1, workers))
+}
+
+func (bufs buildBuffers) release() {
+	for i := range bufs {
+		bufs[i].release()
+	}
+}
+
+// build assembles a schedule into dst from per-cell sub-schedules
+// (subs[i] solves a.cells[i]), wiring cross-stage and intra-stage
+// dependencies and per-port ordering. The assembly and the sub-schedules
+// are only read, so one assembly builds any number of schedules — every
+// pass's timing copy of a candidate, the winner, and a replay's from its
+// recipe — and one sub-schedule serves every cell with an equal demand.
+// A missing sub-schedule, or a transfer that names a GPU or piece outside
+// its cell's demand, is an error.
+func (a *assembly) build(dst *buildBuffer, subs []*solve.SubSchedule) (*schedule.Schedule, error) {
 	const stageStride = 1 << 24
 	total := 0
 	for _, sub := range subs {
@@ -390,22 +486,27 @@ func (a *assembly) build(subs []*solve.SubSchedule) (*schedule.Schedule, error) 
 		}
 	}
 	n := a.numGPUs
-	deliver := newDeliveries(len(a.pieces)*n, total)
-	sched := &schedule.Schedule{
-		NumGPUs:   n,
-		Pieces:    append([]schedule.Piece(nil), a.pieces...),
-		Transfers: make([]schedule.Transfer, 0, total),
+	deliver := dst.deliveries(len(a.pieces)*n, total)
+	sched := &dst.sched
+	sched.NumGPUs = n
+	sched.Pieces = append(sched.Pieces[:0], a.pieces...)
+	if cap(sched.Transfers) < total {
+		sched.Transfers = make([]schedule.Transfer, 0, total)
 	}
+	sched.Transfers = sched.Transfers[:0]
 	// The slots recorded are the added transfers' (piece, destination).
 	defer func() {
 		for i := range sched.Transfers {
 			deliver.forget(sched.Transfers[i].Piece*n + sched.Transfers[i].Dst)
 		}
-		deliver.release()
+		deliver.reset()
 	}()
 	// Every transfer has at most one dependency; they are cut, each with
 	// no spare capacity, from one backing array.
-	deps := make([]int, 0, total)
+	if cap(dst.deps) < total {
+		dst.deps = make([]int, 0, total)
+	}
+	deps := dst.deps[:0]
 	for i, cd := range a.cells {
 		sub, k := subs[i], cd.key
 		if sub == nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -132,26 +133,63 @@ func TestBuildDependencyWiring(t *testing.T) {
 	}
 }
 
-// TestBuildDeliveryIndexForms: the flat delivery index and the map that
-// replaces it on schedules with many more (piece, GPU) slots than
-// transfers wire the same dependencies — the pinned bytes either way.
+// TestBuildDeliveryIndexForms: the flat delivery index and the hashed
+// one that replaces it where it would be the larger wire the same
+// dependencies — the pinned bytes either way — and each form is chosen
+// where it is the smaller.
 func TestBuildDeliveryIndexForms(t *testing.T) {
 	pinned := loadColdDigests(t)
-	defer func(slots int) { denseDeliverySlots = slots }(denseDeliverySlots)
-	for _, slots := range []int{0, denseDeliverySlots} { // 0: always the map
-		denseDeliverySlots = slots
+	defer func(slots int) { flatDeliverySlots = slots }(flatDeliverySlots)
+	for _, slots := range []int{0, math.MaxInt32, flatDeliverySlots} { // 0: always hashed, MaxInt32: always flat
+		flatDeliverySlots = slots
 		for _, spec := range []string{"dgx4:allreduce:1M", "server8:broadcast:64M", "a100x16:alltoall:64M", "h800small:allgather:1M"} {
 			top, col := digestCase(t, spec)
 			if got := digestOf(synth(t, top, col, Options{})); got != pinned[spec] {
-				t.Errorf("%s, %d slots per transfer: got %+v, pinned %+v", spec, slots, got, pinned[spec])
+				t.Errorf("%s, %d slots per entry: got %+v, pinned %+v", spec, slots, got, pinned[spec])
 			}
 		}
 	}
-	if d := newDeliveries(512*511*512, 3*512*511); d.sparse == nil {
-		t.Error("a 512-GPU AlltoAll would index 134M slots flat")
+	flatDeliverySlots = 3
+	for _, c := range []struct {
+		name             string
+		slots, transfers int
+		flat             bool
+	}{
+		{"512-GPU AlltoAll", 512 * 511 * 512, 3 * 512 * 511, false},
+		{"64-GPU AlltoAll", 4032 * 64, 7168, false},
+		{"64-GPU AllGather", 64 * 64, 4032, true},
+	} {
+		d := newDeliveries(c.slots, c.transfers)
+		if (d.mask < 0) != c.flat || len(d.table) > min(c.slots, 12*c.transfers) {
+			t.Errorf("%s: %d words, flat %v; want flat %v and no more than the smaller form", c.name, len(d.table), d.mask < 0, c.flat)
+		}
+		d.release()
 	}
-	if d := newDeliveries(4032*64, 7168); d.dense == nil {
-		t.Error("the 64-GPU AlltoAll lost its flat index")
+
+	// Slots past 2³² take both key words; a slot keeps its first index;
+	// forgetting and resetting leaves the table all zeros.
+	d := newDeliveries(1<<40, 4)
+	slots := []int{7, 7 + 1<<32, 1<<40 - 1, 0}
+	for i, slot := range slots {
+		d.record(slot, i)
+		d.record(slot, i+10)
+	}
+	for i, slot := range slots {
+		if got := d.first(slot); got != int32(i+1) {
+			t.Errorf("slot %d: first %d, want %d", slot, got, i+1)
+		}
+	}
+	if d.first(8) != 0 {
+		t.Error("an unrecorded slot has a delivery")
+	}
+	for _, slot := range slots {
+		d.forget(slot)
+	}
+	d.reset()
+	for _, w := range d.table {
+		if w != 0 {
+			t.Fatal("a reset hashed table is not all zeros")
+		}
 	}
 }
 
@@ -201,7 +239,7 @@ func TestBuildSortsOutOfOrderSubSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := a.build(rc.Subs)
+	want, err := a.build(new(buildBuffer), rc.Subs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +263,7 @@ func TestBuildSortsOutOfOrderSubSchedules(t *testing.T) {
 		t.Fatal("no sub-schedule left out of order")
 	}
 	before := fmt.Sprint(shuffled[0].Transfers)
-	got, err := a.build(shuffled)
+	got, err := a.build(new(buildBuffer), shuffled)
 	if err != nil {
 		t.Fatal(err)
 	}

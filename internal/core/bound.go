@@ -79,7 +79,7 @@ func demandTimeBounds(ctx context.Context, tab *isomorph.Table, cands []*candida
 	}
 	solved := make([]bool, len(misses))
 	pivots := make([]int, len(misses))
-	parallelFor(len(misses), opts.Workers, func(k int) {
+	parallelFor(len(misses), opts.Workers, func(_, k int) {
 		v, n, err := solve.FlowTimeBound(ctx, tab.Demand(misses[k]))
 		pivots[k] = n
 		if err == nil {
@@ -115,7 +115,7 @@ func candidateTimeBound(top *topology.Topology, c *candidate, sec []float64) flo
 	}
 	n := a.numGPUs
 	// Port tables are flat over dim*n+gpu. (piece, GPU) tables follow
-	// assembly.build's dense-or-sparse rule and recycling, sized by the
+	// assembly.build's flat-or-hashed rule and recycling, sized by the
 	// deliveries:
 	// arrivals index into arrival (1 + position, in first-delivery order),
 	// and counted marks, per (piece, GPU, dim), a delivery whose ingress
@@ -219,7 +219,7 @@ func pruneByBound(ctx context.Context, top *topology.Topology, tab *isomorph.Tab
 	defer bs.End()
 	sec := demandTimeBounds(ctx, tab, keep, opts, bs)
 	lbs := make([]float64, len(keep))
-	parallelFor(len(keep), opts.Workers, func(i int) {
+	parallelFor(len(keep), opts.Workers, func(_, i int) {
 		lbs[i] = candidateTimeBound(top, keep[i], sec)
 	})
 	incumbent, incLB := keep[0], lbs[0]

@@ -16,20 +16,34 @@ import (
 // candidate is one sketch combination under evaluation. asm and cells are
 // made once, before the coarse pass, and shared by every pass after it:
 // cells[i] is the demand-table id of asm.cells[i]. subs are the per-cell
-// sub-schedules sched was built from (read-only; a winner's become its
-// Recipe.Subs). Injected fixed schedules (the ring) have none of the
-// three. source and engine record which pass produced the schedule —
-// provenance for the incumbent published when the candidate wins the
-// pipeline.
+// sub-schedules time was simulated from (read-only; a winner's become its
+// Recipe.Subs). A candidate keeps no schedule: one is built from asm and
+// subs whenever it is needed (forward). An injected fixed schedule (the
+// ring) has none of the three and is kept as fixed. source and engine
+// record which pass produced the time — provenance for the incumbent
+// published when the candidate wins the pipeline.
 type candidate struct {
 	combo  *sketch.Combination
 	asm    *assembly
 	cells  []int
 	subs   []*solve.SubSchedule
-	sched  *schedule.Schedule
+	fixed  *schedule.Schedule
 	time   float64
 	source string
 	engine string
+}
+
+// forward returns the candidate's forward schedule: built into buf, or
+// into new memory when buf is nil; a fixed schedule comes back as is.
+func (c *candidate) forward(buf *buildBuffer) (*schedule.Schedule, error) {
+	if c.asm == nil {
+		return c.fixed, nil
+	}
+	if buf == nil {
+		buf = new(buildBuffer)
+		defer buf.release()
+	}
+	return c.asm.build(buf, c.subs)
 }
 
 // assembleAll builds every combination's assembly (in parallel) and
@@ -41,7 +55,7 @@ func assembleAll(top *topology.Topology, col *collective.Collective, combos []*s
 	tab *isomorph.Table, opts Options, span *obs.Span) []*candidate {
 
 	out := make([]*candidate, len(combos))
-	parallelFor(len(combos), opts.Workers, func(ci int) {
+	parallelFor(len(combos), opts.Workers, func(_, ci int) {
 		a, err := newAssembly(top, col, combos[ci])
 		if err != nil {
 			cs := span.ChildLane("candidate")

@@ -14,23 +14,25 @@ import (
 
 // finisher turns the forward pipeline's schedules into the caller-visible
 // collective's. finish mirrors (reductions) or mirrors and concatenates
-// (AllReduce) a forward schedule and re-simulates the result, returning
-// the finished schedule and its time; a forward collective's schedule
-// comes back as is. check validates a finished schedule against the
-// requested collective (fwd is the schedule it was finished from). Ranking
-// needs only finish, so the pipeline checks just the schedules it hands
-// out. Both must be safe for concurrent use and must not mutate their
-// inputs.
+// (AllReduce) a forward schedule into dst (nil: new memory) and
+// re-simulates the result, returning the finished schedule and its time;
+// a forward collective's schedule comes back as is. check validates a
+// finished schedule against the requested collective (fwd is the
+// schedule it was finished from). Ranking needs only finish, so the
+// pipeline checks just the schedules it hands out. Both must be safe for
+// concurrent use (on distinct dsts) and must not mutate their inputs.
 //
-// shape is finish without the simulation (nil: the forward schedule
-// itself), for a replay that times the finished schedule once, in its
-// recipe's serving order. twoPhase marks a finished schedule that is
+// shape is finish without the simulation, for a replay that times the
+// finished schedule once, in its recipe's serving order. It is nil
+// exactly for a forward collective, whose finish is the identity: the
+// pipeline then ranks on the times its passes recorded and finishes
+// nothing. twoPhase marks a finished schedule that is
 // Concat(mirror, fwd): its first len(fwd.Transfers) transfers are one
 // phase and the rest another, and a re-keying must keep them apart.
 type finisher struct {
-	finish   func(fwd *schedule.Schedule, fwdTime float64) (*schedule.Schedule, float64, error)
+	finish   func(dst *schedule.Buffer, fwd *schedule.Schedule, fwdTime float64) (*schedule.Schedule, float64, error)
 	check    func(fwd, out *schedule.Schedule) error
-	shape    func(fwd *schedule.Schedule) *schedule.Schedule
+	shape    func(dst *schedule.Buffer, fwd *schedule.Schedule) *schedule.Schedule
 	twoPhase bool
 }
 
@@ -38,18 +40,20 @@ type finisher struct {
 // validate.
 func forwardFinisher(col *collective.Collective) finisher {
 	return finisher{
-		finish: func(s *schedule.Schedule, t float64) (*schedule.Schedule, float64, error) { return s, t, nil },
-		check:  func(_, out *schedule.Schedule) error { return validateForward(out, col) },
+		finish: func(_ *schedule.Buffer, s *schedule.Schedule, t float64) (*schedule.Schedule, float64, error) {
+			return s, t, nil
+		},
+		check: func(_, out *schedule.Schedule) error { return validateForward(out, col) },
 	}
 }
 
 // shapedFinisher finishes by shape and times the finished schedule with
 // the time-only simulator.
-func shapedFinisher(top *topology.Topology, so sim.Options, shape func(*schedule.Schedule) *schedule.Schedule,
+func shapedFinisher(top *topology.Topology, so sim.Options, shape func(*schedule.Buffer, *schedule.Schedule) *schedule.Schedule,
 	check func(fwd, out *schedule.Schedule) error, twoPhase bool) finisher {
 	return finisher{
-		finish: func(fwd *schedule.Schedule, _ float64) (*schedule.Schedule, float64, error) {
-			out := shape(fwd)
+		finish: func(dst *schedule.Buffer, fwd *schedule.Schedule, _ float64) (*schedule.Schedule, float64, error) {
+			out := shape(dst, fwd)
 			t, err := sim.Time(top, out, so)
 			if err != nil {
 				return nil, 0, fmt.Errorf("core: finished schedule: %w", err)
@@ -125,9 +129,15 @@ func (p *publisher) offer(sched *schedule.Schedule, fwdTime float64, source, eng
 	p.bestFwd = fwdTime
 	p.mu.Unlock()
 
-	out, t, err := p.fin.finish(sched, fwdTime)
+	out, t, err := p.fin.finish(nil, sched, fwdTime)
 	if err != nil || p.fin.check(sched, out) != nil {
 		return
+	}
+	if out == sched {
+		// A forward schedule is emitted as offered, and an offered
+		// schedule may be a worker's build buffer, which its next build
+		// overwrites: the stream gets a copy.
+		out = sched.Clone()
 	}
 
 	p.mu.Lock()

@@ -163,10 +163,11 @@ func TestNoFinalistFinishesIsAnError(t *testing.T) {
 	top := topology.H800Small(2)
 	col := collective.AllGather(top.NumGPUs(), 1<<20)
 	refuse := errors.New("transform refuses")
-	failing := func(*schedule.Schedule, float64) (*schedule.Schedule, float64, error) {
+	failing := func(*schedule.Buffer, *schedule.Schedule, float64) (*schedule.Schedule, float64, error) {
 		return nil, 0, refuse
 	}
-	res, err := synthesizeForward(context.Background(), top, col, Options{}.withDefaults(), nil, nil, finisher{finish: failing})
+	same := func(_ *schedule.Buffer, s *schedule.Schedule) *schedule.Schedule { return s }
+	res, err := synthesizeForward(context.Background(), top, col, Options{}.withDefaults(), nil, nil, finisher{finish: failing, shape: same})
 	if !errors.Is(err, refuse) {
 		t.Errorf("err = %v, want the transform's error", err)
 	}
@@ -178,20 +179,22 @@ func TestNoFinalistFinishesIsAnError(t *testing.T) {
 // TestPickWinnerRanking: pickWinner finishes every finalist, ranks by
 // finished time and checks down the ranking, so its winner is the fastest
 // finalist that finishes and passes — first in order on a tie — and the
-// check runs once when that is the fastest.
+// check runs once when that is the fastest. A forward collective's
+// finalists are ranked on their recorded times, unfinished.
 func TestPickWinnerRanking(t *testing.T) {
 	// Finalist i's schedule has i+1 GPUs, so the finisher can tell them
 	// apart; finishing scales the time by 10.
 	finalists := func(times ...float64) []*candidate {
 		out := make([]*candidate, len(times))
 		for i, tm := range times {
-			out[i] = &candidate{sched: &schedule.Schedule{NumGPUs: i + 1}, time: tm}
+			out[i] = &candidate{fixed: &schedule.Schedule{NumGPUs: i + 1}, time: tm}
 		}
 		return out
 	}
-	finish := func(s *schedule.Schedule, tm float64) (*schedule.Schedule, float64, error) {
+	finish := func(_ *schedule.Buffer, s *schedule.Schedule, tm float64) (*schedule.Schedule, float64, error) {
 		return s, 10 * tm, nil
 	}
+	same := func(_ *schedule.Buffer, s *schedule.Schedule) *schedule.Schedule { return s }
 	refuse := func(idx ...int) func(_, out *schedule.Schedule) error {
 		return func(_, out *schedule.Schedule) error {
 			for _, i := range idx {
@@ -205,28 +208,28 @@ func TestPickWinnerRanking(t *testing.T) {
 
 	t.Run("fastest fails its check, the next wins", func(t *testing.T) {
 		pool := finalists(3, 1, 2, 2)
-		best, out, tm, err := pickWinner(pool, finisher{finish: finish, check: refuse(1)})
-		if err != nil || best != pool[2] || out != pool[2].sched || tm != 20 {
+		best, fwd, out, tm, err := pickWinner(pool, finisher{finish: finish, shape: same, check: refuse(1)}, newBuildBuffers(2))
+		if err != nil || best != pool[2] || fwd != pool[2].fixed || out != pool[2].fixed || tm != 20 {
 			t.Fatalf("winner %v (time %g, err %v), want finalist 2 at 20", best, tm, err)
 		}
 	})
 
 	t.Run("none passes: the first finalist's error", func(t *testing.T) {
 		pool := finalists(3, 1, 2)
-		finishFirstFails := func(s *schedule.Schedule, tm float64) (*schedule.Schedule, float64, error) {
-			if s == pool[0].sched {
+		finishFirstFails := func(dst *schedule.Buffer, s *schedule.Schedule, tm float64) (*schedule.Schedule, float64, error) {
+			if s == pool[0].fixed {
 				return nil, 0, errors.New("finalist 0 does not finish")
 			}
-			return finish(s, tm)
+			return finish(dst, s, tm)
 		}
 		for _, c := range []struct {
 			fin  finisher
 			want string
 		}{
-			{finisher{finish: finish, check: refuse(0, 1, 2)}, "finalist 0 refused"},
-			{finisher{finish: finishFirstFails, check: refuse(1, 2)}, "finalist 0 does not finish"},
+			{finisher{finish: finish, shape: same, check: refuse(0, 1, 2)}, "finalist 0 refused"},
+			{finisher{finish: finishFirstFails, shape: same, check: refuse(1, 2)}, "finalist 0 does not finish"},
 		} {
-			best, _, _, err := pickWinner(pool, c.fin)
+			best, _, _, _, err := pickWinner(pool, c.fin, newBuildBuffers(2))
 			if best != nil || err == nil || err.Error() != c.want {
 				t.Errorf("winner %v, err %v; want no winner and %q", best, err, c.want)
 			}
@@ -237,12 +240,24 @@ func TestPickWinnerRanking(t *testing.T) {
 		pool := finalists(3, 1, 2, 1)
 		checks := 0
 		count := func(_, _ *schedule.Schedule) error { checks++; return nil }
-		best, _, tm, err := pickWinner(pool, finisher{finish: finish, check: count})
+		best, _, _, tm, err := pickWinner(pool, finisher{finish: finish, shape: same, check: count}, newBuildBuffers(1))
 		if err != nil || best != pool[1] || tm != 10 {
 			t.Fatalf("winner %v (time %g, err %v), want finalist 1 at 10", best, tm, err)
 		}
 		if checks != 1 {
 			t.Errorf("%d checks, want 1", checks)
+		}
+	})
+
+	t.Run("forward: the recorded times, unfinished", func(t *testing.T) {
+		pool := finalists(3, 1, 2, 1)
+		unfinished := func(dst *schedule.Buffer, s *schedule.Schedule, tm float64) (*schedule.Schedule, float64, error) {
+			t.Error("a forward finalist was finished")
+			return finish(dst, s, tm)
+		}
+		best, fwd, out, tm, err := pickWinner(pool, finisher{finish: unfinished, check: refuse(1)}, newBuildBuffers(2))
+		if err != nil || best != pool[3] || fwd != out || out != pool[3].fixed || tm != 1 {
+			t.Fatalf("winner %v (time %g, err %v), want finalist 3 at 1", best, tm, err)
 		}
 	})
 }

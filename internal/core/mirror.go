@@ -22,8 +22,8 @@ func finisherFor(top *topology.Topology, col *collective.Collective, so sim.Opti
 	if phases == nil {
 		return col, forwardFinisher(col)
 	}
-	compose := func(fwd *schedule.Schedule) *schedule.Schedule {
-		return schedule.Compose(fwd, fwdCol, phases)
+	compose := func(dst *schedule.Buffer, fwd *schedule.Schedule) *schedule.Schedule {
+		return schedule.Compose(dst, fwd, fwdCol, phases)
 	}
 	// The mirrored phase is full's prefix: Compose puts it first, and a
 	// mirror has the forward schedule's piece and transfer counts. (A

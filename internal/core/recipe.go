@@ -99,7 +99,10 @@ func rebuild(top *topology.Topology, col *collective.Collective, opts Options, p
 		if err != nil || len(rc.Subs) != len(a.cells) {
 			return nil
 		}
-		if sched, err = a.build(rc.Subs); err != nil {
+		buf := new(buildBuffer)
+		sched, err = a.build(buf, rc.Subs)
+		buf.release()
+		if err != nil {
 			return nil
 		}
 	default:
@@ -113,7 +116,7 @@ func rebuild(top *topology.Topology, col *collective.Collective, opts Options, p
 	// in place.
 	out := sched
 	if fin.shape != nil {
-		out = fin.shape(sched)
+		out = fin.shape(nil, sched)
 	}
 	if rc.Ranks != nil {
 		if len(rc.Ranks) != len(out.Transfers) {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -242,5 +244,43 @@ func TestReplayAllocs(t *testing.T) {
 		if allocs > budget {
 			t.Errorf("%s: a replay allocates %.0f times, budget %.0f", spec, allocs, budget)
 		}
+	}
+}
+
+// TestRealizeBytes is a tripwire on what one coarse realization pass
+// allocates: each candidate is built into its worker's buffer and only
+// its time is kept, so the pass allocates about one schedule per worker,
+// not one per candidate. The budget is about 1.5× the 2434 KiB measured
+// when candidates stopped being kept (one worker on
+// h800x64:allgather:64M's 13 candidates, from empty pools; keeping every
+// candidate's schedule took 5630 KiB), so a schedule kept per candidate
+// again fails here.
+func TestRealizeBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates for itself")
+	}
+	const budget = 3650 // KiB
+	top, col := digestCase(t, "h800x64:allgather:64M")
+	opts := Options{Workers: 1}.withDefaults()
+	sketches := searchCached(t.Context(), top, 0, false, opts)
+	combos := buildCombinations(t.Context(), top, col, sketches, true, false, opts)
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		tab := isomorph.NewTable()
+		pool := assembleAll(top, col, combos, tab, opts, nil)
+		var before, after runtime.MemStats
+		var stats Stats
+		// Two collections empty the pools (and their victim caches), so
+		// every run starts from the same state: nothing recycled.
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		realizeAll(t.Context(), top, tab, pool, opts.passSolver(false), opts, newBuildBuffers(opts.Workers), &stats, nil, nil, "coarse")
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a coarse pass over %d candidates allocates %d KiB", len(combos), least/1024)
+	if least > budget*1024 {
+		t.Errorf("a coarse pass allocates %d KiB, budget %d KiB", least/1024, budget)
 	}
 }

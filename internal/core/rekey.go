@@ -27,9 +27,10 @@ import (
 // be slower, so the re-keyed schedule is simulated and kept only when
 // strictly faster. When every port would serve its transfers in the
 // order the old keys already did, the time cannot change and the second
-// simulation is skipped. The re-keyed schedule shares its pieces and
-// dependency lists with out; its new Orders come back as ranks, for the
-// recipe (nil when out is returned as it was).
+// simulation is skipped. out is re-keyed in place, so it must be the
+// caller's own (the pipeline's winner is materialized for it), and gets
+// its Orders back when the re-keying does not pay; the new Orders come
+// back as ranks, for the recipe (nil when out is returned as it was).
 func readyOrder(top *topology.Topology, fwd, out *schedule.Schedule, t float64, fin finisher, so sim.Options) (*schedule.Schedule, float64, []int32) {
 	split := 0
 	if fin.twoPhase {
@@ -49,10 +50,16 @@ func readyOrder(top *topology.Topology, fwd, out *schedule.Schedule, t float64, 
 	if ranks == nil {
 		return out, t, nil
 	}
-	rekeyed := &schedule.Schedule{NumGPUs: out.NumGPUs, Pieces: out.Pieces, Transfers: slices.Clone(out.Transfers)}
-	applyRanks(rekeyed, ranks)
-	if rt, err := sim.Time(top, rekeyed, so); err == nil && rt < t {
-		return rekeyed, rt, ranks
+	orders := make([]int, len(out.Transfers))
+	for i := range out.Transfers {
+		orders[i] = out.Transfers[i].Order
+	}
+	applyRanks(out, ranks)
+	if rt, err := sim.Time(top, out, so); err == nil && rt < t {
+		return out, rt, ranks
+	}
+	for i := range out.Transfers {
+		out.Transfers[i].Order = orders[i]
 	}
 	return out, t, nil
 }

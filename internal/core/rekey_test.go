@@ -29,7 +29,7 @@ func assembledWinner(t *testing.T, top *topology.Topology, col *collective.Colle
 	} else {
 		var a *assembly
 		if a, err = newAssembly(top, fwdCol, rc.Combination); err == nil {
-			fwd, err = a.build(rc.Subs)
+			fwd, err = a.build(new(buildBuffer), rc.Subs)
 		}
 	}
 	if err != nil {
@@ -39,7 +39,7 @@ func assembledWinner(t *testing.T, top *topology.Topology, col *collective.Colle
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out, tm, err = fin.finish(fwd, fwdTime); err != nil {
+	if out, tm, err = fin.finish(nil, fwd, fwdTime); err != nil {
 		t.Fatal(err)
 	}
 	return fwd, out, tm, fin
@@ -87,12 +87,19 @@ func checkReadyOrder(t *testing.T, top *topology.Topology, col *collective.Colle
 			t.Fatalf("ready ranks fail the oracle: %v", err)
 		}
 	}
-	got, gt, kept := readyOrder(top, fwd, out, tm, fin, so)
+	// readyOrder re-keys its input in place: give it a copy of the
+	// Orders, which must come back as they were when no ranks are kept.
+	in := &schedule.Schedule{NumGPUs: out.NumGPUs, Pieces: out.Pieces, Transfers: slices.Clone(out.Transfers)}
+	got, gt, kept := readyOrder(top, fwd, in, tm, fin, so)
 	switch {
 	case gt > tm:
 		t.Fatalf("re-keyed %v, slower than the input's %v", gt, tm)
 	case (kept != nil) != (gt < tm):
 		t.Fatalf("ranks kept %v at %v against %v", kept != nil, gt, tm)
+	case got != in:
+		t.Fatal("readyOrder did not return its input")
+	case kept == nil && !reflect.DeepEqual(in, out):
+		t.Fatal("readyOrder kept no ranks but changed its input")
 	}
 	if res.Recipe.Source == "ring" {
 		got, gt, kept = out, tm, nil // the pipeline leaves the ring as built

@@ -138,17 +138,19 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 		// records a fresh one.
 	}
 	res := &Result{}
+	// Every pass builds its candidates into the workers' buffers.
+	bufs := newBuildBuffers(opts.Workers)
 	// finish closes the pipeline at every exit below: the winner of the
 	// pool by finished time, its recipe when the run was not cut short.
 	finish := func(pool []*candidate, partial bool) (*Result, error) {
-		best, out, t, err := pickWinner(pool, fin)
+		best, fwd, out, t, err := pickWinner(pool, fin, bufs)
 		if err != nil {
 			return nil, err
 		}
 		// pickWinner checked out; a reduction's forward schedule is
 		// validated too.
-		if out != best.sched {
-			if err := validateForward(best.sched, col); err != nil {
+		if out != fwd {
+			if err := validateForward(fwd, col); err != nil {
 				return nil, err
 			}
 		}
@@ -161,7 +163,7 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 		// cost most of the run.
 		var ranks []int32
 		if !partial && best.source != "ring" {
-			out, t, ranks = readyOrder(top, best.sched, out, t, fin, opts.Sim)
+			out, t, ranks = readyOrder(top, fwd, out, t, fin, opts.Sim)
 		}
 		// The winner is force-offered to the publisher (no-op when it was
 		// already the best published), which is what keeps the stream's
@@ -177,7 +179,7 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 				Engine:      best.engine,
 				Ranks:       ranks,
 				TimeBits:    math.Float64bits(t),
-				Transfers:   len(best.sched.Transfers),
+				Transfers:   len(fwd.Transfers),
 			}
 		}
 		return res, nil
@@ -254,11 +256,11 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	coarseSolve := opts.passSolver(false)
 	tab := isomorph.NewTable()
 	pool := assembleAll(top, col, combos, tab, opts, coarseSpan)
-	coarse := realizeAll(ctx, top, tab, pool, coarseSolve, opts, &res.Stats, coarseSpan, pub, "coarse")
+	coarse := realizeAll(ctx, top, tab, pool, coarseSolve, opts, bufs, &res.Stats, coarseSpan, pub, "coarse")
 	cands := make([]*candidate, 0, len(combos))
 	for ci, c := range pool {
 		if coarse[ci].ok {
-			c.sched, c.time, c.subs = coarse[ci].sched, coarse[ci].time, coarse[ci].subs
+			c.time, c.subs = coarse[ci].time, coarse[ci].subs
 			c.source, c.engine = "coarse", coarseSolve.Engine.String()
 			cands = append(cands, c)
 		}
@@ -271,7 +273,7 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 		if ring, err := nccl.AllGather(top, col); err == nil {
 			if t, err := sim.Time(top, ring, opts.Sim); err == nil {
 				pub.offer(ring, t, "ring", "", nil)
-				cands = append(cands, &candidate{sched: ring, time: t, source: "ring"})
+				cands = append(cands, &candidate{fixed: ring, time: t, source: "ring"})
 			}
 		}
 	}
@@ -342,7 +344,7 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	}
 	t0 = time.Now()
 	fineSolve := opts.passSolver(true)
-	fine := realizeAll(ctx, top, tab, keep, fineSolve, opts, &res.Stats, fineSpan, pub, "fine")
+	fine := realizeAll(ctx, top, tab, keep, fineSolve, opts, bufs, &res.Stats, fineSpan, pub, "fine")
 	finalists := make([]*candidate, 0, len(cands)+len(keep))
 	finalists = append(finalists, cands...)
 	fineName := fineSolve.Engine.String()
@@ -350,8 +352,7 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 		if fine[ci].ok {
 			finalists = append(finalists, &candidate{
 				combo: c.combo, asm: c.asm, cells: c.cells, subs: fine[ci].subs,
-				sched: fine[ci].sched, time: fine[ci].time,
-				source: "fine", engine: fineName,
+				time: fine[ci].time, source: "fine", engine: fineName,
 			})
 		}
 	}
@@ -364,49 +365,73 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	return out, err
 }
 
-// pickWinner selects the pipeline's result by caller-visible time: every
-// finalist's forward schedule is finished, the finalists are ranked by
-// finished time (stably, so the first in order wins a tie), and the first
-// in the ranking whose finished schedule passes the check wins — the
-// minimal finished time among the finalists that finish and pass, for one
-// check in the common case instead of one per finalist. Ranking by
+// pickWinner selects the pipeline's result by caller-visible time: the
+// finalists are ranked by finished time (stably, so the first in order
+// wins a tie), and the first in the ranking whose finished schedule
+// passes the check wins — the minimal finished time among the finalists
+// that finish and pass, for one check in the common case instead of one
+// per finalist. A forward collective's finished time is the time its pass
+// recorded. Any other finalist is finished first, in parallel, one worker
+// per buffer of bufs: each worker builds a finalist's forward schedule
+// into its own buffer, finishes it into a schedule.Buffer of its own,
+// simulates it, and writes the time into the finalist's slot, so the
+// ranking does not depend on how many workers there are. Ranking by
 // forward time instead would be wrong for AllReduce — the concatenated
 // ReduceScatter+AllGather time is not monotone in the AllGather-phase
 // time, so the forward-best candidate can finish into a schedule worse
-// than one already published on the incumbent stream. If no finalist
-// finishes and passes, the error is the first finalist's (in finalist
-// order). The winner comes back with its finished schedule and time, so
-// nobody finishes it again; the caller publishes it.
+// than one already published on the incumbent stream.
+//
+// Only the finalists checked are materialized — built and finished into
+// new memory — the first-ranked one and the next ones only while the
+// check fails. If no finalist finishes and passes, the error is the first
+// finalist's (in finalist order). The winner comes back with its forward
+// schedule and its finished schedule and time, so nobody builds or
+// finishes it again; the caller publishes it.
 // Deterministic: a pure function of a deterministic finalist list.
-func pickWinner(finalists []*candidate, fin finisher) (*candidate, *schedule.Schedule, float64, error) {
-	type finished struct {
-		at  int // finalist index
-		out *schedule.Schedule
-		t   float64
-	}
-	ranked := make([]finished, 0, len(finalists))
+func pickWinner(finalists []*candidate, fin finisher, bufs buildBuffers) (best *candidate, fwd, out *schedule.Schedule, t float64, err error) {
+	times := make([]float64, len(finalists))
 	errs := make([]error, len(finalists))
-	for i, f := range finalists {
-		out, t, err := fin.finish(f.sched, f.time)
-		if err != nil {
+	if fin.shape == nil {
+		for i, f := range finalists {
+			times[i] = f.time
+		}
+	} else {
+		finished := make([]schedule.Buffer, len(bufs))
+		parallelFor(len(finalists), len(bufs), func(w, i int) {
+			f := finalists[i]
+			s, err := f.forward(&bufs[w])
+			if err == nil {
+				_, times[i], err = fin.finish(&finished[w], s, f.time)
+			}
 			errs[i] = err
+		})
+		bufs.release()
+	}
+	ranked := make([]int, 0, len(finalists))
+	for i := range finalists {
+		if errs[i] == nil {
+			ranked = append(ranked, i)
+		}
+	}
+	sort.SliceStable(ranked, func(a, b int) bool { return times[ranked[a]] < times[ranked[b]] })
+	for _, i := range ranked {
+		if fwd, errs[i] = finalists[i].forward(nil); errs[i] != nil {
 			continue
 		}
-		ranked = append(ranked, finished{i, out, t})
-	}
-	sort.SliceStable(ranked, func(a, b int) bool { return ranked[a].t < ranked[b].t })
-	for _, r := range ranked {
-		best := finalists[r.at]
-		if errs[r.at] = fin.check(best.sched, r.out); errs[r.at] == nil {
-			return best, r.out, r.t, nil
+		out = fwd
+		if fin.shape != nil {
+			out = fin.shape(nil, fwd)
+		}
+		if errs[i] = fin.check(fwd, out); errs[i] == nil {
+			return finalists[i], fwd, out, times[i], nil
 		}
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, nil, 0, err
 		}
 	}
-	return nil, nil, 0, errors.New("core: no finalists")
+	return nil, nil, nil, 0, errors.New("core: no finalists")
 }
 
 // searchCached serves the sketch search from opts.SketchCache when one is
@@ -482,13 +507,13 @@ func validateForward(s *schedule.Schedule, col *collective.Collective) error {
 }
 
 // realized is the outcome of one candidate slot in a realization pass:
-// the schedule, its simulated time, and the per-cell sub-schedules it was
-// built from (shared read-only across cells with one demand).
+// the simulated time of its schedule and the per-cell sub-schedules that
+// schedule was built from (shared read-only across cells with one
+// demand). The schedule itself is not kept.
 type realized struct {
-	sched *schedule.Schedule
-	time  float64
-	subs  []*solve.SubSchedule
-	ok    bool
+	time float64
+	subs []*solve.SubSchedule
+	ok   bool
 }
 
 // realizeAll realizes every candidate of one pass under the pass's solve
@@ -504,11 +529,12 @@ type realized struct {
 //     parallel, the ones it did not serve;
 //  3. map every other demand from its representative's sub-schedule —
 //     one mapped sub-schedule per distinct demand, shared read-only — then
-//     assemble and simulate each candidate in parallel.
+//     assemble and simulate each candidate in parallel, one worker per
+//     buffer of bufs, each into its own buffer, keeping only the time.
 //
 // Every result is written into a slot indexed by candidate or demand id
-// and the shared counters are reduced in deterministic order, so
-// schedules, times, and Stats are byte-identical for any Workers setting;
+// and the shared counters are reduced in deterministic order, so times,
+// sub-schedules and Stats are byte-identical for any Workers setting;
 // Stats keep counting cells, not distinct demands. Nil entries (candidates
 // whose assembly failed), injected fixed schedules (no assembly) and
 // failed candidates yield ok=false for their slot only; a failed
@@ -521,7 +547,7 @@ type realized struct {
 // a hit is what solving would give, and a warm pass maps the same
 // representatives' solutions a cold one does.
 func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table, cands []*candidate,
-	solveOpts solve.Options, opts Options, stats *Stats, span *obs.Span, pub *publisher, source string) []realized {
+	solveOpts solve.Options, opts Options, bufs buildBuffers, stats *Stats, span *obs.Span, pub *publisher, source string) []realized {
 
 	engineName := solveOpts.Engine.String()
 	out := make([]realized, len(cands))
@@ -537,7 +563,7 @@ func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table
 	solveSig := solveOpts.Fingerprint()
 	subs := make([]*solve.SubSchedule, tab.Len()) // the sub-schedule of each demand's cells
 	if opts.SolveCache != nil {
-		parallelFor(len(reps), opts.Workers, func(k int) {
+		parallelFor(len(reps), opts.Workers, func(_, k int) {
 			subs[reps[k]] = opts.SolveCache.Lookup(tab.Demand(reps[k]), solveSig)
 		})
 	}
@@ -559,7 +585,7 @@ func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table
 	// goroutine interleaving.
 	durs := make([]time.Duration, len(toSolve))
 	errs := make([]error, len(toSolve))
-	parallelFor(len(toSolve), opts.Workers, func(k int) {
+	parallelFor(len(toSolve), opts.Workers, func(_, k int) {
 		id := toSolve[k]
 		ws := span.ChildLane("solve.subdemand")
 		ws.SetInt("demand", int64(id))
@@ -602,7 +628,7 @@ func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table
 	// cache): each further cell of a solved representative's demand
 	// verbatim, each cell of another member through its mapping, built
 	// once per distinct demand.
-	parallelFor(len(ids), opts.Workers, func(k int) {
+	parallelFor(len(ids), opts.Workers, func(_, k int) {
 		if id, r := ids[k], rep[ids[k]]; r != id && subs[r] != nil {
 			subs[id] = isomorph.MapSchedule(subs[r], *fromRep[id])
 		}
@@ -615,8 +641,9 @@ func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table
 	stats.CacheHits += hits
 	opts.Obs.Count("cache.hits", float64(hits))
 
-	// Assemble and simulate each candidate.
-	parallelFor(len(cands), opts.Workers, func(ci int) {
+	// Assemble and simulate each candidate in its worker's buffer. A
+	// buffer never leaves its worker: the publisher copies what it emits.
+	parallelFor(len(cands), len(bufs), func(w, ci int) {
 		c := cands[ci]
 		if c == nil || c.asm == nil {
 			return
@@ -631,7 +658,7 @@ func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table
 				return
 			}
 		}
-		sched, err := c.asm.build(mine)
+		sched, err := c.asm.build(&bufs[w], mine)
 		if err != nil {
 			cs.SetStr("outcome", "unrealizable")
 			cs.End()
@@ -648,16 +675,17 @@ func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table
 		}
 		cs.SetFloat("time", t)
 		cs.End()
-		out[ci] = realized{sched: sched, time: t, subs: mine, ok: true}
+		out[ci] = realized{time: t, subs: mine, ok: true}
 		// Publish as soon as the candidate is simulated: the stream is
 		// anytime, so waiting for the pass barrier would only delay it.
 		pub.offer(sched, t, source, engineName, c.combo)
 	})
+	bufs.release()
 
 	// Stores come after the candidates are out: one may write through to
 	// disk and must not hold up the incumbent stream.
 	if opts.SolveCache != nil && ctx.Err() == nil {
-		parallelFor(len(toSolve), opts.Workers, func(k int) {
+		parallelFor(len(toSolve), opts.Workers, func(_, k int) {
 			if id := toSolve[k]; subs[id] != nil {
 				opts.SolveCache.Store(tab.Demand(id), solveSig, subs[id])
 			}
@@ -679,16 +707,18 @@ func containsString(list []string, s string) bool {
 	return false
 }
 
-// parallelFor runs fn(0..n-1) on up to workers goroutines, pulling
-// indices from a shared atomic counter. Callers write results into
+// parallelFor runs fn(w, 0..n-1) on up to workers goroutines, pulling
+// indices from a shared atomic counter; w names the goroutine, w <
+// max(1, min(workers, n)), and calls with one w never overlap, so fn may
+// use per-worker memory indexed by w. Callers write results into
 // index-slotted arrays, so scheduling order never leaks into outputs.
-func parallelFor(n, workers int, fn func(int)) {
+func parallelFor(n, workers int, fn func(w, i int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -703,7 +733,7 @@ func parallelFor(n, workers int, fn func(int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}

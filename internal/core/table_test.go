@@ -174,7 +174,9 @@ func TestStoresAreSolverOutputs(t *testing.T) {
 // sub-schedule to every cell with an equal demand, across worker
 // goroutines, and the table keeps the mappings for the next pass. Nothing
 // may write to them after that: the same candidates realized twice from
-// one table give the same bytes, and -race sees no write.
+// one table rebuild, from each pass's sub-schedules, into the same bytes
+// at the same times, no memory is shared between the two passes, and
+// -race sees no write.
 func TestSharedMappingsAreReadOnly(t *testing.T) {
 	top, col := digestCase(t, "h800small:allgather:1M")
 	opts := Options{Workers: 4}.withDefaults()
@@ -187,22 +189,32 @@ func TestSharedMappingsAreReadOnly(t *testing.T) {
 	var stats [2]Stats
 	var runs [2][]realized
 	for i := range runs {
-		runs[i] = realizeAll(t.Context(), top, tab, pool, so, opts, &stats[i], nil, nil, "coarse")
+		runs[i] = realizeAll(t.Context(), top, tab, pool, so, opts, newBuildBuffers(opts.Workers), &stats[i], nil, nil, "coarse")
 	}
 	stats[0].MaxSolve, stats[1].MaxSolve = 0, 0 // wall time
 	if stats[0].CacheHits == 0 || !reflect.DeepEqual(stats[0], stats[1]) {
 		t.Fatalf("stats %+v then %+v", stats[0], stats[1])
 	}
-	for ci := range pool {
+	for ci, c := range pool {
 		a, b := runs[0][ci], runs[1][ci]
 		if !a.ok || !b.ok {
 			t.Fatalf("candidate %d unrealized", ci)
 		}
-		if math.Float64bits(a.time) != math.Float64bits(b.time) || scheduleBytesDigest(a.sched) != scheduleBytesDigest(b.sched) {
+		sa, errA := c.asm.build(new(buildBuffer), a.subs)
+		sb, errB := c.asm.build(new(buildBuffer), b.subs)
+		if errA != nil || errB != nil {
+			t.Fatalf("candidate %d: rebuild: %v, %v", ci, errA, errB)
+		}
+		if math.Float64bits(a.time) != math.Float64bits(b.time) || scheduleBytesDigest(sa) != scheduleBytesDigest(sb) {
 			t.Errorf("candidate %d: second build from the same table differs", ci)
 		}
-		if &a.sched.Transfers[0] == &b.sched.Transfers[0] || &a.sched.Pieces[0] == &b.sched.Pieces[0] {
+		if &sa.Transfers[0] == &sb.Transfers[0] || &sa.Pieces[0] == &sb.Pieces[0] {
 			t.Errorf("candidate %d: two builds share schedule memory", ci)
+		}
+		for i := range a.subs {
+			if a.subs[i] == b.subs[i] || &a.subs[i].Transfers[0] == &b.subs[i].Transfers[0] {
+				t.Errorf("candidate %d: two passes share cell %d's sub-schedule", ci, i)
+			}
 		}
 	}
 }

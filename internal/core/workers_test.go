@@ -21,7 +21,11 @@ func scheduleFingerprint(res *Result) string {
 // TestSynthesizeDeterministicAcrossWorkers: candidate realization fans
 // out over Workers goroutines, but schedules, predicted times, and cache
 // statistics must be identical for any worker count — the contract that
-// makes parallel synthesis safe to enable by default.
+// makes parallel synthesis safe to enable by default. The reductions'
+// finalists are also finished in parallel before they are ranked, each
+// worker in its own buffers; AllReduce's finished times are not its
+// forward times (nor one multiple of them: the ring's ratio differs), so
+// the finished times decide its ranking.
 func TestSynthesizeDeterministicAcrossWorkers(t *testing.T) {
 	cases := []struct {
 		name string
@@ -36,6 +40,12 @@ func TestSynthesizeDeterministicAcrossWorkers(t *testing.T) {
 		}},
 		{"broadcast", topology.A100Clos(2), func(n int) *collective.Collective {
 			return collective.Broadcast(n, 0, 1<<20)
+		}},
+		{"reducescatter", topology.H800Small(2), func(n int) *collective.Collective {
+			return collective.ReduceScatter(n, 1<<20)
+		}},
+		{"allreduce", topology.H800Small(2), func(n int) *collective.Collective {
+			return collective.AllReduce(n, 1<<20)
 		}},
 		// Eight distinct flow-bound LPs fan out over the workers here
 		// (TestBoundOncePerDistinctDemand counts them).

@@ -264,7 +264,7 @@ func Schedule(top *topology.Topology, col *collective.Collective, opts sim.Optio
 	if err != nil {
 		return nil, 0, err
 	}
-	s := schedule.Compose(fwd, fwdCol, phases)
+	s := schedule.Compose(nil, fwd, fwdCol, phases)
 	t, err := sim.Time(top, s, opts)
 	if err != nil {
 		return nil, 0, err

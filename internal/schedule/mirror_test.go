@@ -2,6 +2,7 @@ package schedule_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"syccl/internal/collective"
@@ -58,6 +59,30 @@ func TestMirrorIntoReductions(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
+		}
+	}
+}
+
+// TestComposeIntoBuffer: composing into a reused Buffer gives what
+// composing into new memory does, for every reduction kind, while the
+// schedules it is handed grow and shrink.
+func TestComposeIntoBuffer(t *testing.T) {
+	var buf schedule.Buffer
+	for _, n := range []int{5, 8, 2, 7, 3} {
+		for _, col := range []*collective.Collective{
+			collective.Reduce(n, n-1, 1<<20), collective.Gather(n, 0, 1<<16),
+			collective.ReduceScatter(n, 1<<16), collective.AllReduce(n, 1<<20),
+		} {
+			fwdCol, phases := col.Phases()
+			fwd := forwardSchedule(fwdCol)
+			want := schedule.Compose(nil, fwd, fwdCol, phases)
+			got := schedule.Compose(&buf, fwd, fwdCol, phases)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v on %d GPUs: composed into a reused buffer, %+v; into new memory, %+v", col.Kind, n, got, want)
+			}
+			if err := verify.CheckSchedule(col, got); err != nil {
+				t.Fatalf("%v on %d GPUs: %v", col.Kind, n, err)
+			}
 		}
 	}
 }

@@ -50,19 +50,39 @@ type Schedule struct {
 	Transfers []Transfer
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy. Its chunk lists and its dependency lists are
+// cut, without spare capacity, from one array each; an empty list is nil.
 func (s *Schedule) Clone() *Schedule {
-	c := &Schedule{NumGPUs: s.NumGPUs}
-	c.Pieces = make([]Piece, len(s.Pieces))
-	for i, p := range s.Pieces {
-		c.Pieces[i] = Piece{Chunks: append([]int(nil), p.Chunks...), Bytes: p.Bytes}
+	chunks, deps := 0, 0
+	for _, p := range s.Pieces {
+		chunks += len(p.Chunks)
 	}
-	c.Transfers = make([]Transfer, len(s.Transfers))
+	for _, t := range s.Transfers {
+		deps += len(t.Deps)
+	}
+	c := &Schedule{NumGPUs: s.NumGPUs, Pieces: make([]Piece, len(s.Pieces)), Transfers: make([]Transfer, len(s.Transfers))}
+	chunkArr, depArr := make([]int, chunks), make([]int, deps)
+	for i, p := range s.Pieces {
+		c.Pieces[i] = Piece{Chunks: cutCopy(&chunkArr, p.Chunks), Bytes: p.Bytes}
+	}
 	for i, t := range s.Transfers {
-		t.Deps = append([]int(nil), t.Deps...)
+		t.Deps = cutCopy(&depArr, t.Deps)
 		c.Transfers[i] = t
 	}
 	return c
+}
+
+// cutCopy copies src to the front of *arr, returns that copy without
+// spare capacity (nil when src is empty), and advances *arr past it.
+func cutCopy(arr *[]int, src []int) []int {
+	if len(src) == 0 {
+		return nil
+	}
+	n := len(src)
+	out := (*arr)[:n:n]
+	copy(out, src)
+	*arr = (*arr)[n:]
+	return out
 }
 
 // AddPiece appends a piece and returns its index.
@@ -80,10 +100,10 @@ func (s *Schedule) AddTransfer(t Transfer) int {
 // dependents lists, per transfer, the transfers that depend on it, in
 // ascending index order (once per dependency naming it): the list of d is
 // succ[start[d]:start[d+1]]. It reports the first out-of-range dependency,
-// scanning transfers and their deps in order.
-func (s *Schedule) dependents() (start, succ []int, err error) {
+// scanning transfers and their deps in order. Both arrays are cut from l.
+func (s *Schedule) dependents(l *lists) (start, succ []int, err error) {
 	n := len(s.Transfers)
-	start = make([]int, n+1)
+	start = l.cut(n + 1)
 	for i, t := range s.Transfers {
 		for _, d := range t.Deps {
 			if d < 0 || d >= n {
@@ -97,7 +117,7 @@ func (s *Schedule) dependents() (start, succ []int, err error) {
 	}
 	// Filled back to front, so each list ascends and start[d] ends up at
 	// its beginning.
-	succ = make([]int, start[n])
+	succ = l.cut(start[n])
 	for i := n - 1; i >= 0; i-- {
 		deps := s.Transfers[i].Deps
 		for k := len(deps) - 1; k >= 0; k-- {
@@ -113,7 +133,7 @@ func (s *Schedule) dependents() (start, succ []int, err error) {
 // which is the order slice itself.
 func (s *Schedule) topoOrder() ([]int, error) {
 	n := len(s.Transfers)
-	start, succ, err := s.dependents()
+	start, succ, err := s.dependents(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -377,7 +397,7 @@ type inboundIndex struct {
 }
 
 func (s *Schedule) inboundIndex() inboundIndex {
-	_, byDst := s.inboundByGPU()
+	_, byDst := s.inboundByGPU(nil)
 	ix := inboundIndex{transfers: s.Transfers, sorted: make([]int, len(s.Transfers)), pieceEnd: make([]int, len(s.Pieces)+1)}
 	for _, t := range s.Transfers {
 		ix.pieceEnd[t.Piece+1]++
@@ -422,10 +442,19 @@ func (ix inboundIndex) into(p, g int) []int {
 // collective (e.g. a broadcast piece of chunk 0 becomes a reduction piece
 // covering all contributions); passing nil keeps pieces unchanged.
 func (s *Schedule) Mirror(remap func(Piece) Piece) *Schedule {
-	m := &Schedule{NumGPUs: s.NumGPUs}
-	m.Pieces = make([]Piece, len(s.Pieces))
+	return s.mirror(nil, nil, remap)
+}
+
+// mirror is Mirror into m's arrays and lists cut from l (nil: new
+// memory).
+func (s *Schedule) mirror(m *Schedule, l *lists, remap func(Piece) Piece) *Schedule {
+	if m == nil {
+		m = &Schedule{}
+	}
+	m.NumGPUs = s.NumGPUs
+	m.Pieces = reuse(m.Pieces, len(s.Pieces))[:len(s.Pieces)]
 	for i, p := range s.Pieces {
-		q := Piece{Chunks: append([]int(nil), p.Chunks...), Bytes: p.Bytes}
+		q := Piece{Chunks: l.clone(p.Chunks), Bytes: p.Bytes}
 		if remap != nil {
 			q = remap(q)
 		}
@@ -434,11 +463,11 @@ func (s *Schedule) Mirror(remap func(Piece) Piece) *Schedule {
 	// Reversed dependency edges: if t2 depended on t1, mirrored t1'
 	// depends on t2'. Each mirrored transfer's deps are its dependents,
 	// cut without spare capacity from the one array that lists them.
-	start, succ, err := s.dependents()
+	start, succ, err := s.dependents(l)
 	if err != nil {
 		panic(err) // an out-of-range dependency has no mirror image
 	}
-	m.Transfers = make([]Transfer, len(s.Transfers))
+	m.Transfers = reuse(m.Transfers, len(s.Transfers))[:len(s.Transfers)]
 	for i, t := range s.Transfers {
 		m.Transfers[i] = Transfer{
 			Src:   t.Dst,
@@ -465,41 +494,64 @@ func (s *Schedule) Mirror(remap func(Piece) Piece) *Schedule {
 //   - ReduceScatter: the AllGather piece of chunk r becomes the reduction
 //     slice covering all contributions destined to GPU r.
 func MirrorInto(fwd *Schedule, fwdCol, col *collective.Collective) *Schedule {
+	return mirrorInto(nil, nil, fwd, fwdCol, col)
+}
+
+// mirrorInto is MirrorInto into m's arrays and lists cut from l (nil: new
+// memory).
+func mirrorInto(m *Schedule, l *lists, fwd *Schedule, fwdCol, col *collective.Collective) *Schedule {
 	switch col.Kind {
 	case collective.KindReduce:
-		all := make([]int, len(col.Chunks))
+		all := l.cut(len(col.Chunks))
 		for i := range all {
 			all[i] = i
 		}
-		return fwd.Mirror(func(p Piece) Piece {
+		return fwd.mirror(m, l, func(p Piece) Piece {
 			return Piece{Chunks: all, Bytes: p.Bytes}
 		})
 	case collective.KindGather:
-		bySrc := make([]int, col.NumGPUs)
+		bySrc := l.cut(col.NumGPUs)
 		for _, ch := range col.Chunks {
 			bySrc[ch.Src] = ch.ID
 		}
-		return fwd.Mirror(func(p Piece) Piece {
-			out := Piece{Bytes: p.Bytes}
-			for _, c := range p.Chunks {
-				// Forward scatter chunk c is destined to one GPU; that
-				// GPU sources the mirrored gather chunk.
-				out.Chunks = append(out.Chunks, bySrc[fwdCol.Chunks[c].Dsts[0]])
+		return fwd.mirror(m, l, func(p Piece) Piece {
+			// Forward scatter chunk c is destined to one GPU; that GPU
+			// sources the mirrored gather chunk.
+			out := Piece{Chunks: l.cut(len(p.Chunks)), Bytes: p.Bytes}
+			for i, c := range p.Chunks {
+				out.Chunks[i] = bySrc[fwdCol.Chunks[c].Dsts[0]]
 			}
 			return out
 		})
 	case collective.KindReduceScatter:
-		byDst := make([][]int, col.NumGPUs)
+		// The chunks destined to GPU g are byDst[dstEnd[g]:dstEnd[g+1]],
+		// in chunk order.
+		dstEnd := l.cut(col.NumGPUs + 1)
 		for _, ch := range col.Chunks {
-			byDst[ch.Dsts[0]] = append(byDst[ch.Dsts[0]], ch.ID)
+			dstEnd[ch.Dsts[0]+1]++
 		}
-		return fwd.Mirror(func(p Piece) Piece {
-			out := Piece{Bytes: p.Bytes}
+		for g := 0; g < col.NumGPUs; g++ {
+			dstEnd[g+1] += dstEnd[g]
+		}
+		byDst, next := l.cut(len(col.Chunks)), l.cut(col.NumGPUs)
+		copy(next, dstEnd)
+		for _, ch := range col.Chunks {
+			byDst[next[ch.Dsts[0]]] = ch.ID
+			next[ch.Dsts[0]]++
+		}
+		return fwd.mirror(m, l, func(p Piece) Piece {
+			// Forward AllGather chunk c is sourced at GPU c; the mirrored
+			// slice aggregates contributions destined there.
+			size := 0
 			for _, c := range p.Chunks {
-				// Forward AllGather chunk c is sourced at GPU c; the
-				// mirrored slice aggregates contributions destined
-				// there.
-				out.Chunks = append(out.Chunks, byDst[fwdCol.Chunks[c].Src]...)
+				g := fwdCol.Chunks[c].Src
+				size += dstEnd[g+1] - dstEnd[g]
+			}
+			out := Piece{Chunks: l.cut(size), Bytes: p.Bytes}
+			at := 0
+			for _, c := range p.Chunks {
+				g := fwdCol.Chunks[c].Src
+				at += copy(out.Chunks[at:], byDst[dstEnd[g]:dstEnd[g+1]])
 			}
 			return out
 		})
@@ -508,21 +560,39 @@ func MirrorInto(fwd *Schedule, fwdCol, col *collective.Collective) *Schedule {
 	}
 }
 
+// Buffer is memory Compose writes a schedule into and reuses from one
+// call to the next: the mirrored phase, the concatenation, and the
+// arrays their lists are cut from. The zero value is ready. A schedule
+// composed into a Buffer lives there until the next Compose into it.
+type Buffer struct {
+	mirror, concat Schedule
+	lists          lists
+}
+
 // Compose turns fwd, a schedule of the forward collective fwdCol, into
 // the schedule phases describe (see collective.Phases): each mirrored
 // phase is MirrorInto of fwd, every other phase fwd itself, and the
-// phases are concatenated in order. With no phases it returns fwd.
-func Compose(fwd *Schedule, fwdCol *collective.Collective, phases []collective.Phase) *Schedule {
+// phases are concatenated in order. With no phases it returns fwd. The
+// schedule is written into dst, or into new memory when dst is nil. dst
+// holds one mirrored phase and one concatenation, which is all
+// collective.Phases makes; a further one would get a new schedule.
+func Compose(dst *Buffer, fwd *Schedule, fwdCol *collective.Collective, phases []collective.Phase) *Schedule {
+	var mirror, concat *Schedule
+	var l *lists
+	if dst != nil {
+		mirror, concat, l = &dst.mirror, &dst.concat, &dst.lists
+		l.reset()
+	}
 	out := fwd
 	for i, ph := range phases {
 		s := fwd
 		if ph.Mirrored {
-			s = MirrorInto(fwd, fwdCol, ph.Col)
+			s, mirror = mirrorInto(mirror, l, fwd, fwdCol, ph.Col), nil
 		}
 		if i == 0 {
 			out = s
 		} else {
-			out = Concat(out, s)
+			out, concat = concatInto(concat, l, out, s), nil
 		}
 	}
 	return out
@@ -540,18 +610,25 @@ const PhaseOrderBase = 1 << 20
 // models AllReduce = ReduceScatter ; AllGather, where GPU g may start
 // gathering its reduced slice only once the slice is fully reduced at g.
 func Concat(a, b *Schedule) *Schedule {
+	return concatInto(nil, nil, a, b)
+}
+
+// concatInto is Concat into out's arrays and lists cut from l (nil: new
+// memory). out must be neither a nor b.
+func concatInto(out *Schedule, l *lists, a, b *Schedule) *Schedule {
 	if a.NumGPUs != b.NumGPUs {
 		panic("schedule.Concat: GPU count mismatch")
 	}
 	pieceOff := len(a.Pieces)
 	transOff := len(a.Transfers)
-	out := &Schedule{
-		NumGPUs:   a.NumGPUs,
-		Pieces:    make([]Piece, 0, len(a.Pieces)+len(b.Pieces)),
-		Transfers: make([]Transfer, 0, len(a.Transfers)+len(b.Transfers)),
+	if out == nil {
+		out = &Schedule{}
 	}
+	out.NumGPUs = a.NumGPUs
+	out.Pieces = reuse(out.Pieces, len(a.Pieces)+len(b.Pieces))
+	out.Transfers = reuse(out.Transfers, len(a.Transfers)+len(b.Transfers))
 	// a's inbound transfers per GPU, in ascending index order.
-	inStart, inboundA := a.inboundByGPU()
+	inStart, inboundA := a.inboundByGPU(l)
 	inboundOf := func(g int) []int {
 		if g < 0 || g >= a.NumGPUs {
 			return nil
@@ -577,7 +654,7 @@ func Concat(a, b *Schedule) *Schedule {
 			deps += len(inboundOf(t.Src))
 		}
 	}
-	chunkArr, depArr := make([]int, 0, chunks), make([]int, 0, deps)
+	chunkArr, depArr := l.cut(chunks)[:0], l.cut(deps)[:0]
 	cut := func(arr []int, from int) []int {
 		if len(arr) == from {
 			return nil
@@ -621,9 +698,9 @@ func Concat(a, b *Schedule) *Schedule {
 
 // inboundByGPU lists the transfers into each GPU in ascending index order:
 // those into g are byDst[start[g]:start[g+1]]. Transfers into a GPU out of
-// range are in no list.
-func (s *Schedule) inboundByGPU() (start, byDst []int) {
-	start = make([]int, s.NumGPUs+1)
+// range are in no list. Both arrays are cut from l.
+func (s *Schedule) inboundByGPU(l *lists) (start, byDst []int) {
+	start = l.cut(s.NumGPUs + 1)
 	for _, t := range s.Transfers {
 		if t.Dst >= 0 && t.Dst < s.NumGPUs {
 			start[t.Dst]++
@@ -632,7 +709,7 @@ func (s *Schedule) inboundByGPU() (start, byDst []int) {
 	for g := 1; g <= s.NumGPUs; g++ {
 		start[g] += start[g-1] // now the end of g's list
 	}
-	byDst = make([]int, start[s.NumGPUs])
+	byDst = l.cut(start[s.NumGPUs])
 	for i := len(s.Transfers) - 1; i >= 0; i-- {
 		if g := s.Transfers[i].Dst; g >= 0 && g < s.NumGPUs {
 			start[g]--
@@ -640,6 +717,51 @@ func (s *Schedule) inboundByGPU() (start, byDst []int) {
 		}
 	}
 	return start, byDst
+}
+
+// lists cuts int lists — chunk lists, dependency lists and the index
+// arrays behind them — from one array it reuses. A list comes zeroed and
+// without spare capacity, and an empty one is nil. The array grows by
+// starting a bigger one, so lists cut before stay valid; reset frees the
+// whole array again, for when nothing cut from it is live any more. A nil
+// *lists makes every list anew.
+type lists struct{ arr []int }
+
+func (l *lists) reset() {
+	l.arr = l.arr[:0]
+}
+
+func (l *lists) cut(n int) []int {
+	if n == 0 {
+		return nil
+	}
+	if l == nil {
+		return make([]int, n)
+	}
+	if len(l.arr)+n > cap(l.arr) {
+		l.arr = make([]int, 0, max(2*cap(l.arr), n))
+	}
+	from := len(l.arr)
+	l.arr = l.arr[:from+n]
+	out := l.arr[from : from+n : from+n]
+	clear(out)
+	return out
+}
+
+// clone is a copy of src cut from l.
+func (l *lists) clone(src []int) []int {
+	out := l.cut(len(src))
+	copy(out, src)
+	return out
+}
+
+// reuse returns s emptied with room for n, on s's array when that is
+// large enough.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // Stats summarizes a schedule for reporting and lint checks.

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -304,7 +305,23 @@ func TestSortTransfersByOrder(t *testing.T) {
 
 func TestClone(t *testing.T) {
 	s := chainBroadcast(3, 10)
+	s.AddPiece(5, 0, 1) // a piece of two chunks
+	s.AddPiece(1)       // and one of none
+	s.AddTransfer(Transfer{Src: 0, Dst: 2, Piece: 1, Deps: []int{0, 1}})
 	c := s.Clone()
+	if !reflect.DeepEqual(c, s) {
+		t.Fatalf("Clone = %+v, want %+v", c, s)
+	}
+	for i := range s.Pieces {
+		if len(s.Pieces[i].Chunks) > 0 && &c.Pieces[i].Chunks[0] == &s.Pieces[i].Chunks[0] {
+			t.Errorf("piece %d: Clone shares the chunk list", i)
+		}
+	}
+	for i := range s.Transfers {
+		if len(s.Transfers[i].Deps) > 0 && &c.Transfers[i].Deps[0] == &s.Transfers[i].Deps[0] {
+			t.Errorf("transfer %d: Clone shares the dependency list", i)
+		}
+	}
 	c.Transfers[0].Src = 9
 	c.Pieces[0].Bytes = 99
 	if s.Transfers[0].Src == 9 || s.Pieces[0].Bytes == 99 {

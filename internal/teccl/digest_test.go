@@ -143,7 +143,7 @@ func TestTinyBudgetAllReduce(t *testing.T) {
 		if want, ok := roundOneDigests[f.name+":allgather:1M"]; ok && scheduleDigest(t, ag.Schedule) != want {
 			t.Errorf("%s: AllGather round digest moved", f.name)
 		}
-		if got, want := scheduleDigest(t, res.Schedule), scheduleDigest(t, schedule.Compose(ag.Schedule, agCol, phases)); got != want {
+		if got, want := scheduleDigest(t, res.Schedule), scheduleDigest(t, schedule.Compose(nil, ag.Schedule, agCol, phases)); got != want {
 			t.Errorf("%s: AllReduce digest %s, composed AllGather round %s", f.name, got, want)
 		}
 	}

@@ -77,7 +77,6 @@ type Result struct {
 	Time     float64       // simulated completion time
 	Spent    time.Duration // wall-clock synthesis time
 	Rounds   int           // greedy restarts completed within budget
-	TimedOut bool          // budget expired before the first schedule
 }
 
 // Synthesize produces a TECCL schedule for the collective: it synthesizes
@@ -159,7 +158,7 @@ func Synthesize(top *topology.Topology, col *collective.Collective, opts Options
 		}
 	}
 	if phases != nil {
-		res.Schedule = schedule.Compose(res.Schedule, fwdCol, phases)
+		res.Schedule = schedule.Compose(nil, res.Schedule, fwdCol, phases)
 		if res.Time, err = sim.Time(top, res.Schedule, opts.Sim); err != nil {
 			return nil, err
 		}

@@ -40,10 +40,12 @@ echo "== cold digests and history independence under GOMAXPROCS 1, 4, 16 =="
 # randomized ones in a shuffled order (about 10 s of test per setting on
 # a 2-core box, plus the build). The flat assembly must build what the
 # map-based reference builds, from every combination the pipeline makes
-# at that setting.
+# at that setting. Candidates are built, and reductions' finalists
+# finished, in per-worker buffers on as many OS threads as there are: the
+# schedule must not depend on the Workers count at any setting.
 for procs in 1 4 16; do
     GOMAXPROCS=$procs go test ./internal/core ./internal/engine \
-        -run 'TestColdScheduleDigests$|TestPlanAnswerIndependentOfHistory$|TestPlanAnswerIndependentOfRandomHistory$|TestAssemblyEquivalence$|FuzzAssemblyEquivalence$' -count=1
+        -run 'TestColdScheduleDigests$|TestPlanAnswerIndependentOfHistory$|TestPlanAnswerIndependentOfRandomHistory$|TestAssemblyEquivalence$|FuzzAssemblyEquivalence$|TestSynthesizeDeterministicAcrossWorkers$' -count=1
 done
 
 echo "== go test -race (core/engine/lru/milp/obs/persist/serve/sim/sketch/solve/topology/verify shard) =="
