@@ -280,8 +280,8 @@ func TestClassesEquivalenceRandom(t *testing.T) {
 }
 
 // FuzzClassesEquivalence holds Table.Classes, and the piece bijections
-// under it, to their references on decoded lists with injected
-// duplicates and GPU relabelings.
+// and full mappings under it, to their references on decoded lists with
+// injected duplicates and GPU relabelings.
 func FuzzClassesEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 2, 3, 1, 0, 0, 1, 0, 1, 2, 1, 1, 0, 0, 1, 9, 0, 0, 0, 1, 0, 2, 1, 1, 1, 0, 2})
@@ -290,5 +290,9 @@ func FuzzClassesEquivalence(f *testing.F) {
 		list := classesFuzzList(data)
 		sameClasses(t, "fuzz", list)
 		sameBijections(t, "fuzz", list)
+		var shared mappingSearch
+		for x, a := range list {
+			sameFullMapping(t, "fuzz", a, list[(x+1)%len(list)], &shared)
+		}
 	})
 }

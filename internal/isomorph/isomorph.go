@@ -14,8 +14,10 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"syccl/internal/solve"
 )
@@ -250,14 +252,16 @@ func (o *colorOrder) Less(x, y int) bool {
 	return bytes.Compare(o.color(o.idx[x]), o.color(o.idx[y])) < 0
 }
 
-// gpuColors computes a per-GPU invariant color string.
+// gpuColors computes a per-GPU invariant color string. The strings share
+// one backing string.
 func gpuColors(d *solve.Demand) []string {
 	invs, of := invariants(d)
 	colors, ends := colorBytes(d, invs, of)
+	all := string(colors)
 	out := make([]string, d.NumGPUs)
 	from := 0
 	for g, end := range ends {
-		out[g] = string(colors[from:end])
+		out[g] = all[from:end]
 		from = end
 	}
 	return out
@@ -296,11 +300,16 @@ func FindFullMapping(a, b *solve.Demand) *Mapping {
 	if Key(a) != Key(b) {
 		return nil
 	}
-	n := a.NumGPUs
-	ca, cb := gpuColors(a), gpuColors(b)
+	return findFullMapping(a, b, gpuColors(a), gpuColors(b), new(mappingSearch))
+}
 
+// findFullMapping is FindFullMapping for demands whose Keys are known to
+// match (so their GPU and piece counts do), with their gpuColors ca and
+// cb, searching in scratch s.
+func findFullMapping(a, b *solve.Demand, ca, cb []string, s *mappingSearch) *Mapping {
+	n := a.NumGPUs
 	if n*len(a.Pieces) > 128 {
-		return findMappingSampled(a, b, ca, cb)
+		return s.sampled(a, b, ca, cb)
 	}
 
 	// candidates[i] = b-GPUs with the same color as a's GPU i.
@@ -329,6 +338,7 @@ func FindFullMapping(a, b *solve.Demand) *Mapping {
 	}
 	used := make([]bool, n)
 	nodes := 0
+	s.index(b)
 
 	// The O(pieces²) partial-consistency filter pays off on small, loosely
 	// structured demands; on large highly symmetric ones (hundreds of
@@ -344,7 +354,7 @@ func FindFullMapping(a, b *solve.Demand) *Mapping {
 			return false
 		}
 		if k == n {
-			pieces = pieceBijection(a, b, f)
+			pieces = s.bijection(a, f)
 			return pieces != nil
 		}
 		i := order[k]
@@ -363,55 +373,198 @@ func FindFullMapping(a, b *solve.Demand) *Mapping {
 		return false
 	}
 	if rec(0) {
-		return &Mapping{GPUs: f, Pieces: pieces}
+		return &Mapping{GPUs: f, Pieces: append(make([]int, 0, len(pieces)), pieces...)}
 	}
 	return nil
 }
 
-// findMappingSampled tries the color-sorted canonical alignment and a
-// few randomized color-respecting bijections, verifying each with the
-// near-linear pieceBijection.
-func findMappingSampled(a, b *solve.Demand, ca, cb []string) *Mapping {
-	n := a.NumGPUs
-	// Bucket GPUs by color on both sides.
-	byColorA := map[string][]int{}
-	byColorB := map[string][]int{}
-	for i := 0; i < n; i++ {
-		byColorA[ca[i]] = append(byColorA[ca[i]], i)
-		byColorB[cb[i]] = append(byColorB[cb[i]], i)
+// mappingSearch is the scratch of mapping searches. index renders a
+// demand b's piece signatures once and sorts b's pieces by them, so that
+// bijection can check any number of GPU mappings onto b with no map and
+// no allocation; sampled keeps its trial buffers here too. A Table keeps
+// one for all its searches; FindFullMapping uses a fresh one.
+type mappingSearch struct {
+	// b's piece index: piece j's signature is sigs[ends[j-1]:ends[j]]
+	// (from 0 for piece 0), byRank lists b's pieces by (signature,
+	// index), and a run of equal signatures starting at rank r ends at
+	// runEnd[r].
+	sigs   []byte
+	ends   []int
+	byRank []int
+	runEnd []int
+
+	taken []int  // per run start, the b-pieces bijection has handed out
+	out   []int  // bijection's answer
+	buf   []byte // an a-piece's signature
+	img   []int  // appendPieceSig's scratch
+
+	// sampled's: GPUs by (color, index) on each side, the ends of the
+	// color classes, the trial mapping, a shuffled class, and the
+	// generator of the randomized trials, made on first use.
+	ordA, ordB []int
+	classEnd   []int
+	f          []int
+	shuffled   []int
+	rng        *rand.Rand
+}
+
+// sig is b-piece j's signature.
+func (s *mappingSearch) sig(j int) []byte {
+	from := 0
+	if j > 0 {
+		from = s.ends[j-1]
 	}
-	var colors []string
-	for c, as := range byColorA {
-		if len(byColorB[c]) != len(as) {
+	return s.sigs[from:s.ends[j]]
+}
+
+// index renders b's piece signatures and sorts b's pieces by
+// (signature bytes, index): each bucket of equal signatures is a run,
+// in ascending piece order.
+func (s *mappingSearch) index(b *solve.Demand) {
+	s.sigs, s.ends, s.byRank = s.sigs[:0], slices.Grow(s.ends[:0], len(b.Pieces)), slices.Grow(s.byRank[:0], len(b.Pieces))
+	for j := range b.Pieces {
+		s.sigs, s.img = appendPieceSig(s.sigs, s.img, &b.Pieces[j], nil)
+		s.ends = append(s.ends, len(s.sigs))
+		s.byRank = append(s.byRank, j)
+	}
+	slices.SortFunc(s.byRank, func(x, y int) int {
+		if c := bytes.Compare(s.sig(x), s.sig(y)); c != 0 {
+			return c
+		}
+		return x - y
+	})
+	s.runEnd = resizeInts(s.runEnd, len(s.byRank))
+	for lo := 0; lo < len(s.byRank); {
+		hi := lo + 1
+		for hi < len(s.byRank) && bytes.Equal(s.sig(s.byRank[hi]), s.sig(s.byRank[lo])) {
+			hi++
+		}
+		s.runEnd[lo] = hi
+		lo = hi
+	}
+}
+
+// bijection verifies a complete GPU mapping f of a onto the indexed
+// demand and, when valid, returns the induced piece bijection: out[i] is
+// the b-piece that a's piece i plays under f. Pieces with identical
+// signatures are interchangeable, so any within-bucket assignment is
+// correct; a's pieces take their bucket's b-pieces from the highest index
+// down. Returns nil when f is not an isomorphism. The answer is scratch,
+// valid until the next call.
+func (s *mappingSearch) bijection(a *solve.Demand, f []int) []int {
+	n := len(s.byRank)
+	if len(a.Pieces) != n {
+		return nil
+	}
+	s.taken = resizeInts(s.taken, n)
+	clear(s.taken)
+	if s.out = resizeInts(s.out, n); s.out == nil {
+		s.out = []int{} // nil means no bijection; demands without pieces have an empty one
+	}
+	for i := range a.Pieces {
+		s.buf, s.img = appendPieceSig(s.buf[:0], s.img, &a.Pieces[i], f)
+		// The first rank whose signature is not below a's: its run, if
+		// the signature matches.
+		lo, hi := 0, n
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if bytes.Compare(s.sig(s.byRank[mid]), s.buf) < 0 {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo == n || !bytes.Equal(s.sig(s.byRank[lo]), s.buf) || lo+s.taken[lo] == s.runEnd[lo] {
 			return nil
 		}
-		colors = append(colors, c)
+		s.taken[lo]++
+		s.out[i] = s.byRank[s.runEnd[lo]-s.taken[lo]]
 	}
-	sort.Strings(colors)
+	return s.out
+}
+
+func resizeInts(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
+}
+
+// sampled tries the color-sorted canonical alignment and a few
+// randomized color-respecting bijections, verifying each with the
+// near-linear bijection against b's index, built once.
+func (s *mappingSearch) sampled(a, b *solve.Demand, ca, cb []string) *Mapping {
+	n := a.NumGPUs
+	// GPUs by (color, index) on both sides: the color classes, each in
+	// ascending GPU order, in ascending color order. They must pair up.
+	s.ordA, s.ordB = byColor(s.ordA, ca), byColor(s.ordB, cb)
+	s.classEnd = slices.Grow(s.classEnd[:0], n)
+	for k := 0; k < n; k++ {
+		if ca[s.ordA[k]] != cb[s.ordB[k]] {
+			return nil
+		}
+		if k+1 == n || ca[s.ordA[k+1]] != ca[s.ordA[k]] {
+			s.classEnd = append(s.classEnd, k+1)
+		}
+	}
+	s.index(b)
+	s.f = resizeInts(s.f, n)
 
 	// The canonical sorted-position alignment within each color class,
 	// then seven rotations within classes, then 24 randomized
 	// color-respecting bijections.
-	rng := rand.New(rand.NewSource(int64(n)*7919 + int64(len(a.Pieces))))
 	for trial := 0; trial < 32; trial++ {
-		f := make([]int, n)
-		for _, c := range colors {
-			bs := append([]int(nil), byColorB[c]...)
-			if trial < 8 {
-				k := trial % len(bs)
-				bs = append(bs[k:], bs[:k]...)
+		if trial == 8 {
+			seed := int64(n)*7919 + int64(len(a.Pieces))
+			if s.rng == nil {
+				s.rng = rand.New(rand.NewSource(seed))
 			} else {
-				rng.Shuffle(len(bs), func(x, y int) { bs[x], bs[y] = bs[y], bs[x] })
-			}
-			for k, i := range byColorA[c] {
-				f[i] = bs[k]
+				s.rng.Seed(seed)
 			}
 		}
-		if pieces := pieceBijection(a, b, f); pieces != nil {
-			return &Mapping{GPUs: f, Pieces: pieces}
+		lo := 0
+		for _, hi := range s.classEnd {
+			as, bs := s.ordA[lo:hi], s.ordB[lo:hi]
+			if trial < 8 {
+				k := trial % len(bs)
+				for t, i := range as {
+					s.f[i] = bs[(t+k)%len(bs)]
+				}
+			} else {
+				s.shuffled = append(s.shuffled[:0], bs...)
+				s.rng.Shuffle(len(s.shuffled), func(x, y int) {
+					s.shuffled[x], s.shuffled[y] = s.shuffled[y], s.shuffled[x]
+				})
+				for t, i := range as {
+					s.f[i] = s.shuffled[t]
+				}
+			}
+			lo = hi
+		}
+		if pieces := s.bijection(a, s.f); pieces != nil {
+			both := make([]int, n+len(pieces))
+			copy(both, s.f)
+			copy(both[n:], pieces)
+			return &Mapping{GPUs: both[:n:n], Pieces: both[n:]}
 		}
 	}
 	return nil
+}
+
+// byColor returns ord filled with the GPU indices sorted by (color,
+// index).
+func byColor(ord []int, colors []string) []int {
+	ord = slices.Grow(ord[:0], len(colors))
+	for g := range colors {
+		ord = append(ord, g)
+	}
+	slices.SortFunc(ord, func(x, y int) int {
+		if c := strings.Compare(colors[x], colors[y]); c != 0 {
+			return c
+		}
+		return x - y
+	})
+	return ord
 }
 
 // partialConsistent rejects partial assignments that already break any
@@ -479,45 +632,6 @@ func appendPieceSig(b []byte, img []int, p *solve.Piece, m []int) ([]byte, []int
 	return b, img
 }
 
-// pieceBijection verifies a complete GPU mapping f and, when valid,
-// returns the induced piece bijection: out[i] is the b-piece that a's
-// piece i plays under f. Pieces with identical signatures are
-// interchangeable, so any within-bucket assignment is correct; a's pieces
-// take their bucket's b-pieces from the highest index down. Returns nil
-// when f is not an isomorphism. Near-linear via signature bucketing; the
-// signatures are rendered into one reused buffer, and only a bucket's
-// first one is kept as a string.
-func pieceBijection(a, b *solve.Demand, f []int) []int {
-	if len(a.Pieces) != len(b.Pieces) {
-		return nil
-	}
-	var buf []byte
-	var img []int
-	bucket := make(map[string]int, len(b.Pieces)) // signature → index into left
-	var left [][]int                              // per bucket, the b-pieces not yet taken
-	for j := range b.Pieces {
-		buf, img = appendPieceSig(buf[:0], img, &b.Pieces[j], nil)
-		k, ok := bucket[string(buf)]
-		if !ok {
-			k = len(left)
-			bucket[string(buf)] = k
-			left = append(left, nil)
-		}
-		left[k] = append(left[k], j)
-	}
-	out := make([]int, len(a.Pieces))
-	for i := range a.Pieces {
-		buf, img = appendPieceSig(buf[:0], img, &a.Pieces[i], f)
-		k, ok := bucket[string(buf)]
-		if !ok || len(left[k]) == 0 {
-			return nil
-		}
-		lst := left[k]
-		out[i], left[k] = lst[len(lst)-1], lst[:len(lst)-1]
-	}
-	return out
-}
-
 // Mapping is a complete isomorphism between two demands: the GPU
 // permutation and the induced piece bijection. Both are needed to carry a
 // solved sub-schedule across: transfers rename endpoints via GPUs and
@@ -565,14 +679,25 @@ type Table struct {
 	demands []*solve.Demand
 	byExact map[string][]int    // ExactKey → ids (several when %.9g rounds unequal sizes together)
 	keys    []string            // Key per id, rendered on first use
+	colors  [][]string          // gpuColors per id, computed on first use; grown by colorsOf
 	found   map[[2]int]*Mapping // FindFullMapping per (representative, member) id pair; nil = not isomorphic
+	search  *mappingSearch      // the mapping searches' scratch, made by the first
 	buf     []byte
 }
 
 // NewTable returns an empty table.
 func NewTable() *Table {
-	return &Table{byExact: map[string][]int{}, found: map[[2]int]*Mapping{}}
+	t := &Table{byExact: map[string][]int{}, found: map[[2]int]*Mapping{}}
+	if testHookNewTable != nil {
+		testHookNewTable(t)
+	}
+	return t
 }
+
+// testHookNewTable, set only by tests, sees every table NewTable makes:
+// the mapping equivalence test checks the pairs a real synthesis
+// searched.
+var testHookNewTable func(*Table)
 
 // Len is the number of ids handed out; Demand returns the demand behind
 // one, which callers must treat as read-only.
@@ -631,7 +756,11 @@ func (t *Table) Classes(ids []int) (rep []int, m []*Mapping) {
 			pair := [2]int{r, id}
 			mp, known := t.found[pair]
 			if !known {
-				mp = FindFullMapping(t.demands[r], t.demands[id])
+				if t.search == nil {
+					t.search = new(mappingSearch)
+				}
+				// The Keys match: r is in id's bucket.
+				mp = findFullMapping(t.demands[r], t.demands[id], t.colorsOf(r), t.colorsOf(id), t.search)
 				t.found[pair] = mp
 			}
 			if mp != nil {
@@ -644,6 +773,17 @@ func (t *Table) Classes(ids []int) (rep []int, m []*Mapping) {
 		}
 	}
 	return rep, m
+}
+
+// colorsOf is gpuColors of id's demand, computed once.
+func (t *Table) colorsOf(id int) []string {
+	if len(t.colors) < len(t.demands) {
+		t.colors = append(t.colors, make([][]string, len(t.demands)-len(t.colors))...)
+	}
+	if t.colors[id] == nil {
+		t.colors[id] = gpuColors(t.demands[id])
+	}
+	return t.colors[id]
 }
 
 // MapSchedule rewrites a sub-schedule solved for a representative demand

@@ -53,6 +53,17 @@ func pieceBijectionReference(a, b *solve.Demand, f []int) []int {
 	return out
 }
 
+// pieceBijection is mappingSearch.bijection of f onto b in a fresh
+// index: the piece bijection the search returns with a mapping.
+func pieceBijection(a, b *solve.Demand, f []int) []int {
+	if len(a.Pieces) != len(b.Pieces) {
+		return nil
+	}
+	var s mappingSearch
+	s.index(b)
+	return s.bijection(a, f)
+}
+
 // sameBijection fails the test unless pieceBijection answers a, b, f with
 // the reference's slice, nil where it is nil.
 func sameBijection(t *testing.T, what string, a, b *solve.Demand, f []int) {

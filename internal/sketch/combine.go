@@ -202,8 +202,19 @@ func isIdentityPerm(p []int) bool {
 // symmetry can reach are returned in missing (ascending) for the caller
 // to fill with a per-root sketch search; the returned combination holds
 // the successfully mapped sketches in ascending root order.
+//
+// The mapped sketches are cut from one copyArena, so they live as long
+// as any of them is referenced; the permutation and the validation state
+// are one buffer each, reused for every root.
 func ExpandAllToAll(top *topology.Topology, sk *Sketch) (combo *Combination, missing []int) {
 	n := top.NumGPUs()
+	copies := n
+	if sk.Root >= 0 && sk.Root < n {
+		copies--
+	}
+	arena := newCopyArena(sk, copies)
+	perm := make([]int, n)
+	state := make([]int32, n)
 	sketches := make([]*Sketch, 0, n)
 	var autos [][]int // lazily fetched verified automorphisms
 	for r := 0; r < n; r++ {
@@ -212,7 +223,11 @@ func ExpandAllToAll(top *topology.Topology, sk *Sketch) (combo *Combination, mis
 			continue
 		}
 		p := top.Sym.MapRoot(sk.Root, r)
-		if m := sk.Map(top, top.Sym.Permutation(p)); m.Validate(top) == nil {
+		for g := range perm {
+			perm[g] = top.Sym.Apply(p, g)
+		}
+		if m := arena.mapped(top, sk, perm); m.validate(top, state) == nil {
+			arena.keep()
 			sketches = append(sketches, m)
 			continue
 		}
@@ -224,7 +239,8 @@ func ExpandAllToAll(top *topology.Topology, sk *Sketch) (combo *Combination, mis
 			if perm[sk.Root] != r {
 				continue
 			}
-			if m := sk.Map(top, perm); m.Validate(top) == nil {
+			if m := arena.mapped(top, sk, perm); m.validate(top, state) == nil {
+				arena.keep()
 				sketches = append(sketches, m)
 				found = true
 				break

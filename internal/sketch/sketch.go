@@ -70,9 +70,14 @@ func (s *Sketch) Clone() *Sketch {
 // every sub-demand stays within its declared group. A missing dimension or
 // an out-of-range GPU is an error too.
 func (s *Sketch) Validate(top *topology.Topology) error {
-	// state[g] is 0 while GPU g is uninformed, else 1 + the stage that
-	// informed it, the root's stage being 0.
-	state := make([]int32, top.NumGPUs())
+	return s.validate(top, make([]int32, top.NumGPUs()))
+}
+
+// validate is Validate with its state array, top.NumGPUs() long, passed
+// in: state[g] is 0 while GPU g is uninformed, else 1 + the stage that
+// informed it, the root's stage being 0. It is cleared first.
+func (s *Sketch) validate(top *topology.Topology, state []int32) error {
+	clear(state)
 	if s.Root < 0 || s.Root >= len(state) {
 		return fmt.Errorf("sketch: root %d out of range", s.Root)
 	}
@@ -332,21 +337,76 @@ func (s *Sketch) DimWorkload(top *topology.Topology) []float64 {
 // from the topology. perm must be an automorphism (group-preserving), as
 // produced by topology.Symmetry. The copy is laid out as Clone's.
 func (s *Sketch) Map(top *topology.Topology, perm []int) *Sketch {
-	out := s.Clone()
-	out.Root = perm[s.Root]
-	for _, st := range out.Stages {
-		for i := range st {
-			sd := &st[i]
-			for _, gpus := range [2][]int{sd.Srcs, sd.Dsts} {
-				for j, v := range gpus {
-					gpus[j] = perm[v]
-				}
-				slices.Sort(gpus)
-			}
-			sd.Group = top.Dim(sd.Dim).GroupOf(sd.Srcs[0])
+	return newCopyArena(s, 1).mapped(top, s, perm)
+}
+
+// copyArena holds room for mapped copies of one sketch: every copy has
+// its shape, so the copies' Sketch structs, stage lists, sub-demands and
+// GPU lists are cut, without spare capacity, from one array each. A copy
+// lives as long as any copy of its arena is referenced.
+type copyArena struct {
+	sketches []Sketch
+	stages   []Stage
+	subs     []SubDemand
+	ids      []int
+	// the shape of one copy
+	nStages, nSubs, nIDs int
+}
+
+// newCopyArena returns an arena with room for copies copies of s.
+func newCopyArena(s *Sketch, copies int) *copyArena {
+	a := &copyArena{nStages: len(s.Stages)}
+	for _, st := range s.Stages {
+		a.nSubs += len(st)
+		for _, sd := range st {
+			a.nIDs += len(sd.Srcs) + len(sd.Dsts)
+		}
+	}
+	a.sketches = make([]Sketch, copies)
+	a.stages = make([]Stage, copies*a.nStages)
+	a.subs = make([]SubDemand, copies*a.nSubs)
+	a.ids = make([]int, copies*a.nIDs)
+	return a
+}
+
+// mapped writes s under perm into the arena's next free slots, as Map
+// does, and returns it. The slots stay free until keep: the next call
+// overwrites them.
+func (a *copyArena) mapped(top *topology.Topology, s *Sketch, perm []int) *Sketch {
+	ids := a.ids
+	cut := func(from []int) []int {
+		if len(from) == 0 {
+			return nil
+		}
+		out := ids[:len(from):len(from)]
+		ids = ids[len(from):]
+		for i, v := range from {
+			out[i] = perm[v]
+		}
+		slices.Sort(out)
+		return out
+	}
+	out := &a.sketches[0]
+	*out = Sketch{Root: perm[s.Root], Scatter: s.Scatter, Stages: a.stages[:a.nStages:a.nStages]}
+	sds := a.subs
+	for k, st := range s.Stages {
+		out.Stages[k], sds = sds[:len(st):len(st)], sds[len(st):]
+		for i, sd := range st {
+			nd := SubDemand{Dim: sd.Dim, Srcs: cut(sd.Srcs), Dsts: cut(sd.Dsts)}
+			nd.Group = top.Dim(sd.Dim).GroupOf(nd.Srcs[0])
+			out.Stages[k][i] = nd
 		}
 	}
 	return out
+}
+
+// keep commits the copy mapped last: later copies take the slots after
+// it.
+func (a *copyArena) keep() {
+	a.sketches = a.sketches[1:]
+	a.stages = a.stages[a.nStages:]
+	a.subs = a.subs[a.nSubs:]
+	a.ids = a.ids[a.nIDs:]
 }
 
 // Descriptor returns the canonical structural key used by pruning #1:

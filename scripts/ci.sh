@@ -48,8 +48,8 @@ for procs in 1 4 16; do
         -run 'TestColdScheduleDigests$|TestPlanAnswerIndependentOfHistory$|TestPlanAnswerIndependentOfRandomHistory$|TestAssemblyEquivalence$|FuzzAssemblyEquivalence$|TestSynthesizeDeterministicAcrossWorkers$' -count=1
 done
 
-echo "== go test -race (core/engine/lru/milp/obs/persist/serve/sim/sketch/solve/topology/verify shard) =="
-go test -race ./internal/core/ ./internal/engine/ ./internal/lru/ ./internal/milp/ ./internal/obs/ ./internal/persist/ ./internal/serve/ ./internal/sim/ ./internal/sketch/ ./internal/solve/ ./internal/topology/ ./internal/verify/
+echo "== go test -race (core/engine/isomorph/lru/milp/obs/persist/serve/sim/sketch/solve/topology/verify shard) =="
+go test -race ./internal/core/ ./internal/engine/ ./internal/isomorph/ ./internal/lru/ ./internal/milp/ ./internal/obs/ ./internal/persist/ ./internal/serve/ ./internal/sim/ ./internal/sketch/ ./internal/solve/ ./internal/topology/ ./internal/verify/
 
 echo "== fuzz smoke ($FUZZTIME per target) =="
 go test ./internal/verify/ -run='^$' -fuzz='^FuzzValidate$' -fuzztime="$FUZZTIME"
@@ -70,6 +70,7 @@ go test ./internal/verify/ -run='^$' -fuzz='^FuzzBaselineOracle$' -fuzztime="$FU
 go test ./internal/isomorph/ -run='^$' -fuzz='^FuzzCacheKeysStable$' -fuzztime="$FUZZTIME"
 go test ./internal/isomorph/ -run='^$' -fuzz='^FuzzClassesEquivalence$' -fuzztime="$FUZZTIME"
 go test ./internal/sketch/ -run='^$' -fuzz='^FuzzSearchEquivalence$' -fuzztime="$FUZZTIME"
+go test ./internal/sketch/ -run='^$' -fuzz='^FuzzExpandAllToAllEquivalence$' -fuzztime="$FUZZTIME"
 
 echo "== go benchmarks, one iteration each =="
 # No test runs the Go benchmarks, so one that b.Fatal()s would rot unseen;
