@@ -58,44 +58,26 @@ func boundReaches(lb, t float64) bool {
 }
 
 // demandTimeBounds returns, indexed by demand id, the seconds lower bound
-// of every demand the candidates' cells use: served by opts.BoundCache or
-// computed by one solve.FlowTimeBound LP per distinct demand, and 0 where
-// unavailable (cancelled LP). The LPs of the cache misses run through
-// parallelFor in first-occurrence order and are joined serially, so the
-// result does not depend on Workers; the span records the simplex pivots
-// they spent (the lp.pivots counter stays the exact engine's).
+// of every demand the candidates' cells use: one solve.FlowTimeBound LP
+// per distinct demand, and 0 where unavailable (cancelled LP). The LPs
+// run through parallelFor in first-occurrence order, each into its own
+// slot, so the result does not depend on Workers; the span records the
+// simplex pivots they spent (the lp.pivots counter stays the exact
+// engine's).
 func demandTimeBounds(ctx context.Context, tab *isomorph.Table, cands []*candidate, opts Options, span *obs.Span) []float64 {
 	ids, _, cells := distinctCells(tab, cands)
 	sec := make([]float64, tab.Len())
-	var misses []int
-	for _, id := range ids {
-		if opts.BoundCache != nil {
-			if v, ok := opts.BoundCache.Lookup(tab.Demand(id)); ok {
-				sec[id] = v
-				continue
-			}
-		}
-		misses = append(misses, id)
-	}
-	solved := make([]bool, len(misses))
-	pivots := make([]int, len(misses))
-	parallelFor(len(misses), opts.Workers, func(_, k int) {
-		v, n, err := solve.FlowTimeBound(ctx, tab.Demand(misses[k]))
+	pivots := make([]int, len(ids))
+	parallelFor(len(ids), opts.Workers, func(_, k int) {
+		v, n, err := solve.FlowTimeBound(ctx, tab.Demand(ids[k]))
 		pivots[k] = n
 		if err == nil {
-			sec[misses[k]], solved[k] = v, true
+			sec[ids[k]] = v
 		}
 	})
-	if opts.BoundCache != nil && ctx.Err() == nil {
-		for k, id := range misses {
-			if solved[k] {
-				opts.BoundCache.Store(tab.Demand(id), sec[id])
-			}
-		}
-	}
 	span.SetInt("cells", int64(cells))
 	span.SetInt("distinct", int64(len(ids)))
-	span.SetInt("lps", int64(len(misses)))
+	span.SetInt("lps", int64(len(ids)))
 	total := 0
 	for _, n := range pivots {
 		total += n

@@ -64,10 +64,6 @@ type Options struct {
 	// SketchCache optionally serves sketch-search results across requests,
 	// keyed by topology fingerprint. Nil disables reuse.
 	SketchCache SketchCache
-	// BoundCache optionally serves flow lower bounds across requests
-	// (internal/engine owns the implementation), so warm requests prune
-	// candidates without re-solving the bound LPs. Nil disables reuse.
-	BoundCache BoundCache
 	// OnIncumbent, when non-nil, receives every incumbent the pipeline
 	// publishes: a fully validated schedule for the requested collective
 	// that strictly beats every previously published one. Calls are
@@ -120,19 +116,11 @@ type Incumbent struct {
 	Engine string
 	// Combination is the sketch combination behind the schedule (nil for
 	// injected or routed schedules, and for mirrored/concatenated
-	// collectives where the forward combination applied).
+	// collectives where the forward combination applied). It may be
+	// shared with an engine cache: read-only.
 	Combination *sketch.Combination
 	// Seq numbers the stream from 1.
 	Seq int
-}
-
-// BoundCache is a cross-request store of flow lower bounds, keyed by
-// demand identity: the bound depends on the demand alone. Implementations
-// must be safe for concurrent use and must not retain the caller's
-// demand after either call returns.
-type BoundCache interface {
-	Lookup(d *solve.Demand) (float64, bool)
-	Store(d *solve.Demand, bound float64)
 }
 
 // SolveCache is a cross-request store of solved sub-schedules. The
@@ -143,9 +131,11 @@ type BoundCache interface {
 // signature, and nil on a miss — never a solution remapped from another
 // (isomorphic) demand: a hit is then exactly what solving would give,
 // which makes warm re-plans bit-identical and a cached plan the cold
-// plan, whatever was planned before. Implementations must be safe for
-// concurrent use and must not retain or mutate the caller's arguments
-// after Store returns.
+// plan, whatever was planned before. A sub-schedule is read-only once
+// solved: Store may keep s itself and Lookup may return it to any number
+// of callers, none of which writes it. Implementations must be safe for
+// concurrent use and must not retain the demand after either call
+// returns.
 type SolveCache interface {
 	Lookup(d *solve.Demand, optsSig string) *solve.SubSchedule
 	Store(d *solve.Demand, optsSig string, s *solve.SubSchedule)
@@ -153,8 +143,10 @@ type SolveCache interface {
 
 // SketchCache is a cross-request store of sketch-search results. Lookup
 // reports a hit with ok=true (an empty sketch list is a valid cached
-// result). Returned sketches may be read freely but must not be mutated.
-// Implementations must be safe for concurrent use.
+// result). Sketches are read-only once searched: Store may keep the
+// slice itself and Lookup may return it to any number of callers, none
+// of which writes it or its sketches. Implementations must be safe for
+// concurrent use.
 type SketchCache interface {
 	Lookup(key string) (sketches []*sketch.Sketch, ok bool)
 	Store(key string, sketches []*sketch.Sketch)
@@ -192,7 +184,7 @@ func (o Options) withDefaults() Options {
 // by it.
 // Left out are the fields that cannot change the schedule: Workers
 // (schedules are byte-identical across worker counts), Obs, Sim.Rec,
-// Search.Rec and OnIncumbent (observation), the three caches (wiring),
+// Search.Rec and OnIncumbent (observation), the two caches (wiring),
 // and Recipe (a replay returns the full pass's bytes or runs it).
 func (o Options) Fingerprint() string {
 	o = o.withDefaults()
@@ -276,6 +268,8 @@ type Result struct {
 	Bound float64
 	// Combination is the winning sketch combination (nil for mirrored
 	// or concatenated schedules where the forward combination applied).
+	// It may be shared with an engine cache and with other plans'
+	// results: read-only, sketches included.
 	Combination *sketch.Combination
 	Phases      Phases
 	Stats       Stats
@@ -287,6 +281,7 @@ type Result struct {
 	// Recipe records how the winner was made, for Options.Recipe of a
 	// later identical request. Set only on complete results of the sketch
 	// pipeline (nil when Partial, and for routed one-to-one transfers).
+	// Shared and read-only, as Combination.
 	Recipe *Recipe
 }
 

@@ -27,6 +27,10 @@ import (
 // if any step fails or the rebuilt schedule does not match the
 // self-check, the recipe is stale and the full pass runs — same bytes,
 // slower.
+//
+// A recipe is read-only once made: the engine keeps the pointer it is
+// given and hands it to every replay, and a replay's Result carries it
+// (and its Combination) on to the caller.
 type Recipe struct {
 	// Combination is the winning sketch combination; nil when the
 	// injected NCCL ring won.

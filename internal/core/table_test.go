@@ -8,13 +8,15 @@ import (
 
 	"syccl/internal/collective"
 	"syccl/internal/isomorph"
+	"syccl/internal/obs"
 	"syccl/internal/solve"
 	"syccl/internal/topology"
 )
 
-// seenDemands records, for the counting caches below, which demand
-// objects and which demand contents a run showed them.
-type seenDemands struct {
+// missingSolves is a SolveCache that never has anything. It records
+// how often it was asked and told, and which demand objects and which
+// demand contents a run showed it.
+type missingSolves struct {
 	mu       sync.Mutex
 	lookups  int
 	stores   int
@@ -22,32 +24,20 @@ type seenDemands struct {
 	contents map[string]bool
 }
 
-func (s *seenDemands) note(d *solve.Demand, lookup bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.pointers == nil {
-		s.pointers, s.contents = map[*solve.Demand]bool{}, map[string]bool{}
+func (c *missingSolves) note(d *solve.Demand, lookup bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.pointers == nil {
+		c.pointers, c.contents = map[*solve.Demand]bool{}, map[string]bool{}
 	}
 	if lookup {
-		s.lookups++
+		c.lookups++
 	} else {
-		s.stores++
+		c.stores++
 	}
-	s.pointers[d] = true
-	s.contents[isomorph.ExactKey(d)] = true
+	c.pointers[d] = true
+	c.contents[isomorph.ExactKey(d)] = true
 }
-
-// missingBounds is a BoundCache that never has anything.
-type missingBounds struct{ seenDemands }
-
-func (c *missingBounds) Lookup(d *solve.Demand) (float64, bool) {
-	c.note(d, true)
-	return 0, false
-}
-func (c *missingBounds) Store(d *solve.Demand, _ float64) { c.note(d, false) }
-
-// missingSolves is a SolveCache that never has anything.
-type missingSolves struct{ seenDemands }
 
 func (c *missingSolves) Lookup(d *solve.Demand, _ string) *solve.SubSchedule {
 	c.note(d, true)
@@ -56,17 +46,33 @@ func (c *missingSolves) Lookup(d *solve.Demand, _ string) *solve.SubSchedule {
 func (c *missingSolves) Store(d *solve.Demand, _ string, _ *solve.SubSchedule) { c.note(d, false) }
 
 // TestBoundOncePerDistinctDemand: on h800small:allgather:1M the five kept
-// candidates have 78 cells but 8 distinct demands, so a bound cache that
-// always misses is asked 8 times and told 8 bounds — and the pass still
-// reports what it reported when every cell ran its own LP.
+// candidates have 80 cells but 8 distinct demands, so the bound pass runs
+// 8 LPs — and still reports what it reported when every cell ran its own
+// LP.
 func TestBoundOncePerDistinctDemand(t *testing.T) {
 	top, col := digestCase(t, "h800small:allgather:1M")
-	bounds := &missingBounds{}
+	rec := obs.NewRecorder()
 	var last Incumbent
-	res := synth(t, top, col, Options{BoundCache: bounds, OnIncumbent: func(in Incumbent) { last = in }})
-	if bounds.lookups != 8 || bounds.stores != 8 || len(bounds.contents) != 8 {
-		t.Errorf("bound cache saw %d lookups and %d stores of %d distinct demands, want 8 of each",
-			bounds.lookups, bounds.stores, len(bounds.contents))
+	res := synth(t, top, col, Options{Obs: rec, OnIncumbent: func(in Incumbent) { last = in }})
+	passes := 0
+	for _, sp := range rec.Spans() {
+		if sp.Name != "solve.bound" {
+			continue
+		}
+		passes++
+		attrs := map[string]int64{}
+		for _, a := range sp.Attrs {
+			if v, ok := a.Value().(int64); ok {
+				attrs[a.Key] = v
+			}
+		}
+		if attrs["cells"] != 80 || attrs["distinct"] != 8 || attrs["lps"] != 8 {
+			t.Errorf("bound pass ran %d LPs for %d distinct demands of %d cells, want 8 of 8 of 80",
+				attrs["lps"], attrs["distinct"], attrs["cells"])
+		}
+	}
+	if passes != 1 {
+		t.Fatalf("%d bound passes, want 1", passes)
 	}
 	// The figures of the per-cell LPs for this case. The last incumbent
 	// is the winner re-keyed into arrival order after the bound pass, so
@@ -81,23 +87,18 @@ func TestBoundOncePerDistinctDemand(t *testing.T) {
 	}
 }
 
-// TestOneDemandTablePerSynthesize: the coarse pass, the bound pass and the
-// fine pass read one table. Were an assembly rebuilt between passes, its
-// cells would reach the caches as new demand objects; instead every call
-// of a run names one object per distinct demand content, and each
-// (content, signature) is looked up and stored once.
+// TestOneDemandTablePerSynthesize: the coarse pass and the fine pass read
+// one table. Were an assembly rebuilt between passes, its cells would
+// reach the cache as new demand objects; instead every call of a run
+// names one object per distinct demand content, and each (content,
+// signature) is looked up and stored once.
 func TestOneDemandTablePerSynthesize(t *testing.T) {
 	for _, spec := range []string{"h800small:allgather:1M", "a100x16:alltoall:64M", "a100x16:broadcast:1M"} {
 		top, col := digestCase(t, spec)
-		solves, bounds := &missingSolves{}, &missingBounds{}
-		res := synth(t, top, col, Options{SolveCache: solves, BoundCache: bounds})
-		if res.Stats.Refined == 0 || bounds.lookups == 0 {
+		solves := &missingSolves{}
+		res := synth(t, top, col, Options{SolveCache: solves})
+		if res.Stats.Refined == 0 || res.Stats.BoundsComputed == 0 {
 			t.Fatalf("%s: the fine and bound passes did not run: %+v", spec, res.Stats)
-		}
-		for d := range bounds.pointers {
-			if !solves.pointers[d] {
-				t.Errorf("%s: the bound pass named a demand object the solve passes never did", spec)
-			}
 		}
 		if len(solves.pointers) != len(solves.contents) {
 			t.Errorf("%s: %d demand objects for %d distinct demands", spec, len(solves.pointers), len(solves.contents))

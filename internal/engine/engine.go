@@ -3,8 +3,7 @@
 // caches surviving across requests and serves Plan(ctx, ...) with
 // cooperative cancellation and anytime semantics.
 //
-// Four caches back the engine, all instances of lru.Cache. The two that
-// carry the weight:
+// Three caches back the engine, all instances of lru.Cache:
 //
 //   - a sketch cache mapping topology fingerprint (plus collective shape,
 //     root, and search options) to the enumerated sketch set, so repeat
@@ -12,13 +11,20 @@
 //   - a sub-schedule cache keyed by the exact sub-demand plus the solve
 //     options' fingerprint (isomorph.CacheKey), sharded and
 //     LRU-bounded. A hit returns the stored solution verbatim, so warm
-//     re-plans are bit-identical to the cold run.
+//     re-plans are bit-identical to the cold run;
+//   - a recipe cache: per plan key, which candidate won last time and
+//     the sub-schedules it was built from (core.Recipe), so a repeated
+//     plan rebuilds that one candidate without re-ranking all of them or
+//     consulting the sub-schedule cache.
 //
-// Next to them sit a flow-bound cache (scalar lower bounds per demand,
-// keyed by isomorph.ExactKey) and a recipe cache: per plan key, which
-// candidate won last time and the sub-schedules it was built from
-// (core.Recipe), so a repeated plan rebuilds that one candidate without
-// re-ranking all of them or consulting the sub-schedule cache.
+// Flow lower bounds are not cached: each is a small LP on the symmetry
+// quotient, recomputed by every full pass that needs it.
+//
+// A cached value is immutable and shared: a store keeps the pointer it
+// was given, and a hit, a persist promotion and a recipe hand that same
+// pointer out, to any number of concurrent plans and to callers through
+// core.Result (TestCachedValuesImmutable). Nothing in the pipeline
+// writes to a sketch, a sub-schedule or a recipe once it has been made.
 //
 // Every cache answers only for the exact key it stored, and the
 // sub-schedule cache holds solver outputs for isomorphism-class
@@ -28,10 +34,9 @@
 // isomorphism search across requests, so a cached plan is the cold plan
 // (TestPlanAnswerIndependentOfHistory).
 //
-// The caches plug into core.Options through the core.SolveCache,
-// core.SketchCache and core.BoundCache interfaces (and the Recipe
-// field), so core carries no engine dependency and core.Synthesize keeps
-// working cache-free.
+// The caches plug into core.Options through the core.SolveCache and
+// core.SketchCache interfaces (and the Recipe field), so core carries no
+// engine dependency and core.Synthesize keeps working cache-free.
 package engine
 
 import (
@@ -67,9 +72,8 @@ type Options struct {
 	Persist PersistTier
 	// Obs optionally receives the engine counters: engine.plans,
 	// engine.cancelled, engine.cache.{hits,misses,evictions},
-	// engine.sketch.{hits,misses}, engine.bound.{hits,misses},
-	// engine.recipe.{hits,misses,stale}. Nil disables recording; Stats()
-	// is always available.
+	// engine.sketch.{hits,misses}, engine.recipe.{hits,misses,stale}.
+	// Nil disables recording; Stats() is always available.
 	Obs *obs.Recorder
 	// Metrics optionally receives labeled production metrics
 	// (syccl_engine_plans_total{outcome},
@@ -87,12 +91,10 @@ func (o Options) withDefaults() Options {
 }
 
 // The fixed cache bounds: the sketch cache holds whole search results,
-// the flow-bound cache scalar lower bounds per sub-demand (warm requests
-// prune candidates without re-solving the bound LPs), and the
-// sub-schedule cache is lock-striped over solveCacheShards shards by key.
+// and the sub-schedule cache is lock-striped over solveCacheShards shards
+// by key.
 const (
 	sketchCacheEntries = 64
-	boundCacheEntries  = 4096
 	solveCacheShards   = 16
 )
 
@@ -141,9 +143,11 @@ type Stats struct {
 	// SketchHits / SketchMisses count sketch cache lookups.
 	SketchHits   int64 `json:"sketch_hits"`
 	SketchMisses int64 `json:"sketch_misses"`
-	// BoundHits / BoundMisses count flow-bound cache lookups; BoundsPruned
-	// and BoundsProved aggregate the candidates eliminated (and fine
-	// passes skipped) by the flow lower bound across all plans.
+	// BoundHits / BoundMisses are always 0: flow bounds are no longer
+	// cached, and the fields stay only because this JSON contract never
+	// removes one (as IsoHits). BoundsPruned and BoundsProved aggregate
+	// the candidates eliminated (and fine passes skipped) by the flow
+	// lower bound across all plans.
 	BoundHits    int64 `json:"bound_hits"`
 	BoundMisses  int64 `json:"bound_misses"`
 	BoundsPruned int64 `json:"bounds_pruned"`
@@ -179,7 +183,6 @@ type Engine struct {
 	opts     Options
 	sketches *lru.Cache[[]*sketch.Sketch]
 	solves   *lru.Cache[*solve.SubSchedule]
-	bounds   *lru.Cache[float64]
 	recipes  *lru.Cache[*core.Recipe]
 	// persistHit / persistMiss meter the disk tier behind solves;
 	// recipeHit / recipeStale the two outcomes of a recipe that was found
@@ -219,11 +222,6 @@ func New(opts Options) *Engine {
 		Hit:   lru.NewMeter(rec, "engine.cache.hits", lookups.With("solve", "exact")),
 		Miss:  lru.NewMeter(rec, "engine.cache.misses", lookups.With("solve", "miss")),
 		Evict: lru.NewMeter(rec, "engine.cache.evictions", evict.With("solve")),
-	})
-	e.bounds = lru.New[float64](boundCacheEntries, 1, lru.Meters{
-		Hit:   lru.NewMeter(rec, "engine.bound.hits", lookups.With("bound", "exact")),
-		Miss:  lru.NewMeter(rec, "engine.bound.misses", lookups.With("bound", "miss")),
-		Evict: lru.NewMeter(rec, "engine.cache.evictions", evict.With("bound")),
 	})
 	e.sketches = lru.New[[]*sketch.Sketch](sketchCacheEntries, 1, lru.Meters{
 		Hit:   lru.NewMeter(rec, "engine.sketch.hits", lookups.With("sketch", "hit")),
@@ -271,8 +269,10 @@ func New(opts Options) *Engine {
 // written into the caches.
 //
 // The engine installs its caches into opts; any caller-provided
-// SolveCache/SketchCache/BoundCache/Recipe values are replaced. All
-// other options pass through to the pipeline unchanged.
+// SolveCache/SketchCache/Recipe values are replaced. All other options
+// pass through to the pipeline unchanged. The returned Result's
+// Combination and Recipe may be shared with the engine's caches and
+// with other plans' results: they are read-only.
 //
 // A plan whose key has a winner recipe (see core.Recipe) rebuilds that
 // one candidate from the recipe instead of running the search; a recipe
@@ -304,11 +304,10 @@ func (e *Engine) Plan(ctx context.Context, top *topology.Topology, col *collecti
 	e.opts.Obs.Count("engine.plans", 1)
 	opts.SolveCache = solveCacheAdapter{e}
 	opts.SketchCache = sketchCacheAdapter{e}
-	opts.BoundCache = boundCacheAdapter{e}
 	key := PlanKey(top, col, opts)
 	kept, found := e.recipes.Get(key)
 	if found {
-		opts.Recipe = cloneRecipe(kept)
+		opts.Recipe = kept
 	} else {
 		e.recipes.Miss()
 		opts.Recipe = nil
@@ -328,7 +327,7 @@ func (e *Engine) Plan(ctx context.Context, top *topology.Topology, col *collecti
 			e.recipes.RemoveIf(func(k string) bool { return k == key })
 		}
 		if res.Recipe != nil {
-			e.recipes.Add(key, func() *core.Recipe { return cloneRecipe(res.Recipe) })
+			e.recipes.Add(key, func() *core.Recipe { return res.Recipe })
 		}
 	}
 	// The pipeline reads a deadline off the clock, so its error can come
@@ -363,18 +362,16 @@ func (e *Engine) Plan(ctx context.Context, top *topology.Topology, col *collecti
 
 // Stats returns a snapshot of the engine's lifetime counters.
 func (e *Engine) Stats() Stats {
-	sv, bd, sk, rc := e.solves.Stats(), e.bounds.Stats(), e.sketches.Stats(), e.recipes.Stats()
+	sv, sk, rc := e.solves.Stats(), e.sketches.Stats(), e.recipes.Stats()
 	return Stats{
 		Plans:             e.plans.Load(),
 		Cancelled:         e.cancelled.Load(),
 		SolveHits:         sv.Hits,
 		SolveMisses:       sv.Misses,
 		ExactHits:         sv.Hits,
-		Evictions:         sv.Evictions + bd.Evictions + sk.Evictions + rc.Evictions,
+		Evictions:         sv.Evictions + sk.Evictions + rc.Evictions,
 		SketchHits:        sk.Hits,
 		SketchMisses:      sk.Misses,
-		BoundHits:         bd.Hits,
-		BoundMisses:       bd.Misses,
 		BoundsPruned:      e.boundsPruned.Load(),
 		BoundsProved:      e.boundsProved.Load(),
 		PersistHits:       e.persistHit.Load(),
@@ -396,31 +393,18 @@ func (e *Engine) Stats() Stats {
 // N/16 recipes hold about as many solutions as N cache entries.
 const recipeCellsPerEntry = 16
 
-// cloneRecipe copies a recipe on its way into and out of the cache. The
-// combination is deep-copied, because it is also handed to the caller as
-// Result.Combination; the sub-schedules are read-only and shared.
-func cloneRecipe(r *core.Recipe) *core.Recipe {
-	out := *r
-	if c := r.Combination; c != nil {
-		out.Combination = &sketch.Combination{
-			Sketches: cloneSketches(c.Sketches),
-			Fracs:    append([]float64(nil), c.Fracs...),
-		}
-	}
-	return &out
-}
-
 // --- sub-schedule cache ---
 
-// solveCacheAdapter implements core.SolveCache on the engine. Cached
-// sub-schedules are private clones, never mutated once stored.
+// solveCacheAdapter implements core.SolveCache on the engine. A cached
+// sub-schedule is the solver's own output, shared with every plan that
+// hits it and never written once stored.
 type solveCacheAdapter struct{ e *Engine }
 
 func (a solveCacheAdapter) Lookup(d *solve.Demand, sig string) *solve.SubSchedule {
 	e := a.e
 	key := isomorph.CacheKey(d, sig)
 	if hit, ok := e.solves.Get(key); ok {
-		return cloneSub(hit)
+		return hit
 	}
 	// Memory miss: consult the disk tier (outside any shard lock — disk
 	// reads must not serialize unrelated lookups).
@@ -429,7 +413,7 @@ func (a solveCacheAdapter) Lookup(d *solve.Demand, sig string) *solve.SubSchedul
 			e.persistHit.Add(1)
 			// Promote into the memory tier. No write-back: the bytes just
 			// came from disk.
-			e.solves.Add(key, func() *solve.SubSchedule { return cloneSub(sub) })
+			e.solves.Add(key, func() *solve.SubSchedule { return sub })
 			return sub
 		}
 		e.persistMiss.Add(1)
@@ -440,7 +424,7 @@ func (a solveCacheAdapter) Lookup(d *solve.Demand, sig string) *solve.SubSchedul
 
 func (a solveCacheAdapter) Store(d *solve.Demand, sig string, sub *solve.SubSchedule) {
 	e := a.e
-	if !e.solves.Add(isomorph.CacheKey(d, sig), func() *solve.SubSchedule { return cloneSub(sub) }) {
+	if !e.solves.Add(isomorph.CacheKey(d, sig), func() *solve.SubSchedule { return sub }) {
 		// First write won in memory; the disk tier enforces the same
 		// rule, so nothing to write through.
 		return
@@ -450,34 +434,6 @@ func (a solveCacheAdapter) Store(d *solve.Demand, sig string, sub *solve.SubSche
 		// (full disk, permissions) degrades durability, never planning.
 		_ = e.opts.Persist.Put(d, sig, sub)
 	}
-}
-
-func cloneSub(s *solve.SubSchedule) *solve.SubSchedule {
-	out := *s
-	out.Transfers = append([]solve.Transfer(nil), s.Transfers...)
-	return &out
-}
-
-// --- flow-bound cache ---
-
-// boundCacheAdapter implements core.BoundCache on the engine, under the
-// demand's exact key (isomorph.ExactKey): a bound answers only for the
-// demand it was computed on. (An isomorph.Key match would not do — equal
-// class keys are necessary for isomorphism, not sufficient — and a bound
-// borrowed from a non-isomorphic demand could prune a candidate, or skip
-// a fine pass, on a bound that does not hold.)
-type boundCacheAdapter struct{ e *Engine }
-
-func (a boundCacheAdapter) Lookup(d *solve.Demand) (float64, bool) {
-	if b, ok := a.e.bounds.Get(isomorph.ExactKey(d)); ok {
-		return b, true
-	}
-	a.e.bounds.Miss()
-	return 0, false
-}
-
-func (a boundCacheAdapter) Store(d *solve.Demand, bound float64) {
-	a.e.bounds.Add(isomorph.ExactKey(d), func() float64 { return bound })
 }
 
 // --- sketch cache ---
@@ -491,24 +447,15 @@ func (a sketchCacheAdapter) Lookup(key string) ([]*sketch.Sketch, bool) {
 		a.e.sketches.Miss()
 		return nil, false
 	}
-	return cloneSketches(cached), true
+	return cached, true
 }
 
 func (a sketchCacheAdapter) Store(key string, sketches []*sketch.Sketch) {
-	a.e.sketches.Add(key, func() []*sketch.Sketch { return cloneSketches(sketches) })
-}
-
-func cloneSketches(in []*sketch.Sketch) []*sketch.Sketch {
-	out := make([]*sketch.Sketch, len(in))
-	for i, sk := range in {
-		out[i] = sk.Clone()
-	}
-	return out
+	a.e.sketches.Add(key, func() []*sketch.Sketch { return sketches })
 }
 
 // Ensure the adapters satisfy core's interfaces.
 var (
 	_ core.SolveCache  = solveCacheAdapter{}
 	_ core.SketchCache = sketchCacheAdapter{}
-	_ core.BoundCache  = boundCacheAdapter{}
 )

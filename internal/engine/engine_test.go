@@ -422,45 +422,3 @@ func TestConcurrentPlans(t *testing.T) {
 		t.Fatalf("Plans = %d, want 16", st.Plans)
 	}
 }
-
-// TestBoundCacheWarmHits: a broadcast plan computes candidate flow bounds
-// cold; an identical full-pass re-plan (winner recipe dropped) must serve
-// every bound from the engine's bound cache, and a recipe replay must not
-// bound anything.
-func TestBoundCacheWarmHits(t *testing.T) {
-	top := topology.A100Clos(2)
-	col := collective.Broadcast(top.NumGPUs(), 0, 1<<20)
-	eng := New(Options{})
-
-	cold, err := eng.Plan(context.Background(), top, col, quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Stats.BoundsComputed == 0 {
-		t.Skipf("no candidate bounds on this shape: %+v", cold.Stats)
-	}
-	st := eng.Stats()
-	if st.BoundMisses == 0 {
-		t.Fatalf("cold plan recorded no bound misses: %+v", st)
-	}
-	coldMisses, coldHits := st.BoundMisses, st.BoundHits
-
-	if _, err := eng.Plan(context.Background(), top, col, quickOpts()); err != nil {
-		t.Fatal(err)
-	}
-	if st = eng.Stats(); st.RecipeHits != 1 || st.BoundHits != coldHits || st.BoundMisses != coldMisses {
-		t.Fatalf("recipe replay touched the bound cache: %+v", st)
-	}
-
-	dropRecipes(eng)
-	if _, err := eng.Plan(context.Background(), top, col, quickOpts()); err != nil {
-		t.Fatal(err)
-	}
-	st = eng.Stats()
-	if st.BoundHits <= coldHits {
-		t.Fatalf("warm plan hit no cached bounds: %+v", st)
-	}
-	if st.BoundMisses != coldMisses {
-		t.Fatalf("warm plan missed bounds: %d -> %d", coldMisses, st.BoundMisses)
-	}
-}

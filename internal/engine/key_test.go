@@ -111,7 +111,6 @@ var planKeyExcluded = map[string]string{
 	"Obs":         "instrumentation only",
 	"SolveCache":  "cache wiring; the engine installs its own",
 	"SketchCache": "cache wiring; the engine installs its own",
-	"BoundCache":  "cache wiring; the engine installs its own",
 	"OnIncumbent": "publication is observation-only",
 	"Recipe":      "replays the same bytes or falls back",
 	"Search.Rec":  "instrumentation only",

@@ -142,7 +142,7 @@ func recipeCase() (*topology.Topology, *collective.Collective) {
 
 // TestRecipeReplaySkipsTheSearch is the recipe-path twin of
 // TestWarmPlanBitIdentical: the second plan is one recipe hit and
-// touches neither the sketch, the bound nor the sub-schedule cache.
+// touches neither the sketch nor the sub-schedule cache.
 func TestRecipeReplaySkipsTheSearch(t *testing.T) {
 	top, col := recipeCase()
 	eng := New(Options{})
@@ -157,9 +157,8 @@ func TestRecipeReplaySkipsTheSearch(t *testing.T) {
 	if st.RecipeHits != 1 || st.RecipeMisses != 1 || st.RecipeStale != 0 {
 		t.Fatalf("warm plan was not one recipe hit: %+v", st)
 	}
-	if st.SketchHits != before.SketchHits || st.SketchMisses != before.SketchMisses ||
-		st.BoundHits != before.BoundHits || st.BoundMisses != before.BoundMisses {
-		t.Fatalf("replay searched or bounded: before %+v, after %+v", before, st)
+	if st.SketchHits != before.SketchHits || st.SketchMisses != before.SketchMisses {
+		t.Fatalf("replay searched: before %+v, after %+v", before, st)
 	}
 	if st.SolveHits != before.SolveHits || st.SolveMisses != before.SolveMisses {
 		t.Fatalf("replay consulted the sub-schedule cache: before %+v, after %+v", before, st)
@@ -234,16 +233,16 @@ func TestRecipeStaleFallsBack(t *testing.T) {
 		if !ok {
 			t.Fatal("no recipe stored")
 		}
-		forged := cloneRecipe(kept)
-		forged.TimeBits ^= 1
+		wrongTime := *kept
+		wrongTime.TimeBits ^= 1
 		dropRecipes(eng)
-		eng.recipes.Add(key, func() *core.Recipe { return forged })
+		eng.recipes.Add(key, func() *core.Recipe { return &wrongTime })
 		staleThenHit(t, eng)
 
-		forged = cloneRecipe(kept)
-		forged.Transfers++
+		wrongCount := *kept
+		wrongCount.Transfers++
 		dropRecipes(eng)
-		eng.recipes.Add(key, func() *core.Recipe { return forged })
+		eng.recipes.Add(key, func() *core.Recipe { return &wrongCount })
 		staleThenHit(t, eng)
 	})
 

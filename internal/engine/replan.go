@@ -172,10 +172,12 @@ func diffGroups(base, degraded *topology.Topology) (touched, total int, stale []
 	return touched, total, stale
 }
 
-// Invalidate drops every solve-cache and bound-cache entry (memory and
-// disk tier) whose cache key starts with one of the prefixes. It returns
-// the number of entries removed. Dropping entries never affects
-// correctness — caches are content-addressed — only warm-start coverage.
+// Invalidate drops every sub-schedule cache entry (memory and disk
+// tier) whose cache key starts with one of the prefixes. It returns the
+// number of entries removed. Dropping entries never affects correctness
+// — caches are content-addressed — only warm-start coverage. The sketch
+// and recipe caches are keyed by topology fingerprint, so a degraded
+// fabric never reads their healthy-fabric entries.
 func (e *Engine) Invalidate(prefixes []string) int {
 	if len(prefixes) == 0 {
 		return 0
@@ -188,7 +190,7 @@ func (e *Engine) Invalidate(prefixes []string) int {
 		}
 		return false
 	}
-	removed := e.solves.RemoveIf(stale) + e.bounds.RemoveIf(stale)
+	removed := e.solves.RemoveIf(stale)
 	if e.opts.Persist != nil {
 		removed += e.opts.Persist.InvalidateMatching(prefixes)
 	}

@@ -1,13 +1,15 @@
 // Package lru is the one bounded cache behind every cross-request store
-// in the planner: the engine's sub-schedule, flow-bound and sketch caches
-// and the serving layer's schedule store.
+// in the planner: the engine's sub-schedule, sketch and recipe caches and
+// the serving layer's schedule store.
 //
 // A Cache maps string keys to values under least-recently-used eviction,
 // sharded by key. A lookup finds its exact key or nothing: a cached value
 // is only ever served for the key it was stored under.
 //
-// The cache never copies values: callers that hand out or take in
-// mutable values clone on their side of the call (Add takes the value
+// The cache never copies values: a stored value is shared with every
+// Get. The engine's values are immutable once made, so it stores and
+// hands out pointers as they are; a caller whose value must be copied or
+// built to be kept does so on its side of the call (Add takes the value
 // as a function so that side only runs when the value is kept).
 package lru
 
@@ -128,10 +130,9 @@ func (c *Cache[V]) Miss() { c.m.Miss.Add(1) }
 // write wins: when key is already resident the stored value is kept —
 // replaying it must stay bit-identical under concurrent duplicate stores
 // — the entry is marked most recently used, and Add reports false without
-// calling mint. Duplicate stores are the common case for the engine (a
-// plan re-stores what it replayed), so a caller that must clone what it
-// stores pays for the clone only when it is kept. mint runs under the
-// shard lock.
+// calling mint. Duplicate stores are common (a plan re-stores what it
+// replayed), so a caller that must clone what it stores pays for the
+// clone only when it is kept. mint runs under the shard lock.
 func (c *Cache[V]) Add(key string, mint func() V) bool {
 	s := c.shardFor(key)
 	s.mu.Lock()

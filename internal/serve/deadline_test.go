@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"syccl/internal/cli"
+	"syccl/internal/engine"
+	"syccl/internal/solve"
 	"syccl/internal/verify"
 )
 
@@ -114,13 +117,32 @@ func TestPartialNotStored(t *testing.T) {
 	}
 }
 
-// TestCancelledClientNeverPopulatesCaches extends PR 4's cancellation
+// heldTier is a disk tier with nothing on it whose Load blocks until
+// release is closed, so a plan that reaches its sub-schedule cache stays
+// mid-pass until then. The first Load closes entered.
+type heldTier struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (h *heldTier) Load(*solve.Demand, string) *solve.SubSchedule {
+	h.once.Do(func() { close(h.entered) })
+	<-h.release
+	return nil
+}
+
+func (*heldTier) Put(*solve.Demand, string, *solve.SubSchedule) error { return nil }
+func (*heldTier) InvalidateMatching([]string) int                     { return 0 }
+
+// TestCancelledClientNeverPopulatesCaches extends the engine's cancellation
 // invariant to the HTTP layer: when the only client of a flight
 // disconnects, the flight is cancelled, nothing is stored, and the
 // engine caches stay cold — the next identical request has to solve
-// from scratch.
+// from scratch. The plan is held in its first sub-schedule lookup until
+// the server has cancelled the flight, so it cannot finish first.
 func TestCancelledClientNeverPopulatesCaches(t *testing.T) {
-	s, ts := newTestServer(t, Options{})
+	held := &heldTier{entered: make(chan struct{}), release: make(chan struct{})}
+	s, ts := newTestServer(t, Options{Engine: engine.New(engine.Options{Persist: held})})
 	body := `{"topology":"a100x16","collective":"allgather","size":"64M"}`
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -137,12 +159,26 @@ func TestCancelledClientNeverPopulatesCaches(t *testing.T) {
 		}
 		done <- err
 	}()
-	// Cancel once the engine is genuinely mid-plan.
-	waitFor(t, 30*time.Second, "plan to start", func() bool { return s.Engine().Stats().Plans >= 1 })
+	select {
+	case <-held.entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("timed out waiting for the plan to reach the sub-schedule cache")
+	}
 	cancel()
 	if err := <-done; err == nil {
 		t.Fatal("cancelled client request reported success")
 	}
+	waitFor(t, 30*time.Second, "flight cancellation", func() bool {
+		s.flights.mu.Lock()
+		defer s.flights.mu.Unlock()
+		for _, f := range s.flights.flights {
+			if f.ctx.Err() != nil {
+				return true
+			}
+		}
+		return false
+	})
+	close(held.release)
 	// Wait for the abandoned flight to unwind.
 	waitFor(t, 30*time.Second, "flight teardown", func() bool { return s.Stats().Server.Flights == 0 })
 

@@ -195,7 +195,6 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE syccl_engine_plans_total counter",
 		"# TYPE syccl_engine_cache_lookups_total counter",
 		"# TYPE syccl_solver_bounds_total counter",
-		`syccl_engine_cache_lookups_total{cache="bound",result="miss"}`,
 		`syccl_solver_bounds_total{result="pruned"}`,
 		`syccl_solver_bounds_total{result="kept"}`,
 		`syccl_solver_bounds_total{result="proved_optimal"}`,

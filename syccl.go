@@ -47,6 +47,8 @@ type (
 	// filter R1/R2 is fixed at the paper's 20 % and 8.
 	Options = core.Options
 	// Result is a synthesized schedule plus predicted time and stats.
+	// Its Combination and Recipe may be shared with an Engine's caches
+	// and with other results: read them, never write them.
 	Result = core.Result
 	// SearchOptions controls sketch exploration (§4.1 prunings).
 	SearchOptions = sketch.SearchOptions
