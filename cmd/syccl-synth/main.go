@@ -94,10 +94,6 @@ func main() {
 			res.Phases.Search.Round(time.Microsecond), res.Phases.Combine.Round(time.Microsecond),
 			res.Phases.Solve1.Round(time.Millisecond), res.Phases.Solve2.Round(time.Millisecond),
 			res.Stats.Sketches, res.Stats.Candidates, res.Stats.SolverCalls, res.Stats.CacheHits, res.Stats.CacheMisses)
-		if res.Stats.BoundsComputed > 0 || res.Stats.PrunedLB > 0 {
-			fmt.Printf("bounds: computed=%d pruned=%d proved-optimal=%t\n",
-				res.Stats.BoundsComputed, res.Stats.PrunedLB, res.Stats.ProvedOptimal)
-		}
 		if res.Bound > 0 {
 			fmt.Printf("bound: %.4gs on the forward schedule, gap %.3f\n", res.Bound, res.Time/res.Bound)
 		}

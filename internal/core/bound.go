@@ -10,15 +10,12 @@ import (
 	"syccl/internal/topology"
 )
 
-// Flow-relaxation candidate pruning: between the coarse and fine passes,
-// each surviving candidate gets a provable lower bound on the simulated
-// completion time of ANY schedule realizing its combination. Candidates
-// whose bound already reaches the incumbent's simulated coarse time can
-// at best tie it in the fine pass (fine times only count when strictly
-// better than the incumbent's), so their MILPs are never built. When the
-// incumbent itself meets its own bound and every rival is pruned, the
-// fine pass is skipped entirely — the coarse schedule is optimal under
-// the port model and the run reports ProvedOptimal.
+// The reported bound: between the coarse and fine passes, the coarse
+// incumbent gets a provable lower bound on the simulated completion time
+// of ANY schedule realizing its combination. It is reported as
+// Result.Bound, carried on the incumbent stream, and read by the
+// StopWithin gate; it never decides which candidates the fine pass
+// refines.
 //
 // The bound combines three sound ingredients:
 //
@@ -36,26 +33,9 @@ import (
 //     α+β·b hop lower-bounds the piece's last delivery. Unknown sources
 //     (original holders) contribute 0, keeping the chain conservative.
 //
-// Pruning is deterministic (the LP is): a candidate is dropped when its
-// bound reaches the incumbent's achieved time to within boundSlack, the
-// same relative tolerance the optimality proof accepts — a rival that
-// could at best tie, or win by less than floating-point rounding of the
-// bound, is not worth its MILPs. The fine-pass winner, and the final
-// schedule bytes, are therefore the same for any Workers setting. A
-// cancelled bound LP yields 0 (no bound, keep the candidate); anytime
-// semantics are unaffected.
-
-// boundSlack is the relative tolerance of both bound decisions: pruning
-// a rival and proving the incumbent optimal. A bound and a simulated
-// time that are equal in exact arithmetic can round either way by a few
-// ulps, depending on how the LP was formulated.
-const boundSlack = 1e-9
-
-// boundReaches reports whether lower bound lb reaches time t within
-// boundSlack. A missing bound (0) reaches nothing.
-func boundReaches(lb, t float64) bool {
-	return lb > 0 && lb*(1+boundSlack) >= t
-}
+// The LPs are deterministic, so the bound is the same for any Workers
+// setting. A cancelled LP yields 0 (no bound); anytime semantics are
+// unaffected.
 
 // demandTimeBounds returns, indexed by demand id, the seconds lower bound
 // of every demand the candidates' cells use: one solve.FlowTimeBound LP
@@ -77,7 +57,6 @@ func demandTimeBounds(ctx context.Context, tab *isomorph.Table, cands []*candida
 	})
 	span.SetInt("cells", int64(cells))
 	span.SetInt("distinct", int64(len(ids)))
-	span.SetInt("lps", int64(len(ids)))
 	total := 0
 	for _, n := range pivots {
 		total += n
@@ -187,45 +166,16 @@ func candidateTimeBound(top *topology.Topology, c *candidate, sec []float64) flo
 	return best
 }
 
-// pruneByBound drops every non-incumbent candidate whose flow bound
-// proves it cannot beat the incumbent's coarse simulated time, and
-// reports whether the incumbent's optimality is proved (its own bound
-// met and no rival left). keep must be sorted by ascending time with at
-// least one entry; the returned slice preserves order. The incumbent's
-// own lower bound is returned (0 when unavailable) for the StopWithin
-// gate and for incumbent-stream events.
-func pruneByBound(ctx context.Context, top *topology.Topology, tab *isomorph.Table,
-	keep []*candidate, opts Options, stats *Stats, parent *obs.Span) ([]*candidate, bool, float64) {
+// incumbentBound returns the coarse incumbent's flow lower bound, or 0
+// when none is available (an injected fixed schedule such as the ring, a
+// cancelled LP), under one solve.bound span.
+func incumbentBound(ctx context.Context, top *topology.Topology, tab *isomorph.Table,
+	inc *candidate, opts Options, parent *obs.Span) float64 {
 
 	bs := parent.Child("solve.bound")
 	defer bs.End()
-	sec := demandTimeBounds(ctx, tab, keep, opts, bs)
-	lbs := make([]float64, len(keep))
-	parallelFor(len(keep), opts.Workers, func(_, i int) {
-		lbs[i] = candidateTimeBound(top, keep[i], sec)
-	})
-	incumbent, incLB := keep[0], lbs[0]
-	kept := keep[:1:1]
-	for i, c := range keep {
-		if lbs[i] > 0 {
-			stats.BoundsComputed++
-		}
-		if i == 0 {
-			continue
-		}
-		if boundReaches(lbs[i], incumbent.time) {
-			stats.PrunedLB++
-			continue
-		}
-		kept = append(kept, c)
-	}
-	opts.Obs.Count("candidates.pruned_lb", float64(stats.PrunedLB))
-	bs.SetInt("bounds", int64(stats.BoundsComputed))
-	bs.SetInt("pruned", int64(stats.PrunedLB))
-	bs.SetFloat("incumbent-lb", incLB)
-	proved := boundReaches(incLB, incumbent.time) && len(kept) == 1
-	if proved {
-		bs.SetStr("outcome", "proved-optimal")
-	}
-	return kept, proved, incLB
+	sec := demandTimeBounds(ctx, tab, []*candidate{inc}, opts, bs)
+	lb := candidateTimeBound(top, inc, sec)
+	bs.SetFloat("incumbent-lb", lb)
+	return lb
 }

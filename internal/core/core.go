@@ -224,16 +224,12 @@ type Stats struct {
 	// accounting reads it.
 	CrossCacheHits int
 	MaxSolve       time.Duration // longest single sub-demand solve (Fig 17c)
-	// BoundsComputed counts candidate flow lower bounds evaluated
-	// between the coarse and fine passes; PrunedLB counts the candidates
-	// those bounds eliminated before any fine-pass MILP was built.
+	// BoundsComputed is 1 when the coarse incumbent's flow lower bound
+	// (Result.Bound) was computed, else 0. PrunedLB is always 0: the
+	// bound prunes no candidates; the field stays for the bench
+	// ledger's core.pruned_lb row.
 	BoundsComputed int
 	PrunedLB       int
-	// ProvedOptimal reports that the fine pass was skipped entirely:
-	// the coarse incumbent met its own flow lower bound and every rival
-	// was bound-pruned, so no schedule under the port model can do
-	// better.
-	ProvedOptimal bool
 	// StoppedEarly reports that Options.StopWithin fired: the coarse
 	// incumbent was within the configured gap of its flow lower bound,
 	// so the fine pass was skipped. The result is complete (not
@@ -258,13 +254,14 @@ type Result struct {
 	// Time is the simulator-predicted completion time in seconds.
 	Time float64
 	// Bound is the flow lower bound the pipeline computed for its coarse
-	// incumbent (the one pruning and StopWithin compare against), in
+	// incumbent (the one StopWithin compares against), in
 	// seconds: no schedule realizing that combination can run faster
 	// under the simulator. It bounds the forward schedule — the
 	// AllGather phase of an AllReduce, the one-to-all inverse of a
 	// Reduce or Gather — and is 0 when none was computed: a replay, a
 	// routed one-to-one transfer, a run that stopped before the bound
-	// pass, or a cancelled bound LP.
+	// pass, an injected incumbent with no combination (the ring), or a
+	// cancelled bound LP.
 	Bound float64
 	// Combination is the winning sketch combination (nil for mirrored
 	// or concatenated schedules where the forward combination applied).

@@ -37,14 +37,14 @@ func TestSynthesizeRecordsSpansAndCounters(t *testing.T) {
 
 	// The passes say how much of their work was repetition: cells pooled,
 	// distinct demands among them, classes solved; the bound pass, cells,
-	// distinct demands, LPs actually run and the pivots they spent.
+	// distinct demands (one LP each) and the pivots they spent.
 	for _, sp := range rec.Spans() {
 		var want []string
 		switch sp.Name {
 		case "solve.coarse", "solve.fine":
 			want = []string{"demands", "distinct", "classes"}
 		case "solve.bound":
-			want = []string{"cells", "distinct", "lps", "pivots"}
+			want = []string{"cells", "distinct", "pivots"}
 		default:
 			continue
 		}
@@ -59,7 +59,7 @@ func TestSynthesizeRecordsSpansAndCounters(t *testing.T) {
 				t.Errorf("span %q: attribute %q = %d", sp.Name, k, attrs[k])
 			}
 		}
-		if attrs[want[0]] < attrs["distinct"] || attrs["distinct"] < attrs[want[2]] {
+		if attrs[want[0]] < attrs["distinct"] || attrs["distinct"] < attrs["classes"] {
 			t.Errorf("span %q: %v does not narrow", sp.Name, attrs)
 		}
 	}
@@ -134,8 +134,8 @@ func TestNilRecorderSameResult(t *testing.T) {
 // greedy makespan, and the first horizon's time expansion is over the
 // gate: the solve counts as too large and builds no MILP (DESIGN.md,
 // "Pipelined pieces"). Over the whole cold-digest matrix the totals pin
-// the solver census: the flow bound closes 23 of the 87 exact solves the
-// postal bound leaves open, no exact solve builds a MILP, and 110
+// the solver census: the flow bound closes 29 of the 93 exact solves the
+// postal bound leaves open, no exact solve builds a MILP, and 122
 // sub-demands are over the exact engine's size gate and solved greedily.
 func TestExactSolveProofCounters(t *testing.T) {
 	for _, tc := range []struct {
@@ -168,11 +168,11 @@ func TestExactSolveProofCounters(t *testing.T) {
 			"solve.too_large":              1,
 		}},
 		{"cold digest matrix", coldDigestSpecs(), map[string]float64{
-			"solve.exact":              87,
+			"solve.exact":              93,
 			"solve.exact.bound_proved": 60,
-			"solve.exact.flow_proved":  23,
+			"solve.exact.flow_proved":  29,
 			"milp.nodes":               0,
-			"solve.too_large":          110,
+			"solve.too_large":          122,
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -111,7 +111,7 @@ func seedCounters(rec *obs.Recorder) {
 	for _, name := range []string{
 		"cache.hits", "cache.misses", "lp.pivots", "milp.nodes",
 		"sketch.nodes", "sketch.emitted", "candidates", "candidates.pruned",
-		"candidates.pruned_lb", "sim.events",
+		"sim.events",
 	} {
 		rec.Count(name, 0)
 	}
@@ -307,11 +307,12 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	}
 	opts.Obs.Count("candidates.pruned", float64(len(cands)-len(keep)))
 
-	// Flow-bound filter between the passes: drop survivors whose flow
-	// lower bound proves they cannot beat the incumbent, and detect when
-	// the incumbent's own bound proves the coarse schedule optimal. See
-	// bound.go; pruning never changes the fine-pass winner.
-	keep, proved, incLB := pruneByBound(ctx, top, tab, keep, opts, &res.Stats, parent)
+	// The coarse incumbent's flow lower bound, for the result, the
+	// incumbent stream and the StopWithin gate (bound.go).
+	incLB := incumbentBound(ctx, top, tab, keep[0], opts, parent)
+	if incLB > 0 {
+		res.Stats.BoundsComputed = 1
+	}
 	pub.setBound(incLB)
 	res.Bound = incLB
 	res.Stats.Refined = len(keep)
@@ -322,15 +323,6 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	// their coarse-pass result.
 	fineSpan := parent.Child("solve.fine")
 	fineSpan.SetInt("survivors", int64(len(keep)))
-	if proved {
-		// The incumbent met its own lower bound and every rival is
-		// pruned: no MILP can improve on the coarse schedule, so the
-		// fine pass has nothing to do.
-		fineSpan.SetStr("outcome", "proved-optimal")
-		fineSpan.End()
-		res.Stats.ProvedOptimal = true
-		return finish(cands, ctx.Err() != nil)
-	}
 	// Early termination (the StopWithin knob): the incumbent is already
 	// within the requested gap of its flow lower bound, so skip the fine
 	// pass. The check sits at this deterministic boundary — never inside

@@ -143,11 +143,10 @@ type Stats struct {
 	// SketchHits / SketchMisses count sketch cache lookups.
 	SketchHits   int64 `json:"sketch_hits"`
 	SketchMisses int64 `json:"sketch_misses"`
-	// BoundHits / BoundMisses are always 0: flow bounds are no longer
-	// cached, and the fields stay only because this JSON contract never
-	// removes one (as IsoHits). BoundsPruned and BoundsProved aggregate
-	// the candidates eliminated (and fine passes skipped) by the flow
-	// lower bound across all plans.
+	// BoundHits / BoundMisses / BoundsPruned / BoundsProved are always
+	// 0: flow bounds are not cached and prune nothing, and the fields
+	// stay only because this JSON contract never removes one (as
+	// IsoHits).
 	BoundHits    int64 `json:"bound_hits"`
 	BoundMisses  int64 `json:"bound_misses"`
 	BoundsPruned int64 `json:"bounds_pruned"`
@@ -190,10 +189,8 @@ type Engine struct {
 	persistHit, persistMiss *lru.Meter
 	recipeHit, recipeStale  *lru.Meter
 
-	plans        atomic.Int64
-	cancelled    atomic.Int64
-	boundsPruned atomic.Int64
-	boundsProved atomic.Int64
+	plans     atomic.Int64
+	cancelled atomic.Int64
 
 	replans           atomic.Int64
 	replanReused      atomic.Int64
@@ -202,7 +199,6 @@ type Engine struct {
 	// Labeled metric children, resolved once at construction so each
 	// update is a single nil-safe atomic add.
 	mPlanOK, mPlanPartial, mPlanError       *obs.Counter
-	mBoundPruned, mBoundKept, mBoundsProved *obs.Counter
 	mReplanOK, mReplanPartial, mReplanError *obs.Counter
 	mReplanReuse                            *obs.Histogram
 }
@@ -242,12 +238,6 @@ func New(opts Options) *Engine {
 	e.mPlanOK = plans.With("ok")
 	e.mPlanPartial = plans.With("partial")
 	e.mPlanError = plans.With("error")
-	boundsTotal := opts.Metrics.Counter("syccl_solver_bounds_total",
-		"Candidate flow lower bounds by outcome: pruned (candidate eliminated), kept (bound insufficient to prune), proved_optimal (fine pass skipped).",
-		"result")
-	e.mBoundPruned = boundsTotal.With("pruned")
-	e.mBoundKept = boundsTotal.With("kept")
-	e.mBoundsProved = boundsTotal.With("proved_optimal")
 	replans := opts.Metrics.Counter("syccl_replan_total",
 		"Fault-reactive replans by outcome.", "result")
 	e.mReplanOK = replans.With("ok")
@@ -336,19 +326,6 @@ func (e *Engine) Plan(ctx context.Context, top *topology.Topology, col *collecti
 		e.cancelled.Add(1)
 		e.opts.Obs.Count("engine.cancelled", 1)
 	}
-	if res != nil {
-		if pruned := int64(res.Stats.PrunedLB); pruned > 0 {
-			e.boundsPruned.Add(pruned)
-			e.mBoundPruned.Add(float64(pruned))
-		}
-		if kept := int64(res.Stats.BoundsComputed - res.Stats.PrunedLB); kept > 0 {
-			e.mBoundKept.Add(float64(kept))
-		}
-		if res.Stats.ProvedOptimal {
-			e.boundsProved.Add(1)
-			e.mBoundsProved.Inc()
-		}
-	}
 	switch {
 	case err != nil:
 		e.mPlanError.Inc()
@@ -372,8 +349,6 @@ func (e *Engine) Stats() Stats {
 		Evictions:         sv.Evictions + sk.Evictions + rc.Evictions,
 		SketchHits:        sk.Hits,
 		SketchMisses:      sk.Misses,
-		BoundsPruned:      e.boundsPruned.Load(),
-		BoundsProved:      e.boundsProved.Load(),
 		PersistHits:       e.persistHit.Load(),
 		PersistMisses:     e.persistMiss.Load(),
 		Replans:           e.replans.Load(),

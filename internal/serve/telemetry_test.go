@@ -194,10 +194,6 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE syccl_go_gc_cycles_total counter",
 		"# TYPE syccl_engine_plans_total counter",
 		"# TYPE syccl_engine_cache_lookups_total counter",
-		"# TYPE syccl_solver_bounds_total counter",
-		`syccl_solver_bounds_total{result="pruned"}`,
-		`syccl_solver_bounds_total{result="kept"}`,
-		`syccl_solver_bounds_total{result="proved_optimal"}`,
 		// Persist tier: the cold solve misses the disk tier, then writes
 		// every solved sub-demand through to it.
 		"# TYPE syccl_persist_loads_total counter",

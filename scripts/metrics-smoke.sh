@@ -90,7 +90,6 @@ for fam in \
     syccl_engine_plans_total \
     syccl_engine_cache_lookups_total \
     syccl_engine_cache_evictions_total \
-    syccl_solver_bounds_total \
     syccl_persist_loads_total \
     syccl_persist_stores_total \
     syccl_persist_corrupt_total \
