@@ -14,7 +14,10 @@ import (
 )
 
 // postStream POSTs a streaming synthesis request and parses every NDJSON
-// line through the strict decoder.
+// line through the strict decoder. A request that fails before anything
+// was streamed keeps its real status and a plain JSON error body, which
+// is no stream: it comes back with no events, for the caller's status
+// check.
 func postStream(t *testing.T, url, body string) (*http.Response, []*StreamEvent) {
 	t.Helper()
 	resp, err := http.Post(url+"/v1/synthesize", "application/json", strings.NewReader(body))
@@ -22,6 +25,9 @@ func postStream(t *testing.T, url, body string) (*http.Response, []*StreamEvent)
 		t.Fatalf("POST: %v", err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return resp, nil
+	}
 	var events []*StreamEvent
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
@@ -192,6 +198,11 @@ func TestStreamDeadlinePartialFinal(t *testing.T) {
 		_, ts := newTestServer(t, Options{})
 		resp, events := postStream(t, ts.URL,
 			fmt.Sprintf(`{%s,"stream":true,"include_schedule":true,"timeout_ms":%d}`, workload, budget))
+		if resp.StatusCode == http.StatusGatewayTimeout {
+			// Deadline fired before the first incumbent, so nothing was
+			// streamed and the 504 stands; larger budget.
+			continue
+		}
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("stream status %d", resp.StatusCode)
 		}
