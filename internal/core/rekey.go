@@ -1,8 +1,7 @@
 package core
 
 import (
-	"cmp"
-	"slices"
+	"math"
 
 	"syccl/internal/schedule"
 	"syccl/internal/sim"
@@ -72,36 +71,7 @@ func readyOrder(top *topology.Topology, fwd, out *schedule.Schedule, t float64, 
 // transfers in the order their old (Order, index) keys already do: the
 // simulation, which orders transfers only per port, would not change.
 func readyRanks(top *topology.Topology, ts []schedule.Transfer, finishAt []float64, split int) []int32 {
-	// Sorting flat keys, not indices into ts, keeps the comparisons in
-	// cache on the 512-GPU schedules.
-	type key struct {
-		ready float64
-		order int
-		i     int32
-	}
-	keys := make([]key, len(ts))
-	for i := range ts {
-		k := key{order: ts[i].Order, i: int32(i)}
-		for _, d := range ts[i].Deps {
-			k.ready = max(k.ready, finishAt[d])
-		}
-		keys[i] = k
-	}
-	byReady := func(a, b key) int {
-		if c := cmp.Compare(a.ready, b.ready); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.order, b.order); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.i, b.i)
-	}
-	slices.SortFunc(keys[:split], byReady)
-	slices.SortFunc(keys[split:], byReady)
-	seq := make([]int32, len(keys))
-	for k := range keys {
-		seq[k] = keys[k].i
-	}
+	seq := readySeq(ts, finishAt, split)
 	if keepsPortOrder(top, ts, seq) {
 		return nil
 	}
@@ -113,6 +83,47 @@ func readyRanks(top *topology.Topology, ts []schedule.Transfer, finishAt []float
 		ranks[i] = int32(k)
 	}
 	return ranks
+}
+
+// readySeq lists the transfers below split, then the rest, each part in
+// (ready time, Order, index) order.
+func readySeq(ts []schedule.Transfer, finishAt []float64, split int) []int32 {
+	ready := make([]float64, len(ts))
+	for i := range ts {
+		for _, d := range ts[i].Deps {
+			ready[i] = max(ready[i], finishAt[d])
+		}
+	}
+	seq := make([]int32, len(ts))
+	keys, tmp := make([]uint64, len(ts)), make([]uint64, len(ts))
+	sortReady(ts, ready, 0, split, seq, keys, tmp)
+	sortReady(ts, ready, split, len(ts), seq, keys, tmp)
+	return seq
+}
+
+// sortReady writes transfers lo…hi−1 into seq[lo:hi] in (ready, Order,
+// index) order: sorted by (Order, index) (sim.SortByOrder), then stably
+// by the low and by the high half of the ready times' IEEE bits, which
+// order non-negative numbers as they compare — two radix sorts of keys
+// packing a half above the position (sim.SortPacked).
+func sortReady(ts []schedule.Transfer, ready []float64, lo, hi int, seq []int32, keys, tmp []uint64) {
+	seq, keys = seq[lo:hi], keys[:hi-lo]
+	sim.SortByOrder(ts[lo:hi], seq, keys, tmp)
+	for p := range seq {
+		seq[p] += int32(lo)
+	}
+	for _, shift := range [2]int{0, 32} {
+		for p, i := range seq {
+			keys[p] = uint64(uint32(math.Float64bits(ready[i])>>shift))<<32 | uint64(p)
+		}
+		sorted := sim.SortPacked(keys, tmp)
+		for q, k := range sorted {
+			sorted[q] = uint64(seq[uint32(k)])
+		}
+		for q, i := range sorted {
+			seq[q] = int32(i)
+		}
+	}
 }
 
 // keepsPortOrder reports whether serving the transfers in seq keeps every

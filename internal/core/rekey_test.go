@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -219,6 +221,93 @@ func TestReplayOfRekeyedWinner(t *testing.T) {
 		}
 		if sims != 1 {
 			t.Errorf("%s: the replay ran %d simulations, want 1 (%d before)", spec, sims, parentSims)
+		}
+	}
+}
+
+// readySeqReference is readySeq as one comparison sort per phase of
+// (ready time, Order, index) keys: readyRanks' ranking before its radix
+// sorts, kept as their oracle.
+func readySeqReference(ts []schedule.Transfer, finishAt []float64, split int) []int32 {
+	type key struct {
+		ready float64
+		order int
+		i     int32
+	}
+	keys := make([]key, len(ts))
+	for i := range ts {
+		keys[i] = key{order: ts[i].Order, i: int32(i)}
+		for _, d := range ts[i].Deps {
+			keys[i].ready = max(keys[i].ready, finishAt[d])
+		}
+	}
+	byReady := func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.ready, b.ready), cmp.Compare(a.order, b.order), cmp.Compare(a.i, b.i))
+	}
+	slices.SortFunc(keys[:split], byReady)
+	slices.SortFunc(keys[split:], byReady)
+	seq := make([]int32, len(keys))
+	for k := range keys {
+		seq[k] = keys[k].i
+	}
+	return seq
+}
+
+// TestReadySeqMatchesReference holds the radix ranking to the comparison
+// sort, position for position (so readyRanks' ranks are the same rank
+// for rank): on random transfer lists with tied and zero ready times,
+// duplicate and negative Orders, Order spans past 2³¹ and 2³² (the
+// comparison fallback), splits anywhere, and n from 0 up; and on real
+// winners, an AllReduce's split between its phases included.
+func TestReadySeqMatchesReference(t *testing.T) {
+	check := func(name string, ts []schedule.Transfer, finishAt []float64, split int) {
+		t.Helper()
+		if got, want := readySeq(ts, finishAt, split), readySeqReference(ts, finishAt, split); !slices.Equal(got, want) {
+			t.Fatalf("%s (%d transfers, split %d): radix order %v, comparison order %v", name, len(ts), split, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	levels := []float64{0, 1e-6, 2.5e-6, 3e-5, math.Nextafter(3e-5, 1), 0.75, math.SmallestNonzeroFloat64, 1e300}
+	spans := []int{1, 4, 300, 1 << 31, 1 << 32, math.MaxInt}
+	for iter := 0; iter < 2000; iter++ {
+		n := iter % 7
+		if iter >= 100 {
+			n = rng.Intn(400)
+		}
+		span := spans[iter%len(spans)]
+		base := rng.Intn(11) - 5
+		ts := make([]schedule.Transfer, n)
+		finishAt := make([]float64, n)
+		for i := range ts {
+			ts[i].Order = base + rng.Intn(span)
+			if span == math.MaxInt && rng.Intn(2) == 0 {
+				ts[i].Order = math.MinInt + rng.Intn(3)
+			}
+			for k := rng.Intn(4); k > 0; k-- {
+				ts[i].Deps = append(ts[i].Deps, rng.Intn(n))
+			}
+			finishAt[i] = levels[rng.Intn(len(levels))]
+			if rng.Intn(3) == 0 {
+				finishAt[i] = rng.Float64() * 1e-3
+			}
+		}
+		split := 0
+		if iter%2 == 1 {
+			split = rng.Intn(n + 1)
+		}
+		check("random", ts, finishAt, split)
+	}
+	for _, spec := range []string{"h800small:allreduce:1M", "h800x64:alltoall:64M", "a100x16:gather:64M"} {
+		top, col := digestCase(t, spec)
+		so := sim.DefaultOptions()
+		fwd, out, _, fin := assembledWinner(t, top, col, synth(t, top, col, Options{}), so)
+		r, err := sim.Simulate(top, out, so)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(spec, out.Transfers, r.FinishAt, 0)
+		if fin.twoPhase {
+			check(spec, out.Transfers, r.FinishAt, len(fwd.Transfers))
 		}
 	}
 }

@@ -137,6 +137,14 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 		// Stale recipe: the full pass below returns the same bytes and
 		// records a fresh one.
 	}
+	// With workers to spare, the injected ring is built and timed beside
+	// the search; every return below waits for it, so none leaves it
+	// running.
+	var ring chan ringResult
+	if col.Kind == collective.KindAllGather && opts.Workers > 1 {
+		ring = startRing(top, col, opts.Sim)
+		defer joinRing(&ring)
+	}
 	res := &Result{}
 	// Every pass builds its candidates into the workers' buffers.
 	bufs := newBuildBuffers(opts.Workers)
@@ -269,12 +277,18 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	// |V|−1 stages) that the stage-bounded search cannot reach; include
 	// it as an explicit candidate so deep-pipeline schedules stay in
 	// contention where they win (large sizes on ring-friendly fabrics).
+	// It joins the candidates here, after the coarse pass's, however
+	// early it was ready.
 	if col.Kind == collective.KindAllGather {
-		if ring, err := nccl.AllGather(top, col); err == nil {
-			if t, err := sim.Time(top, ring, opts.Sim); err == nil {
-				pub.offer(ring, t, "ring", "", nil)
-				cands = append(cands, &candidate{fixed: ring, time: t, source: "ring"})
-			}
+		var r ringResult
+		if ring != nil {
+			r = joinRing(&ring)
+		} else {
+			r = buildRing(top, col, opts.Sim)
+		}
+		if r.sched != nil {
+			pub.offer(r.sched, r.time, "ring", "", nil)
+			cands = append(cands, &candidate{fixed: r.sched, time: r.time, source: "ring"})
 		}
 	}
 	res.Phases.Solve1 = time.Since(t0)
@@ -355,6 +369,46 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	res.Phases.Solve2 = time.Since(t0)
 	fineSpan.End()
 	return out, err
+}
+
+// ringResult is the injected NCCL ring and its simulated time; sched is
+// nil when the ring cannot be built or simulated on the fabric.
+type ringResult struct {
+	sched *schedule.Schedule
+	time  float64
+}
+
+// buildRing builds the NCCL ring AllGather and times it.
+func buildRing(top *topology.Topology, col *collective.Collective, so sim.Options) ringResult {
+	ring, err := nccl.AllGather(top, col)
+	if err != nil {
+		return ringResult{}
+	}
+	t, err := sim.Time(top, ring, so)
+	if err != nil {
+		return ringResult{}
+	}
+	return ringResult{ring, t}
+}
+
+// startRing runs buildRing on its own goroutine and returns the channel
+// its result arrives on. Its arguments are values of its own, so nothing
+// of the caller's frame moves to the heap for it.
+func startRing(top *topology.Topology, col *collective.Collective, so sim.Options) chan ringResult {
+	ch := make(chan ringResult, 1)
+	go func() { ch <- buildRing(top, col, so) }()
+	return ch
+}
+
+// joinRing waits for a started ring and returns it, once: it clears
+// *ring, so a second call (the deferred one) returns at once.
+func joinRing(ring *chan ringResult) ringResult {
+	if *ring == nil {
+		return ringResult{}
+	}
+	r := <-*ring
+	*ring = nil
+	return r
 }
 
 // pickWinner selects the pipeline's result by caller-visible time: the

@@ -677,17 +677,16 @@ func Equal(a, b *solve.Demand) bool {
 // for concurrent use.
 type Table struct {
 	demands []*solve.Demand
-	byExact map[string][]int    // ExactKey → ids (several when %.9g rounds unequal sizes together)
+	byHash  map[uint64][]int    // contentHash → ids (several only when unequal demands collide)
 	keys    []string            // Key per id, rendered on first use
 	colors  [][]string          // gpuColors per id, computed on first use; grown by colorsOf
 	found   map[[2]int]*Mapping // FindFullMapping per (representative, member) id pair; nil = not isomorphic
 	search  *mappingSearch      // the mapping searches' scratch, made by the first
-	buf     []byte
 }
 
 // NewTable returns an empty table.
 func NewTable() *Table {
-	t := &Table{byExact: map[string][]int{}, found: map[[2]int]*Mapping{}}
+	t := &Table{byHash: map[uint64][]int{}, found: map[[2]int]*Mapping{}}
 	if testHookNewTable != nil {
 		testHookNewTable(t)
 	}
@@ -712,19 +711,57 @@ func (t *Table) add(d *solve.Demand) int {
 }
 
 // Intern returns the id of the first demand equal to d, adding d when
-// there is none. The exact key only buckets: it prints floats at %.9g, so
-// Equal has the last word.
+// there is none. The content hash only buckets, so Equal has the last
+// word.
 func (t *Table) Intern(d *solve.Demand) int {
-	t.buf = appendExactKey(t.buf[:0], d)
-	ids := t.byExact[string(t.buf)]
+	return t.intern(d, contentHash(d))
+}
+
+// intern is Intern with d's bucket given.
+func (t *Table) intern(d *solve.Demand, h uint64) int {
+	ids := t.byHash[h]
 	for _, id := range ids {
 		if Equal(t.demands[id], d) {
 			return id
 		}
 	}
 	id := t.add(d)
-	t.byExact[string(t.buf)] = append(ids, id)
+	t.byHash[h] = append(ids, id)
 	return id
+}
+
+// contentHash hashes exactly what Equal compares: the GPU count, the raw
+// bits of α, β and each piece's size, with −0 read as +0 (Equal finds them
+// equal), and each piece's source and destination counts and lists. Equal
+// demands hash alike; unequal ones rarely do.
+func contentHash(d *solve.Demand) uint64 {
+	h := mix(mix(mix(mix(0, uint64(d.NumGPUs)), floatBits(d.Alpha)), floatBits(d.Beta)), uint64(len(d.Pieces)))
+	for i := range d.Pieces {
+		p := &d.Pieces[i]
+		h = mix(mix(h, floatBits(p.Bytes)), uint64(len(p.Srcs)))
+		for _, g := range p.Srcs {
+			h = mix(h, uint64(g))
+		}
+		h = mix(h, uint64(len(p.Dsts)))
+		for _, g := range p.Dsts {
+			h = mix(h, uint64(g))
+		}
+	}
+	return h
+}
+
+// mix folds v into the running hash h.
+func mix(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9e3779b97f4a7c15
+	return h ^ h>>29
+}
+
+// floatBits is v's IEEE bits with −0 folded into +0.
+func floatBits(v float64) uint64 {
+	if v == 0 {
+		return 0
+	}
+	return math.Float64bits(v)
 }
 
 // Classes partitions the listed demands into isomorphism classes. ids is

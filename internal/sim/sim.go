@@ -17,9 +17,10 @@
 // Transfers sharing a port are served FIFO in schedule order (Order field,
 // then index), matching the paper's "previous events on the link have been
 // completed" rule; dependency readiness gates each event. The serving
-// order is one sort of (Order, index) keys for schedules whose
-// dependencies all rank earlier, as the pipeline's do, so evaluation is
-// linear in events after it; other schedules take Kahn's algorithm.
+// order is one radix sort of (Order, index) keys for schedules whose
+// dependencies all rank earlier, as the pipeline's do — one counting pass
+// per byte in which the Orders differ, so evaluation is linear in
+// transfers and events; other schedules take Kahn's algorithm.
 //
 // Simulate returns per-transfer and per-port detail; Time runs the same
 // simulation for the completion time alone, which is all candidate
@@ -167,10 +168,11 @@ func run(ctx context.Context, top *topology.Topology, s *schedule.Schedule, opts
 // scratch is a simulation's working memory: transfer i's block slots
 // first[i]:first[i+1], the block finish times, the serving-order sort
 // keys and order, and the port clocks (egress, then ingress, one per GPU
-// and port class). Simulations take one from scratchPool and put it back,
-// so its arrays only ever grow.
+// and port class). first is filled only once the serving order is known;
+// until then it is the sort's second buffer. Simulations take one from
+// scratchPool and put it back, so its arrays only ever grow.
 type scratch struct {
-	first       []int
+	first       []uint64
 	blockFinish []float64
 	keys        []uint64
 	seq         []int32
@@ -227,20 +229,19 @@ func simulate(ctx context.Context, top *topology.Topology, s *schedule.Schedule,
 		}
 		return nb
 	}
-	first := sized(sc.first, len(s.Transfers)+1)
-	first[0] = 0
-	for i := range s.Transfers {
-		first[i+1] = first[i] + blocksOf(s.Pieces[s.Transfers[i].Piece].Bytes)
-	}
-	blockFinish := sized(sc.blockFinish, first[len(s.Transfers)])
-	sc.first, sc.blockFinish = first, blockFinish
-
 	// Process transfers in priority order: a topological order refined by
 	// Order. Ties on shared ports resolve FIFO in this sequence.
 	seq, err := servingOrder(s.Transfers, sc)
 	if err != nil {
 		return Result{}, err
 	}
+	first := sized(sc.first, len(s.Transfers)+1)
+	first[0] = 0
+	for i := range s.Transfers {
+		first[i+1] = first[i] + uint64(blocksOf(s.Pieces[s.Transfers[i].Piece].Bytes))
+	}
+	blockFinish := sized(sc.blockFinish, int(first[len(s.Transfers)]))
+	sc.first, sc.blockFinish = first, blockFinish
 
 	// Ports are per physical class, not per dimension: all network tiers
 	// share each GPU's NIC, so leaf- and spine-dimension transfers from
@@ -358,30 +359,39 @@ func servingOrder(ts []schedule.Transfer, sc *scratch) ([]int32, error) {
 }
 
 // sortByOrder returns the transfer indices sorted by (Order, index), in
-// sc.seq. Keys pack Order (relative to the smallest) above the index, so
-// the sort compares integers; Orders spanning 2³² or more fall back to
-// comparing the fields.
+// sc.seq. SortByOrder borrows sc.first, not yet filled, as its second
+// buffer.
 func sortByOrder(ts []schedule.Transfer, sc *scratch) []int32 {
-	out := sized(sc.seq, len(ts))
-	sc.seq = out
+	sc.seq = sized(sc.seq, len(ts))
+	sc.keys = sized(sc.keys, len(ts))
+	sc.first = sized(sc.first, len(ts)+1)
+	SortByOrder(ts, sc.seq, sc.keys, sc.first)
+	return sc.seq
+}
+
+// SortByOrder writes into out the indices of ts sorted by (Order, index);
+// keys and tmp are its working memory, and all three must be at least as
+// long as ts. Keys pack Order (relative to the smallest) above the index,
+// which already ascends, so SortPacked sorts them by Order alone. Orders
+// spanning 2³² or more fall back to comparing the fields.
+func SortByOrder(ts []schedule.Transfer, out []int32, keys, tmp []uint64) {
 	if len(ts) == 0 {
-		return out
+		return
 	}
+	out = out[:len(ts)]
 	lo, hi := ts[0].Order, ts[0].Order
 	for i := range ts {
 		lo, hi = min(lo, ts[i].Order), max(hi, ts[i].Order)
 	}
 	if uint64(hi)-uint64(lo) < 1<<32 {
-		keys := sized(sc.keys, len(ts))
-		sc.keys = keys
+		keys = keys[:len(ts)]
 		for i := range ts {
 			keys[i] = (uint64(ts[i].Order)-uint64(lo))<<32 | uint64(i)
 		}
-		slices.Sort(keys)
-		for r, k := range keys {
+		for r, k := range SortPacked(keys, tmp) {
 			out[r] = int32(uint32(k))
 		}
-		return out
+		return
 	}
 	for i := range out {
 		out[i] = int32(i)
@@ -392,7 +402,47 @@ func sortByOrder(ts []schedule.Transfer, sc *scratch) []int32 {
 		}
 		return cmp.Compare(a, b)
 	})
-	return out
+}
+
+// SortPacked sorts keys stably by their high 32 bits and returns them
+// sorted, in keys or in tmp, whichever the last pass wrote; tmp must be
+// at least as long as keys, and both are overwritten. A key packs a sort
+// key above a 32-bit payload: when the payloads ascend in input order, as
+// an index does, the result is sorted by the whole key. It is an LSD
+// radix sort with one counting pass per byte of the high half in which
+// the keys differ, so high halves all below 2⁸ take one pass, and equal
+// ones none.
+func SortPacked(keys, tmp []uint64) []uint64 {
+	if len(keys) < 2 {
+		return keys
+	}
+	tmp = tmp[:len(keys)]
+	var differ uint64
+	for _, k := range keys {
+		differ |= k ^ keys[0]
+	}
+	var at [256]int
+	for shift := 32; shift < 64; shift += 8 {
+		if byte(differ>>shift) == 0 {
+			continue
+		}
+		clear(at[:])
+		for _, k := range keys {
+			at[byte(k>>shift)]++
+		}
+		sum := 0
+		for b, c := range at {
+			at[b] = sum
+			sum += c
+		}
+		for _, k := range keys {
+			b := byte(k >> shift)
+			tmp[at[b]] = k
+			at[b]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
 }
 
 // kahn is servingOrder for schedules whose dependencies do not all rank

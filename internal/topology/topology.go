@@ -24,7 +24,7 @@ package topology
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 )
 
@@ -333,25 +333,34 @@ func (t *Topology) BandwidthShare(d int) float64 {
 // the rendering stays canonical while a degraded topology can never
 // alias its healthy twin in the engine/persist key space.
 func (t *Topology) Fingerprint() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "n%d", t.NumGPUs())
+	// Every preset up to 64 GPUs fits the buffer, which stays on the
+	// stack: one allocation, the string's.
+	b := strconv.AppendInt(append(make([]byte, 0, 512), 'n'), int64(t.NumGPUs()), 10)
 	for _, d := range t.Dims {
-		fmt.Fprintf(&sb, ";d(a%.9g,b%.9g,c%d", d.Alpha, d.Beta, d.PortClass)
+		b = appendG9(append(b, ";d(a"...), d.Alpha)
+		b = appendG9(append(b, ",b"...), d.Beta)
+		b = strconv.AppendInt(append(b, ",c"...), int64(d.PortClass), 10)
 		for g, grp := range d.Groups {
-			sb.WriteString(",g")
+			b = append(b, ",g"...)
 			for i, gpu := range grp {
 				if i > 0 {
-					sb.WriteByte('.')
+					b = append(b, '.')
 				}
-				fmt.Fprintf(&sb, "%d", gpu)
+				b = strconv.AppendInt(b, int64(gpu), 10)
 			}
-			if a, b := d.AlphaOf(g), d.BetaOf(g); a != d.Alpha || b != d.Beta {
-				fmt.Fprintf(&sb, "@a%.9g@b%.9g", a, b)
+			if a, be := d.AlphaOf(g), d.BetaOf(g); a != d.Alpha || be != d.Beta {
+				b = appendG9(append(b, "@a"...), a)
+				b = appendG9(append(b, "@b"...), be)
 			}
 		}
-		sb.WriteByte(')')
+		b = append(b, ')')
 	}
-	return sb.String()
+	return string(b)
+}
+
+// appendG9 renders v as fmt's %.9g does.
+func appendG9(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, v, 'g', 9, 64)
 }
 
 // String summarizes the topology.

@@ -66,6 +66,7 @@ go test ./internal/lp/ -run='^$' -fuzz='^FuzzLPOracle$' -fuzztime="$FUZZTIME"
 go test ./internal/persist/ -run='^$' -fuzz='^FuzzPersistDecode$' -fuzztime="$FUZZTIME"
 go test ./internal/lru/ -run='^$' -fuzz='^FuzzLRUModel$' -fuzztime="$FUZZTIME"
 go test ./internal/schedule/ -run='^$' -fuzz='^FuzzValidateEquivalence$' -fuzztime="$FUZZTIME"
+go test ./internal/sim/ -run='^$' -fuzz='^FuzzServingOrder$' -fuzztime="$FUZZTIME"
 go test ./internal/core/ -run='^$' -fuzz='^FuzzAssemblyEquivalence$' -fuzztime="$FUZZTIME"
 go test ./internal/core/ -run='^$' -fuzz='^FuzzSynthesizeContract$' -fuzztime="$FUZZTIME"
 go test ./internal/verify/ -run='^$' -fuzz='^FuzzBaselineOracle$' -fuzztime="$FUZZTIME"
