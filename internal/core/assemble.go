@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"syccl/internal/collective"
 	"syccl/internal/schedule"
@@ -54,19 +53,20 @@ type cellDemand struct {
 // Two passes over the combination, one to check and count and one to
 // fill, keep everything flat: cells are found by (stage, dim, group) slot,
 // local indices by per-dimension position tables, and the pieces, cells
-// and demand pieces are cut from presized backing arrays.
-func newAssembly(top *topology.Topology, col *collective.Collective, combo *sketch.Combination) (*assembly, error) {
+// and demand pieces are cut from sl's slabs (nil: new memory), where they
+// live until the slabs are rewound.
+func newAssembly(sl *assemblySlab, top *topology.Topology, col *collective.Collective, combo *sketch.Combination) (*assembly, error) {
 	if len(combo.Fracs) != len(combo.Sketches) {
 		return nil, fmt.Errorf("core: %d fractions for %d sketches", len(combo.Fracs), len(combo.Sketches))
 	}
-	n, dims := top.NumGPUs(), top.NumDims()
-	// Cell slots run over (stage, dim, group) in ascending key order:
-	// stage*groups + groupBase[dim] + group.
-	groupBase := make([]int, dims+1)
-	for d := 0; d < dims; d++ {
-		groupBase[d+1] = groupBase[d] + len(top.Dim(d).Groups)
+	if sl == nil {
+		sl = new(assemblySlab)
 	}
-	groups := groupBase[dims]
+	n, dims := top.NumGPUs(), top.NumDims()
+	groups := 0
+	for d := 0; d < dims; d++ {
+		groups += len(top.Dim(d).Groups)
+	}
 	stages := 0
 	for j, sk := range combo.Sketches {
 		if combo.Fracs[j] > 0 {
@@ -74,17 +74,24 @@ func newAssembly(top *topology.Topology, col *collective.Collective, combo *sket
 		}
 	}
 	// One int32 scratch array holds:
+	//   - groupBase[d], the first cell slot of dimension d: cell slots run
+	//     over (stage, dim, group) in ascending key order, stage*groups +
+	//     groupBase[dim] + group;
 	//   - pos[d*n+g], GPU g's local index in its group of dimension d;
 	//   - chunkBySrc[g], 1 + the chunk sourced at g (0: none);
 	//   - holder[v] and pieceOf[v], the GPU holding a scatter sketch's
 	//     piece for final destination v so far, and that piece;
 	//   - slot[s], 1 + the demand pieces of cell slot s in the first pass
 	//     (0: no cell), 1 + the cell's index in the second.
-	scratch := make([]int32, dims*n+3*n+stages*groups)
+	scratch := zeroed(&sl.scratch, dims+dims*n+3*n+stages*groups)
+	groupBase, scratch := scratch[:dims], scratch[dims:]
 	pos, scratch := scratch[:dims*n], scratch[dims*n:]
 	chunkBySrc, scratch := scratch[:n], scratch[n:]
 	holder, scratch := scratch[:n], scratch[n:]
 	pieceOf, slot := scratch[:n], scratch[n:]
+	for d := 1; d < dims; d++ {
+		groupBase[d] = groupBase[d-1] + int32(len(top.Dim(d-1).Groups))
+	}
 	for d := 0; d < dims; d++ {
 		for _, grp := range top.Dim(d).Groups {
 			for i, g := range grp {
@@ -114,12 +121,12 @@ func newAssembly(top *topology.Topology, col *collective.Collective, combo *sket
 				}
 			}
 		}
-		return k*groups + groupBase[sd.Dim] + sd.Group, nil
+		return k*groups + int(groupBase[sd.Dim]) + sd.Group, nil
 	}
 
 	// First pass: check every sub-demand and scatter tree, and count the
 	// schedule pieces, each cell's demand pieces and their GPU indices.
-	var tree sketch.ScatterTree
+	tree := &sl.tree
 	numPieces, numDemand, numInts := 0, 0, 0
 	for j, sk := range combo.Sketches {
 		if combo.Fracs[j] <= 0 {
@@ -161,8 +168,8 @@ func newAssembly(top *topology.Topology, col *collective.Collective, combo *sket
 
 	a := &assembly{
 		numGPUs: n,
-		pieces:  make([]schedule.Piece, 0, numPieces),
-		origin:  make([]int, 0, numPieces),
+		pieces:  sl.pieces.cut(numPieces)[:0],
+		origin:  sl.ints.cut(numPieces)[:0],
 	}
 	numCells := 0
 	for _, v := range slot {
@@ -170,16 +177,16 @@ func newAssembly(top *topology.Topology, col *collective.Collective, combo *sket
 			numCells++
 		}
 	}
-	cells := make([]cellDemand, numCells)
-	demands := make([]solve.Demand, numCells)
-	demandPieces := make([]solve.Piece, numDemand)
-	a.cells = make([]*cellDemand, numCells)
+	cells := sl.cells.cut(numCells)
+	demands := sl.demands.cut(numCells)
+	demandPieces := sl.demandPieces.cut(numDemand)
+	a.cells = sl.cellRefs.cut(numCells)
 	ci := 0
 	for k := 0; k < stages; k++ {
 		for d := 0; d < dims; d++ {
 			dim := top.Dim(d)
 			for g, gpus := range dim.Groups {
-				s := k*groups + groupBase[d] + g
+				s := k*groups + int(groupBase[d]) + g
 				if slot[s] == 0 {
 					continue
 				}
@@ -197,8 +204,8 @@ func newAssembly(top *topology.Topology, col *collective.Collective, combo *sket
 
 	// Second pass: fill. Pieces' chunk lists and demand pieces' GPU lists
 	// are cut, without spare capacity, from one array each.
-	chunkIDs := make([]int, 0, numPieces)
-	ints := make([]int, numInts)
+	chunkIDs := sl.ints.cut(numPieces)[:0]
+	ints := sl.ints.cut(numInts)
 	cut := func(m int) []int {
 		if m == 0 {
 			return nil
@@ -215,7 +222,7 @@ func newAssembly(top *topology.Topology, col *collective.Collective, combo *sket
 		return len(a.pieces) - 1
 	}
 	cellOf := func(k int, sd *sketch.SubDemand) *cellDemand {
-		return a.cells[slot[k*groups+groupBase[sd.Dim]+sd.Group]-1]
+		return a.cells[slot[k*groups+int(groupBase[sd.Dim])+sd.Group]-1]
 	}
 	for j, sk := range combo.Sketches {
 		frac := combo.Fracs[j]
@@ -249,7 +256,7 @@ func newAssembly(top *topology.Topology, col *collective.Collective, combo *sket
 		// Scatter sketch: walk stages tracking each final destination's
 		// current holder along the canonical tree.
 		if chunkBySrcDst == nil {
-			chunkBySrcDst = make([]int32, n*n)
+			chunkBySrcDst = zeroed(&sl.chunkPairs, n*n)
 			for _, ch := range col.Chunks {
 				for _, d := range ch.Dsts {
 					chunkBySrcDst[ch.Src*n+d] = int32(ch.ID + 1)
@@ -309,18 +316,14 @@ var flatDeliverySlots = 3
 // the other collectives have about as many slots as transfers and stay
 // flat.
 //
-// Tables are recycled, through a build buffer or deliveryTables, all
-// zeros: their user forgets every slot it recorded and then resets the
-// table, so a flat table gets back what it wrote, not the whole table,
-// and a hashed one, O(deliveries) already, is zeroed whole.
+// Tables are kept in a workspace, all zeros, from one use to the next:
+// their user forgets every slot it recorded and then resets the table, so
+// a flat table gets back what it wrote, not the whole table, and a hashed
+// one, O(deliveries) already, is zeroed whole.
 type deliveries struct {
-	table  []int32
-	mask   int // a hashed table's entries - 1; -1 for a flat one
-	pooled *[]int32
+	table []int32
+	mask  int // a hashed table's entries - 1; -1 for a flat one
 }
-
-// deliveryTables holds released tables, all zeros.
-var deliveryTables sync.Pool
 
 // deliveryForm sizes the index of slots slots and at most transfers
 // deliveries: the words of its table, and the mask of a hashed one (-1:
@@ -336,21 +339,15 @@ func deliveryForm(slots, transfers int) (words, mask int) {
 	return 3 * entries, entries - 1
 }
 
-func newDeliveries(slots, transfers int) deliveries {
+// deliveriesIn is the index of slots slots and at most transfers
+// deliveries in *table, all zeros, which it replaces by a new one when it
+// is too small.
+func deliveriesIn(table *[]int32, slots, transfers int) deliveries {
 	words, mask := deliveryForm(slots, transfers)
-	p := deliveryTable(words)
-	return deliveries{table: (*p)[:words], mask: mask, pooled: p}
-}
-
-// deliveryTable returns a table of all zeros with room for words words,
-// from deliveryTables when the one there is large enough.
-func deliveryTable(words int) *[]int32 {
-	p, _ := deliveryTables.Get().(*[]int32)
-	if p == nil || cap(*p) < words {
-		table := make([]int32, words)
-		p = &table
+	if cap(*table) < words {
+		*table = make([]int32, words)
 	}
-	return p
+	return deliveries{table: (*table)[:words], mask: mask}
 }
 
 // entry returns a hashed table's entry of slot — the one holding it, or
@@ -400,13 +397,6 @@ func (d deliveries) reset() {
 	}
 }
 
-// release resets the table, every recorded slot forgotten, and hands it
-// back for reuse.
-func (d deliveries) release() {
-	d.reset()
-	deliveryTables.Put(d.pooled)
-}
-
 // inStartArriveOrder reports whether transfers are sorted by (Start,
 // Arrive), the order assembly.build processes them in.
 func inStartArriveOrder(transfers []solve.Transfer) bool {
@@ -421,52 +411,16 @@ func inStartArriveOrder(transfers []solve.Transfer) bool {
 
 // buildBuffer is the memory assembly.build writes a schedule into: the
 // schedule, whose Pieces and Transfers arrays it reuses, the array the
-// transfers' dependency lists are cut from, and the delivery table.
-// A worker that times every candidate of a pass builds each one into its
-// own buffer and allocates again only when a candidate outgrows it; a
-// schedule that leaves the pipeline is built into a new buffer. What a
-// build returns lives in the buffer until the next build into it. The
-// buffer holds its delivery table until release.
+// pieces' chunk lists and the transfers' dependency lists are cut from,
+// and the delivery table, all zeros between builds. A worker that times
+// every candidate of a pass builds each one into its workspace buffer and
+// allocates again only when a candidate outgrows it; a schedule that
+// leaves the pipeline is built into a new buffer (workspace.buildNew).
+// What a build returns lives in the buffer until the next build into it.
 type buildBuffer struct {
 	sched schedule.Schedule
-	deps  []int
-	table *[]int32
-}
-
-// deliveries is newDeliveries on the buffer's table.
-func (b *buildBuffer) deliveries(slots, transfers int) deliveries {
-	words, mask := deliveryForm(slots, transfers)
-	if b.table == nil || cap(*b.table) < words {
-		p := deliveryTable(words)
-		b.release()
-		b.table = p
-	}
-	return deliveries{table: (*b.table)[:words], mask: mask}
-}
-
-// release hands the buffer's delivery table, every slot forgotten, to
-// deliveryTables.
-func (b *buildBuffer) release() {
-	if b.table != nil {
-		deliveryTables.Put(b.table)
-		b.table = nil
-	}
-}
-
-// buildBuffers holds one buildBuffer per worker. The passes of one
-// synthesis share them, so a buffer grows to the largest candidate any
-// pass built into it and no further. A pass releases the buffers'
-// delivery tables when it ends, for the flow bounds and the next pass.
-type buildBuffers []buildBuffer
-
-func newBuildBuffers(workers int) buildBuffers {
-	return make(buildBuffers, max(1, workers))
-}
-
-func (bufs buildBuffers) release() {
-	for i := range bufs {
-		bufs[i].release()
-	}
+	lists []int
+	table []int32
 }
 
 // build assembles a schedule into dst from per-cell sub-schedules
@@ -486,10 +440,32 @@ func (a *assembly) build(dst *buildBuffer, subs []*solve.SubSchedule) (*schedule
 		}
 	}
 	n := a.numGPUs
-	deliver := dst.deliveries(len(a.pieces)*n, total)
+	deliver := deliveriesIn(&dst.table, len(a.pieces)*n, total)
+	// Every chunk list and dependency list (a transfer has at most one
+	// dependency) is cut, without spare capacity, from one array: the
+	// schedule shares no memory with the assembly.
+	chunks := 0
+	for _, p := range a.pieces {
+		chunks += len(p.Chunks)
+	}
+	if cap(dst.lists) < chunks+total {
+		dst.lists = make([]int, 0, chunks+total)
+	}
+	lists := dst.lists[:0]
 	sched := &dst.sched
 	sched.NumGPUs = n
-	sched.Pieces = append(sched.Pieces[:0], a.pieces...)
+	if cap(sched.Pieces) < len(a.pieces) {
+		sched.Pieces = make([]schedule.Piece, 0, len(a.pieces))
+	}
+	sched.Pieces = sched.Pieces[:0]
+	for _, p := range a.pieces {
+		var list []int
+		if len(p.Chunks) > 0 {
+			lists = append(lists, p.Chunks...)
+			list = lists[len(lists)-len(p.Chunks) : len(lists) : len(lists)]
+		}
+		sched.Pieces = append(sched.Pieces, schedule.Piece{Chunks: list, Bytes: p.Bytes})
+	}
 	if cap(sched.Transfers) < total {
 		sched.Transfers = make([]schedule.Transfer, 0, total)
 	}
@@ -501,12 +477,7 @@ func (a *assembly) build(dst *buildBuffer, subs []*solve.SubSchedule) (*schedule
 		}
 		deliver.reset()
 	}()
-	// Every transfer has at most one dependency; they are cut, each with
-	// no spare capacity, from one backing array.
-	if cap(dst.deps) < total {
-		dst.deps = make([]int, 0, total)
-	}
-	deps := dst.deps[:0]
+	deps := lists
 	for i, cd := range a.cells {
 		sub, k := subs[i], cd.key
 		if sub == nil {

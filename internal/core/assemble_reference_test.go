@@ -227,7 +227,7 @@ func parentAssignmentReference(sd *sketch.SubDemand) map[int]int {
 // reads passes Sketch.Validate. It reports whether newAssembly accepted.
 func sameAssembly(t testing.TB, what string, top *topology.Topology, col *collective.Collective, combo *sketch.Combination) bool {
 	t.Helper()
-	got, err := newAssembly(top, col, combo)
+	got, err := newAssembly(nil, top, col, combo)
 	if err != nil {
 		for j, sk := range combo.Sketches {
 			if combo.Fracs[j] > 0 && sk.Validate(top) != nil {

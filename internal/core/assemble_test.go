@@ -73,7 +73,7 @@ func TestAssemblyCellsMergedPerGroupStage(t *testing.T) {
 	if len(missing) > 0 {
 		t.Fatalf("healthy topology left roots uncovered: %v", missing)
 	}
-	a, err := newAssembly(top, col, combo)
+	a, err := newAssembly(nil, top, col, combo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestAssemblyRejectsForeignRoot(t *testing.T) {
 	// sketch's root chunk does not exist.
 	col := collective.Broadcast(8, 0, 1024)
 	sk := sketch.SearchBroadcast(context.Background(), top, 1, sketch.SearchOptions{})[0]
-	if _, err := newAssembly(top, col, sketch.Single(sk)); err == nil {
+	if _, err := newAssembly(nil, top, col, sketch.Single(sk)); err == nil {
 		t.Error("accepted sketch rooted at a GPU without a chunk")
 	}
 }
@@ -159,16 +159,17 @@ func TestBuildDeliveryIndexForms(t *testing.T) {
 		{"64-GPU AlltoAll", 4032 * 64, 7168, false},
 		{"64-GPU AllGather", 64 * 64, 4032, true},
 	} {
-		d := newDeliveries(c.slots, c.transfers)
+		var table []int32
+		d := deliveriesIn(&table, c.slots, c.transfers)
 		if (d.mask < 0) != c.flat || len(d.table) > min(c.slots, 12*c.transfers) {
 			t.Errorf("%s: %d words, flat %v; want flat %v and no more than the smaller form", c.name, len(d.table), d.mask < 0, c.flat)
 		}
-		d.release()
 	}
 
 	// Slots past 2³² take both key words; a slot keeps its first index;
 	// forgetting and resetting leaves the table all zeros.
-	d := newDeliveries(1<<40, 4)
+	var table []int32
+	d := deliveriesIn(&table, 1<<40, 4)
 	slots := []int{7, 7 + 1<<32, 1<<40 - 1, 0}
 	for i, slot := range slots {
 		d.record(slot, i)
@@ -235,7 +236,7 @@ func TestSolvedSubSchedulesInStartArriveOrder(t *testing.T) {
 func TestBuildSortsOutOfOrderSubSchedules(t *testing.T) {
 	top, col := digestCase(t, "h800small:allgather:1M")
 	rc := synth(t, top, col, Options{}).Recipe
-	a, err := newAssembly(top, col, rc.Combination)
+	a, err := newAssembly(nil, top, col, rc.Combination)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,15 +68,16 @@ func demandTimeBounds(ctx context.Context, tab *isomorph.Table, cands []*candida
 // candidateTimeBound bounds the simulated completion time of any
 // schedule realizing the candidate's combination, given the per-demand
 // bounds of demandTimeBounds, or returns 0 when no bound is available
-// (injected fixed schedules have no assembly).
-func candidateTimeBound(top *topology.Topology, c *candidate, sec []float64) float64 {
+// (injected fixed schedules have no assembly). Its working memory comes
+// from sc.
+func candidateTimeBound(top *topology.Topology, c *candidate, sec []float64, sc *boundScratch) float64 {
 	a := c.asm
 	if a == nil {
 		return 0
 	}
 	n := a.numGPUs
 	// Port tables are flat over dim*n+gpu. (piece, GPU) tables follow
-	// assembly.build's flat-or-hashed rule and recycling, sized by the
+	// assembly.build's flat-or-hashed rule and zeroing, sized by the
 	// deliveries:
 	// arrivals index into arrival (1 + position, in first-delivery order),
 	// and counted marks, per (piece, GPU, dim), a delivery whose ingress
@@ -88,11 +89,11 @@ func candidateTimeBound(top *topology.Topology, c *candidate, sec []float64) flo
 		}
 	}
 	dims := top.NumDims()
-	load := make([]float64, dims*n)
-	alphaOf := make([]float64, len(load))
-	loaded := make([]bool, len(load))
-	counted := newDeliveries(len(a.pieces)*n*dims, total)
-	arrivals := newDeliveries(len(a.pieces)*n, total)
+	load := zeroed(&sc.load, dims*n)
+	alphaOf := zeroed(&sc.alphaOf, len(load))
+	loaded := zeroed(&sc.loaded, len(load))
+	counted := deliveriesIn(&sc.counted, len(a.pieces)*n*dims, total)
+	arrivals := deliveriesIn(&sc.arrivals, len(a.pieces)*n, total)
 	// The slots recorded are every demanded delivery's.
 	defer func() {
 		for _, cd := range a.cells {
@@ -104,10 +105,10 @@ func candidateTimeBound(top *topology.Topology, c *candidate, sec []float64) flo
 				}
 			}
 		}
-		counted.release()
-		arrivals.release()
+		counted.reset()
+		arrivals.reset()
 	}()
-	arrival := make([]float64, 0, total)
+	arrival := zeroed(&sc.arrival, total)[:0]
 	best := 0.0
 	// Cells are sorted by ascending stage, so arrival chains propagate
 	// forward; same-stage cells processed out of dependency order only
@@ -166,16 +167,24 @@ func candidateTimeBound(top *topology.Topology, c *candidate, sec []float64) flo
 	return best
 }
 
+// boundScratch is candidateTimeBound's working memory: the two delivery
+// tables, all zeros between uses, the per-port loads and the arrivals.
+type boundScratch struct {
+	counted, arrivals      []int32
+	load, alphaOf, arrival []float64
+	loaded                 []bool
+}
+
 // incumbentBound returns the coarse incumbent's flow lower bound, or 0
 // when none is available (an injected fixed schedule such as the ring, a
-// cancelled LP), under one solve.bound span.
+// cancelled LP), under one solve.bound span, in ws.
 func incumbentBound(ctx context.Context, top *topology.Topology, tab *isomorph.Table,
-	inc *candidate, opts Options, parent *obs.Span) float64 {
+	inc *candidate, opts Options, ws *workspace, parent *obs.Span) float64 {
 
 	bs := parent.Child("solve.bound")
 	defer bs.End()
 	sec := demandTimeBounds(ctx, tab, []*candidate{inc}, opts, bs)
-	lb := candidateTimeBound(top, inc, sec)
+	lb := candidateTimeBound(top, inc, sec, &ws.bound)
 	bs.SetFloat("incumbent-lb", lb)
 	return lb
 }

@@ -30,8 +30,8 @@ func TestCandidateBoundSound(t *testing.T) {
 			continue // injected fixed schedule won; no combination to bound
 		}
 		tab := isomorph.NewTable()
-		cand := assembleAll(c.t, c.top, []*sketch.Combination{res.Combination}, tab, Options{}, nil)
-		lb := candidateTimeBound(c.t, cand[0], demandTimeBounds(context.Background(), tab, cand, Options{}, nil))
+		cand := assembleAll(c.t, c.top, []*sketch.Combination{res.Combination}, tab, Options{}, new(workspace).fit(1), nil)
+		lb := candidateTimeBound(c.t, cand[0], demandTimeBounds(context.Background(), tab, cand, Options{}, nil), new(boundScratch))
 		if lb > res.Time*(1+1e-9) {
 			t.Errorf("%v on %s: bound %g exceeds achieved simulated time %g",
 				c.top.Kind, c.t.Name, lb, res.Time)

@@ -34,29 +34,30 @@ type candidate struct {
 }
 
 // forward returns the candidate's forward schedule: built into buf, or
-// into new memory when buf is nil; a fixed schedule comes back as is.
-func (c *candidate) forward(buf *buildBuffer) (*schedule.Schedule, error) {
+// into new memory (ws.buildNew) when buf is nil; a fixed schedule comes
+// back as is.
+func (c *candidate) forward(ws *workspace, buf *buildBuffer) (*schedule.Schedule, error) {
 	if c.asm == nil {
 		return c.fixed, nil
 	}
 	if buf == nil {
-		buf = new(buildBuffer)
-		defer buf.release()
+		return ws.buildNew(c.asm, c.subs)
 	}
 	return c.asm.build(buf, c.subs)
 }
 
-// assembleAll builds every combination's assembly (in parallel) and
-// interns their cell demands into the call's demand table, in
-// candidate-then-cell order: from here on a cell is known by the id of the
-// first structurally equal demand, and per-demand work is done once per
-// id. An unrealizable combination leaves a nil entry.
+// assembleAll builds every combination's assembly (in parallel, each
+// worker into its slab of ws) and interns their cell demands into the
+// call's demand table, in candidate-then-cell order: from here on a cell
+// is known by the id of the first structurally equal demand, and
+// per-demand work is done once per id. An unrealizable combination leaves
+// a nil entry.
 func assembleAll(top *topology.Topology, col *collective.Collective, combos []*sketch.Combination,
-	tab *isomorph.Table, opts Options, span *obs.Span) []*candidate {
+	tab *isomorph.Table, opts Options, ws *workspace, span *obs.Span) []*candidate {
 
 	out := make([]*candidate, len(combos))
-	parallelFor(len(combos), opts.Workers, func(_, ci int) {
-		a, err := newAssembly(top, col, combos[ci])
+	parallelFor(len(combos), opts.Workers, func(w, ci int) {
+		a, err := newAssembly(&ws.slabs[w], top, col, combos[ci])
 		if err != nil {
 			cs := span.ChildLane("candidate")
 			cs.SetInt("index", int64(ci))
@@ -70,7 +71,7 @@ func assembleAll(top *topology.Topology, col *collective.Collective, combos []*s
 		if c == nil {
 			continue
 		}
-		c.cells = make([]int, len(c.asm.cells))
+		c.cells = ws.slabs[0].ints.cut(len(c.asm.cells))
 		for i, cd := range c.asm.cells {
 			c.cells[i] = tab.Intern(cd.demand)
 		}

@@ -208,7 +208,7 @@ func TestPickWinnerRanking(t *testing.T) {
 
 	t.Run("fastest fails its check, the next wins", func(t *testing.T) {
 		pool := finalists(3, 1, 2, 2)
-		best, fwd, out, tm, err := pickWinner(pool, finisher{finish: finish, shape: same, check: refuse(1)}, newBuildBuffers(2))
+		best, fwd, out, tm, err := pickWinner(pool, finisher{finish: finish, shape: same, check: refuse(1)}, new(workspace).fit(2))
 		if err != nil || best != pool[2] || fwd != pool[2].fixed || out != pool[2].fixed || tm != 20 {
 			t.Fatalf("winner %v (time %g, err %v), want finalist 2 at 20", best, tm, err)
 		}
@@ -229,7 +229,7 @@ func TestPickWinnerRanking(t *testing.T) {
 			{finisher{finish: finish, shape: same, check: refuse(0, 1, 2)}, "finalist 0 refused"},
 			{finisher{finish: finishFirstFails, shape: same, check: refuse(1, 2)}, "finalist 0 does not finish"},
 		} {
-			best, _, _, _, err := pickWinner(pool, c.fin, newBuildBuffers(2))
+			best, _, _, _, err := pickWinner(pool, c.fin, new(workspace).fit(2))
 			if best != nil || err == nil || err.Error() != c.want {
 				t.Errorf("winner %v, err %v; want no winner and %q", best, err, c.want)
 			}
@@ -240,7 +240,7 @@ func TestPickWinnerRanking(t *testing.T) {
 		pool := finalists(3, 1, 2, 1)
 		checks := 0
 		count := func(_, _ *schedule.Schedule) error { checks++; return nil }
-		best, _, _, tm, err := pickWinner(pool, finisher{finish: finish, shape: same, check: count}, newBuildBuffers(1))
+		best, _, _, tm, err := pickWinner(pool, finisher{finish: finish, shape: same, check: count}, new(workspace).fit(1))
 		if err != nil || best != pool[1] || tm != 10 {
 			t.Fatalf("winner %v (time %g, err %v), want finalist 1 at 10", best, tm, err)
 		}
@@ -255,7 +255,7 @@ func TestPickWinnerRanking(t *testing.T) {
 			t.Error("a forward finalist was finished")
 			return finish(dst, s, tm)
 		}
-		best, fwd, out, tm, err := pickWinner(pool, finisher{finish: unfinished, check: refuse(1)}, newBuildBuffers(2))
+		best, fwd, out, tm, err := pickWinner(pool, finisher{finish: unfinished, check: refuse(1)}, new(workspace).fit(2))
 		if err != nil || best != pool[3] || fwd != out || out != pool[3].fixed || tm != 1 {
 			t.Fatalf("winner %v (time %g, err %v), want finalist 3 at 1", best, tm, err)
 		}

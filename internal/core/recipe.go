@@ -62,11 +62,11 @@ type Recipe struct {
 // ignores cancellation and runs to completion, so its result is never
 // Partial. pub receives one incumbent, the winner, with its original
 // provenance.
-func replay(top *topology.Topology, col *collective.Collective, opts Options, parent *obs.Span, pub *publisher, fin finisher) *Result {
+func replay(top *topology.Topology, col *collective.Collective, opts Options, ws *workspace, parent *obs.Span, pub *publisher, fin finisher) *Result {
 	t0 := time.Now()
 	span := parent.Child("replay")
 	span.SetStr("source", opts.Recipe.Source)
-	res := rebuild(top, col, opts, pub, fin)
+	res := rebuild(top, col, opts, ws, pub, fin)
 	if res == nil {
 		span.SetStr("outcome", "stale")
 		span.End()
@@ -87,25 +87,27 @@ func replay(top *topology.Topology, col *collective.Collective, opts Options, pa
 // rebuild is the replay proper: assemble the recipe's combination from
 // its sub-schedules (or rebuild the ring), finish it, re-key it by the
 // recipe's ranks, simulate once, compare with the self-check, validate.
-// Any deviation returns nil.
-func rebuild(top *topology.Topology, col *collective.Collective, opts Options, pub *publisher, fin finisher) *Result {
+// Any deviation returns nil. It works in ws as the full pass does: the
+// forward schedule is new memory only when it is the result.
+func rebuild(top *topology.Topology, col *collective.Collective, opts Options, ws *workspace, pub *publisher, fin finisher) *Result {
 	rc := opts.Recipe
 	var sched *schedule.Schedule
+	var err error
 	switch {
 	case rc.Source == "ring" && col.Kind == collective.KindAllGather:
-		ring, err := nccl.AllGather(top, col)
-		if err != nil {
+		if sched, err = nccl.AllGatherInto(ws.ringBuffer(), top, col); err != nil {
 			return nil
 		}
-		sched = ring
 	case rc.Combination != nil && (rc.Source == "coarse" || rc.Source == "fine"):
-		a, err := newAssembly(top, col, rc.Combination)
+		a, err := newAssembly(&ws.slabs[0], top, col, rc.Combination)
 		if err != nil || len(rc.Subs) != len(a.cells) {
 			return nil
 		}
-		buf := new(buildBuffer)
-		sched, err = a.build(buf, rc.Subs)
-		buf.release()
+		if fin.shape == nil {
+			sched, err = ws.buildNew(a, rc.Subs)
+		} else {
+			sched, err = a.build(&ws.bufs[0], rc.Subs)
+		}
 		if err != nil {
 			return nil
 		}
@@ -137,6 +139,9 @@ func rebuild(top *topology.Topology, col *collective.Collective, opts Options, p
 	// here as at every exit of the full pass.
 	if out != sched && validateForward(sched, col) != nil {
 		return nil
+	}
+	if out == sched && rc.Source == "ring" {
+		ws.detachRing()
 	}
 	pub.publishFinal(out, t, rc.Source, rc.Engine, rc.Combination)
 

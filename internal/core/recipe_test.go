@@ -267,7 +267,8 @@ func TestRealizeBytes(t *testing.T) {
 	least := uint64(math.MaxUint64)
 	for range 3 {
 		tab := isomorph.NewTable()
-		pool := assembleAll(top, col, combos, tab, opts, nil)
+		ws := new(workspace).fit(opts.Workers)
+		pool := assembleAll(top, col, combos, tab, opts, ws, nil)
 		var before, after runtime.MemStats
 		var stats Stats
 		// Two collections empty the pools (and their victim caches), so
@@ -275,7 +276,7 @@ func TestRealizeBytes(t *testing.T) {
 		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		realizeAll(t.Context(), top, tab, pool, opts.passSolver(false), opts, newBuildBuffers(opts.Workers), &stats, nil, nil, "coarse")
+		realizeAll(t.Context(), top, tab, pool, opts.passSolver(false), opts, ws, &stats, nil, nil, "coarse")
 		runtime.ReadMemStats(&after)
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}

@@ -30,7 +30,8 @@ import (
 // caller's own (the pipeline's winner is materialized for it), and gets
 // its Orders back when the re-keying does not pay; the new Orders come
 // back as ranks, for the recipe (nil when out is returned as it was).
-func readyOrder(top *topology.Topology, fwd, out *schedule.Schedule, t float64, fin finisher, so sim.Options) (*schedule.Schedule, float64, []int32) {
+// Its working arrays come from sc.
+func readyOrder(top *topology.Topology, fwd, out *schedule.Schedule, t float64, fin finisher, so sim.Options, sc *rekeyScratch) (*schedule.Schedule, float64, []int32) {
 	split := 0
 	if fin.twoPhase {
 		split = len(fwd.Transfers)
@@ -45,11 +46,11 @@ func readyOrder(top *topology.Topology, fwd, out *schedule.Schedule, t float64, 
 	if err != nil {
 		return out, t, nil
 	}
-	ranks := readyRanks(top, out.Transfers, r.FinishAt, split)
+	ranks := readyRanks(top, out.Transfers, r.FinishAt, split, sc)
 	if ranks == nil {
 		return out, t, nil
 	}
-	orders := make([]int, len(out.Transfers))
+	orders := zeroed(&sc.orders, len(out.Transfers))
 	for i := range out.Transfers {
 		orders[i] = out.Transfers[i].Order
 	}
@@ -70,9 +71,9 @@ func readyOrder(top *topology.Topology, fwd, out *schedule.Schedule, t float64, 
 // schedule.PhaseOrderBase. It returns nil when every port would serve its
 // transfers in the order their old (Order, index) keys already do: the
 // simulation, which orders transfers only per port, would not change.
-func readyRanks(top *topology.Topology, ts []schedule.Transfer, finishAt []float64, split int) []int32 {
-	seq := readySeq(ts, finishAt, split)
-	if keepsPortOrder(top, ts, seq) {
+func readyRanks(top *topology.Topology, ts []schedule.Transfer, finishAt []float64, split int, sc *rekeyScratch) []int32 {
+	seq := readySeq(ts, finishAt, split, sc)
+	if keepsPortOrder(top, ts, seq, sc) {
 		return nil
 	}
 	ranks := make([]int32, len(seq))
@@ -85,17 +86,27 @@ func readyRanks(top *topology.Topology, ts []schedule.Transfer, finishAt []float
 	return ranks
 }
 
+// rekeyScratch is readyOrder's working memory: the ready times, the
+// serving sequence and its sort keys, the old Orders and the per-port
+// cursors of keepsPortOrder.
+type rekeyScratch struct {
+	ready     []float64
+	seq, last []int32
+	keys, tmp []uint64
+	orders    []int
+}
+
 // readySeq lists the transfers below split, then the rest, each part in
-// (ready time, Order, index) order.
-func readySeq(ts []schedule.Transfer, finishAt []float64, split int) []int32 {
-	ready := make([]float64, len(ts))
+// (ready time, Order, index) order, in sc.seq.
+func readySeq(ts []schedule.Transfer, finishAt []float64, split int, sc *rekeyScratch) []int32 {
+	ready := zeroed(&sc.ready, len(ts))
 	for i := range ts {
 		for _, d := range ts[i].Deps {
 			ready[i] = max(ready[i], finishAt[d])
 		}
 	}
-	seq := make([]int32, len(ts))
-	keys, tmp := make([]uint64, len(ts)), make([]uint64, len(ts))
+	seq := zeroed(&sc.seq, len(ts))
+	keys, tmp := zeroed(&sc.keys, len(ts)), zeroed(&sc.tmp, len(ts))
 	sortReady(ts, ready, 0, split, seq, keys, tmp)
 	sortReady(ts, ready, split, len(ts), seq, keys, tmp)
 	return seq
@@ -128,12 +139,12 @@ func sortReady(ts []schedule.Transfer, ready []float64, lo, hi int, seq []int32,
 
 // keepsPortOrder reports whether serving the transfers in seq keeps every
 // port's transfers in (Order, index) order.
-func keepsPortOrder(top *topology.Topology, ts []schedule.Transfer, seq []int32) bool {
+func keepsPortOrder(top *topology.Topology, ts []schedule.Transfer, seq []int32, sc *rekeyScratch) bool {
 	// last[p] is 1 + the transfer port p served last: egress ports first,
 	// then ingress, each gpu*classes+class.
 	classes := top.NumPortClasses()
 	egress := top.NumGPUs() * classes
-	last := make([]int32, 2*egress)
+	last := zeroed(&sc.last, 2*egress)
 	for _, i := range seq {
 		t := &ts[i]
 		c := top.Dim(t.Dim).PortClass

@@ -30,7 +30,7 @@ func assembledWinner(t *testing.T, top *topology.Topology, col *collective.Colle
 		fwd, err = nccl.AllGather(top, fwdCol)
 	} else {
 		var a *assembly
-		if a, err = newAssembly(top, fwdCol, rc.Combination); err == nil {
+		if a, err = newAssembly(nil, top, fwdCol, rc.Combination); err == nil {
 			fwd, err = a.build(new(buildBuffer), rc.Subs)
 		}
 	}
@@ -80,7 +80,7 @@ func checkReadyOrder(t *testing.T, top *topology.Topology, col *collective.Colle
 	if fin.twoPhase {
 		split = len(fwd.Transfers)
 	}
-	if ranks := readyRanks(top, out.Transfers, r.FinishAt, split); ranks != nil {
+	if ranks := readyRanks(top, out.Transfers, r.FinishAt, split, new(rekeyScratch)); ranks != nil {
 		ranked := withRanks(out, ranks)
 		if ok, i, d := depsRankEarlier(ranked); !ok {
 			t.Fatalf("ready ranks: transfer %d depends on %d, ranked later", i, d)
@@ -92,7 +92,7 @@ func checkReadyOrder(t *testing.T, top *topology.Topology, col *collective.Colle
 	// readyOrder re-keys its input in place: give it a copy of the
 	// Orders, which must come back as they were when no ranks are kept.
 	in := &schedule.Schedule{NumGPUs: out.NumGPUs, Pieces: out.Pieces, Transfers: slices.Clone(out.Transfers)}
-	got, gt, kept := readyOrder(top, fwd, in, tm, fin, so)
+	got, gt, kept := readyOrder(top, fwd, in, tm, fin, so, new(rekeyScratch))
 	switch {
 	case gt > tm:
 		t.Fatalf("re-keyed %v, slower than the input's %v", gt, tm)
@@ -180,14 +180,14 @@ func TestReadyRanksStayInPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	across := readyRanks(top, out.Transfers, r.FinishAt, 0)
+	across := readyRanks(top, out.Transfers, r.FinishAt, 0, new(rekeyScratch))
 	if across == nil {
 		t.Fatal("ready order keeps the assembled order")
 	}
 	if err := verify.CheckAllReduce(col, withRanks(out, across)); err == nil || !strings.Contains(err.Error(), "not in two-phase form") {
 		t.Errorf("ranked across phases: oracle says %v, want the two-phase error", err)
 	}
-	within := readyRanks(top, out.Transfers, r.FinishAt, len(fwd.Transfers))
+	within := readyRanks(top, out.Transfers, r.FinishAt, len(fwd.Transfers), new(rekeyScratch))
 	if err := verify.CheckAllReduce(col, withRanks(out, within)); err != nil {
 		t.Errorf("ranked within phases: %v", err)
 	}
@@ -262,7 +262,7 @@ func readySeqReference(ts []schedule.Transfer, finishAt []float64, split int) []
 func TestReadySeqMatchesReference(t *testing.T) {
 	check := func(name string, ts []schedule.Transfer, finishAt []float64, split int) {
 		t.Helper()
-		if got, want := readySeq(ts, finishAt, split), readySeqReference(ts, finishAt, split); !slices.Equal(got, want) {
+		if got, want := readySeq(ts, finishAt, split, new(rekeyScratch)), readySeqReference(ts, finishAt, split); !slices.Equal(got, want) {
 			t.Fatalf("%s (%d transfers, split %d): radix order %v, comparison order %v", name, len(ts), split, got, want)
 		}
 	}

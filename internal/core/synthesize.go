@@ -130,30 +130,34 @@ func seedCounters(rec *obs.Recorder) {
 // Partial forward result still becomes a complete, timed schedule; a run
 // none of whose finalists finishes is an error, never a schedule.
 func synthesizeForward(ctx context.Context, top *topology.Topology, col *collective.Collective, opts Options, parent *obs.Span, pub *publisher, fin finisher) (*Result, error) {
+	// Everything below works in one workspace, given back at every
+	// return, after the ring is joined.
+	ws := getWorkspace(opts.Workers)
+	defer ws.release()
 	if opts.Recipe != nil {
-		if res := replay(top, col, opts, parent, pub, fin); res != nil {
+		if res := replay(top, col, opts, ws, parent, pub, fin); res != nil {
 			return res, nil
 		}
 		// Stale recipe: the full pass below returns the same bytes and
 		// records a fresh one.
 	}
 	// With workers to spare, the injected ring is built and timed beside
-	// the search; every return below waits for it, so none leaves it
-	// running.
-	var ring chan ringResult
+	// the search; every return below waits for it (ws.release), so none
+	// leaves it running.
 	if col.Kind == collective.KindAllGather && opts.Workers > 1 {
-		ring = startRing(top, col, opts.Sim)
-		defer joinRing(&ring)
+		ws.ringDone = startRing(ws.ringBuffer(), top, col, opts.Sim)
 	}
 	res := &Result{}
-	// Every pass builds its candidates into the workers' buffers.
-	bufs := newBuildBuffers(opts.Workers)
 	// finish closes the pipeline at every exit below: the winner of the
 	// pool by finished time, its recipe when the run was not cut short.
 	finish := func(pool []*candidate, partial bool) (*Result, error) {
-		best, fwd, out, t, err := pickWinner(pool, fin, bufs)
+		best, fwd, out, t, err := pickWinner(pool, fin, ws)
 		if err != nil {
 			return nil, err
+		}
+		// A ring that won as it was built leaves with its buffer.
+		if out == best.fixed {
+			ws.detachRing()
 		}
 		// pickWinner checked out; a reduction's forward schedule is
 		// validated too.
@@ -171,7 +175,7 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 		// cost most of the run.
 		var ranks []int32
 		if !partial && best.source != "ring" {
-			out, t, ranks = readyOrder(top, fwd, out, t, fin, opts.Sim)
+			out, t, ranks = readyOrder(top, fwd, out, t, fin, opts.Sim, &ws.rekey)
 		}
 		// The winner is force-offered to the publisher (no-op when it was
 		// already the best published), which is what keeps the stream's
@@ -263,8 +267,8 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	t0 = time.Now()
 	coarseSolve := opts.passSolver(false)
 	tab := isomorph.NewTable()
-	pool := assembleAll(top, col, combos, tab, opts, coarseSpan)
-	coarse := realizeAll(ctx, top, tab, pool, coarseSolve, opts, bufs, &res.Stats, coarseSpan, pub, "coarse")
+	pool := assembleAll(top, col, combos, tab, opts, ws, coarseSpan)
+	coarse := realizeAll(ctx, top, tab, pool, coarseSolve, opts, ws, &res.Stats, coarseSpan, pub, "coarse")
 	cands := make([]*candidate, 0, len(combos))
 	for ci, c := range pool {
 		if coarse[ci].ok {
@@ -281,10 +285,10 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	// early it was ready.
 	if col.Kind == collective.KindAllGather {
 		var r ringResult
-		if ring != nil {
-			r = joinRing(&ring)
+		if ws.ringDone != nil {
+			r = joinRing(&ws.ringDone)
 		} else {
-			r = buildRing(top, col, opts.Sim)
+			r = buildRing(ws.ringBuffer(), top, col, opts.Sim)
 		}
 		if r.sched != nil {
 			pub.offer(r.sched, r.time, "ring", "", nil)
@@ -323,7 +327,7 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 
 	// The coarse incumbent's flow lower bound, for the result, the
 	// incumbent stream and the StopWithin gate (bound.go).
-	incLB := incumbentBound(ctx, top, tab, keep[0], opts, parent)
+	incLB := incumbentBound(ctx, top, tab, keep[0], opts, ws, parent)
 	if incLB > 0 {
 		res.Stats.BoundsComputed = 1
 	}
@@ -350,7 +354,7 @@ func synthesizeForward(ctx context.Context, top *topology.Topology, col *collect
 	}
 	t0 = time.Now()
 	fineSolve := opts.passSolver(true)
-	fine := realizeAll(ctx, top, tab, keep, fineSolve, opts, bufs, &res.Stats, fineSpan, pub, "fine")
+	fine := realizeAll(ctx, top, tab, keep, fineSolve, opts, ws, &res.Stats, fineSpan, pub, "fine")
 	finalists := make([]*candidate, 0, len(cands)+len(keep))
 	finalists = append(finalists, cands...)
 	fineName := fineSolve.Engine.String()
@@ -378,9 +382,9 @@ type ringResult struct {
 	time  float64
 }
 
-// buildRing builds the NCCL ring AllGather and times it.
-func buildRing(top *topology.Topology, col *collective.Collective, so sim.Options) ringResult {
-	ring, err := nccl.AllGather(top, col)
+// buildRing builds the NCCL ring AllGather into buf and times it.
+func buildRing(buf *nccl.Buffer, top *topology.Topology, col *collective.Collective, so sim.Options) ringResult {
+	ring, err := nccl.AllGatherInto(buf, top, col)
 	if err != nil {
 		return ringResult{}
 	}
@@ -394,14 +398,14 @@ func buildRing(top *topology.Topology, col *collective.Collective, so sim.Option
 // startRing runs buildRing on its own goroutine and returns the channel
 // its result arrives on. Its arguments are values of its own, so nothing
 // of the caller's frame moves to the heap for it.
-func startRing(top *topology.Topology, col *collective.Collective, so sim.Options) chan ringResult {
+func startRing(buf *nccl.Buffer, top *topology.Topology, col *collective.Collective, so sim.Options) chan ringResult {
 	ch := make(chan ringResult, 1)
-	go func() { ch <- buildRing(top, col, so) }()
+	go func() { ch <- buildRing(buf, top, col, so) }()
 	return ch
 }
 
 // joinRing waits for a started ring and returns it, once: it clears
-// *ring, so a second call (the deferred one) returns at once.
+// *ring, so a second call (release's) returns at once.
 func joinRing(ring *chan ringResult) ringResult {
 	if *ring == nil {
 		return ringResult{}
@@ -417,9 +421,9 @@ func joinRing(ring *chan ringResult) ringResult {
 // passes the check wins — the minimal finished time among the finalists
 // that finish and pass, for one check in the common case instead of one
 // per finalist. A forward collective's finished time is the time its pass
-// recorded. Any other finalist is finished first, in parallel, one worker
-// per buffer of bufs: each worker builds a finalist's forward schedule
-// into its own buffer, finishes it into a schedule.Buffer of its own,
+// recorded. Any other finalist is finished first, in parallel, on the
+// workspace's workers: each builds a finalist's forward schedule into its
+// own buffer, finishes it into a schedule.Buffer of its own,
 // simulates it, and writes the time into the finalist's slot, so the
 // ranking does not depend on how many workers there are. Ranking by
 // forward time instead would be wrong for AllReduce — the concatenated
@@ -427,14 +431,16 @@ func joinRing(ring *chan ringResult) ringResult {
 // time, so the forward-best candidate can finish into a schedule worse
 // than one already published on the incumbent stream.
 //
-// Only the finalists checked are materialized — built and finished into
-// new memory — the first-ranked one and the next ones only while the
-// check fails. If no finalist finishes and passes, the error is the first
-// finalist's (in finalist order). The winner comes back with its forward
-// schedule and its finished schedule and time, so nobody builds or
-// finishes it again; the caller publishes it.
+// Only the finalists checked are materialized — their finished schedule
+// made into new memory — the first-ranked one and the next ones only
+// while the check fails: a forward collective's schedule is built into
+// new memory (ws.buildNew), any other's is built into worker 0's buffer
+// and finished into new memory. If no finalist finishes and passes, the
+// error is the first finalist's (in finalist order). The winner comes
+// back with its forward schedule and its finished schedule and time, so
+// nobody builds or finishes it again; the caller publishes it.
 // Deterministic: a pure function of a deterministic finalist list.
-func pickWinner(finalists []*candidate, fin finisher, bufs buildBuffers) (best *candidate, fwd, out *schedule.Schedule, t float64, err error) {
+func pickWinner(finalists []*candidate, fin finisher, ws *workspace) (best *candidate, fwd, out *schedule.Schedule, t float64, err error) {
 	times := make([]float64, len(finalists))
 	errs := make([]error, len(finalists))
 	if fin.shape == nil {
@@ -442,16 +448,14 @@ func pickWinner(finalists []*candidate, fin finisher, bufs buildBuffers) (best *
 			times[i] = f.time
 		}
 	} else {
-		finished := make([]schedule.Buffer, len(bufs))
-		parallelFor(len(finalists), len(bufs), func(w, i int) {
+		parallelFor(len(finalists), ws.workers, func(w, i int) {
 			f := finalists[i]
-			s, err := f.forward(&bufs[w])
+			s, err := f.forward(ws, &ws.bufs[w])
 			if err == nil {
-				_, times[i], err = fin.finish(&finished[w], s, f.time)
+				_, times[i], err = fin.finish(&ws.finished[w], s, f.time)
 			}
 			errs[i] = err
 		})
-		bufs.release()
 	}
 	ranked := make([]int, 0, len(finalists))
 	for i := range finalists {
@@ -460,8 +464,12 @@ func pickWinner(finalists []*candidate, fin finisher, bufs buildBuffers) (best *
 		}
 	}
 	sort.SliceStable(ranked, func(a, b int) bool { return times[ranked[a]] < times[ranked[b]] })
+	var into *buildBuffer // nil: new memory
+	if fin.shape != nil {
+		into = &ws.bufs[0]
+	}
 	for _, i := range ranked {
-		if fwd, errs[i] = finalists[i].forward(nil); errs[i] != nil {
+		if fwd, errs[i] = finalists[i].forward(ws, into); errs[i] != nil {
 			continue
 		}
 		out = fwd
@@ -575,8 +583,8 @@ type realized struct {
 //     parallel, the ones it did not serve;
 //  3. map every other demand from its representative's sub-schedule —
 //     one mapped sub-schedule per distinct demand, shared read-only — then
-//     assemble and simulate each candidate in parallel, one worker per
-//     buffer of bufs, each into its own buffer, keeping only the time.
+//     assemble and simulate each candidate in parallel, each worker into
+//     its own buffer of ws, keeping only the time.
 //
 // Every result is written into a slot indexed by candidate or demand id
 // and the shared counters are reduced in deterministic order, so times,
@@ -593,7 +601,7 @@ type realized struct {
 // a hit is what solving would give, and a warm pass maps the same
 // representatives' solutions a cold one does.
 func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table, cands []*candidate,
-	solveOpts solve.Options, opts Options, bufs buildBuffers, stats *Stats, span *obs.Span, pub *publisher, source string) []realized {
+	solveOpts solve.Options, opts Options, ws *workspace, stats *Stats, span *obs.Span, pub *publisher, source string) []realized {
 
 	engineName := solveOpts.Engine.String()
 	out := make([]realized, len(cands))
@@ -689,7 +697,7 @@ func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table
 
 	// Assemble and simulate each candidate in its worker's buffer. A
 	// buffer never leaves its worker: the publisher copies what it emits.
-	parallelFor(len(cands), len(bufs), func(w, ci int) {
+	parallelFor(len(cands), opts.Workers, func(w, ci int) {
 		c := cands[ci]
 		if c == nil || c.asm == nil {
 			return
@@ -704,7 +712,7 @@ func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table
 				return
 			}
 		}
-		sched, err := c.asm.build(&bufs[w], mine)
+		sched, err := c.asm.build(&ws.bufs[w], mine)
 		if err != nil {
 			cs.SetStr("outcome", "unrealizable")
 			cs.End()
@@ -726,7 +734,6 @@ func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table
 		// anytime, so waiting for the pass barrier would only delay it.
 		pub.offer(sched, t, source, engineName, c.combo)
 	})
-	bufs.release()
 
 	// Stores come after the candidates are out: one may write through to
 	// disk and must not hold up the incumbent stream.

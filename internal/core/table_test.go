@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -112,9 +113,10 @@ func TestOneDemandTablePerSynthesize(t *testing.T) {
 	}
 }
 
-// askedSolves is a mapSolveCache that also keeps, in call order, every
-// demand it was asked for under each signature. (The pipeline never
-// writes its demands, so a test may keep them.)
+// askedSolves is a mapSolveCache that also keeps, in call order, a copy
+// of every demand it was asked for under each signature. (A SolveCache
+// may not keep the demand itself: its memory is the synthesis's
+// workspace, reused by the next synthesis.)
 type askedSolves struct {
 	mapSolveCache
 	asked map[string][]*solve.Demand
@@ -125,7 +127,12 @@ func (c *askedSolves) Lookup(d *solve.Demand, sig string) *solve.SubSchedule {
 	if c.asked == nil {
 		c.asked = map[string][]*solve.Demand{}
 	}
-	c.asked[sig] = append(c.asked[sig], d)
+	kept := *d
+	kept.Pieces = make([]solve.Piece, len(d.Pieces))
+	for i, p := range d.Pieces {
+		kept.Pieces[i] = solve.Piece{ID: p.ID, Bytes: p.Bytes, Srcs: slices.Clone(p.Srcs), Dsts: slices.Clone(p.Dsts)}
+	}
+	c.asked[sig] = append(c.asked[sig], &kept)
 	c.mu.Unlock()
 	return c.mapSolveCache.Lookup(d, sig)
 }
@@ -183,13 +190,14 @@ func TestSharedMappingsAreReadOnly(t *testing.T) {
 	sketches := searchCached(t.Context(), top, 0, false, opts)
 	combos := buildCombinations(t.Context(), top, col, sketches, true, false, opts)
 	tab := isomorph.NewTable()
-	pool := assembleAll(top, col, combos, tab, opts, nil)
+	ws := new(workspace).fit(opts.Workers)
+	pool := assembleAll(top, col, combos, tab, opts, ws, nil)
 	so := opts.passSolver(false)
 
 	var stats [2]Stats
 	var runs [2][]realized
 	for i := range runs {
-		runs[i] = realizeAll(t.Context(), top, tab, pool, so, opts, newBuildBuffers(opts.Workers), &stats[i], nil, nil, "coarse")
+		runs[i] = realizeAll(t.Context(), top, tab, pool, so, opts, ws, &stats[i], nil, nil, "coarse")
 	}
 	stats[0].MaxSolve, stats[1].MaxSolve = 0, 0 // wall time
 	if stats[0].CacheHits == 0 || !reflect.DeepEqual(stats[0], stats[1]) {

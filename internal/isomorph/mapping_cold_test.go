@@ -1,7 +1,9 @@
 package isomorph_test
 
 import (
+	"maps"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -10,6 +12,7 @@ import (
 	"syccl/internal/cli"
 	"syccl/internal/core"
 	"syccl/internal/isomorph"
+	"syccl/internal/solve"
 )
 
 // synthColdCases are the cases of the benchmark's synth_cold workload.
@@ -32,15 +35,12 @@ var synthColdCases = []string{
 // scratch, must have found the reference's full Mapping (GPUs and
 // Pieces, nil where the reference finds none); so must FindFullMapping
 // on its own, on those pairs and on each demand against the next one of
-// its Key bucket.
+// its Key bucket. A table's demands live in the synthesis's workspace,
+// reused once Synthesize returns, so the test checks copies taken while
+// the synthesis runs (tableSnapshots).
 func TestFindFullMappingEquivalence(t *testing.T) {
-	var mu sync.Mutex
-	var tables []*isomorph.Table
-	isomorph.SetNewTableHook(func(tab *isomorph.Table) {
-		mu.Lock()
-		tables = append(tables, tab)
-		mu.Unlock()
-	})
+	snaps := &tableSnapshots{}
+	isomorph.SetNewTableHook(snaps.add)
 	defer isomorph.SetNewTableHook(nil)
 
 	totalSearched := 0
@@ -59,26 +59,30 @@ func TestFindFullMappingEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tables = tables[:0]
-		if _, err := core.Synthesize(top, col, core.Options{}); err != nil {
+		snaps.tables, snaps.taken = nil, nil
+		if _, err := core.Synthesize(top, col, core.Options{SolveCache: snaps}); err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
-		if len(tables) == 0 {
+		if len(snaps.tables) == 0 {
 			t.Fatalf("%s: the synthesis made no demand table", spec)
 		}
 		searched, found, bucketPairs := 0, 0, 0
-		for _, tab := range tables {
-			pairs := make([][2]int, 0, len(tab.Searched()))
-			for pair := range tab.Searched() {
+		for _, tab := range snaps.tables {
+			snap := snaps.taken[tab]
+			if snap == nil {
+				t.Fatalf("%s: a table was never looked up from", spec)
+			}
+			pairs := make([][2]int, 0, len(snap.searched))
+			for pair := range snap.searched {
 				pairs = append(pairs, pair)
 			}
 			sort.Slice(pairs, func(x, y int) bool {
 				return pairs[x][0] < pairs[y][0] || pairs[x][0] == pairs[y][0] && pairs[x][1] < pairs[y][1]
 			})
 			for _, pair := range pairs {
-				a, b := tab.Demand(pair[0]), tab.Demand(pair[1])
+				a, b := snap.demands[pair[0]], snap.demands[pair[1]]
 				want := isomorph.FindFullMappingReference(a, b)
-				if got := tab.Searched()[pair]; !sameMapping(got, want) {
+				if got := snap.searched[pair]; !sameMapping(got, want) {
 					t.Fatalf("%s: Classes mapped ids %v by %+v, reference %+v", spec, pair, got, want)
 				}
 				if got := isomorph.FindFullMapping(a, b); !sameMapping(got, want) {
@@ -92,8 +96,8 @@ func TestFindFullMappingEquivalence(t *testing.T) {
 			// Every ordered pair of distinct ids that share a Key.
 			buckets := map[string][]int{}
 			var keys []string
-			for id := 0; id < tab.Len(); id++ {
-				k := isomorph.Key(tab.Demand(id))
+			for id := range snap.demands {
+				k := isomorph.Key(snap.demands[id])
 				if buckets[k] == nil {
 					keys = append(keys, k)
 				}
@@ -105,7 +109,7 @@ func TestFindFullMappingEquivalence(t *testing.T) {
 						if x == y {
 							continue
 						}
-						a, b := tab.Demand(x), tab.Demand(y)
+						a, b := snap.demands[x], snap.demands[y]
 						if got, want := isomorph.FindFullMapping(a, b), isomorph.FindFullMappingReference(a, b); !sameMapping(got, want) {
 							t.Fatalf("%s: FindFullMapping of ids %d, %d: %+v, reference %+v", spec, x, y, got, want)
 						}
@@ -114,7 +118,7 @@ func TestFindFullMappingEquivalence(t *testing.T) {
 				}
 			}
 		}
-		t.Logf("%s: %d tables, %d searched pairs, %d isomorphic; %d pairs within Key buckets", spec, len(tables), searched, found, bucketPairs)
+		t.Logf("%s: %d tables, %d searched pairs, %d isomorphic; %d pairs within Key buckets", spec, len(snaps.tables), searched, found, bucketPairs)
 		totalSearched += searched
 	}
 	if totalSearched == 0 {
@@ -130,3 +134,53 @@ func sameMapping(got, want *isomorph.Mapping) bool {
 	}
 	return got == nil || reflect.DeepEqual(*got, *want)
 }
+
+// tableSnapshots sees, through the NewTable hook, every table a synthesis
+// makes, and is the synthesis's SolveCache, which never has anything. A
+// pass looks representatives up right after its Table.Classes, so at
+// every lookup each table has interned every demand it will and searched
+// every pair it has so far: a lookup that finds a table grown copies its
+// demands and searched pairs.
+type tableSnapshots struct {
+	mu     sync.Mutex
+	tables []*isomorph.Table
+	taken  map[*isomorph.Table]*tableSnapshot
+}
+
+type tableSnapshot struct {
+	demands  []*solve.Demand
+	searched map[[2]int]*isomorph.Mapping
+}
+
+func (s *tableSnapshots) add(tab *isomorph.Table) {
+	s.mu.Lock()
+	s.tables = append(s.tables, tab)
+	s.mu.Unlock()
+}
+
+func (s *tableSnapshots) Lookup(*solve.Demand, string) *solve.SubSchedule {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.taken == nil {
+		s.taken = map[*isomorph.Table]*tableSnapshot{}
+	}
+	for _, tab := range s.tables {
+		if old := s.taken[tab]; old != nil && len(old.demands) == tab.Len() && len(old.searched) == len(tab.Searched()) {
+			continue
+		}
+		snap := &tableSnapshot{searched: maps.Clone(tab.Searched())}
+		for id := 0; id < tab.Len(); id++ {
+			d := *tab.Demand(id)
+			d.Pieces = slices.Clone(d.Pieces)
+			for i := range d.Pieces {
+				d.Pieces[i].Srcs = slices.Clone(d.Pieces[i].Srcs)
+				d.Pieces[i].Dsts = slices.Clone(d.Pieces[i].Dsts)
+			}
+			snap.demands = append(snap.demands, &d)
+		}
+		s.taken[tab] = snap
+	}
+	return nil
+}
+
+func (s *tableSnapshots) Store(*solve.Demand, string, *solve.SubSchedule) {}

@@ -95,8 +95,28 @@ func gcd(a, b int) int {
 // GPU's chunk is split across the rings; every ring performs N-1
 // forwarding steps.
 func AllGather(top *topology.Topology, col *collective.Collective) (*schedule.Schedule, error) {
+	return AllGatherInto(nil, top, col)
+}
+
+// Buffer is memory AllGatherInto builds a ring into and reuses from one
+// call to the next: the schedule, whose Pieces and Transfers arrays it
+// reuses, and the arrays the chunk and dependency lists are cut from. The
+// zero value is ready. A ring built into a Buffer lives there until the
+// next build into it; a caller that hands the ring out hands out the
+// Buffer with it.
+type Buffer struct {
+	sched        schedule.Schedule
+	chunks, deps []int
+}
+
+// AllGatherInto is AllGather built into dst, or into new memory when dst
+// is nil.
+func AllGatherInto(dst *Buffer, top *topology.Topology, col *collective.Collective) (*schedule.Schedule, error) {
 	if col.Kind != collective.KindAllGather {
 		return nil, fmt.Errorf("nccl.AllGather: got %v", col.Kind)
+	}
+	if dst == nil {
+		dst = new(Buffer)
 	}
 	n := top.NumGPUs()
 	rs := rings(top)
@@ -104,17 +124,18 @@ func AllGather(top *topology.Topology, col *collective.Collective) (*schedule.Sc
 	// Ring r's share of chunk c is piece c*numRings+r. Every piece covers
 	// one chunk and every transfer has at most one dependency; both lists
 	// are cut, without spare capacity, from one array each.
-	sched := &schedule.Schedule{
-		NumGPUs:   n,
-		Pieces:    make([]schedule.Piece, n*numRings),
-		Transfers: make([]schedule.Transfer, 0, numRings*n*(n-1)),
-	}
-	chunks := make([]int, len(sched.Pieces))
+	sched := &dst.sched
+	sched.NumGPUs = n
+	sched.Pieces = sized(sched.Pieces, n*numRings)
+	sched.Transfers = sized(sched.Transfers, numRings*n*(n-1))[:0]
+	chunks := sized(dst.chunks, len(sched.Pieces))
+	dst.chunks = chunks
 	for p := range sched.Pieces {
 		chunks[p] = p / numRings
 		sched.Pieces[p] = schedule.Piece{Chunks: chunks[p : p+1 : p+1], Bytes: col.ChunkSize / float64(numRings)}
 	}
-	deps := make([]int, 0, numRings*n*max(n-2, 0))
+	deps := sized(dst.deps, numRings*n*max(n-2, 0))[:0]
+	dst.deps = deps
 
 	last := make([]int, n) // last transfer of chunk owned by ring position
 	for r, ring := range rs {
@@ -143,6 +164,14 @@ func AllGather(top *topology.Topology, col *collective.Collective) (*schedule.Sc
 		}
 	}
 	return sched, nil
+}
+
+// sized returns buf resliced to n elements, reallocated when too short.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // Broadcast builds NCCL's hierarchical tree broadcast: the root fans out

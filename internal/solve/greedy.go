@@ -3,6 +3,7 @@ package solve
 import (
 	"cmp"
 	"slices"
+	"sync"
 )
 
 // interval is one busy [start, end) port reservation in epochs.
@@ -75,11 +76,54 @@ type openDelivery struct {
 // joins the end of its piece's list. A committed send invalidates only
 // the cached starts that share its egress or ingress port, and a triple
 // whose cached start (a floor) cannot beat the round's best so far is
-// passed over without a port scan. Deterministic.
+// passed over without a port scan. Deterministic. Its working memory
+// comes from scratchPool; only the SubSchedule and its Transfers are new.
 func greedySolve(d *Demand, tau float64) *SubSchedule {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return sc.greedy(d, tau)
+}
+
+// scratch is a solve's working memory: greedySolve's per-piece epoch
+// parameters and holder lists, the open deliveries and their start
+// caches, the per-GPU counts and roles, and the port reservations;
+// flattenSolve's jobs, port clocks and sort counts. Solves take one from
+// scratchPool and put it back, so its arrays only ever grow.
+type scratch struct {
+	eps             []epochParams
+	holders         [][]holder
+	held            []holder
+	open            []openDelivery
+	received        []int
+	role            []byte
+	starts          []cachedStart
+	egress, ingress [][]interval
+	busy            []interval
+
+	jobs, bySrc []job
+	clocks      []int
+	counts      []int
+	order       []Transfer
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// sized returns *buf resliced to n elements, reallocated when too short.
+// The contents are whatever the last solve left: every user writes an
+// element before it reads it, or clears the slice.
+func sized[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// greedy is greedySolve in sc.
+func (sc *scratch) greedy(d *Demand, tau float64) *SubSchedule {
 	n := d.NumGPUs
-	eps := make([]epochParams, len(d.Pieces))
-	holders := make([][]holder, len(d.Pieces))
+	eps := sized(&sc.eps, len(d.Pieces))
+	holders := sized(&sc.holders, len(d.Pieces))
 	// Every piece's holder list is cut from one array with room for all
 	// the GPUs it names, so the appends below never reallocate; each
 	// ingress port likewise gets room for the deliveries it receives.
@@ -88,10 +132,11 @@ func greedySolve(d *Demand, tau float64) *SubSchedule {
 		room += len(p.Srcs) + len(p.Dsts)
 		owed += len(p.Dsts)
 	}
-	held := make([]holder, 0, room)
-	open := make([]openDelivery, 0, owed)
-	received := make([]int, n)
-	role := make([]byte, n) // per piece: 1 = source, 2 = needs it
+	held := sized(&sc.held, room)[:0]
+	open := sized(&sc.open, owed)[:0]
+	received := sized(&sc.received, n)
+	clear(received)
+	role := sized(&sc.role, n) // per piece: 1 = source, 2 = needs it
 	for pi, p := range d.Pieces {
 		eps[pi] = paramsFor(d, tau, p.Bytes)
 		clear(role)
@@ -120,16 +165,20 @@ func greedySolve(d *Demand, tau float64) *SubSchedule {
 		return out
 	}
 	out.Transfers = make([]Transfer, 0, len(open))
-	slab := make([]cachedStart, len(open)*n)
+	slab := sized(&sc.starts, len(open)*n)
+	clear(slab)
 	for i := range open {
 		open[i].starts = slab[i*n : (i+1)*n]
 	}
 
 	// Port reservations: for each GPU and direction, the busy intervals
-	// in start order.
-	egress := make([][]interval, n)
-	ingress := make([][]interval, n)
-	busy := make([]interval, len(open))
+	// in start order. An egress list keeps the array the last solve grew.
+	egress := sized(&sc.egress, n)
+	for g := range egress {
+		egress[g] = egress[g][:0]
+	}
+	ingress := sized(&sc.ingress, n)
+	busy := sized(&sc.busy, len(open))
 	for g, m := range received {
 		ingress[g], busy = busy[:0:m], busy[m:]
 	}

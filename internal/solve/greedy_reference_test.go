@@ -206,10 +206,11 @@ func schedulerDemand(rng *rand.Rand) *Demand {
 	return d
 }
 
-// checkGreedyEquivalence holds greedySolve to the reference's
-// deterministic arm (no rng, no weights) on one demand drawn from seed:
-// same transfers in the same order, same makespan.
-func checkGreedyEquivalence(t *testing.T, seed int64) {
+// checkGreedyEquivalence holds greedySolve, run in sc (nil: greedySolve
+// itself, from the pool), to the reference's deterministic arm (no rng,
+// no weights) on one demand drawn from seed: same transfers in the same
+// order, same makespan.
+func checkGreedyEquivalence(t *testing.T, sc *scratch, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	d := schedulerDemand(rng)
@@ -218,23 +219,39 @@ func checkGreedyEquivalence(t *testing.T, seed int64) {
 	}
 	tau := d.Beta * 1024 / float64(1+rng.Intn(2))
 	want := greedyGuidedReference(d, tau, nil, nil)
-	if got := greedySolve(d, tau); !reflect.DeepEqual(got, want) {
+	if got := greedyIn(sc, d, tau); !reflect.DeepEqual(got, want) {
 		t.Fatalf("seed %d: schedules differ\n got %+v\nwant %+v\ndemand %+v", seed, got, want, d)
 	}
 }
 
-func TestGreedyEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 400; seed++ {
-		checkGreedyEquivalence(t, seed)
+func greedyIn(sc *scratch, d *Demand, tau float64) *SubSchedule {
+	if sc == nil {
+		return greedySolve(d, tau)
 	}
-	// The shapes the pipeline feeds it: full broadcasts and AllGathers.
-	for n := 2; n <= 12; n++ {
+	return sc.greedy(d, tau)
+}
+
+// TestGreedyEquivalence runs every demand twice, through the pool and
+// through one scratch that every solve of the test reuses, so solves of
+// different sizes run back to back on what the last one left: larger
+// and smaller demands, more and fewer GPUs.
+func TestGreedyEquivalence(t *testing.T) {
+	shared := new(scratch)
+	for seed := int64(0); seed < 400; seed++ {
+		checkGreedyEquivalence(t, nil, seed)
+		checkGreedyEquivalence(t, shared, seed)
+	}
+	// The shapes the pipeline feeds it: full broadcasts and AllGathers,
+	// up in size and back down.
+	for _, n := range []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 7, 3, 12, 2} {
 		for _, d := range []*Demand{broadcastDemand(n), allGatherDemand(n)} {
 			d.Alpha = 1.5
 			for _, tau := range []float64{1, 0.5} {
 				want := greedyGuidedReference(d, tau, nil, nil)
-				if got := greedySolve(d, tau); !reflect.DeepEqual(got, want) {
-					t.Fatalf("n=%d tau=%g: schedules differ\n got %+v\nwant %+v", n, tau, got, want)
+				for _, sc := range []*scratch{nil, shared} {
+					if got := greedyIn(sc, d, tau); !reflect.DeepEqual(got, want) {
+						t.Fatalf("n=%d tau=%g: schedules differ\n got %+v\nwant %+v", n, tau, got, want)
+					}
 				}
 			}
 		}
@@ -247,7 +264,7 @@ func FuzzGreedyEquivalence(f *testing.F) {
 	for _, seed := range []int64{0, 1, 2, 7, 1234, 99999} {
 		f.Add(seed)
 	}
-	f.Fuzz(func(t *testing.T, seed int64) { checkGreedyEquivalence(t, seed) })
+	f.Fuzz(func(t *testing.T, seed int64) { checkGreedyEquivalence(t, nil, seed) })
 }
 
 // BenchmarkGreedySplit schedules the second-stage cell of the 8-GPU

@@ -101,42 +101,66 @@ func deliveryCount(d *Demand) int {
 // On point-to-point demands (one source, one destination per piece, the
 // shape AlltoAll decomposition produces) only port timing remains.
 func flattenSolve(d *Demand, tau float64) *SubSchedule {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return sc.flatten(d, tau)
+}
+
+// job is one delivery flattenSolve places: piece, from src to dst.
+type job struct{ piece, src, dst int }
+
+// flatten is flattenSolve in sc: only the SubSchedule and its Transfers
+// are new. Both orders are stable counting sorts.
+func (sc *scratch) flatten(d *Demand, tau float64) *SubSchedule {
 	n := d.NumGPUs
-	type job struct{ piece, src, dst int }
-	jobs := make([]job, 0, deliveryCount(d))
+	listed := sized(&sc.jobs, deliveryCount(d))[:0]
 	for pi, p := range d.Pieces {
 		for k, dst := range p.Dsts {
-			jobs = append(jobs, job{pi, p.Srcs[k%len(p.Srcs)], dst})
+			listed = append(listed, job{pi, p.Srcs[k%len(p.Srcs)], dst})
 		}
 	}
-	sort.SliceStable(jobs, func(a, b int) bool {
-		oa := ((jobs[a].dst-jobs[a].src)%n + n) % n
-		ob := ((jobs[b].dst-jobs[b].src)%n + n) % n
-		if oa != ob {
-			return oa < ob
-		}
-		if jobs[a].src != jobs[b].src {
-			return jobs[a].src < jobs[b].src
-		}
-		return jobs[a].piece < jobs[b].piece
-	})
-	egress := make([]int, n)
-	ingress := make([]int, n)
-	out := &SubSchedule{Tau: tau, Engine: "flatten", Transfers: make([]Transfer, 0, len(jobs))}
-	for _, j := range jobs {
+	// The jobs are listed by piece, so sorting them by source and then by
+	// ring offset, stably, puts them in (offset, source, piece) order.
+	bySrc := sized(&sc.bySrc, len(listed))
+	countSort(listed, bySrc, sized(&sc.counts, n), func(j job) int { return j.src })
+	jobs := listed
+	countSort(bySrc, jobs, sc.counts, func(j job) int { return ((j.dst-j.src)%n + n) % n })
+
+	clocks := sized(&sc.clocks, 2*n)
+	clear(clocks)
+	egress, ingress := clocks[:n], clocks[n:]
+	placed := sized(&sc.order, len(jobs))
+	out := &SubSchedule{Tau: tau, Engine: "flatten"}
+	last := 0
+	for i, j := range jobs {
 		ep := paramsFor(d, tau, d.Pieces[j.piece].Bytes)
-		start := egress[j.src]
-		if ingress[j.dst] > start {
-			start = ingress[j.dst]
-		}
+		start := max(egress[j.src], ingress[j.dst])
 		egress[j.src] = start + ep.span
 		ingress[j.dst] = start + ep.span
 		arrive := start + ep.lat
-		out.Transfers = append(out.Transfers, Transfer{Src: j.src, Dst: j.dst, Piece: j.piece, Start: start, Arrive: arrive})
-		if arrive > out.Epochs {
-			out.Epochs = arrive
-		}
+		placed[i] = Transfer{Src: j.src, Dst: j.dst, Piece: j.piece, Start: start, Arrive: arrive}
+		out.Epochs = max(out.Epochs, arrive)
+		last = max(last, start)
 	}
-	sort.SliceStable(out.Transfers, func(a, b int) bool { return out.Transfers[a].Start < out.Transfers[b].Start })
+	out.Transfers = make([]Transfer, len(placed))
+	countSort(placed, out.Transfers, sized(&sc.counts, last+1), func(t Transfer) int { return t.Start })
 	return out
+}
+
+// countSort writes src into dst, stably sorted by key, which maps every
+// element into [0, len(counts)).
+func countSort[T any](src, dst []T, counts []int, key func(T) int) {
+	clear(counts)
+	for _, v := range src {
+		counts[key(v)]++
+	}
+	sum := 0
+	for k, c := range counts {
+		counts[k], sum = sum, sum+c
+	}
+	for _, v := range src {
+		k := key(v)
+		dst[counts[k]] = v
+		counts[k]++
+	}
 }

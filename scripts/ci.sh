@@ -44,10 +44,12 @@ echo "== cold digests and history independence under GOMAXPROCS 1, 4, 16 =="
 # finished, in per-worker buffers on as many OS threads as there are: the
 # schedule must not depend on the Workers count at any setting. The
 # engine shares its cached values with every concurrent plan, so none of
-# them may be written, however the plans interleave.
+# them may be written, however the plans interleave. Each synthesis works
+# in a pooled workspace the next one reuses, however many are in flight:
+# nothing a synthesis returned may change with it.
 for procs in 1 4 16; do
     GOMAXPROCS=$procs go test ./internal/core ./internal/engine \
-        -run 'TestColdScheduleDigests$|TestPlanAnswerIndependentOfHistory$|TestPlanAnswerIndependentOfRandomHistory$|TestAssemblyEquivalence$|FuzzAssemblyEquivalence$|TestSynthesizeDeterministicAcrossWorkers$|TestCachedValuesImmutable$' -count=1
+        -run 'TestColdScheduleDigests$|TestPlanAnswerIndependentOfHistory$|TestPlanAnswerIndependentOfRandomHistory$|TestAssemblyEquivalence$|FuzzAssemblyEquivalence$|TestSynthesizeDeterministicAcrossWorkers$|TestCachedValuesImmutable$|TestResultsOutliveTheWorkspace$' -count=1
 done
 
 echo "== go test -race (core/engine/isomorph/lru/milp/obs/persist/serve/sim/sketch/solve/topology/verify shard) =="
