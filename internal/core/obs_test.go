@@ -3,11 +3,15 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
+	"strings"
 	"testing"
 
+	"syccl/internal/cli"
 	"syccl/internal/collective"
 	"syccl/internal/obs"
 	"syccl/internal/topology"
+	"syccl/internal/verify"
 )
 
 // An attached recorder must capture the full pipeline: phase spans,
@@ -124,6 +128,53 @@ func TestNilRecorderSameResult(t *testing.T) {
 	}
 }
 
+// proofCase is one synthesis of a solver-census corpus.
+type proofCase struct {
+	top *topology.Topology
+	col *collective.Collective
+}
+
+// specCases returns the synthesis of each topology:collective:size spec.
+func specCases(t testing.TB, specs ...string) []proofCase {
+	var cases []proofCase
+	for _, spec := range specs {
+		top, col := digestCase(t, spec)
+		cases = append(cases, proofCase{top, col})
+	}
+	return cases
+}
+
+// randomFabricCases is DESIGN.md's random-fabric census corpus: 30
+// verify.RandomTopology fabrics drawn from seed 11, each with the nine
+// verify.AllKinds at RandomCollective's random size and at 64 MiB in the
+// cli's size vocabulary — 540 syntheses.
+func randomFabricCases(t testing.TB) []proofCase {
+	rng := rand.New(rand.NewSource(11))
+	var cases []proofCase
+	for f := 0; f < 30; f++ {
+		top := verify.RandomTopology(rng)
+		n := top.NumGPUs()
+		for _, kind := range verify.AllKinds {
+			col, err := cli.BuildCollective(strings.ToLower(kind.String()), n, 64<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, proofCase{top, verify.RandomCollective(rng, kind, n)}, proofCase{top, col})
+		}
+	}
+	return cases
+}
+
+// spanInt returns the span's integer attribute key, 0 when it has none.
+func spanInt(sp obs.SpanRecord, key string) int64 {
+	for _, a := range sp.Attrs {
+		if v, ok := a.Value().(int64); ok && a.Key == key {
+			return v
+		}
+	}
+	return 0
+}
+
 // The exact engine says why no MILP ran. On server8:broadcast:1M every
 // exact solve ends at one of its bound exits, so the three proof
 // counters are pinned together with the zero the bounds buy. The 64 MiB
@@ -136,51 +187,62 @@ func TestNilRecorderSameResult(t *testing.T) {
 // "Pipelined pieces"). Over the whole cold-digest matrix the totals pin
 // the solver census: the flow bound closes 29 of the 93 exact solves the
 // postal bound leaves open, no exact solve builds a MILP, and 122
-// sub-demands are over the exact engine's size gate and solved greedily.
+// sub-demands are over the exact engine's size gate and solved greedily;
+// its 182 pivots are all flow-bound LPs. The random-fabric corpus is
+// where branch-and-bound runs: 10 MILPs, 36 nodes, one tree of 27. A
+// change that grows the trees, or the pivots their nodes cost, moves
+// this row (DESIGN.md, "Solver census").
 func TestExactSolveProofCounters(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		specs []string
+		cases func(testing.TB) []proofCase
 		want  map[string]float64
+		// milps counts the MILPs built ("milp.horizon" spans), maxTree
+		// the nodes of the largest.
+		milps, maxTree int64
 	}{
-		{"server8:broadcast:64M", []string{"server8:broadcast:64M"}, map[string]float64{
+		{"server8:broadcast:64M", func(t testing.TB) []proofCase { return specCases(t, "server8:broadcast:64M") }, map[string]float64{
 			"solve.exact":                  0,
 			"solve.exact.bound_proved":     0,
 			"solve.exact.flow_proved":      0,
 			"solve.exact.horizons_skipped": 0,
 			"milp.nodes":                   0,
 			"solve.too_large":              1,
-		}},
-		{"server8:broadcast:1M", []string{"server8:broadcast:1M"}, map[string]float64{
+		}, 0, 0},
+		{"server8:broadcast:1M", func(t testing.TB) []proofCase { return specCases(t, "server8:broadcast:1M") }, map[string]float64{
 			"solve.exact":                  5,
 			"solve.exact.bound_proved":     5,
 			"solve.exact.flow_proved":      0,
 			"solve.exact.horizons_skipped": 0,
 			"milp.nodes":                   0,
 			"solve.too_large":              0,
-		}},
-		{"dgx4:broadcast:64M", []string{"dgx4:broadcast:64M"}, map[string]float64{
+		}, 0, 0},
+		{"dgx4:broadcast:64M", func(t testing.TB) []proofCase { return specCases(t, "dgx4:broadcast:64M") }, map[string]float64{
 			"solve.exact":                  1,
 			"solve.exact.bound_proved":     0,
 			"solve.exact.flow_proved":      0,
 			"solve.exact.horizons_skipped": 1,
 			"milp.nodes":                   0,
 			"solve.too_large":              1,
-		}},
-		{"cold digest matrix", coldDigestSpecs(), map[string]float64{
+		}, 0, 0},
+		{"cold digest matrix", func(t testing.TB) []proofCase { return specCases(t, coldDigestSpecs()...) }, map[string]float64{
 			"solve.exact":              93,
 			"solve.exact.bound_proved": 60,
 			"solve.exact.flow_proved":  29,
 			"milp.nodes":               0,
+			"lp.pivots":                182,
 			"solve.too_large":          122,
-		}},
+		}, 0, 0},
+		{"random fabrics", randomFabricCases, map[string]float64{
+			"milp.nodes": 36,
+			"lp.pivots":  6322,
+		}, 10, 27},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := obs.NewRecorder()
-			for _, spec := range tc.specs {
-				top, col := digestCase(t, spec)
-				if _, err := Synthesize(top, col, Options{Obs: rec}); err != nil {
-					t.Fatalf("%s: %v", spec, err)
+			for _, c := range tc.cases(t) {
+				if _, err := Synthesize(c.top, c.col, Options{Obs: rec}); err != nil {
+					t.Fatalf("%s on %s: %v", c.col.Kind, c.top.Name, err)
 				}
 			}
 			counters := rec.Counters()
@@ -189,24 +251,22 @@ func TestExactSolveProofCounters(t *testing.T) {
 					t.Errorf("counter %q = %g, want %g", name, got, want)
 				}
 			}
-			// The span carries the floor the solve ended with: the greedy
-			// makespan it proved optimal.
+			// Every exact solve's span carries the floor the solve
+			// started from, at least one epoch.
+			var milps, maxTree int64
 			for _, sp := range rec.Spans() {
-				if sp.Name == "milp.horizon" {
-					t.Errorf("a horizon MILP ran under a bound-proved solve: %v", sp.Attrs)
-				}
-				if sp.Name != "solve.exact" {
-					continue
-				}
-				found := false
-				for _, a := range sp.Attrs {
-					if v, ok := a.Value().(int64); ok && a.Key == "lower-bound" {
-						found = v >= 1
+				switch sp.Name {
+				case "milp.horizon":
+					milps++
+					maxTree = max(maxTree, spanInt(sp, "milp.nodes"))
+				case "solve.exact":
+					if spanInt(sp, "lower-bound") < 1 {
+						t.Errorf("solve.exact span without a positive lower-bound attribute: %v", sp.Attrs)
 					}
 				}
-				if !found {
-					t.Errorf("solve.exact span without a positive lower-bound attribute: %v", sp.Attrs)
-				}
+			}
+			if milps != tc.milps || maxTree != tc.maxTree {
+				t.Errorf("%d MILPs built, largest tree %d nodes; want %d, %d", milps, maxTree, tc.milps, tc.maxTree)
 			}
 		})
 	}

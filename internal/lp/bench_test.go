@@ -60,39 +60,3 @@ func BenchmarkLPSolve(b *testing.B) {
 	}
 	b.ReportMetric(float64(pivots), "lp.pivots")
 }
-
-// BenchmarkLPResolveBounds measures the branch-and-bound inner loop: the
-// same LP re-solved under a sequence of single-variable bound tightenings.
-// At the seed this cloned and rebuilt per change (the old milp hot path);
-// now it patches the bounded-variable tableau in place and repairs with
-// dual simplex.
-func BenchmarkLPResolveBounds(b *testing.B) {
-	p := benchProblem(40, 36, 7)
-	n := p.NumVars()
-	t, err := NewTableau(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := t.Solve(); err != nil {
-		b.Fatal(err)
-	}
-	lo := make([]float64, n)
-	hi := make([]float64, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k := 0; k < 16; k++ {
-			v := (i + 3*k) % n
-			for j := 0; j < n; j++ {
-				lo[j], hi[j] = p.Bounds(j)
-			}
-			hi[v] = (lo[v] + hi[v]) / 2
-			sol, err := t.ReSolve(lo, hi)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if sol.Status != StatusOptimal {
-				b.Fatalf("status %v", sol.Status)
-			}
-		}
-	}
-}

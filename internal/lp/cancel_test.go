@@ -2,6 +2,7 @@ package lp
 
 import (
 	"context"
+	"math"
 	"testing"
 )
 
@@ -20,7 +21,7 @@ func textbookProblem() *Problem {
 func TestSolveCtxCancelledReturnsIterLimit(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s, err := textbookProblem().SolveCtx(ctx)
+	s, err := textbookProblem().SolveCtx(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestSolveCtxUncancelledMatchesSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := textbookProblem().SolveCtx(context.Background())
+	got, err := textbookProblem().SolveCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,24 +45,58 @@ func TestSolveCtxUncancelledMatchesSolve(t *testing.T) {
 	}
 }
 
-// TestSetCancelMidSolve installs a poll that trips after a few pivots:
-// the pivot loop must abandon the solve with StatusIterLimit instead of
-// running to optimality.
-func TestSetCancelMidSolve(t *testing.T) {
-	tab, err := NewTableau(textbookProblem())
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	tab.SetCancel(func() bool { calls++; return true })
-	s, err := tab.Solve()
+// countingCtx is a context that is never done but reports itself
+// cancelled, counting how often the pivot loop asks.
+type countingCtx struct {
+	context.Context
+	polls int
+}
+
+func (c *countingCtx) Done() <-chan struct{} { return make(chan struct{}) }
+func (c *countingCtx) Err() error            { c.polls++; return context.Canceled }
+
+// TestCancelPolledInPivotLoop: a context that turns cancelled after the
+// solve started is seen by the pivot loop, which abandons the solve with
+// StatusIterLimit instead of running to optimality.
+func TestCancelPolledInPivotLoop(t *testing.T) {
+	ctx := &countingCtx{Context: context.Background()}
+	s, err := textbookProblem().SolveCtx(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Status != StatusIterLimit {
 		t.Fatalf("status %v, want StatusIterLimit", s.Status)
 	}
-	if calls == 0 {
-		t.Fatal("cancel poll never invoked")
+	if ctx.polls == 0 {
+		t.Fatal("context never polled")
+	}
+}
+
+// TestSolveCtxPivotCap: a cap of k pivots stops the solve after exactly
+// k pivots with StatusIterLimit, for every k up to the pivots the solve
+// needs (at k equal to them no pricing pass is left to see the optimum);
+// a larger cap gives the uncapped answer bit for bit.
+func TestSolveCtxPivotCap(t *testing.T) {
+	p := benchProblem(40, 36, 7)
+	want, err := p.Solve()
+	if err != nil || want.Status != StatusOptimal {
+		t.Fatalf("uncapped: %v %+v", err, want)
+	}
+	for k := 1; k <= want.Iters+1; k++ {
+		got, err := p.SolveCtx(context.Background(), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k <= want.Iters {
+			if got.Status != StatusIterLimit || got.Iters != k {
+				t.Fatalf("cap %d: %v after %d pivots, want iteration-limit after %d", k, got.Status, got.Iters, k)
+			}
+			continue
+		}
+		if got.Status != want.Status || got.Iters != want.Iters ||
+			math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+			t.Fatalf("cap %d: %v after %d pivots, objective %g; uncapped %v after %d, %g",
+				k, got.Status, got.Iters, got.Objective, want.Status, want.Iters, want.Objective)
+		}
 	}
 }

@@ -1,10 +1,10 @@
-// Package lp implements a linear-programming solver: a bounded-variable
-// simplex over a dense tableau, with a two-phase primal simplex for cold
-// solves, a bound-flipping dual simplex for re-solving under changed
-// variable bounds, and Bland's rule for anti-cycling in both.
+// Package lp implements a linear-programming solver: a two-phase primal
+// simplex over a dense bounded-variable tableau, with Bland's rule for
+// anti-cycling.
 //
 // It is the foundation of the MILP solver (package milp) that SyCCL and
-// the TECCL baseline use to synthesize sub-schedules (§5.1, Appendix A).
+// the TECCL baseline use to synthesize sub-schedules (§5.1, Appendix A),
+// and it solves the flow relaxations behind the reported lower bounds.
 // Problems are stated in general form:
 //
 //	minimize    cᵀx
@@ -14,10 +14,9 @@
 // The solver targets the modest problem sizes produced by SyCCL's
 // symmetry decomposition (hundreds of variables). Variable bounds live on
 // the tableau's columns, not in extra rows: the tableau has one row per
-// constraint, nonbasic variables rest at their lower or upper bound, and a
-// bound change is an O(m) right-hand-side update — so branch-and-bound
-// re-solves sibling nodes with a handful of dual-simplex pivots instead of
-// a full rebuild.
+// constraint and nonbasic variables rest at their lower or upper bound.
+// Every solve is cold: a tableau is built from the Problem, solved once
+// and dropped.
 package lp
 
 import (
@@ -88,11 +87,6 @@ func (s Status) String() string {
 		return "unknown"
 	}
 }
-
-// ErrWarmStart reports that a warm-started re-solve could not complete
-// (iteration limit or numerical degradation even after a cold retry); the
-// caller should fall back to building a fresh problem.
-var ErrWarmStart = errors.New("lp: warm-start re-solve not applicable")
 
 // Problem is a linear program under construction.
 type Problem struct {
@@ -166,47 +160,48 @@ type Solution struct {
 }
 
 const (
-	tol          = 1e-9
-	pivotTol     = 1e-9
-	dualPivotTol = 1e-7
+	tol      = 1e-9
+	pivotTol = 1e-9
 )
 
 // Solve runs two-phase primal simplex and returns the solution. The X and
 // Objective fields are meaningful only when Status is StatusOptimal.
 func (p *Problem) Solve() (*Solution, error) {
-	t, err := NewTableau(p)
+	return p.SolveCtx(context.Background(), 0)
+}
+
+// SolveCtx is Solve under a context and a pivot cap. The pivot loops poll
+// the context every cancelCheckMask+1 pivots, and a cancelled solve
+// returns with StatusIterLimit (never a partial basis presented as
+// optimal). maxPivots > 0 caps the solve's pivots below the size-derived
+// cap: a solve that reaches it stops with StatusIterLimit and Iters equal
+// to the cap, even when its last pivot reached the optimum (no pricing
+// pass is left to see it).
+func (p *Problem) SolveCtx(ctx context.Context, maxPivots int) (*Solution, error) {
+	t, err := newTableau(p)
 	if err != nil {
 		return nil, err
 	}
-	return t.Solve()
-}
-
-// SolveCtx is Solve with cooperative cancellation: the pivot loop polls
-// the context and a cancelled solve returns with StatusIterLimit (never
-// a partial basis presented as optimal).
-func (p *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
-	t, err := NewTableau(p)
-	if err != nil {
-		return nil, err
+	if maxPivots > 0 && maxPivots < t.maxIters {
+		t.maxIters = maxPivots
 	}
 	if ctx != nil && ctx.Done() != nil {
-		t.SetCancel(func() bool { return ctx.Err() != nil })
+		t.ctx = ctx
 	}
-	return t.Solve()
+	return t.solve(), nil
 }
 
-// Tableau is the standard-form expansion of a Problem with variables
+// tableau is the standard-form expansion of a Problem with variables
 // shifted to x' = x - lo and slack/surplus/artificial columns appended,
 // one row per constraint. The coefficient matrix is one flat backing
 // array (row-major) for cache locality.
 //
-// Variable bounds are attributes of the columns (colLo/colUp), nonbasic
-// columns rest at one of their bounds (atUpper), and rhs holds the
-// *values* of the basic variables. A bound change moves the resting value
-// of a nonbasic column — an O(m) rhs update — and dual simplex repairs
-// any basic variable pushed outside its bounds, so ReSolve needs no
-// construction work and typically only a few pivots per node.
-type Tableau struct {
+// Variable bounds are attributes of the columns: in shifted space every
+// column's lower bound is 0, structural column i's upper bound is
+// hi_i - lo_i (colUp) and slack/surplus/artificial columns are unbounded.
+// Nonbasic columns rest at one of their bounds (atUpper), and rhs holds
+// the *values* of the basic variables.
+type tableau struct {
 	m         int       // constraint rows
 	a         []float64 // m × totalCols coefficient matrix, flat row-major
 	rhs       []float64 // values of the basic variables
@@ -214,40 +209,24 @@ type Tableau struct {
 	objShift  float64   // constant from the lo-shift
 	basis     []int     // basic column per row
 	totalCols int
+	numVars   int
 	numArt    int
 	artStart  int
 	iters     int
-	maxIters  int // pivot cap of one Solve or ReSolve call, from the size
-	iterCap   int // caller's tighter cap (SetIterLimit), 0: none
-	stopAt    int // the cap in force for the running call
+	maxIters  int       // pivot cap: size-derived, or the caller's tighter one
+	lo        []float64 // the problem's lower bounds: the shift origin
 
-	numVars int
-	c       []float64 // problem objective (copy)
-	lo0     []float64 // base lower bounds: the shift origin
-	hi0     []float64 // base upper bounds
-
-	// Column bounds are in shifted space: structural column i covers
-	// x'_i ∈ [colLo, colUp]; slack/surplus/artificial columns are [0, +inf).
-	colLo    []float64
 	colUp    []float64
-	atUpper  []bool // nonbasic column rests at its upper bound
-	basicRow []int  // row a column is basic in, -1 if nonbasic
-	solved   bool   // an optimal basis is loaded
-	used     bool   // solved before: the next cold solve refills first
+	atUpper  []bool    // nonbasic column rests at its upper bound
+	basicRow []int     // row a column is basic in, -1 if nonbasic
+	objRow   []float64 // reduced costs of the phase being solved
 
-	// The problem's constraints, kept so the tableau can be refilled to
-	// its construction-time state without holding a second copy of the
-	// matrix.
-	cons []Constraint
-
-	objRow, phase1 []float64  // pooled scratch: objective row, phase-1 cost
-	dcands         []dualCand // pooled scratch: dual ratio-test candidates
-
-	// cancel, when set, is polled every cancelCheckMask+1 pivots by every
-	// pivot loop; a true return abandons the solve with StatusIterLimit.
-	// Callers (branch-and-bound under a context) treat that exactly like an
-	// iteration-limit node: drop it and report the proved bound.
-	cancel func() bool
+	// ctx, when set, is polled every cancelCheckMask+1 pivots by the
+	// pivot loop; a cancelled context abandons the solve with
+	// StatusIterLimit. Callers (branch-and-bound under a context) treat
+	// that exactly like an iteration-limit node: drop it and report the
+	// proved bound.
+	ctx context.Context
 }
 
 // cancelCheckMask throttles cancellation polls: pivots are O(m·width)
@@ -255,42 +234,16 @@ type Tableau struct {
 // unmeasurable while bounding the post-cancel grace to 64 pivots.
 const cancelCheckMask = 63
 
-// SetCancel installs (or clears, with nil) a cancellation poll. It is
-// polled from the primal and dual pivot loops; when it returns true the
-// running solve stops and reports StatusIterLimit.
-func (t *Tableau) SetCancel(cancel func() bool) { t.cancel = cancel }
-
-// SetIterLimit caps the pivots of every later Solve and ReSolve call at
-// n, below the size-derived cap (n ≤ 0 lifts the caller's cap). A call
-// that reaches it stops as it does at the size-derived one.
-func (t *Tableau) SetIterLimit(n int) { t.iterCap = n }
-
-// startCall resets the pivot count and fixes the cap of a Solve or
-// ReSolve call.
-func (t *Tableau) startCall() {
-	t.iters = 0
-	t.stopAt = t.maxIters
-	if t.iterCap > 0 && t.iterCap < t.stopAt {
-		t.stopAt = t.iterCap
-	}
-}
-
-// cancelled reports whether the installed poll requests an abort, checking
+// cancelled reports whether the context has been cancelled, checking
 // only every cancelCheckMask+1 iterations.
-func (t *Tableau) cancelled() bool {
-	return t.cancel != nil && t.iters&cancelCheckMask == 0 && t.cancel()
+func (t *tableau) cancelled() bool {
+	return t.ctx != nil && t.iters&cancelCheckMask == 0 && t.ctx.Err() != nil
 }
 
-// dualCand is one entering candidate of the dual ratio test.
-type dualCand struct {
-	j     int
-	w     float64
-	ratio float64
-}
-
-// NewTableau builds the tableau of a problem: one row per constraint,
-// with the variable bounds on the columns, ready for Solve and ReSolve.
-func NewTableau(p *Problem) (*Tableau, error) {
+// newTableau builds the tableau of a problem: one row per constraint,
+// with the variable bounds on the columns, every nonbasic column at its
+// lower bound (0), so the basic values are exactly the normalized rhs.
+func newTableau(p *Problem) (*tableau, error) {
 	for i := 0; i < p.numVars; i++ {
 		if p.lo[i] > p.hi[i]+tol {
 			return nil, fmt.Errorf("lp: variable %d has empty bounds [%g,%g]", i, p.lo[i], p.hi[i])
@@ -300,19 +253,11 @@ func NewTableau(p *Problem) (*Tableau, error) {
 		}
 	}
 
-	t := &Tableau{
-		numVars: p.numVars,
-		c:       append([]float64(nil), p.c...),
-		lo0:     append([]float64(nil), p.lo...),
-		hi0:     append([]float64(nil), p.hi...),
-		// A Problem only ever appends constraints, and copies their terms
-		// when it does, so the rows as of now can be kept by reference.
-		cons: p.constraints[:len(p.constraints):len(p.constraints)],
-	}
-	t.m = len(t.cons)
+	t := &tableau{numVars: p.numVars, lo: p.lo}
+	t.m = len(p.constraints)
 	numSlack := 0
-	for i := 0; i < t.m; i++ {
-		switch _, op, _, _ := t.rowSpec(i); op {
+	for i := range p.constraints {
+		switch _, op, _, _ := t.rowSpec(&p.constraints[i]); op {
 		case LE:
 			numSlack++
 		case GE:
@@ -328,7 +273,7 @@ func NewTableau(p *Problem) (*Tableau, error) {
 	t.basis = make([]int, t.m)
 	t.rhs = make([]float64, t.m)
 	t.a = make([]float64, t.m*t.totalCols)
-	t.fill()
+	t.fill(p.constraints)
 
 	t.obj = make([]float64, t.totalCols)
 	for i := 0; i < p.numVars; i++ {
@@ -337,25 +282,34 @@ func NewTableau(p *Problem) (*Tableau, error) {
 	}
 
 	t.objRow = make([]float64, t.totalCols)
-	t.phase1 = make([]float64, t.totalCols)
-
-	t.colLo = make([]float64, t.totalCols)
 	t.colUp = make([]float64, t.totalCols)
 	t.atUpper = make([]bool, t.totalCols)
 	t.basicRow = make([]int, t.totalCols)
-	t.resetColumns()
+	for j := range t.colUp {
+		t.colUp[j] = math.Inf(1)
+		t.basicRow[j] = -1
+	}
+	for i := 0; i < p.numVars; i++ {
+		ub := p.hi[i] - p.lo[i]
+		if ub < 0 {
+			ub = 0 // within tol by the bounds check above
+		}
+		t.colUp[i] = ub
+	}
+	for i, b := range t.basis {
+		t.basicRow[b] = i
+	}
 	return t, nil
 }
 
-// rowSpec returns constraint row i of the standard form: its terms over
-// the shifted variables x' = x - lo, and its sense and right-hand side
-// normalized to rhs ≥ 0 — neg reports that the row's coefficients change
-// sign for that.
-func (t *Tableau) rowSpec(i int) (terms []Term, op Op, rhs float64, neg bool) {
-	con := &t.cons[i]
+// rowSpec returns a constraint as a row of the standard form: its terms
+// over the shifted variables x' = x - lo, and its sense and right-hand
+// side normalized to rhs ≥ 0 — neg reports that the row's coefficients
+// change sign for that.
+func (t *tableau) rowSpec(con *Constraint) (terms []Term, op Op, rhs float64, neg bool) {
 	terms, op, rhs = con.Terms, con.Op, con.RHS
 	for _, tm := range terms {
-		rhs -= tm.Coeff * t.lo0[tm.Var]
+		rhs -= tm.Coeff * t.lo[tm.Var]
 	}
 	if rhs < 0 {
 		neg, rhs = true, -rhs
@@ -369,12 +323,12 @@ func (t *Tableau) rowSpec(i int) (terms []Term, op Op, rhs float64, neg bool) {
 	return terms, op, rhs, neg
 }
 
-// fill writes the construction-time matrix, right-hand side and slack /
-// artificial starting basis into a zeroed t.a, straight from the rows.
-func (t *Tableau) fill() {
+// fill writes the matrix, right-hand side and slack / artificial starting
+// basis into a zeroed t.a, straight from the rows.
+func (t *tableau) fill(cons []Constraint) {
 	slack, art := t.numVars, t.artStart
-	for i := 0; i < t.m; i++ {
-		terms, op, rhs, neg := t.rowSpec(i)
+	for i := range cons {
+		terms, op, rhs, neg := t.rowSpec(&cons[i])
 		ri := t.row(i)
 		for _, tm := range terms {
 			ri[tm.Var] += tm.Coeff // terms on one variable sum
@@ -404,35 +358,13 @@ func (t *Tableau) fill() {
 	}
 }
 
-// resetColumns loads the base bounds and the starting basis into the
-// bounded-variable state. Every nonbasic column starts at its lower bound
-// (0), so the basic values are exactly the normalized rhs.
-func (t *Tableau) resetColumns() {
-	for j := range t.colUp {
-		t.colLo[j] = 0
-		t.colUp[j] = math.Inf(1)
-		t.atUpper[j] = false
-		t.basicRow[j] = -1
-	}
-	for i := 0; i < t.numVars; i++ {
-		ub := t.hi0[i] - t.lo0[i]
-		if ub < 0 {
-			ub = 0 // within tol by the bounds check at construction
-		}
-		t.colUp[i] = ub
-	}
-	for i, b := range t.basis {
-		t.basicRow[b] = i
-	}
-}
-
-func (t *Tableau) row(i int) []float64 {
+func (t *tableau) row(i int) []float64 {
 	return t.a[i*t.totalCols : (i+1)*t.totalCols]
 }
 
 // loadObjective fills t.objRow with the reduced costs cost[j] - Σ_i
 // costB[i]·a[i][j] for j < width.
-func (t *Tableau) loadObjective(cost []float64, width int) {
+func (t *tableau) loadObjective(cost []float64, width int) {
 	out := t.objRow
 	copy(out[:width], cost[:width])
 	for i := 0; i < t.m; i++ {
@@ -447,46 +379,19 @@ func (t *Tableau) loadObjective(cost []float64, width int) {
 	}
 }
 
-// Solve runs a cold two-phase solve from the construction-time state
-// (base bounds).
-func (t *Tableau) Solve() (*Solution, error) {
-	t.startCall()
-	t.restore()
-	st := t.twoPhase()
-	if st != StatusOptimal {
-		return &Solution{Status: st, Iters: t.iters}, nil
-	}
-	sol := t.extract()
-	t.solved = sol.Status == StatusOptimal
-	return sol, nil
-}
-
-// restore resets the tableau to its construction-time state by
-// refilling it from its rows: a tableau that is solved once and dropped
-// (the flow relaxations) never pays for a snapshot.
-func (t *Tableau) restore() {
-	if t.used {
-		clear(t.a)
-		t.fill()
-		t.resetColumns()
-	}
-	t.used = true
-	t.solved = false
-}
-
 // colVal returns the resting value of nonbasic column j.
-func (t *Tableau) colVal(j int) float64 {
+func (t *tableau) colVal(j int) float64 {
 	if t.atUpper[j] {
 		return t.colUp[j]
 	}
-	return t.colLo[j]
+	return 0
 }
 
 // elim performs the row elimination of a pivot on (row, col) over the
-// coefficient matrix and objective row only — the pivot loops update rhs
+// coefficient matrix and objective row only — the pivot loop updates rhs
 // (basic values) separately, before elimination, using the pre-pivot
 // column. The caller updates basis/basicRow.
-func (t *Tableau) elim(row, col, width int) {
+func (t *tableau) elim(row, col, width int) {
 	objRow := t.objRow
 	pr := t.row(row)
 	inv := 1 / pr[col]
@@ -518,10 +423,10 @@ func (t *Tableau) elim(row, col, width int) {
 // resting bound; the ratio test may end in a bound flip (the entering
 // column runs to its opposite bound without a basis change). Returns
 // StatusOptimal, StatusUnbounded or StatusIterLimit.
-func (t *Tableau) iterate(colLimit, width int) Status {
+func (t *tableau) iterate(colLimit, width int) Status {
 	objRow := t.objRow
 	noProgress := 0
-	for ; t.iters < t.stopAt; t.iters++ {
+	for ; t.iters < t.maxIters; t.iters++ {
 		if t.cancelled() {
 			return StatusIterLimit
 		}
@@ -530,7 +435,7 @@ func (t *Tableau) iterate(colLimit, width int) Status {
 		if noProgress < 40 {
 			best := tol
 			for j := 0; j < colLimit; j++ {
-				if t.basicRow[j] >= 0 || t.colUp[j]-t.colLo[j] <= tol {
+				if t.basicRow[j] >= 0 || t.colUp[j] <= tol {
 					continue
 				}
 				d := objRow[j]
@@ -548,7 +453,7 @@ func (t *Tableau) iterate(colLimit, width int) Status {
 			}
 		} else {
 			for j := 0; j < colLimit; j++ {
-				if t.basicRow[j] >= 0 || t.colUp[j]-t.colLo[j] <= tol {
+				if t.basicRow[j] >= 0 || t.colUp[j] <= tol {
 					continue
 				}
 				if !t.atUpper[j] && objRow[j] < -tol {
@@ -568,8 +473,7 @@ func (t *Tableau) iterate(colLimit, width int) Status {
 		// variable hits one of its bounds, or the entering column hits its
 		// own opposite bound (a bound flip — cheaper than a pivot, so it
 		// wins ties). Bland tie-break on basis index among rows.
-		flipLimit := t.colUp[col] - t.colLo[col]
-		bestD := flipLimit
+		bestD := t.colUp[col]
 		leaveRow := -1
 		leaveUpper := false
 		for i := 0; i < t.m; i++ {
@@ -577,7 +481,7 @@ func (t *Tableau) iterate(colLimit, width int) Status {
 			g := dir * w
 			bi := t.basis[i]
 			if g > pivotTol {
-				d := (t.rhs[i] - t.colLo[bi]) / g
+				d := t.rhs[i] / g
 				if d < bestD-tol || (d < bestD+tol && leaveRow >= 0 && bi < t.basis[leaveRow]) {
 					bestD, leaveRow, leaveUpper = d, i, false
 				}
@@ -634,192 +538,15 @@ func (t *Tableau) iterate(colLimit, width int) Status {
 	return StatusIterLimit
 }
 
-// dualIterate restores primal feasibility (a basic variable outside its
-// column bounds) while preserving dual feasibility: the warm-start engine
-// for ReSolve. The leaving variable exits at its violated bound; the
-// entering column comes from a bound-flipping dual ratio test: candidates
-// are taken in increasing |d_j / a_rj| order, and a candidate whose full
-// range cannot close the violation is flipped to its opposite bound (no
-// basis change) rather than entered — which would overshoot its own
-// bounds and cascade new violations. Returns StatusOptimal (primal
-// feasible), StatusInfeasible or StatusIterLimit.
-func (t *Tableau) dualIterate() Status {
-	objRow := t.objRow
-	noProgress := 0
-	for ; t.iters < t.stopAt; t.iters++ {
-		if t.cancelled() {
-			return StatusIterLimit
-		}
-		// Leaving row: largest bound violation; smallest row index after
-		// stalling (Bland-style) to break degenerate cycling.
-		r := -1
-		tooLow := false
-		if noProgress < 40 {
-			worst := tol
-			for i := 0; i < t.m; i++ {
-				bi := t.basis[i]
-				if v := t.colLo[bi] - t.rhs[i]; v > worst {
-					worst, r, tooLow = v, i, true
-				}
-				if up := t.colUp[bi]; !math.IsInf(up, 1) {
-					if v := t.rhs[i] - up; v > worst {
-						worst, r, tooLow = v, i, false
-					}
-				}
-			}
-		} else {
-			for i := 0; i < t.m; i++ {
-				bi := t.basis[i]
-				if t.rhs[i] < t.colLo[bi]-tol {
-					r, tooLow = i, true
-					break
-				}
-				if up := t.colUp[bi]; !math.IsInf(up, 1) && t.rhs[i] > up+tol {
-					r, tooLow = i, false
-					break
-				}
-			}
-		}
-		if r < 0 {
-			return StatusOptimal
-		}
-		bi := t.basis[r]
-		target := t.colLo[bi]
-		if !tooLow {
-			target = t.colUp[bi]
-		}
-		row := t.row(r)
-		// Gather sign-eligible flexible candidates. Fixed columns
-		// (colLo == colUp) are constants and never enter.
-		cands := t.dcands[:0]
-		maxAbs := 0.0
-		for j := 0; j < t.artStart; j++ {
-			if t.basicRow[j] >= 0 {
-				continue
-			}
-			w := row[j]
-			if v := math.Abs(w); v > maxAbs {
-				maxAbs = v
-			}
-			if t.colUp[j]-t.colLo[j] <= tol {
-				continue
-			}
-			var ok bool
-			if tooLow {
-				// The basic variable must increase: raise a column whose
-				// coefficient is negative, or lower one at its upper bound
-				// with a positive coefficient.
-				ok = (!t.atUpper[j] && w < -dualPivotTol) || (t.atUpper[j] && w > dualPivotTol)
-			} else {
-				ok = (!t.atUpper[j] && w > dualPivotTol) || (t.atUpper[j] && w < -dualPivotTol)
-			}
-			if ok {
-				cands = append(cands, dualCand{j: j, w: w, ratio: math.Abs(objRow[j] / w)})
-			}
-		}
-		t.dcands = cands
-		if len(cands) == 0 {
-			// A numerically-null row (a redundant constraint whose
-			// artificial stayed basic) can drift slightly out of bounds
-			// under patches; it carries no information, so snap it.
-			viol := t.colLo[bi] - t.rhs[r]
-			if !tooLow {
-				viol = t.rhs[r] - t.colUp[bi]
-			}
-			if maxAbs <= dualPivotTol && viol <= 1e-5 {
-				t.rhs[r] = target
-				continue
-			}
-			return StatusInfeasible
-		}
-		// Bound-flipping walk, smallest ratio first (smallest column index
-		// within tolerance — candidates are gathered in index order).
-		col := -1
-		var wcol float64
-		flipped := false
-		for {
-			best := -1
-			bestRatio := math.Inf(1)
-			for k := range cands {
-				if cands[k].j < 0 {
-					continue // consumed by a flip
-				}
-				if cands[k].ratio < bestRatio-tol {
-					bestRatio = cands[k].ratio
-					best = k
-				}
-			}
-			if best < 0 {
-				break
-			}
-			c := &cands[best]
-			rng := t.colUp[c.j] - t.colLo[c.j]
-			if !math.IsInf(rng, 1) {
-				delta := rng
-				if t.atUpper[c.j] {
-					delta = -rng
-				}
-				if math.Abs(delta*c.w) < math.Abs(t.rhs[r]-target)-tol {
-					// The full flip still leaves the row violated: move the
-					// column to its other bound and keep looking.
-					for i := 0; i < t.m; i++ {
-						wi := t.a[i*t.totalCols+c.j]
-						if wi != 0 {
-							t.rhs[i] -= delta * wi
-						}
-					}
-					t.atUpper[c.j] = !t.atUpper[c.j]
-					c.j = -1
-					flipped = true
-					continue
-				}
-			}
-			col = c.j
-			wcol = c.w
-			break
-		}
-		if col < 0 {
-			// Every flexible column flipped fully toward the bound and the
-			// row is still violated: no primal point satisfies it.
-			return StatusInfeasible
-		}
-		move := (t.rhs[r] - target) / wcol
-		for i := 0; i < t.m; i++ {
-			if i == r {
-				continue
-			}
-			wi := t.a[i*t.totalCols+col]
-			if wi != 0 {
-				t.rhs[i] -= move * wi
-			}
-		}
-		newVal := t.colVal(col) + move
-		t.basicRow[bi] = -1
-		t.atUpper[bi] = !tooLow
-		t.elim(r, col, t.artStart)
-		t.basis[r] = col
-		t.basicRow[col] = r
-		t.rhs[r] = newVal
-		if flipped || math.Abs(move) > tol {
-			noProgress = 0
-		} else {
-			noProgress++
-		}
-	}
-	return StatusIterLimit
-}
-
-// twoPhase runs the cold bounded-variable solve on the current state:
-// phase 1 over the artificial sum, artificial drive-out, then phase 2.
-func (t *Tableau) twoPhase() Status {
+// twoPhase runs the bounded-variable solve: phase 1 over the artificial
+// sum, artificial drive-out, then phase 2.
+func (t *tableau) twoPhase() Status {
 	if t.numArt > 0 {
-		for j := range t.phase1 {
-			t.phase1[j] = 0
-		}
+		phase1 := make([]float64, t.totalCols)
 		for j := t.artStart; j < t.totalCols; j++ {
-			t.phase1[j] = 1
+			phase1[j] = 1
 		}
-		t.loadObjective(t.phase1, t.totalCols)
+		t.loadObjective(phase1, t.totalCols)
 		st := t.iterate(t.totalCols, t.totalCols)
 		if st != StatusOptimal {
 			return st
@@ -866,8 +593,16 @@ func (t *Tableau) twoPhase() Status {
 	return t.iterate(t.artStart, t.artStart)
 }
 
+// solve runs the two-phase solve and reads out its result.
+func (t *tableau) solve() *Solution {
+	if st := t.twoPhase(); st != StatusOptimal {
+		return &Solution{Status: st, Iters: t.iters}
+	}
+	return t.extract()
+}
+
 // extract reads the solution out of an optimal bounded-variable basis.
-func (t *Tableau) extract() *Solution {
+func (t *tableau) extract() *Solution {
 	sol := &Solution{Iters: t.iters}
 	for i := 0; i < t.m; i++ {
 		if t.basis[i] >= t.artStart && math.Abs(t.rhs[i]) > 1e-6 {
@@ -885,132 +620,12 @@ func (t *Tableau) extract() *Solution {
 		} else {
 			v = t.colVal(i)
 		}
-		sol.X[i] = v + t.lo0[i]
-		obj += t.c[i] * v
+		sol.X[i] = v + t.lo[i]
+		obj += t.obj[i] * v
 	}
 	sol.Objective = obj
 	sol.Status = StatusOptimal
 	return sol
-}
-
-// patch loads new variable bounds into the columns. A basic column just
-// takes the new bounds (dual simplex repairs any violation); a nonbasic
-// column rests on a bound, so its value shifts with that bound and every
-// basic value is updated by -delta times the column — O(m) per changed
-// variable.
-func (t *Tableau) patch(lo, hi []float64) {
-	for i := 0; i < t.numVars; i++ {
-		nl := lo[i] - t.lo0[i]
-		nu := hi[i] - t.lo0[i] // +Inf stays +Inf
-		if nl == t.colLo[i] && nu == t.colUp[i] {
-			continue
-		}
-		if t.basicRow[i] >= 0 {
-			t.colLo[i], t.colUp[i] = nl, nu
-			continue
-		}
-		var delta float64
-		if t.atUpper[i] {
-			if math.IsInf(nu, 1) {
-				// Nothing can rest at +Inf: move to the lower bound.
-				delta = nl - t.colUp[i]
-				t.atUpper[i] = false
-			} else {
-				delta = nu - t.colUp[i]
-			}
-		} else {
-			delta = nl - t.colLo[i]
-		}
-		t.colLo[i], t.colUp[i] = nl, nu
-		if delta != 0 {
-			for r := 0; r < t.m; r++ {
-				w := t.a[r*t.totalCols+i]
-				if w != 0 {
-					t.rhs[r] -= delta * w
-				}
-			}
-		}
-	}
-}
-
-// ReSolve re-solves the tableau's program under the given variable
-// bounds: the bounds are patched onto the columns in place and dual
-// simplex restores feasibility from the previous optimal basis, falling
-// back to one cold base solve plus a patch when the warm basis cannot
-// absorb the change. The warm attempt and the cold retry share one pivot
-// cap, and the returned Solution's Iters counts both on every path.
-// Returns ErrWarmStart, with a StatusIterLimit Solution carrying the
-// pivots spent, when the base program is unbounded (no optimal basis to
-// repair from), the cap runs out, or even the cold retry fails
-// numerically (the caller should rebuild from the Problem); otherwise the
-// Solution status is authoritative (StatusInfeasible for empty nodes).
-func (t *Tableau) ReSolve(lo, hi []float64) (*Solution, error) {
-	if len(lo) != t.numVars || len(hi) != t.numVars {
-		return nil, errors.New("lp: ReSolve bounds length mismatch")
-	}
-	for i := 0; i < t.numVars; i++ {
-		if math.IsInf(lo[i], -1) {
-			return nil, errors.New("lp: free (lower-unbounded) variables are not supported")
-		}
-		if lo[i] > hi[i]+tol {
-			return &Solution{Status: StatusInfeasible}, nil
-		}
-	}
-	t.startCall()
-	if t.solved {
-		t.patch(lo, hi)
-		if sol, ok := t.dualPrimal(); ok {
-			return sol, nil
-		}
-	}
-	// Cold recovery: pristine state, two-phase at base bounds (primal
-	// feasible start by construction there), then patch to the requested
-	// bounds and repair.
-	t.restore()
-	st := t.twoPhase()
-	switch st {
-	case StatusInfeasible:
-		// The base box is infeasible; callers only tighten it (branch-and-
-		// bound nodes live inside the base box), so the node is too.
-		return &Solution{Status: StatusInfeasible, Iters: t.iters}, nil
-	case StatusOptimal:
-	default:
-		return &Solution{Status: StatusIterLimit, Iters: t.iters}, ErrWarmStart
-	}
-	t.solved = true
-	t.patch(lo, hi)
-	if sol, ok := t.dualPrimal(); ok {
-		return sol, nil
-	}
-	t.solved = false
-	return &Solution{Status: StatusIterLimit, Iters: t.iters}, ErrWarmStart
-}
-
-// dualPrimal runs dual simplex to primal feasibility, then a primal
-// polish, on the already-loaded basis. ok=false means the basis could not
-// be repaired (iteration limit or numerical degradation) and the caller
-// should recover cold.
-func (t *Tableau) dualPrimal() (*Solution, bool) {
-	t.loadObjective(t.obj, t.artStart)
-	switch t.dualIterate() {
-	case StatusIterLimit:
-		return nil, false
-	case StatusInfeasible:
-		return &Solution{Status: StatusInfeasible, Iters: t.iters}, true
-	}
-	switch t.iterate(t.artStart, t.artStart) {
-	case StatusIterLimit:
-		return nil, false
-	case StatusUnbounded:
-		return &Solution{Status: StatusUnbounded, Iters: t.iters}, true
-	}
-	sol := t.extract()
-	if sol.Status != StatusOptimal {
-		// An artificial crept back to a nonzero value: numerically
-		// degraded, not a trustworthy infeasibility verdict.
-		return nil, false
-	}
-	return sol, true
 }
 
 // Feasible reports whether x satisfies all constraints and bounds within

@@ -299,11 +299,11 @@ func TestOpString(t *testing.T) {
 	}
 }
 
-// buildTableauReference is the dense-row builder NewTableau replaced: a
+// buildTableauReference is the dense-row builder newTableau replaced: a
 // dense row per constraint, normalized, then copied into the flat matrix.
 // TestBuildTableauEquivalence holds the direct-fill builder to it bit for
 // bit.
-func buildTableauReference(p *Problem) (*Tableau, error) {
+func buildTableauReference(p *Problem) (*tableau, error) {
 	// Shifted rows: substitute x = lo + x'.
 	type row struct {
 		coeffs []float64
@@ -349,7 +349,7 @@ func buildTableauReference(p *Problem) (*Tableau, error) {
 			numArt++
 		}
 	}
-	t := &Tableau{
+	t := &tableau{
 		m:         m,
 		totalCols: p.numVars + numSlack + numArt,
 		numArt:    numArt,
@@ -358,9 +358,7 @@ func buildTableauReference(p *Problem) (*Tableau, error) {
 		rhs:       make([]float64, m),
 		maxIters:  20000 + 50*(m+p.numVars),
 		numVars:   p.numVars,
-		c:         append([]float64(nil), p.c...),
-		lo0:       append([]float64(nil), p.lo...),
-		hi0:       append([]float64(nil), p.hi...),
+		lo:        append([]float64(nil), p.lo...),
 	}
 	t.a = make([]float64, m*t.totalCols)
 	slack := p.numVars
@@ -394,9 +392,6 @@ func buildTableauReference(p *Problem) (*Tableau, error) {
 	}
 
 	t.objRow = make([]float64, t.totalCols)
-	t.phase1 = make([]float64, t.totalCols)
-
-	t.colLo = make([]float64, t.totalCols)
 	t.colUp = make([]float64, t.totalCols)
 	t.atUpper = make([]bool, t.totalCols)
 	t.basicRow = make([]int, t.totalCols)
@@ -479,10 +474,9 @@ func scheduleShapeProblem() *Problem {
 }
 
 // TestBuildTableauEquivalence: writing terms straight into the flat
-// matrix, and refilling from the rows instead of restoring a snapshot,
-// gives the layout the dense-row builder gave — matrix, rhs, basis and
-// bounds bit for bit (signed zeros included) — and so the same pivots
-// and the same solution, on a first solve and on a repeated one.
+// matrix gives the layout the dense-row builder gave — matrix, rhs, basis
+// and bounds bit for bit (signed zeros included) — and so the same pivots
+// and the same solution.
 func TestBuildTableauEquivalence(t *testing.T) {
 	sameFloats := func(what string, got, want []float64) {
 		t.Helper()
@@ -495,7 +489,7 @@ func TestBuildTableauEquivalence(t *testing.T) {
 			}
 		}
 	}
-	sameLayout := func(what string, got, want *Tableau) {
+	sameLayout := func(what string, got, want *tableau) {
 		t.Helper()
 		if got.m != want.m || got.totalCols != want.totalCols || got.artStart != want.artStart || got.numArt != want.numArt || got.maxIters != want.maxIters {
 			t.Fatalf("%s: shape %d×%d art %d+%d, reference %d×%d art %d+%d", what,
@@ -504,7 +498,6 @@ func TestBuildTableauEquivalence(t *testing.T) {
 		sameFloats(what+" a", got.a, want.a)
 		sameFloats(what+" rhs", got.rhs, want.rhs)
 		sameFloats(what+" obj", got.obj, want.obj)
-		sameFloats(what+" colLo", got.colLo, want.colLo)
 		sameFloats(what+" colUp", got.colUp, want.colUp)
 		for i := range want.basis {
 			if got.basis[i] != want.basis[i] {
@@ -531,22 +524,13 @@ func TestBuildTableauEquivalence(t *testing.T) {
 		"flow":             flowShapeProblem(6, 5),
 		"schedule-MILP":    scheduleShapeProblem(),
 	} {
-		got, err := NewTableau(p)
+		got, err := newTableau(p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		want, _ := buildTableauReference(p)
 		sameLayout(name, got, want)
-		gs, _ := got.Solve()
-		ws, _ := want.Solve()
-		sameSolution(name, gs, ws)
-		// A second cold solve starts from the refilled construction
-		// state: same layout as a fresh reference, same answer.
-		got.restore()
-		fresh, _ := buildTableauReference(p)
-		sameLayout(name+" refilled", got, fresh)
-		again, _ := got.Solve()
-		sameSolution(name+" second solve", again, ws)
+		sameSolution(name, got.solve(), want.solve())
 	}
 }
 

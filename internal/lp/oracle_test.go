@@ -245,9 +245,9 @@ func holdToOracle(t *testing.T, what string, p *Problem, sol *Solution) Status {
 }
 
 // checkLPOracle draws a program and a chain of bound tightenings from
-// next, and holds Problem.Solve and each warm Tableau.ReSolve along the
-// chain to vertexOracle. It returns the oracle's statuses, the base
-// program's first.
+// next, and holds Problem.Solve on the program and on each tightened
+// copy along the chain to vertexOracle. It returns the oracle's
+// statuses, the base program's first.
 func checkLPOracle(t *testing.T, next func(int) int) []Status {
 	t.Helper()
 	p := oracleProblem(next)
@@ -256,13 +256,6 @@ func checkLPOracle(t *testing.T, next func(int) int) []Status {
 		t.Fatal(err)
 	}
 	seen := []Status{holdToOracle(t, "Solve", p, sol)}
-	tab, err := NewTableau(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tab.Solve(); err != nil {
-		t.Fatal(err)
-	}
 	lo := append([]float64(nil), p.lo...)
 	hi := append([]float64(nil), p.hi...)
 	for step := 0; step < 4; step++ {
@@ -271,24 +264,18 @@ func checkLPOracle(t *testing.T, next func(int) int) []Status {
 		for j := range lo {
 			q.SetBounds(j, lo[j], hi[j])
 		}
-		sol, err := tab.ReSolve(lo, hi)
-		if err == ErrWarmStart && seen[0] == StatusUnbounded {
-			// An unbounded base program leaves no dual-feasible basis to
-			// repair: ReSolve hands the node back, and the caller solves it
-			// cold, as branch-and-bound does.
-			sol, err = q.Solve()
-		}
+		sol, err := q.Solve()
 		if err != nil {
-			t.Fatalf("ReSolve step %d: %v", step, err)
+			t.Fatalf("tightening %d: %v", step, err)
 		}
-		seen = append(seen, holdToOracle(t, fmt.Sprintf("ReSolve step %d", step), q, sol))
+		seen = append(seen, holdToOracle(t, fmt.Sprintf("tightening %d", step), q, sol))
 	}
 	return seen
 }
 
-// TestLPMatchesVertexEnumeration holds the simplex — the cold two-phase
-// primal and the warm dual repair — to an oracle that shares none of its
-// code: brute-force vertex enumeration over random small boxed programs.
+// TestLPMatchesVertexEnumeration holds the two-phase simplex to an oracle
+// that shares none of its code: brute-force vertex enumeration over
+// random small boxed programs and chains of bound tightenings of them.
 func TestLPMatchesVertexEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	count := map[Status]int{}

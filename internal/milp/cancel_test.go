@@ -2,6 +2,7 @@ package milp
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"syccl/internal/lp"
@@ -94,4 +95,14 @@ func TestSolveCtxBackgroundMatchesSolve(t *testing.T) {
 		t.Fatalf("SolveCtx = %v obj %g, Solve = %v obj %g",
 			got.Status, got.Objective, want.Status, want.Objective)
 	}
+}
+
+// integral reports whether every integer variable of x is integral.
+func integral(p *Problem, x []float64) bool {
+	for i, isInt := range p.Integer {
+		if isInt && math.Abs(x[i]-math.Round(x[i])) > intTol {
+			return false
+		}
+	}
+	return true
 }

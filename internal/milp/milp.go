@@ -8,10 +8,9 @@
 // accuracy/efficiency knobs (τ, E) while staying dependency-free.
 //
 // Nodes carry only their (branchVar, bound) delta against the parent;
-// one tableau (lp.NewTableau) is re-solved warm per node — a
-// right-hand-side patch plus a few dual simplex pivots — instead of
-// cloning and rebuilding the whole LP. The search is one best-first loop
-// on the caller's goroutine, so the solution, the node count and the pivot
+// each node's relaxation is the LP tightened to the node's bound box and
+// solved cold (lp.Problem.SolveCtx). The search is one best-first loop on
+// the caller's goroutine, so the solution, the node count and the pivot
 // count are a function of the problem and the options alone; parallelism
 // lives one level up, across sub-demands (core.Options.Workers).
 //
@@ -54,12 +53,12 @@ func (p *Problem) SetBinary(i int) {
 type Options struct {
 	MaxNodes int // 0: default 100000
 	// MaxLPIters caps the simplex pivots summed over all node
-	// relaxations (0: unlimited), the warm re-solves and their cold
-	// fallbacks alike. Like MaxNodes it is a deterministic effort bound —
-	// the same search truncates at the same node on any machine — while
-	// tracking actual work when nodes have very different relaxation
-	// costs. Each node's solve is capped at what is left, so the total
-	// never exceeds it; the node that runs it out is left unresolved.
+	// relaxations (0: unlimited). Like MaxNodes it is a deterministic
+	// effort bound — the same search truncates at the same node on any
+	// machine — while tracking actual work when nodes have very different
+	// relaxation costs. Each node's solve is capped at what is left, so
+	// the total never exceeds it; the node that runs it out is left
+	// unresolved.
 	MaxLPIters int
 }
 
@@ -157,7 +156,7 @@ type solver struct {
 	n              int
 	baseLo, baseHi []float64
 	ctx            context.Context
-	tab            *lp.Tableau // nil: every node takes the cold path
+	rel            *lp.Problem // the caller's LP, re-bounded to each node's box
 	lo, hi         []float64   // scratch bound box of the node being solved
 
 	h     nodeHeap
@@ -216,13 +215,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 	for i := 0; i < n; i++ {
 		s.baseLo[i], s.baseHi[i] = p.LP.Bounds(i)
 	}
-	s.tab, _ = lp.NewTableau(p.LP)
-	if s.tab != nil && ctx.Done() != nil {
-		// Cancellation reaches into the pivot loop: a cancelled node solve
-		// returns StatusIterLimit and is recorded as unresolved, exactly
-		// like a node abandoned at a budget.
-		s.tab.SetCancel(func() bool { return ctx.Err() != nil })
-	}
+	s.rel = p.LP.Clone()
 
 	s.h = nodeHeap{{bound: math.Inf(-1), seq: 0}}
 	s.seq = 1
@@ -284,65 +277,20 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 	return sol, nil
 }
 
-// solveNode solves the node's LP relaxation, warm via the tableau with a
-// cold clone-and-rebuild fallback, within budget pivots over both, and
-// charges every pivot either spends to s.iters; it leaves the node's
-// bound box in s.lo/s.hi. Returns nil when the relaxation is infeasible
-// or unusable, and a StatusIterLimit solution when the budget ran out.
+// solveNode solves the node's LP relaxation cold — the LP with the
+// node's bound box, solved from scratch — within budget pivots, charged
+// to s.iters; it leaves the node's bound box in s.lo/s.hi. Returns nil
+// when branching emptied the box (an infeasible child), and a
+// StatusIterLimit solution when the budget or the context ran out.
 func (s *solver) solveNode(nd *node, budget int) *lp.Solution {
 	nd.materialize(s.lo, s.hi, s.baseLo, s.baseHi)
-	if s.tab != nil {
-		s.tab.SetIterLimit(budget)
-		ls, err := s.tab.ReSolve(s.lo, s.hi)
-		if ls != nil {
-			s.iters += ls.Iters
-			budget -= ls.Iters
-		}
-		if err == nil && s.trusted(ls, nd) {
-			return ls
-		}
-		if budget <= 0 {
-			return &lp.Solution{Status: lp.StatusIterLimit}
-		}
-	}
-	return s.coldSolve(budget)
-}
-
-// trusted applies the warm-path safety nets: the child bound must not
-// undercut the parent bound (monotonicity), and integral optima must
-// verify against the original problem. A failure sends the node to the
-// cold path.
-func (s *solver) trusted(ls *lp.Solution, nd *node) bool {
-	if ls.Status != lp.StatusOptimal {
-		return true // infeasible/unbounded verdicts are checked upstream
-	}
-	if !math.IsInf(nd.bound, -1) && ls.Objective < nd.bound-1e-6 {
-		return false
-	}
-	if integral(s.p, ls.X) && !s.p.LP.Feasible(roundIntegral(s.p, ls.X), 1e-5) {
-		return false
-	}
-	return true
-}
-
-// coldSolve clones the LP, tightens it to the node's bound box, rebuilds
-// and solves within budget pivots, charged to s.iters: the fallback
-// whenever the warm tableau cannot absorb a bound change or fails a
-// safety check.
-func (s *solver) coldSolve(budget int) *lp.Solution {
-	rel := s.p.LP.Clone()
 	for i := 0; i < s.n; i++ {
-		rel.SetBounds(i, s.lo[i], s.hi[i])
+		s.rel.SetBounds(i, s.lo[i], s.hi[i])
 	}
-	tab, err := lp.NewTableau(rel)
+	ls, err := s.rel.SolveCtx(s.ctx, budget)
 	if err != nil {
-		return nil // empty bounds from branching: infeasible child
+		return nil
 	}
-	tab.SetIterLimit(budget)
-	if s.ctx.Done() != nil {
-		tab.SetCancel(func() bool { return s.ctx.Err() != nil })
-	}
-	ls, _ := tab.Solve()
 	s.iters += ls.Iters
 	return ls
 }
@@ -442,15 +390,6 @@ func (s *solver) betterIncumbent(obj float64, x []float64) bool {
 		}
 	}
 	return false
-}
-
-func integral(p *Problem, x []float64) bool {
-	for i, isInt := range p.Integer {
-		if isInt && math.Abs(x[i]-math.Round(x[i])) > intTol {
-			return false
-		}
-	}
-	return true
 }
 
 // roundIntegral snaps near-integral values exactly.

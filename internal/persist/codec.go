@@ -59,7 +59,10 @@ import (
 // also counts the warm re-solves that ran into their own pivot guard: a
 // v5 entry for a demand whose MILP burned such uncounted pivots may hold
 // a schedule a v6 solve, stopping at the budget, does not return.
-const FormatVersion = 6
+// Version 7 has the v6 layout and keys, but branch-and-bound now solves
+// every node's relaxation cold: where optima tie, a v6 entry may hold a
+// schedule that the cold search no longer returns.
+const FormatVersion = 7
 
 // Container kinds. Each file kind decodes only as itself, so a snapshot
 // can never be mistaken for a solve entry.

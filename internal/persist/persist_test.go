@@ -130,9 +130,10 @@ func TestReopenRestoresIndex(t *testing.T) {
 // may hold class members' mapped solutions under their own keys, the
 // manifest a v3 build wrote, whose keys carry solve options that no
 // longer exist, the manifest a v4 build wrote, whose over-gate entries
-// may hold schedules solving no longer returns, and the manifest a v5
-// build wrote, whose exact-engine entries may have run past the pivot
-// budget — is a
+// may hold schedules solving no longer returns, the manifest a v5 build
+// wrote, whose exact-engine entries may have run past the pivot budget,
+// and the manifest a v6 build wrote, whose MILP entries came from a
+// search that re-solved its nodes warm — is a
 // compatibility break: Open discards its entries and snapshots, counts a
 // reset (not a corrupt manifest: a foreign version is intact, just not
 // ours), and the store serves on.
@@ -141,7 +142,7 @@ func TestV1CorpusResets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A v2 … v5 manifest is today's with the version field rewritten
+	// A v2 … v6 manifest is today's with the version field rewritten
 	// and the checksum recomputed: the layout has not changed since v2.
 	manifestOf := func(version uint16) []byte {
 		m := append([]byte(nil), EncodeManifest()[:headerSize]...)
@@ -150,7 +151,7 @@ func TestV1CorpusResets(t *testing.T) {
 		return append(m, sum[:]...)
 	}
 
-	for name, manifest := range map[string][]byte{"v1": v1, "v2": manifestOf(2), "v3": manifestOf(3), "v4": manifestOf(4), "v5": manifestOf(5)} {
+	for name, manifest := range map[string][]byte{"v1": v1, "v2": manifestOf(2), "v3": manifestOf(3), "v4": manifestOf(4), "v5": manifestOf(5), "v6": manifestOf(6)} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			s1 := open(t, dir)

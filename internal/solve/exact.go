@@ -49,7 +49,8 @@ const maxBinaries = 384
 // reproducible; the caller's context is the only wall-clock cut. The
 // pivot budget tracks actual work (a 384-binary relaxation can cost
 // a thousand times more per node than a small one); the node budget
-// backstops near-zero-pivot warm re-solves.
+// backstops nodes that cost next to no pivots (a child whose bound box
+// branching emptied costs none).
 const (
 	horizonNodeBudget = 4000
 	totalNodeBudget   = 6 * horizonNodeBudget

@@ -73,8 +73,8 @@ import (
 //     exactSolve a tighter horizon-search floor;
 //   - seconds (cost = β·b_p): FlowTimeBound adds the α tail, giving a
 //     bound on the α-β simulated completion time that is independent of
-//     any epoch discretization — what core's candidate pruning compares
-//     against incumbent simulated times.
+//     any epoch discretization — what core reports as the coarse
+//     incumbent's Result.Bound and StopWithin compares against.
 
 // flowPivotBudget caps simplex pivots per bound LP. The quotient is
 // tiny (a handful of variables per piece class) and solves in tens of
@@ -105,10 +105,10 @@ const flowPivotOpBudget = 100_000_000
 // maxBinaries gate fits far under this cap, which is the one
 // FlowEpochBound uses.
 //
-// FlowTimeBound runs per candidate × cell before any solving, so it gets
-// the much tighter flowBoundMaxRows — milliseconds, not hundreds of
-// milliseconds — and larger cells keep the closed-form load and chain
-// bounds.
+// FlowTimeBound runs once per distinct demand of the coarse incumbent's
+// cells, between the passes, so it gets the much tighter
+// flowBoundMaxRows — milliseconds, not hundreds of milliseconds — and
+// larger cells keep the closed-form load and chain bounds.
 const (
 	flowLPMaxRows    = 600
 	flowBoundMaxRows = 256
@@ -132,21 +132,18 @@ func flowLP(ctx context.Context, d *Demand, cost []float64, maxRows int) (tStar 
 	if err != nil || prob == nil {
 		return 0, 0, err
 	}
-	tab, err := lp.NewTableau(prob)
-	if err != nil {
-		return 0, 0, err
-	}
 	budget := flowPivotBudget
 	if ops := rows * (prob.NumVars() + rows); ops > 0 && flowPivotOpBudget/ops < budget {
 		budget = flowPivotOpBudget / ops
 	}
-	iters := 0
-	done := ctx != nil && ctx.Done() != nil
-	tab.SetCancel(func() bool {
-		iters += cancelCheckStride
-		return iters > budget || (done && ctx.Err() != nil)
-	})
-	sol, err := tab.Solve()
+	// The budget is spent in whole strides of 64 pivots, the stride of
+	// lp's cancellation polls at which it was first enforced, so a
+	// relaxation stops where it always has; under one stride it gets none.
+	budget -= budget % 64
+	if budget == 0 {
+		return 0, 0, errFlowUnavailable
+	}
+	sol, err := prob.SolveCtx(ctx, budget)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -427,10 +424,6 @@ func (r *refiner) refine(col, other []int, numOther, xs, ys int) int {
 	r.reps = reps
 	return len(reps)
 }
-
-// cancelCheckStride mirrors the tableau's cancel polling interval (one
-// check every 64 pivots) so the local pivot budget counts actual work.
-const cancelCheckStride = 64
 
 // FlowEpochBound returns a lower bound on the epoch makespan of any
 // schedule for d at epoch duration tau, never below the closed-form

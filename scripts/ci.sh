@@ -46,14 +46,16 @@ echo "== cold digests and history independence under GOMAXPROCS 1, 4, 16 =="
 # engine shares its cached values with every concurrent plan, so none of
 # them may be written, however the plans interleave. Each synthesis works
 # in a pooled workspace the next one reuses, however many are in flight:
-# nothing a synthesis returned may change with it.
+# nothing a synthesis returned may change with it. The solver census —
+# exact solves, MILPs built, their nodes and pivots, on the cold matrix
+# and on random fabrics — must not depend on the thread count either.
 for procs in 1 4 16; do
     GOMAXPROCS=$procs go test ./internal/core ./internal/engine \
-        -run 'TestColdScheduleDigests$|TestPlanAnswerIndependentOfHistory$|TestPlanAnswerIndependentOfRandomHistory$|TestAssemblyEquivalence$|FuzzAssemblyEquivalence$|TestSynthesizeDeterministicAcrossWorkers$|TestCachedValuesImmutable$|TestResultsOutliveTheWorkspace$' -count=1
+        -run 'TestColdScheduleDigests$|TestPlanAnswerIndependentOfHistory$|TestPlanAnswerIndependentOfRandomHistory$|TestAssemblyEquivalence$|FuzzAssemblyEquivalence$|TestSynthesizeDeterministicAcrossWorkers$|TestCachedValuesImmutable$|TestResultsOutliveTheWorkspace$|TestExactSolveProofCounters$' -count=1
 done
 
-echo "== go test -race (core/engine/isomorph/lru/milp/obs/persist/serve/sim/sketch/solve/topology/verify shard) =="
-go test -race ./internal/core/ ./internal/engine/ ./internal/isomorph/ ./internal/lru/ ./internal/milp/ ./internal/obs/ ./internal/persist/ ./internal/serve/ ./internal/sim/ ./internal/sketch/ ./internal/solve/ ./internal/topology/ ./internal/verify/
+echo "== go test -race (core/engine/isomorph/lp/lru/milp/obs/persist/serve/sim/sketch/solve/topology/verify shard) =="
+go test -race ./internal/core/ ./internal/engine/ ./internal/isomorph/ ./internal/lp/ ./internal/lru/ ./internal/milp/ ./internal/obs/ ./internal/persist/ ./internal/serve/ ./internal/sim/ ./internal/sketch/ ./internal/solve/ ./internal/topology/ ./internal/verify/
 
 echo "== fuzz smoke ($FUZZTIME per target) =="
 go test ./internal/verify/ -run='^$' -fuzz='^FuzzValidate$' -fuzztime="$FUZZTIME"
