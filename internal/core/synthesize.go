@@ -530,21 +530,11 @@ func sendRecvSchedule(top *topology.Topology, col *collective.Collective) (*sche
 	dst := col.Chunks[0].Dsts[0]
 	s := &schedule.Schedule{NumGPUs: top.NumGPUs()}
 	p := s.AddPiece(col.ChunkSize, 0)
-	dimFor := func(a, b int) int {
-		for d := 0; d < top.NumDims(); d++ {
-			if top.SameGroup(d, a, b) {
-				return d
-			}
-		}
-		return -1
-	}
-	if d := dimFor(src, dst); d >= 0 {
-		s.AddTransfer(schedule.Transfer{Src: src, Dst: dst, Piece: p, Dim: d})
+	relay, d1, d2 := top.PXNRoute(src, dst)
+	if relay < 0 {
+		s.AddTransfer(schedule.Transfer{Src: src, Dst: dst, Piece: p, Dim: d1})
 		return s, nil
 	}
-	g := top.Sym.Local.N
-	relay := (src/g)*g + dst%g
-	d1, d2 := dimFor(src, relay), dimFor(relay, dst)
 	if d1 < 0 || d2 < 0 {
 		return nil, fmt.Errorf("core: no route %d→%d", src, dst)
 	}

@@ -34,13 +34,7 @@ func Direct(top *topology.Topology, col *collective.Collective) (*schedule.Sched
 	for _, ch := range col.Chunks {
 		p := sched.AddPiece(col.ChunkSize, ch.ID)
 		for _, dst := range ch.Dsts {
-			dim := -1
-			for d := 0; d < top.NumDims(); d++ {
-				if top.SameGroup(d, ch.Src, dst) {
-					dim = d
-					break
-				}
-			}
+			dim := top.DimOf(ch.Src, dst)
 			if dim < 0 {
 				return nil, fmt.Errorf("crafted.Direct: no one-hop path %d→%d", ch.Src, dst)
 			}

@@ -132,7 +132,7 @@ func TestChaosReplan(t *testing.T) {
 		eng := New(Options{})
 		for _, kind := range verify.AllKinds {
 			col := verify.RandomCollective(rng, kind, base.NumGPUs())
-			rr, err := eng.Replan(context.Background(), base, delta, col, opts)
+			rr, err := eng.Replan(context.Background(), base, degraded, col, opts)
 			if err != nil {
 				t.Fatalf("trial %d %v: replan: %v", trial, kind, err)
 			}

@@ -114,7 +114,7 @@ func TestCachedValuesImmutable(t *testing.T) {
 	eng := New(Options{SolveCacheEntries: 8 * recipeCellsPerEntry, Persist: openPersist(t, t.TempDir())})
 	// Slows the only group of server8's one dimension: its healthy
 	// sub-schedules go stale (TestReplanInvalidatesUnreachableShapes).
-	delta := mustParseDelta(t, "slow:0-"+itoa(nvSwitchOf(t, server8, 0))+"*8")
+	degraded := mustApply(t, server8, "slow:0-"+itoa(nvSwitchOf(t, server8, 0))+"*8")
 	fullPass := quickOpts()
 	fullPass.StopWithin = 1e-6 // another plan key: no recipe, same sketch and solve keys
 
@@ -185,7 +185,7 @@ func TestCachedValuesImmutable(t *testing.T) {
 				return err
 			})
 			run(func() error {
-				_, err := eng.Replan(context.Background(), server8, delta, requests[4].col, quickOpts())
+				_, err := eng.Replan(context.Background(), server8, degraded, requests[4].col, quickOpts())
 				return err
 			})
 			for i := 0; i < 2; i++ {

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -49,9 +51,11 @@ func (r *ReplanResult) ReuseRatio() float64 {
 	return float64(r.ReusedSubs) / float64(total)
 }
 
-// Replan is the fault-reactive fast path: apply a topology delta to a
-// base topology, selectively invalidate the cache entries the delta made
-// unreachable, and synthesize the collective on the degraded topology.
+// Replan is the fault-reactive fast path: given a base topology and the
+// degraded topology a delta made of it (topology.Delta.Apply, which the
+// caller runs and whose errors it reports), selectively invalidate the
+// cache entries the delta made unreachable, and synthesize the collective
+// on the degraded topology.
 //
 // Sub-demands are content-addressed by (group size, α, β, pieces), so
 // groups the delta did not touch hash to their healthy keys and replay
@@ -62,15 +66,9 @@ func (r *ReplanResult) ReuseRatio() float64 {
 // topology can still produce its demand prefix (an entry shared with an
 // untouched group — the common single-fault case — is kept, because the
 // untouched groups still replay through it).
-func (e *Engine) Replan(ctx context.Context, base *topology.Topology, delta *topology.Delta, col *collective.Collective, opts core.Options) (*ReplanResult, error) {
+func (e *Engine) Replan(ctx context.Context, base, degraded *topology.Topology, col *collective.Collective, opts core.Options) (*ReplanResult, error) {
 	e.replans.Add(1)
 	e.opts.Obs.Count("engine.replans", 1)
-	degraded, err := delta.Apply(base)
-	if err != nil {
-		e.mReplanError.Inc()
-		return nil, fmt.Errorf("replan: %w", err)
-	}
-
 	touched, total, stale := diffGroups(base, degraded)
 	invalidated := 0
 	if len(stale) > 0 {
@@ -108,28 +106,30 @@ func (e *Engine) Replan(ctx context.Context, base *topology.Topology, delta *top
 }
 
 // diffGroups compares the base and degraded topologies group by group.
-// It returns the number of base groups the delta touched (membership or
-// α/β changed, or the whole dimension collapsed), the total base group
-// count, and the cache-key prefixes of touched demand shapes that no
-// surviving group can still produce (the stale set to invalidate), one
-// per shape.
+// A base group is untouched when the degraded dimension of its tier has
+// a group with the same members and the same α/β bits. It returns the
+// number of base groups the delta touched (membership or α/β changed, or
+// the whole dimension collapsed), the total base group count, and the
+// cache-key prefixes of touched demand shapes that no surviving group can
+// still produce (the stale set to invalidate), one per shape.
 func diffGroups(base, degraded *topology.Topology) (touched, total int, stale []string) {
 	type shape struct {
 		n    int
 		a, b float64
 	}
-	groupSig := func(d *topology.Dim, g int) string {
-		var sb strings.Builder
-		for _, gpu := range d.Groups[g] {
-			fmt.Fprintf(&sb, "%d.", gpu)
-		}
-		fmt.Fprintf(&sb, "a%.17g,b%.17g", d.AlphaOf(g), d.BetaOf(g))
-		return sb.String()
-	}
-
 	degByTier := make(map[int]*topology.Dim, degraded.NumDims())
 	for _, d := range degraded.Dims {
 		degByTier[d.Tier] = d
+	}
+	kept := func(bd *topology.Dim, g int) bool {
+		dd := degByTier[bd.Tier]
+		if dd == nil {
+			return false
+		}
+		dg := dd.GroupOf(bd.Groups[g][0])
+		return dg >= 0 && slices.Equal(dd.Groups[dg], bd.Groups[g]) &&
+			math.Float64bits(dd.AlphaOf(dg)) == math.Float64bits(bd.AlphaOf(g)) &&
+			math.Float64bits(dd.BetaOf(dg)) == math.Float64bits(bd.BetaOf(g))
 	}
 
 	// Every demand shape the degraded fabric can still produce stays live.
@@ -142,16 +142,9 @@ func diffGroups(base, degraded *topology.Topology) (touched, total int, stale []
 
 	staleShapes := make(map[shape]bool)
 	for _, bd := range base.Dims {
-		dd := degByTier[bd.Tier]
-		degSigs := make(map[string]bool)
-		if dd != nil {
-			for g := range dd.Groups {
-				degSigs[groupSig(dd, g)] = true
-			}
-		}
 		for g := range bd.Groups {
 			total++
-			if dd != nil && degSigs[groupSig(bd, g)] {
+			if kept(bd, g) {
 				continue
 			}
 			touched++

@@ -32,8 +32,18 @@ func mustParseDelta(t *testing.T, spec string) *topology.Delta {
 	return d
 }
 
+// mustApply parses a delta spec and applies it to base.
+func mustApply(t *testing.T, base *topology.Topology, spec string) *topology.Topology {
+	t.Helper()
+	degraded, err := mustParseDelta(t, spec).Apply(base)
+	if err != nil {
+		t.Fatalf("Apply(%q): %v", spec, err)
+	}
+	return degraded
+}
+
 // TestReplanDifferential is the differential contract of the tentpole:
-// Replan(base, delta) on a warm engine must be bit-identical to a cold
+// Replan(base, degraded) on a warm engine must be bit-identical to a cold
 // Plan on the pre-applied degraded topology, while reusing at least half
 // of the sub-schedules from cache — with zero solver calls for the
 // untouched groups — and the result must pass the chunk-replay oracle.
@@ -63,7 +73,7 @@ func TestReplanDifferential(t *testing.T) {
 	if _, err := eng.Plan(context.Background(), base, col, quickOpts()); err != nil {
 		t.Fatal(err)
 	}
-	rr, err := eng.Replan(context.Background(), base, delta, col, quickOpts())
+	rr, err := eng.Replan(context.Background(), base, degraded, col, quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +162,7 @@ func TestReplanLinkKillDifferential(t *testing.T) {
 	if _, err := eng.Plan(context.Background(), base, col, quickOpts()); err != nil {
 		t.Fatal(err)
 	}
-	rr, err := eng.Replan(context.Background(), base, delta, col, quickOpts())
+	rr, err := eng.Replan(context.Background(), base, degraded, col, quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +203,8 @@ func TestReplanInvalidatesUnreachableShapes(t *testing.T) {
 		t.Fatal("warm plan wrote nothing to the persist tier")
 	}
 
-	nv := nvSwitchOf(t, base, 0)
-	rr, err := eng.Replan(context.Background(), base, mustParseDelta(t, "slow:0-"+itoa(nv)+"*8"), col, quickOpts())
+	degraded := mustApply(t, base, "slow:0-"+itoa(nvSwitchOf(t, base, 0))+"*8")
+	rr, err := eng.Replan(context.Background(), base, degraded, col, quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +234,8 @@ func TestReplanInvalidatesUnreachableShapes(t *testing.T) {
 
 	// The degraded shape must not alias the healthy one: a subsequent
 	// replan of the same delta replays the degraded entries warm.
-	rr2, err := eng.Replan(context.Background(), base, mustParseDelta(t, "slow:0-"+itoa(nv)+"*8"), col, quickOpts())
+	again := mustApply(t, base, "slow:0-"+itoa(nvSwitchOf(t, base, 0))+"*8")
+	rr2, err := eng.Replan(context.Background(), base, again, col, quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,26 +244,6 @@ func TestReplanInvalidatesUnreachableShapes(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rr2.Schedule, rr.Schedule) {
 		t.Error("repeat replan is not bit-identical")
-	}
-}
-
-// TestReplanRejectsBadDelta pins the error path: a delta that
-// disconnects a GPU fails without planning, and is counted.
-func TestReplanRejectsBadDelta(t *testing.T) {
-	eng := New(Options{})
-	base := topology.SingleServer(4)
-	col := collective.AllGather(base.NumGPUs(), 1<<16)
-	nv := nvSwitchOf(t, base, 0)
-	_, err := eng.Replan(context.Background(), base, mustParseDelta(t, "kill:0-"+itoa(nv)), col, quickOpts())
-	if err == nil {
-		t.Fatal("disconnecting delta accepted")
-	}
-	st := eng.Stats()
-	if st.Replans != 1 {
-		t.Errorf("Stats.Replans = %d, want 1", st.Replans)
-	}
-	if st.Plans != 0 {
-		t.Errorf("failed replan ran a plan: Plans = %d", st.Plans)
 	}
 }
 

@@ -73,9 +73,10 @@ func TestCancelPolledInPivotLoop(t *testing.T) {
 }
 
 // TestSolveCtxPivotCap: a cap of k pivots stops the solve after exactly
-// k pivots with StatusIterLimit, for every k up to the pivots the solve
-// needs (at k equal to them no pricing pass is left to see the optimum);
-// a larger cap gives the uncapped answer bit for bit.
+// k pivots with StatusIterLimit, for every k below the pivots the solve
+// needs; a cap of at least those pivots gives the uncapped answer bit for
+// bit (at k equal to them the pricing pass after the last pivot sees the
+// optimum).
 func TestSolveCtxPivotCap(t *testing.T) {
 	p := benchProblem(40, 36, 7)
 	want, err := p.Solve()
@@ -87,7 +88,7 @@ func TestSolveCtxPivotCap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if k <= want.Iters {
+		if k < want.Iters {
 			if got.Status != StatusIterLimit || got.Iters != k {
 				t.Fatalf("cap %d: %v after %d pivots, want iteration-limit after %d", k, got.Status, got.Iters, k)
 			}

@@ -426,7 +426,7 @@ func (t *tableau) elim(row, col, width int) {
 func (t *tableau) iterate(colLimit, width int) Status {
 	objRow := t.objRow
 	noProgress := 0
-	for ; t.iters < t.maxIters; t.iters++ {
+	for ; ; t.iters++ {
 		if t.cancelled() {
 			return StatusIterLimit
 		}
@@ -468,6 +468,11 @@ func (t *tableau) iterate(colLimit, width int) Status {
 		}
 		if col < 0 {
 			return StatusOptimal
+		}
+		// The cap is checked after pricing, so a solve whose last allowed
+		// pivot reached the optimum reports it.
+		if t.iters >= t.maxIters {
+			return StatusIterLimit
 		}
 		// Ratio test: how far can the entering column move before a basic
 		// variable hits one of its bounds, or the entering column hits its
@@ -535,7 +540,6 @@ func (t *tableau) iterate(colLimit, width int) Status {
 			noProgress++
 		}
 	}
-	return StatusIterLimit
 }
 
 // twoPhase runs the bounded-variable solve: phase 1 over the artificial

@@ -21,15 +21,17 @@ import (
 	"syccl/internal/topology"
 )
 
-// dimFor returns the smallest dimension connecting two GPUs, preferring
+// dimFor returns the first dimension connecting two GPUs, preferring
 // the intra-server fabric.
 func dimFor(top *topology.Topology, a, b int) (int, error) {
-	for d := 0; d < top.NumDims(); d++ {
-		if top.SameGroup(d, a, b) {
-			return d, nil
-		}
+	if d := top.DimOf(a, b); d >= 0 {
+		return d, nil
 	}
-	return 0, fmt.Errorf("nccl: GPUs %d and %d share no dimension", a, b)
+	return 0, noDim(a, b)
+}
+
+func noDim(a, b int) error {
+	return fmt.Errorf("nccl: GPUs %d and %d share no dimension", a, b)
 }
 
 // rings builds NCCL's ring orderings: ring r starts at local index r of
@@ -244,25 +246,22 @@ func AlltoAll(top *topology.Topology, col *collective.Collective) (*schedule.Sch
 		return nil, fmt.Errorf("nccl.AlltoAll: got %v", col.Kind)
 	}
 	n := top.NumGPUs()
-	g := top.Sym.Local.N
 	sched := &schedule.Schedule{NumGPUs: n}
 	for _, ch := range col.Chunks {
 		src, dst := ch.Src, ch.Dsts[0]
 		p := sched.AddPiece(col.ChunkSize, ch.ID)
 		order := ((dst-src)%n + n) % n // rotation order avoids convoying
-		if d, err := dimFor(top, src, dst); err == nil {
-			sched.AddTransfer(schedule.Transfer{Src: src, Dst: dst, Piece: p, Dim: d, Order: order})
+		relay, d1, d2 := top.PXNRoute(src, dst)
+		if relay < 0 {
+			sched.AddTransfer(schedule.Transfer{Src: src, Dst: dst, Piece: p, Dim: d1, Order: order})
 			continue
 		}
 		// PXN relay: same-server GPU on the destination rail.
-		relay := (src/g)*g + dst%g
-		d1, err := dimFor(top, src, relay)
-		if err != nil {
-			return nil, err
+		if d1 < 0 {
+			return nil, noDim(src, relay)
 		}
-		d2, err := dimFor(top, relay, dst)
-		if err != nil {
-			return nil, fmt.Errorf("nccl: no PXN path %d→%d: %w", src, dst, err)
+		if d2 < 0 {
+			return nil, fmt.Errorf("nccl: no PXN path %d→%d: %w", src, dst, noDim(relay, dst))
 		}
 		first := sched.AddTransfer(schedule.Transfer{Src: src, Dst: relay, Piece: p, Dim: d1, Order: order})
 		sched.AddTransfer(schedule.Transfer{Src: relay, Dst: dst, Piece: p, Dim: d2, Order: order, Deps: []int{first}})

@@ -124,7 +124,7 @@ func (s *Server) plan(ctx context.Context, res *resolved, rec *obs.Recorder, req
 	if res.replan {
 		what = "replan"
 		var rres *engine.ReplanResult
-		if rres, err = s.eng.Replan(ctx, res.base, res.delta, res.col, opts); err == nil {
+		if rres, err = s.eng.Replan(ctx, res.base, res.top, res.col, opts); err == nil {
 			result = rres.Result
 			replan = &ReplanJSON{
 				Delta:         res.delta.String(),

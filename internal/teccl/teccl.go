@@ -317,10 +317,8 @@ func greedyGlobal(top *topology.Topology, col *collective.Collective,
 					if ps.avail[src] < 0 || src == dst {
 						continue
 					}
-					for d := 0; d < top.NumDims(); d++ {
-						if top.SameGroup(d, src, dst) {
-							direct = true
-						}
+					if top.DimOf(src, dst) >= 0 {
+						direct = true
 					}
 					evaluate(pi, src, dst)
 				}
@@ -339,14 +337,7 @@ func greedyGlobal(top *topology.Topology, col *collective.Collective,
 						if ps.avail[relay] >= 0 || relay == src {
 							continue
 						}
-						reachesDst := false
-						for d := 0; d < top.NumDims(); d++ {
-							if top.SameGroup(d, relay, dst) {
-								reachesDst = true
-								break
-							}
-						}
-						if reachesDst {
+						if top.DimOf(relay, dst) >= 0 {
 							evaluate(pi, src, relay)
 						}
 					}
@@ -407,10 +398,6 @@ func greedyGlobalFast(top *topology.Topology, col *collective.Collective,
 	pieceBytes float64, splits int, tau float64, rng *rand.Rand) (*schedule.Schedule, error) {
 
 	n := top.NumGPUs()
-	g := 1
-	if top.Sym != nil && top.Sym.Local.N > 0 {
-		g = top.Sym.Local.N
-	}
 	sched := &schedule.Schedule{NumGPUs: n}
 
 	type geom struct{ span, lat int }
@@ -426,15 +413,6 @@ func greedyGlobalFast(top *topology.Topology, col *collective.Collective,
 		}
 		geo[d] = geom{span, lat}
 	}
-	dimOf := func(a, b int) int {
-		for d := 0; d < top.NumDims(); d++ {
-			if top.SameGroup(d, a, b) {
-				return d
-			}
-		}
-		return -1
-	}
-
 	egress := make([][]int, n)
 	ingress := make([][]int, n)
 	for i := 0; i < n; i++ {
@@ -491,15 +469,13 @@ func greedyGlobalFast(top *topology.Topology, col *collective.Collective,
 
 	for _, j := range jobs {
 		p := sched.AddPiece(pieceBytes, j.chunk)
-		if d := dimOf(j.src, j.dst); d >= 0 {
-			start, _ := place(j.src, j.dst, d, 0)
-			sched.AddTransfer(schedule.Transfer{Src: j.src, Dst: j.dst, Piece: p, Dim: d, Order: start})
+		relay, d1, d2 := top.PXNRoute(j.src, j.dst)
+		if relay < 0 {
+			start, _ := place(j.src, j.dst, d1, 0)
+			sched.AddTransfer(schedule.Transfer{Src: j.src, Dst: j.dst, Piece: p, Dim: d1, Order: start})
 			continue
 		}
 		// PXN relay: server mate on the destination's rail.
-		relay := (j.src/g)*g + j.dst%g
-		d1 := dimOf(j.src, relay)
-		d2 := dimOf(relay, j.dst)
 		if d1 < 0 || d2 < 0 {
 			return nil, fmt.Errorf("teccl: no path %d→%d", j.src, j.dst)
 		}

@@ -1,6 +1,9 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Config describes a parametric GPU cluster for Build. It covers the
 // paper's topology families: single-server, rail-optimized multi-rail
@@ -136,80 +139,106 @@ func Build(cfg Config) *Topology {
 
 // extractDims derives the logical dimensions from the physical graph
 // (§3.1: "SyCCL automatically extracts the dimensions and groups according
-// to connectivity and connection performance").
+// to connectivity and connection performance"). Every tier's groups and
+// their costs come from tierGroups, the one extractor Delta.Apply uses
+// too; the links carry the Config's costs, so a tier's dimension-level
+// α/β is its groups' common bottleneck.
 //
 // Dimension 0 is the intra-server fabric: GPUs connected through NVSwitch
 // nodes. Each subsequent dimension corresponds to a network switch tier t:
 // its groups are the connected components of the graph restricted to GPUs,
 // NICs, and network switches of tier ≤ t. A tier that does not coarsen the
-// previous partition contributes no dimension.
+// previous partition contributes no dimension. All network tiers traverse
+// the same NIC, hence port class 1.
 func extractDims(t *Topology, cfg Config) {
-	n := t.NumGPUs()
-
-	components := func(allowed func(NodeKind) bool) [][]int {
-		uf := newUnionFind(len(t.Nodes))
-		for _, l := range t.Links {
-			if allowed(t.Nodes[l.Src].Kind) && allowed(t.Nodes[l.Dst].Kind) {
-				uf.union(l.Src, l.Dst)
-			}
-		}
-		byRoot := make(map[int][]int)
-		for _, gpu := range t.GPUs {
-			r := uf.find(gpu)
-			byRoot[r] = append(byRoot[r], gpu)
-		}
-		groups := make([][]int, 0, len(byRoot))
-		for _, grp := range byRoot {
-			groups = append(groups, grp)
-		}
-		sortGroups(groups)
-		return groups
+	maxTier := 0
+	for _, nd := range t.Nodes {
+		maxTier = max(maxTier, nd.Kind.tier())
 	}
-
-	// Dimension 0: intra-server fabric.
-	d0 := components(func(k NodeKind) bool { return k == KindGPU || k == KindNVSwitch })
-	if coarserThanSingletons(d0) {
-		dim := newDim(len(t.Dims), "nvswitch", cfg.NVAlpha, cfg.NVBeta, 0, d0, n)
-		dim.Tier = 0
-		t.Dims = append(t.Dims, dim)
-	}
-
-	// Network tiers.
-	prev := d0
-	names := map[int]string{1: "leaf", 2: "spine", 3: "core"}
+	names := [...]string{"nvswitch", "leaf", "spine", "core"}
 	if cfg.ServersPerLeaf == 0 {
 		names[1] = "rail"
 	}
-	for tier := 1; tier <= 3; tier++ {
-		hasTier := false
-		for _, nd := range t.Nodes {
-			if nd.Kind.tier() == tier {
-				hasTier = true
-				break
-			}
-		}
-		if !hasTier {
+	var prev [][]int
+	for tier := 0; tier <= maxTier; tier++ {
+		groups, alpha, beta := tierGroups(t, tier)
+		if slices.EqualFunc(groups, prev, slices.Equal) || !coarserThanSingletons(groups) {
 			continue
 		}
-		maxTier := tier
-		grp := components(func(k NodeKind) bool {
-			if k == KindGPU || k == KindNIC {
-				return true
-			}
-			tt := k.tier()
-			return tt >= 1 && tt <= maxTier
-		})
-		if samePartition(grp, prev) || !coarserThanSingletons(grp) {
-			continue
-		}
-		// α grows with tier depth: GPU→NIC (0) + tier hops up and down.
-		// All network tiers traverse the same NIC, hence port class 1.
-		alpha := float64(tier) * cfg.NetAlpha
-		dim := newDim(len(t.Dims), names[tier], alpha, cfg.NetBeta, 1, grp, n)
+		dim := newDim(len(t.Dims), names[tier], alpha[0], beta[0], min(tier, 1), groups, t.NumGPUs())
 		dim.Tier = tier
+		dim.setGroupCosts(alpha, beta)
 		t.Dims = append(t.Dims, dim)
-		prev = grp
+		prev = groups
 	}
+}
+
+// tierGroups is the dimension extractor. It returns the groups of a
+// switch tier — the GPU components of the subgraph dimKindFilter(tier)
+// admits, ordered by smallest member, members ascending — and each
+// group's link bottleneck: β is the largest link β of the group's
+// component and α is hops × its largest link α, where hops = 2·tier (2
+// for tier 0) counts the way up to the tier's switches and back down. A
+// group whose component has no links costs 0.
+func tierGroups(t *Topology, tier int) (groups [][]int, alpha, beta []float64) {
+	allowed := dimKindFilter(tier)
+	in := make([]bool, len(t.Nodes))
+	for i, nd := range t.Nodes {
+		in[i] = allowed(nd.Kind)
+	}
+	uf := newUnionFind(len(t.Nodes))
+	for _, l := range t.Links {
+		if in[l.Src] && in[l.Dst] {
+			uf.union(l.Src, l.Dst)
+		}
+	}
+	// GPUs are nodes 0..n-1, so visiting them in order numbers the groups
+	// by smallest member and fills each in ascending order. Members are
+	// cut from one slab.
+	n := t.NumGPUs()
+	groupOf := make([]int, len(t.Nodes)) // component root -> group + 1
+	size := make([]int, 0, n)
+	for gpu := 0; gpu < n; gpu++ {
+		r := uf.find(gpu)
+		if groupOf[r] == 0 {
+			size = append(size, 0)
+			groupOf[r] = len(size)
+		}
+		size[groupOf[r]-1]++
+	}
+	groups = make([][]int, len(size))
+	slab := make([]int, 0, n)
+	for g, sz := range size {
+		groups[g] = slab[len(slab) : len(slab) : len(slab)+sz]
+		slab = slab[:len(slab)+sz]
+	}
+	for gpu := 0; gpu < n; gpu++ {
+		g := groupOf[uf.find(gpu)] - 1
+		groups[g] = append(groups[g], gpu)
+	}
+
+	alpha = make([]float64, len(groups))
+	beta = make([]float64, len(groups))
+	for _, l := range t.Links {
+		if !in[l.Src] || !in[l.Dst] {
+			continue
+		}
+		g := groupOf[uf.find(l.Src)] - 1
+		if g < 0 {
+			continue // a component without GPUs
+		}
+		if l.Alpha > alpha[g] {
+			alpha[g] = l.Alpha
+		}
+		if l.Beta > beta[g] {
+			beta[g] = l.Beta
+		}
+	}
+	hops := float64(max(2*tier, 2))
+	for g := range alpha {
+		alpha[g] *= hops
+	}
+	return groups, alpha, beta
 }
 
 func coarserThanSingletons(groups [][]int) bool {
@@ -219,43 +248,6 @@ func coarserThanSingletons(groups [][]int) bool {
 		}
 	}
 	return false
-}
-
-func samePartition(a, b [][]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// sortGroups orders groups by their smallest member and sorts members.
-func sortGroups(groups [][]int) {
-	for _, g := range groups {
-		sortInts(g)
-	}
-	for i := 1; i < len(groups); i++ {
-		for j := i; j > 0 && groups[j][0] < groups[j-1][0]; j-- {
-			groups[j], groups[j-1] = groups[j-1], groups[j]
-		}
-	}
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 type unionFind struct{ parent, rank []int }

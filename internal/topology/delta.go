@@ -24,10 +24,10 @@ import (
 //	lag:A-B*F   multiply the α (latency) of link A-B by factor F
 //
 // Application (Apply) is canonical: the same delta always yields the same
-// degraded topology, and per-group α/β overrides are recomputed only for
-// the dimension groups whose physical component the delta touches, so
-// untouched groups keep bit-identical costs (and hence bit-identical
-// cache identities) with the healthy base.
+// degraded topology. Every group is priced by the link bottleneck of its
+// surviving component, the rule Build's dimensions follow too, so a group
+// whose component the delta does not touch keeps bit-identical costs (and
+// hence bit-identical cache identities) with the healthy base.
 type Delta struct {
 	FailLinks []LinkFail
 	FailNodes []int
@@ -272,15 +272,17 @@ func parseLinkPair(s string) (int, int, error) {
 // delta to base. Base is never mutated. The degraded topology keeps
 // base's node table (stable IDs — failed nodes simply lose all links),
 // drops failed and orphaned links, scales degraded ones, and re-extracts
-// each dimension's groups from the surviving physical graph.
+// each dimension's groups from the surviving physical graph with
+// tierGroups, the extractor Build uses.
 //
-// Groups whose physical component the delta does not touch keep
-// bit-identical α/β with base, so their sub-demands hash to the same
-// cache keys; touched groups get per-group overrides recomputed from the
-// surviving links of their component (worst surviving link, the
-// non-blocking-fabric bottleneck). Apply fails if a delta term references
-// a non-existent node or link, removes a GPU, or disconnects any GPU
-// from the rest of the fabric.
+// Each group is priced by its surviving component's link bottleneck
+// (worst link, the non-blocking-fabric rule). Build's costs are that
+// bottleneck bit for bit, so a group the delta does not touch keeps its
+// base α/β and its sub-demands hash to the same cache keys
+// (TestExtractMatchesReference and FuzzApplyEquivalence check both
+// against the reference in extract_reference_test.go). Apply fails if a
+// delta term references a non-existent node or link, removes a GPU, or
+// disconnects any GPU from the rest of the fabric.
 func (d *Delta) Apply(base *Topology) (*Topology, error) {
 	c := d.Canonical()
 
@@ -325,21 +327,6 @@ func (d *Delta) Apply(base *Topology) (*Topology, error) {
 		degrade[p] = dg
 	}
 
-	// touchedNode marks every node a delta term references; a dimension
-	// group is recomputed only when its base component contains one.
-	touchedNode := make(map[int]bool)
-	for n := range failedNode {
-		touchedNode[n] = true
-	}
-	for p := range killed {
-		touchedNode[p.A] = true
-		touchedNode[p.B] = true
-	}
-	for p := range degrade {
-		touchedNode[p.A] = true
-		touchedNode[p.B] = true
-	}
-
 	// Surviving links with scaled costs.
 	deg := &Topology{
 		Name:  base.Name + "+" + c.Fingerprint(),
@@ -362,99 +349,29 @@ func (d *Delta) Apply(base *Topology) (*Topology, error) {
 		deg.Links = append(deg.Links, l)
 	}
 
-	// Re-extract each base dimension from the surviving graph.
+	// Re-extract each base dimension from the surviving graph. A
+	// dimension keeps its tier and its base-level α/β, and is dropped only
+	// when it collapses to singletons; groups whose bottleneck differs
+	// from the base level carry per-group overrides.
 	n := base.NumGPUs()
 	for _, bd := range base.Dims {
-		allowed := dimKindFilter(bd.Tier)
-
-		// Base-graph components of this dimension, to decide which groups
-		// the delta touches (surviving-graph components only shrink, so an
-		// untouched base component survives intact).
-		baseUF := newUnionFind(len(base.Nodes))
-		for _, l := range base.Links {
-			if allowed(base.Nodes[l.Src].Kind) && allowed(base.Nodes[l.Dst].Kind) {
-				baseUF.union(l.Src, l.Dst)
-			}
-		}
-		touchedRoot := make(map[int]bool)
-		for nd := range touchedNode {
-			if allowed(base.Nodes[nd].Kind) {
-				touchedRoot[baseUF.find(nd)] = true
-			}
-		}
-
-		// Surviving-graph components and their worst surviving link costs.
-		uf := newUnionFind(len(deg.Nodes))
-		for _, l := range deg.Links {
-			if allowed(deg.Nodes[l.Src].Kind) && allowed(deg.Nodes[l.Dst].Kind) {
-				uf.union(l.Src, l.Dst)
-			}
-		}
-		maxAlpha := make(map[int]float64)
-		maxBeta := make(map[int]float64)
-		for _, l := range deg.Links {
-			if !allowed(deg.Nodes[l.Src].Kind) || !allowed(deg.Nodes[l.Dst].Kind) {
-				continue
-			}
-			r := uf.find(l.Src)
-			if l.Alpha > maxAlpha[r] {
-				maxAlpha[r] = l.Alpha
-			}
-			if l.Beta > maxBeta[r] {
-				maxBeta[r] = l.Beta
-			}
-		}
-
-		byRoot := make(map[int][]int)
-		for _, gpu := range deg.GPUs {
-			byRoot[uf.find(gpu)] = append(byRoot[uf.find(gpu)], gpu)
-		}
-		groups := make([][]int, 0, len(byRoot))
-		for _, grp := range byRoot {
-			groups = append(groups, grp)
-		}
-		sortGroups(groups)
+		groups, alphas, betas := tierGroups(deg, bd.Tier)
 		if !coarserThanSingletons(groups) {
 			continue // dimension collapsed entirely; drop it
 		}
-
-		nd := newDim(len(deg.Dims), bd.Name, bd.Alpha, bd.Beta, bd.PortClass, groups, n)
-		nd.Tier = bd.Tier
-		alphas := make([]float64, len(groups))
-		betas := make([]float64, len(groups))
-		overridden := false
-		hops := 2 * bd.Tier
-		if hops == 0 {
-			hops = 2
-		}
 		for g, grp := range groups {
-			if bg := bd.GroupOf(grp[0]); bg >= 0 && !touchedRoot[baseUF.find(grp[0])] {
-				// Untouched component: keep base costs bit-exactly.
-				alphas[g], betas[g] = bd.AlphaOf(bg), bd.BetaOf(bg)
-			} else {
-				// Touched (or new) component: bottleneck over its
-				// surviving links, α counting the up-and-down traversal
-				// of the dimension's switch tier.
-				r := uf.find(grp[0])
-				alphas[g] = float64(hops) * maxAlpha[r]
-				betas[g] = maxBeta[r]
-			}
 			if len(grp) > 1 && betas[g] <= 0 {
 				return nil, fmt.Errorf("delta: dim %s group %d left with no usable links", bd.Name, g)
 			}
 			if betas[g] <= 0 {
 				// Isolated singleton group: carry the dimension-level β so
 				// the topology stays valid; no transfer can use it anyway.
-				betas[g] = bd.Beta
-				alphas[g] = bd.Alpha
-			}
-			if alphas[g] != bd.Alpha || betas[g] != bd.Beta {
-				overridden = true
+				alphas[g], betas[g] = bd.Alpha, bd.Beta
 			}
 		}
-		if overridden {
-			nd.alphaOf, nd.betaOf = alphas, betas
-		}
+		nd := newDim(len(deg.Dims), bd.Name, bd.Alpha, bd.Beta, bd.PortClass, groups, n)
+		nd.Tier = bd.Tier
+		nd.setGroupCosts(alphas, betas)
 		deg.Dims = append(deg.Dims, nd)
 	}
 

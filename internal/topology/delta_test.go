@@ -93,12 +93,29 @@ func TestDeltaCanonical(t *testing.T) {
 
 // TestEmptyDeltaPreservesFingerprint pins that applying an empty delta —
 // which exercises the full re-extraction path — reproduces the base
-// topology's synthesis identity bit-for-bit on every preset family.
+// topology's synthesis identity bit-for-bit on every preset and on
+// degraded bases. Apply prices every group by its link bottleneck, so
+// this holds because Build's costs are that bottleneck.
 func TestEmptyDeltaPreservesFingerprint(t *testing.T) {
-	tops := []*Topology{
-		SingleServer(4), SingleServer(8),
-		A100Clos(2), H800Rail(2), H800Small(6),
-		Fig3(), Fig19(), Fig20(),
+	tops := presets()
+	for _, c := range []struct {
+		base  *Topology
+		delta string
+	}{
+		{H800Small(6), "kill:30-54,slow:0-24*4"},
+		{A100Clos(2), "kill:18-34,lag:16-0*3"},
+		{H800Small(6), "node:54,lag:1-24*2"},
+		{Fig20(), "kill:40-72,slow:1-32*2"},
+	} {
+		d, err := ParseDelta(c.delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deg, err := d.Apply(c.base)
+		if err != nil {
+			t.Fatalf("%s + %s: %v", c.base.Name, c.delta, err)
+		}
+		tops = append(tops, deg)
 	}
 	for _, base := range tops {
 		deg, err := (&Delta{}).Apply(base)

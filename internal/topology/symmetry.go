@@ -97,19 +97,8 @@ func (s *Symmetry) Validate(t *Topology) error {
 		gens[0] = GPUPerm{1, 0}
 	}
 	for _, gen := range gens {
-		if gen.Identity() {
-			continue
-		}
-		perm := s.Permutation(gen)
-		for _, dim := range t.Dims {
-			for _, grp := range dim.Groups {
-				img := dim.GroupOf(perm[grp[0]])
-				for _, gpu := range grp {
-					if dim.GroupOf(perm[gpu]) != img {
-						return fmt.Errorf("topology %s: symmetry generator %+v splits dim %s group", t.Name, gen, dim.Name)
-					}
-				}
-			}
+		if !gen.Identity() && !groupPreserving(t, s.Permutation(gen)) {
+			return fmt.Errorf("topology %s: symmetry generator %+v does not preserve the groups", t.Name, gen)
 		}
 	}
 	return nil

@@ -216,6 +216,34 @@ func (t *Topology) SameGroup(d, a, b int) bool {
 	return ga >= 0 && ga == gb
 }
 
+// DimOf returns the first dimension whose group holds both GPUs a and b
+// (the innermost, so the intra-server fabric wins), or -1 if none does.
+func (t *Topology) DimOf(a, b int) int {
+	for d := range t.Dims {
+		if t.SameGroup(d, a, b) {
+			return d
+		}
+	}
+	return -1
+}
+
+// PXNRoute routes GPU src to GPU dst in at most two hops. When a
+// dimension connects them the route is direct: relay is -1 and d1 is
+// DimOf(src, dst). Otherwise it is NCCL's PXN relay: relay is src's
+// server-mate on dst's rail (dst's local index), d1 = DimOf(src, relay)
+// and d2 = DimOf(relay, dst); a hop no dimension carries reports -1.
+func (t *Topology) PXNRoute(src, dst int) (relay, d1, d2 int) {
+	if d := t.DimOf(src, dst); d >= 0 {
+		return -1, d, -1
+	}
+	g := 1
+	if t.Sym != nil && t.Sym.Local.N > 0 {
+		g = t.Sym.Local.N
+	}
+	relay = (src/g)*g + dst%g
+	return relay, t.DimOf(src, relay), t.DimOf(relay, dst)
+}
+
 // Validate checks structural invariants: GPU IDs dense from zero, every
 // GPU present in exactly one group per dimension it participates in, links
 // referencing valid nodes, and positive betas.
@@ -370,6 +398,18 @@ func (t *Topology) String() string {
 		s += fmt.Sprintf("; %s×%d groups of %d (%.1f GBps)", d.Name, len(d.Groups), len(d.Groups[0]), d.Bandwidth()/1e9)
 	}
 	return s
+}
+
+// setGroupCosts installs per-group α/β as overrides when some group's
+// cost differs from the dimension-level one; otherwise the dimension
+// keeps none, the healthy case.
+func (d *Dim) setGroupCosts(alpha, beta []float64) {
+	for g := range alpha {
+		if alpha[g] != d.Alpha || beta[g] != d.Beta {
+			d.alphaOf, d.betaOf = alpha, beta
+			return
+		}
+	}
 }
 
 // newDim builds a Dim with its reverse index populated.
