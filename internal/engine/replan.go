@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -10,6 +9,7 @@ import (
 
 	"syccl/internal/collective"
 	"syccl/internal/core"
+	"syccl/internal/isomorph"
 	"syccl/internal/topology"
 )
 
@@ -110,8 +110,10 @@ func (e *Engine) Replan(ctx context.Context, base, degraded *topology.Topology, 
 // a group with the same members and the same α/β bits. It returns the
 // number of base groups the delta touched (membership or α/β changed, or
 // the whole dimension collapsed), the total base group count, and the
-// cache-key prefixes of touched demand shapes that no surviving group can
-// still produce (the stale set to invalidate), one per shape.
+// cache-key prefixes (isomorph.ShapePrefix, which every solve signature
+// variant of a shape's keys starts with) of touched demand shapes that
+// no surviving group can still produce (the stale set to invalidate),
+// one per shape.
 func diffGroups(base, degraded *topology.Topology) (touched, total int, stale []string) {
 	type shape struct {
 		n    int
@@ -156,10 +158,7 @@ func diffGroups(base, degraded *topology.Topology) (touched, total int, stale []
 	}
 
 	for sh := range staleShapes {
-		// The header of isomorph.ExactKey; cache keys are
-		// <exact key>|<solve signature>, so a prefix match covers every
-		// signature variant.
-		stale = append(stale, fmt.Sprintf("n%d;a%.9g;b%.9g;", sh.n, sh.a, sh.b))
+		stale = append(stale, isomorph.ShapePrefix(sh.n, sh.a, sh.b))
 	}
 	sort.Strings(stale)
 	return touched, total, stale

@@ -62,6 +62,14 @@ func CacheKey(d *solve.Demand, sig string) string {
 	return string(append(append(b, '|'), sig...))
 }
 
+// ShapePrefix returns "n<n>;a<α>;b<β>;", the head ExactKey and CacheKey
+// render for every demand of n GPUs on a link of that α/β with at least
+// one piece: dropping the cache entries under this prefix drops every
+// solution of that demand shape.
+func ShapePrefix(n int, alpha, beta float64) string {
+	return string(append(appendHeader(nil, &solve.Demand{NumGPUs: n, Alpha: alpha, Beta: beta}, 9), ';'))
+}
+
 // appendHeader renders "n<gpus>;a<α>;b<β>" at the given %g precision.
 func appendHeader(b []byte, d *solve.Demand, prec int) []byte {
 	b = strconv.AppendInt(append(b, 'n'), int64(d.NumGPUs), 10)

@@ -74,6 +74,13 @@ func keysStable(t *testing.T, what string, d *solve.Demand) {
 	if got, want := CacheKey(d, sig), exactKeyReference(d)+"|"+sig; got != want {
 		t.Fatalf("%s: CacheKey drifted:\n got: %q\nwant: %q", what, got, want)
 	}
+	prefix := ShapePrefix(d.NumGPUs, d.Alpha, d.Beta)
+	if want := fmt.Sprintf("n%d;a%.9g;b%.9g;", d.NumGPUs, d.Alpha, d.Beta); prefix != want {
+		t.Fatalf("%s: ShapePrefix drifted:\n got: %q\nwant: %q", what, prefix, want)
+	}
+	if len(d.Pieces) > 0 && !strings.HasPrefix(CacheKey(d, sig), prefix) {
+		t.Fatalf("%s: ShapePrefix %q does not start CacheKey %q", what, prefix, CacheKey(d, sig))
+	}
 	got, want := gpuColors(d), gpuColorsReference(d)
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d colors, want %d", what, len(got), len(want))

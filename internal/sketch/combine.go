@@ -133,10 +133,7 @@ func Replicate(top *topology.Topology, sk *Sketch, maxReplicas int) *Combination
 	vperm := make([][]int, 0, len(perms))
 	vsk := make([]*Sketch, 0, len(perms))
 	w := make([]float64, 0, len(perms)*width)
-	for _, p := range perms {
-		if isIdentityPerm(p) {
-			continue
-		}
+	for _, p := range perms[1:] { // perms[0] is the identity
 		row := w[len(w) : len(w)+width]
 		w = w[:len(w)+width]
 		var m *Sketch
@@ -181,15 +178,6 @@ func Replicate(top *topology.Topology, sk *Sketch, maxReplicas int) *Combination
 	return &Combination{Sketches: sketches, Fracs: fracs}
 }
 
-func isIdentityPerm(p []int) bool {
-	for i, v := range p {
-		if i != v {
-			return false
-		}
-	}
-	return true
-}
-
 // ExpandAllToAll implements §4.3: replicate a one-to-all sketch to every
 // GPU as root through the regular symmetry action, producing an N-sketch
 // combination with even per-dimension workload.
@@ -222,10 +210,7 @@ func ExpandAllToAll(top *topology.Topology, sk *Sketch) (combo *Combination, mis
 			sketches = append(sketches, sk)
 			continue
 		}
-		p := top.Sym.MapRoot(sk.Root, r)
-		for g := range perm {
-			perm[g] = top.Sym.Apply(p, g)
-		}
+		top.Sym.RootPerm(perm, sk.Root, r)
 		if m := arena.mapped(top, sk, perm); m.validate(top, state) == nil {
 			arena.keep()
 			sketches = append(sketches, m)

@@ -2,9 +2,10 @@ package sketch
 
 // ExpandAllToAll and Validate as they stood before the all-roots copies
 // moved into one arena: every root's copy is a fresh Map and every
-// validation a fresh state array. Kept verbatim (renamed, and calling
+// validation a fresh state array. Kept verbatim (renamed, calling
 // mapReference and validateReference where they called Map and
-// Validate) as the reference TestExpandAllToAllEquivalence and
+// Validate, and rootPermReference where they built the symmetry element
+// carrying the root) as the reference TestExpandAllToAllEquivalence and
 // FuzzExpandAllToAllEquivalence hold the arena expansion to.
 
 import (
@@ -25,8 +26,7 @@ func expandAllToAllReference(top *topology.Topology, sk *Sketch) (combo *Combina
 			sketches = append(sketches, sk)
 			continue
 		}
-		p := top.Sym.MapRoot(sk.Root, r)
-		if m := mapReference(sk, top, top.Sym.Permutation(p)); validateReference(m, top) == nil {
+		if m := mapReference(sk, top, rootPermReference(top, sk.Root, r)); validateReference(m, top) == nil {
 			sketches = append(sketches, m)
 			continue
 		}
@@ -53,6 +53,14 @@ func expandAllToAllReference(top *topology.Topology, sk *Sketch) (combo *Combina
 		fracs[i] = 1 // each root's chunk is carried whole by its sketch
 	}
 	return &Combination{Sketches: sketches, Fracs: fracs}, missing
+}
+
+// rootPermReference returns a fresh copy of the symmetry element
+// carrying GPU from to GPU to.
+func rootPermReference(top *topology.Topology, from, to int) []int {
+	perm := make([]int, top.NumGPUs())
+	top.Sym.RootPerm(perm, from, to)
+	return perm
 }
 
 func validateReference(s *Sketch, top *topology.Topology) error {
@@ -125,7 +133,7 @@ func checkExpand(t *testing.T, what string, top *topology.Topology, sk *Sketch, 
 	}
 	n := top.NumGPUs()
 	for r := 0; r < n; r++ {
-		if r != sk.Root && validateReference(mapReference(sk, top, top.Sym.Permutation(top.Sym.MapRoot(sk.Root, r))), top) != nil {
+		if r != sk.Root && validateReference(mapReference(sk, top, rootPermReference(top, sk.Root, r)), top) != nil {
 			stats.fallbacks++
 		}
 	}

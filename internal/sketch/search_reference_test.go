@@ -653,3 +653,12 @@ func combinationWorkloadReference(c *Combination, top *topology.Topology) [][]fl
 	}
 	return w
 }
+
+func isIdentityPerm(p []int) bool {
+	for i, v := range p {
+		if i != v {
+			return false
+		}
+	}
+	return true
+}

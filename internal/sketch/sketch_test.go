@@ -326,7 +326,7 @@ func TestIntegrateRejectsDegenerate(t *testing.T) {
 func TestSketchMapPreservesStructure(t *testing.T) {
 	top := topology.H800Rail(2)
 	sk := SearchBroadcast(context.Background(), top, 0, SearchOptions{})[0]
-	perm := top.Sym.Permutation(top.Sym.MapRoot(0, 9))
+	perm := rootPermReference(top, 0, 9)
 	m := sk.Map(top, perm)
 	if m.Root != 9 {
 		t.Errorf("mapped root = %d, want 9", m.Root)

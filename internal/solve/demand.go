@@ -43,7 +43,10 @@ type Demand struct {
 	Pieces  []Piece
 }
 
-// Validate checks demand consistency.
+// Validate checks demand consistency. Besides ranges and sizes it
+// refuses a destination that already holds its piece or repeats within
+// it, so a piece with n-1 destinations is destined to every GPU but its
+// one source.
 func (d *Demand) Validate() error {
 	if d.NumGPUs < 2 {
 		return fmt.Errorf("solve: demand needs ≥2 GPUs, got %d", d.NumGPUs)
@@ -51,6 +54,9 @@ func (d *Demand) Validate() error {
 	if d.Beta <= 0 {
 		return fmt.Errorf("solve: non-positive beta %g", d.Beta)
 	}
+	// mark[g] is 2i+1 when piece i's sources hold g, 2i+2 once g is one
+	// of its destinations.
+	mark := make([]int, d.NumGPUs)
 	for i, p := range d.Pieces {
 		if p.Bytes <= 0 {
 			return fmt.Errorf("solve: piece %d has non-positive size", i)
@@ -58,20 +64,24 @@ func (d *Demand) Validate() error {
 		if len(p.Srcs) == 0 {
 			return fmt.Errorf("solve: piece %d has no sources", i)
 		}
-		hold := make(map[int]bool)
+		held, dest := 2*i+1, 2*i+2
 		for _, s := range p.Srcs {
 			if s < 0 || s >= d.NumGPUs {
 				return fmt.Errorf("solve: piece %d source %d out of range", i, s)
 			}
-			hold[s] = true
+			mark[s] = held
 		}
 		for _, t := range p.Dsts {
 			if t < 0 || t >= d.NumGPUs {
 				return fmt.Errorf("solve: piece %d destination %d out of range", i, t)
 			}
-			if hold[t] {
+			switch mark[t] {
+			case held:
 				return fmt.Errorf("solve: piece %d destination %d already holds it", i, t)
+			case dest:
+				return fmt.Errorf("solve: piece %d destination %d repeats", i, t)
 			}
+			mark[t] = dest
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package solve
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -156,5 +157,28 @@ func TestMakespanAndValidateEdge(t *testing.T) {
 	d3 := &Demand{NumGPUs: 4, Beta: 1, Pieces: []Piece{{Bytes: 1, Srcs: []int{9}}}}
 	if d3.Validate() == nil {
 		t.Error("accepted out-of-range source")
+	}
+}
+
+// TestRepeatedDestinationRefused: a destination listed twice within a
+// piece is refused, also where the piece has n-1 destinations and would
+// otherwise pass for an all-others broadcast. The same GPU as a
+// destination of two different pieces is fine.
+func TestRepeatedDestinationRefused(t *testing.T) {
+	for _, dsts := range [][]int{{1, 1}, {1, 2, 2}, {3, 1, 3}} {
+		d := &Demand{NumGPUs: 4, Beta: 1, Pieces: []Piece{{Bytes: 1, Srcs: []int{0}, Dsts: dsts}}}
+		if d.Validate() == nil {
+			t.Errorf("Validate accepted destinations %v", dsts)
+		}
+		if _, err := SolveCtx(context.Background(), d, Options{}); err == nil {
+			t.Errorf("SolveCtx accepted destinations %v", dsts)
+		}
+	}
+	d := &Demand{NumGPUs: 4, Beta: 1, Pieces: []Piece{
+		{Bytes: 1, Srcs: []int{0}, Dsts: []int{1, 2}},
+		{Bytes: 1, Srcs: []int{3}, Dsts: []int{2, 1, 0}},
+	}}
+	if err := d.Validate(); err != nil {
+		t.Errorf("Validate refused a destination shared by two pieces: %v", err)
 	}
 }

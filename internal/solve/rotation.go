@@ -1,7 +1,5 @@
 package solve
 
-import "sort"
-
 // rotationSolve is a closed-form fast path for the demand shape that
 // dominates all-to-all style workloads: every piece has a single source
 // and is destined to every other GPU of the group, with a uniform piece
@@ -10,7 +8,8 @@ import "sort"
 // matching of ports, so the makespan meets the trivial load lower bound
 // k·(n-1) rounds for k pieces per source.
 //
-// Returns nil when the demand does not have the required shape.
+// Returns nil when the demand, which must be valid (Demand.Validate),
+// does not have the required shape.
 func rotationSolve(d *Demand, tau float64) *SubSchedule {
 	n := d.NumGPUs
 	if n < 2 || len(d.Pieces) == 0 {
@@ -19,11 +18,8 @@ func rotationSolve(d *Demand, tau float64) *SubSchedule {
 	perSrc := make([][]int, n) // piece indices by source
 	bytes := d.Pieces[0].Bytes
 	for pi, p := range d.Pieces {
+		// A validated piece's n-1 destinations are everyone but its source.
 		if len(p.Srcs) != 1 || p.Bytes != bytes || len(p.Dsts) != n-1 {
-			return nil
-		}
-		// Destinations must be exactly "everyone else".
-		if !allOthers(p.Dsts, p.Srcs[0], n) {
 			return nil
 		}
 		perSrc[p.Srcs[0]] = append(perSrc[p.Srcs[0]], pi)
@@ -58,25 +54,6 @@ func rotationSolve(d *Demand, tau float64) *SubSchedule {
 		}
 	}
 	return out
-}
-
-func allOthers(dsts []int, src, n int) bool {
-	if len(dsts) != n-1 {
-		return false
-	}
-	sorted := append([]int(nil), dsts...)
-	sort.Ints(sorted)
-	want := 0
-	for _, d := range sorted {
-		if want == src {
-			want++
-		}
-		if d != want {
-			return false
-		}
-		want++
-	}
-	return true
 }
 
 // deliveryCount returns the total number of (piece, destination)

@@ -1,11 +1,14 @@
 package topology
 
+import "slices"
+
 // Automorphisms returns a family of verified GPU permutations that
 // preserve every dimension's group partition. It is richer than the
 // regular action in Symmetry: besides global axis shifts it includes
 // root-stabilizing elements (tail rotations, transpositions), which
 // sketch replication needs to rebalance a Broadcast without moving its
-// root (Fig 10 maps D1.G1→D1.G3 while GPU 0 stays fixed).
+// root (Fig 10 maps D1.G1→D1.G3 while GPU 0 stays fixed). The first
+// permutation is always the identity.
 //
 // Every candidate is validated against the topology, so over-generation
 // is harmless. The family is generated on the first call, safely under
@@ -18,13 +21,16 @@ func (t *Topology) Automorphisms() [][]int {
 
 const maxAutomorphisms = 4096
 
+// generateAutomorphisms enumerates products of the two axes' candidate
+// permutations, server axis outer. Each axis list holds distinct
+// permutations with its global shifts first (the identity leading), so
+// distinct pairs give distinct products and the identity comes first.
 func generateAutomorphisms(top *Topology) [][]int {
 	sym := top.Sym
-	sPerms := axisPerms(sym.Server)
-	gPerms := axisPerms(sym.Local)
+	sRaw, gRaw := axisPerms(sym.Server), axisPerms(sym.Local)
+	sPerms, gPerms := distinct(sRaw), distinct(gRaw)
 
 	var out [][]int
-	seen := map[string]bool{}
 	emit := func(sp, gp []int) {
 		if len(out) >= maxAutomorphisms {
 			return
@@ -34,84 +40,65 @@ func generateAutomorphisms(top *Topology) [][]int {
 		for i := range perm {
 			perm[i] = sp[i/g]*g + gp[i%g]
 		}
-		key := permKey(perm)
-		if seen[key] {
-			return
+		if groupPreserving(top, perm) {
+			out = append(out, perm)
 		}
-		if !groupPreserving(top, perm) {
-			return
-		}
-		seen[key] = true
-		out = append(out, perm)
 	}
 
-	if len(sPerms)*len(gPerms) <= maxAutomorphisms {
+	// The cap is checked on the candidate counts before deduplication.
+	if len(sRaw)*len(gRaw) <= maxAutomorphisms {
 		for _, sp := range sPerms {
 			for _, gp := range gPerms {
 				emit(sp, gp)
 			}
 		}
-	} else {
-		// Too many combinations: keep global-shift products plus each
-		// axis's full family against the other axis's identity.
-		sGlobal := globalShifts(sym.Server)
-		gGlobal := globalShifts(sym.Local)
-		for _, sp := range sGlobal {
-			for _, gp := range gGlobal {
-				emit(sp, gp)
-			}
+		return out
+	}
+	// Too many combinations: keep global-shift products plus each axis's
+	// other candidates against the other axis's identity.
+	nS, nG := max(sym.Server.N, 1), max(sym.Local.N, 1)
+	for _, sp := range sPerms[:nS] {
+		for _, gp := range gPerms[:nG] {
+			emit(sp, gp)
 		}
-		idS, idG := identity(sym.Server.N), identity(sym.Local.N)
-		for _, sp := range sPerms {
-			emit(sp, idG)
-		}
-		for _, gp := range gPerms {
-			emit(idS, gp)
+	}
+	for _, sp := range sPerms[nS:] {
+		emit(sp, gPerms[0])
+	}
+	for _, gp := range gPerms[nG:] {
+		emit(sPerms[0], gp)
+	}
+	return out
+}
+
+// distinct returns perms without repeats, first occurrences in order.
+func distinct(perms [][]int) [][]int {
+	out := make([][]int, 0, len(perms))
+	for _, p := range perms {
+		if !slices.ContainsFunc(out, func(q []int) bool { return slices.Equal(p, q) }) {
+			out = append(out, p)
 		}
 	}
 	return out
 }
 
-func identity(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	return p
-}
-
-// globalShifts returns the axis's transitive shift family (XOR masks or
-// cyclic rotations).
-func globalShifts(a Axis) [][]int {
-	n := a.N
-	if n <= 0 {
-		n = 1
-	}
-	out := make([][]int, 0, n)
-	for m := 0; m < n; m++ {
-		p := make([]int, n)
-		for x := 0; x < n; x++ {
-			if a.Xor {
-				p[x] = x ^ m
-			} else {
-				p[x] = (x + m) % n
-			}
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
-// axisPerms over-generates candidate axis permutations: global shifts,
+// axisPerms over-generates candidate axis permutations: the axis's
+// global shifts (XOR masks or cyclic rotations, shift 0 first), then
 // rotations of the tail fixing index 0, and (for small axes)
 // transpositions. Invalid candidates are filtered by the topology check.
 func axisPerms(a Axis) [][]int {
-	n := a.N
-	if n <= 1 {
-		return [][]int{identity(max(n, 1))}
-	}
+	n := max(a.N, 1)
 	var out [][]int
-	out = append(out, globalShifts(a)...)
+	for m := 0; m < n; m++ {
+		p := make([]int, n)
+		for x := range p {
+			p[x] = a.apply(m, x)
+		}
+		out = append(out, p)
+	}
+	if n == 1 {
+		return out
+	}
 	// Tail rotations fixing 0 (valid on flat axes).
 	for k := 1; k < n-1; k++ {
 		p := make([]int, n)
@@ -130,7 +117,7 @@ func axisPerms(a Axis) [][]int {
 	if n <= 10 {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				p := identity(n)
+				p := slices.Clone(out[0]) // the identity
 				p[i], p[j] = j, i
 				out = append(out, p)
 			}
@@ -161,12 +148,4 @@ func groupPreserving(top *Topology, perm []int) bool {
 		}
 	}
 	return true
-}
-
-func permKey(p []int) string {
-	b := make([]byte, 0, len(p)*2)
-	for _, v := range p {
-		b = append(b, byte(v), byte(v>>8))
-	}
-	return string(b)
 }

@@ -28,11 +28,24 @@ type Config struct {
 
 // Build constructs the physical topology described by cfg and extracts its
 // dimensions. It panics on invalid configurations (builders are invoked
-// with compile-time-known shapes).
+// with compile-time-known shapes), among them every config whose symmetry
+// action splits a group.
 func Build(cfg Config) *Topology {
 	if cfg.Servers <= 0 || cfg.GPUsPerServer <= 0 {
 		panic(fmt.Sprintf("topology.Build: bad shape %d×%d", cfg.Servers, cfg.GPUsPerServer))
 	}
+	t := build(cfg)
+	if err := t.Validate(); err != nil {
+		panic("topology.Build produced invalid topology: " + err.Error())
+	}
+	if err := t.Sym.Validate(t); err != nil {
+		panic("topology.Build produced invalid symmetry: " + err.Error())
+	}
+	return t
+}
+
+// build constructs the topology of a well-shaped cfg without checking it.
+func build(cfg Config) *Topology {
 	t := &Topology{Name: cfg.Name}
 	n := cfg.Servers * cfg.GPUsPerServer
 
@@ -128,12 +141,6 @@ func Build(cfg Config) *Topology {
 
 	extractDims(t, cfg)
 	t.Sym = buildSymmetry(cfg)
-	if err := t.Validate(); err != nil {
-		panic("topology.Build produced invalid topology: " + err.Error())
-	}
-	if err := t.Sym.Validate(t); err != nil {
-		panic("topology.Build produced invalid symmetry: " + err.Error())
-	}
 	return t
 }
 

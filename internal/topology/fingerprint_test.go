@@ -12,7 +12,7 @@ import (
 	"syccl/internal/topology"
 )
 
-var updateFingerprints = flag.Bool("update", false, "rewrite testdata/fingerprints.json from this tree")
+var update = flag.Bool("update", false, "rewrite the pinned testdata/*.json files from this tree")
 
 // fingerprintCases is every topology name cli.ParseTopology knows, plus
 // one degraded fabric: a killed rail uplink (a structural delta) and a
@@ -58,7 +58,7 @@ func TestFingerprintPinned(t *testing.T) {
 		t.Fatal("the degraded fabric renders no per-group override")
 	}
 	path := filepath.Join("testdata", "fingerprints.json")
-	if *updateFingerprints {
+	if *update {
 		b, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)

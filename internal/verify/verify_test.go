@@ -120,12 +120,13 @@ func TestPermutationSymmetrySim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			perms := top.Sym.All()
-			for pi, gp := range perms {
-				if len(perms) > 8 && pi%((len(perms)+7)/8) != 0 {
+			n := top.NumGPUs()
+			perm := make([]int, n)
+			for pi := range n {
+				if n > 8 && pi%((n+7)/8) != 0 {
 					continue // sample ~8 automorphisms per topology
 				}
-				perm := top.Sym.Permutation(gp)
+				top.Sym.RootPerm(perm, 0, pi)
 				if err := CheckDimInvariance(top, perm); err != nil {
 					t.Fatalf("%s perm %d: %v", top.Name, pi, err)
 				}
@@ -167,9 +168,8 @@ func TestPermutationSymmetrySynthesize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		perms := top.Sym.All()
-		gp := perms[rng.Intn(len(perms))]
-		perm := top.Sym.Permutation(gp)
+		perm := make([]int, top.NumGPUs())
+		top.Sym.RootPerm(perm, 0, rng.Intn(len(perm)))
 		pcol := rooted.build(col.NumGPUs, perm[col.Root], col.ChunkSize)
 		got, err := core.Synthesize(top, pcol, core.Options{})
 		if err != nil {

@@ -24,10 +24,12 @@ go build ./...
 
 echo "== go test -count=10 (determinism-sensitive leaves, uncached) =="
 # The solver stack and the sketch search (which feeds the sketch-cache
-# and plan keys) promise the same bytes every run; one cached or lucky
-# pass cannot show that, ten uncached ones in a row can (about a minute
-# on 2 cores, most of it the solver and sketch equivalence checks).
-go test -count=10 ./internal/lp ./internal/milp ./internal/solve ./internal/sketch
+# and plan keys) promise the same bytes every run, and so does the
+# topology's automorphism list, whose order decides which replicas the
+# sketch search picks; one cached or lucky pass cannot show that, ten
+# uncached ones in a row can (about a minute on 2 cores, most of it the
+# solver and sketch equivalence checks).
+go test -count=10 ./internal/lp ./internal/milp ./internal/solve ./internal/sketch ./internal/topology
 
 echo "== go test =="
 go test ./...
