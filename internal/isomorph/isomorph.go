@@ -7,17 +7,19 @@
 // solution maps to every other member through a GPU renaming. This
 // package provides the invariant fingerprint used to bucket demands, the
 // backtracking search that finds an explicit mapping, and the class
-// partition driver.
+// partition driver. The bucketing and the mapping search both read one
+// canonical form per demand, worked out once: integers, but for the few
+// piece invariants it renders as text.
 package isomorph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 
 	"syccl/internal/solve"
 )
@@ -26,13 +28,14 @@ import (
 // with different keys are guaranteed non-isomorphic. (Equal keys are a
 // necessary, not sufficient, condition; FindMapping decides.)
 //
-// The text is "n<gpus>;a<α %.6g>;b<β %.6g>;" + the sorted piece
-// invariants "p(<bytes %.6g>,<|srcs|>,<|dsts|>)" + ";g" + the sorted
-// per-GPU colors joined by "|". It never reaches disk (persisted entries
-// carry ExactKey and CacheKey only): within one run it buckets the
-// isomorphism table's demands and screens FindFullMapping.
+// Two demands share a Key exactly when they have the same GPU count, the
+// same α and β at %.6g, the same multiset of piece invariants and the
+// same multiset of GPU colors (see form). The bytes are a compact
+// encoding of those, in no promised format. A Key never reaches disk
+// (persisted entries carry ExactKey and CacheKey only): within one run it
+// buckets the isomorphism table's demands and screens FindFullMapping.
 func Key(d *solve.Demand) string {
-	return string(appendKey(nil, d))
+	return new(former).form(d).key
 }
 
 // ExactKey returns a byte-exact signature of a demand: two demands share
@@ -44,7 +47,8 @@ func Key(d *solve.Demand) string {
 // warm and cold runs byte-equal.
 //
 // The text is "n<gpus>;a<α %.9g>;b<β %.9g>" + ";p<bytes %.9g>|<srcs
-// %v>|<dsts %v>" per piece, under the same byte-stability rule as Key.
+// %v>|<dsts %v>" per piece; the persisted corpus is addressed by it, so
+// its bytes never change.
 func ExactKey(d *solve.Demand) string {
 	return string(appendExactKey(nil, d))
 }
@@ -100,179 +104,193 @@ func appendExactKey(b []byte, d *solve.Demand) []byte {
 	return b
 }
 
-func appendKey(b []byte, d *solve.Demand) []byte {
-	b = append(appendHeader(b, d, 6), ';')
-	invs, of := invariants(d)
-	// Pieces in sorted-invariant order: equal invariants are equal text,
-	// so counting per rank is the sort.
-	count := make([]int, len(invs))
-	for _, r := range of {
-		count[r]++
-	}
-	for r, inv := range invs {
-		for k := 0; k < count[r]; k++ {
-			b = append(append(b, 'p'), inv...)
-		}
-	}
-	// GPU color multiset: per GPU, the sorted list of (piece-invariant,
-	// role) memberships.
-	colors, ends := colorBytes(d, invs, of)
-	order := colorOrder{colors: colors, ends: ends, idx: make([]int, d.NumGPUs)}
-	for g := range order.idx {
-		order.idx[g] = g
-	}
-	sort.Sort(&order)
-	b = append(b, ";g"...)
-	for k, g := range order.idx {
-		if k > 0 {
-			b = append(b, '|')
-		}
-		b = append(b, order.color(g)...)
-	}
-	return b
+// form is a demand's canonical form, worked out once per demand: Key,
+// the GPU colors and the piece signatures of the mapping search all
+// read it.
+//
+// A piece's invariant is the text "(<bytes %.6g>,<|srcs|>,<|dsts|>)",
+// rendered once per distinct (size, |srcs|, |dsts|); its rank is its
+// place among the demand's distinct invariant texts in ascending order.
+// A GPU's color is the ascending list of its memberships, one per piece
+// it is a source or a destination of, coded role × ranks + rank with role
+// 0 for a destination and 1 for a source. Code order is the order of the
+// membership texts "d<invariant>" and "s<invariant>"; and as an invariant
+// ends at its only ')', no membership text is a prefix of another, so
+// colors compare as the texts joining their memberships with ",": equal
+// exactly when the texts are, and in the same order. Codes mean the same
+// in two demands when their Keys match, which fixes the distinct
+// invariants; only then are their colors compared.
+//
+// The key encodes the header "n<gpus>;a<α %.6g>;b<β %.6g>;", each
+// distinct invariant with the number of pieces that have it, and each
+// distinct color with the number of GPUs that have it, in ascending
+// order, every count a uvarint: prefix-free, so two keys are equal
+// exactly when the text that joined the same parts — the sorted
+// invariants, then the sorted colors — was.
+type form struct {
+	key   string
+	codes []int32  // GPU g's color is codes[at[g]:at[g+1]]
+	at    []int32  // len n+1
+	ord   []int32  // the GPUs by (color, index): the color classes, in ascending color order
+	sizes []uint64 // per piece, size9 of its size
 }
 
-// invariants renders each distinct piece invariant
-// "(<bytes %.6g>,<|srcs|>,<|dsts|>)" of the demand once. It returns them
-// in ascending text order with, per piece, the index of its invariant.
-// The pieces of a sub-demand share a handful of invariants, so the
-// distinct list is found by a scan.
-func invariants(d *solve.Demand) (invs []string, of []int) {
-	type shape struct {
-		bits   uint64
-		ns, nd int
+func (f *form) color(g int32) []int32 { return f.codes[f.at[g]:f.at[g+1]] }
+
+// size9 codes v as %.9g prints it: two sizes print alike exactly when
+// their codes are equal. %.8e prints the same nine significant digits,
+// as "d.dddddddde±dd", and the code packs the sign, the exponent and the
+// digits read from it; NaN and the infinities, which print as words,
+// keep their float bits (every NaN the same), which no such code has.
+func size9(v float64) uint64 {
+	if math.IsNaN(v) {
+		return math.Float64bits(math.NaN())
 	}
-	var shapes []shape
-	of = make([]int, len(d.Pieces))
+	if math.IsInf(v, 0) {
+		return math.Float64bits(v)
+	}
+	var buf [32]byte
+	b := strconv.AppendFloat(buf[:0], math.Abs(v), 'e', 8, 64)
+	digits, i := uint64(0), 0
+	for ; b[i] != 'e'; i++ {
+		if b[i] != '.' {
+			digits = digits*10 + uint64(b[i]-'0')
+		}
+	}
+	exp := 0
+	for _, c := range b[i+2:] {
+		exp = exp*10 + int(c-'0')
+	}
+	if b[i+1] == '-' {
+		exp = -exp
+	}
+	return math.Float64bits(math.Copysign(0, v)) | uint64(exp+400)<<32 | digits
+}
+
+// former is the working memory forms are worked out in; a Table keeps
+// one. Per distinct piece shape j it holds the invariant text
+// text[textAt[j]:textAt[j+1]], the pieces that have the shape, the rank
+// and size9 of the size; perm lists the shapes by invariant text.
+type former struct {
+	shapes []shape
+	of     []int // per piece, its shape
+	text   []byte
+	textAt []int
+	count  []int
+	rank   []int
+	size9  []uint64
+	perm   []int
+	fill   []int32
+	key    []byte
+}
+
+type shape struct {
+	bits   uint64
+	ns, nd int
+}
+
+func (fm *former) inv(j int) []byte { return fm.text[fm.textAt[j]:fm.textAt[j+1]] }
+
+// form works out d's canonical form.
+func (fm *former) form(d *solve.Demand) form {
+	// The distinct shapes, by scan: the pieces of a sub-demand share a
+	// handful.
+	fm.shapes, fm.of, fm.count = fm.shapes[:0], resizeInts(fm.of, len(d.Pieces)), fm.count[:0]
 	for i := range d.Pieces {
 		p := &d.Pieces[i]
 		sh := shape{math.Float64bits(p.Bytes), len(p.Srcs), len(p.Dsts)}
-		j := len(shapes) - 1
-		for j >= 0 && shapes[j] != sh {
+		j := len(fm.shapes) - 1
+		for j >= 0 && fm.shapes[j] != sh {
 			j--
 		}
 		if j < 0 {
-			j = len(shapes)
-			shapes = append(shapes, sh)
+			j = len(fm.shapes)
+			fm.shapes, fm.count = append(fm.shapes, sh), append(fm.count, 0)
 		}
-		of[i] = j
+		fm.of[i] = j
+		fm.count[j]++
 	}
-	invs = make([]string, len(shapes))
-	var buf []byte
-	for j, sh := range shapes {
-		buf = strconv.AppendFloat(append(buf[:0], '('), math.Float64frombits(sh.bits), 'g', 6, 64)
-		buf = strconv.AppendInt(append(buf, ','), int64(sh.ns), 10)
-		buf = strconv.AppendInt(append(buf, ','), int64(sh.nd), 10)
-		invs[j] = string(append(buf, ')'))
+	fm.text, fm.textAt, fm.size9, fm.perm = fm.text[:0], append(fm.textAt[:0], 0), fm.size9[:0], fm.perm[:0]
+	for j, sh := range fm.shapes {
+		v := math.Float64frombits(sh.bits)
+		fm.text = strconv.AppendFloat(append(fm.text, '('), v, 'g', 6, 64)
+		fm.text = strconv.AppendInt(append(fm.text, ','), int64(sh.ns), 10)
+		fm.text = append(strconv.AppendInt(append(fm.text, ','), int64(sh.nd), 10), ')')
+		fm.textAt, fm.size9, fm.perm = append(fm.textAt, len(fm.text)), append(fm.size9, size9(v)), append(fm.perm, j)
 	}
-	// Sort the invariants and carry the pieces' indices along.
-	perm := make([]int, len(invs))
-	for j := range perm {
-		perm[j] = j
-	}
-	for x := 1; x < len(perm); x++ {
-		for y := x; y > 0 && invs[perm[y]] < invs[perm[y-1]]; y-- {
-			perm[y], perm[y-1] = perm[y-1], perm[y]
+	slices.SortFunc(fm.perm, func(x, y int) int { return bytes.Compare(fm.inv(x), fm.inv(y)) })
+	fm.rank = resizeInts(fm.rank, len(fm.shapes))
+	ranks := 0
+	for k, j := range fm.perm {
+		if k == 0 || !bytes.Equal(fm.inv(j), fm.inv(fm.perm[k-1])) {
+			ranks++
 		}
+		fm.rank[j] = ranks - 1
 	}
-	sorted, rank := make([]string, len(invs)), make([]int, len(invs))
-	for r, j := range perm {
-		sorted[r], rank[j] = invs[j], r
-	}
-	for i := range of {
-		of[i] = rank[of[i]]
-	}
-	return sorted, of
-}
 
-// colorBytes renders every GPU's color into one buffer: GPU g's color is
-// colors[ends[g-1]:ends[g]], its memberships "s<invariant>" (source of a
-// piece) and "d<invariant>" (destination) sorted and joined by ",".
-func colorBytes(d *solve.Demand, invs []string, of []int) (colors []byte, ends []int) {
-	// A membership is coded role*len(invs) + invariant rank with role 0
-	// for "d" and 1 for "s": invs is sorted, so code order is text order.
-	start := make([]int, d.NumGPUs+1)
+	// The colors, counted into place GPU by GPU, then sorted.
+	n, members := d.NumGPUs, 0
+	for i := range d.Pieces {
+		members += len(d.Pieces[i].Srcs) + len(d.Pieces[i].Dsts)
+	}
+	arr := make([]int32, 2*n+1+members)
+	f := form{at: arr[:n+1], ord: arr[n+1 : 2*n+1], codes: arr[2*n+1:], sizes: make([]uint64, len(d.Pieces))}
 	for i := range d.Pieces {
 		for _, g := range d.Pieces[i].Srcs {
-			start[g+1]++
+			f.at[g+1]++
 		}
 		for _, g := range d.Pieces[i].Dsts {
-			start[g+1]++
+			f.at[g+1]++
 		}
 	}
-	for g := 0; g < d.NumGPUs; g++ {
-		start[g+1] += start[g]
+	for g := 0; g < n; g++ {
+		f.at[g+1] += f.at[g]
 	}
-	codes := make([]int, start[d.NumGPUs])
-	fill := append([]int(nil), start[:d.NumGPUs]...)
+	fm.fill = append(fm.fill[:0], f.at[:n]...)
 	for i := range d.Pieces {
+		r := int32(fm.rank[fm.of[i]])
 		for _, g := range d.Pieces[i].Srcs {
-			codes[fill[g]] = len(invs) + of[i]
-			fill[g]++
+			f.codes[fm.fill[g]] = int32(ranks) + r
+			fm.fill[g]++
 		}
 		for _, g := range d.Pieces[i].Dsts {
-			codes[fill[g]] = of[i]
-			fill[g]++
+			f.codes[fm.fill[g]] = r
+			fm.fill[g]++
 		}
+		f.sizes[i] = fm.size9[fm.of[i]]
 	}
-	ends = make([]int, d.NumGPUs)
-	longest := 0
-	for _, inv := range invs {
-		longest = max(longest, len(inv))
+	for g := range f.ord {
+		slices.Sort(f.color(int32(g)))
+		f.ord[g] = int32(g)
 	}
-	colors = make([]byte, 0, len(codes)*(longest+2))
-	for g := 0; g < d.NumGPUs; g++ {
-		mine := codes[start[g]:start[g+1]]
-		sort.Ints(mine)
-		for k, c := range mine {
-			if k > 0 {
-				colors = append(colors, ',')
-			}
-			role := byte('d')
-			if c >= len(invs) {
-				role, c = 's', c-len(invs)
-			}
-			colors = append(append(colors, role), invs[c]...)
+	slices.SortFunc(f.ord, func(x, y int32) int {
+		if c := slices.Compare(f.color(x), f.color(y)); c != 0 {
+			return c
 		}
-		ends[g] = len(colors)
+		return int(x - y)
+	})
+
+	b := binary.AppendUvarint(append(appendHeader(fm.key[:0], d, 6), ';'), uint64(ranks))
+	for k := 0; k < len(fm.perm); {
+		j, pieces := fm.perm[k], 0
+		for ; k < len(fm.perm) && fm.rank[fm.perm[k]] == fm.rank[j]; k++ {
+			pieces += fm.count[fm.perm[k]]
+		}
+		b = binary.AppendUvarint(append(b, fm.inv(j)...), uint64(pieces))
 	}
-	return colors, ends
-}
-
-// colorOrder sorts GPU indices by color text.
-type colorOrder struct {
-	colors []byte
-	ends   []int
-	idx    []int
-}
-
-func (o *colorOrder) color(g int) []byte {
-	from := 0
-	if g > 0 {
-		from = o.ends[g-1]
+	for lo := 0; lo < n; {
+		c, hi := f.color(f.ord[lo]), lo+1
+		for hi < n && slices.Equal(f.color(f.ord[hi]), c) {
+			hi++
+		}
+		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(hi-lo)), uint64(len(c)))
+		for _, code := range c {
+			b = binary.AppendUvarint(b, uint64(code))
+		}
+		lo = hi
 	}
-	return o.colors[from:o.ends[g]]
-}
-
-func (o *colorOrder) Len() int      { return len(o.idx) }
-func (o *colorOrder) Swap(x, y int) { o.idx[x], o.idx[y] = o.idx[y], o.idx[x] }
-func (o *colorOrder) Less(x, y int) bool {
-	return bytes.Compare(o.color(o.idx[x]), o.color(o.idx[y])) < 0
-}
-
-// gpuColors computes a per-GPU invariant color string. The strings share
-// one backing string.
-func gpuColors(d *solve.Demand) []string {
-	invs, of := invariants(d)
-	colors, ends := colorBytes(d, invs, of)
-	all := string(colors)
-	out := make([]string, d.NumGPUs)
-	from := 0
-	for g, end := range ends {
-		out[g] = all[from:end]
-		from = end
-	}
-	return out
+	f.key, fm.key = string(b), b
+	return f
 }
 
 // maxBacktrackNodes caps the mapping search; exceeding it reports "not
@@ -305,26 +323,28 @@ func FindFullMapping(a, b *solve.Demand) *Mapping {
 	if a.NumGPUs != b.NumGPUs || len(a.Pieces) != len(b.Pieces) {
 		return nil
 	}
-	if Key(a) != Key(b) {
+	var fm former
+	fa, fb := fm.form(a), fm.form(b)
+	if fa.key != fb.key {
 		return nil
 	}
-	return findFullMapping(a, b, gpuColors(a), gpuColors(b), new(mappingSearch))
+	return findFullMapping(a, b, &fa, &fb, new(mappingSearch))
 }
 
 // findFullMapping is FindFullMapping for demands whose Keys are known to
-// match (so their GPU and piece counts do), with their gpuColors ca and
-// cb, searching in scratch s.
-func findFullMapping(a, b *solve.Demand, ca, cb []string, s *mappingSearch) *Mapping {
+// match (so their GPU and piece counts do), with their forms fa and fb,
+// searching in scratch s.
+func findFullMapping(a, b *solve.Demand, fa, fb *form, s *mappingSearch) *Mapping {
 	n := a.NumGPUs
 	if n*len(a.Pieces) > 128 {
-		return s.sampled(a, b, ca, cb)
+		return s.sampled(a, b, fa, fb)
 	}
 
 	// candidates[i] = b-GPUs with the same color as a's GPU i.
 	candidates := make([][]int, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if ca[i] == cb[j] {
+			if slices.Equal(fa.color(int32(i)), fb.color(int32(j))) {
 				candidates[i] = append(candidates[i], j)
 			}
 		}
@@ -346,7 +366,7 @@ func findFullMapping(a, b *solve.Demand, ca, cb []string, s *mappingSearch) *Map
 	}
 	used := make([]bool, n)
 	nodes := 0
-	s.index(b)
+	s.index(b, fb)
 
 	// The O(pieces²) partial-consistency filter pays off on small, loosely
 	// structured demands; on large highly symmetric ones (hundreds of
@@ -362,7 +382,7 @@ func findFullMapping(a, b *solve.Demand, ca, cb []string, s *mappingSearch) *Map
 			return false
 		}
 		if k == n {
-			pieces = s.bijection(a, f)
+			pieces = s.bijection(a, fa, f)
 			return pieces != nil
 		}
 		i := order[k]
@@ -386,38 +406,41 @@ func findFullMapping(a, b *solve.Demand, ca, cb []string, s *mappingSearch) *Map
 	return nil
 }
 
-// mappingSearch is the scratch of mapping searches. index renders a
+// mappingSearch is the scratch of mapping searches. index lays out a
 // demand b's piece signatures once and sorts b's pieces by them, so that
 // bijection can check any number of GPU mappings onto b with no map and
 // no allocation; sampled keeps its trial buffers here too. A Table keeps
 // one for all its searches; FindFullMapping uses a fresh one.
+//
+// A piece's signature is the integer list (size9 of its size, its
+// source count, its sources sorted, its destinations sorted): equal
+// exactly when the text "<bytes %.9g>|<srcs>|<dsts>" of the sorted lists
+// is.
 type mappingSearch struct {
 	// b's piece index: piece j's signature is sigs[ends[j-1]:ends[j]]
 	// (from 0 for piece 0), byRank lists b's pieces by (signature,
 	// index), and a run of equal signatures starting at rank r ends at
 	// runEnd[r].
-	sigs   []byte
+	sigs   []int
 	ends   []int
 	byRank []int
 	runEnd []int
 
-	taken []int  // per run start, the b-pieces bijection has handed out
-	out   []int  // bijection's answer
-	buf   []byte // an a-piece's signature
-	img   []int  // appendPieceSig's scratch
+	taken []int // per run start, the b-pieces bijection has handed out
+	out   []int // bijection's answer
+	buf   []int // an a-piece's signature
 
-	// sampled's: GPUs by (color, index) on each side, the ends of the
-	// color classes, the trial mapping, a shuffled class, and the
-	// generator of the randomized trials, made on first use.
-	ordA, ordB []int
-	classEnd   []int
-	f          []int
-	shuffled   []int
-	rng        *rand.Rand
+	// sampled's: the ends of the color classes, the trial mapping, a
+	// shuffled class, and the generator of the randomized trials, made
+	// on first use.
+	classEnd []int
+	f        []int
+	shuffled []int32
+	rng      *rand.Rand
 }
 
 // sig is b-piece j's signature.
-func (s *mappingSearch) sig(j int) []byte {
+func (s *mappingSearch) sig(j int) []int {
 	from := 0
 	if j > 0 {
 		from = s.ends[j-1]
@@ -425,18 +448,36 @@ func (s *mappingSearch) sig(j int) []byte {
 	return s.sigs[from:s.ends[j]]
 }
 
-// index renders b's piece signatures and sorts b's pieces by
-// (signature bytes, index): each bucket of equal signatures is a run,
-// in ascending piece order.
-func (s *mappingSearch) index(b *solve.Demand) {
-	s.sigs, s.ends, s.byRank = s.sigs[:0], slices.Grow(s.ends[:0], len(b.Pieces)), slices.Grow(s.byRank[:0], len(b.Pieces))
+// appendSig appends the signature of a piece whose size9 is size,
+// under the GPU mapping m when m is not nil.
+func appendSig(sig []int, size uint64, p *solve.Piece, m []int) []int {
+	sig = append(sig, int(size), len(p.Srcs))
+	for _, set := range [2][]int{p.Srcs, p.Dsts} {
+		from := len(sig)
+		sig = append(sig, set...)
+		if m != nil {
+			for k := from; k < len(sig); k++ {
+				sig[k] = m[sig[k]]
+			}
+		}
+		slices.Sort(sig[from:])
+	}
+	return sig
+}
+
+// index lays out b's piece signatures and sorts b's pieces by
+// (signature, index): each bucket of equal signatures is a run, in
+// ascending piece order.
+func (s *mappingSearch) index(b *solve.Demand, fb *form) {
+	s.sigs = slices.Grow(s.sigs[:0], 2*len(b.Pieces)+len(fb.codes))
+	s.ends, s.byRank = slices.Grow(s.ends[:0], len(b.Pieces)), slices.Grow(s.byRank[:0], len(b.Pieces))
 	for j := range b.Pieces {
-		s.sigs, s.img = appendPieceSig(s.sigs, s.img, &b.Pieces[j], nil)
+		s.sigs = appendSig(s.sigs, fb.sizes[j], &b.Pieces[j], nil)
 		s.ends = append(s.ends, len(s.sigs))
 		s.byRank = append(s.byRank, j)
 	}
 	slices.SortFunc(s.byRank, func(x, y int) int {
-		if c := bytes.Compare(s.sig(x), s.sig(y)); c != 0 {
+		if c := slices.Compare(s.sig(x), s.sig(y)); c != 0 {
 			return c
 		}
 		return x - y
@@ -444,7 +485,7 @@ func (s *mappingSearch) index(b *solve.Demand) {
 	s.runEnd = resizeInts(s.runEnd, len(s.byRank))
 	for lo := 0; lo < len(s.byRank); {
 		hi := lo + 1
-		for hi < len(s.byRank) && bytes.Equal(s.sig(s.byRank[hi]), s.sig(s.byRank[lo])) {
+		for hi < len(s.byRank) && slices.Equal(s.sig(s.byRank[hi]), s.sig(s.byRank[lo])) {
 			hi++
 		}
 		s.runEnd[lo] = hi
@@ -452,14 +493,14 @@ func (s *mappingSearch) index(b *solve.Demand) {
 	}
 }
 
-// bijection verifies a complete GPU mapping f of a onto the indexed
-// demand and, when valid, returns the induced piece bijection: out[i] is
-// the b-piece that a's piece i plays under f. Pieces with identical
-// signatures are interchangeable, so any within-bucket assignment is
-// correct; a's pieces take their bucket's b-pieces from the highest index
-// down. Returns nil when f is not an isomorphism. The answer is scratch,
-// valid until the next call.
-func (s *mappingSearch) bijection(a *solve.Demand, f []int) []int {
+// bijection verifies a complete GPU mapping f of a (of form fa) onto the
+// indexed demand and, when valid, returns the induced piece bijection:
+// out[i] is the b-piece that a's piece i plays under f. Pieces with
+// identical signatures are interchangeable, so any within-bucket
+// assignment is correct; a's pieces take their bucket's b-pieces from
+// the highest index down. Returns nil when f is not an isomorphism. The
+// answer is scratch, valid until the next call.
+func (s *mappingSearch) bijection(a *solve.Demand, fa *form, f []int) []int {
 	n := len(s.byRank)
 	if len(a.Pieces) != n {
 		return nil
@@ -470,19 +511,19 @@ func (s *mappingSearch) bijection(a *solve.Demand, f []int) []int {
 		s.out = []int{} // nil means no bijection; demands without pieces have an empty one
 	}
 	for i := range a.Pieces {
-		s.buf, s.img = appendPieceSig(s.buf[:0], s.img, &a.Pieces[i], f)
+		s.buf = appendSig(s.buf[:0], fa.sizes[i], &a.Pieces[i], f)
 		// The first rank whose signature is not below a's: its run, if
 		// the signature matches.
 		lo, hi := 0, n
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			if bytes.Compare(s.sig(s.byRank[mid]), s.buf) < 0 {
+			if slices.Compare(s.sig(s.byRank[mid]), s.buf) < 0 {
 				lo = mid + 1
 			} else {
 				hi = mid
 			}
 		}
-		if lo == n || !bytes.Equal(s.sig(s.byRank[lo]), s.buf) || lo+s.taken[lo] == s.runEnd[lo] {
+		if lo == n || !slices.Equal(s.sig(s.byRank[lo]), s.buf) || lo+s.taken[lo] == s.runEnd[lo] {
 			return nil
 		}
 		s.taken[lo]++
@@ -501,21 +542,21 @@ func resizeInts(s []int, n int) []int {
 // sampled tries the color-sorted canonical alignment and a few
 // randomized color-respecting bijections, verifying each with the
 // near-linear bijection against b's index, built once.
-func (s *mappingSearch) sampled(a, b *solve.Demand, ca, cb []string) *Mapping {
+func (s *mappingSearch) sampled(a, b *solve.Demand, fa, fb *form) *Mapping {
 	n := a.NumGPUs
-	// GPUs by (color, index) on both sides: the color classes, each in
+	// The forms' GPUs by (color, index): the color classes, each in
 	// ascending GPU order, in ascending color order. They must pair up.
-	s.ordA, s.ordB = byColor(s.ordA, ca), byColor(s.ordB, cb)
 	s.classEnd = slices.Grow(s.classEnd[:0], n)
 	for k := 0; k < n; k++ {
-		if ca[s.ordA[k]] != cb[s.ordB[k]] {
+		c := fa.color(fa.ord[k])
+		if !slices.Equal(c, fb.color(fb.ord[k])) {
 			return nil
 		}
-		if k+1 == n || ca[s.ordA[k+1]] != ca[s.ordA[k]] {
+		if k+1 == n || !slices.Equal(fa.color(fa.ord[k+1]), c) {
 			s.classEnd = append(s.classEnd, k+1)
 		}
 	}
-	s.index(b)
+	s.index(b, fb)
 	s.f = resizeInts(s.f, n)
 
 	// The canonical sorted-position alignment within each color class,
@@ -532,11 +573,11 @@ func (s *mappingSearch) sampled(a, b *solve.Demand, ca, cb []string) *Mapping {
 		}
 		lo := 0
 		for _, hi := range s.classEnd {
-			as, bs := s.ordA[lo:hi], s.ordB[lo:hi]
+			as, bs := fa.ord[lo:hi], fb.ord[lo:hi]
 			if trial < 8 {
 				k := trial % len(bs)
 				for t, i := range as {
-					s.f[i] = bs[(t+k)%len(bs)]
+					s.f[i] = int(bs[(t+k)%len(bs)])
 				}
 			} else {
 				s.shuffled = append(s.shuffled[:0], bs...)
@@ -544,12 +585,12 @@ func (s *mappingSearch) sampled(a, b *solve.Demand, ca, cb []string) *Mapping {
 					s.shuffled[x], s.shuffled[y] = s.shuffled[y], s.shuffled[x]
 				})
 				for t, i := range as {
-					s.f[i] = s.shuffled[t]
+					s.f[i] = int(s.shuffled[t])
 				}
 			}
 			lo = hi
 		}
-		if pieces := s.bijection(a, s.f); pieces != nil {
+		if pieces := s.bijection(a, fa, s.f); pieces != nil {
 			both := make([]int, n+len(pieces))
 			copy(both, s.f)
 			copy(both[n:], pieces)
@@ -557,22 +598,6 @@ func (s *mappingSearch) sampled(a, b *solve.Demand, ca, cb []string) *Mapping {
 		}
 	}
 	return nil
-}
-
-// byColor returns ord filled with the GPU indices sorted by (color,
-// index).
-func byColor(ord []int, colors []string) []int {
-	ord = slices.Grow(ord[:0], len(colors))
-	for g := range colors {
-		ord = append(ord, g)
-	}
-	slices.SortFunc(ord, func(x, y int) int {
-		if c := strings.Compare(colors[x], colors[y]); c != 0 {
-			return c
-		}
-		return x - y
-	})
-	return ord
 }
 
 // partialConsistent rejects partial assignments that already break any
@@ -621,25 +646,6 @@ func setCompatible(sa, sb []int, f []int) bool {
 	return true
 }
 
-// appendPieceSig renders a piece's canonical signature "<bytes
-// %.9g>|<srcs>|<dsts>", each list sorted and printed as fmt's %v prints
-// an []int, optionally under a GPU mapping m. img is scratch space for
-// the sorted lists and is handed back for reuse.
-func appendPieceSig(b []byte, img []int, p *solve.Piece, m []int) ([]byte, []int) {
-	b = strconv.AppendFloat(b, p.Bytes, 'g', 9, 64)
-	for _, set := range [2][]int{p.Srcs, p.Dsts} {
-		img = append(img[:0], set...)
-		if m != nil {
-			for k, v := range img {
-				img[k] = m[v]
-			}
-		}
-		sort.Ints(img)
-		b = appendInts(append(b, '|'), img)
-	}
-	return b, img
-}
-
 // Mapping is a complete isomorphism between two demands: the GPU
 // permutation and the induced piece bijection. Both are needed to carry a
 // solved sub-schedule across: transfers rename endpoints via GPUs and
@@ -686,10 +692,10 @@ func Equal(a, b *solve.Demand) bool {
 type Table struct {
 	demands []*solve.Demand
 	byHash  map[uint64][]int    // contentHash → ids (several only when unequal demands collide)
-	keys    []string            // Key per id, rendered on first use
-	colors  [][]string          // gpuColors per id, computed on first use; grown by colorsOf
+	forms   []form              // canonical form per id, worked out on first use
 	found   map[[2]int]*Mapping // FindFullMapping per (representative, member) id pair; nil = not isomorphic
-	search  *mappingSearch      // the mapping searches' scratch, made by the first
+	former  former              // the forms' working memory
+	search  mappingSearch       // the mapping searches' scratch
 }
 
 // NewTable returns an empty table.
@@ -714,7 +720,7 @@ func (t *Table) Demand(id int) *solve.Demand { return t.demands[id] }
 // add gives d a fresh id without looking for an equal demand.
 func (t *Table) add(d *solve.Demand) int {
 	t.demands = append(t.demands, d)
-	t.keys = append(t.keys, "")
+	t.forms = append(t.forms, form{})
 	return len(t.demands) - 1
 }
 
@@ -793,19 +799,14 @@ func (t *Table) Classes(ids []int) (rep []int, m []*Mapping) {
 		if rep[id] >= 0 {
 			continue
 		}
-		if t.keys[id] == "" {
-			t.keys[id] = Key(t.demands[id])
-		}
+		f := t.formOf(id)
 		rep[id] = id
-		for _, r := range byKey[t.keys[id]] {
+		for _, r := range byKey[f.key] {
 			pair := [2]int{r, id}
 			mp, known := t.found[pair]
 			if !known {
-				if t.search == nil {
-					t.search = new(mappingSearch)
-				}
 				// The Keys match: r is in id's bucket.
-				mp = findFullMapping(t.demands[r], t.demands[id], t.colorsOf(r), t.colorsOf(id), t.search)
+				mp = findFullMapping(t.demands[r], t.demands[id], &t.forms[r], f, &t.search)
 				t.found[pair] = mp
 			}
 			if mp != nil {
@@ -814,21 +815,18 @@ func (t *Table) Classes(ids []int) (rep []int, m []*Mapping) {
 			}
 		}
 		if rep[id] == id {
-			byKey[t.keys[id]] = append(byKey[t.keys[id]], id)
+			byKey[f.key] = append(byKey[f.key], id)
 		}
 	}
 	return rep, m
 }
 
-// colorsOf is gpuColors of id's demand, computed once.
-func (t *Table) colorsOf(id int) []string {
-	if len(t.colors) < len(t.demands) {
-		t.colors = append(t.colors, make([][]string, len(t.demands)-len(t.colors))...)
+// formOf is id's canonical form, worked out once (a key is never empty).
+func (t *Table) formOf(id int) *form {
+	if t.forms[id].key == "" {
+		t.forms[id] = t.former.form(t.demands[id])
 	}
-	if t.colors[id] == nil {
-		t.colors[id] = gpuColors(t.demands[id])
-	}
-	return t.colors[id]
+	return &t.forms[id]
 }
 
 // MapSchedule rewrites a sub-schedule solved for a representative demand

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -12,9 +13,11 @@ import (
 )
 
 // keyReference, exactKeyReference and gpuColorsReference are Key,
-// ExactKey and gpuColors as they stood when they were rendered with fmt,
-// kept verbatim. Every persisted corpus is addressed by these bytes, so
-// the strconv renderings must never drift from them.
+// ExactKey and the GPU colors as they stood when they were rendered with
+// fmt, kept verbatim. Every persisted corpus is addressed by ExactKey's
+// bytes, so its strconv rendering must never drift from them; Key and
+// the colors are integers now, and must keep the texts' equalities and
+// order.
 func keyReference(d *solve.Demand) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "n%d;a%.6g;b%.6g;", d.NumGPUs, d.Alpha, d.Beta)
@@ -60,36 +63,91 @@ func gpuColorsReference(d *solve.Demand) []string {
 	return out
 }
 
-// keysStable fails the test when any rendering differs from its
-// reference by a byte.
-func keysStable(t *testing.T, what string, d *solve.Demand) {
+// keysStable fails the test when any demand's ExactKey, CacheKey or
+// ShapePrefix differs from its reference by a byte, or when Key or the
+// GPU colors break a relation of their text references over any pair
+// of the demands, each demand with itself included: two Keys are equal
+// exactly when the reference texts are, and, wherever they are, any two
+// GPUs of the pair have colors that compare as their reference texts
+// do.
+func keysStable(t *testing.T, what string, demands ...*solve.Demand) {
 	t.Helper()
-	if got, want := Key(d), keyReference(d); got != want {
-		t.Fatalf("%s: Key drifted:\n got: %q\nwant: %q", what, got, want)
-	}
-	if got, want := ExactKey(d), exactKeyReference(d); got != want {
-		t.Fatalf("%s: ExactKey drifted:\n got: %q\nwant: %q", what, got, want)
-	}
-	const sig = "e0.5|g0|tau0|mb384|s0|fbfalse"
-	if got, want := CacheKey(d, sig), exactKeyReference(d)+"|"+sig; got != want {
-		t.Fatalf("%s: CacheKey drifted:\n got: %q\nwant: %q", what, got, want)
-	}
-	prefix := ShapePrefix(d.NumGPUs, d.Alpha, d.Beta)
-	if want := fmt.Sprintf("n%d;a%.9g;b%.9g;", d.NumGPUs, d.Alpha, d.Beta); prefix != want {
-		t.Fatalf("%s: ShapePrefix drifted:\n got: %q\nwant: %q", what, prefix, want)
-	}
-	if len(d.Pieces) > 0 && !strings.HasPrefix(CacheKey(d, sig), prefix) {
-		t.Fatalf("%s: ShapePrefix %q does not start CacheKey %q", what, prefix, CacheKey(d, sig))
-	}
-	got, want := gpuColors(d), gpuColorsReference(d)
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d colors, want %d", what, len(got), len(want))
-	}
-	for g := range got {
-		if got[g] != want[g] {
-			t.Fatalf("%s: color of GPU %d drifted:\n got: %q\nwant: %q", what, g, got[g], want[g])
+	for _, d := range demands {
+		if got, want := ExactKey(d), exactKeyReference(d); got != want {
+			t.Fatalf("%s: ExactKey drifted:\n got: %q\nwant: %q", what, got, want)
+		}
+		const sig = "e0.5|g0|tau0|mb384|s0|fbfalse"
+		if got, want := CacheKey(d, sig), exactKeyReference(d)+"|"+sig; got != want {
+			t.Fatalf("%s: CacheKey drifted:\n got: %q\nwant: %q", what, got, want)
+		}
+		prefix := ShapePrefix(d.NumGPUs, d.Alpha, d.Beta)
+		if want := fmt.Sprintf("n%d;a%.9g;b%.9g;", d.NumGPUs, d.Alpha, d.Beta); prefix != want {
+			t.Fatalf("%s: ShapePrefix drifted:\n got: %q\nwant: %q", what, prefix, want)
+		}
+		if len(d.Pieces) > 0 && !strings.HasPrefix(CacheKey(d, sig), prefix) {
+			t.Fatalf("%s: ShapePrefix %q does not start CacheKey %q", what, prefix, CacheKey(d, sig))
 		}
 	}
+	forms, keys, colors := make([]form, len(demands)), make([]string, len(demands)), make([][]string, len(demands))
+	for x, d := range demands {
+		forms[x], keys[x], colors[x] = new(former).form(d), keyReference(d), gpuColorsReference(d)
+		if Key(d) != forms[x].key {
+			t.Fatalf("%s: demand %d: Key is not its form's key", what, x)
+		}
+	}
+	// A GPU of demand x is (x, g). Sorted by reference text, neighbours
+	// must compare alike by color; both orders being total, they then
+	// agree on every pair.
+	type gpu struct{ x, g int }
+	for x := range demands {
+		for y := x; y < len(demands); y++ {
+			if (forms[x].key == forms[y].key) != (keys[x] == keys[y]) {
+				t.Fatalf("%s: demands %d, %d: Keys equal %v, reference texts equal %v:\n%q\n%q",
+					what, x, y, forms[x].key == forms[y].key, keys[x] == keys[y], keys[x], keys[y])
+			}
+			if keys[x] != keys[y] {
+				continue
+			}
+			var gpus []gpu
+			for _, z := range []int{x, y} {
+				for g := range colors[z] {
+					gpus = append(gpus, gpu{z, g})
+				}
+			}
+			text := func(u gpu) string { return colors[u.x][u.g] }
+			sort.SliceStable(gpus, func(i, j int) bool { return text(gpus[i]) < text(gpus[j]) })
+			for k := 1; k < len(gpus); k++ {
+				u, v := gpus[k-1], gpus[k]
+				got := slices.Compare(forms[u.x].color(int32(u.g)), forms[v.x].color(int32(v.g)))
+				if want := strings.Compare(text(u), text(v)); got != want {
+					t.Fatalf("%s: colors of GPU %d of demand %d and GPU %d of demand %d compare %d, reference texts %d:\n%q\n%q",
+						what, u.g, u.x, v.g, v.x, got, want, text(u), text(v))
+				}
+			}
+		}
+	}
+}
+
+// twins returns d with relabelled twins: d's GPUs renamed, its pieces
+// shuffled, and a size nudged below what %.6g prints; and three near
+// misses: one piece's size changed in the sixth digit, one GPU's
+// membership moved, one piece repeated.
+func twins(rng *rand.Rand, d *solve.Demand) []*solve.Demand {
+	out := []*solve.Demand{d, relabel(d, rng.Perm(d.NumGPUs), rng, true)}
+	if len(d.Pieces) == 0 || d.NumGPUs < 2 {
+		return out
+	}
+	nudged, resized, moved, doubled := relabel(d, rng.Perm(d.NumGPUs), rng, false), twin(d), twin(d), twin(d)
+	i := rng.Intn(len(d.Pieces))
+	nudged.Pieces[i].Bytes = math.Nextafter(d.Pieces[i].Bytes, math.Inf(1))
+	resized.Pieces[i].Bytes = d.Pieces[i].Bytes * 1.00001
+	if p := &moved.Pieces[i]; len(p.Dsts) > 0 {
+		p.Dsts[0] = (p.Dsts[0] + 1) % d.NumGPUs
+	} else {
+		p.Dsts = []int{rng.Intn(d.NumGPUs)}
+	}
+	doubled.Pieces = append(doubled.Pieces, doubled.Pieces[rng.Intn(len(d.Pieces))])
+	return append(out, nudged, resized, moved, doubled)
 }
 
 // oddFloats are the values where %g switches notation, rounds, or stops
@@ -107,8 +165,9 @@ func TestCacheKeysStableTable(t *testing.T) {
 		long[i] = (i * 7) % 300
 	}
 	lists := [][]int{nil, {}, {0}, {3, 1, 2}, {5, 5}, long}
-	keysStable(t, "no pieces", &solve.Demand{NumGPUs: 4, Alpha: 1e-6, Beta: 1 / 46e9})
-	keysStable(t, "no gpus", &solve.Demand{})
+	keysStable(t, "no pieces", &solve.Demand{NumGPUs: 4, Alpha: 1e-6, Beta: 1 / 46e9}, &solve.Demand{NumGPUs: 4, Alpha: 1e-6, Beta: 1 / 46e9})
+	keysStable(t, "no gpus", &solve.Demand{}, &solve.Demand{})
+	rng := rand.New(rand.NewSource(3))
 	for _, a := range oddFloats {
 		for _, b := range oddFloats {
 			d := &solve.Demand{NumGPUs: 300, Alpha: a, Beta: b}
@@ -117,7 +176,7 @@ func TestCacheKeysStableTable(t *testing.T) {
 				d.Pieces = append(d.Pieces, solve.Piece{ID: k, Bytes: a, Srcs: srcs, Dsts: dsts})
 				d.Pieces = append(d.Pieces, solve.Piece{ID: k, Bytes: b, Srcs: dsts, Dsts: srcs})
 			}
-			keysStable(t, fmt.Sprintf("alpha=%g beta=%g", a, b), d)
+			keysStable(t, fmt.Sprintf("alpha=%g beta=%g", a, b), d, relabel(d, rng.Perm(d.NumGPUs), rng, true))
 		}
 	}
 }
@@ -144,13 +203,14 @@ func randomKeyDemand(rng *rand.Rand) *solve.Demand {
 func TestCacheKeysStableRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 2000; i++ {
-		keysStable(t, fmt.Sprintf("random %d", i), randomKeyDemand(rng))
+		keysStable(t, fmt.Sprintf("random %d", i), twins(rng, randomKeyDemand(rng))...)
 	}
 }
 
 // FuzzCacheKeysStable decodes a demand from the input — float fields
 // from raw bits, so NaN payloads, infinities and denormals all occur —
-// and holds every key rendering to its fmt reference.
+// and holds every key rendering to its fmt reference, the demand's
+// relabelled twins and near misses included.
 func FuzzCacheKeysStable(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 0x3e, 0xb0, 0xc6, 0xf7, 0xa0, 0xb5, 0xed, 0x8d, 2, 1, 2, 0, 1, 3, 1, 2, 3})
@@ -184,6 +244,6 @@ func FuzzCacheKeysStable(f *testing.F) {
 			}
 			d.Pieces = append(d.Pieces, piece)
 		}
-		keysStable(t, "fuzz", d)
+		keysStable(t, "fuzz", twins(rand.New(rand.NewSource(int64(len(data)))), d)...)
 	})
 }

@@ -23,8 +23,9 @@ func sameFullMapping(t *testing.T, what string, a, b *solve.Demand, s *mappingSe
 		}
 	}
 	check("FindFullMapping", FindFullMapping(a, b))
-	if Key(a) == Key(b) {
-		check("findFullMapping in shared scratch", findFullMapping(a, b, gpuColors(a), gpuColors(b), s))
+	var fm former
+	if fa, fb := fm.form(a), fm.form(b); fa.key == fb.key {
+		check("findFullMapping in shared scratch", findFullMapping(a, b, &fa, &fb, s))
 	}
 }
 
@@ -168,9 +169,10 @@ func TestFindFullMappingAllocs(t *testing.T) {
 		}
 	}
 	var s mappingSearch
-	ca, cb := gpuColors(a), gpuColors(failing)
-	findFullMapping(a, failing, ca, cb, &s)
-	if allocs := testing.AllocsPerRun(10, func() { findFullMapping(a, failing, ca, cb, &s) }); allocs != 0 {
+	var fm former
+	fa, fb := fm.form(a), fm.form(failing)
+	findFullMapping(a, failing, &fa, &fb, &s)
+	if allocs := testing.AllocsPerRun(10, func() { findFullMapping(a, failing, &fa, &fb, &s) }); allocs != 0 {
 		t.Errorf("a failing search in warm scratch made %.0f allocations, want 0", allocs)
 	}
 }

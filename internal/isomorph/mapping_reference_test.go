@@ -6,11 +6,15 @@ package isomorph
 // (representative, member) pair re-renders both Keys and both demands'
 // GPU colors. Kept verbatim (renamed) as the reference
 // TestFindFullMappingEquivalence holds the search to: the mapping decides
-// which GPU and which piece every member cell's transfers land on.
+// which GPU and which piece every member cell's transfers land on. It
+// reads only text: the Keys and colors of keyReference and
+// gpuColorsReference, and the piece signatures of appendPieceSig, so it
+// never checks the integer form against itself.
 
 import (
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"syccl/internal/solve"
 )
@@ -19,11 +23,11 @@ func findFullMappingReference(a, b *solve.Demand) *Mapping {
 	if a.NumGPUs != b.NumGPUs || len(a.Pieces) != len(b.Pieces) {
 		return nil
 	}
-	if Key(a) != Key(b) {
+	if keyReference(a) != keyReference(b) {
 		return nil
 	}
 	n := a.NumGPUs
-	ca, cb := gpuColors(a), gpuColors(b)
+	ca, cb := gpuColorsReference(a), gpuColorsReference(b)
 
 	if n*len(a.Pieces) > 128 {
 		return findMappingSampledReference(a, b, ca, cb)
@@ -171,4 +175,24 @@ func pieceBijectionBucketReference(a, b *solve.Demand, f []int) []int {
 		out[i], left[k] = lst[len(lst)-1], lst[:len(lst)-1]
 	}
 	return out
+}
+
+// appendPieceSig renders a piece's canonical signature "<bytes
+// %.9g>|<srcs>|<dsts>", each list sorted and printed as fmt's %v prints
+// an []int, optionally under a GPU mapping m. img is scratch space for
+// the sorted lists and is handed back for reuse. Kept verbatim from the
+// search that compared these texts.
+func appendPieceSig(b []byte, img []int, p *solve.Piece, m []int) ([]byte, []int) {
+	b = strconv.AppendFloat(b, p.Bytes, 'g', 9, 64)
+	for _, set := range [2][]int{p.Srcs, p.Dsts} {
+		img = append(img[:0], set...)
+		if m != nil {
+			for k, v := range img {
+				img[k] = m[v]
+			}
+		}
+		sort.Ints(img)
+		b = appendInts(append(b, '|'), img)
+	}
+	return b, img
 }

@@ -60,8 +60,10 @@ func pieceBijection(a, b *solve.Demand, f []int) []int {
 		return nil
 	}
 	var s mappingSearch
-	s.index(b)
-	return s.bijection(a, f)
+	var fm former
+	fa, fb := fm.form(a), fm.form(b)
+	s.index(b, &fb)
+	return s.bijection(a, &fa, f)
 }
 
 // sameBijection fails the test unless pieceBijection answers a, b, f with
@@ -134,5 +136,41 @@ func TestPieceBijectionEquivalenceRandom(t *testing.T) {
 		}
 		sameBijections(t, fmt.Sprintf("near sizes %d", i),
 			[]*solve.Demand{d, relabel(d, rng.Perm(n), rng, true)})
+	}
+}
+
+// TestSize9MatchesText: two sizes have equal size9 exactly when %.9g
+// prints them alike, on runs of neighbouring floats from every power of
+// ten (where the printed exponent changes, denormals included), from
+// values that round at the ninth digit, and from random bits (NaN
+// payloads, infinities and denormals among them).
+func TestSize9MatchesText(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	same := func(x, y float64) {
+		t.Helper()
+		if got, want := size9(x) == size9(y), fmt.Sprintf("%.9g", x) == fmt.Sprintf("%.9g", y); got != want {
+			t.Fatalf("%v (%.9g), %v (%.9g): size9 equal %v, texts equal %v", x, x, y, y, got, want)
+		}
+	}
+	var starts []float64
+	for _, v := range oddFloats {
+		starts = append(starts, v, -v)
+	}
+	for e := -324; e <= 308; e++ {
+		starts = append(starts, math.Pow(10, float64(e)), 123456789.5*math.Pow(10, float64(e-8)))
+	}
+	for i := 0; i < 2000; i++ {
+		starts = append(starts, math.Float64frombits(rng.Uint64()), math.Float64frombits(rng.Uint64()>>12)) // any, denormal
+	}
+	for _, x := range starts {
+		y := x
+		for k := 0; k < 40; k++ {
+			y = math.Nextafter(y, math.Inf(1))
+			same(x, y)
+		}
+		same(x, -x)
+		same(x, 1/x)
+		same(x, x*(1+1e-9))
+		same(x, x*(1+1e-8))
 	}
 }

@@ -18,6 +18,7 @@ package schedule
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"syccl/internal/collective"
 )
@@ -131,17 +132,20 @@ func (s *Schedule) dependents(l *lists) (start, succ []int, err error) {
 // topoOrder returns a topological order of transfer indices, or an error
 // if the dependency graph has a cycle: Kahn's algorithm with a FIFO queue,
 // which is the order slice itself.
-func (s *Schedule) topoOrder() ([]int, error) {
+func (s *Schedule) topoOrder() ([]int, error) { return s.topoOrderIn(nil) }
+
+// topoOrderIn is topoOrder with its arrays cut from l.
+func (s *Schedule) topoOrderIn(l *lists) ([]int, error) {
 	n := len(s.Transfers)
-	start, succ, err := s.dependents(nil)
+	start, succ, err := s.dependents(l)
 	if err != nil {
 		return nil, err
 	}
-	indeg := make([]int32, n)
+	indeg := l.cut(n)
 	for i := range s.Transfers {
-		indeg[i] = int32(len(s.Transfers[i].Deps))
+		indeg[i] = len(s.Transfers[i].Deps)
 	}
-	order := make([]int, 0, n)
+	order := l.cut(n + 1)[:0] // one spare, so that no transfers is an empty order, not nil
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
 			order = append(order, i)
@@ -161,6 +165,25 @@ func (s *Schedule) topoOrder() ([]int, error) {
 	return order, nil
 }
 
+// checkScratch is Validate's working memory: its int arrays are cut from
+// l, the rest reused. Validations take one from checkPool and put it
+// back, as simulations do their scratch, so its arrays only ever grow.
+type checkScratch struct {
+	l     lists
+	cover []float64
+	has   []uint64
+}
+
+var checkPool = sync.Pool{New: func() any { return new(checkScratch) }}
+
+// zeroed returns *buf resized to n zero elements, on its array when that
+// is large enough.
+func zeroed[T any](buf *[]T, n int) []T {
+	*buf = reuse(*buf, n)[:n]
+	clear(*buf)
+	return *buf
+}
+
 // Validate checks that the schedule is structurally sound and satisfies
 // the collective demand col:
 //
@@ -177,7 +200,10 @@ func (s *Schedule) Validate(col *collective.Collective) error {
 	if s.NumGPUs != col.NumGPUs {
 		return fmt.Errorf("schedule: NumGPUs %d != collective %d", s.NumGPUs, col.NumGPUs)
 	}
-	order, err := s.topoOrder()
+	sc := checkPool.Get().(*checkScratch)
+	defer checkPool.Put(sc)
+	sc.l.reset()
+	order, err := s.topoOrderIn(&sc.l)
 	if err != nil {
 		return err
 	}
@@ -191,7 +217,7 @@ func (s *Schedule) Validate(col *collective.Collective) error {
 	}
 
 	// Chunk coverage: fraction-weighted piece bytes per chunk.
-	cover := make([]float64, len(col.Chunks))
+	cover := zeroed(&sc.cover, len(col.Chunks))
 	for _, p := range s.Pieces {
 		for _, c := range p.Chunks {
 			if c < 0 || c >= len(col.Chunks) {
@@ -204,7 +230,7 @@ func (s *Schedule) Validate(col *collective.Collective) error {
 		// A reduction piece folds one contribution per source: covering
 		// two chunks of one source would count one payload as two.
 		// chunkOf[g] is 1 + the chunk of source g the piece covers.
-		chunkOf := make([]int, s.NumGPUs)
+		chunkOf := sc.l.cut(s.NumGPUs)
 		for pi, p := range s.Pieces {
 			if len(p.Chunks) < 2 {
 				continue
@@ -237,18 +263,19 @@ func (s *Schedule) Validate(col *collective.Collective) error {
 	// reduction pieces: of the partial aggregate rooted at their
 	// subtree), origin the holders before any transfer runs.
 	words := (s.NumGPUs + 63) / 64
-	has := make([]uint64, len(s.Pieces)*words)
+	rows := len(s.Pieces) * words
+	has, origin := zeroed(&sc.has, 2*rows)[:rows], sc.has[rows:]
 	for p := range s.Pieces {
 		s.markOrigins(col, p, has[p*words:(p+1)*words])
 	}
-	origin := append([]uint64(nil), has...)
+	copy(origin, has)
 	// Only a reduction needs every transfer into a GPU; the forward check
 	// finds its inbound delivery among the sender's own dependencies.
 	var inbound inboundIndex
 	if col.Reduce {
 		for _, p := range s.Pieces {
 			if len(p.Chunks) > 1 {
-				inbound = s.inboundIndex()
+				inbound = s.inboundIndex(&sc.l)
 				break
 			}
 		}
@@ -279,8 +306,8 @@ func (s *Schedule) Validate(col *collective.Collective) error {
 	// order, every piece carrying chunk c (once, however often the piece
 	// names it), so each sum below adds the same terms in the same order
 	// as a scan over all pieces would.
-	chunkEnd := make([]int, len(col.Chunks)+1)
-	lastPiece := make([]int, len(col.Chunks)) // piece+1 that last named the chunk
+	chunkEnd := sc.l.cut(len(col.Chunks) + 1)
+	lastPiece := sc.l.cut(len(col.Chunks)) // piece+1 that last named the chunk
 	for p, piece := range s.Pieces {
 		for _, c := range piece.Chunks {
 			if lastPiece[c] != p+1 {
@@ -293,8 +320,8 @@ func (s *Schedule) Validate(col *collective.Collective) error {
 		chunkEnd[c+1] += chunkEnd[c]
 		lastPiece[c] = 0
 	}
-	piecesOf := make([]int, chunkEnd[len(col.Chunks)])
-	fill := append([]int(nil), chunkEnd[:len(col.Chunks)]...)
+	piecesOf := sc.l.cut(chunkEnd[len(col.Chunks)])
+	fill := sc.l.clone(chunkEnd[:len(col.Chunks)])
 	for p, piece := range s.Pieces {
 		for _, c := range piece.Chunks {
 			if lastPiece[c] != p+1 {
@@ -396,16 +423,17 @@ type inboundIndex struct {
 	pieceEnd  []int // sorted[pieceEnd[p]:pieceEnd[p+1]] is piece p's run
 }
 
-func (s *Schedule) inboundIndex() inboundIndex {
-	_, byDst := s.inboundByGPU(nil)
-	ix := inboundIndex{transfers: s.Transfers, sorted: make([]int, len(s.Transfers)), pieceEnd: make([]int, len(s.Pieces)+1)}
+// inboundIndex builds the index in arrays cut from l.
+func (s *Schedule) inboundIndex(l *lists) inboundIndex {
+	_, byDst := s.inboundByGPU(l)
+	ix := inboundIndex{transfers: s.Transfers, sorted: l.cut(len(s.Transfers)), pieceEnd: l.cut(len(s.Pieces) + 1)}
 	for _, t := range s.Transfers {
 		ix.pieceEnd[t.Piece+1]++
 	}
 	for p := range s.Pieces {
 		ix.pieceEnd[p+1] += ix.pieceEnd[p]
 	}
-	next := append([]int(nil), ix.pieceEnd[:len(s.Pieces)]...)
+	next := l.clone(ix.pieceEnd[:len(s.Pieces)])
 	for _, i := range byDst {
 		p := s.Transfers[i].Piece
 		ix.sorted[next[p]] = i

@@ -26,10 +26,12 @@ echo "== go test -count=10 (determinism-sensitive leaves, uncached) =="
 # The solver stack and the sketch search (which feeds the sketch-cache
 # and plan keys) promise the same bytes every run, and so does the
 # topology's automorphism list, whose order decides which replicas the
-# sketch search picks; one cached or lucky pass cannot show that, ten
-# uncached ones in a row can (about a minute on 2 cores, most of it the
-# solver and sketch equivalence checks).
-go test -count=10 ./internal/lp ./internal/milp ./internal/solve ./internal/sketch ./internal/topology
+# sketch search picks; so does the isomorphism table, whose colour-class
+# order and seeded shuffles decide which mapping wins and so the bytes
+# of every mapped sub-schedule. One cached or lucky pass cannot show
+# that, ten uncached ones in a row can (about two minutes on 2 cores,
+# most of it the solver, sketch and mapping equivalence checks).
+go test -count=10 ./internal/lp ./internal/milp ./internal/solve ./internal/sketch ./internal/topology ./internal/isomorph
 
 echo "== go test =="
 go test ./...
