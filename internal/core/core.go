@@ -141,6 +141,17 @@ type SolveCache interface {
 	Store(d *solve.Demand, optsSig string, s *solve.SubSchedule)
 }
 
+// BatchSolveCache is a SolveCache that takes a pass's stores in one
+// call: StoreAll(ds, sig, subs) stores subs[i] for ds[i], all solved
+// under sig, and may reorder or overwrite the two slices, which the
+// pipeline hands over. A pass calls it once, after its candidates are
+// out, so a cache that writes through to disk commits the pass as one
+// batch; a plain SolveCache gets one Store per solved representative.
+type BatchSolveCache interface {
+	SolveCache
+	StoreAll(ds []*solve.Demand, optsSig string, subs []*solve.SubSchedule)
+}
+
 // SketchCache is a cross-request store of sketch-search results. Lookup
 // reports a hit with ok=true (an empty sketch list is a valid cached
 // result). Sketches are read-only once searched: Store may keep the

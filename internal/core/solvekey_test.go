@@ -18,6 +18,7 @@ var solveKeysByFormat = map[int]struct{ coarse, fine string }{
 	5: {"e3|g1|s0", "e0.5|g0|s0"}, // v4's keys; the over-gate fine-pass solver changed
 	6: {"e3|g1|s0", "e0.5|g0|s0"}, // v5's keys; the exact engine's pivot budget counts every pivot
 	7: {"e3|g1|s0", "e0.5|g0|s0"}, // v6's keys; every branch-and-bound node is solved cold
+	8: {"e3|g1|s0", "e0.5|g0|s0"}, // v7's keys; entries are written in packs
 }
 
 func TestSolveKeysPinnedToFormatVersion(t *testing.T) {

@@ -570,7 +570,8 @@ type realized struct {
 //     (Table.Classes; the representative is the first member in this
 //     pass's order);
 //  2. offer each representative to opts.SolveCache once and solve, in
-//     parallel, the ones it did not serve;
+//     parallel, the ones it did not serve (stored back in one batch at
+//     the end of the pass, see BatchSolveCache);
 //  3. map every other demand from its representative's sub-schedule —
 //     one mapped sub-schedule per distinct demand, shared read-only — then
 //     assemble and simulate each candidate in parallel, each worker into
@@ -725,16 +726,32 @@ func realizeAll(ctx context.Context, top *topology.Topology, tab *isomorph.Table
 		pub.offer(sched, t, source, engineName, c.combo)
 	})
 
-	// Stores come after the candidates are out: one may write through to
+	// Stores come after the candidates are out: they may write through to
 	// disk and must not hold up the incumbent stream.
-	if opts.SolveCache != nil && ctx.Err() == nil {
-		parallelFor(len(toSolve), opts.Workers, func(_, k int) {
-			if id := toSolve[k]; subs[id] != nil {
-				opts.SolveCache.Store(tab.Demand(id), solveSig, subs[id])
+	if opts.SolveCache != nil && ctx.Err() == nil && solvedNow > 0 {
+		ds := make([]*solve.Demand, 0, solvedNow)
+		solved := make([]*solve.SubSchedule, 0, solvedNow)
+		for _, id := range toSolve {
+			if subs[id] != nil {
+				ds = append(ds, tab.Demand(id))
+				solved = append(solved, subs[id])
 			}
-		})
+		}
+		storeAll(opts.SolveCache, ds, solveSig, solved)
 	}
 	return out
+}
+
+// storeAll hands one pass's solved representatives to the cache: in one
+// StoreAll call when it takes batches, else one Store each.
+func storeAll(c SolveCache, ds []*solve.Demand, sig string, subs []*solve.SubSchedule) {
+	if b, ok := c.(BatchSolveCache); ok {
+		b.StoreAll(ds, sig, subs)
+		return
+	}
+	for i, d := range ds {
+		c.Store(d, sig, subs[i])
+	}
 }
 
 // maxSolveErrors caps the distinct solver errors surfaced per pass so a

@@ -64,8 +64,9 @@ type Options struct {
 	SolveCacheEntries int
 	// Persist optionally backs the sub-schedule cache with a disk tier
 	// (internal/persist): LRU misses fall through to Persist.Load (the
-	// hit is promoted into the memory tier), and first-time stores are
-	// written through with Persist.Put. Solved sub-demands thereby
+	// hit is promoted into the memory tier), and each solve pass's
+	// first-time stores are written through in one Persist.PutAll batch
+	// (one pack file) before Plan returns. Solved sub-demands thereby
 	// survive process restarts — a rebooted engine replays previously
 	// synthesized plans bit-identically with zero solver calls. Nil
 	// disables the tier.
@@ -100,7 +101,9 @@ const (
 
 // PersistTier is the disk tier behind the sub-schedule cache. Load
 // returns the solution stored for exactly this demand and signature, or
-// nil; Put stores a newly solved sub-schedule, first write wins;
+// nil; PutAll stores subs[i] for ds[i], one solve pass's newly solved
+// sub-schedules under one signature, as one batch, first write wins, and
+// stores none of them on error, so a later PutAll may write them;
 // InvalidateMatching drops every entry whose cache key
 // (isomorph.CacheKey) starts with one of the prefixes and reports how
 // many went — Replan extends selective invalidation to disk through it.
@@ -108,7 +111,7 @@ const (
 // *persist.Store satisfies this interface.
 type PersistTier interface {
 	Load(d *solve.Demand, sig string) *solve.SubSchedule
-	Put(d *solve.Demand, sig string, sub *solve.SubSchedule) error
+	PutAll(ds []*solve.Demand, sig string, subs []*solve.SubSchedule) error
 	InvalidateMatching(prefixes []string) int
 }
 
@@ -398,16 +401,27 @@ func (a solveCacheAdapter) Lookup(d *solve.Demand, sig string) *solve.SubSchedul
 }
 
 func (a solveCacheAdapter) Store(d *solve.Demand, sig string, sub *solve.SubSchedule) {
+	a.StoreAll([]*solve.Demand{d}, sig, []*solve.SubSchedule{sub})
+}
+
+// StoreAll adds a pass's solutions to the memory tier and writes the
+// ones whose Add won through to disk in one batch. The others lost to a
+// first write in memory; the disk tier enforces the same rule, so they
+// have nothing to write.
+func (a solveCacheAdapter) StoreAll(ds []*solve.Demand, sig string, subs []*solve.SubSchedule) {
 	e := a.e
-	if !e.solves.Add(isomorph.CacheKey(d, sig), func() *solve.SubSchedule { return sub }) {
-		// First write won in memory; the disk tier enforces the same
-		// rule, so nothing to write through.
-		return
+	won := 0
+	for i, d := range ds {
+		sub := subs[i]
+		if e.solves.Add(isomorph.CacheKey(d, sig), func() *solve.SubSchedule { return sub }) {
+			ds[won], subs[won] = d, sub
+			won++
+		}
 	}
-	if e.opts.Persist != nil {
-		// Write-through, outside the shard lock. A failed disk write
+	if e.opts.Persist != nil && won > 0 {
+		// Write-through, outside the shard locks. A failed disk write
 		// (full disk, permissions) degrades durability, never planning.
-		_ = e.opts.Persist.Put(d, sig, sub)
+		_ = e.opts.Persist.PutAll(ds[:won], sig, subs[:won])
 	}
 }
 
@@ -431,6 +445,6 @@ func (a sketchCacheAdapter) Store(key string, sketches []*sketch.Sketch) {
 
 // Ensure the adapters satisfy core's interfaces.
 var (
-	_ core.SolveCache  = solveCacheAdapter{}
-	_ core.SketchCache = sketchCacheAdapter{}
+	_ core.BatchSolveCache = solveCacheAdapter{}
+	_ core.SketchCache     = sketchCacheAdapter{}
 )

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"syccl/internal/collective"
@@ -33,12 +34,12 @@ func openPersist(t *testing.T, dir string) *persist.Store {
 	return s
 }
 
-// subFiles lists the committed entry files under a persist directory.
-func subFiles(t *testing.T, dir string) []string {
+// packFiles lists the committed pack files under a persist directory.
+func packFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	var out []string
 	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasSuffix(d.Name(), ".sub") {
+		if err == nil && !d.IsDir() && strings.HasSuffix(d.Name(), ".pack") {
 			out = append(out, path)
 		}
 		return nil
@@ -67,7 +68,7 @@ func TestEnginePersistWarmBoot(t *testing.T) {
 	if cold.Stats.SolverCalls == 0 {
 		t.Fatal("cold plan made no solver calls; test is vacuous")
 	}
-	if len(subFiles(t, dir)) == 0 {
+	if len(packFiles(t, dir)) == 0 {
 		t.Fatal("cold plan wrote nothing through to disk")
 	}
 
@@ -98,6 +99,52 @@ func TestEnginePersistWarmBoot(t *testing.T) {
 	// was already on disk, so no duplicate stores may reach the store.
 	if ps := storeB.Stats(); ps.Stores != 0 {
 		t.Fatalf("warm boot wrote %d entries back to disk (%+v)", ps.Stores, ps)
+	}
+}
+
+// countingTier records the batches the engine hands its disk tier.
+type countingTier struct {
+	*persist.Store
+	mu   sync.Mutex
+	sigs []string // one per PutAll call
+}
+
+func (c *countingTier) PutAll(ds []*solve.Demand, sig string, subs []*solve.SubSchedule) error {
+	c.mu.Lock()
+	c.sigs = append(c.sigs, sig)
+	c.mu.Unlock()
+	return c.Store.PutAll(ds, sig, subs)
+}
+
+// A cold plan commits each solve pass's new sub-schedules as one pack: on
+// a fresh store it leaves one pack file per pass that solved something
+// (the coarse and the fine pass, each under its own solve signature),
+// every solved representative is in them, and a reboot replays the plan
+// from them with zero solver calls.
+func TestColdPlanWritesOnePackPerPass(t *testing.T) {
+	dir := t.TempDir()
+	top := topology.H800Small(2)
+	col := collective.AllGather(top.NumGPUs(), 1<<20)
+	tier := &countingTier{Store: openPersist(t, dir)}
+	cold := mustPlan(t, New(Options{Persist: tier}), top, col, core.Options{Workers: 4})
+
+	passes := map[string]bool{}
+	for _, sig := range tier.sigs {
+		passes[sig] = true
+	}
+	packs := packFiles(t, dir)
+	if len(packs) == 0 || len(packs) > 2 || len(packs) != len(tier.sigs) || len(passes) != len(tier.sigs) {
+		t.Fatalf("cold plan left %d pack files for %d batches over %d solve signatures", len(packs), len(tier.sigs), len(passes))
+	}
+	if st := tier.Stats(); st.Stores != int64(cold.Stats.SolverCalls) || st.Duplicates != 0 {
+		t.Fatalf("%d solver calls, persist stats %+v", cold.Stats.SolverCalls, st)
+	}
+
+	store := openPersist(t, dir)
+	warm := mustPlan(t, New(Options{Persist: store}), top, col, core.Options{Workers: 4})
+	sameResult(t, "plan replayed from packs", warm, cold)
+	if warm.Stats.SolverCalls != 0 || store.Stats().Stores != 0 {
+		t.Fatalf("rebooted plan: %d solver calls, persist stats %+v", warm.Stats.SolverCalls, store.Stats())
 	}
 }
 
@@ -145,7 +192,7 @@ func TestEnginePersistCorruptFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := subFiles(t, dir)
+	files := packFiles(t, dir)
 	if len(files) == 0 {
 		t.Fatal("no entries written")
 	}
@@ -195,11 +242,15 @@ func TestEnginePersistCorruptFallsBack(t *testing.T) {
 // as a buggy or foreign writer would leave them.
 type forgingTier struct{ *persist.Store }
 
-func (f forgingTier) Put(d *solve.Demand, sig string, sub *solve.SubSchedule) error {
-	bad := *sub
-	bad.Transfers = append([]solve.Transfer(nil), sub.Transfers...)
-	bad.Transfers[0].Piece = len(d.Pieces)
-	return f.Store.Put(d, sig, &bad)
+func (f forgingTier) PutAll(ds []*solve.Demand, sig string, subs []*solve.SubSchedule) error {
+	forged := make([]*solve.SubSchedule, len(subs))
+	for i, sub := range subs {
+		bad := *sub
+		bad.Transfers = append([]solve.Transfer(nil), sub.Transfers...)
+		bad.Transfers[0].Piece = len(ds[i].Pieces)
+		forged[i] = &bad
+	}
+	return f.Store.PutAll(ds, sig, forged)
 }
 
 // TestEnginePersistTamperedEntryFallsBack: a rebooted engine over a

@@ -8,23 +8,26 @@
 //
 // On-disk layout under the store directory:
 //
-//	MANIFEST                    — empty container carrying the format
-//	                              version; another version discards the
-//	                              corpus (compatibility rule, see Open)
-//	objects/<2-hex>/<sha256>.sub — one solved sub-schedule per file,
-//	                              sharded by the first byte of the
-//	                              content address
-//	snapshots/<name>.snap       — opaque named snapshots (the serving
-//	                              layer stores its schedule-store image
-//	                              here for warm boot)
+//	MANIFEST                 — empty container carrying the format
+//	                           version; another version discards the
+//	                           corpus (compatibility rule, see Open)
+//	objects/<32-hex>.pack    — one pack per committed batch (a solve
+//	                           pass's new sub-schedules): their entry
+//	                           containers back to back, named by a hash
+//	                           of the containers' checksums
+//	snapshots/<name>.snap    — opaque named snapshots (the serving
+//	                           layer stores its schedule-store image
+//	                           here for warm boot)
 //
-// Every file is a self-describing container: magic, format version,
-// kind, payload, and a trailing SHA-256 over everything before it.
-// Writers are crash-safe — content goes to a same-directory *.tmp file
-// first and is renamed into place — and readers are adversarial: a
-// truncated, torn, or bit-flipped file fails its checksum and is
-// dropped (and deleted) rather than served, and recovery at Open never
-// fails the boot on a bad entry.
+// Every entry and snapshot is a self-describing container: magic,
+// format version, kind, payload, and a trailing SHA-256 over everything
+// before it. The index maps each key to its pack and the offset and
+// length of its container there, so a lookup reads and verifies only
+// that span. Writers are crash-safe — a pack or snapshot goes to a
+// same-directory *.tmp file, is fsynced and is renamed into place — and
+// readers are adversarial: a truncated, torn, or bit-flipped span fails
+// its checksum and drops its whole pack (file and keys) rather than
+// being served, and recovery at Open never fails the boot on a bad pack.
 package persist
 
 import (
@@ -61,8 +64,11 @@ import (
 // a schedule a v6 solve, stopping at the budget, does not return.
 // Version 7 has the v6 layout and keys, but branch-and-bound now solves
 // every node's relaxation cold: where optima tie, a v6 entry may hold a
-// schedule that the cold search no longer returns.
-const FormatVersion = 7
+// schedule that the cold search no longer returns. Version 8 has the v7
+// entries and keys, but files are packs: one per committed batch, each
+// holding its entries' containers back to back under objects/, with no
+// shard directories, where v7 wrote one sharded file per entry.
+const FormatVersion = 8
 
 // Container kinds. Each file kind decodes only as itself, so a snapshot
 // can never be mistaken for a solve entry.
@@ -90,14 +96,38 @@ const (
 
 // encodeContainer frames payload as a checksummed container.
 func encodeContainer(kind byte, payload []byte) []byte {
-	buf := make([]byte, 0, headerSize+len(payload)+checksumSize)
-	buf = append(buf, containerMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, FormatVersion)
-	buf = append(buf, kind, 0)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	sum := sha256.Sum256(buf)
-	return append(buf, sum[:]...)
+	buf := appendHeader(make([]byte, 0, headerSize+len(payload)+checksumSize), kind, len(payload))
+	return appendChecksum(append(buf, payload...), 0)
+}
+
+// appendHeader appends a container header announcing a payload of plen
+// bytes.
+func appendHeader(dst []byte, kind byte, plen int) []byte {
+	dst = append(dst, containerMagic...)
+	dst = binary.LittleEndian.AppendUint16(dst, FormatVersion)
+	dst = append(dst, kind, 0)
+	return binary.LittleEndian.AppendUint64(dst, uint64(plen))
+}
+
+// appendChecksum closes the container that starts at dst[start:] with
+// the SHA-256 of its header and payload.
+func appendChecksum(dst []byte, start int) []byte {
+	sum := sha256.Sum256(dst[start:])
+	return append(dst, sum[:]...)
+}
+
+// containerLen returns the length of the container at the head of data,
+// as its header declares it, or ErrCorrupt when data is too short to
+// hold it. It checks only the framing; decodeContainer checks the rest.
+func containerLen(data []byte) (int, error) {
+	if len(data) < headerSize+checksumSize {
+		return 0, fmt.Errorf("%w: %d bytes is shorter than the minimal container", ErrCorrupt, len(data))
+	}
+	plen := binary.LittleEndian.Uint64(data[8:16])
+	if plen > maxPayloadBytes || plen > uint64(len(data)-headerSize-checksumSize) {
+		return 0, fmt.Errorf("%w: payload length %d overruns the %d bytes left", ErrCorrupt, plen, len(data))
+	}
+	return headerSize + int(plen) + checksumSize, nil
 }
 
 // decodeContainer validates framing and checksum and returns the payload.
@@ -143,7 +173,23 @@ type Entry struct {
 // EncodeEntry(DecodeEntry(b)) reproduces b byte for byte (FuzzPersistDecode
 // holds the codec to that round-trip).
 func EncodeEntry(e *Entry) []byte {
-	var w wbuf
+	return appendEntry(make([]byte, 0, entrySize(e)), e)
+}
+
+// entrySize is the length of e's container.
+func entrySize(e *Entry) int {
+	return headerSize + entryPayloadSize(e) + checksumSize
+}
+
+func entryPayloadSize(e *Entry) int {
+	return 4 + len(e.Key) + 4 + len(e.Sub.Engine) + 8 + 8 + 4 + 5*8*len(e.Sub.Transfers)
+}
+
+// appendEntry appends e's container to dst, so a pack is encoded into
+// one buffer presized with entrySize.
+func appendEntry(dst []byte, e *Entry) []byte {
+	start := len(dst)
+	w := wbuf{b: appendHeader(dst, kindEntry, entryPayloadSize(e))}
 	w.str(e.Key)
 	s := e.Sub
 	w.str(s.Engine)
@@ -157,7 +203,7 @@ func EncodeEntry(e *Entry) []byte {
 		w.i64(int64(t.Start))
 		w.i64(int64(t.Arrive))
 	}
-	return encodeContainer(kindEntry, w.b)
+	return appendChecksum(w.b, start)
 }
 
 // DecodeEntry parses a container produced by EncodeEntry. It never

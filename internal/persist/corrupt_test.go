@@ -30,35 +30,39 @@ func flipByte(t *testing.T, path string, off int) {
 	}
 }
 
-// A bit flip anywhere in an entry — header, payload, or checksum — must
-// make Load drop it and report a miss, and the file must be deleted.
+// A bit flip anywhere in one entry's span of a multi-entry pack —
+// header, payload, or checksum — must make Load drop the whole pack and
+// report a miss: the file must be deleted and every key in it forgotten.
 func TestEntryBitFlipDroppedAtLoad(t *testing.T) {
-	// One representative offset per container region.
-	offsets := map[string]int{"header": 5, "payload": headerSize + 3, "checksum": -4}
+	// One representative offset per container region, relative to the
+	// middle entry's span.
+	offsets := map[string]int64{"header": 5, "payload": headerSize + 3, "checksum": -4}
 	for name, off := range offsets {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			s := open(t, dir)
-			d := demand(0)
-			if err := s.Put(d, "sig", subFor(d)); err != nil {
-				t.Fatal(err)
+			putBatch(t, s, "sig", 0, 1, 2)
+			d := demand(1)
+			sp := spanOf(t, s, d, "sig")
+			if off < 0 {
+				off += sp.n
 			}
-			path := s.entryPath(cacheKey(d, "sig"))
-			flipByte(t, path, off)
+			flipByte(t, sp.p.path, int(sp.off+off))
 
 			if got := s.Load(d, "sig"); got != nil {
 				t.Fatalf("corrupted entry served: %+v", got)
 			}
-			if st := s.Stats(); st.CorruptEntries != 1 {
-				t.Fatalf("stats %+v, want 1 corrupt entry", st)
+			if st := s.Stats(); st.CorruptEntries != 1 || st.Entries != 0 || st.Bytes != 0 {
+				t.Fatalf("stats %+v, want 1 corrupt pack and nothing left", st)
 			}
-			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Fatal("corrupted file left on disk")
+			if _, err := os.Stat(sp.p.path); !os.IsNotExist(err) {
+				t.Fatal("corrupted pack left on disk")
 			}
-			// The slot is reusable: a fresh Put + Load round-trips.
-			if err := s.Put(d, "sig", subFor(d)); err != nil {
-				t.Fatal(err)
+			if got := s.Load(demand(0), "sig"); got != nil {
+				t.Fatalf("a sibling in the dropped pack was served: %+v", got)
 			}
+			// The slots are reusable: a fresh batch round-trips.
+			putBatch(t, s, "sig", 0, 1, 2)
 			if got := s.Load(d, "sig"); got == nil {
 				t.Fatal("store unusable after corruption drop")
 			}
@@ -68,8 +72,9 @@ func TestEntryBitFlipDroppedAtLoad(t *testing.T) {
 
 // An entry with a valid checksum whose transfers address a GPU or piece
 // the demand being looked up does not have — written by a buggy or
-// foreign writer — must be dropped, counted and deleted at Load, never
-// served: the assembly that consumes it would index out of range.
+// foreign writer — must drop its pack, counted and deleted at Load, and
+// never be served: the assembly that consumes it would index out of
+// range.
 func TestEntryOutOfRangeDroppedAtLoad(t *testing.T) {
 	for name, forge := range map[string]func(*solve.Transfer){
 		"piece":        func(tr *solve.Transfer) { tr.Piece = 1 },
@@ -79,19 +84,19 @@ func TestEntryOutOfRangeDroppedAtLoad(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := open(t, t.TempDir())
-			d := demand(0)
-			sub := subFor(d)
-			forge(&sub.Transfers[len(sub.Transfers)-1])
-			if err := s.Put(d, "sig", sub); err != nil {
+			ds, subs := batch(0, 1, 2)
+			forge(&subs[1].Transfers[len(subs[1].Transfers)-1])
+			if err := s.PutAll(ds, "sig", subs); err != nil {
 				t.Fatal(err)
 			}
-			if got := s.Load(d, "sig"); got != nil {
+			path := spanOf(t, s, ds[1], "sig").p.path
+			if got := s.Load(ds[1], "sig"); got != nil {
 				t.Fatalf("out-of-range entry served: %+v", got)
 			}
 			if st := s.Stats(); st.CorruptEntries != 1 || st.Entries != 0 {
-				t.Fatalf("stats %+v, want 1 corrupt entry and none left", st)
+				t.Fatalf("stats %+v, want 1 corrupt pack and none left", st)
 			}
-			if _, err := os.Stat(s.entryPath(cacheKey(d, "sig"))); !os.IsNotExist(err) {
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
 				t.Fatal("out-of-range entry left on disk")
 			}
 		})
@@ -102,29 +107,67 @@ func TestEntryOutOfRangeDroppedAtLoad(t *testing.T) {
 func TestEntryBitFlipDroppedAtBoot(t *testing.T) {
 	dir := t.TempDir()
 	s1 := open(t, dir)
-	d := demand(0)
-	if err := s1.Put(d, "sig", subFor(d)); err != nil {
-		t.Fatal(err)
-	}
-	path := s1.entryPath(cacheKey(d, "sig"))
-	flipByte(t, path, headerSize+8)
+	putBatch(t, s1, "sig", 0, 1, 2)
+	sp := spanOf(t, s1, demand(2), "sig")
+	flipByte(t, sp.p.path, int(sp.off)+headerSize+8)
 
 	s2 := open(t, dir)
 	if s2.Len() != 0 {
-		t.Fatalf("corrupt entry indexed at boot (%d entries)", s2.Len())
+		t.Fatalf("corrupt pack indexed at boot (%d entries)", s2.Len())
 	}
 	if st := s2.Stats(); st.CorruptEntries != 1 {
 		t.Fatalf("stats %+v", st)
 	}
-	if got := s2.Load(d, "sig"); got != nil {
-		t.Fatalf("corrupt entry served after reboot: %+v", got)
+	if got := s2.Load(demand(0), "sig"); got != nil {
+		t.Fatalf("entry of a corrupt pack served after reboot: %+v", got)
 	}
 }
 
-// A corrupted entry costs only itself: its lookup misses and drops the
-// file, its healthy iso-class sibling keeps serving its own exact lookup,
-// a third relabeling that was never stored misses (the store serves no
-// class fallback), and a re-Put of the damaged demand serves again.
+// A corrupt span costs only its own pack: the other packs keep serving,
+// at Load and after a reboot.
+func TestCorruptSpanDropsOnlyItsPack(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir)
+	putBatch(t, s, "a", 0, 1)
+	putBatch(t, s, "b", 2, 3)
+	putBatch(t, s, "c", 0, 3)
+	sp := spanOf(t, s, demand(3), "b")
+	flipByte(t, sp.p.path, int(sp.off)+headerSize+1)
+	if got := s.Load(demand(3), "b"); got != nil {
+		t.Fatalf("corrupt entry served: %+v", got)
+	}
+	check := func(s *Store) {
+		t.Helper()
+		for _, k := range []struct {
+			root int
+			sig  string
+		}{{0, "a"}, {1, "a"}, {0, "c"}, {3, "c"}} {
+			if got := s.Load(demand(k.root), k.sig); !reflect.DeepEqual(got, subFor(demand(k.root))) {
+				t.Fatalf("entry %d/%s of a healthy pack lost: %+v", k.root, k.sig, got)
+			}
+		}
+		if got := s.Load(demand(2), "b"); got != nil {
+			t.Fatalf("entry of the dropped pack served: %+v", got)
+		}
+		if s.Len() != 4 {
+			t.Fatalf("index has %d entries, want 4", s.Len())
+		}
+	}
+	check(s)
+	if st := s.Stats(); st.CorruptEntries != 1 {
+		t.Fatalf("stats %+v", st)
+	}
+	if files := packFiles(t, dir); len(files) != 2 {
+		t.Fatalf("%d pack files, want 2", len(files))
+	}
+	check(open(t, dir))
+}
+
+// A corrupted entry costs only its pack: its lookup misses and drops the
+// file, its healthy iso-class sibling in another pack keeps serving its
+// own exact lookup, a third relabeling that was never stored misses (the
+// store serves no class fallback), and a re-Put of the damaged demand
+// serves again.
 func TestIsoLookupSurvivesCorruptSibling(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)
@@ -135,7 +178,7 @@ func TestIsoLookupSurvivesCorruptSibling(t *testing.T) {
 	if err := s.Put(d1, "sig", subFor(d1)); err != nil {
 		t.Fatal(err)
 	}
-	flipByte(t, s.entryPath(cacheKey(d0, "sig")), headerSize+1)
+	flipByte(t, spanOf(t, s, d0, "sig").p.path, headerSize+1)
 	if got := s.Load(d0, "sig"); got != nil {
 		t.Fatalf("corrupt entry served: %+v", got)
 	}
@@ -206,34 +249,35 @@ func TestSnapshotBitFlipDropped(t *testing.T) {
 	}
 }
 
-// Exhaustive single-byte sweep on a small entry: no flip position may
-// ever be served. (The codec-level sweep is in codec_test.go; this one
-// goes through the full store path with file I/O and index bookkeeping.)
+// Exhaustive single-byte sweep over one entry's span of a multi-entry
+// pack: no flip position may ever be served. (The codec-level sweep is
+// in codec_test.go; this one goes through the full store path with file
+// I/O and index bookkeeping.)
 func TestEveryBytePositionDetectedThroughStore(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)
-	d := demand(0)
-	if err := s.Put(d, "sig", subFor(d)); err != nil {
-		t.Fatal(err)
-	}
-	path := s.entryPath(cacheKey(d, "sig"))
-	pristine, err := os.ReadFile(path)
+	putBatch(t, s, "sig", 0, 1, 2)
+	d := demand(1)
+	sp := spanOf(t, s, d, "sig")
+	pristine, err := os.ReadFile(sp.p.path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for off := 0; off < len(pristine); off += 7 { // stride keeps the test fast
+	for off := sp.off; off < sp.off+sp.n; off += 7 { // stride keeps the test fast
 		mut := append([]byte(nil), pristine...)
 		mut[off] ^= 0xff
-		if err := os.WriteFile(path, mut, 0o644); err != nil {
+		if err := os.WriteFile(sp.p.path, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if got := s.Load(d, "sig"); got != nil {
 			t.Fatalf("flip at offset %d served: %+v", off, got)
 		}
-		// Restore for the next position (Load deleted the file and
-		// forgot the index entry; re-seed through Put).
-		if err := s.Put(d, "sig", subFor(d)); err != nil {
-			t.Fatal(err)
+		// Restore for the next position (Load deleted the pack and
+		// forgot its keys; re-seed the same batch, which rewrites the
+		// same pack).
+		putBatch(t, s, "sig", 0, 1, 2)
+		if again := spanOf(t, s, d, "sig"); again.p.path != sp.p.path || again.off != sp.off {
+			t.Fatalf("re-seeded pack moved: %s@%d, was %s@%d", again.p.path, again.off, sp.p.path, sp.off)
 		}
 	}
 }

@@ -55,3 +55,52 @@ func FuzzPersistDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPackScan feeds arbitrary bytes to the pack walker Open's scan runs
+// on every pack. Contract under fuzzing:
+//
+//   - no input may panic the walker;
+//   - it indexes only spans DecodeEntry accepts, under their own keys;
+//   - an accepted pack is its spans back to back, start to end; a
+//     rejected one indexes nothing (the scan drops the whole pack).
+//
+// Wired into scripts/ci.sh's fuzz smoke.
+func FuzzPackScan(f *testing.F) {
+	one := EncodeEntry(sampleEntry())
+	other := sampleEntry()
+	other.Key = "another-key|sig"
+	other.Sub.Transfers = other.Sub.Transfers[:1]
+	pack := append(append([]byte(nil), one...), EncodeEntry(other)...)
+	f.Add(pack)
+	f.Add(one)
+	f.Add(pack[:len(one)+headerSize])
+	f.Add(pack[:len(pack)-1])
+	f.Add(append(append([]byte(nil), pack...), "trailing"...))
+	f.Add(append(append([]byte(nil), one...), EncodeSnapshot([]byte("x"))...))
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, 64))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spans, err := walkPack(data)
+		if err != nil {
+			if spans != nil {
+				t.Fatalf("rejected pack indexed %d spans", len(spans))
+			}
+			return
+		}
+		next := int64(0)
+		for _, sp := range spans {
+			if sp.off != next || sp.n <= 0 || sp.off+sp.n > int64(len(data)) {
+				t.Fatalf("span %+v does not follow the previous one (next %d, %d bytes)", sp, next, len(data))
+			}
+			e, err := DecodeEntry(data[sp.off : sp.off+sp.n])
+			if err != nil || e.Key != sp.key {
+				t.Fatalf("indexed span %+v: decode %v", sp, err)
+			}
+			next = sp.off + sp.n
+		}
+		if next != int64(len(data)) || len(spans) == 0 {
+			t.Fatalf("accepted pack of %d bytes covers %d in %d spans", len(data), next, len(spans))
+		}
+	})
+}

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,7 +22,7 @@ const (
 	manifestName = "MANIFEST"
 	objectsDir   = "objects"
 	snapshotsDir = "snapshots"
-	entrySuffix  = ".sub"
+	packSuffix   = ".pack"
 	snapSuffix   = ".snap"
 	tmpInfix     = ".tmp"
 )
@@ -41,14 +42,16 @@ type Stats struct {
 	Loads    int64 `json:"loads"`
 	HitExact int64 `json:"hit_exact"`
 	Misses   int64 `json:"misses"`
-	// Stores counts Put calls that wrote a new entry; Duplicates counts
-	// first-write-wins drops; StoreErrors counts failed writes.
+	// Stores counts entries written; Duplicates counts entries dropped
+	// because their key was already stored (first write wins);
+	// StoreErrors counts batches whose pack could not be written.
 	Stores      int64 `json:"stores"`
 	Duplicates  int64 `json:"duplicates"`
 	StoreErrors int64 `json:"store_errors"`
-	// CorruptEntries / CorruptSnapshots count checksum-failed files
-	// dropped (at Open or on access), CorruptEntries also entries whose
-	// transfers do not fit the demand they were looked up for;
+	// CorruptEntries counts packs dropped (at Open or on access) because
+	// an entry span failed its checksum or framing, or held transfers
+	// that do not fit the demand it was looked up for; CorruptSnapshots
+	// counts checksum-failed snapshots dropped;
 	// CorruptManifest counts manifest validation failures; Resets counts
 	// whole-corpus discards (manifest missing/corrupt/incompatible).
 	CorruptEntries   int64 `json:"corrupt_entries"`
@@ -57,20 +60,26 @@ type Stats struct {
 	Resets           int64 `json:"resets"`
 	// Orphans counts abandoned tmp files removed during recovery.
 	Orphans int64 `json:"orphans"`
-	// Entries / Bytes describe the current corpus.
+	// Entries / Bytes describe the current corpus: indexed keys and the
+	// bytes of their entry containers.
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
 }
 
 // Store is a disk-backed, content-addressed cache of solved
 // sub-schedules plus a small named-snapshot area. It is safe for
-// concurrent use; every entry file is immutable once renamed into
-// place, so readers never observe partial writes.
+// concurrent use; every pack file is immutable once renamed into place,
+// so readers never observe partial writes.
 type Store struct {
 	dir string
 
+	// commit is held shared by each PutAll from reserving its keys to
+	// indexing its pack, and exclusively by InvalidateMatching, so an
+	// invalidation never meets a batch in flight.
+	commit sync.RWMutex
+
 	mu    sync.Mutex
-	exact map[string]string // cache key (isomorph.CacheKey) -> entry file path
+	exact map[string]span // cache key (isomorph.CacheKey) -> its entry container
 	bytes int64
 
 	loads, hitExact, misses          atomic.Int64
@@ -79,6 +88,20 @@ type Store struct {
 	corruptManifest, resets, orphans atomic.Int64
 
 	met atomic.Pointer[storeMetrics]
+}
+
+// pack is one committed pack file and the keys indexed into it.
+type pack struct {
+	path string
+	keys []string // the keys indexed into this pack when it was committed or scanned
+	live int      // how many of keys the index still maps here
+}
+
+// span locates one entry container in a pack. A zero span (nil pack)
+// reserves a key whose batch is still being written.
+type span struct {
+	p      *pack
+	off, n int64
 }
 
 // storeMetrics holds the labeled children, resolved once at BindMetrics.
@@ -104,7 +127,7 @@ func Open(opts Options) (*Store, error) {
 	}
 	s := &Store{
 		dir:   opts.Dir,
-		exact: make(map[string]string),
+		exact: make(map[string]span),
 	}
 	for _, d := range []string{s.dir, filepath.Join(s.dir, objectsDir), filepath.Join(s.dir, snapshotsDir)} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
@@ -196,19 +219,20 @@ func (s *Store) BindMetrics(reg *obs.Registry) {
 }
 
 // Load returns the sub-schedule stored for exactly this demand and solve
-// signature, verbatim, or nil. An entry that fails its checksum, or
-// whose transfers address a GPU or piece the demand does not have, is
-// dropped from disk and the lookup misses — corruption degrades to a
-// cold synthesis, never to a bad schedule or a crash.
+// signature, verbatim, or nil. It reads and verifies only the entry's
+// span of its pack. A span that fails its checksum, or whose transfers
+// address a GPU or piece the demand does not have, drops its pack from
+// disk and the lookup misses — corruption degrades to a cold synthesis,
+// never to a bad schedule or a crash.
 func (s *Store) Load(d *solve.Demand, sig string) *solve.SubSchedule {
 	s.loads.Add(1)
 	key := isomorph.CacheKey(d, sig)
 	s.mu.Lock()
-	path := s.exact[key]
+	sp := s.exact[key]
 	s.mu.Unlock()
 
-	if path != "" {
-		if sub := s.readEntry(path, key, d); sub != nil {
+	if sp.p != nil {
+		if sub := s.readEntry(key, sp, d); sub != nil {
 			s.hitExact.Add(1)
 			if m := s.met.Load(); m != nil {
 				m.loadExact.Inc()
@@ -223,58 +247,102 @@ func (s *Store) Load(d *solve.Demand, sig string) *solve.SubSchedule {
 	return nil
 }
 
-// Put writes the solved sub-schedule to disk under its content address.
-// First write wins: a key already present is left untouched so replays
-// stay bit-identical under concurrent duplicate stores. Callers must
-// only Put fully validated results — the engine never stores partial or
-// cancelled-flight solutions, and this package cannot tell the
-// difference.
+// Put stores one solved sub-schedule: a batch of one (see PutAll).
 func (s *Store) Put(d *solve.Demand, sig string, sub *solve.SubSchedule) error {
-	exact := isomorph.CacheKey(d, sig)
-	path := s.entryPath(exact)
+	return s.PutAll([]*solve.Demand{d}, sig, []*solve.SubSchedule{sub})
+}
 
+// PutAll writes the solved sub-schedules subs[i] of ds[i], all under one
+// solve signature, as one pack: their containers are encoded into one
+// buffer and committed with one tmp + fsync + rename. First write wins:
+// a key already present (or twice in the batch) is left untouched, so
+// replays stay bit-identical under concurrent duplicate stores. If the
+// pack cannot be written, none of the batch's keys is stored, and a
+// later PutAll may write them. Callers must only store fully validated
+// results — the engine never stores partial or cancelled-flight
+// solutions, and this package cannot tell the difference.
+func (s *Store) PutAll(ds []*solve.Demand, sig string, subs []*solve.SubSchedule) error {
+	if len(ds) != len(subs) {
+		return fmt.Errorf("persist: %d demands for %d sub-schedules", len(ds), len(subs))
+	}
+	keys := make([]string, len(ds))
+	for i, d := range ds {
+		keys[i] = isomorph.CacheKey(d, sig)
+	}
+
+	s.commit.RLock()
+	defer s.commit.RUnlock()
+	// Reserve the keys before the write so a concurrent duplicate store
+	// becomes a no-op instead of a double write; released on error.
+	fresh := make([]Entry, 0, len(ds))
+	size := 0
 	s.mu.Lock()
-	if _, ok := s.exact[exact]; ok {
-		s.mu.Unlock()
-		s.duplicates.Add(1)
-		if m := s.met.Load(); m != nil {
-			m.storeDup.Inc()
+	for i, k := range keys {
+		if _, ok := s.exact[k]; ok {
+			continue
 		}
+		s.exact[k] = span{}
+		fresh = append(fresh, Entry{Key: k, Sub: subs[i]})
+		size += entrySize(&fresh[len(fresh)-1])
+	}
+	s.mu.Unlock()
+	if dups := len(ds) - len(fresh); dups > 0 {
+		s.duplicates.Add(int64(dups))
+		if m := s.met.Load(); m != nil {
+			m.storeDup.Add(float64(dups))
+		}
+	}
+	if len(fresh) == 0 {
 		return nil
 	}
-	// Reserve the key before the write so a concurrent duplicate Put
-	// becomes a no-op instead of a double write; rolled back on error.
-	s.exact[exact] = path
-	s.mu.Unlock()
 
-	data := EncodeEntry(&Entry{Key: exact, Sub: sub})
-	if err := atomicWrite(path, data); err != nil {
-		s.mu.Lock()
-		delete(s.exact, exact)
+	buf := make([]byte, 0, size)
+	offs := make([]int64, len(fresh)+1)
+	name := sha256.New()
+	for i := range fresh {
+		buf = appendEntry(buf, &fresh[i])
+		offs[i+1] = int64(len(buf))
+		name.Write(buf[len(buf)-checksumSize:])
+	}
+	path := filepath.Join(s.dir, objectsDir, hex.EncodeToString(name.Sum(nil)[:16])+packSuffix)
+	err := atomicWrite(path, buf)
+
+	s.mu.Lock()
+	if err != nil {
+		for _, e := range fresh {
+			delete(s.exact, e.Key)
+		}
 		s.mu.Unlock()
 		s.storeErrors.Add(1)
 		if m := s.met.Load(); m != nil {
 			m.storeErr.Inc()
 		}
-		return fmt.Errorf("persist: store entry: %w", err)
+		return fmt.Errorf("persist: store pack: %w", err)
 	}
-	s.mu.Lock()
-	s.bytes += int64(len(data))
+	p := &pack{path: path, keys: make([]string, len(fresh)), live: len(fresh)}
+	for i, e := range fresh {
+		p.keys[i] = e.Key
+		s.exact[e.Key] = span{p: p, off: offs[i], n: offs[i+1] - offs[i]}
+	}
+	s.bytes += int64(len(buf))
 	s.updateGaugesLocked()
 	s.mu.Unlock()
-	s.stores.Add(1)
+	s.stores.Add(int64(len(fresh)))
 	if m := s.met.Load(); m != nil {
-		m.storeWritten.Inc()
+		m.storeWritten.Add(float64(len(fresh)))
 	}
 	return nil
 }
 
 // InvalidateMatching removes every stored entry whose cache key starts
-// with one of the prefixes, deleting the backing files, and returns the
-// number of entries removed. It implements the engine's
-// selective invalidation for fault-reactive replanning: entries whose
-// demand shape no longer exists on a degraded fabric are dropped from
-// the disk tier so a later warm boot does not resurrect them. Removal is
+// with one of the prefixes and returns the number of entries removed.
+// It implements the engine's selective invalidation for fault-reactive
+// replanning: entries whose demand shape no longer exists on a degraded
+// fabric are dropped from the disk tier so a later warm boot does not
+// resurrect them. A pack left with no live entry is deleted; the
+// survivors of partly invalidated packs are copied into one new pack
+// (one fsync per call) before their old packs are deleted, so no
+// invalidated entry stays on disk once the call returns. Removal is
 // never a correctness requirement — the store is content-addressed — so
 // a file that fails to delete only costs disk space, not validity.
 func (s *Store) InvalidateMatching(prefixes []string) int {
@@ -290,29 +358,114 @@ func (s *Store) InvalidateMatching(prefixes []string) int {
 		return false
 	}
 
+	s.commit.Lock()
+	defer s.commit.Unlock()
 	s.mu.Lock()
-	var victims []string
-	for k, p := range s.exact {
+	removed := 0
+	touched := map[*pack]bool{}
+	for k, sp := range s.exact {
 		if match(k) {
 			delete(s.exact, k)
-			victims = append(victims, p)
+			s.bytes -= sp.n
+			sp.p.live--
+			touched[sp.p] = true
+			removed++
 		}
 	}
-	for _, p := range victims {
-		if fi, err := os.Stat(p); err == nil {
-			s.bytes -= fi.Size()
+	var partly []*pack
+	for p := range touched {
+		if p.live > 0 {
+			partly = append(partly, p)
 		}
-	}
-	if s.bytes < 0 {
-		s.bytes = 0
 	}
 	s.updateGaugesLocked()
 	s.mu.Unlock()
 
-	for _, p := range victims {
-		_ = os.Remove(p)
+	if len(partly) > 0 {
+		sort.Slice(partly, func(i, j int) bool { return partly[i].path < partly[j].path })
+		s.repack(partly)
 	}
-	return len(victims)
+	for p := range touched {
+		_ = os.Remove(p.path)
+	}
+	return removed
+}
+
+// repack copies the live entries of the given packs into one new pack
+// and points the index at it. A pack whose surviving spans do not read
+// back whole is dropped (counted corrupt), and if the new pack cannot be
+// written every survivor is forgotten: the old packs are deleted either
+// way, so an invalidated entry never outlives the call.
+func (s *Store) repack(packs []*pack) {
+	type moved struct {
+		key  string
+		from span
+	}
+	var survivors []moved
+	var buf []byte
+	name := sha256.New()
+	for _, p := range packs {
+		data, err := os.ReadFile(p.path)
+		if err != nil {
+			s.forgetPack(p)
+			continue
+		}
+		s.mu.Lock()
+		var mine []moved
+		for _, k := range p.keys {
+			if sp, ok := s.exact[k]; ok && sp.p == p {
+				mine = append(mine, moved{k, sp})
+			}
+		}
+		s.mu.Unlock()
+		whole := true
+		for _, m := range mine {
+			if m.from.off+m.from.n > int64(len(data)) {
+				whole = false
+				break
+			}
+			if e, err := DecodeEntry(data[m.from.off : m.from.off+m.from.n]); err != nil || e.Key != m.key {
+				whole = false
+				break
+			}
+		}
+		if !whole {
+			s.dropPack(p)
+			continue
+		}
+		for _, m := range mine {
+			buf = append(buf, data[m.from.off:m.from.off+m.from.n]...)
+			name.Write(buf[len(buf)-checksumSize:])
+			survivors = append(survivors, m)
+		}
+	}
+	if len(survivors) == 0 {
+		return
+	}
+	path := filepath.Join(s.dir, objectsDir, hex.EncodeToString(name.Sum(nil)[:16])+packSuffix)
+	if err := atomicWrite(path, buf); err != nil {
+		s.storeErrors.Add(1)
+		if m := s.met.Load(); m != nil {
+			m.storeErr.Inc()
+		}
+		for _, p := range packs {
+			s.forgetPack(p)
+		}
+		return
+	}
+	np := &pack{path: path}
+	s.mu.Lock()
+	off := int64(0)
+	for _, m := range survivors {
+		if s.exact[m.key] == m.from {
+			s.exact[m.key] = span{p: np, off: off, n: m.from.n}
+			np.keys = append(np.keys, m.key)
+			m.from.p.live--
+		}
+		off += m.from.n
+	}
+	np.live = len(np.keys)
+	s.mu.Unlock()
 }
 
 // SaveSnapshot atomically writes a named opaque snapshot (checksummed
@@ -422,41 +575,87 @@ func (s *Store) reset() {
 	_ = os.MkdirAll(filepath.Join(s.dir, snapshotsDir), 0o755)
 }
 
-// scan rebuilds the key index from the corpus, dropping every file that
-// fails validation.
+// scan rebuilds the key index from the packs, in name order, dropping
+// every pack that fails walkPack. A key already indexed from an earlier
+// pack keeps its first span; a pack left with no key of its own is
+// deleted.
 func (s *Store) scan() {
 	root := filepath.Join(s.dir, objectsDir)
-	_ = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(d.Name(), entrySuffix) {
-			return nil
+	files, _ := os.ReadDir(root)
+	for _, f := range files {
+		if f.IsDir() || !strings.HasSuffix(f.Name(), packSuffix) {
+			continue
 		}
-		data, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return nil
+		path := filepath.Join(root, f.Name())
+		data, err := os.ReadFile(path)
+		if err != nil {
+			continue
 		}
-		e, derr := DecodeEntry(data)
-		if derr != nil {
-			s.dropCorrupt(path)
-			return nil
+		spans, err := walkPack(data)
+		if err != nil {
+			s.corruptEntries.Add(1)
+			_ = os.Remove(path)
+			continue
 		}
-		s.mu.Lock()
-		if _, dup := s.exact[e.Key]; !dup {
-			s.exact[e.Key] = path
-			s.bytes += int64(len(data))
+		p := &pack{path: path}
+		for _, e := range spans {
+			if _, dup := s.exact[e.key]; !dup {
+				s.exact[e.key] = span{p: p, off: e.off, n: e.n}
+				p.keys = append(p.keys, e.key)
+				s.bytes += e.n
+			}
 		}
-		s.mu.Unlock()
-		return nil
-	})
+		if p.live = len(p.keys); p.live == 0 {
+			_ = os.Remove(path)
+		}
+	}
 }
 
-// readEntry loads the entry file at path for the lookup of key on d and
-// returns its solution, or nil: an entry of another key misses, and one
-// that fails to decode or does not fit d is dropped from disk and from
-// the index.
-func (s *Store) readEntry(path, key string, d *solve.Demand) *solve.SubSchedule {
-	data, err := os.ReadFile(path)
+// packedEntry is one entry container walkPack found in a pack.
+type packedEntry struct {
+	key    string
+	off, n int64
+}
+
+// walkPack splits a pack into its entry containers, container by
+// container, and returns each one's key and span. It never panics on
+// arbitrary bytes, and it errors — so the whole pack is dropped — when
+// the pack is empty, or when any span is cut short or fails DecodeEntry.
+func walkPack(data []byte) ([]packedEntry, error) {
+	if len(data) == 0 {
+		return nil, fmt.Errorf("%w: empty pack", ErrCorrupt)
+	}
+	var out []packedEntry
+	for off := 0; off < len(data); {
+		n, err := containerLen(data[off:])
+		if err != nil {
+			return nil, err
+		}
+		e, err := DecodeEntry(data[off : off+n])
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, packedEntry{key: e.Key, off: int64(off), n: int64(n)})
+		off += n
+	}
+	return out, nil
+}
+
+// readEntry reads the span sp for the lookup of key on d and returns its
+// solution, or nil. A pack that is gone is forgotten; a span of another
+// key misses; a span that does not read back whole, fails to decode or
+// does not fit d drops its pack.
+func (s *Store) readEntry(key string, sp span, d *solve.Demand) *solve.SubSchedule {
+	f, err := os.Open(sp.p.path)
 	if err != nil {
-		s.forgetPath(path)
+		s.forgetPack(sp.p)
+		return nil
+	}
+	data := make([]byte, sp.n)
+	_, err = f.ReadAt(data, sp.off)
+	f.Close()
+	if err != nil {
+		s.dropPack(sp.p)
 		return nil
 	}
 	e, derr := DecodeEntry(data)
@@ -464,8 +663,7 @@ func (s *Store) readEntry(path, key string, d *solve.Demand) *solve.SubSchedule 
 		return nil
 	}
 	if derr != nil || !fits(e.Sub, d) {
-		s.dropCorrupt(path)
-		s.forgetPath(path)
+		s.dropPack(sp.p)
 		return nil
 	}
 	return e.Sub
@@ -483,25 +681,35 @@ func fits(sub *solve.SubSchedule, d *solve.Demand) bool {
 	return true
 }
 
-func (s *Store) dropCorrupt(path string) {
-	s.corruptEntries.Add(1)
-	if m := s.met.Load(); m != nil {
-		m.corruptEntry.Inc()
-	}
-	_ = os.Remove(path)
-}
-
-// forgetPath removes a dead file from the in-memory index.
-func (s *Store) forgetPath(path string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k, p := range s.exact {
-		if p == path {
-			delete(s.exact, k)
-			break
+// dropPack deletes a damaged pack and forgets its keys, counting it once
+// however many lookups find the damage.
+func (s *Store) dropPack(p *pack) {
+	if s.forgetPack(p) {
+		s.corruptEntries.Add(1)
+		if m := s.met.Load(); m != nil {
+			m.corruptEntry.Inc()
 		}
 	}
+	_ = os.Remove(p.path)
+}
+
+// forgetPack removes every key the index still maps into p and reports
+// whether there was one.
+func (s *Store) forgetPack(p *pack) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if p.live == 0 {
+		return false
+	}
+	for _, k := range p.keys {
+		if sp, ok := s.exact[k]; ok && sp.p == p {
+			delete(s.exact, k)
+			s.bytes -= sp.n
+		}
+	}
+	p.live = 0
 	s.updateGaugesLocked()
+	return true
 }
 
 func (s *Store) updateGaugesLocked() {
@@ -511,22 +719,10 @@ func (s *Store) updateGaugesLocked() {
 	}
 }
 
-func (s *Store) entryPath(exactKey string) string {
-	sum := sha256.Sum256([]byte(exactKey))
-	name := hex.EncodeToString(sum[:])
-	return filepath.Join(s.dir, objectsDir, name[:2], name+entrySuffix)
-}
-
+// hasEntries reports whether the objects directory holds anything.
 func hasEntries(root string) bool {
-	found := false
-	_ = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasSuffix(d.Name(), entrySuffix) {
-			found = true
-			return filepath.SkipAll
-		}
-		return nil
-	})
-	return found
+	files, err := os.ReadDir(root)
+	return err == nil && len(files) > 0
 }
 
 func validSnapName(name string) error {

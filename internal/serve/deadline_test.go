@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -119,10 +120,12 @@ func TestPartialNotStored(t *testing.T) {
 
 // heldTier is a disk tier with nothing on it whose Load blocks until
 // release is closed, so a plan that reaches its sub-schedule cache stays
-// mid-pass until then. The first Load closes entered.
+// mid-pass until then. The first Load closes entered; puts counts the
+// entries handed to PutAll.
 type heldTier struct {
 	entered, release chan struct{}
 	once             sync.Once
+	puts             atomic.Int64
 }
 
 func (h *heldTier) Load(*solve.Demand, string) *solve.SubSchedule {
@@ -131,8 +134,12 @@ func (h *heldTier) Load(*solve.Demand, string) *solve.SubSchedule {
 	return nil
 }
 
-func (*heldTier) Put(*solve.Demand, string, *solve.SubSchedule) error { return nil }
-func (*heldTier) InvalidateMatching([]string) int                     { return 0 }
+func (h *heldTier) PutAll(ds []*solve.Demand, _ string, _ []*solve.SubSchedule) error {
+	h.puts.Add(int64(len(ds)))
+	return nil
+}
+
+func (*heldTier) InvalidateMatching([]string) int { return 0 }
 
 // TestCancelledClientNeverPopulatesCaches extends the engine's cancellation
 // invariant to the HTTP layer: when the only client of a flight
@@ -188,6 +195,9 @@ func TestCancelledClientNeverPopulatesCaches(t *testing.T) {
 	if n := s.store.len(); n != 0 {
 		t.Fatalf("cancelled request left %d stored schedules", n)
 	}
+	if n := held.puts.Load(); n != 0 {
+		t.Fatalf("cancelled request wrote %d sub-schedules to the disk tier", n)
+	}
 
 	// The identical request must now be a genuinely cold solve: engine
 	// invoked again, real solver work, no store hit.
@@ -204,5 +214,8 @@ func TestCancelledClientNeverPopulatesCaches(t *testing.T) {
 	}
 	if sr.SolverCalls == 0 {
 		t.Fatal("follow-up request did zero solver work: the cancelled plan populated the engine caches")
+	}
+	if held.puts.Load() == 0 {
+		t.Fatal("the completed follow-up wrote nothing to the disk tier")
 	}
 }

@@ -9,6 +9,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -262,5 +263,62 @@ func TestPrewarmerPopulatesStore(t *testing.T) {
 	_, prom := getJSON(t, ts.URL+"/metrics")
 	if !strings.Contains(string(prom), `syccl_prewarm_total{result="planned"} 2`) {
 		t.Fatalf("exposition missing prewarm counts:\n%s", prom)
+	}
+}
+
+// A pack the disk tier cannot write (objects/ replaced by a regular
+// file; root ignores mode bits, so chmod cannot simulate it) costs
+// durability only: the daemon answers 200 with the cold schedule from
+// memory, store_errors counts the failed batches, and their keys are
+// released, so once the directory is back a later plan on the same
+// store writes every solved sub-schedule.
+func TestPackWriteFailureFallsBackToMemory(t *testing.T) {
+	dir := t.TempDir()
+	store := openStore(t, dir)
+	objects := filepath.Join(dir, "objects")
+	if err := os.Remove(objects); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(objects, []byte("in the way"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	body := `{"topology":"dgx4","collective":"allgather","size":"1M","include_schedule":true}`
+
+	_, tsCold := newTestServer(t, Options{})
+	_, coldBody := postJSON(t, tsCold.URL, body)
+	cold := decodeSynth(t, coldBody)
+
+	_, ts1 := newTestServer(t, Options{Persist: store})
+	resp, b := postJSON(t, ts1.URL, body)
+	if resp.StatusCode != 200 {
+		t.Fatalf("synthesize over a broken disk tier: status %d: %s", resp.StatusCode, b)
+	}
+	got := decodeSynth(t, b)
+	if got.ID != cold.ID || got.PredictedTimeS != cold.PredictedTimeS || !reflect.DeepEqual(got.Schedule, cold.Schedule) {
+		t.Fatal("plan over a broken disk tier differs from the cold plan")
+	}
+	st := store.Stats()
+	if st.StoreErrors == 0 || st.Stores != 0 || st.Entries != 0 {
+		t.Fatalf("failed batches not counted or not released: %+v", st)
+	}
+	_, prom := getJSON(t, ts1.URL+"/metrics")
+	if want := fmt.Sprintf(`syccl_persist_stores_total{result="error"} %d`, st.StoreErrors); !strings.Contains(string(prom), want) {
+		t.Fatalf("exposition missing %q", want)
+	}
+
+	if err := os.Remove(objects); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(objects, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	_, ts2 := newTestServer(t, Options{Persist: store})
+	_, b2 := postJSON(t, ts2.URL, body)
+	again := decodeSynth(t, b2)
+	if again.SolverCalls == 0 || !reflect.DeepEqual(again.Schedule, cold.Schedule) {
+		t.Fatalf("later plan: %d solver calls, same schedule %t", again.SolverCalls, reflect.DeepEqual(again.Schedule, cold.Schedule))
+	}
+	if st := store.Stats(); st.Stores != int64(again.SolverCalls) || st.Duplicates != 0 {
+		t.Fatalf("later plan wrote %d of %d solved sub-schedules: %+v", st.Stores, again.SolverCalls, st)
 	}
 }

@@ -73,6 +73,7 @@ go test ./internal/solve/ -run='^$' -fuzz='^FuzzFlowQuotient$' -fuzztime="$FUZZT
 go test ./internal/solve/ -run='^$' -fuzz='^FuzzGreedyEquivalence$' -fuzztime="$FUZZTIME"
 go test ./internal/lp/ -run='^$' -fuzz='^FuzzLPOracle$' -fuzztime="$FUZZTIME"
 go test ./internal/persist/ -run='^$' -fuzz='^FuzzPersistDecode$' -fuzztime="$FUZZTIME"
+go test ./internal/persist/ -run='^$' -fuzz='^FuzzPackScan$' -fuzztime="$FUZZTIME"
 go test ./internal/lru/ -run='^$' -fuzz='^FuzzLRUModel$' -fuzztime="$FUZZTIME"
 go test ./internal/schedule/ -run='^$' -fuzz='^FuzzValidateEquivalence$' -fuzztime="$FUZZTIME"
 go test ./internal/sim/ -run='^$' -fuzz='^FuzzServingOrder$' -fuzztime="$FUZZTIME"
